@@ -2,19 +2,23 @@
 
 Subcommands: solve, payoff, ideal, compare, oracle-check.  Exit codes:
 0 = optimal, 1 = oracle-check mismatch, 2 = infeasible, 3 = parse/validation
-error, 4 = resource limit hit.
+error or bad --override-payoff / --tolerance value, 4 = resource limit hit,
+5 = numerical breakdown in the simplex.  Exits 3, 4 and 5 print one
+``error:`` line on stderr.  Other usage errors (unknown options, a malformed
+--competitor) are reported by argparse itself, which exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
 from .compromise import InfeasibleProblemError, build_payoff, compute_ideal
 from .crisp import InvalidInstanceError, build_bi_objective
 from .intervals import Interval
-from .milp import NodeLimitError, OracleScopeError
+from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError
 from .model import FEASIBILITY_TOL
 from .pipeline import CompetitorEntry, run_oracle_check, run_pipeline
 from .problemfile import ProblemFileError, parse_instance
@@ -25,19 +29,45 @@ EXIT_CHECK_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_BAD_INPUT = 3
 EXIT_RESOURCE = 4
+EXIT_NUMERICAL = 5
 
 _COMPETITOR = re.compile(r"^(?P<name>[^=]+)=\[(?P<lo>[^,\]]+),(?P<hi>[^,\]]+)\]$")
 
 
+class BadArgumentError(Exception):
+    """An option value main() rejects with EXIT_BAD_INPUT.
+
+    Not a ValueError, so argparse lets it through instead of turning it into
+    its own usage error (exit 2).
+    """
+
+
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise BadArgumentError(f"{what}: non-numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise BadArgumentError(f"{what}: value {text!r} is not finite")
+    return value
+
+
 def _parse_override(text: str) -> tuple[float, float, float, float]:
+    what = "argument --override-payoff"
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected L1,U1,L2,U2")
-    try:
-        l1, u1, l2, u2 = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric payoff level in {text!r}") from None
+        raise BadArgumentError(f"{what}: expected L1,U1,L2,U2, got {text!r}")
+    l1, u1, l2, u2 = (_finite(p, what) for p in parts)
+    if l1 > u1 or l2 > u2:
+        raise BadArgumentError(f"{what}: a best level exceeds its worst level in {text!r}")
     return l1, u1, l2, u2
+
+
+def _parse_tolerance(text: str) -> float:
+    value = _finite(text, "argument --tolerance")
+    if value < 0:
+        raise BadArgumentError(f"argument --tolerance: must be nonnegative, got {text!r}")
+    return value
 
 
 def _parse_competitor(text: str) -> CompetitorEntry:
@@ -64,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if payoff:
             p.add_argument("--override-payoff", type=_parse_override, metavar="L1,U1,L2,U2",
                            help="replace the computed payoff levels")
-            p.add_argument("--tolerance", type=float, default=FEASIBILITY_TOL,
+            p.add_argument("--tolerance", type=_parse_tolerance, default=FEASIBILITY_TOL,
                            help="feasibility tolerance for the plan check")
 
     add_common(sub.add_parser("solve", help="full pipeline and report"))
@@ -90,7 +120,11 @@ def _load(path: str):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except BadArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         instance = _load(args.file)
         if args.command in ("solve", "compare"):
@@ -139,6 +173,9 @@ def main(argv=None) -> int:
     except (NodeLimitError, OracleScopeError) as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except DegeneratePivotError as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

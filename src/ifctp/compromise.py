@@ -17,7 +17,7 @@ from typing import Optional
 from .crisp import (BiObjectiveMilp, build_bi_objective, build_single_objective,
                     constraint_rows, extract_plan, to_milp)
 from .intervals import CenterWidth
-from .milp import OPTIMAL, MilpModel, Row, solve_milp
+from .milp import OPTIMAL, MilpModel, MilpSolution, Row, solve_milp
 from .model import IfctpInstance, ShipmentPlan
 
 # Ranges below this are treated as degenerate (both anchors agree on the objective).
@@ -68,11 +68,17 @@ def membership(value: float, best: float, worst: float) -> float:
     return min(1.0, max(0.0, (worst - value) / (worst - best)))
 
 
-def build_payoff(bi: BiObjectiveMilp) -> PayoffTable:
-    """Solve each objective alone and cross-evaluate the two anchor plans."""
+def build_payoff(bi: BiObjectiveMilp,
+                 width_anchor: Optional[MilpSolution] = None) -> PayoffTable:
+    """Solve each objective alone and cross-evaluate the two anchor plans.
+
+    width_anchor, if given, is the solution of to_milp(bi, bi.obj_width) and
+    is used instead of solving that model again.
+    """
     anchors = []
-    for objective in (bi.obj_lower, bi.obj_width):
-        sol = solve_milp(to_milp(bi, objective))
+    for objective, sol in ((bi.obj_lower, None), (bi.obj_width, width_anchor)):
+        if sol is None:
+            sol = solve_milp(to_milp(bi, objective))
         if sol.status != OPTIMAL:
             raise InfeasibleProblemError(f"single-objective solve ended {sol.status}")
         anchors.append(extract_plan(bi, sol.assignment))
@@ -152,11 +158,17 @@ def solve_compromise(instance: IfctpInstance,
     return CompromiseResult(lambda_star, plan, values, memberships)
 
 
-def compute_ideal(instance: IfctpInstance) -> CenterWidth:
-    """Componentwise minima of expected cost and uncertainty (generally unattainable)."""
+def compute_ideal(instance: IfctpInstance,
+                  width_anchor: Optional[MilpSolution] = None) -> CenterWidth:
+    """Componentwise minima of expected cost and uncertainty (generally unattainable).
+
+    width_anchor, if given, is the solution of the width model (the payoff
+    table's width anchor) and is used instead of solving that model again.
+    """
     coordinates = []
-    for which in ("center", "width"):
-        sol = solve_milp(build_single_objective(instance, which))
+    for which, sol in (("center", None), ("width", width_anchor)):
+        if sol is None:
+            sol = solve_milp(build_single_objective(instance, which))
         if sol.status != OPTIMAL:
             raise InfeasibleProblemError(f"ideal-point solve ({which}) ended {sol.status}")
         coordinates.append(sol.objective_value)

@@ -9,6 +9,19 @@ an independent second opinion for testing.
 Determinism: pivot, branching and node-selection rules are all fixed with
 index-order tie breaking, so two runs on identical input produce identical
 assignments.
+
+Kernel cost: a tableau has tens of rows and columns, so numpy's per-call
+overhead costs about as much as the arithmetic, and each pivot is written
+with as few calls as it allows.  The ratio test divides over the eligible
+rows only.  The update is one broadcast, T -= col * pivot_row, with the
+pivot row's own entry of col zeroed.  Rows whose column entry is zero
+subtract an exact zero; skipping them by fancy indexing was measured slower
+at these sizes than letting them through.  Artificial columns are not stored:
+they never enter and nothing reads them, so only their basis labels remain.
+Each stored entry thus sees the same floating-point operations, in the same
+order, as the textbook full-tableau update, and every pivot choice is the
+same.  The cost-row loops stay sequential because their order fixes the
+rounding.
 """
 
 from __future__ import annotations
@@ -123,61 +136,72 @@ class MilpSolution:
     """Solver outcome; assignment and objective_value are None unless optimal.
 
     nodes counts LP solves performed (branch-and-bound nodes, or enumerated
-    patterns for the oracle).
+    patterns for the oracle); pivots counts simplex pivots over all of them.
     """
 
     status: str
     objective_value: Optional[float]
     assignment: Optional[tuple[float, ...]]
     nodes: int = 0
+    pivots: int = 0
 
 
 # --------------------------------------------------------------------------
 # dense two-phase simplex over shifted nonnegative variables
 # --------------------------------------------------------------------------
 
+# Row senses as numbers, so sign flips and slack placement vectorise.
+_SENSE = {"<=": 1, ">=": -1, "=": 0}
+
+
 class _Unbounded(Exception):
-    pass
+    """Raised with the number of pivots made before the unbounded ray showed."""
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    T[r, :] /= T[r, j]
+    pivot_row = T[r]
+    pivot_row /= pivot_row[j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r, :])
+    T -= col[:, None] * pivot_row
     basis[r] = j
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, n_enterable: int) -> None:
-    """Pivot until the reduced-cost row is nonnegative over the enterable columns.
+def _run_simplex(T: np.ndarray, basis: np.ndarray) -> int:
+    """Pivot until the reduced-cost row is nonnegative; returns the pivot count.
 
-    Dantzig entering rule with Bland's rule fallback once DEGENERATE_LIMIT
-    consecutive degenerate pivots occur.  Raises _Unbounded / DegeneratePivotError.
+    Every column but the right-hand side may enter.  Dantzig entering rule
+    with Bland's rule fallback once DEGENERATE_LIMIT consecutive degenerate
+    pivots occur; ties go to the lowest index.  Raises _Unbounded /
+    DegeneratePivotError.
     """
     m = len(basis)
+    costs = T[-1, :-1]
+    rhs = T[:m, -1]
     bland = False
     degenerate_run = 0
-    for _ in range(ITERATION_CAP):
-        costs = T[-1, :n_enterable]
-        candidates = np.flatnonzero(costs < -PIVOT_TOL)
-        if candidates.size == 0:
-            return
-        j = int(candidates[0]) if bland else int(candidates[np.argmin(costs[candidates])])
+    for pivots in range(ITERATION_CAP):
+        j = costs.argmin()
+        if costs[j] >= -PIVOT_TOL:
+            return pivots
+        if bland:
+            j = (costs < -PIVOT_TOL).argmax()
 
         col = T[:m, j]
-        eligible = col > PIVOT_TOL
-        if not eligible.any():
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             if (col > 1e-12).any():
                 raise DegeneratePivotError("entering column has only sub-tolerance pivots")
-            raise _Unbounded
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = T[:m, -1][eligible] / col[eligible]
-        r = int(np.argmin(ratios))
+            raise _Unbounded(pivots)
+        ratios = rhs[rows] / col[rows]
+        k = ratios.argmin()
         if bland:
-            tied = np.flatnonzero(ratios <= ratios[r] + 1e-12)
-            r = int(tied[np.argmin(basis[tied])])
+            tied = rows[ratios <= ratios[k] + 1e-12]
+            r = tied[basis[tied].argmin()]
+        else:
+            r = rows[k]
 
-        if T[r, -1] <= PIVOT_TOL:
+        if rhs[r] <= PIVOT_TOL:
             degenerate_run += 1
             if degenerate_run > DEGENERATE_LIMIT:
                 bland = True
@@ -187,91 +211,74 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_enterable: int) -> None:
     raise DegeneratePivotError("simplex iteration cap exceeded")
 
 
-def _solve_standard_lp(c: np.ndarray, A: np.ndarray, relations: list[str],
-                       b: np.ndarray) -> tuple[str, Optional[np.ndarray]]:
-    """min c.x  s.t.  A x <rel> b,  x >= 0.  Returns (status, x)."""
+def _solve_standard_lp(c: np.ndarray, A: np.ndarray, senses: np.ndarray,
+                       b: np.ndarray) -> tuple[str, Optional[np.ndarray], int]:
+    """min c.x  s.t.  A x <sense> b,  x >= 0.  Returns (status, x, pivots).
+
+    senses holds 1 for "<=", -1 for ">=" and 0 for "=".  Artificial columns
+    are implicit: they never enter, so only their basis labels (indices from
+    n_real up) are kept.
+    """
     m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    relations = list(relations)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            relations[i] = {"<=": ">=", ">=": "<=", "=": "="}[relations[i]]
+    flip = b < 0
+    sign = np.where(flip, -1.0, 1.0)
+    senses = np.where(flip, -senses, senses)
+    slack_rows = senses.nonzero()[0]
+    n_real = n + slack_rows.size  # structural + slack columns
+    art_rows = (senses <= 0).nonzero()[0]
 
-    slack_of: list[tuple[int, float]] = []  # (row, sign)
-    art_rows: list[int] = []
-    for i, rel in enumerate(relations):
-        if rel == "<=":
-            slack_of.append((i, 1.0))
-        elif rel == ">=":
-            slack_of.append((i, -1.0))
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-    n_slack = len(slack_of)
-    n_art = len(art_rows)
-    n_real = n + n_slack  # structural + slack columns survive into phase 2
+    T = np.zeros((m + 1, n_real + 1))
+    T[:m, :n] = A * sign[:, None]
+    T[:m, -1] = b * sign
+    slack_cols = n + np.arange(slack_rows.size)
+    T[slack_rows, slack_cols] = senses[slack_rows]
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = n_real + np.arange(art_rows.size)
+    pivots = 0
 
-    T = np.zeros((m + 1, n_real + n_art + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    basis = np.full(m, -1, dtype=int)
-    for k, (i, sign) in enumerate(slack_of):
-        T[i, n + k] = sign
-        if sign > 0:
-            basis[i] = n + k
-    for k, i in enumerate(art_rows):
-        T[i, n_real + k] = 1.0
-        basis[i] = n_real + k
-
-    if n_art:
-        # Phase 1: minimize the artificial sum; start from the all-artificial basis.
-        T[-1, n_real:n_real + n_art] = 1.0
-        for r in range(m):
-            if basis[r] >= n_real:
-                T[-1, :] -= T[r, :]
+    if art_rows.size:
+        # Phase 1: minimize the artificial sum; start from the all-artificial
+        # basis.  Rows are subtracted one at a time, in row order.
+        for r in art_rows:
+            T[-1] -= T[r]
         try:
-            _run_simplex(T, basis, n_enterable=n_real)
+            pivots += _run_simplex(T, basis)
         except _Unbounded:  # phase-1 objective is bounded below by zero
             raise DegeneratePivotError("phase-1 relaxation reported unbounded")
         if -T[-1, -1] > LP_FEAS_TOL:
-            return INFEASIBLE, None
+            return INFEASIBLE, None, pivots
 
         # Pivot leftover artificials out of the basis; a row that offers no
         # pivot is linearly dependent and gets dropped.
         keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= n_real:
-                options = np.flatnonzero(np.abs(T[r, :n_real]) > PIVOT_TOL)
-                if options.size:
-                    _pivot(T, basis, r, int(options[0]))
-                else:
-                    keep[r] = False
+        for r in (basis >= n_real).nonzero()[0]:
+            options = (np.abs(T[r, :n_real]) > PIVOT_TOL).nonzero()[0]
+            if options.size:
+                _pivot(T, basis, r, options[0])
+                pivots += 1
+            else:
+                keep[r] = False
         if not keep.all():
             T = np.vstack([T[:m][keep], T[m:]])
             basis = basis[keep]
             m = len(basis)
-        T = np.delete(T, np.s_[n_real:n_real + n_art], axis=1)
 
-    # Phase 2 with the real objective.
-    T[-1, :] = 0.0
+    # Phase 2 with the real objective.  Basic columns are exact unit vectors,
+    # so only rows whose basic variable has a nonzero cost change the row.
+    T[-1] = 0.0
     T[-1, :n] = c
-    for r in range(m):
-        cj = T[-1, basis[r]]
-        if cj != 0.0:
-            T[-1, :] -= cj * T[r, :]
+    for r in (T[-1, basis] != 0.0).nonzero()[0]:
+        T[-1] -= T[-1, basis[r]] * T[r]
     try:
-        _run_simplex(T, basis, n_enterable=n_real)
-    except _Unbounded:
-        return UNBOUNDED, None
+        pivots += _run_simplex(T, basis)
+    except _Unbounded as exc:
+        return UNBOUNDED, None, pivots + exc.args[0]
 
     x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = T[r, -1]
-    return OPTIMAL, x
+    structural = basis < n
+    x[basis[structural]] = T[:m, -1][structural]
+    return OPTIMAL, x, pivots
 
 
 # --------------------------------------------------------------------------
@@ -284,31 +291,33 @@ def _model_arrays(model: MilpModel):
         nv = model.num_vars
         A = np.array([row.coeffs for row in model.rows], dtype=float).reshape(len(model.rows), nv)
         b = np.array([row.rhs for row in model.rows], dtype=float)
-        rels = [row.relation for row in model.rows]
+        senses = np.array([_SENSE[row.relation] for row in model.rows])
         c = np.array(model.objective, dtype=float)
         lo = np.array([bnd[0] for bnd in model.bounds], dtype=float)
         hi = np.array([np.inf if bnd[1] is None else bnd[1] for bnd in model.bounds], dtype=float)
-        cached = (A, b, rels, c, lo, hi)
+        cached = (A, b, senses, c, lo, hi)
         object.__setattr__(model, "_arrays", cached)
     return cached
 
 
 def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
-                      ) -> tuple[str, Optional[float], Optional[np.ndarray]]:
+                      ) -> tuple[str, Optional[float], Optional[np.ndarray], int]:
     """Solve the LP relaxation with some variables pinned to fixed values.
 
     Fixed variables (including those whose bounds already coincide) are
-    substituted out before the simplex runs.
+    substituted out before the simplex runs.  Returns (status, value, x,
+    pivots).
     """
-    A0, b0, rels0, c0, lo0, hi0 = _model_arrays(model)
+    A0, b0, senses0, c0, lo0, hi0 = _model_arrays(model)
     lo = lo0.copy()
     hi = hi0.copy()
-    for j, v in fixes.items():
-        lo[j] = hi[j] = float(v)
-    if np.any(lo > hi + 1e-12):
-        return INFEASIBLE, None, None
+    if fixes:
+        fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
+        lo[fixed] = hi[fixed] = np.fromiter(fixes.values(), dtype=float, count=len(fixes))
+    if (lo > hi + 1e-12).any():
+        return INFEASIBLE, None, None, 0
 
-    free = np.flatnonzero(hi - lo > 0)
+    free = (hi - lo > 0).nonzero()[0]
     b_shift = b0 - A0 @ lo
     A_free = A0[:, free]
 
@@ -317,46 +326,41 @@ def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
         live = np.abs(A_free).max(axis=1) > 1e-12
     else:
         live = np.zeros(len(b_shift), dtype=bool)
-    for r in np.flatnonzero(~live):
-        resid = b_shift[r]
-        tol = LP_FEAS_TOL * max(1.0, abs(b0[r]))
-        rel = rels0[r]
-        if (rel == "<=" and resid < -tol) or (rel == ">=" and resid > tol) \
-                or (rel == "=" and abs(resid) > tol):
-            return INFEASIBLE, None, None
-
-    rows_A = [A_free[live]]
-    rows_b = [b_shift[live]]
-    rels = [rels0[r] for r in np.flatnonzero(live)]
-    # Finite upper bounds of free variables become explicit rows.
-    ub_idx = np.flatnonzero(np.isfinite(hi[free]))
-    if ub_idx.size:
-        ub_rows = np.zeros((len(ub_idx), len(free)))
-        ub_rows[np.arange(len(ub_idx)), ub_idx] = 1.0
-        rows_A.append(ub_rows)
-        rows_b.append((hi[free] - lo[free])[ub_idx])
-        rels.extend(["<="] * len(ub_idx))
+    dead = ~live
+    if dead.any():
+        resid = b_shift[dead]
+        tol = LP_FEAS_TOL * np.maximum(1.0, np.abs(b0[dead]))
+        sense = senses0[dead]
+        violated = np.where(sense > 0, resid < -tol,
+                            np.where(sense < 0, resid > tol, np.abs(resid) > tol))
+        if violated.any():
+            return INFEASIBLE, None, None, 0
 
     x_full = lo.copy()
     if free.size == 0:
-        value = model.value_at(x_full)
-        return OPTIMAL, value, x_full
+        return OPTIMAL, model.value_at(x_full), x_full, 0
 
-    A = np.vstack(rows_A)
-    b = np.concatenate(rows_b)
-    status, u = _solve_standard_lp(c0[free], A, rels, b)
+    # Finite upper bounds of free variables become explicit rows.
+    ub_idx = np.isfinite(hi[free]).nonzero()[0]
+    n_live = int(live.sum())
+    A = np.zeros((n_live + ub_idx.size, free.size))
+    A[:n_live] = A_free[live]
+    A[n_live + np.arange(ub_idx.size), ub_idx] = 1.0
+    b = np.concatenate((b_shift[live], (hi[free] - lo[free])[ub_idx]))
+    senses = np.concatenate((senses0[live], np.ones(ub_idx.size, dtype=int)))
+    status, u, pivots = _solve_standard_lp(c0[free], A, senses, b)
     if status != OPTIMAL:
-        return status, None, None
+        return status, None, None, pivots
     x_full[free] += u
-    return OPTIMAL, model.value_at(x_full), x_full
+    return OPTIMAL, model.value_at(x_full), x_full, pivots
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation (binaries relaxed to their [0, 1] bounds)."""
-    status, value, x = _solve_relaxation(model, {})
+    status, value, x, pivots = _solve_relaxation(model, {})
     if status != OPTIMAL:
-        return MilpSolution(status, None, None, nodes=1)
-    return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes=1)
+        return MilpSolution(status, None, None, nodes=1, pivots=pivots)
+    return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes=1, pivots=pivots)
 
 
 # --------------------------------------------------------------------------
@@ -391,7 +395,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     binaries = sorted(model.binaries)
     incumbent_val = math.inf
     incumbent_x: Optional[np.ndarray] = None
-    nodes = 0
+    nodes = pivots = 0
     seq = itertools.count()
     # heap entries: (lp bound of parent, -depth, sequence, fixes)
     heap: list[tuple[float, int, int, dict[int, float]]] = [(-math.inf, 0, next(seq), {})]
@@ -403,11 +407,12 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         if nodes >= node_limit:
             raise NodeLimitError(f"node limit {node_limit} exceeded")
         nodes += 1
-        status, value, x = _solve_relaxation(model, fixes)
+        status, value, x, lp_pivots = _solve_relaxation(model, fixes)
+        pivots += lp_pivots
         if status == INFEASIBLE:
             continue
         if status == UNBOUNDED:
-            return MilpSolution(UNBOUNDED, None, None, nodes)
+            return MilpSolution(UNBOUNDED, None, None, nodes, pivots)
         if value >= incumbent_val - IMPROVEMENT_EPS:
             continue
 
@@ -430,8 +435,8 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
             heapq.heappush(heap, (value, -depth, next(seq), child))
 
     if incumbent_x is None:
-        return MilpSolution(INFEASIBLE, None, None, nodes)
-    return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes)
+        return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
+    return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
 
 
 def oracle_solve(model: MilpModel, max_binaries: int = ORACLE_MAX_BINARIES) -> MilpSolution:
@@ -446,15 +451,16 @@ def oracle_solve(model: MilpModel, max_binaries: int = ORACLE_MAX_BINARIES) -> M
             f"{len(binaries)} binaries exceed the oracle's scope of {max_binaries}")
     best_val = math.inf
     best_x: Optional[np.ndarray] = None
-    solves = 0
+    solves = pivots = 0
     for pattern in itertools.product((0.0, 1.0), repeat=len(binaries)):
         solves += 1
-        status, value, x = _solve_relaxation(model, dict(zip(binaries, pattern)))
+        status, value, x, lp_pivots = _solve_relaxation(model, dict(zip(binaries, pattern)))
+        pivots += lp_pivots
         if status == UNBOUNDED:
-            return MilpSolution(UNBOUNDED, None, None, solves)
+            return MilpSolution(UNBOUNDED, None, None, solves, pivots)
         if status == OPTIMAL and value < best_val:
             best_val = value
             best_x = x
     if best_x is None:
-        return MilpSolution(INFEASIBLE, None, None, solves)
-    return MilpSolution(OPTIMAL, best_val, tuple(map(float, best_x)), solves)
+        return MilpSolution(INFEASIBLE, None, None, solves, pivots)
+    return MilpSolution(OPTIMAL, best_val, tuple(map(float, best_x)), solves, pivots)

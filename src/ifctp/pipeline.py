@@ -87,13 +87,17 @@ def run_pipeline(instance: IfctpInstance, *,
         supply_cap_total=sum(iv.hi for iv in instance.supply),
         demand_floor_total=sum(iv.lo for iv in instance.demand),
     )
+    bi = build_bi_objective(instance)
     try:
-        ideal = compute_ideal(instance)
+        # The ideal point's width coordinate and the payoff table's width
+        # anchor come from the same model, so it is solved once.
+        width_anchor = solve_milp(to_milp(bi, bi.obj_width))
+        ideal = compute_ideal(instance, width_anchor)
         if payoff_override is not None:
             l1, u1, l2, u2 = payoff_override
             payoff = PayoffTable((l1, l2), (u1, u2))
         else:
-            payoff = build_payoff(build_bi_objective(instance))
+            payoff = build_payoff(bi, width_anchor)
         result = solve_compromise(instance, payoff=payoff)
     except InfeasibleProblemError:
         return CompromiseReport(status="infeasible", competitor=competitor, **summary)

@@ -194,3 +194,43 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["compare", str(bench1_path), "--competitor", "nope"])
         assert err.value.code == 2  # argparse usage error
+
+
+class TestCliArgumentErrors:
+    """Every rejected option value exits 3 with one error line, no traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["--override-payoff", "1,2"],
+        ["--override-payoff", "640,787,163,x"],
+        ["--override-payoff", "640,787,163,nan"],
+        ["--override-payoff", "800,640,163,190"],
+        ["--override-payoff", "640,787,190,163"],
+        ["--tolerance", "-1"],
+        ["--tolerance", "abc"],
+        ["--tolerance", "inf"],
+    ], ids=["payoff-arity", "payoff-non-numeric", "payoff-nan", "payoff-reversed-lower",
+            "payoff-reversed-width", "tolerance-negative", "tolerance-non-numeric",
+            "tolerance-inf"])
+    def test_bad_value_exit_code(self, bench1_path, capsys, args):
+        assert main(["solve", str(bench1_path), *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: argument {args[0]}:")
+
+    def test_zero_tolerance_is_accepted(self, bench1_path, capsys):
+        assert main(["solve", str(bench1_path), "--tolerance", "0",
+                     "--override-payoff", "640,787,163,190"]) == 0
+        assert "status: optimal" in capsys.readouterr().out
+
+
+class TestCliNumericalBreakdown:
+    def test_degenerate_pivot_exit_code(self, bench1_path, capsys, monkeypatch):
+        import ifctp.milp
+        # No pivot is allowed at all, so the first simplex run breaks down.
+        monkeypatch.setattr(ifctp.milp, "ITERATION_CAP", 0)
+        assert main(["solve", str(bench1_path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: numerical breakdown: simplex iteration cap exceeded"]
