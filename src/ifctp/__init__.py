@@ -10,30 +10,32 @@ Typical use::
 from .compromise import (CompromiseResult, InfeasibleProblemError, PayoffTable,
                          build_payoff, build_max_min_model, compute_ideal,
                          membership, solve_compromise)
-from .crisp import (BiObjectiveMilp, InvalidInstanceError, LinearObjective,
-                    build_bi_objective, build_single_objective,
-                    evaluate_interval_objective, extract_plan)
+from .crisp import (BiObjectiveMilp, InvalidInstanceError, build_bi_objective,
+                    build_single_objective, evaluate_interval_objective, extract_plan,
+                    plan_value)
 from .intervals import CenterWidth, Interval, Preference, distance_to_ideal, prefer
 from .milp import (DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError,
-                   OracleScopeError, Row, oracle_solve, solve_lp, solve_milp)
-from .model import (FctpInstance, IfctpInstance, ShipmentPlan, check_plan, validate)
+                   OracleScopeError, oracle_solve, solve_lp, solve_milp)
+from .model import IfctpInstance, ShipmentPlan, check_plan, crisp_instance, validate
 from .pipeline import (CompetitorEntry, CompromiseReport, OracleCheck,
                        run_oracle_check, run_pipeline)
 from .problemfile import ProblemFileError, parse_instance, render_instance
-from .reporting import render_machine, render_oracle_check, render_text
+from .reporting import (render_ideal, render_machine, render_oracle_check, render_payoff,
+                        render_text)
 
 __all__ = [
     "BiObjectiveMilp", "CenterWidth", "CompetitorEntry", "CompromiseReport",
-    "CompromiseResult", "DegeneratePivotError", "FctpInstance", "IfctpInstance",
-    "InfeasibleProblemError", "Interval", "InvalidInstanceError", "LinearObjective",
+    "CompromiseResult", "DegeneratePivotError", "IfctpInstance",
+    "InfeasibleProblemError", "Interval", "InvalidInstanceError",
     "MilpModel", "MilpSolution", "NodeLimitError", "OracleCheck", "OracleScopeError",
-    "PayoffTable", "Preference", "ProblemFileError", "Row", "ShipmentPlan",
+    "PayoffTable", "Preference", "ProblemFileError", "ShipmentPlan",
     "build_bi_objective", "build_payoff", "build_max_min_model",
-    "build_single_objective", "check_plan", "compute_ideal", "distance_to_ideal",
-    "evaluate_interval_objective", "extract_plan", "membership", "oracle_solve",
-    "parse_instance", "prefer", "render_instance", "render_machine",
-    "render_oracle_check", "render_text", "run_oracle_check", "run_pipeline",
-    "solve_compromise", "solve_lp", "solve_milp", "validate",
+    "build_single_objective", "check_plan", "compute_ideal", "crisp_instance",
+    "distance_to_ideal", "evaluate_interval_objective", "extract_plan", "membership",
+    "oracle_solve", "parse_instance", "plan_value", "prefer", "render_ideal",
+    "render_instance", "render_machine", "render_oracle_check", "render_payoff",
+    "render_text", "run_oracle_check", "run_pipeline", "solve_compromise", "solve_lp",
+    "solve_milp", "validate",
 ]
 
 __version__ = "0.1.0"

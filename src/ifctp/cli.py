@@ -2,10 +2,13 @@
 
 Subcommands: solve, payoff, ideal, compare, oracle-check.  Exit codes:
 0 = optimal, 1 = oracle-check mismatch, 2 = infeasible, 3 = parse/validation
-error or bad --override-payoff / --tolerance value, 4 = resource limit hit,
-5 = numerical breakdown in the simplex.  Exits 3, 4 and 5 print one
-``error:`` line on stderr.  Other usage errors (unknown options, a malformed
---competitor) are reported by argparse itself, which exits 2.
+error or usage error, 4 = resource limit hit, 5 = numerical breakdown in the
+simplex.  Exits 3, 4 and 5 print one ``error:`` line on stderr.
+
+Usage errors include an unknown option, a missing argument and a rejected
+option value (--override-payoff, --tolerance, --competitor).  argparse would
+print its usage text and exit 2, the code of an infeasible instance, so the
+parser reports them as one line and exit 3 instead.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError
 from .model import FEASIBILITY_TOL
 from .pipeline import CompetitorEntry, run_oracle_check, run_pipeline
 from .problemfile import ProblemFileError, parse_instance
-from .reporting import render_machine, render_oracle_check, render_text
+from .reporting import (render_ideal, render_machine, render_oracle_check, render_payoff,
+                        render_text)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,39 +38,40 @@ EXIT_NUMERICAL = 5
 _COMPETITOR = re.compile(r"^(?P<name>[^=]+)=\[(?P<lo>[^,\]]+),(?P<hi>[^,\]]+)\]$")
 
 
-class BadArgumentError(Exception):
-    """An option value main() rejects with EXIT_BAD_INPUT.
+class _ArgumentParser(argparse.ArgumentParser):
+    """Turns every usage error into an ArgumentError, which main maps to exit 3.
 
-    Not a ValueError, so argparse lets it through instead of turning it into
-    its own usage error (exit 2).
+    Subparsers are built from the same class, so their errors take this path too.
     """
 
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
-def _finite(text: str, what: str) -> float:
+
+def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise BadArgumentError(f"{what}: non-numeric value {text!r}") from None
+        raise argparse.ArgumentTypeError(f"non-numeric value {text!r}") from None
     if not math.isfinite(value):
-        raise BadArgumentError(f"{what}: value {text!r} is not finite")
+        raise argparse.ArgumentTypeError(f"value {text!r} is not finite")
     return value
 
 
 def _parse_override(text: str) -> tuple[float, float, float, float]:
-    what = "argument --override-payoff"
     parts = text.split(",")
     if len(parts) != 4:
-        raise BadArgumentError(f"{what}: expected L1,U1,L2,U2, got {text!r}")
-    l1, u1, l2, u2 = (_finite(p, what) for p in parts)
+        raise argparse.ArgumentTypeError(f"expected L1,U1,L2,U2, got {text!r}")
+    l1, u1, l2, u2 = map(_finite, parts)
     if l1 > u1 or l2 > u2:
-        raise BadArgumentError(f"{what}: a best level exceeds its worst level in {text!r}")
+        raise argparse.ArgumentTypeError(f"a best level exceeds its worst level in {text!r}")
     return l1, u1, l2, u2
 
 
 def _parse_tolerance(text: str) -> float:
-    value = _finite(text, "argument --tolerance")
+    value = _finite(text)
     if value < 0:
-        raise BadArgumentError(f"argument --tolerance: must be nonnegative, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
 
 
@@ -82,7 +87,7 @@ def _parse_competitor(text: str) -> CompetitorEntry:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ifctp",
         description="Solve interval fixed-charge transportation problems by "
                     "max-min compromise between expected cost and uncertainty.")
@@ -122,10 +127,6 @@ def _load(path: str):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except BadArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
         instance = _load(args.file)
         if args.command in ("solve", "compare"):
             report = run_pipeline(
@@ -138,30 +139,17 @@ def main(argv=None) -> int:
             sys.stdout.write(render(report))
             return EXIT_OK if report.status == "optimal" else EXIT_INFEASIBLE
         if args.command == "payoff":
-            payoff = build_payoff(build_bi_objective(instance))
-            if args.report == "machine":
-                sys.stdout.write(f"payoff.lower.best={payoff.best[0]!r}\n"
-                                 f"payoff.lower.worst={payoff.worst[0]!r}\n"
-                                 f"payoff.width.best={payoff.best[1]!r}\n"
-                                 f"payoff.width.worst={payoff.worst[1]!r}\n")
-            else:
-                sys.stdout.write("payoff levels (best / worst):\n"
-                                 f"  lower endpoint: {payoff.best[0]:.2f} / {payoff.worst[0]:.2f}\n"
-                                 f"  width:          {payoff.best[1]:.2f} / {payoff.worst[1]:.2f}\n")
+            sys.stdout.write(render_payoff(build_payoff(build_bi_objective(instance)),
+                                           args.report))
             return EXIT_OK
         if args.command == "ideal":
-            ideal = compute_ideal(instance)
-            if args.report == "machine":
-                sys.stdout.write(f"ideal.center={ideal.center!r}\nideal.width={ideal.width!r}\n")
-            else:
-                sys.stdout.write(f"ideal point: center {ideal.center:.2f}, "
-                                 f"width {ideal.width:.2f}\n")
+            sys.stdout.write(render_ideal(compute_ideal(instance), args.report))
             return EXIT_OK
         # oracle-check
         check = run_oracle_check(instance)
         sys.stdout.write(render_oracle_check(check))
         return EXIT_OK if check.passed else EXIT_CHECK_FAILED
-    except ProblemFileError as exc:
+    except (argparse.ArgumentError, ProblemFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InvalidInstanceError as exc:

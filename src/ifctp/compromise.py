@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .crisp import (BiObjectiveMilp, build_bi_objective, build_single_objective,
-                    constraint_rows, extract_plan, to_milp)
+                    constraint_rows, extract_plan, plan_value, to_milp)
 from .intervals import CenterWidth
-from .milp import OPTIMAL, MilpModel, MilpSolution, Row, solve_milp
+from .milp import OPTIMAL, MilpModel, MilpSolution, solve_milp
 from .model import IfctpInstance, ShipmentPlan
 
 # Ranges below this are treated as degenerate (both anchors agree on the objective).
@@ -82,8 +84,8 @@ def build_payoff(bi: BiObjectiveMilp,
         if sol.status != OPTIMAL:
             raise InfeasibleProblemError(f"single-objective solve ended {sol.status}")
         anchors.append(extract_plan(bi, sol.assignment))
-    lower_at = [bi.obj_lower.value(p) for p in anchors]
-    width_at = [bi.obj_width.value(p) for p in anchors]
+    lower_at = [plan_value(bi.obj_lower, p) for p in anchors]
+    width_at = [plan_value(bi.obj_width, p) for p in anchors]
     best = (lower_at[0], width_at[1])
     worst = (max(lower_at), max(width_at))
     return PayoffTable(best, worst, (anchors[0], anchors[1]))
@@ -97,18 +99,19 @@ def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:
     membership.  A degenerate range pins the objective to its optimum
     instead and leaves the level unconstrained by it.
     """
-    mn = bi.m * bi.n
-    rows, bounds, binaries = constraint_rows(bi, extra_vars=1)
-    level_var = 2 * mn
-    for k, objective in ((0, bi.obj_lower), (1, bi.obj_width)):
-        coeffs = objective.flat(extra_vars=1)
+    level_var = 2 * bi.m * bi.n
+    A, senses, b, lo, hi, binaries = constraint_rows(bi, extra_vars=1)
+    level_rows = np.zeros((2, level_var + 1))
+    for k, objective in enumerate((bi.obj_lower, bi.obj_width)):
+        level_rows[k, :level_var] = objective
         span = payoff.worst[k] - payoff.best[k]
         if span > RANGE_TOL:
-            coeffs[level_var] = span
-        rows.append(Row(coeffs, "<=", payoff.worst[k] - objective.constant))
-    bounds.append((0.0, 1.0))
-    objective_vector = [0.0] * (2 * mn) + [-1.0]  # maximize the level
-    return MilpModel(objective_vector, rows, binaries, bounds)
+            level_rows[k, level_var] = span
+    c = np.zeros(level_var + 1)
+    c[level_var] = -1.0  # maximize the level
+    return MilpModel(c, np.vstack((A, level_rows)), np.append(senses, (1, 1)),
+                     np.append(b, payoff.worst), np.append(lo, 0.0), np.append(hi, 1.0),
+                     binaries)
 
 
 def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
@@ -118,17 +121,14 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
     Weights are reciprocals of the payoff ranges so neither objective's scale
     dominates; degenerate ranges get weight one (the level row already pins them).
     """
-    mn = bi.m * bi.n
-    level_var = 2 * mn
-    spans = payoff.spans()
-    combined = [0.0] * (2 * mn + 1)
-    for k, objective in ((0, bi.obj_lower), (1, bi.obj_width)):
-        weight = 1.0 / spans[k] if spans[k] > RANGE_TOL else 1.0
-        for idx, coeff in enumerate(objective.flat(extra_vars=1)):
-            combined[idx] += weight * coeff
-    bounds = list(max_min.bounds)
-    bounds[level_var] = (max(0.0, lambda_star - LEVEL_SLACK), 1.0)
-    return MilpModel(combined, max_min.rows, max_min.binaries, bounds)
+    level_var = 2 * bi.m * bi.n
+    combined = np.zeros(level_var + 1)
+    for span, objective in zip(payoff.spans(), (bi.obj_lower, bi.obj_width)):
+        combined[:level_var] += (1.0 / span if span > RANGE_TOL else 1.0) * objective
+    lo = max_min.lo.copy()
+    lo[level_var] = max(0.0, lambda_star - LEVEL_SLACK)
+    return MilpModel(combined, max_min.A, max_min.senses, max_min.b, lo, max_min.hi,
+                     max_min.binaries)
 
 
 def solve_compromise(instance: IfctpInstance,
@@ -152,7 +152,7 @@ def solve_compromise(instance: IfctpInstance,
     if refined.status != OPTIMAL:  # lambda_star is attainable, so this cannot fail
         raise InfeasibleProblemError(f"refinement solve ended {refined.status}")
     plan = extract_plan(bi, refined.assignment)
-    values = (bi.obj_lower.value(plan), bi.obj_width.value(plan))
+    values = (plan_value(bi.obj_lower, plan), plan_value(bi.obj_width, plan))
     memberships = (membership(values[0], payoff.best[0], payoff.worst[0]),
                    membership(values[1], payoff.best[1], payoff.worst[1]))
     return CompromiseResult(lambda_star, plan, values, memberships)

@@ -8,15 +8,20 @@ linearized exactly as y_ij <= M_ij x_ij with M_ij equal to the row's supply
 cap, which the row constraint already implies for any feasible y.
 
 All models built here share one variable layout: y(i,j) at index i*n + j,
-x(i,j) at m*n + i*n + j, optional extra columns appended after that.
+x(i,j) at m*n + i*n + j, optional extra columns appended after that.  An
+objective is a flat coefficient vector over the y and x entries of that
+layout, and the constraint set is built as numpy arrays for MilpModel.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .intervals import Interval
-from .milp import MilpModel, Row
+from .milp import MilpModel
 from .model import INTEGRALITY_TOL, IfctpInstance, ShipmentPlan, validate
 
 
@@ -24,38 +29,19 @@ class InvalidInstanceError(ValueError):
     """Raised when a model is requested for an instance that fails validation."""
 
 
-@dataclass(frozen=True)
-class LinearObjective:
-    """Linear function of a shipment plan: sum of y and x terms plus a constant."""
-
-    y_coeffs: tuple[tuple[float, ...], ...]
-    x_coeffs: tuple[tuple[float, ...], ...]
-    constant: float = 0.0
-
-    def value(self, plan: ShipmentPlan) -> float:
-        total = self.constant
-        for i, row in enumerate(self.y_coeffs):
-            for j, coeff in enumerate(row):
-                total += coeff * plan.y[i][j] + self.x_coeffs[i][j] * plan.x[i][j]
-        return total
-
-    def flat(self, extra_vars: int = 0) -> list[float]:
-        """Coefficient vector over the shared (y, x, extras) layout."""
-        out = [c for row in self.y_coeffs for c in row]
-        out += [c for row in self.x_coeffs for c in row]
-        out += [0.0] * extra_vars
-        return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiObjectiveMilp:
-    """The crisp bi-objective program: minimize the lower endpoint and the width."""
+    """The crisp bi-objective program: minimize the lower endpoint and the width.
 
-    obj_lower: LinearObjective
-    obj_width: LinearObjective
+    obj_lower and obj_width are length-2mn coefficient vectors over (y, x);
+    big_m is the m x n array of linking constants M_ij.
+    """
+
+    obj_lower: np.ndarray
+    obj_width: np.ndarray
     supply_caps: tuple[float, ...]
     demand_floors: tuple[float, ...]
-    big_m: tuple[tuple[float, ...], ...]
+    big_m: np.ndarray
 
     @property
     def m(self) -> int:
@@ -66,10 +52,12 @@ class BiObjectiveMilp:
         return len(self.demand_floors)
 
 
-def _centers_widths(matrix) -> tuple[list[list[float]], list[list[float]]]:
-    centers = [[iv.center for iv in row] for row in matrix]
-    widths = [[iv.width for iv in row] for row in matrix]
-    return centers, widths
+def _centers_widths(instance: IfctpInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Center and width coefficient vectors over (y, x): unit costs, then charges."""
+    cells = [iv for matrix in (instance.unit_cost, instance.fixed_charge)
+             for row in matrix for iv in row]
+    return (np.array([iv.center for iv in cells], dtype=float),
+            np.array([iv.width for iv in cells], dtype=float))
 
 
 def _require_valid(instance: IfctpInstance) -> None:
@@ -81,70 +69,66 @@ def _require_valid(instance: IfctpInstance) -> None:
 def build_bi_objective(instance: IfctpInstance) -> BiObjectiveMilp:
     """Derive both crisp objectives and the relaxed constraint data."""
     _require_valid(instance)
-    tc, tw = _centers_widths(instance.unit_cost)
-    lc, lw = _centers_widths(instance.fixed_charge)
-    m, n = instance.m, instance.n
-    # Lower endpoint = center - width, exact as floats since both derive from
-    # the same division by two.
-    lower = LinearObjective(
-        tuple(tuple(tc[i][j] - tw[i][j] for j in range(n)) for i in range(m)),
-        tuple(tuple(lc[i][j] - lw[i][j] for j in range(n)) for i in range(m)),
-    )
-    width = LinearObjective(
-        tuple(tuple(row) for row in tw),
-        tuple(tuple(row) for row in lw),
-    )
+    center, width = _centers_widths(instance)
     caps = tuple(iv.hi for iv in instance.supply)
     floors = tuple(iv.lo for iv in instance.demand)
-    big_m = tuple(tuple(caps[i] for _ in range(n)) for i in range(m))
-    return BiObjectiveMilp(lower, width, caps, floors, big_m)
+    big_m = np.repeat(np.array(caps, dtype=float)[:, None], instance.n, axis=1)
+    # Lower endpoint = center - width, exact as floats since both derive from
+    # the same division by two.
+    return BiObjectiveMilp(center - width, width, caps, floors, big_m)
 
 
-def center_objective(instance: IfctpInstance) -> LinearObjective:
-    """Expected-cost objective (interval centers)."""
-    tc, _ = _centers_widths(instance.unit_cost)
-    lc, _ = _centers_widths(instance.fixed_charge)
-    return LinearObjective(tuple(map(tuple, tc)), tuple(map(tuple, lc)))
+def center_objective(instance: IfctpInstance) -> np.ndarray:
+    """Expected-cost objective (interval centers) over (y, x)."""
+    return _centers_widths(instance)[0]
 
 
-def constraint_rows(bi: BiObjectiveMilp, extra_vars: int = 0
-                    ) -> tuple[list[Row], list[tuple[float, float | None]], list[int]]:
+def plan_value(coeffs: np.ndarray, plan: ShipmentPlan) -> float:
+    """Value of a (y, x) objective vector at a plan.
+
+    The sum runs cell by cell, left to right, adding c_y*y + c_x*x each time.
+    Payoff levels and memberships are printed at full precision, so this
+    order is part of the output: np.dot, or builtin sum (compensated on
+    Python 3.12), would round differently.
+    """
+    mn = plan.m * plan.n
+    total = 0.0
+    for cy, cx, y, x in zip(coeffs[:mn].tolist(), coeffs[mn:2 * mn].tolist(),
+                            itertools.chain.from_iterable(plan.y),
+                            itertools.chain.from_iterable(plan.x)):
+        total += cy * y + cx * x
+    return total
+
+
+def constraint_rows(bi: BiObjectiveMilp, extra_vars: int = 0) -> tuple[np.ndarray, ...]:
     """Shared constraint set: supply caps, demand floors, big-M linking.
 
-    Returns (rows, bounds, binary indices) over the (y, x, extras) layout;
-    extra columns get zero coefficients and must be bounded by the caller.
+    Returns (A, senses, b, lo, hi, binaries) over the (y, x, extras) layout,
+    rows in that order, linking rows cell by cell.  Extra columns get zero
+    coefficients; lo and hi cover y and x only, so the caller appends the
+    extras' bounds.
     """
     m, n = bi.m, bi.n
     mn = m * n
-    nv = 2 * mn + extra_vars
-    rows: list[Row] = []
-
-    for i in range(m):
-        coeffs = [0.0] * nv
-        for j in range(n):
-            coeffs[i * n + j] = 1.0
-        rows.append(Row(coeffs, "<=", bi.supply_caps[i]))
-    for j in range(n):
-        coeffs = [0.0] * nv
-        for i in range(m):
-            coeffs[i * n + j] = 1.0
-        rows.append(Row(coeffs, ">=", bi.demand_floors[j]))
-    for i in range(m):
-        for j in range(n):
-            coeffs = [0.0] * nv
-            coeffs[i * n + j] = 1.0
-            coeffs[mn + i * n + j] = -bi.big_m[i][j]
-            rows.append(Row(coeffs, "<=", 0.0))
-
-    bounds: list[tuple[float, float | None]] = [(0.0, None)] * mn + [(0.0, 1.0)] * mn
-    binaries = list(range(mn, 2 * mn))
-    return rows, bounds, binaries
+    cells = np.arange(mn)
+    link = m + n + cells
+    A = np.zeros((m + n + mn, 2 * mn + extra_vars))
+    A[cells // n, cells] = 1.0
+    A[m + cells % n, cells] = 1.0
+    A[link, cells] = 1.0
+    # Only the cells are negated: -np.diag(M) would put -0.0 off the diagonal,
+    # where the row-by-row build has 0.0.
+    A[link, mn + cells] = -bi.big_m.ravel()
+    senses = np.concatenate((np.ones(m, dtype=int), np.full(n, -1), np.ones(mn, dtype=int)))
+    b = np.concatenate((bi.supply_caps, bi.demand_floors, np.zeros(mn)))
+    lo = np.zeros(2 * mn)
+    hi = np.concatenate((np.full(mn, np.inf), np.ones(mn)))
+    return A, senses, b, lo, hi, np.arange(mn, 2 * mn)
 
 
-def to_milp(bi: BiObjectiveMilp, objective: LinearObjective) -> MilpModel:
+def to_milp(bi: BiObjectiveMilp, objective: np.ndarray) -> MilpModel:
     """Single-objective model over the shared constraint set."""
-    rows, bounds, binaries = constraint_rows(bi)
-    return MilpModel(objective.flat(), rows, binaries, bounds, offset=objective.constant)
+    return MilpModel(objective, *constraint_rows(bi))
 
 
 def build_single_objective(instance: IfctpInstance, which: str) -> MilpModel:

@@ -6,6 +6,11 @@ primal simplex on dense numpy tableaus, wrapped in best-bound branch and
 bound over the binary variables.  An exhaustive enumeration oracle provides
 an independent second opinion for testing.
 
+A model is one set of read-only numpy arrays (MilpModel): objective c,
+constraint matrix A with row senses and right-hand sides b, variable bounds
+lo and hi, and the binary indices.  Each branch-and-bound node reads them
+directly to build its tableau.
+
 Determinism: pivot, branching and node-selection rules are all fixed with
 index-order tie breaking, so two runs on identical input produce identical
 assignments.
@@ -61,74 +66,67 @@ class OracleScopeError(ValueError):
     """Problem has too many binaries for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class Row:
-    """One linear constraint: coeffs . v  <relation>  rhs."""
-
-    coeffs: tuple[float, ...]
-    relation: str  # "<=", ">=" or "="
-    rhs: float
-
-    def __post_init__(self) -> None:
-        if self.relation not in ("<=", ">=", "="):
-            raise ValueError(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not all(math.isfinite(c) for c in self.coeffs) or not math.isfinite(self.rhs):
-            raise ValueError("constraint coefficients must be finite")
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilpModel:
-    """Minimization model over a flat variable vector.
+    """Minimization model: min c.v  s.t.  A v <senses> b,  lo <= v <= hi.
 
-    bounds holds one (lower, upper) pair per variable; upper may be None for
-    +inf.  binaries lists variable indices restricted to {0, 1}; each must be
-    bounded within [0, 1].
+    senses holds 1 for "<=", -1 for ">=" and 0 for "=" per row of A; hi is
+    inf where a variable has no upper bound.  binaries lists the variables
+    restricted to {0, 1}; each must be bounded within [0, 1].  Every array is
+    a read-only copy, so solves can share a model and its arrays.
     """
 
-    objective: tuple[float, ...]
-    rows: tuple[Row, ...]
-    binaries: frozenset[int]
-    bounds: tuple[tuple[float, Optional[float]], ...]
-    offset: float = 0.0
+    c: np.ndarray
+    A: np.ndarray
+    senses: np.ndarray
+    b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    binaries: np.ndarray
 
-    def __init__(self, objective, rows, binaries, bounds, offset=0.0):
-        object.__setattr__(self, "objective", tuple(float(c) for c in objective))
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "binaries", frozenset(binaries))
-        object.__setattr__(self, "bounds",
-                           tuple((float(lo), None if hi is None else float(hi))
-                                 for lo, hi in bounds))
-        object.__setattr__(self, "offset", float(offset))
+    def __init__(self, c, A, senses, b, lo, hi, binaries):
+        senses = np.asarray(senses, dtype=float)
+        if not np.isin(senses, (1, -1, 0)).all():
+            raise ValueError("unknown relation sense; use 1 (<=), -1 (>=) or 0 (=)")
+        for name, values, dtype in (("c", c, float), ("A", A, float), ("senses", senses, int),
+                                    ("b", b, float), ("lo", lo, float), ("hi", hi, float),
+                                    ("binaries", sorted(set(map(int, binaries))), int)):
+            object.__setattr__(self, name, _frozen(values, dtype))
         self._check()
 
     def _check(self) -> None:
-        nv = len(self.objective)
-        if len(self.bounds) != nv:
-            raise ValueError(f"{len(self.bounds)} bounds for {nv} variables")
-        if not self.rows:
-            raise ValueError("constraint list must be non-empty")
-        for row in self.rows:
-            if len(row.coeffs) != nv:
-                raise ValueError(f"row has {len(row.coeffs)} coefficients, expected {nv}")
-        if not all(math.isfinite(c) for c in self.objective):
+        nv = self.c.size
+        if self.A.ndim != 2 or not self.A.shape[0]:
+            raise ValueError("constraint matrix must be non-empty")
+        m = self.A.shape[0]
+        if self.c.ndim != 1 or self.A.shape[1] != nv:
+            raise ValueError(f"rows have {self.A.shape[1]} coefficients, expected {nv}")
+        if self.b.shape != (m,) or self.senses.shape != (m,):
+            raise ValueError(f"{self.b.size} right-hand sides and {self.senses.size} "
+                             f"senses for {m} rows")
+        if self.lo.shape != (nv,) or self.hi.shape != (nv,):
+            raise ValueError(f"{self.lo.size} lower and {self.hi.size} upper bounds "
+                             f"for {nv} variables")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
+            raise ValueError("constraint coefficients must be finite")
+        if not np.isfinite(self.c).all():
             raise ValueError("objective coefficients must be finite")
-        for lo, hi in self.bounds:
-            if hi is not None and lo > hi:
-                raise ValueError(f"variable bound lo {lo} > hi {hi}")
-        for j in self.binaries:
-            if not 0 <= j < nv:
-                raise ValueError(f"binary index {j} out of range")
-            lo, hi = self.bounds[j]
-            if lo < 0 or hi is None or hi > 1:
-                raise ValueError(f"binary variable {j} must be bounded within [0, 1]")
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.objective)
+        if not (self.lo <= self.hi).all():
+            raise ValueError("every variable needs lo <= hi")
+        if self.binaries.size:
+            if self.binaries[0] < 0 or self.binaries[-1] >= nv:
+                raise ValueError("binary index out of range")
+            if (self.lo[self.binaries] < 0).any() or (self.hi[self.binaries] > 1).any():
+                raise ValueError("binary variables must be bounded within [0, 1]")
 
     def value_at(self, assignment: Sequence[float]) -> float:
-        return float(np.dot(self.objective, assignment)) + self.offset
+        return float(np.dot(self.c, assignment))
 
 
 @dataclass(frozen=True)
@@ -149,10 +147,6 @@ class MilpSolution:
 # --------------------------------------------------------------------------
 # dense two-phase simplex over shifted nonnegative variables
 # --------------------------------------------------------------------------
-
-# Row senses as numbers, so sign flips and slack placement vectorise.
-_SENSE = {"<=": 1, ">=": -1, "=": 0}
-
 
 class _Unbounded(Exception):
     """Raised with the number of pivots made before the unbounded ray showed."""
@@ -285,21 +279,6 @@ def _solve_standard_lp(c: np.ndarray, A: np.ndarray, senses: np.ndarray,
 # bound handling: shift to nonnegative variables, drop fixed columns
 # --------------------------------------------------------------------------
 
-def _model_arrays(model: MilpModel):
-    cached = getattr(model, "_arrays", None)
-    if cached is None:
-        nv = model.num_vars
-        A = np.array([row.coeffs for row in model.rows], dtype=float).reshape(len(model.rows), nv)
-        b = np.array([row.rhs for row in model.rows], dtype=float)
-        senses = np.array([_SENSE[row.relation] for row in model.rows])
-        c = np.array(model.objective, dtype=float)
-        lo = np.array([bnd[0] for bnd in model.bounds], dtype=float)
-        hi = np.array([np.inf if bnd[1] is None else bnd[1] for bnd in model.bounds], dtype=float)
-        cached = (A, b, senses, c, lo, hi)
-        object.__setattr__(model, "_arrays", cached)
-    return cached
-
-
 def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
                       ) -> tuple[str, Optional[float], Optional[np.ndarray], int]:
     """Solve the LP relaxation with some variables pinned to fixed values.
@@ -308,9 +287,8 @@ def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
     substituted out before the simplex runs.  Returns (status, value, x,
     pivots).
     """
-    A0, b0, senses0, c0, lo0, hi0 = _model_arrays(model)
-    lo = lo0.copy()
-    hi = hi0.copy()
+    lo = model.lo.copy()
+    hi = model.hi.copy()
     if fixes:
         fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
         lo[fixed] = hi[fixed] = np.fromiter(fixes.values(), dtype=float, count=len(fixes))
@@ -318,8 +296,8 @@ def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
         return INFEASIBLE, None, None, 0
 
     free = (hi - lo > 0).nonzero()[0]
-    b_shift = b0 - A0 @ lo
-    A_free = A0[:, free]
+    b_shift = model.b - model.A @ lo
+    A_free = model.A[:, free]
 
     # Rows with no free variables are plain number comparisons now.
     if A_free.size:
@@ -329,8 +307,8 @@ def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
     dead = ~live
     if dead.any():
         resid = b_shift[dead]
-        tol = LP_FEAS_TOL * np.maximum(1.0, np.abs(b0[dead]))
-        sense = senses0[dead]
+        tol = LP_FEAS_TOL * np.maximum(1.0, np.abs(model.b[dead]))
+        sense = model.senses[dead]
         violated = np.where(sense > 0, resid < -tol,
                             np.where(sense < 0, resid > tol, np.abs(resid) > tol))
         if violated.any():
@@ -347,8 +325,8 @@ def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
     A[:n_live] = A_free[live]
     A[n_live + np.arange(ub_idx.size), ub_idx] = 1.0
     b = np.concatenate((b_shift[live], (hi[free] - lo[free])[ub_idx]))
-    senses = np.concatenate((senses0[live], np.ones(ub_idx.size, dtype=int)))
-    status, u, pivots = _solve_standard_lp(c0[free], A, senses, b)
+    senses = np.concatenate((model.senses[live], np.ones(ub_idx.size, dtype=int)))
+    status, u, pivots = _solve_standard_lp(model.c[free], A, senses, b)
     if status != OPTIMAL:
         return status, None, None, pivots
     x_full[free] += u
@@ -392,7 +370,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     creation order; branching picks the most fractional binary and explores
     the rounded-toward value first.
     """
-    binaries = sorted(model.binaries)
+    binaries = model.binaries.tolist()
     incumbent_val = math.inf
     incumbent_x: Optional[np.ndarray] = None
     nodes = pivots = 0
@@ -445,7 +423,7 @@ def oracle_solve(model: MilpModel, max_binaries: int = ORACLE_MAX_BINARIES) -> M
     Deliberately ignorant of bounds-based pruning so it stays an independent
     check on solve_milp.  Refuses more than max_binaries binaries.
     """
-    binaries = sorted(model.binaries)
+    binaries = model.binaries.tolist()
     if len(binaries) > max_binaries:
         raise OracleScopeError(
             f"{len(binaries)} binaries exceed the oracle's scope of {max_binaries}")

@@ -67,38 +67,15 @@ class IfctpInstance:
         return all(c.is_crisp() for c in cells)
 
 
-@dataclass(frozen=True)
-class FctpInstance:
-    """Crisp fixed-charge transportation instance (all parameters are reals)."""
-
-    unit_cost: tuple[tuple[float, ...], ...]
-    fixed_charge: tuple[tuple[float, ...], ...]
-    supply: tuple[float, ...]
-    demand: tuple[float, ...]
-
-    def __init__(self, unit_cost, fixed_charge, supply, demand):
-        object.__setattr__(self, "unit_cost", _as_matrix(unit_cost, "unit_cost"))
-        object.__setattr__(self, "fixed_charge", _as_matrix(fixed_charge, "fixed_charge"))
-        object.__setattr__(self, "supply", tuple(supply))
-        object.__setattr__(self, "demand", tuple(demand))
-
-    @property
-    def m(self) -> int:
-        return len(self.supply)
-
-    @property
-    def n(self) -> int:
-        return len(self.demand)
-
-    def as_interval_instance(self) -> IfctpInstance:
-        """Degenerate-interval copy; lets the interval pipeline solve crisp FCTPs."""
-        crisp = lambda v: Interval(float(v), float(v))
-        return IfctpInstance(
-            [[crisp(v) for v in row] for row in self.unit_cost],
-            [[crisp(v) for v in row] for row in self.fixed_charge],
-            [crisp(v) for v in self.supply],
-            [crisp(v) for v in self.demand],
-        )
+def crisp_instance(unit_cost, fixed_charge, supply, demand) -> IfctpInstance:
+    """Crisp FCTP as degenerate intervals, so the interval pipeline can solve it."""
+    point = lambda v: Interval(float(v), float(v))
+    return IfctpInstance(
+        [[point(v) for v in row] for row in unit_cost],
+        [[point(v) for v in row] for row in fixed_charge],
+        [point(v) for v in supply],
+        [point(v) for v in demand],
+    )
 
 
 @dataclass(frozen=True)

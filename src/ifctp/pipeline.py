@@ -10,13 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .compromise import (InfeasibleProblemError, PayoffTable, build_payoff,
                          build_max_min_model, solve_compromise, compute_ideal)
 from .crisp import (InvalidInstanceError, build_bi_objective, center_objective,
                     constraint_rows, evaluate_interval_objective, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, MilpModel, OracleScopeError,
-                   Row, oracle_solve, solve_milp)
+                   oracle_solve, solve_milp)
 from .model import FEASIBILITY_TOL, IfctpInstance, ShipmentPlan, check_plan, validate
 
 DOMINANCE_TOL = 1e-6
@@ -150,9 +152,9 @@ def _values_agree(a: float, b: float, rel_tol: float) -> bool:
 
 def _bounded_objective_model(bi, minimize, cap_objective, cap_value) -> MilpModel:
     """Minimize one objective subject to the other staying at or below a cap."""
-    rows, bounds, binaries = constraint_rows(bi)
-    rows.append(Row(cap_objective.flat(), "<=", cap_value - cap_objective.constant))
-    return MilpModel(minimize.flat(), rows, binaries, bounds, offset=minimize.constant)
+    A, senses, b, lo, hi, binaries = constraint_rows(bi)
+    return MilpModel(minimize, np.vstack((A, cap_objective)), np.append(senses, 1),
+                     np.append(b, cap_value), lo, hi, binaries)
 
 
 def run_oracle_check(instance: IfctpInstance, rel_tol: float = 1e-6) -> OracleCheck:

@@ -7,11 +7,57 @@ diff runs byte for byte.
 
 from __future__ import annotations
 
+from .compromise import PayoffTable
+from .intervals import CenterWidth
 from .pipeline import CompromiseReport, OracleCheck
 
 
 def _f(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _pairs(pairs: list[tuple[str, object]]) -> str:
+    return _lines([f"{key}={value}" for key, value in pairs])
+
+
+def _payoff_lines(payoff: PayoffTable) -> list[str]:
+    return [
+        "payoff levels (best / worst):",
+        f"  lower endpoint: {_f(payoff.best[0])} / {_f(payoff.worst[0])}",
+        f"  width:          {_f(payoff.best[1])} / {_f(payoff.worst[1])}",
+    ]
+
+
+def _payoff_pairs(payoff: PayoffTable) -> list[tuple[str, object]]:
+    return [
+        ("payoff.lower.best", repr(float(payoff.best[0]))),
+        ("payoff.lower.worst", repr(float(payoff.worst[0]))),
+        ("payoff.width.best", repr(float(payoff.best[1]))),
+        ("payoff.width.worst", repr(float(payoff.worst[1]))),
+    ]
+
+
+def _ideal_line(ideal: CenterWidth) -> str:
+    return f"ideal point: center {_f(ideal.center)}, width {_f(ideal.width)}"
+
+
+def _ideal_pairs(ideal: CenterWidth) -> list[tuple[str, object]]:
+    return [("ideal.center", repr(float(ideal.center))),
+            ("ideal.width", repr(float(ideal.width)))]
+
+
+def render_payoff(payoff: PayoffTable, report: str) -> str:
+    """The payoff table alone, as a "text" or "machine" report."""
+    return _pairs(_payoff_pairs(payoff)) if report == "machine" else _lines(_payoff_lines(payoff))
+
+
+def render_ideal(ideal: CenterWidth, report: str) -> str:
+    """The ideal point alone, as a "text" or "machine" report."""
+    return _pairs(_ideal_pairs(ideal)) if report == "machine" else _lines([_ideal_line(ideal)])
 
 
 def render_text(report: CompromiseReport) -> str:
@@ -23,13 +69,10 @@ def render_text(report: CompromiseReport) -> str:
         f"status: {report.status}",
     ]
     if report.status != "optimal":
-        return "\n".join(lines) + "\n"
+        return _lines(lines)
 
-    payoff = report.payoff
+    lines += _payoff_lines(report.payoff)
     lines += [
-        "payoff levels (best / worst):",
-        f"  lower endpoint: {_f(payoff.best[0])} / {_f(payoff.worst[0])}",
-        f"  width:          {_f(payoff.best[1])} / {_f(payoff.worst[1])}",
         f"max-min level: {_f(report.lambda_star)}",
         f"memberships: lower {_f(report.memberships[0])}, width {_f(report.memberships[1])}",
         "shipments (source -> destination: quantity):",
@@ -42,7 +85,7 @@ def render_text(report: CompromiseReport) -> str:
     lines += [
         f"objective: [{_f(report.objective.lo)}, {_f(report.objective.hi)}]"
         f" = center {_f(cw.center)}, width {_f(cw.width)}",
-        f"ideal point: center {_f(report.ideal.center)}, width {_f(report.ideal.width)}",
+        _ideal_line(report.ideal),
         f"distance to ideal: {_f(report.distance)}",
     ]
     if report.competitor is not None:
@@ -54,7 +97,7 @@ def render_text(report: CompromiseReport) -> str:
             f", distance {_f(report.competitor_distance)}")
     for violation in report.plan_violations:
         lines.append(f"warning: plan check: {violation}")
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def render_machine(report: CompromiseReport) -> str:
@@ -66,13 +109,9 @@ def render_machine(report: CompromiseReport) -> str:
         ("demand_floor_total", repr(float(report.demand_floor_total))),
     ]
     if report.status == "optimal":
-        payoff = report.payoff
         cw = report.center_width
+        pairs += _payoff_pairs(report.payoff)
         pairs += [
-            ("payoff.lower.best", repr(float(payoff.best[0]))),
-            ("payoff.lower.worst", repr(float(payoff.worst[0]))),
-            ("payoff.width.best", repr(float(payoff.best[1]))),
-            ("payoff.width.worst", repr(float(payoff.worst[1]))),
             ("level", repr(float(report.lambda_star))),
             ("membership.lower", repr(float(report.memberships[0]))),
             ("membership.width", repr(float(report.memberships[1]))),
@@ -80,10 +119,9 @@ def render_machine(report: CompromiseReport) -> str:
             ("objective.hi", repr(float(report.objective.hi))),
             ("objective.center", repr(float(cw.center))),
             ("objective.width", repr(float(cw.width))),
-            ("ideal.center", repr(float(report.ideal.center))),
-            ("ideal.width", repr(float(report.ideal.width))),
-            ("distance", repr(float(report.distance))),
         ]
+        pairs += _ideal_pairs(report.ideal)
+        pairs += [("distance", repr(float(report.distance)))]
         for i, row in enumerate(report.plan.y):
             for j, quantity in enumerate(row):
                 pairs.append((f"plan.y.{i + 1}.{j + 1}", repr(float(quantity))))
@@ -103,7 +141,7 @@ def render_machine(report: CompromiseReport) -> str:
             pairs.append(("competitor.distance", repr(float(report.competitor_distance))))
     for k, violation in enumerate(report.plan_violations, start=1):
         pairs.append((f"plan_violation.{k}", violation))
-    return "\n".join(f"{key}={value}" for key, value in pairs) + "\n"
+    return _pairs(pairs)
 
 
 def render_oracle_check(check: OracleCheck) -> str:
@@ -116,4 +154,4 @@ def render_oracle_check(check: OracleCheck) -> str:
                  + ("DOMINATED (enumeration beat the compromise plan)"
                     if check.dominated else "none found"))
     lines.append("oracle check: " + ("PASS" if check.passed else "FAIL"))
-    return "\n".join(lines) + "\n"
+    return _lines(lines)

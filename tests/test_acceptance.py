@@ -20,8 +20,8 @@ from conftest import zero_width_bench1
 from ifctp import (CenterWidth, CompetitorEntry, Interval, ShipmentPlan,
                    build_bi_objective, build_payoff, build_single_objective,
                    compute_ideal, distance_to_ideal, evaluate_interval_objective,
-                   membership, run_oracle_check, run_pipeline, solve_compromise,
-                   solve_milp)
+                   membership, plan_value, run_oracle_check, run_pipeline,
+                   solve_compromise, solve_milp)
 from ifctp.cli import main as cli_main
 
 
@@ -180,7 +180,7 @@ def test_criterion_7_algebraic_invariants(bench1):
               for _ in range(inst.n)] for _ in range(inst.m)]
         plan = ShipmentPlan.from_quantities(y)
         z = evaluate_interval_objective(inst, plan)
-        if not close(bi.obj_lower.value(plan) + 2 * bi.obj_width.value(plan),
+        if not close(plan_value(bi.obj_lower, plan) + 2 * plan_value(bi.obj_width, plan),
                      z.hi, rel=1e-9):
             bad.append("upper endpoint identity")
 

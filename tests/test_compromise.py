@@ -54,23 +54,23 @@ class TestMaxMinModel:
         bi = build_bi_objective(bench1)
         model = build_max_min_model(bi, REFERENCE_PAYOFF)
         m, n = bi.m, bi.n
-        assert model.num_vars == 2 * m * n + 1
-        assert len(model.rows) == m + n + m * n + 2
+        assert model.c.size == 2 * m * n + 1
+        assert model.A.shape[0] == m + n + m * n + 2
         level = 2 * m * n
-        lower_row, width_row = model.rows[-2], model.rows[-1]
-        assert lower_row.coeffs[level] == pytest.approx(WORST_LOWER - BEST_LOWER)  # 147
-        assert lower_row.rhs == pytest.approx(WORST_LOWER)
-        assert width_row.coeffs[level] == pytest.approx(WORST_WIDTH - BEST_WIDTH)  # 27
-        assert width_row.rhs == pytest.approx(WORST_WIDTH)
-        assert model.bounds[level] == (0.0, 1.0)
+        lower_row, width_row = model.A[-2], model.A[-1]
+        assert lower_row[level] == pytest.approx(WORST_LOWER - BEST_LOWER)  # 147
+        assert model.b[-2] == pytest.approx(WORST_LOWER)
+        assert width_row[level] == pytest.approx(WORST_WIDTH - BEST_WIDTH)  # 27
+        assert model.b[-1] == pytest.approx(WORST_WIDTH)
+        assert (model.lo[level], model.hi[level]) == (0.0, 1.0)
 
     def test_degenerate_range_pins_objective(self, bench1):
         bi = build_bi_objective(bench1)
         payoff = PayoffTable((BEST_LOWER, BEST_WIDTH), (BEST_LOWER, WORST_WIDTH))
         model = build_max_min_model(bi, payoff)
         level = 2 * bi.m * bi.n
-        assert model.rows[-2].coeffs[level] == 0.0  # no level term, just z <= U
-        assert model.rows[-2].rhs == pytest.approx(BEST_LOWER)
+        assert model.A[-2, level] == 0.0  # no level term, just z <= U
+        assert model.b[-2] == pytest.approx(BEST_LOWER)
 
     def test_fully_degenerate_payoff_leaves_level_free(self):
         # a 1x1 instance has a single anchor plan, so best == worst for both
@@ -160,12 +160,12 @@ class TestComputeIdeal:
         assert ideal.width == 0.0
 
     def test_ideal_is_componentwise_lower_bound(self, bench1):
-        from ifctp.crisp import center_objective
+        from ifctp.crisp import center_objective, plan_value
         bi = build_bi_objective(bench1)
         center = center_objective(bench1)
         ideal = compute_ideal(bench1)
         payoff = build_payoff(bi)
         plans = list(payoff.anchor_plans) + [solve_compromise(bench1, payoff=payoff).plan]
         for plan in plans:
-            assert center.value(plan) >= ideal.center - 1e-9
-            assert bi.obj_width.value(plan) >= ideal.width - 1e-9
+            assert plan_value(center, plan) >= ideal.center - 1e-9
+            assert plan_value(bi.obj_width, plan) >= ideal.width - 1e-9

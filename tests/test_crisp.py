@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import BENCH1_CELLS, zero_width_bench1
@@ -7,7 +8,7 @@ from conftest import BENCH1_CELLS, zero_width_bench1
 from ifctp import (InvalidInstanceError, IfctpInstance, Interval, ShipmentPlan,
                    build_bi_objective, build_single_objective,
                    evaluate_interval_objective, extract_plan, solve_milp)
-from ifctp.crisp import center_objective, to_milp
+from ifctp.crisp import center_objective, constraint_rows, plan_value, to_milp
 
 # Reference coefficient matrices for the 3x4 benchmark.
 T_LOWER = [[4, 8, 9, 8], [10, 10, 11, 5], [7, 8, 8, 13]]
@@ -31,23 +32,20 @@ def naive_interval_value(instance, plan):
 class TestBuildBiObjective:
     def test_lower_objective_coefficients(self, bench1):
         bi = build_bi_objective(bench1)
-        assert [list(r) for r in bi.obj_lower.y_coeffs] == T_LOWER
-        assert [list(r) for r in bi.obj_lower.x_coeffs] == L_LOWER
+        assert bi.obj_lower[:12].reshape(3, 4).tolist() == T_LOWER
+        assert bi.obj_lower[12:].reshape(3, 4).tolist() == L_LOWER
 
     def test_width_objective_coefficients(self, bench1):
         bi = build_bi_objective(bench1)
-        assert [list(r) for r in bi.obj_width.y_coeffs] == T_WIDTH
-        assert [list(r) for r in bi.obj_width.x_coeffs] == L_WIDTH
+        assert bi.obj_width[:12].reshape(3, 4).tolist() == T_WIDTH
+        assert bi.obj_width[12:].reshape(3, 4).tolist() == L_WIDTH
 
     def test_lower_equals_center_minus_width_exactly(self, bench1):
         bi = build_bi_objective(bench1)
         center = center_objective(bench1)
-        for i in range(bench1.m):
-            for j in range(bench1.n):
-                assert bi.obj_lower.y_coeffs[i][j] == \
-                    center.y_coeffs[i][j] - bi.obj_width.y_coeffs[i][j]
-                assert bi.obj_lower.x_coeffs[i][j] == \
-                    center.x_coeffs[i][j] - bi.obj_width.x_coeffs[i][j]
+        assert len(center) == 2 * bench1.m * bench1.n
+        for k in range(len(center)):
+            assert bi.obj_lower[k] == center[k] - bi.obj_width[k]
 
     def test_constraint_data(self, bench1):
         bi = build_bi_objective(bench1)
@@ -58,8 +56,8 @@ class TestBuildBiObjective:
 
     def test_zero_width_instance_has_zero_width_objective(self):
         bi = build_bi_objective(zero_width_bench1())
-        assert all(c == 0 for row in bi.obj_width.y_coeffs for c in row)
-        assert all(c == 0 for row in bi.obj_width.x_coeffs for c in row)
+        assert len(bi.obj_width) == 2 * bi.m * bi.n
+        assert all(c == 0 for c in bi.obj_width)
 
     def test_invalid_instance_names_first_violation(self):
         bad = IfctpInstance([[Interval(1, 2)]], [[Interval(-1, 3)]],
@@ -68,19 +66,60 @@ class TestBuildBiObjective:
             build_bi_objective(bad)
 
 
+def _loop_constraint_rows(bi, extra_vars):
+    """Reference: (A, senses, b) built row by row from plain floats."""
+    m, n = bi.m, bi.n
+    mn = m * n
+    nv = 2 * mn + extra_vars
+    rows = []
+    for i in range(m):
+        coeffs = [0.0] * nv
+        for j in range(n):
+            coeffs[i * n + j] = 1.0
+        rows.append((coeffs, 1, bi.supply_caps[i]))
+    for j in range(n):
+        coeffs = [0.0] * nv
+        for i in range(m):
+            coeffs[i * n + j] = 1.0
+        rows.append((coeffs, -1, bi.demand_floors[j]))
+    for i in range(m):
+        for j in range(n):
+            coeffs = [0.0] * nv
+            coeffs[i * n + j] = 1.0
+            coeffs[mn + i * n + j] = -float(bi.big_m[i][j])
+            rows.append((coeffs, 1, 0.0))
+    return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows], dtype=float))
+
+
+class TestConstraintRows:
+    @pytest.mark.parametrize("extra_vars", [0, 1])
+    def test_matches_row_by_row_build_bit_for_bit(self, bench1, extra_vars):
+        bi = build_bi_objective(bench1)
+        A, senses, b, lo, hi, binaries = constraint_rows(bi, extra_vars)
+        ref_A, ref_senses, ref_b = _loop_constraint_rows(bi, extra_vars)
+        assert A.tobytes() == ref_A.tobytes()  # also rules out -0.0 entries
+        assert senses.tolist() == ref_senses.tolist()
+        assert b.tobytes() == ref_b.tobytes()
+        mn = bi.m * bi.n
+        assert lo.tolist() == [0.0] * (2 * mn)
+        assert hi.tolist() == [float("inf")] * mn + [1.0] * mn
+        assert binaries.tolist() == list(range(mn, 2 * mn))
+
+
 class TestSingleObjective:
     def test_center_coefficients_match_midpoints(self, bench1):
         model = build_single_objective(bench1, "center")
         mn = bench1.m * bench1.n
         expected = [(c[0] + c[1]) / 2 for row in BENCH1_CELLS for c in row]
-        assert list(model.objective[:mn]) == expected
+        assert list(model.c[:mn]) == expected
         expected_fixed = [(c[2] + c[3]) / 2 for row in BENCH1_CELLS for c in row]
-        assert list(model.objective[mn:2 * mn]) == expected_fixed
+        assert list(model.c[mn:2 * mn]) == expected_fixed
 
     def test_width_matches_bi_objective(self, bench1):
         bi = build_bi_objective(bench1)
         model = build_single_objective(bench1, "width")
-        assert model.objective == tuple(bi.obj_width.flat())
+        assert model.c.tolist() == bi.obj_width.tolist()
 
     def test_zero_width_instance_width_optimum_is_zero(self):
         sol = solve_milp(build_single_objective(zero_width_bench1(), "width"))
@@ -122,7 +161,7 @@ class TestEvaluateIntervalObjective:
                   for _ in range(4)] for _ in range(3)]
             plan = ShipmentPlan.from_quantities(y)
             z = evaluate_interval_objective(bench1, plan)
-            reconstructed = bi.obj_lower.value(plan) + 2 * bi.obj_width.value(plan)
+            reconstructed = plan_value(bi.obj_lower, plan) + 2 * plan_value(bi.obj_width, plan)
             assert reconstructed == pytest.approx(z.hi, rel=1e-9)
 
 
@@ -132,7 +171,7 @@ class TestBigMExactness:
         for objective in (bi.obj_lower, bi.obj_width, center_objective(bench1)):
             sol = solve_milp(to_milp(bi, objective))
             plan = extract_plan(bi, sol.assignment)
-            assert objective.value(plan) == pytest.approx(sol.objective_value, rel=1e-9)
+            assert plan_value(objective, plan) == pytest.approx(sol.objective_value, rel=1e-9)
 
     def test_solution_plans_satisfy_linking(self, bench1):
         bi = build_bi_objective(bench1)

@@ -1,36 +1,41 @@
 import random
 
+import numpy as np
 import pytest
 
 from _random_instances import random_instance
 from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
 
-from ifctp import (MilpModel, NodeLimitError, OracleScopeError, Row,
+from ifctp import (MilpModel, NodeLimitError, OracleScopeError,
                    build_bi_objective, build_payoff, build_max_min_model,
                    build_single_objective, oracle_solve, solve_lp, solve_milp)
 from ifctp.crisp import to_milp
 
 
-def _one_var_model(*rows, c=(1.0,), bounds=((0.0, None),), binaries=()):
-    return MilpModel(c, rows, binaries, bounds)
+INF = np.inf
+LE, GE, EQ = 1, -1, 0
+
+
+def _one_var_model(A, senses, b, c=(1.0,), lo=(0.0,), hi=(INF,), binaries=()):
+    return MilpModel(c, A, senses, b, lo, hi, binaries)
 
 
 class TestLinearProgram:
     def test_single_variable_floor(self):
-        sol = solve_lp(_one_var_model(Row([1.0], ">=", 3.0)))
+        sol = solve_lp(_one_var_model([[1.0]], [GE], [3.0]))
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(3.0)
 
     def test_empty_region(self):
-        sol = solve_lp(_one_var_model(Row([1.0], "<=", 1.0), Row([1.0], ">=", 2.0)))
+        sol = solve_lp(_one_var_model([[1.0], [1.0]], [LE, GE], [1.0, 2.0]))
         assert sol.status == "infeasible"
 
     def test_unbounded(self):
-        sol = solve_lp(_one_var_model(Row([1.0], ">=", 3.0), c=(-1.0,)))
+        sol = solve_lp(_one_var_model([[1.0]], [GE], [3.0], c=(-1.0,)))
         assert sol.status == "unbounded"
 
     def test_equality_row(self):
-        sol = solve_lp(_one_var_model(Row([2.0], "=", 5.0)))
+        sol = solve_lp(_one_var_model([[2.0]], [EQ], [5.0]))
         assert sol.objective_value == pytest.approx(2.5)
 
     def test_relaxation_bounds_ideal_center(self, bench1):
@@ -39,26 +44,58 @@ class TestLinearProgram:
         assert sol.objective_value <= IDEAL_CENTER + 1e-9
 
     def test_negative_lower_bound_shift(self):
-        model = MilpModel([1.0], [Row([1.0], ">=", -4.0)], [], [(-10.0, None)])
+        model = _one_var_model([[1.0]], [GE], [-4.0], lo=(-10.0,))
         assert solve_lp(model).objective_value == pytest.approx(-4.0)
 
 
 class TestModelValidation:
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            MilpModel([1.0], [], [], [(0.0, None)])
+            _one_var_model(np.zeros((0, 1)), [], [])
 
     def test_row_width_mismatch(self):
         with pytest.raises(ValueError, match="coefficients"):
-            MilpModel([1.0], [Row([1.0, 2.0], "<=", 1.0)], [], [(0.0, None)])
+            _one_var_model([[1.0, 2.0]], [LE], [1.0])
 
     def test_bad_relation(self):
         with pytest.raises(ValueError, match="relation"):
-            Row([1.0], "<", 1.0)
+            _one_var_model([[1.0]], [2], [1.0])
 
     def test_binary_bounds_enforced(self):
         with pytest.raises(ValueError, match="binary"):
-            MilpModel([1.0], [Row([1.0], "<=", 5.0)], [0], [(0.0, 2.0)])
+            _one_var_model([[1.0]], [LE], [5.0], hi=(2.0,), binaries=[0])
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(A=[[np.nan]]), "constraint coefficients must be finite"),
+        (dict(A=[[INF]]), "constraint coefficients must be finite"),
+        (dict(b=[np.nan]), "constraint coefficients must be finite"),
+        (dict(b=[-INF]), "constraint coefficients must be finite"),
+        (dict(c=[np.nan]), "objective coefficients must be finite"),
+        (dict(c=[INF]), "objective coefficients must be finite"),
+        (dict(senses=[0.5]), "relation"),
+        (dict(senses=[LE, LE]), "senses for 1 rows"),
+        (dict(b=[1.0, 2.0]), "right-hand sides"),
+        (dict(lo=[2.0], hi=[1.0]), "lo <= hi"),
+        (dict(hi=[1.0, 1.0]), "upper bounds"),
+        (dict(hi=[1.0], binaries=[1]), "binary index out of range"),
+        (dict(hi=[1.0], binaries=[-1]), "binary index out of range"),
+    ], ids=["A-nan", "A-inf", "b-nan", "b-inf", "c-nan", "c-inf", "sense-fraction",
+            "senses-length", "b-length", "lo-above-hi", "hi-length", "binary-past-end",
+            "binary-negative"])
+    def test_bad_input_rejected(self, bad, match):
+        args = dict(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0], lo=[0.0], hi=[INF], binaries=[])
+        args.update(bad)
+        with pytest.raises(ValueError, match=match):
+            MilpModel(**args)
+
+    def test_arrays_are_read_only(self):
+        A = np.array([[1.0]])
+        model = _one_var_model(A, [LE], [1.0], hi=(1.0,), binaries=[0])
+        for name in ("c", "A", "senses", "b", "lo", "hi", "binaries"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[0] = 0
+        A[0, 0] = 2.0  # the model keeps its own copy
+        assert model.A[0, 0] == 1.0
 
 
 class TestBenchmarkValues:
@@ -113,8 +150,8 @@ class TestResourceLimits:
 
     def test_oracle_scope(self):
         nv = 25
-        model = MilpModel([0.0] * nv, [Row([1.0] * nv, "<=", 5.0)],
-                          range(nv), [(0.0, 1.0)] * nv)
+        model = MilpModel(np.zeros(nv), np.ones((1, nv)), [LE], [5.0],
+                          np.zeros(nv), np.ones(nv), range(nv))
         with pytest.raises(OracleScopeError):
             oracle_solve(model)
 
@@ -123,8 +160,9 @@ class TestResourceLimits:
         bi = build_bi_objective(bench1)
         model = to_milp(bi, bi.obj_lower)
         mn = 12
-        rows = list(model.rows) + [Row([0.0] * mn + [1.0] * mn, "<=", 0.0)]
-        closed = MilpModel(model.objective, rows, model.binaries, model.bounds)
+        shut = [0.0] * mn + [1.0] * mn
+        closed = MilpModel(model.c, np.vstack((model.A, shut)), np.append(model.senses, LE),
+                           np.append(model.b, 0.0), model.lo, model.hi, model.binaries)
         assert solve_milp(closed).status == "infeasible"
         assert oracle_solve(closed).status == "infeasible"
 

@@ -114,17 +114,16 @@ class TestCheckPlan:
 
 class TestFctpInstance:
     def test_crisp_instance_lifts_to_degenerate_intervals(self):
-        from ifctp import FctpInstance
-        crisp = FctpInstance([[2.0, 3.0]], [[1.0, 4.0]], [7.0], [3.0, 4.0])
-        lifted = crisp.as_interval_instance()
+        from ifctp import crisp_instance
+        lifted = crisp_instance([[2.0, 3.0]], [[1.0, 4.0]], [7.0], [3.0, 4.0])
         assert validate(lifted) == []
         assert lifted.is_crisp()
         assert lifted.unit_cost[0][1] == Interval(3.0, 3.0)
         assert lifted.supply[0] == Interval(7.0, 7.0)
 
     def test_lifted_instance_solves_like_plain_fctp(self):
-        from ifctp import FctpInstance, build_single_objective, solve_milp
-        crisp = FctpInstance([[2.0, 3.0]], [[1.0, 4.0]], [7.0], [3.0, 4.0])
-        sol = solve_milp(build_single_objective(crisp.as_interval_instance(), "center"))
+        from ifctp import build_single_objective, crisp_instance, solve_milp
+        crisp = crisp_instance([[2.0, 3.0]], [[1.0, 4.0]], [7.0], [3.0, 4.0])
+        sol = solve_milp(build_single_objective(crisp, "center"))
         # cheapest: 3 units at 2 (+1 fixed), 4 at 3 (+4 fixed)
         assert sol.objective_value == pytest.approx(2 * 3 + 1 + 3 * 4 + 4)

@@ -191,9 +191,34 @@ class TestCli:
         assert "resource limit" in capsys.readouterr().err
 
     def test_bad_competitor_argument(self, bench1_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["compare", str(bench1_path), "--competitor", "nope"])
-        assert err.value.code == 2  # argparse usage error
+        assert main(["compare", str(bench1_path), "--competitor", "nope"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: argument --competitor: expected name=[lo,hi]"]
+
+
+class TestCliOutputBytes:
+    """Exact stdout of the CLI's own rendering paths on the shipped instance."""
+
+    def test_compare_machine_golden(self, bench1_path, capsys):
+        expected = (DATA_DIR / "golden_compare_machine.txt").read_text()
+        assert main(["compare", str(bench1_path), "--override-payoff", "640,787,163,190",
+                     "--competitor", "safi-razmjoo=[640,1020]", "--report", "machine"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("command, report, expected", [
+        ("payoff", "text", "payoff levels (best / worst):\n"
+                           "  lower endpoint: 640.00 / 787.00\n"
+                           "  width:          163.00 / 190.00\n"),
+        ("payoff", "machine", "payoff.lower.best=640.0\npayoff.lower.worst=787.0\n"
+                              "payoff.width.best=163.0\npayoff.width.worst=190.0\n"),
+        ("ideal", "text", "ideal point: center 830.00, width 163.00\n"),
+        ("ideal", "machine", "ideal.center=830.0\nideal.width=163.0\n"),
+    ])
+    def test_payoff_and_ideal_stdout(self, bench1_path, capsys, command, report, expected):
+        assert main([command, str(bench1_path), "--report", report]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestCliArgumentErrors:
@@ -217,6 +242,22 @@ class TestCliArgumentErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: argument {args[0]}:")
+
+    @pytest.mark.parametrize("args, message", [
+        (["solve", "{path}", "--bogus"], "error: unrecognized arguments: --bogus"),
+        (["solve"], "error: the following arguments are required: file"),
+    ], ids=["unknown-option", "missing-file"])
+    def test_usage_error_exit_code(self, bench1_path, capsys, args, message):
+        assert main([a.format(path=bench1_path) for a in args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ifctp")
 
     def test_zero_tolerance_is_accepted(self, bench1_path, capsys):
         assert main(["solve", str(bench1_path), "--tolerance", "0",

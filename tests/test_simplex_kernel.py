@@ -10,10 +10,13 @@ from _reference import PAYOFF_OVERRIDE
 import ifctp.compromise
 import ifctp.milp
 import ifctp.pipeline
-from ifctp import (DegeneratePivotError, MilpModel, PayoffTable, Row,
+from ifctp import (DegeneratePivotError, MilpModel, PayoffTable,
                    build_bi_objective, build_max_min_model, build_single_objective,
                    oracle_solve, run_pipeline, solve_lp, solve_milp)
 from ifctp.crisp import to_milp
+
+# Row senses as MilpModel and the kernel number them.
+_SENSE = {"<=": 1, ">=": -1, "=": 0}
 
 
 def _textbook_standard_lp(c, A, relations, b, degenerate_limit):
@@ -164,7 +167,7 @@ class TestTextbookReference:
         statuses = set()
         for _ in range(400):
             c, A, relations, b = _random_lp(rng)
-            senses = np.array([ifctp.milp._SENSE[rel] for rel in relations])
+            senses = np.array([_SENSE[rel] for rel in relations])
             status, x, pivots = ifctp.milp._solve_standard_lp(c, A, senses, b)
             ref_status, ref_x, ref_pivots = _textbook_standard_lp(c, A, relations, b,
                                                                   degenerate_limit)
@@ -179,7 +182,7 @@ class TestBreakdowns:
     def test_sub_tolerance_entering_column(self):
         # x must enter (reduced cost -1) but its only entry, 1e-10, lies
         # between the zero threshold and PIVOT_TOL.
-        model = MilpModel([-1.0], [Row([1e-10], "<=", 1.0)], [], [(0.0, None)])
+        model = MilpModel([-1.0], [[1e-10]], [1], [1.0], [0.0], [np.inf], [])
         assert 1e-12 < 1e-10 <= ifctp.milp.PIVOT_TOL
         with pytest.raises(DegeneratePivotError, match="sub-tolerance"):
             solve_lp(model)
@@ -204,7 +207,7 @@ class TestPivotCounts:
         assert first.pivots == second.pivots > 0
 
     def test_root_node_pivots_match_solve_lp(self):
-        model = MilpModel([1.0, 1.0], [Row([1.0, 1.0], ">=", 3.0)], [], [(0.0, None)] * 2)
+        model = MilpModel([1.0, 1.0], [[1.0, 1.0]], [-1], [3.0], [0.0] * 2, [np.inf] * 2, [])
         assert solve_milp(model).pivots == solve_lp(model).pivots > 0
 
 
@@ -213,8 +216,8 @@ class TestOneSolvePerModel:
         solved = []
 
         def recording_solve(model, *args, **kwargs):
-            solved.append((model.objective, model.bounds,
-                           tuple((row.coeffs, row.relation, row.rhs) for row in model.rows)))
+            solved.append(tuple(getattr(model, name).tobytes()
+                                for name in ("c", "A", "senses", "b", "lo", "hi", "binaries")))
             return solve_milp(model, *args, **kwargs)
 
         monkeypatch.setattr(ifctp.pipeline, "solve_milp", recording_solve)
