@@ -18,7 +18,7 @@ from .milp import (DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError
                    OracleScopeError, oracle_solve, solve_lp, solve_milp)
 from .model import IfctpInstance, ShipmentPlan, check_plan, crisp_instance, validate
 from .pipeline import (CompetitorEntry, CompromiseReport, OracleCheck,
-                       run_oracle_check, run_pipeline)
+                       UnattainableLevelsError, run_oracle_check, run_pipeline)
 from .problemfile import ProblemFileError, parse_instance, render_instance
 from .reporting import (render_ideal, render_machine, render_oracle_check, render_payoff,
                         render_text)
@@ -29,6 +29,7 @@ __all__ = [
     "InfeasibleProblemError", "Interval", "InvalidInstanceError",
     "MilpModel", "MilpSolution", "NodeLimitError", "OracleCheck", "OracleScopeError",
     "PayoffTable", "Preference", "ProblemFileError", "ShipmentPlan",
+    "UnattainableLevelsError",
     "build_bi_objective", "build_payoff", "build_max_min_model",
     "build_single_objective", "check_plan", "compute_ideal", "crisp_instance",
     "distance_to_ideal", "evaluate_interval_objective", "extract_plan", "membership",

@@ -8,7 +8,9 @@ simplex.  Exits 3, 4 and 5 print one ``error:`` line on stderr.
 Usage errors include an unknown option, a missing argument and a rejected
 option value (--override-payoff, --tolerance, --competitor).  argparse would
 print its usage text and exit 2, the code of an infeasible instance, so the
-parser reports them as one line and exit 3 instead.
+parser reports them as one line and exit 3 instead.  --override-payoff
+levels that no plan of a feasible instance attains also exit 3: the option
+value is at fault, not the instance.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .crisp import InvalidInstanceError, build_bi_objective
 from .intervals import Interval
 from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError
 from .model import FEASIBILITY_TOL
-from .pipeline import CompetitorEntry, run_oracle_check, run_pipeline
+from .pipeline import CompetitorEntry, UnattainableLevelsError, run_oracle_check, run_pipeline
 from .problemfile import ProblemFileError, parse_instance
 from .reporting import (render_ideal, render_machine, render_oracle_check, render_payoff,
                         render_text)
@@ -154,6 +156,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except InvalidInstanceError as exc:
         print(f"error: invalid instance: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except UnattainableLevelsError as exc:
+        print(f"error: override levels are unattainable: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InfeasibleProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

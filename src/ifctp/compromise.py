@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .crisp import (BiObjectiveMilp, build_bi_objective, build_single_objective,
-                    constraint_rows, extract_plan, plan_value, to_milp)
+from .crisp import (BiObjectiveMilp, build_bi_objective, center_objective, constraint_rows,
+                    extract_plan, plan_value, to_milp)
 from .intervals import CenterWidth
 from .milp import OPTIMAL, MilpModel, MilpSolution, solve_milp
 from .model import IfctpInstance, ShipmentPlan
@@ -132,13 +132,16 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
 
 
 def solve_compromise(instance: IfctpInstance,
-                     payoff: Optional[PayoffTable] = None) -> CompromiseResult:
+                     payoff: Optional[PayoffTable] = None,
+                     bi: Optional[BiObjectiveMilp] = None) -> CompromiseResult:
     """Full compromise pipeline for one instance.
 
     A caller-supplied payoff table (e.g. levels taken from an external source)
-    replaces the computed one; infeasibility anywhere raises.
+    replaces the computed one; infeasibility anywhere raises.  bi, if given,
+    is build_bi_objective(instance) and is used instead of building it again.
     """
-    bi = build_bi_objective(instance)
+    if bi is None:
+        bi = build_bi_objective(instance)
     if payoff is None:
         payoff = build_payoff(bi)
 
@@ -159,16 +162,22 @@ def solve_compromise(instance: IfctpInstance,
 
 
 def compute_ideal(instance: IfctpInstance,
-                  width_anchor: Optional[MilpSolution] = None) -> CenterWidth:
+                  width_anchor: Optional[MilpSolution] = None,
+                  bi: Optional[BiObjectiveMilp] = None) -> CenterWidth:
     """Componentwise minima of expected cost and uncertainty (generally unattainable).
 
     width_anchor, if given, is the solution of the width model (the payoff
     table's width anchor) and is used instead of solving that model again.
+    bi, if given, is build_bi_objective(instance) and is used instead of
+    building it again.
     """
+    if bi is None:
+        bi = build_bi_objective(instance)
     coordinates = []
-    for which, sol in (("center", None), ("width", width_anchor)):
+    for which, objective, sol in (("center", center_objective(instance), None),
+                                  ("width", bi.obj_width, width_anchor)):
         if sol is None:
-            sol = solve_milp(build_single_objective(instance, which))
+            sol = solve_milp(to_milp(bi, objective))
         if sol.status != OPTIMAL:
             raise InfeasibleProblemError(f"ideal-point solve ({which}) ended {sol.status}")
         coordinates.append(sol.objective_value)

@@ -27,6 +27,38 @@ Each stored entry thus sees the same floating-point operations, in the same
 order, as the textbook full-tableau update, and every pivot choice is the
 same.  The cost-row loops stay sequential because their order fixes the
 rounding.
+
+Skipping nodes: branch and bound does not solve a node that a bound proves
+cannot come near the optimum.  Two bounds serve.
+- Penalty bound (Driebeck 1966).  When a node branches on a fractional
+  binary, the binary's row and the reduced costs of the node's final
+  phase-2 tableau give each child a lower bound on its LP value
+  (_penalties).  It rides in the child's heap entry after the key
+  (parent bound, -depth, sequence), so it never changes the pop order.
+- Cutoff.  At each branching node every binary is rounded up,
+  ceil(x - INT_TOL).  If that point meets every row and bound of the model
+  within CUTOFF_FEAS_TOL, its value bounds the optimum from above.  The
+  least such value is the cutoff; it never becomes the incumbent.
+A popped node is skipped, with no LP solve and no node counted, when its
+penalty bound is at least C - IMPROVEMENT_EPS + SKIP_MARGIN * max(1, |C|),
+where C = min(incumbent, cutoff).
+
+Why skipping is exact.  C is the value of an integral feasible point, so
+the optimum z* is at most C, and a skipped node's penalty bound bounds
+every integral point below it.  Each of those points is worse than z* by
+more than SKIP_MARGIN * max(1, |C|) - IMPROVEMENT_EPS, about a hundred
+times the IMPROVEMENT_EPS by which an incumbent must beat the last one.
+The search without skipping returns a point within IMPROVEMENT_EPS of z*,
+so it never returns such a point: at most it holds one as a passing
+incumbent, which any near-optimal point beats when it appears.  So a
+subtree holding a near-optimal point is never skipped, and never pruned by
+a passing incumbent.  Heap keys depend only on a node's parent LP and on
+the order of pushes, and skipping removes pushes without reordering the
+rest, so these subtrees are popped in the same relative order, meet the
+same near-optimal incumbents, and the same assignment is returned bit for
+bit.  SKIP_MARGIN sits far above LP round-off, so floating-point error in
+a penalty or in the cutoff's row check cannot make a near-optimal subtree
+look fruitless; penalties are clipped at zero for the same reason.
 """
 
 from __future__ import annotations
@@ -52,6 +84,11 @@ DEFAULT_NODE_LIMIT = 10 ** 6
 ORACLE_MAX_BINARIES = 20
 # An incumbent must beat the previous one by more than this (avoids tie-flapping).
 IMPROVEMENT_EPS = 1e-9
+# A node is not solved when its penalty bound lies this far (relative) above
+# the best known value; far above LP round-off and above IMPROVEMENT_EPS.
+SKIP_MARGIN = 1e-7
+# Row and bound slack a rounded-up point may use to count as feasible.
+CUTOFF_FEAS_TOL = 1e-9
 
 
 class DegeneratePivotError(RuntimeError):
@@ -209,9 +246,18 @@ def _solve_standard_lp(c: np.ndarray, A: np.ndarray, senses: np.ndarray,
                        b: np.ndarray) -> tuple[str, Optional[np.ndarray], int]:
     """min c.x  s.t.  A x <sense> b,  x >= 0.  Returns (status, x, pivots).
 
-    senses holds 1 for "<=", -1 for ">=" and 0 for "=".  Artificial columns
-    are implicit: they never enter, so only their basis labels (indices from
-    n_real up) are kept.
+    senses holds 1 for "<=", -1 for ">=" and 0 for "=".
+    """
+    return _simplex(c, A, senses, b)[:3]
+
+
+def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
+             ) -> tuple[str, Optional[np.ndarray], int, Optional[tuple[np.ndarray, np.ndarray]]]:
+    """_solve_standard_lp plus the final phase-2 tableau.
+
+    Returns (status, x, pivots, (T, basis)); the tableau is None unless the
+    status is optimal.  Artificial columns are implicit: they never enter, so
+    only their basis labels (indices from n_real up) are kept.
     """
     m, n = A.shape
     flip = b < 0
@@ -241,7 +287,7 @@ def _solve_standard_lp(c: np.ndarray, A: np.ndarray, senses: np.ndarray,
         except _Unbounded:  # phase-1 objective is bounded below by zero
             raise DegeneratePivotError("phase-1 relaxation reported unbounded")
         if -T[-1, -1] > LP_FEAS_TOL:
-            return INFEASIBLE, None, pivots
+            return INFEASIBLE, None, pivots, None
 
         # Pivot leftover artificials out of the basis; a row that offers no
         # pivot is linearly dependent and gets dropped.
@@ -267,12 +313,12 @@ def _solve_standard_lp(c: np.ndarray, A: np.ndarray, senses: np.ndarray,
     try:
         pivots += _run_simplex(T, basis)
     except _Unbounded as exc:
-        return UNBOUNDED, None, pivots + exc.args[0]
+        return UNBOUNDED, None, pivots + exc.args[0], None
 
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = T[:m, -1][structural]
-    return OPTIMAL, x, pivots
+    return OPTIMAL, x, pivots, (T, basis)
 
 
 # --------------------------------------------------------------------------
@@ -287,13 +333,23 @@ def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
     substituted out before the simplex runs.  Returns (status, value, x,
     pivots).
     """
+    return _relaxation(model, fixes)[:4]
+
+
+def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
+    """_solve_relaxation plus the final tableau, as (status, value, x, pivots, tableau).
+
+    tableau is (free, T, basis): the model indices of the simplex columns
+    that are structural, then the simplex's final phase-2 tableau and basis.
+    It is None unless a simplex run ended optimal.
+    """
     lo = model.lo.copy()
     hi = model.hi.copy()
     if fixes:
         fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
         lo[fixed] = hi[fixed] = np.fromiter(fixes.values(), dtype=float, count=len(fixes))
     if (lo > hi + 1e-12).any():
-        return INFEASIBLE, None, None, 0
+        return INFEASIBLE, None, None, 0, None
 
     free = (hi - lo > 0).nonzero()[0]
     b_shift = model.b - model.A @ lo
@@ -312,11 +368,11 @@ def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
         violated = np.where(sense > 0, resid < -tol,
                             np.where(sense < 0, resid > tol, np.abs(resid) > tol))
         if violated.any():
-            return INFEASIBLE, None, None, 0
+            return INFEASIBLE, None, None, 0, None
 
     x_full = lo.copy()
     if free.size == 0:
-        return OPTIMAL, model.value_at(x_full), x_full, 0
+        return OPTIMAL, model.value_at(x_full), x_full, 0, None
 
     # Finite upper bounds of free variables become explicit rows.
     ub_idx = np.isfinite(hi[free]).nonzero()[0]
@@ -326,11 +382,11 @@ def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
     A[n_live + np.arange(ub_idx.size), ub_idx] = 1.0
     b = np.concatenate((b_shift[live], (hi[free] - lo[free])[ub_idx]))
     senses = np.concatenate((model.senses[live], np.ones(ub_idx.size, dtype=int)))
-    status, u, pivots = _solve_standard_lp(model.c[free], A, senses, b)
+    status, u, pivots, tableau = _simplex(model.c[free], A, senses, b)
     if status != OPTIMAL:
-        return status, None, None, pivots
+        return status, None, None, pivots, None
     x_full[free] += u
-    return OPTIMAL, model.value_at(x_full), x_full, pivots
+    return OPTIMAL, model.value_at(x_full), x_full, pivots, (free, *tableau)
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
@@ -363,29 +419,65 @@ def _most_fractional(x: np.ndarray, binaries: Sequence[int],
     return best_j
 
 
+def _penalties(tableau, j: int) -> tuple[float, float]:
+    """Driebeck penalties: least objective increases for forcing binary j down, up.
+
+    x_j is basic (a fractional variable sits at neither bound) in some row
+    r of the final tableau, x_j + sum a_rk u_k = f over the nonbasic u_k.
+    Pushing x_j to 0 needs sum a_rk u_k >= f, which costs at least
+    f * min d_k / a_rk over a_rk > 0; pushing it to 1 costs at least
+    (1 - f) * min d_k / -a_rk over a_rk < 0.  No such column means that
+    child is infeasible (inf).  The minima are clipped at zero, so round-off
+    in a reduced cost can only weaken a bound.  Returns the two minima; the
+    caller scales them by f and 1 - f.
+    """
+    free, T, basis = tableau
+    k = free.searchsorted(j)
+    a = T[(basis == k).argmax(), :-1]
+    a[k] = 0.0  # x_j's own unit entry; the tableau is not used again
+    q = np.divide(T[-1, :-1], a, out=np.full(a.size, np.inf), where=a != 0.0)
+    down = np.minimum.reduce(q, where=a > 0.0, initial=np.inf)
+    up = -np.maximum.reduce(q, where=a < 0.0, initial=-np.inf)
+    return max(float(down), 0.0), max(float(up), 0.0)
+
+
 def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSolution:
     """Globally optimal solution via best-bound branch and bound on the binaries.
 
     Node selection is best bound first, ties broken deeper-first then by
     creation order; branching picks the most fractional binary and explores
-    the rounded-toward value first.
+    the rounded-toward value first.  A node whose penalty bound lies
+    SKIP_MARGIN (relative) above min(incumbent, cutoff) is not solved (see
+    the module docstring).
     """
     binaries = model.binaries.tolist()
     incumbent_val = math.inf
     incumbent_x: Optional[np.ndarray] = None
+    cutoff = math.inf
+    # Row and bound ranges of the model, widened by CUTOFF_FEAS_TOL, that a
+    # rounded-up point must meet.
+    tol = CUTOFF_FEAS_TOL * np.maximum(1.0, np.abs(model.b))
+    row_hi = np.where(model.senses >= 0, model.b + tol, np.inf)
+    row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
+    var_hi = model.hi + CUTOFF_FEAS_TOL
+    var_lo = model.lo - CUTOFF_FEAS_TOL
     nodes = pivots = 0
     seq = itertools.count()
-    # heap entries: (lp bound of parent, -depth, sequence, fixes)
-    heap: list[tuple[float, int, int, dict[int, float]]] = [(-math.inf, 0, next(seq), {})]
+    # heap entries: (lp bound of parent, -depth, sequence, penalty bound, fixes)
+    heap: list[tuple[float, int, int, float, dict[int, float]]] = [
+        (-math.inf, 0, next(seq), -math.inf, {})]
 
     while heap:
-        bound, neg_depth, _, fixes = heapq.heappop(heap)
+        bound, neg_depth, _, penalty_bound, fixes = heapq.heappop(heap)
         if bound >= incumbent_val - IMPROVEMENT_EPS:
             continue  # cannot beat the incumbent
+        best = min(incumbent_val, cutoff)
+        if penalty_bound >= best - IMPROVEMENT_EPS + SKIP_MARGIN * max(1.0, abs(best)):
+            continue  # cannot come near the optimum
         if nodes >= node_limit:
             raise NodeLimitError(f"node limit {node_limit} exceeded")
         nodes += 1
-        status, value, x, lp_pivots = _solve_relaxation(model, fixes)
+        status, value, x, lp_pivots, tableau = _relaxation(model, fixes)
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
@@ -405,12 +497,23 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
                 incumbent_x = rounded
             continue
 
+        if value < cutoff:  # the rounded-up point also obeys this node's fixes
+            point = x.copy()
+            point[model.binaries] = np.ceil(x[model.binaries] - INT_TOL)
+            rows = model.A @ point
+            if ((rows <= row_hi).all() and (rows >= row_lo).all()
+                    and (point <= var_hi).all() and (point >= var_lo).all()):
+                cutoff = min(cutoff, model.value_at(point))
+
+        down, up = _penalties(tableau, j)
+        f = x[j]
+        child_bounds = {0.0: value + f * down, 1.0: value + (1.0 - f) * up}
         depth = -neg_depth + 1
         first = 1.0 if x[j] >= 0.5 else 0.0
         for branch_value in (first, 1.0 - first):
             child = dict(fixes)
             child[j] = branch_value
-            heapq.heappush(heap, (value, -depth, next(seq), child))
+            heapq.heappush(heap, (value, -depth, next(seq), child_bounds[branch_value], child))
 
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots)

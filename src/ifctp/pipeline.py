@@ -14,14 +14,21 @@ import numpy as np
 
 from .compromise import (InfeasibleProblemError, PayoffTable, build_payoff,
                          build_max_min_model, solve_compromise, compute_ideal)
-from .crisp import (InvalidInstanceError, build_bi_objective, center_objective,
-                    constraint_rows, evaluate_interval_objective, to_milp)
+from .crisp import (build_bi_objective, center_objective, constraint_rows,
+                    evaluate_interval_objective, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, MilpModel, OracleScopeError,
                    oracle_solve, solve_milp)
-from .model import FEASIBILITY_TOL, IfctpInstance, ShipmentPlan, check_plan, validate
+from .model import FEASIBILITY_TOL, IfctpInstance, ShipmentPlan, check_plan
 
 DOMINANCE_TOL = 1e-6
+
+
+class UnattainableLevelsError(ValueError):
+    """No plan meets both worst payoff levels, so no satisfaction level exists.
+
+    Only supplied levels can do this: computed ones are met by the anchor plans.
+    """
 
 
 @dataclass(frozen=True)
@@ -77,32 +84,36 @@ def run_pipeline(instance: IfctpInstance, *,
     payoff_override is (L1, U1, L2, U2): aspired and worst levels for the
     lower-endpoint and width objectives, replacing the computed payoff table.
     Structural defects raise InvalidInstanceError; an undersupplied instance
-    comes back with status "infeasible" and no plan.
+    comes back with status "infeasible" and no plan.  Override levels that no
+    plan of a feasible instance meets raise UnattainableLevelsError.
     """
-    structural = validate(instance, check_aggregate=False)
-    if structural:
-        raise InvalidInstanceError(structural[0])
-
+    bi = build_bi_objective(instance)  # validates the instance once for the whole run
     summary = dict(
         sources=instance.m,
         destinations=instance.n,
         supply_cap_total=sum(iv.hi for iv in instance.supply),
         demand_floor_total=sum(iv.lo for iv in instance.demand),
     )
-    bi = build_bi_objective(instance)
     try:
         # The ideal point's width coordinate and the payoff table's width
         # anchor come from the same model, so it is solved once.
         width_anchor = solve_milp(to_milp(bi, bi.obj_width))
-        ideal = compute_ideal(instance, width_anchor)
+        ideal = compute_ideal(instance, width_anchor, bi)
         if payoff_override is not None:
             l1, u1, l2, u2 = payoff_override
             payoff = PayoffTable((l1, l2), (u1, u2))
         else:
             payoff = build_payoff(bi, width_anchor)
-        result = solve_compromise(instance, payoff=payoff)
     except InfeasibleProblemError:
         return CompromiseReport(status="infeasible", competitor=competitor, **summary)
+    try:
+        result = solve_compromise(instance, payoff=payoff, bi=bi)
+    except InfeasibleProblemError:
+        # The ideal point exists, so the instance is feasible and only the
+        # worst levels can leave the max-min model without a point.
+        raise UnattainableLevelsError(
+            f"no plan has lower endpoint <= {float(payoff.worst[0])} and width <= "
+            f"{float(payoff.worst[1])}") from None
 
     objective = evaluate_interval_objective(instance, result.plan)
     violations = tuple(check_plan(instance, result.plan, tol=tolerance))
@@ -197,7 +208,7 @@ def run_oracle_check(instance: IfctpInstance, rel_tol: float = 1e-6) -> OracleCh
     lines.append(CheckLine("max-min level", -solver_mm.objective_value,
                            -oracle_mm.objective_value, ok))
 
-    result = solve_compromise(instance, payoff=payoff)
+    result = solve_compromise(instance, payoff=payoff, bi=bi)
     z_lower, z_width = result.objective_values
     dominated = False
     probes = (

@@ -1,0 +1,206 @@
+"""Penalty skipping in branch and bound returns exactly what the unpruned search returns."""
+
+import heapq
+import itertools
+import math
+import random
+import struct
+
+import numpy as np
+import pytest
+
+from _random_instances import random_instance
+from _reference import PAYOFF_OVERRIDE
+
+import ifctp.milp
+from ifctp import (IfctpInstance, Interval, MilpModel, MilpSolution, PayoffTable,
+                   build_bi_objective, build_max_min_model, build_payoff, solve_milp)
+from ifctp.compromise import _refine
+from ifctp.crisp import center_objective, to_milp
+from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, OPTIMAL, UNBOUNDED, _most_fractional,
+                        _penalties, _relaxation, _solve_relaxation)
+
+
+def _reference_solve_milp(model):
+    """Best-bound branch and bound without penalty bounds or cutoff.
+
+    The search solve_milp ran before it skipped nodes: same heap keys, same
+    branching rule, same incumbent rule.  Every node it pops and cannot prune
+    by its parent's LP value gets its own LP solve.
+    """
+    binaries = model.binaries.tolist()
+    incumbent_val = math.inf
+    incumbent_x = None
+    nodes = pivots = 0
+    seq = itertools.count()
+    heap = [(-math.inf, 0, next(seq), {})]
+    while heap:
+        bound, neg_depth, _, fixes = heapq.heappop(heap)
+        if bound >= incumbent_val - IMPROVEMENT_EPS:
+            continue
+        nodes += 1
+        status, value, x, lp_pivots = _solve_relaxation(model, fixes)
+        pivots += lp_pivots
+        if status == INFEASIBLE:
+            continue
+        if status == UNBOUNDED:
+            return MilpSolution(UNBOUNDED, None, None, nodes, pivots)
+        if value >= incumbent_val - IMPROVEMENT_EPS:
+            continue
+        j = _most_fractional(x, binaries, fixes)
+        if j < 0:
+            rounded = x.copy()
+            for k in binaries:
+                rounded[k] = float(round(rounded[k]))
+            candidate = model.value_at(rounded)
+            if candidate < incumbent_val - IMPROVEMENT_EPS:
+                incumbent_val = candidate
+                incumbent_x = rounded
+            continue
+        depth = -neg_depth + 1
+        first = 1.0 if x[j] >= 0.5 else 0.0
+        for branch_value in (first, 1.0 - first):
+            child = dict(fixes)
+            child[j] = branch_value
+            heapq.heappush(heap, (value, -depth, next(seq), child))
+    if incumbent_x is None:
+        return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
+    return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
+
+
+def _bits(solution):
+    """Status, objective bits and assignment bits of a solution."""
+    if solution.status != OPTIMAL:
+        return solution.status, None, None
+    return (solution.status, struct.pack("<d", solution.objective_value),
+            np.array(solution.assignment).tobytes())
+
+
+def _stage_models(instance, override=None):
+    """The stage models of one pipeline run, by name.
+
+    ideal-width is also the payoff table's width anchor.  The max-min and
+    refine models use the computed payoff table, or the override levels.
+    """
+    bi = build_bi_objective(instance)
+    models = {
+        "ideal-center": to_milp(bi, center_objective(instance)),
+        "ideal-width": to_milp(bi, bi.obj_width),
+        "anchor-lower": to_milp(bi, bi.obj_lower),
+    }
+    payoff = build_payoff(bi)
+    if override is not None:
+        l1, u1, l2, u2 = override
+        payoff = PayoffTable((l1, l2), (u1, u2))
+    max_min = build_max_min_model(bi, payoff)
+    lambda_star = min(1.0, max(0.0, -_reference_solve_milp(max_min).objective_value))
+    models["max-min"] = max_min
+    models["refine"] = _refine(bi, payoff, max_min, lambda_star)
+    return models
+
+
+def _scaled(instance, factor):
+    scale = lambda iv: Interval(iv.lo * factor, iv.hi * factor)
+    return IfctpInstance([[scale(iv) for iv in row] for row in instance.unit_cost],
+                         [[scale(iv) for iv in row] for row in instance.fixed_charge],
+                         instance.supply, instance.demand)
+
+
+def _is_subsequence(short, long):
+    remaining = iter(long)
+    return all(item in remaining for item in short)
+
+
+def _compare(models, monkeypatch):
+    """Assert identical answers model by model; returns (nodes, reference nodes).
+
+    Skipping may only drop LP solves: the pruned search's solves, as fixes,
+    must appear in the reference's, in the same order.
+    """
+    solved = []
+    relaxation = ifctp.milp._relaxation
+
+    def recording_relaxation(model, fixes):
+        solved.append(tuple(sorted(fixes.items())))
+        return relaxation(model, fixes)
+
+    monkeypatch.setattr(ifctp.milp, "_relaxation", recording_relaxation)
+    nodes = ref_nodes = 0
+    for name, model in models.items():
+        solved.clear()
+        solution = solve_milp(model)
+        pruned_solves = list(solved)
+        solved.clear()
+        reference = _reference_solve_milp(model)
+        assert _bits(solution) == _bits(reference), name
+        assert solution.nodes == len(pruned_solves) <= reference.nodes == len(solved), name
+        assert _is_subsequence(pruned_solves, solved), name
+        nodes += solution.nodes
+        ref_nodes += reference.nodes
+    return nodes, ref_nodes
+
+
+class TestSameAnswerAsUnprunedSearch:
+    def test_bench1_stage_models(self, bench1, monkeypatch):
+        models = _stage_models(bench1)
+        models.update({f"{name} (override)": model for name, model in
+                       _stage_models(bench1, PAYOFF_OVERRIDE).items()
+                       if name in ("max-min", "refine")})
+        nodes, ref_nodes = _compare(models, monkeypatch)
+        assert nodes < ref_nodes
+
+    @pytest.mark.parametrize("factor", [1e6, 1e-7])
+    def test_bench1_scaled_costs(self, bench1, monkeypatch, factor):
+        # The skip margin is relative to the objective, so it must hold at
+        # either end of the cost scale.
+        nodes, ref_nodes = _compare(_stage_models(_scaled(bench1, factor)), monkeypatch)
+        assert nodes < ref_nodes
+
+    def test_random_max_min_and_refine_models(self, monkeypatch):
+        rng = random.Random(77031)
+        nodes = ref_nodes = 0
+        for k in range(40):
+            models = _stage_models(random_instance(rng))
+            counts = _compare({f"{k} {name}": models[name] for name in ("max-min", "refine")},
+                              monkeypatch)
+            nodes += counts[0]
+            ref_nodes += counts[1]
+        assert nodes < ref_nodes
+
+
+class TestPenaltyBounds:
+    """Each child's penalty bound is a lower bound on that child's LP value."""
+
+    @pytest.mark.parametrize("factor", [1.0, 1e6, 1e-7])
+    def test_root_penalties_bound_child_lps(self, bench1, factor):
+        checked = positive = 0
+        for name, model in _stage_models(_scaled(bench1, factor)).items():
+            status, value, x, _, tableau = _relaxation(model, {})
+            assert status == OPTIMAL, name
+            fractional = [j for j in model.binaries.tolist()
+                          if abs(x[j] - round(x[j])) > ifctp.milp.INT_TOL]
+            for j in fractional:
+                free, T, basis = tableau
+                down, up = _penalties((free, T.copy(), basis), j)
+                scale = 1e-9 * max(1.0, abs(value))
+                for fixed, bound in ((0.0, value + x[j] * down),
+                                     (1.0, value + (1.0 - x[j]) * up)):
+                    child = _solve_relaxation(model, {j: fixed})
+                    if child[0] == INFEASIBLE:
+                        continue
+                    assert bound <= child[1] + scale, (name, j, fixed)
+                    checked += 1
+                    positive += bound > value + scale
+        assert checked > 20
+        assert positive > 0  # the bounds are not all the parent's value
+
+    def test_no_candidate_column_means_infeasible_child(self):
+        # max x0 with x0 + x1 = 1 and x0 <= 0.4 puts x1 at 0.6; x1 cannot
+        # reach 0, so the child that pushes it down has no column to pay for it.
+        model = MilpModel([-1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [0, 1], [1.0, 0.4],
+                          [0.0, 0.0], [np.inf, 1.0], [1])
+        status, value, x, _, tableau = _relaxation(model, {})
+        assert status == OPTIMAL and 0 < x[1] < 1
+        down, _ = _penalties(tableau, 1)
+        assert down == math.inf
+        assert _solve_relaxation(model, {1: 0.0})[0] == INFEASIBLE

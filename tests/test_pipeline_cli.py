@@ -4,8 +4,12 @@ import pytest
 
 from _reference import COMPETITOR_1, COMPETITOR_1_DISTANCE, PAYOFF_OVERRIDE
 
-from ifctp import (CompetitorEntry, Interval, OracleScopeError, check_plan,
-                   run_oracle_check, run_pipeline)
+import ifctp.cli
+import ifctp.compromise
+import ifctp.crisp
+import ifctp.pipeline
+from ifctp import (CompetitorEntry, Interval, OracleScopeError, UnattainableLevelsError,
+                   check_plan, run_oracle_check, run_pipeline)
 from ifctp.cli import main
 from ifctp.reporting import render_machine, render_text
 
@@ -207,6 +211,12 @@ class TestCliOutputBytes:
                      "--competitor", "safi-razmjoo=[640,1020]", "--report", "machine"]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_solve_machine_golden(self, bench1_path, capsys):
+        # No override: the payoff table comes from the anchor solves.
+        expected = (DATA_DIR / "golden_solve_payoff_machine.txt").read_text()
+        assert main(["solve", str(bench1_path), "--report", "machine"]) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("command, report, expected", [
         ("payoff", "text", "payoff levels (best / worst):\n"
                            "  lower endpoint: 640.00 / 787.00\n"
@@ -275,3 +285,48 @@ class TestCliNumericalBreakdown:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: numerical breakdown: simplex iteration cap exceeded"]
+
+
+class TestUnattainableOverride:
+    """Worst levels that no plan meets are a usage error, not an infeasible instance."""
+
+    def test_feasible_instance_exits_3(self, bench1_path, capsys):
+        assert main(["solve", str(bench1_path), "--override-payoff", "500,510,100,101"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: override levels are unattainable: no plan has lower endpoint <= 510.0 "
+            "and width <= 101.0"]
+
+    def test_undersupplied_instance_still_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "starved.txt"
+        path.write_text(STARVED)
+        assert main(["solve", str(path), "--override-payoff", "500,510,100,101"]) == 2
+        assert "status: infeasible" in capsys.readouterr().out
+
+    def test_run_pipeline_raises(self, bench1):
+        with pytest.raises(UnattainableLevelsError, match="width <= 101.0"):
+            run_pipeline(bench1, payoff_override=(500, 510, 100, 101))
+
+
+class TestOneBuildPerJob:
+    @pytest.mark.parametrize("args", [
+        ["solve", "{path}", "--report", "machine"],
+        ["compare", "{path}", "--override-payoff", "640,787,163,190",
+         "--competitor", "safi-razmjoo=[640,1020]"],
+        ["payoff", "{path}"],
+        ["ideal", "{path}"],
+    ], ids=["solve", "compare", "payoff", "ideal"])
+    def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args):
+        original = ifctp.crisp.build_bi_objective
+        builds = []
+
+        def counting_build(instance):
+            builds.append(instance)
+            return original(instance)
+
+        for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
+            if hasattr(module, "build_bi_objective"):
+                monkeypatch.setattr(module, "build_bi_objective", counting_build)
+        assert main([a.format(path=bench1_path) for a in args]) == 0
+        assert len(builds) == 1
