@@ -11,8 +11,7 @@ from .compromise import (CompromiseResult, InfeasibleProblemError, PayoffTable,
                          build_payoff, build_max_min_model, compute_ideal,
                          membership, solve_compromise)
 from .crisp import (BiObjectiveMilp, InvalidInstanceError, build_bi_objective,
-                    build_single_objective, evaluate_interval_objective, extract_plan,
-                    plan_value)
+                    evaluate_interval_objective, extract_plan, plan_value, to_milp)
 from .intervals import CenterWidth, Interval, Preference, distance_to_ideal, prefer
 from .milp import (DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError,
                    OracleScopeError, oracle_solve, solve_lp, solve_milp)
@@ -30,13 +29,12 @@ __all__ = [
     "MilpModel", "MilpSolution", "NodeLimitError", "OracleCheck", "OracleScopeError",
     "PayoffTable", "Preference", "ProblemFileError", "ShipmentPlan",
     "UnattainableLevelsError",
-    "build_bi_objective", "build_payoff", "build_max_min_model",
-    "build_single_objective", "check_plan", "compute_ideal", "crisp_instance",
-    "distance_to_ideal", "evaluate_interval_objective", "extract_plan", "membership",
-    "oracle_solve", "parse_instance", "plan_value", "prefer", "render_ideal",
-    "render_instance", "render_machine", "render_oracle_check", "render_payoff",
-    "render_text", "run_oracle_check", "run_pipeline", "solve_compromise", "solve_lp",
-    "solve_milp", "validate",
+    "build_bi_objective", "build_payoff", "build_max_min_model", "check_plan",
+    "compute_ideal", "crisp_instance", "distance_to_ideal", "evaluate_interval_objective",
+    "extract_plan", "membership", "oracle_solve", "parse_instance", "plan_value", "prefer",
+    "render_ideal", "render_instance", "render_machine", "render_oracle_check",
+    "render_payoff", "render_text", "run_oracle_check", "run_pipeline", "solve_compromise",
+    "solve_lp", "solve_milp", "to_milp", "validate",
 ]
 
 __version__ = "0.1.0"

@@ -21,9 +21,9 @@ import re
 import sys
 
 from .compromise import InfeasibleProblemError, build_payoff, compute_ideal
-from .crisp import InvalidInstanceError, build_bi_objective
+from .crisp import InvalidInstanceError, build_bi_objective, to_milp
 from .intervals import Interval
-from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError
+from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError, solve_milp
 from .model import FEASIBILITY_TOL
 from .pipeline import CompetitorEntry, UnattainableLevelsError, run_oracle_check, run_pipeline
 from .problemfile import ProblemFileError, parse_instance
@@ -118,9 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
     return parse_instance(text)
@@ -141,11 +141,16 @@ def main(argv=None) -> int:
             sys.stdout.write(render(report))
             return EXIT_OK if report.status == "optimal" else EXIT_INFEASIBLE
         if args.command == "payoff":
-            sys.stdout.write(render_payoff(build_payoff(build_bi_objective(instance)),
-                                           args.report))
+            bi = build_bi_objective(instance)
+            payoff = build_payoff(bi, solve_milp(to_milp(bi, bi.obj_lower)),
+                                  solve_milp(to_milp(bi, bi.obj_width)))
+            sys.stdout.write(render_payoff(payoff, args.report))
             return EXIT_OK
         if args.command == "ideal":
-            sys.stdout.write(render_ideal(compute_ideal(instance), args.report))
+            bi = build_bi_objective(instance)
+            ideal = compute_ideal(solve_milp(to_milp(bi, bi.obj_center)),
+                                  solve_milp(to_milp(bi, bi.obj_width)))
+            sys.stdout.write(render_ideal(ideal, args.report))
             return EXIT_OK
         # oracle-check
         check = run_oracle_check(instance)

@@ -7,6 +7,10 @@ maximizes the smallest membership.  A second lexicographic pass then cleans
 up weakly-efficient answers: holding the achieved level fixed, it minimizes
 the range-normalized sum of both objectives, so the returned plan is Pareto
 optimal rather than merely max-min optimal.
+
+The ideal point and the payoff table are assembled from single-objective
+solutions the caller supplies; the only solves here are the two that depend
+on the payoff levels, max-min and refinement.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .crisp import (BiObjectiveMilp, build_bi_objective, center_objective, constraint_rows,
-                    extract_plan, plan_value, to_milp)
+from .crisp import BiObjectiveMilp, constraint_rows, extract_plan, plan_value
 from .intervals import CenterWidth
 from .milp import OPTIMAL, MilpModel, MilpSolution, solve_milp
-from .model import IfctpInstance, ShipmentPlan
+from .model import ShipmentPlan
 
 # Ranges below this are treated as degenerate (both anchors agree on the objective).
 RANGE_TOL = 1e-9
@@ -57,10 +60,13 @@ class PayoffTable:
 
 @dataclass(frozen=True)
 class CompromiseResult:
+    """The refined compromise plan; max_min is the max-min model's own solution."""
+
     lambda_star: float
     plan: ShipmentPlan
     objective_values: tuple[float, float]
     memberships: tuple[float, float]
+    max_min: MilpSolution
 
 
 def membership(value: float, best: float, worst: float) -> float:
@@ -70,17 +76,15 @@ def membership(value: float, best: float, worst: float) -> float:
     return min(1.0, max(0.0, (worst - value) / (worst - best)))
 
 
-def build_payoff(bi: BiObjectiveMilp,
-                 width_anchor: Optional[MilpSolution] = None) -> PayoffTable:
-    """Solve each objective alone and cross-evaluate the two anchor plans.
+def build_payoff(bi: BiObjectiveMilp, lower_sol: MilpSolution,
+                 width_sol: MilpSolution) -> PayoffTable:
+    """Cross-evaluate the two anchor plans.
 
-    width_anchor, if given, is the solution of to_milp(bi, bi.obj_width) and
-    is used instead of solving that model again.
+    lower_sol and width_sol solve to_milp(bi, bi.obj_lower) and
+    to_milp(bi, bi.obj_width), each objective alone.
     """
     anchors = []
-    for objective, sol in ((bi.obj_lower, None), (bi.obj_width, width_anchor)):
-        if sol is None:
-            sol = solve_milp(to_milp(bi, objective))
+    for sol in (lower_sol, width_sol):
         if sol.status != OPTIMAL:
             raise InfeasibleProblemError(f"single-objective solve ended {sol.status}")
         anchors.append(extract_plan(bi, sol.assignment))
@@ -131,20 +135,12 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
                      max_min.binaries)
 
 
-def solve_compromise(instance: IfctpInstance,
-                     payoff: Optional[PayoffTable] = None,
-                     bi: Optional[BiObjectiveMilp] = None) -> CompromiseResult:
-    """Full compromise pipeline for one instance.
+def solve_compromise(bi: BiObjectiveMilp, payoff: PayoffTable) -> CompromiseResult:
+    """Max-min solve for the payoff levels, then the Pareto refinement solve.
 
-    A caller-supplied payoff table (e.g. levels taken from an external source)
-    replaces the computed one; infeasibility anywhere raises.  bi, if given,
-    is build_bi_objective(instance) and is used instead of building it again.
+    The payoff table may be computed by build_payoff or supplied (e.g. levels
+    taken from an external source); infeasibility raises.
     """
-    if bi is None:
-        bi = build_bi_objective(instance)
-    if payoff is None:
-        payoff = build_payoff(bi)
-
     max_min = build_max_min_model(bi, payoff)
     sol = solve_milp(max_min)
     if sol.status != OPTIMAL:
@@ -158,26 +154,17 @@ def solve_compromise(instance: IfctpInstance,
     values = (plan_value(bi.obj_lower, plan), plan_value(bi.obj_width, plan))
     memberships = (membership(values[0], payoff.best[0], payoff.worst[0]),
                    membership(values[1], payoff.best[1], payoff.worst[1]))
-    return CompromiseResult(lambda_star, plan, values, memberships)
+    return CompromiseResult(lambda_star, plan, values, memberships, sol)
 
 
-def compute_ideal(instance: IfctpInstance,
-                  width_anchor: Optional[MilpSolution] = None,
-                  bi: Optional[BiObjectiveMilp] = None) -> CenterWidth:
+def compute_ideal(center_sol: MilpSolution, width_sol: MilpSolution) -> CenterWidth:
     """Componentwise minima of expected cost and uncertainty (generally unattainable).
 
-    width_anchor, if given, is the solution of the width model (the payoff
-    table's width anchor) and is used instead of solving that model again.
-    bi, if given, is build_bi_objective(instance) and is used instead of
-    building it again.
+    center_sol and width_sol solve to_milp(bi, bi.obj_center) and
+    to_milp(bi, bi.obj_width).
     """
-    if bi is None:
-        bi = build_bi_objective(instance)
     coordinates = []
-    for which, objective, sol in (("center", center_objective(instance), None),
-                                  ("width", bi.obj_width, width_anchor)):
-        if sol is None:
-            sol = solve_milp(to_milp(bi, objective))
+    for which, sol in (("center", center_sol), ("width", width_sol)):
         if sol.status != OPTIMAL:
             raise InfeasibleProblemError(f"ideal-point solve ({which}) ended {sol.status}")
         coordinates.append(sol.objective_value)

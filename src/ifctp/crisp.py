@@ -2,8 +2,9 @@
 
 The interval objective sum([t_ij] y_ij + [l_ij] x_ij) splits into two crisp
 objectives: its lower endpoint (center minus width coefficients) and its
-width.  Constraints relax supplies to their upper limits and demands to their
-lower limits.  The conditional activation rule "x_ij = 1 iff y_ij > 0" is
+width; the ideal point also minimizes the center (expected cost).
+Constraints relax supplies to their upper limits and demands to their lower
+limits.  The conditional activation rule "x_ij = 1 iff y_ij > 0" is
 linearized exactly as y_ij <= M_ij x_ij with M_ij equal to the row's supply
 cap, which the row constraint already implies for any feasible y.
 
@@ -33,10 +34,12 @@ class InvalidInstanceError(ValueError):
 class BiObjectiveMilp:
     """The crisp bi-objective program: minimize the lower endpoint and the width.
 
-    obj_lower and obj_width are length-2mn coefficient vectors over (y, x);
-    big_m is the m x n array of linking constants M_ij.
+    obj_center (the expected cost, which the ideal point minimizes), obj_lower
+    and obj_width are length-2mn coefficient vectors over (y, x); big_m is the
+    m x n array of linking constants M_ij.
     """
 
+    obj_center: np.ndarray
     obj_lower: np.ndarray
     obj_width: np.ndarray
     supply_caps: tuple[float, ...]
@@ -67,7 +70,7 @@ def _require_valid(instance: IfctpInstance) -> None:
 
 
 def build_bi_objective(instance: IfctpInstance) -> BiObjectiveMilp:
-    """Derive both crisp objectives and the relaxed constraint data."""
+    """Derive the crisp objectives and the relaxed constraint data."""
     _require_valid(instance)
     center, width = _centers_widths(instance)
     caps = tuple(iv.hi for iv in instance.supply)
@@ -75,12 +78,7 @@ def build_bi_objective(instance: IfctpInstance) -> BiObjectiveMilp:
     big_m = np.repeat(np.array(caps, dtype=float)[:, None], instance.n, axis=1)
     # Lower endpoint = center - width, exact as floats since both derive from
     # the same division by two.
-    return BiObjectiveMilp(center - width, width, caps, floors, big_m)
-
-
-def center_objective(instance: IfctpInstance) -> np.ndarray:
-    """Expected-cost objective (interval centers) over (y, x)."""
-    return _centers_widths(instance)[0]
+    return BiObjectiveMilp(center, center - width, width, caps, floors, big_m)
 
 
 def plan_value(coeffs: np.ndarray, plan: ShipmentPlan) -> float:
@@ -129,15 +127,6 @@ def constraint_rows(bi: BiObjectiveMilp, extra_vars: int = 0) -> tuple[np.ndarra
 def to_milp(bi: BiObjectiveMilp, objective: np.ndarray) -> MilpModel:
     """Single-objective model over the shared constraint set."""
     return MilpModel(objective, *constraint_rows(bi))
-
-
-def build_single_objective(instance: IfctpInstance, which: str) -> MilpModel:
-    """Model minimizing either the expected cost ("center") or the uncertainty ("width")."""
-    if which not in ("center", "width"):
-        raise ValueError(f"which must be 'center' or 'width', got {which!r}")
-    bi = build_bi_objective(instance)
-    objective = center_objective(instance) if which == "center" else bi.obj_width
-    return to_milp(bi, objective)
 
 
 def extract_plan(bi: BiObjectiveMilp, assignment, tol: float = INTEGRALITY_TOL) -> ShipmentPlan:

@@ -242,22 +242,14 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray) -> int:
     raise DegeneratePivotError("simplex iteration cap exceeded")
 
 
-def _solve_standard_lp(c: np.ndarray, A: np.ndarray, senses: np.ndarray,
-                       b: np.ndarray) -> tuple[str, Optional[np.ndarray], int]:
-    """min c.x  s.t.  A x <sense> b,  x >= 0.  Returns (status, x, pivots).
-
-    senses holds 1 for "<=", -1 for ">=" and 0 for "=".
-    """
-    return _simplex(c, A, senses, b)[:3]
-
-
 def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
              ) -> tuple[str, Optional[np.ndarray], int, Optional[tuple[np.ndarray, np.ndarray]]]:
-    """_solve_standard_lp plus the final phase-2 tableau.
+    """min c.x  s.t.  A x <sense> b,  x >= 0, by the two-phase tableau simplex.
 
-    Returns (status, x, pivots, (T, basis)); the tableau is None unless the
-    status is optimal.  Artificial columns are implicit: they never enter, so
-    only their basis labels (indices from n_real up) are kept.
+    senses holds 1 for "<=", -1 for ">=" and 0 for "=".  Returns (status, x,
+    pivots, (T, basis)): the final phase-2 tableau and basis are None unless
+    the status is optimal.  Artificial columns are implicit: they never enter,
+    so only their basis labels (indices from n_real up) are kept.
     """
     m, n = A.shape
     flip = b < 0
@@ -325,23 +317,14 @@ def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
 # bound handling: shift to nonnegative variables, drop fixed columns
 # --------------------------------------------------------------------------
 
-def _solve_relaxation(model: MilpModel, fixes: Mapping[int, float]
-                      ) -> tuple[str, Optional[float], Optional[np.ndarray], int]:
+def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
     """Solve the LP relaxation with some variables pinned to fixed values.
 
     Fixed variables (including those whose bounds already coincide) are
     substituted out before the simplex runs.  Returns (status, value, x,
-    pivots).
-    """
-    return _relaxation(model, fixes)[:4]
-
-
-def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
-    """_solve_relaxation plus the final tableau, as (status, value, x, pivots, tableau).
-
-    tableau is (free, T, basis): the model indices of the simplex columns
-    that are structural, then the simplex's final phase-2 tableau and basis.
-    It is None unless a simplex run ended optimal.
+    pivots, tableau).  tableau is (free, T, basis): the model indices of the
+    simplex columns that are structural, then the simplex's final phase-2
+    tableau and basis.  It is None unless a simplex run ended optimal.
     """
     lo = model.lo.copy()
     hi = model.hi.copy()
@@ -391,7 +374,7 @@ def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
 
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation (binaries relaxed to their [0, 1] bounds)."""
-    status, value, x, pivots = _solve_relaxation(model, {})
+    status, value, x, pivots, _ = _relaxation(model, {})
     if status != OPTIMAL:
         return MilpSolution(status, None, None, nodes=1, pivots=pivots)
     return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes=1, pivots=pivots)
@@ -535,7 +518,7 @@ def oracle_solve(model: MilpModel, max_binaries: int = ORACLE_MAX_BINARIES) -> M
     solves = pivots = 0
     for pattern in itertools.product((0.0, 1.0), repeat=len(binaries)):
         solves += 1
-        status, value, x, lp_pivots = _solve_relaxation(model, dict(zip(binaries, pattern)))
+        status, value, x, lp_pivots, _ = _relaxation(model, dict(zip(binaries, pattern)))
         pivots += lp_pivots
         if status == UNBOUNDED:
             return MilpSolution(UNBOUNDED, None, None, solves, pivots)

@@ -14,10 +14,9 @@ import numpy as np
 
 from .compromise import (InfeasibleProblemError, PayoffTable, build_payoff,
                          build_max_min_model, solve_compromise, compute_ideal)
-from .crisp import (build_bi_objective, center_objective, constraint_rows,
-                    evaluate_interval_objective, to_milp)
+from .crisp import build_bi_objective, constraint_rows, evaluate_interval_objective, to_milp
 from .intervals import CenterWidth, Interval, distance_to_ideal
-from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, MilpModel, OracleScopeError,
+from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, MilpModel, MilpSolution, OracleScopeError,
                    oracle_solve, solve_milp)
 from .model import FEASIBILITY_TOL, IfctpInstance, ShipmentPlan, check_plan
 
@@ -94,20 +93,21 @@ def run_pipeline(instance: IfctpInstance, *,
         supply_cap_total=sum(iv.hi for iv in instance.supply),
         demand_floor_total=sum(iv.lo for iv in instance.demand),
     )
+    # The width model gives both the ideal point's width and the payoff
+    # table's width anchor.
+    center = solve_milp(to_milp(bi, bi.obj_center))
+    width = solve_milp(to_milp(bi, bi.obj_width))
     try:
-        # The ideal point's width coordinate and the payoff table's width
-        # anchor come from the same model, so it is solved once.
-        width_anchor = solve_milp(to_milp(bi, bi.obj_width))
-        ideal = compute_ideal(instance, width_anchor, bi)
+        ideal = compute_ideal(center, width)
         if payoff_override is not None:
             l1, u1, l2, u2 = payoff_override
             payoff = PayoffTable((l1, l2), (u1, u2))
         else:
-            payoff = build_payoff(bi, width_anchor)
+            payoff = build_payoff(bi, solve_milp(to_milp(bi, bi.obj_lower)), width)
     except InfeasibleProblemError:
         return CompromiseReport(status="infeasible", competitor=competitor, **summary)
     try:
-        result = solve_compromise(instance, payoff=payoff, bi=bi)
+        result = solve_compromise(bi, payoff)
     except InfeasibleProblemError:
         # The ideal point exists, so the instance is feasible and only the
         # worst levels can leave the max-min model without a point.
@@ -168,10 +168,23 @@ def _bounded_objective_model(bi, minimize, cap_objective, cap_value) -> MilpMode
                      np.append(b, cap_value), lo, hi, binaries)
 
 
+def _check_line(name: str, model: MilpModel, solver: MilpSolution, rel_tol: float,
+                sign: float = 1.0) -> CheckLine:
+    """Enumeration's answer for model against the solver's; sign flips a maximized value."""
+    oracle = oracle_solve(model)
+    ok = solver.status == oracle.status and (
+        solver.status != OPTIMAL
+        or _values_agree(solver.objective_value, oracle.objective_value, rel_tol))
+    if solver.status != OPTIMAL:
+        return CheckLine(name, float("nan"), float("nan"), ok)
+    return CheckLine(name, sign * solver.objective_value, sign * oracle.objective_value, ok)
+
+
 def run_oracle_check(instance: IfctpInstance, rel_tol: float = 1e-6) -> OracleCheck:
     """Compare branch-and-bound answers against exhaustive enumeration.
 
-    Covers the two ideal-point solves and the max-min model, then searches
+    Solves the pipeline's five stage models once each, checks the two
+    ideal-point solves and the max-min solve against enumeration, then searches
     every activation pattern for a plan that Pareto-dominates the compromise
     solution.  Refuses instances with more routes than the oracle can
     enumerate.
@@ -182,33 +195,19 @@ def run_oracle_check(instance: IfctpInstance, rel_tol: float = 1e-6) -> OracleCh
             f"{ORACLE_MAX_BINARIES}")
 
     bi = build_bi_objective(instance)
-    lines = []
-    named_models = (
-        ("ideal-center", to_milp(bi, center_objective(instance))),
-        ("ideal-width", to_milp(bi, bi.obj_width)),
+    center_model = to_milp(bi, bi.obj_center)
+    width_model = to_milp(bi, bi.obj_width)
+    center = solve_milp(center_model)
+    width = solve_milp(width_model)
+    payoff = build_payoff(bi, solve_milp(to_milp(bi, bi.obj_lower)), width)
+    result = solve_compromise(bi, payoff)
+    lines = (
+        _check_line("ideal-center", center_model, center, rel_tol),
+        _check_line("ideal-width", width_model, width, rel_tol),
+        _check_line("max-min level", build_max_min_model(bi, payoff), result.max_min, rel_tol,
+                    sign=-1.0),
     )
-    for name, model in named_models:
-        solver = solve_milp(model)
-        oracle = oracle_solve(model)
-        ok = solver.status == oracle.status and (
-            solver.status != OPTIMAL
-            or _values_agree(solver.objective_value, oracle.objective_value, rel_tol))
-        if solver.status == OPTIMAL:
-            lines.append(CheckLine(name, solver.objective_value, oracle.objective_value, ok))
-        else:
-            lines.append(CheckLine(name, float("nan"), float("nan"), ok))
 
-    payoff = build_payoff(bi)
-    max_min = build_max_min_model(bi, payoff)
-    solver_mm = solve_milp(max_min)
-    oracle_mm = oracle_solve(max_min)
-    ok = solver_mm.status == oracle_mm.status and (
-        solver_mm.status != OPTIMAL
-        or _values_agree(-solver_mm.objective_value, -oracle_mm.objective_value, rel_tol))
-    lines.append(CheckLine("max-min level", -solver_mm.objective_value,
-                           -oracle_mm.objective_value, ok))
-
-    result = solve_compromise(instance, payoff=payoff, bi=bi)
     z_lower, z_width = result.objective_values
     dominated = False
     probes = (
@@ -220,4 +219,4 @@ def run_oracle_check(instance: IfctpInstance, rel_tol: float = 1e-6) -> OracleCh
                                                       cap_val + 1e-9))
         if probe.status == OPTIMAL and probe.objective_value < incumbent - DOMINANCE_TOL:
             dominated = True
-    return OracleCheck(tuple(lines), dominated)
+    return OracleCheck(lines, dominated)

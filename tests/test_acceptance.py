@@ -15,13 +15,13 @@ from _reference import (BEST_LOWER, BEST_WIDTH, COMPETITOR_1,
                         PUBLISHED_CENTER, PUBLISHED_DISTANCE, PUBLISHED_WIDTH,
                         PUBLISHED_Z_LOWER, PUBLISHED_Z_UPPER, WORST_LOWER,
                         WORST_WIDTH)
+from _stages import compromise_of, ideal_of, payoff_of, solve
 from conftest import zero_width_bench1
 
 from ifctp import (CenterWidth, CompetitorEntry, Interval, ShipmentPlan,
-                   build_bi_objective, build_payoff, build_single_objective,
-                   compute_ideal, distance_to_ideal, evaluate_interval_objective,
+                   build_bi_objective, distance_to_ideal, evaluate_interval_objective,
                    membership, plan_value, run_oracle_check, run_pipeline,
-                   solve_compromise, solve_milp)
+                   solve_compromise)
 from ifctp.cli import main as cli_main
 
 
@@ -36,7 +36,7 @@ def _near(value, target, abs_tol):
 
 def test_criterion_1_ideal_point(bench1):
     start = time.perf_counter()
-    ideal = compute_ideal(bench1)
+    ideal = ideal_of(bench1)
     elapsed = time.perf_counter() - start
     ok = (_near(ideal.center, IDEAL_CENTER, 1e-6 * IDEAL_CENTER)
           and _near(ideal.width, IDEAL_WIDTH, 1e-6 * IDEAL_WIDTH)
@@ -47,7 +47,7 @@ def test_criterion_1_ideal_point(bench1):
 
 def test_criterion_2_payoff_reproduction(bench1, bench1_path, capsys):
     start = time.perf_counter()
-    payoff = build_payoff(build_bi_objective(bench1))
+    payoff = payoff_of(build_bi_objective(bench1))
     elapsed = time.perf_counter() - start
     ok = (_near(payoff.best[0], BEST_LOWER, 1e-6 * BEST_LOWER)
           and _near(payoff.best[1], BEST_WIDTH, 1e-6 * BEST_WIDTH)
@@ -77,7 +77,7 @@ def test_criterion_3_compromise_solution(bench1):
     payoff = PayoffTable((PAYOFF_OVERRIDE[0], PAYOFF_OVERRIDE[2]),
                          (PAYOFF_OVERRIDE[1], PAYOFF_OVERRIDE[3]))
     start = time.perf_counter()
-    result = solve_compromise(bench1, payoff=payoff)
+    result = solve_compromise(build_bi_objective(bench1), payoff)
     elapsed = time.perf_counter() - start
     z_lower, z_width = result.objective_values
     z_upper = z_lower + 2 * z_width
@@ -192,11 +192,11 @@ def test_criterion_7_algebraic_invariants(bench1):
             bad.append("membership range")
 
     for _ in range(15):  # max-min level equals the smallest membership
-        result = solve_compromise(random_instance(rng))
+        result = compromise_of(random_instance(rng))
         if not (0.0 <= result.lambda_star <= 1.0
                 and abs(result.lambda_star - min(result.memberships)) <= 1e-6):
             bad.append("level vs membership")
-    result = solve_compromise(bench1)
+    result = compromise_of(bench1)
     if abs(result.lambda_star - min(result.memberships)) > 1e-6:
         bad.append("level vs membership (benchmark)")
 
@@ -208,9 +208,10 @@ def test_criterion_7_algebraic_invariants(bench1):
 
 def test_criterion_8_crisp_degeneration():
     instance = zero_width_bench1()
-    result = solve_compromise(instance)
+    result = compromise_of(instance)
     z_lower, z_width = result.objective_values
-    direct = solve_milp(build_single_objective(instance, "center"))
+    bi = build_bi_objective(instance)
+    direct = solve(bi, bi.obj_center)
     ok = (abs(z_width) <= 1e-9
           and result.memberships[1] == 1.0
           and abs(result.lambda_star - result.memberships[0]) <= 1e-6

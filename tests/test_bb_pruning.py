@@ -11,14 +11,14 @@ import pytest
 
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
+from _stages import payoff_of
 
 import ifctp.milp
 from ifctp import (IfctpInstance, Interval, MilpModel, MilpSolution, PayoffTable,
-                   build_bi_objective, build_max_min_model, build_payoff, solve_milp)
+                   build_bi_objective, build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import _refine
-from ifctp.crisp import center_objective, to_milp
 from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, OPTIMAL, UNBOUNDED, _most_fractional,
-                        _penalties, _relaxation, _solve_relaxation)
+                        _penalties, _relaxation)
 
 
 def _reference_solve_milp(model):
@@ -39,7 +39,8 @@ def _reference_solve_milp(model):
         if bound >= incumbent_val - IMPROVEMENT_EPS:
             continue
         nodes += 1
-        status, value, x, lp_pivots = _solve_relaxation(model, fixes)
+        # Looked up on the module, so _compare's recording sees these solves too.
+        status, value, x, lp_pivots = ifctp.milp._relaxation(model, fixes)[:4]
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
@@ -84,11 +85,11 @@ def _stage_models(instance, override=None):
     """
     bi = build_bi_objective(instance)
     models = {
-        "ideal-center": to_milp(bi, center_objective(instance)),
+        "ideal-center": to_milp(bi, bi.obj_center),
         "ideal-width": to_milp(bi, bi.obj_width),
         "anchor-lower": to_milp(bi, bi.obj_lower),
     }
-    payoff = build_payoff(bi)
+    payoff = payoff_of(bi)
     if override is not None:
         l1, u1, l2, u2 = override
         payoff = PayoffTable((l1, l2), (u1, u2))
@@ -185,7 +186,7 @@ class TestPenaltyBounds:
                 scale = 1e-9 * max(1.0, abs(value))
                 for fixed, bound in ((0.0, value + x[j] * down),
                                      (1.0, value + (1.0 - x[j]) * up)):
-                    child = _solve_relaxation(model, {j: fixed})
+                    child = _relaxation(model, {j: fixed})[:4]
                     if child[0] == INFEASIBLE:
                         continue
                     assert bound <= child[1] + scale, (name, j, fixed)
@@ -203,4 +204,4 @@ class TestPenaltyBounds:
         assert status == OPTIMAL and 0 < x[1] < 1
         down, _ = _penalties(tableau, 1)
         assert down == math.inf
-        assert _solve_relaxation(model, {1: 0.0})[0] == INFEASIBLE
+        assert _relaxation(model, {1: 0.0})[0] == INFEASIBLE

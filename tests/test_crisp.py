@@ -6,9 +6,8 @@ import pytest
 from conftest import BENCH1_CELLS, zero_width_bench1
 
 from ifctp import (InvalidInstanceError, IfctpInstance, Interval, ShipmentPlan,
-                   build_bi_objective, build_single_objective,
-                   evaluate_interval_objective, extract_plan, solve_milp)
-from ifctp.crisp import center_objective, constraint_rows, plan_value, to_milp
+                   build_bi_objective, evaluate_interval_objective, extract_plan, solve_milp)
+from ifctp.crisp import constraint_rows, plan_value, to_milp
 
 # Reference coefficient matrices for the 3x4 benchmark.
 T_LOWER = [[4, 8, 9, 8], [10, 10, 11, 5], [7, 8, 8, 13]]
@@ -42,7 +41,7 @@ class TestBuildBiObjective:
 
     def test_lower_equals_center_minus_width_exactly(self, bench1):
         bi = build_bi_objective(bench1)
-        center = center_objective(bench1)
+        center = bi.obj_center
         assert len(center) == 2 * bench1.m * bench1.n
         for k in range(len(center)):
             assert bi.obj_lower[k] == center[k] - bi.obj_width[k]
@@ -109,7 +108,8 @@ class TestConstraintRows:
 
 class TestSingleObjective:
     def test_center_coefficients_match_midpoints(self, bench1):
-        model = build_single_objective(bench1, "center")
+        bi = build_bi_objective(bench1)
+        model = to_milp(bi, bi.obj_center)
         mn = bench1.m * bench1.n
         expected = [(c[0] + c[1]) / 2 for row in BENCH1_CELLS for c in row]
         assert list(model.c[:mn]) == expected
@@ -118,17 +118,14 @@ class TestSingleObjective:
 
     def test_width_matches_bi_objective(self, bench1):
         bi = build_bi_objective(bench1)
-        model = build_single_objective(bench1, "width")
+        model = to_milp(bi, bi.obj_width)
         assert model.c.tolist() == bi.obj_width.tolist()
 
     def test_zero_width_instance_width_optimum_is_zero(self):
-        sol = solve_milp(build_single_objective(zero_width_bench1(), "width"))
+        bi = build_bi_objective(zero_width_bench1())
+        sol = solve_milp(to_milp(bi, bi.obj_width))
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
-
-    def test_unknown_objective_rejected(self, bench1):
-        with pytest.raises(ValueError, match="which"):
-            build_single_objective(bench1, "upper")
 
 
 class TestEvaluateIntervalObjective:
@@ -168,7 +165,7 @@ class TestEvaluateIntervalObjective:
 class TestBigMExactness:
     def test_rederiving_activations_preserves_objectives(self, bench1):
         bi = build_bi_objective(bench1)
-        for objective in (bi.obj_lower, bi.obj_width, center_objective(bench1)):
+        for objective in (bi.obj_lower, bi.obj_width, bi.obj_center):
             sol = solve_milp(to_milp(bi, objective))
             plan = extract_plan(bi, sol.assignment)
             assert plan_value(objective, plan) == pytest.approx(sol.objective_value, rel=1e-9)

@@ -6,10 +6,11 @@ import pytest
 from _random_instances import random_instance
 from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
 
+from _stages import payoff_of
+
 from ifctp import (MilpModel, NodeLimitError, OracleScopeError,
-                   build_bi_objective, build_payoff, build_max_min_model,
-                   build_single_objective, oracle_solve, solve_lp, solve_milp)
-from ifctp.crisp import to_milp
+                   build_bi_objective, build_max_min_model, oracle_solve, solve_lp,
+                   solve_milp, to_milp)
 
 
 INF = np.inf
@@ -39,7 +40,8 @@ class TestLinearProgram:
         assert sol.objective_value == pytest.approx(2.5)
 
     def test_relaxation_bounds_ideal_center(self, bench1):
-        sol = solve_lp(build_single_objective(bench1, "center"))
+        bi = build_bi_objective(bench1)
+        sol = solve_lp(to_milp(bi, bi.obj_center))
         assert sol.status == "optimal"
         assert sol.objective_value <= IDEAL_CENTER + 1e-9
 
@@ -100,12 +102,14 @@ class TestModelValidation:
 
 class TestBenchmarkValues:
     def test_ideal_center_milp(self, bench1):
-        sol = solve_milp(build_single_objective(bench1, "center"))
+        bi = build_bi_objective(bench1)
+        sol = solve_milp(to_milp(bi, bi.obj_center))
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(IDEAL_CENTER, rel=1e-9)
 
     def test_ideal_width_milp(self, bench1):
-        sol = solve_milp(build_single_objective(bench1, "width"))
+        bi = build_bi_objective(bench1)
+        sol = solve_milp(to_milp(bi, bi.obj_width))
         assert sol.objective_value == pytest.approx(BEST_WIDTH, rel=1e-9)
 
     def test_lower_endpoint_milp(self, bench1):
@@ -114,28 +118,32 @@ class TestBenchmarkValues:
         assert sol.objective_value == pytest.approx(BEST_LOWER, rel=1e-9)
 
     def test_oracle_agrees_on_ideal_problems(self, bench1):
-        for which, expected in (("center", IDEAL_CENTER), ("width", BEST_WIDTH)):
-            model = build_single_objective(bench1, which)
+        bi = build_bi_objective(bench1)
+        for objective, expected in ((bi.obj_center, IDEAL_CENTER), (bi.obj_width, BEST_WIDTH)):
+            model = to_milp(bi, objective)
             oracle = oracle_solve(model)
             assert oracle.status == "optimal"
             assert oracle.objective_value == pytest.approx(expected, rel=1e-9)
             assert oracle.nodes == 2 ** 12
 
     def test_branch_and_bound_prunes_against_enumeration(self, bench1):
-        model = build_single_objective(bench1, "center")
+        bi = build_bi_objective(bench1)
+        model = to_milp(bi, bi.obj_center)
         sol = solve_milp(model)
         assert sol.nodes < 2 ** 12  # strictly fewer LPs than the oracle's sweep
 
     def test_weak_duality(self, bench1):
-        for which in ("center", "width"):
-            model = build_single_objective(bench1, which)
+        bi = build_bi_objective(bench1)
+        for objective in (bi.obj_center, bi.obj_width):
+            model = to_milp(bi, objective)
             assert solve_lp(model).objective_value <= \
                 solve_milp(model).objective_value + 1e-9
 
 
 class TestDeterminism:
     def test_identical_runs_identical_assignments(self, bench1):
-        model = build_single_objective(bench1, "center")
+        bi = build_bi_objective(bench1)
+        model = to_milp(bi, bi.obj_center)
         first, second = solve_milp(model), solve_milp(model)
         assert first.objective_value == second.objective_value
         assert first.assignment == second.assignment
@@ -144,7 +152,8 @@ class TestDeterminism:
 
 class TestResourceLimits:
     def test_node_limit(self, bench1):
-        model = build_single_objective(bench1, "center")
+        bi = build_bi_objective(bench1)
+        model = to_milp(bi, bi.obj_center)
         with pytest.raises(NodeLimitError):
             solve_milp(model, node_limit=1)
 
@@ -177,9 +186,9 @@ class TestOracleEquivalenceSweep:
             bi = build_bi_objective(instance)
             k = instance.m * instance.n
             models = [
-                build_single_objective(instance, "center"),
-                build_single_objective(instance, "width"),
-                build_max_min_model(bi, build_payoff(bi)),
+                to_milp(bi, bi.obj_center),
+                to_milp(bi, bi.obj_width),
+                build_max_min_model(bi, payoff_of(bi)),
             ]
             for model in models:
                 sol = solve_milp(model)

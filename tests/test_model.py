@@ -122,8 +122,9 @@ class TestFctpInstance:
         assert lifted.supply[0] == Interval(7.0, 7.0)
 
     def test_lifted_instance_solves_like_plain_fctp(self):
-        from ifctp import build_single_objective, crisp_instance, solve_milp
+        from ifctp import build_bi_objective, crisp_instance, solve_milp, to_milp
         crisp = crisp_instance([[2.0, 3.0]], [[1.0, 4.0]], [7.0], [3.0, 4.0])
-        sol = solve_milp(build_single_objective(crisp, "center"))
+        bi = build_bi_objective(crisp)
+        sol = solve_milp(to_milp(bi, bi.obj_center))
         # cheapest: 3 units at 2 (+1 fixed), 4 at 3 (+4 fixed)
         assert sol.objective_value == pytest.approx(2 * 3 + 1 + 3 * 4 + 4)

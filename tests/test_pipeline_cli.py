@@ -27,6 +27,10 @@ demand 1 = [3,4]
 demand 2 = [4,5]
 """
 
+# TINY_2X2 with supply caps totalling 4 against demand floors totalling 7.
+UNDERSUPPLIED_2X2 = TINY_2X2.replace("supply 1 = [5,6]", "supply 1 = [1,2]").replace(
+    "supply 2 = [4,5]", "supply 2 = [1,2]")
+
 STARVED = """\
 dims 1 1
 cost 1 1 = [1,2] fixed [0,1]
@@ -171,6 +175,17 @@ class TestCli:
         path.write_text("dims 1 1\ncost 1 1 = [8,4] fixed [0,1]\n")
         assert main(["solve", str(path)]) == 3
         assert "lo > hi" in capsys.readouterr().err
+
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"dims 1 1\n\xff\xfe\n")
+        with pytest.raises(SystemExit) as err:
+            main(["solve", str(path)])
+        assert err.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -330,3 +345,45 @@ class TestOneBuildPerJob:
                 monkeypatch.setattr(module, "build_bi_objective", counting_build)
         assert main([a.format(path=bench1_path) for a in args]) == 0
         assert len(builds) == 1
+
+
+_INFEASIBLE_TEXT = ("interval fixed-charge transportation: 2 sources, 2 destinations\n"
+                    "supply cap total 4.00, demand floor total 7.00\nstatus: infeasible\n")
+_INFEASIBLE_MACHINE = ("status=infeasible\nsources=2\ndestinations=2\nsupply_cap_total=4.0\n"
+                       "demand_floor_total=7.0\n")
+
+
+class TestCliExactOutcomes:
+    """Exact stdout, stderr and exit code of jobs that have no golden file."""
+
+    @pytest.mark.parametrize("instance, args, code, out, err", [
+        (UNDERSUPPLIED_2X2, ["solve"], 2, _INFEASIBLE_TEXT, ""),
+        (UNDERSUPPLIED_2X2, ["solve", "--report", "machine"], 2, _INFEASIBLE_MACHINE, ""),
+        (UNDERSUPPLIED_2X2, ["compare", "--competitor", "x=[1,2]", "--report", "machine"], 2,
+         _INFEASIBLE_MACHINE + "competitor.name=x\ncompetitor.lo=1.0\ncompetitor.hi=2.0\n"
+                               "competitor.center=1.5\ncompetitor.width=0.5\n", ""),
+        (UNDERSUPPLIED_2X2, ["payoff"], 2, "",
+         "infeasible: single-objective solve ended infeasible\n"),
+        (UNDERSUPPLIED_2X2, ["payoff", "--report", "machine"], 2, "",
+         "infeasible: single-objective solve ended infeasible\n"),
+        (UNDERSUPPLIED_2X2, ["ideal"], 2, "",
+         "infeasible: ideal-point solve (center) ended infeasible\n"),
+        (UNDERSUPPLIED_2X2, ["ideal", "--report", "machine"], 2, "",
+         "infeasible: ideal-point solve (center) ended infeasible\n"),
+        (UNDERSUPPLIED_2X2, ["oracle-check"], 2, "",
+         "infeasible: single-objective solve ended infeasible\n"),
+        (TINY_2X2, ["oracle-check"], 0,
+         "ideal-center: solver=27.5 oracle=27.5 delta=0 ok\n"
+         "ideal-width: solver=6.5 oracle=6.5 delta=0 ok\n"
+         "max-min level: solver=0.24 oracle=0.24 delta=0 ok\n"
+         "pareto dominance: none found\noracle check: PASS\n", ""),
+    ], ids=["undersupplied-solve-text", "undersupplied-solve-machine",
+            "undersupplied-compare-machine", "undersupplied-payoff-text",
+            "undersupplied-payoff-machine", "undersupplied-ideal-text",
+            "undersupplied-ideal-machine", "undersupplied-oracle-check", "tiny-oracle-check"])
+    def test_outcome(self, tmp_path, capsys, instance, args, code, out, err):
+        path = tmp_path / "instance.txt"
+        path.write_text(instance)
+        assert main([args[0], str(path), *args[1:]]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)

@@ -7,13 +7,13 @@ import pytest
 
 from _reference import PAYOFF_OVERRIDE
 
+import ifctp.cli
 import ifctp.compromise
 import ifctp.milp
 import ifctp.pipeline
 from ifctp import (DegeneratePivotError, MilpModel, PayoffTable,
-                   build_bi_objective, build_max_min_model, build_single_objective,
-                   oracle_solve, run_pipeline, solve_lp, solve_milp)
-from ifctp.crisp import to_milp
+                   build_bi_objective, build_max_min_model, oracle_solve, run_pipeline,
+                   solve_lp, solve_milp, to_milp)
 
 # Row senses as MilpModel and the kernel number them.
 _SENSE = {"<=": 1, ">=": -1, "=": 0}
@@ -134,8 +134,8 @@ def _bench1_models(bench1):
     bi = build_bi_objective(bench1)
     l1, u1, l2, u2 = PAYOFF_OVERRIDE
     return {
-        "ideal-center": build_single_objective(bench1, "center"),
-        "ideal-width": build_single_objective(bench1, "width"),
+        "ideal-center": to_milp(bi, bi.obj_center),
+        "ideal-width": to_milp(bi, bi.obj_width),
         "anchor-lower": to_milp(bi, bi.obj_lower),
         "max-min": build_max_min_model(bi, PayoffTable((l1, l2), (u1, u2))),
     }
@@ -168,7 +168,7 @@ class TestTextbookReference:
         for _ in range(400):
             c, A, relations, b = _random_lp(rng)
             senses = np.array([_SENSE[rel] for rel in relations])
-            status, x, pivots = ifctp.milp._solve_standard_lp(c, A, senses, b)
+            status, x, pivots = ifctp.milp._simplex(c, A, senses, b)[:3]
             ref_status, ref_x, ref_pivots = _textbook_standard_lp(c, A, relations, b,
                                                                   degenerate_limit)
             assert (status, pivots) == (ref_status, ref_pivots)
@@ -190,7 +190,8 @@ class TestBreakdowns:
     def test_iteration_cap(self, bench1, monkeypatch):
         monkeypatch.setattr(ifctp.milp, "ITERATION_CAP", 1)
         with pytest.raises(DegeneratePivotError, match="iteration cap"):
-            solve_lp(build_single_objective(bench1, "center"))
+            bi = build_bi_objective(bench1)
+            solve_lp(to_milp(bi, bi.obj_center))
 
 
 class TestPivotCounts:
@@ -202,7 +203,8 @@ class TestPivotCounts:
             assert solve_lp(model).pivots == solve_lp(model).pivots > 0, name
 
     def test_oracle_counts_pivots(self, bench1):
-        model = build_single_objective(bench1, "width")
+        bi = build_bi_objective(bench1)
+        model = to_milp(bi, bi.obj_width)
         first, second = oracle_solve(model), oracle_solve(model)
         assert first.pivots == second.pivots > 0
 
@@ -227,3 +229,27 @@ class TestOneSolvePerModel:
         # ideal center, shared width, lower anchor, max-min, refinement
         assert len(solved) == 5
         assert len(set(solved)) == len(solved)
+
+    @pytest.mark.parametrize("args, solves", [
+        (["solve", "--report", "machine"], 5),
+        (["compare", "--override-payoff", "640,787,163,190",
+          "--competitor", "safi-razmjoo=[640,1020]"], 4),
+        (["payoff"], 2),
+        (["ideal"], 2),
+        (["oracle-check"], 5),
+    ], ids=["solve", "compare", "payoff", "ideal", "oracle-check"])
+    def test_each_job_solves_each_distinct_model_once(self, bench1_path, capsys, monkeypatch,
+                                                      args, solves):
+        solved = []
+
+        def recording_solve(model, *a, **kw):
+            solved.append(tuple(getattr(model, name).tobytes()
+                                for name in ("c", "A", "senses", "b", "lo", "hi", "binaries")))
+            return solve_milp(model, *a, **kw)
+
+        for module in (ifctp.cli, ifctp.pipeline, ifctp.compromise):
+            if hasattr(module, "solve_milp"):
+                monkeypatch.setattr(module, "solve_milp", recording_solve)
+        assert ifctp.cli.main([args[0], str(bench1_path), *args[1:]]) == 0
+        assert len(solved) == solves
+        assert len(set(solved)) == solves
