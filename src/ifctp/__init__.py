@@ -12,10 +12,10 @@ from .compromise import (CompromiseResult, InfeasibleProblemError, PayoffTable,
                          membership, solve_compromise)
 from .crisp import (BiObjectiveMilp, InvalidInstanceError, build_bi_objective,
                     evaluate_interval_objective, extract_plan, plan_value, to_milp)
-from .intervals import CenterWidth, Interval, Preference, distance_to_ideal, prefer
+from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError,
                    OracleScopeError, oracle_solve, solve_lp, solve_milp)
-from .model import IfctpInstance, ShipmentPlan, check_plan, crisp_instance, validate
+from .model import IfctpInstance, ShipmentPlan, check_plan, validate
 from .pipeline import (CompetitorEntry, CompromiseReport, OracleCheck,
                        UnattainableLevelsError, run_oracle_check, run_pipeline)
 from .problemfile import ProblemFileError, parse_instance, render_instance
@@ -27,11 +27,11 @@ __all__ = [
     "CompromiseResult", "DegeneratePivotError", "IfctpInstance",
     "InfeasibleProblemError", "Interval", "InvalidInstanceError",
     "MilpModel", "MilpSolution", "NodeLimitError", "OracleCheck", "OracleScopeError",
-    "PayoffTable", "Preference", "ProblemFileError", "ShipmentPlan",
+    "PayoffTable", "ProblemFileError", "ShipmentPlan",
     "UnattainableLevelsError",
     "build_bi_objective", "build_payoff", "build_max_min_model", "check_plan",
-    "compute_ideal", "crisp_instance", "distance_to_ideal", "evaluate_interval_objective",
-    "extract_plan", "membership", "oracle_solve", "parse_instance", "plan_value", "prefer",
+    "compute_ideal", "distance_to_ideal", "evaluate_interval_objective",
+    "extract_plan", "membership", "oracle_solve", "parse_instance", "plan_value",
     "render_ideal", "render_instance", "render_machine", "render_oracle_check",
     "render_payoff", "render_text", "run_oracle_check", "run_pipeline", "solve_compromise",
     "solve_lp", "solve_milp", "to_milp", "validate",

@@ -117,12 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str):
+    """Parse a problem file; an unreadable file is a ProblemFileError like a bad one."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+        raise ProblemFileError(f"cannot read {path}: {exc}") from None
     return parse_instance(text)
 
 

@@ -16,7 +16,6 @@ on the payoff levels, max-min and refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,13 +39,10 @@ class PayoffTable:
     """Best (aspired) and worst (highest acceptable) level per objective.
 
     Index 0 is the lower-endpoint objective, index 1 the width objective.
-    anchor_plans holds the two single-objective optima when the table was
-    computed rather than supplied.
     """
 
     best: tuple[float, float]
     worst: tuple[float, float]
-    anchor_plans: Optional[tuple[ShipmentPlan, ShipmentPlan]] = None
 
     def __post_init__(self) -> None:
         for k in range(2):
@@ -92,7 +88,7 @@ def build_payoff(bi: BiObjectiveMilp, lower_sol: MilpSolution,
     width_at = [plan_value(bi.obj_width, p) for p in anchors]
     best = (lower_at[0], width_at[1])
     worst = (max(lower_at), max(width_at))
-    return PayoffTable(best, worst, (anchors[0], anchors[1]))
+    return PayoffTable(best, worst)
 
 
 def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .intervals import Interval
 from .milp import MilpModel
-from .model import INTEGRALITY_TOL, IfctpInstance, ShipmentPlan, validate
+from .model import IfctpInstance, ShipmentPlan, validate
 
 
 class InvalidInstanceError(ValueError):
@@ -64,7 +64,7 @@ def _centers_widths(instance: IfctpInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_valid(instance: IfctpInstance) -> None:
-    violations = validate(instance, check_aggregate=False)
+    violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations[0])
 
@@ -129,7 +129,7 @@ def to_milp(bi: BiObjectiveMilp, objective: np.ndarray) -> MilpModel:
     return MilpModel(objective, *constraint_rows(bi))
 
 
-def extract_plan(bi: BiObjectiveMilp, assignment, tol: float = INTEGRALITY_TOL) -> ShipmentPlan:
+def extract_plan(bi: BiObjectiveMilp, assignment) -> ShipmentPlan:
     """Shipment plan from a solver assignment.
 
     Activations are re-derived from the quantities: with nonnegative fixed
@@ -138,7 +138,7 @@ def extract_plan(bi: BiObjectiveMilp, assignment, tol: float = INTEGRALITY_TOL) 
     """
     m, n = bi.m, bi.n
     y = [[max(float(assignment[i * n + j]), 0.0) for j in range(n)] for i in range(m)]
-    return ShipmentPlan.from_quantities(y, tol)
+    return ShipmentPlan.from_quantities(y)
 
 
 def evaluate_interval_objective(instance: IfctpInstance, plan: ShipmentPlan) -> Interval:

@@ -1,19 +1,15 @@
-"""Closed real intervals with center/width form and a distance-based preference order.
+"""Closed real intervals, their center/width form, and the distance to an ideal point.
 
 An interval ``[lo, hi]`` models an uncertain cost; its center is the expected
-value and its half-width the uncertainty.  Two interval costs are compared by
-the Euclidean distance of their (center, width) points from a given ideal
-point: the closer one is preferred.
+value and its half-width the uncertainty.  The method prefers whichever cost
+has its (center, width) point closer to the ideal point in Euclidean
+distance; the reports print that distance for each cost.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-
-# Absolute tolerance for distance ties in `prefer`.
-TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,16 +50,8 @@ class Interval:
             return Interval(factor * self.lo, factor * self.hi)
         return Interval(factor * self.hi, factor * self.lo)
 
-    def __mul__(self, factor: float) -> Interval:
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
     def as_center_width(self) -> CenterWidth:
         return CenterWidth(self.center, self.width)
-
-    def is_crisp(self, tol: float = 0.0) -> bool:
-        return (self.hi - self.lo) <= tol
 
 
 @dataclass(frozen=True)
@@ -82,41 +70,8 @@ class CenterWidth:
     def as_interval(self) -> Interval:
         return Interval(self.center - self.width, self.center + self.width)
 
-    def __add__(self, other: CenterWidth) -> CenterWidth:
-        if not isinstance(other, CenterWidth):
-            return NotImplemented
-        return CenterWidth(self.center + other.center, self.width + other.width)
-
-    def scale(self, factor: float) -> CenterWidth:
-        return CenterWidth(factor * self.center, abs(factor) * self.width)
-
-    def __mul__(self, factor: float) -> CenterWidth:
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-
-class Preference(enum.Enum):
-    """Outcome of comparing two uncertain costs against an ideal point."""
-
-    FIRST = "first"
-    SECOND = "second"
-    TIE = "tie"
-
 
 def distance_to_ideal(point: CenterWidth, ideal: CenterWidth) -> float:
     """Euclidean distance between two (center, width) points."""
     return math.hypot(point.center - ideal.center, point.width - ideal.width)
 
-
-def prefer(p: CenterWidth, q: CenterWidth, ideal: CenterWidth,
-           tol: float = TIE_TOLERANCE) -> Preference:
-    """Prefer whichever cost lies closer to the ideal point.
-
-    Distances within `tol` (absolute) of each other count as a tie.
-    """
-    dp = distance_to_ideal(p, ideal)
-    dq = distance_to_ideal(q, ideal)
-    if abs(dp - dq) <= tol:
-        return Preference.TIE
-    return Preference.FIRST if dp < dq else Preference.SECOND

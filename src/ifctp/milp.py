@@ -503,16 +503,16 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
 
 
-def oracle_solve(model: MilpModel, max_binaries: int = ORACLE_MAX_BINARIES) -> MilpSolution:
+def oracle_solve(model: MilpModel) -> MilpSolution:
     """Reference answer by brute force: try every 0/1 pattern of the binaries.
 
     Deliberately ignorant of bounds-based pruning so it stays an independent
-    check on solve_milp.  Refuses more than max_binaries binaries.
+    check on solve_milp.  Refuses more than ORACLE_MAX_BINARIES binaries.
     """
     binaries = model.binaries.tolist()
-    if len(binaries) > max_binaries:
+    if len(binaries) > ORACLE_MAX_BINARIES:
         raise OracleScopeError(
-            f"{len(binaries)} binaries exceed the oracle's scope of {max_binaries}")
+            f"{len(binaries)} binaries exceed the oracle's scope of {ORACLE_MAX_BINARIES}")
     best_val = math.inf
     best_x: Optional[np.ndarray] = None
     solves = pivots = 0

@@ -1,9 +1,10 @@
-"""Data model for fixed-charge transportation instances, crisp and interval-valued.
+"""Data model for interval-valued fixed-charge transportation instances.
 
 An instance ships a homogeneous product from ``m`` sources to ``n``
 destinations.  Every route (i, j) carries a per-unit cost and a fixed charge
-paid once if the route is used at all.  In the interval variant every cost,
-charge, supply and demand is an :class:`~ifctp.intervals.Interval`.
+paid once if the route is used at all.  Every cost, charge, supply and demand
+is an :class:`~ifctp.intervals.Interval`; a crisp instance has degenerate
+intervals only.
 
 Validation returns a list of human-readable violations instead of raising, so
 callers can report all problems in a table at once.  The violation order is
@@ -59,24 +60,6 @@ class IfctpInstance:
     def n(self) -> int:
         return len(self.demand)
 
-    def is_crisp(self) -> bool:
-        """True when every interval has zero width (a plain crisp FCTP)."""
-        cells = [c for row in self.unit_cost for c in row]
-        cells += [c for row in self.fixed_charge for c in row]
-        cells += list(self.supply) + list(self.demand)
-        return all(c.is_crisp() for c in cells)
-
-
-def crisp_instance(unit_cost, fixed_charge, supply, demand) -> IfctpInstance:
-    """Crisp FCTP as degenerate intervals, so the interval pipeline can solve it."""
-    point = lambda v: Interval(float(v), float(v))
-    return IfctpInstance(
-        [[point(v) for v in row] for row in unit_cost],
-        [[point(v) for v in row] for row in fixed_charge],
-        [point(v) for v in supply],
-        [point(v) for v in demand],
-    )
-
 
 @dataclass(frozen=True)
 class ShipmentPlan:
@@ -90,11 +73,10 @@ class ShipmentPlan:
         object.__setattr__(self, "x", _as_matrix(x, "x"))
 
     @classmethod
-    def from_quantities(cls, y: Sequence[Sequence[float]],
-                        tol: float = INTEGRALITY_TOL) -> ShipmentPlan:
-        """Derive activations from quantities: a route is open iff it ships > tol."""
+    def from_quantities(cls, y: Sequence[Sequence[float]]) -> ShipmentPlan:
+        """Derive activations: a route is open iff it ships more than INTEGRALITY_TOL."""
         ys = [list(map(float, row)) for row in y]
-        xs = [[1 if v > tol else 0 for v in row] for row in ys]
+        xs = [[1 if v > INTEGRALITY_TOL else 0 for v in row] for row in ys]
         return cls(ys, xs)
 
     @property
@@ -119,14 +101,12 @@ def _interval_violations(kind: str, i: int, j: int | None, iv: Interval,
     return out
 
 
-def validate(instance: IfctpInstance, *, check_aggregate: bool = True) -> list[str]:
-    """Structural and feasibility checks; empty list means the instance is sound.
+def validate(instance: IfctpInstance) -> list[str]:
+    """Structural checks; an empty list means the instance is well formed.
 
-    Aggregate feasibility compares upper supplies against lower demands,
-    because the crisp equivalent caps each row at its supply upper limit and
-    floors each column at its demand lower limit.  Pass check_aggregate=False
-    to check structure only (a well-formed but undersupplied instance is an
-    infeasible problem, not a malformed one).
+    Aggregate supply is not compared with demand: a well-formed but
+    undersupplied instance is an infeasible problem, not a malformed one, and
+    its solves end infeasible.
     """
     v: list[str] = []
     m, n = instance.m, instance.n
@@ -154,12 +134,6 @@ def validate(instance: IfctpInstance, *, check_aggregate: bool = True) -> list[s
         v.extend(_interval_violations("supply", i, None, iv, require_nonneg_lo=True))
     for j, iv in enumerate(instance.demand):
         v.extend(_interval_violations("demand", j, None, iv, require_nonneg_lo=True))
-
-    if check_aggregate and not v:
-        total_supply = sum(iv.hi for iv in instance.supply)
-        total_demand = sum(iv.lo for iv in instance.demand)
-        if total_supply < total_demand:
-            v.append(f"aggregate supply {total_supply:g} < aggregate demand {total_demand:g}")
     return v
 
 

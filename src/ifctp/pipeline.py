@@ -157,8 +157,9 @@ class OracleCheck:
         return not self.dominated and all(line.passed for line in self.lines)
 
 
-def _values_agree(a: float, b: float, rel_tol: float) -> bool:
-    return abs(a - b) <= rel_tol * max(1.0, abs(a), abs(b))
+def _values_agree(a: float, b: float) -> bool:
+    """Equal within 1e-6, relative to the larger magnitude or to one."""
+    return abs(a - b) <= 1e-6 * max(1.0, abs(a), abs(b))
 
 
 def _bounded_objective_model(bi, minimize, cap_objective, cap_value) -> MilpModel:
@@ -168,19 +169,19 @@ def _bounded_objective_model(bi, minimize, cap_objective, cap_value) -> MilpMode
                      np.append(b, cap_value), lo, hi, binaries)
 
 
-def _check_line(name: str, model: MilpModel, solver: MilpSolution, rel_tol: float,
+def _check_line(name: str, model: MilpModel, solver: MilpSolution,
                 sign: float = 1.0) -> CheckLine:
     """Enumeration's answer for model against the solver's; sign flips a maximized value."""
     oracle = oracle_solve(model)
     ok = solver.status == oracle.status and (
         solver.status != OPTIMAL
-        or _values_agree(solver.objective_value, oracle.objective_value, rel_tol))
+        or _values_agree(solver.objective_value, oracle.objective_value))
     if solver.status != OPTIMAL:
         return CheckLine(name, float("nan"), float("nan"), ok)
     return CheckLine(name, sign * solver.objective_value, sign * oracle.objective_value, ok)
 
 
-def run_oracle_check(instance: IfctpInstance, rel_tol: float = 1e-6) -> OracleCheck:
+def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
     """Compare branch-and-bound answers against exhaustive enumeration.
 
     Solves the pipeline's five stage models once each, checks the two
@@ -202,10 +203,9 @@ def run_oracle_check(instance: IfctpInstance, rel_tol: float = 1e-6) -> OracleCh
     payoff = build_payoff(bi, solve_milp(to_milp(bi, bi.obj_lower)), width)
     result = solve_compromise(bi, payoff)
     lines = (
-        _check_line("ideal-center", center_model, center, rel_tol),
-        _check_line("ideal-width", width_model, width, rel_tol),
-        _check_line("max-min level", build_max_min_model(bi, payoff), result.max_min, rel_tol,
-                    sign=-1.0),
+        _check_line("ideal-center", center_model, center),
+        _check_line("ideal-width", width_model, width),
+        _check_line("max-min level", build_max_min_model(bi, payoff), result.max_min, sign=-1.0),
     )
 
     z_lower, z_width = result.objective_values

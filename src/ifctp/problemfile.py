@@ -20,7 +20,7 @@ from .model import IfctpInstance, validate
 
 
 class ProblemFileError(ValueError):
-    """Parse or structural validation failure, with the offending line when known."""
+    """Unreadable, unparsable or malformed problem file, with the offending line when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.message = message
@@ -119,7 +119,7 @@ def parse_instance(text: str) -> IfctpInstance:
         [supply[i] for i in range(1, m + 1)],
         [demand[j] for j in range(1, n + 1)],
     )
-    violations = validate(instance, check_aggregate=False)
+    violations = validate(instance)
     if violations:
         raise ProblemFileError(violations[0])
     return instance

@@ -1,7 +1,7 @@
 """Stage answers in one call each, solved the way run_pipeline solves them."""
 
-from ifctp import (build_bi_objective, build_payoff, compute_ideal, solve_compromise,
-                   solve_milp, to_milp)
+from ifctp import (build_bi_objective, build_payoff, compute_ideal, extract_plan,
+                   solve_compromise, solve_milp, to_milp)
 
 
 def solve(bi, objective):
@@ -16,6 +16,12 @@ def ideal_of(instance):
 
 def payoff_of(bi):
     return build_payoff(bi, solve(bi, bi.obj_lower), solve(bi, bi.obj_width))
+
+
+def anchor_plans(bi):
+    """The plans of the lower-endpoint and width anchor solutions."""
+    return tuple(extract_plan(bi, solve(bi, objective).assignment)
+                 for objective in (bi.obj_lower, bi.obj_width))
 
 
 def compromise_of(instance):

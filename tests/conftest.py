@@ -41,6 +41,14 @@ def zero_width_bench1() -> IfctpInstance:
     )
 
 
+def scaled_costs(instance: IfctpInstance, factor: float) -> IfctpInstance:
+    """Copy with every unit cost and fixed charge multiplied by factor > 0."""
+    scale = lambda iv: Interval(iv.lo * factor, iv.hi * factor)
+    return IfctpInstance([[scale(iv) for iv in row] for row in instance.unit_cost],
+                         [[scale(iv) for iv in row] for row in instance.fixed_charge],
+                         instance.supply, instance.demand)
+
+
 @pytest.fixture(scope="session")
 def bench1() -> IfctpInstance:
     return bench1_instance()

@@ -12,10 +12,11 @@ import pytest
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _stages import payoff_of
+from conftest import scaled_costs
 
 import ifctp.milp
-from ifctp import (IfctpInstance, Interval, MilpModel, MilpSolution, PayoffTable,
-                   build_bi_objective, build_max_min_model, solve_milp, to_milp)
+from ifctp import (MilpModel, MilpSolution, PayoffTable, build_bi_objective,
+                   build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import _refine
 from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, OPTIMAL, UNBOUNDED, _most_fractional,
                         _penalties, _relaxation)
@@ -100,13 +101,6 @@ def _stage_models(instance, override=None):
     return models
 
 
-def _scaled(instance, factor):
-    scale = lambda iv: Interval(iv.lo * factor, iv.hi * factor)
-    return IfctpInstance([[scale(iv) for iv in row] for row in instance.unit_cost],
-                         [[scale(iv) for iv in row] for row in instance.fixed_charge],
-                         instance.supply, instance.demand)
-
-
 def _is_subsequence(short, long):
     remaining = iter(long)
     return all(item in remaining for item in short)
@@ -154,7 +148,7 @@ class TestSameAnswerAsUnprunedSearch:
     def test_bench1_scaled_costs(self, bench1, monkeypatch, factor):
         # The skip margin is relative to the objective, so it must hold at
         # either end of the cost scale.
-        nodes, ref_nodes = _compare(_stage_models(_scaled(bench1, factor)), monkeypatch)
+        nodes, ref_nodes = _compare(_stage_models(scaled_costs(bench1, factor)), monkeypatch)
         assert nodes < ref_nodes
 
     def test_random_max_min_and_refine_models(self, monkeypatch):
@@ -175,7 +169,7 @@ class TestPenaltyBounds:
     @pytest.mark.parametrize("factor", [1.0, 1e6, 1e-7])
     def test_root_penalties_bound_child_lps(self, bench1, factor):
         checked = positive = 0
-        for name, model in _stage_models(_scaled(bench1, factor)).items():
+        for name, model in _stage_models(scaled_costs(bench1, factor)).items():
             status, value, x, _, tableau = _relaxation(model, {})
             assert status == OPTIMAL, name
             fractional = [j for j in model.binaries.tolist()

@@ -6,7 +6,7 @@ from _random_instances import random_instance
 from _reference import (BEST_LOWER, BEST_WIDTH, IDEAL_CENTER, IDEAL_WIDTH,
                         LEVEL_STAR, PAYOFF_OVERRIDE, WORST_LOWER, WORST_WIDTH,
                         Z_LOWER_STAR, Z_WIDTH_STAR)
-from _stages import compromise_of, ideal_of, payoff_of, solve
+from _stages import anchor_plans, compromise_of, ideal_of, payoff_of, solve
 from conftest import zero_width_bench1
 
 import ifctp.compromise
@@ -31,8 +31,7 @@ class TestPayoff:
         assert payoff.worst[1] == pytest.approx(WORST_WIDTH, abs=2.0)
 
     def test_anchor_plans_are_feasible(self, bench1):
-        payoff = payoff_of(build_bi_objective(bench1))
-        for plan in payoff.anchor_plans:
+        for plan in anchor_plans(build_bi_objective(bench1)):
             assert check_plan(bench1, plan) == []
 
     def test_zero_width_instance_collapses_width_levels(self):
@@ -168,7 +167,7 @@ class TestComputeIdeal:
         center = bi.obj_center
         ideal = ideal_of(bench1)
         payoff = payoff_of(bi)
-        plans = list(payoff.anchor_plans) + [solve_compromise(bi, payoff).plan]
+        plans = list(anchor_plans(bi)) + [solve_compromise(bi, payoff).plan]
         for plan in plans:
             assert plan_value(center, plan) >= ideal.center - 1e-9
             assert plan_value(bi.obj_width, plan) >= ideal.width - 1e-9

@@ -30,9 +30,9 @@ class TestValidate:
         assert sum(lo for lo, _ in BENCH1_DEMAND) == 82
 
     def test_aggregate_shortfall(self):
+        # well formed, so not a violation: the instance solves to infeasible
         inst = _tiny(demand=[Interval(10, 10)])
-        assert validate(inst) == ["aggregate supply 5 < aggregate demand 10"]
-        assert validate(inst, check_aggregate=False) == []
+        assert validate(inst) == []
 
     def test_corrupted_interval_reported(self):
         inst = _tiny(unit=[[_raw_interval(8, 4)]])
@@ -113,17 +113,11 @@ class TestCheckPlan:
 
 
 class TestFctpInstance:
-    def test_crisp_instance_lifts_to_degenerate_intervals(self):
-        from ifctp import crisp_instance
-        lifted = crisp_instance([[2.0, 3.0]], [[1.0, 4.0]], [7.0], [3.0, 4.0])
-        assert validate(lifted) == []
-        assert lifted.is_crisp()
-        assert lifted.unit_cost[0][1] == Interval(3.0, 3.0)
-        assert lifted.supply[0] == Interval(7.0, 7.0)
-
     def test_lifted_instance_solves_like_plain_fctp(self):
-        from ifctp import build_bi_objective, crisp_instance, solve_milp, to_milp
-        crisp = crisp_instance([[2.0, 3.0]], [[1.0, 4.0]], [7.0], [3.0, 4.0])
+        from ifctp import build_bi_objective, solve_milp, to_milp
+        point = lambda v: Interval(v, v)
+        crisp = IfctpInstance([[point(2.0), point(3.0)]], [[point(1.0), point(4.0)]],
+                              [point(7.0)], [point(3.0), point(4.0)])
         bi = build_bi_objective(crisp)
         sol = solve_milp(to_milp(bi, bi.obj_center))
         # cheapest: 3 units at 2 (+1 fixed), 4 at 3 (+4 fixed)

@@ -179,18 +179,14 @@ class TestCli:
     def test_non_utf8_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"dims 1 1\n\xff\xfe\n")
-        with pytest.raises(SystemExit) as err:
-            main(["solve", str(path)])
-        assert err.value.code == 3
+        assert main(["solve", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", str(tmp_path / "nope.txt")])
-        assert err.value.code == 3
+        assert main(["solve", str(tmp_path / "nope.txt")]) == 3
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "starved.txt"
