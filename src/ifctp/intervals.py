@@ -17,8 +17,9 @@ class Interval:
     """Closed interval [lo, hi] on the real line.
 
     Construction fails fast on lo > hi: a reversed interval in a cost table is
-    a data-entry error, not something to silently repair.  A degenerate
-    interval (lo == hi) is a valid crisp value.
+    a data-entry error, not something to silently repair.  It also fails when
+    the center or width overflows a float.  A degenerate interval (lo == hi)
+    is a valid crisp value.
     """
 
     lo: float
@@ -29,6 +30,8 @@ class Interval:
             raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"interval lo > hi: [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.center) and math.isfinite(self.width)):
+            raise ValueError(f"interval [{self.lo}, {self.hi}] overflows: center or width is inf")
 
     @property
     def center(self) -> float:

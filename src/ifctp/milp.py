@@ -28,6 +28,14 @@ order, as the textbook full-tableau update, and every pivot choice is the
 same.  The cost-row loops stay sequential because their order fixes the
 rounding.
 
+Rounding: each solved node rounds its binaries up once, ceil(x - INT_TOL),
+and checks the point against every row and bound within ROUNDED_FEAS_TOL.
+The node is integral, and the point its incumbent candidate, when all
+binaries are within INT_TOL of integers and the point passes, or all are
+exact.  Otherwise it branches on its most fractional binary: if the check
+failed, a near-integral one whose rounding breaks a row, such as an
+activation below INT_TOL still carrying flow through its big-M row.
+
 Skipping nodes: branch and bound does not solve a node that a bound proves
 cannot come near the optimum.  Two bounds serve.
 - Penalty bound (Driebeck 1966).  When a node branches on a fractional
@@ -35,10 +43,8 @@ cannot come near the optimum.  Two bounds serve.
   phase-2 tableau give each child a lower bound on its LP value
   (_penalties).  It rides in the child's heap entry after the key
   (parent bound, -depth, sequence), so it never changes the pop order.
-- Cutoff.  At each branching node every binary is rounded up,
-  ceil(x - INT_TOL).  If that point meets every row and bound of the model
-  within CUTOFF_FEAS_TOL, its value bounds the optimum from above.  The
-  least such value is the cutoff; it never becomes the incumbent.
+- Cutoff.  A branching node's rounded point, if it passes, bounds the
+  optimum from above; the least such value is the cutoff, never the incumbent.
 A popped node is skipped, with no LP solve and no node counted, when its
 penalty bound is at least C - IMPROVEMENT_EPS + SKIP_MARGIN * max(1, |C|),
 where C = min(incumbent, cutoff).
@@ -48,17 +54,17 @@ the optimum z* is at most C, and a skipped node's penalty bound bounds
 every integral point below it.  Each of those points is worse than z* by
 more than SKIP_MARGIN * max(1, |C|) - IMPROVEMENT_EPS, about a hundred
 times the IMPROVEMENT_EPS by which an incumbent must beat the last one.
-The search without skipping returns a point within IMPROVEMENT_EPS of z*,
-so it never returns such a point: at most it holds one as a passing
-incumbent, which any near-optimal point beats when it appears.  So a
-subtree holding a near-optimal point is never skipped, and never pruned by
-a passing incumbent.  Heap keys depend only on a node's parent LP and on
-the order of pushes, and skipping removes pushes without reordering the
-rest, so these subtrees are popped in the same relative order, meet the
-same near-optimal incumbents, and the same assignment is returned bit for
-bit.  SKIP_MARGIN sits far above LP round-off, so floating-point error in
-a penalty or in the cutoff's row check cannot make a near-optimal subtree
-look fruitless; penalties are clipped at zero for the same reason.
+The search without skipping, with the same integrality test, returns a
+point within IMPROVEMENT_EPS of z*, so it never returns such a point: at
+most it holds one as a passing incumbent, which any near-optimal point
+beats when it appears.  So a subtree holding a near-optimal point is never
+skipped, and never pruned by a passing incumbent.  Heap keys depend only
+on a node's parent LP and on the order of pushes, and skipping removes
+pushes without reordering the rest, so these subtrees are popped in the
+same relative order, meet the same near-optimal incumbents, and the same
+assignment is returned bit for bit.  SKIP_MARGIN sits far above LP
+round-off, so no floating-point error in a penalty or a row check makes a
+near-optimal subtree look fruitless; penalties are clipped at zero too.
 """
 
 from __future__ import annotations
@@ -87,8 +93,8 @@ IMPROVEMENT_EPS = 1e-9
 # A node is not solved when its penalty bound lies this far (relative) above
 # the best known value; far above LP round-off and above IMPROVEMENT_EPS.
 SKIP_MARGIN = 1e-7
-# Row and bound slack a rounded-up point may use to count as feasible.
-CUTOFF_FEAS_TOL = 1e-9
+# Row and bound slack a node's rounded point may use to count as feasible.
+ROUNDED_FEAS_TOL = 1e-9
 
 
 class DegeneratePivotError(RuntimeError):
@@ -384,24 +390,6 @@ def solve_lp(model: MilpModel) -> MilpSolution:
 # branch and bound
 # --------------------------------------------------------------------------
 
-def _most_fractional(x: np.ndarray, binaries: Sequence[int],
-                     fixes: Mapping[int, float]) -> int:
-    """Index of the free binary farthest from an integer, or -1 if all integral.
-
-    Ties go to the lowest index (strict improvement required to switch).
-    """
-    best_j = -1
-    best_frac = INT_TOL
-    for j in binaries:
-        if j in fixes:
-            continue
-        frac = abs(x[j] - round(x[j]))
-        if frac > best_frac:
-            best_frac = frac
-            best_j = j
-    return best_j
-
-
 def _penalties(tableau, j: int) -> tuple[float, float]:
     """Driebeck penalties: least objective increases for forcing binary j down, up.
 
@@ -428,22 +416,23 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     """Globally optimal solution via best-bound branch and bound on the binaries.
 
     Node selection is best bound first, ties broken deeper-first then by
-    creation order; branching picks the most fractional binary and explores
-    the rounded-toward value first.  A node whose penalty bound lies
-    SKIP_MARGIN (relative) above min(incumbent, cutoff) is not solved (see
-    the module docstring).
+    creation order.  Each solved node's rounded point is checked once: it is
+    the incumbent candidate at an integral node and may lower the cutoff at
+    a branching one, which picks the most fractional binary and explores the
+    rounded-toward value first.  A node whose penalty bound lies SKIP_MARGIN
+    (relative) above min(incumbent, cutoff) is not solved (see the module
+    docstring, which also defines "integral").
     """
-    binaries = model.binaries.tolist()
+    binaries = model.binaries
     incumbent_val = math.inf
     incumbent_x: Optional[np.ndarray] = None
     cutoff = math.inf
-    # Row and bound ranges of the model, widened by CUTOFF_FEAS_TOL, that a
-    # rounded-up point must meet.
-    tol = CUTOFF_FEAS_TOL * np.maximum(1.0, np.abs(model.b))
+    # Row and bound ranges, widened by ROUNDED_FEAS_TOL, that a rounded point must meet.
+    tol = ROUNDED_FEAS_TOL * np.maximum(1.0, np.abs(model.b))
     row_hi = np.where(model.senses >= 0, model.b + tol, np.inf)
     row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
-    var_hi = model.hi + CUTOFF_FEAS_TOL
-    var_lo = model.lo - CUTOFF_FEAS_TOL
+    var_hi = model.hi + ROUNDED_FEAS_TOL
+    var_lo = model.lo - ROUNDED_FEAS_TOL
     nodes = pivots = 0
     seq = itertools.count()
     # heap entries: (lp bound of parent, -depth, sequence, penalty bound, fixes)
@@ -469,25 +458,24 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         if value >= incumbent_val - IMPROVEMENT_EPS:
             continue
 
-        j = _most_fractional(x, binaries, fixes)
-        if j < 0:
-            rounded = x.copy()
-            for k in binaries:
-                rounded[k] = float(round(rounded[k]))
-            candidate = model.value_at(rounded)
+        point = x.copy()
+        point[binaries] = np.ceil(x[binaries] - INT_TOL) + 0.0  # no -0.0 in the assignment
+        rows = model.A @ point
+        feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
+                    and (point <= var_hi).all() and (point >= var_lo).all())
+        frac = np.abs(x[binaries] - np.round(x[binaries]))  # fixed binaries give 0
+        worst = frac.max(initial=0.0)
+        if worst <= INT_TOL and (feasible or worst == 0.0):
+            candidate = model.value_at(point)
             if candidate < incumbent_val - IMPROVEMENT_EPS:
                 incumbent_val = candidate
-                incumbent_x = rounded
+                incumbent_x = point
             continue
 
-        if value < cutoff:  # the rounded-up point also obeys this node's fixes
-            point = x.copy()
-            point[model.binaries] = np.ceil(x[model.binaries] - INT_TOL)
-            rows = model.A @ point
-            if ((rows <= row_hi).all() and (rows >= row_lo).all()
-                    and (point <= var_hi).all() and (point >= var_lo).all()):
-                cutoff = min(cutoff, model.value_at(point))
+        if feasible and value < cutoff:  # the point also obeys this node's fixes
+            cutoff = min(cutoff, model.value_at(point))
 
+        j = int(binaries[frac.argmax()])
         down, up = _penalties(tableau, j)
         f = x[j]
         child_bounds = {0.0: value + f * down, 1.0: value + (1.0 - f) * up}

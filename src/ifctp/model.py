@@ -13,6 +13,7 @@ stable: scalar checks, then matrix entries row-major, then vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,6 +105,7 @@ def _interval_violations(kind: str, i: int, j: int | None, iv: Interval,
 def validate(instance: IfctpInstance) -> list[str]:
     """Structural checks; an empty list means the instance is well formed.
 
+    An objective that could overflow a float makes an instance malformed.
     Aggregate supply is not compared with demand: a well-formed but
     undersupplied instance is an infeasible problem, not a malformed one, and
     its solves end infeasible.
@@ -134,6 +136,13 @@ def validate(instance: IfctpInstance) -> list[str]:
         v.extend(_interval_violations("supply", i, None, iv, require_nonneg_lo=True))
     for j, iv in enumerate(instance.demand):
         v.extend(_interval_violations("demand", j, None, iv, require_nonneg_lo=True))
+    # A route ships at most its row's cap.  The factor 4 leaves room to add
+    # two objective values (an interval's center and width, a payoff span).
+    bound = sum(max(abs(t.lo), abs(t.hi)) * cap.hi + f.hi
+                for t_row, f_row, cap in zip(instance.unit_cost, instance.fixed_charge,
+                                             instance.supply) for t, f in zip(t_row, f_row))
+    if not math.isfinite(4.0 * bound):
+        v.append("unit costs times supply caps overflow a float")
     return v
 
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import struct
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -18,8 +19,26 @@ import ifctp.milp
 from ifctp import (MilpModel, MilpSolution, PayoffTable, build_bi_objective,
                    build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import _refine
-from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, OPTIMAL, UNBOUNDED, _most_fractional,
-                        _penalties, _relaxation)
+from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, UNBOUNDED, _penalties,
+                        _relaxation)
+
+
+def _most_fractional(x: np.ndarray, binaries: Sequence[int],
+                     fixes: Mapping[int, float]) -> int:
+    """Index of the free binary farthest from an integer, or -1 if all integral.
+
+    Ties go to the lowest index (strict improvement required to switch).
+    """
+    best_j = -1
+    best_frac = INT_TOL
+    for j in binaries:
+        if j in fixes:
+            continue
+        frac = abs(x[j] - round(x[j]))
+        if frac > best_frac:
+            best_frac = frac
+            best_j = j
+    return best_j
 
 
 def _reference_solve_milp(model):

@@ -383,3 +383,38 @@ class TestCliExactOutcomes:
         assert main([args[0], str(path), *args[1:]]) == code
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, err)
+
+
+class TestCliOverflow:
+    """Inputs that overflow a float exit 3 with one error line, no traceback."""
+
+    @staticmethod
+    def _one_error_line(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_cost_interval_center_overflows(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("dims 1 1\ncost 1 1 = [1e308,1.7e308] fixed [3,4]\n"
+                        "supply 1 = [500,600]\ndemand 1 = [200,300]\n")
+        assert main(["solve", str(path)]) == 3
+        line = self._one_error_line(capsys)
+        assert line.startswith("error: line 2: interval [1e+308, 1.7e+308] overflows")
+
+    def test_competitor_interval_center_overflows(self, bench1_path, capsys):
+        assert main(["compare", str(bench1_path), "--competitor", "x=[1e308,1.7e308]"]) == 3
+        line = self._one_error_line(capsys)
+        assert line.startswith("error: argument --competitor: interval [1e+308, 1.7e+308] "
+                               "overflows")
+
+    def test_objective_can_overflow(self, tmp_path, capsys):
+        # Feasible, but 600 units at 1e307 each overflow the objective.
+        path = tmp_path / "costly.txt"
+        path.write_text("dims 1 1\ncost 1 1 = [1e307,1e307] fixed [3,4]\n"
+                        "supply 1 = [500,600]\ndemand 1 = [200,300]\n")
+        assert main(["solve", str(path)]) == 3
+        assert self._one_error_line(capsys) == (
+            "error: unit costs times supply caps overflow a float")

@@ -1,6 +1,11 @@
-import pytest
+import sys
 
-from ifctp import (Interval, ProblemFileError, parse_instance, render_instance)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ifctp import (IfctpInstance, Interval, ProblemFileError, parse_instance, render_instance,
+                   validate)
 
 MINIMAL = """\
 dims 1 1
@@ -100,3 +105,38 @@ class TestRoundTrip:
         inst = parse_instance(text)
         assert parse_instance(render_instance(inst)) == inst
         assert "[1.25,2.75]" in render_instance(inst)
+
+
+# Interval rejects a center or width beyond the float range; endpoints up to
+# half the largest float never reach it.
+ENDPOINT_LIMIT = sys.float_info.max / 2
+MAGNITUDES = (1e-7, 0.1, 1.0, 1e3, 1e100, 1e300, ENDPOINT_LIMIT)
+
+
+@st.composite
+def _intervals(draw, signed):
+    top = draw(st.sampled_from(MAGNITUDES))
+    lo, hi = sorted(draw(st.floats(-top if signed else 0.0, top)) for _ in range(2))
+    return Interval(lo, hi)
+
+
+@st.composite
+def _instances(draw):
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    unit = [[draw(_intervals(True)) for _ in range(n)] for _ in range(m)]
+    fixed = [[draw(_intervals(False)) for _ in range(n)] for _ in range(m)]
+    return IfctpInstance(unit, fixed, [draw(_intervals(False)) for _ in range(m)],
+                         [draw(_intervals(False)) for _ in range(n)])
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_instances())
+    def test_parse_inverts_render(self, instance):
+        text = render_instance(instance)
+        if validate(instance):
+            # Every interval is well formed, so only the objective bound fails.
+            with pytest.raises(ProblemFileError, match="overflow a float"):
+                parse_instance(text)
+        else:
+            assert parse_instance(text) == instance
