@@ -488,7 +488,14 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
 
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
-    return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
+    if not binaries.size:
+        return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
+    # The answer is the LP at the incumbent's activation pattern, as oracle_solve solves it.
+    status, value, x, lp_pivots, _ = _relaxation(
+        model, {j: incumbent_x[j] for j in binaries.tolist()})
+    if status != OPTIMAL:
+        raise DegeneratePivotError(f"the incumbent's activation pattern solved {status}")
+    return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes, pivots + lp_pivots)
 
 
 def oracle_solve(model: MilpModel) -> MilpSolution:
