@@ -16,8 +16,8 @@ from .compromise import (InfeasibleProblemError, PayoffTable, build_payoff,
                          build_max_min_model, solve_compromise, compute_ideal)
 from .crisp import build_bi_objective, constraint_rows, evaluate_interval_objective, to_milp
 from .intervals import CenterWidth, Interval, distance_to_ideal
-from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, MilpModel, MilpSolution, OracleScopeError,
-                   oracle_solve, solve_milp)
+from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, DegeneratePivotError, MilpModel, MilpSolution,
+                   OracleScopeError, oracle_solve, solve_milp)
 from .model import FEASIBILITY_TOL, IfctpInstance, ShipmentPlan, check_plan
 
 DOMINANCE_TOL = 1e-6
@@ -84,7 +84,8 @@ def run_pipeline(instance: IfctpInstance, *,
     lower-endpoint and width objectives, replacing the computed payoff table.
     Structural defects raise InvalidInstanceError; an undersupplied instance
     comes back with status "infeasible" and no plan.  Override levels that no
-    plan of a feasible instance meets raise UnattainableLevelsError.
+    plan of a feasible instance meets raise UnattainableLevelsError; computed
+    levels that round-off leaves unmet raise DegeneratePivotError.
     """
     bi = build_bi_objective(instance)  # validates the instance once for the whole run
     summary = dict(
@@ -110,7 +111,11 @@ def run_pipeline(instance: IfctpInstance, *,
         result = solve_compromise(bi, payoff)
     except InfeasibleProblemError:
         # The ideal point exists, so the instance is feasible and only the
-        # worst levels can leave the max-min model without a point.
+        # worst levels can leave the max-min model without a point.  The
+        # anchor plans meet computed levels, so then round-off lost them.
+        if payoff_override is None:
+            raise DegeneratePivotError(
+                "the max-min model is infeasible at the computed payoff levels") from None
         raise UnattainableLevelsError(
             f"no plan has lower endpoint <= {float(payoff.worst[0])} and width <= "
             f"{float(payoff.worst[1])}") from None

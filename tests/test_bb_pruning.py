@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import struct
-from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -19,48 +18,36 @@ import ifctp.milp
 from ifctp import (MilpModel, MilpSolution, PayoffTable, build_bi_objective,
                    build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import _refine
-from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, UNBOUNDED, _penalties,
-                        _relaxation)
-
-
-def _most_fractional(x: np.ndarray, binaries: Sequence[int],
-                     fixes: Mapping[int, float]) -> int:
-    """Index of the free binary farthest from an integer, or -1 if all integral.
-
-    Ties go to the lowest index (strict improvement required to switch).
-    """
-    best_j = -1
-    best_frac = INT_TOL
-    for j in binaries:
-        if j in fixes:
-            continue
-        frac = abs(x[j] - round(x[j]))
-        if frac > best_frac:
-            best_frac = frac
-            best_j = j
-    return best_j
+from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, ROUNDED_FEAS_TOL,
+                        UNBOUNDED, _bounded_form, _node_lp, _penalties, _relaxation)
 
 
 def _reference_solve_milp(model):
     """Best-bound branch and bound without penalty bounds or cutoff.
 
-    The search solve_milp ran before it skipped nodes: same heap keys, same
-    branching rule, same incumbent rule.  Every node it pops and cannot prune
-    by its parent's LP value gets its own LP solve.
+    solve_milp's search without its skip rule: same node LPs, heap keys,
+    branching rule, incumbent rule and final pattern solve.  Every node it
+    pops and cannot prune by its parent's LP value gets its own LP solve.
     """
-    binaries = model.binaries.tolist()
+    binaries = model.binaries
     incumbent_val = math.inf
     incumbent_x = None
+    tol = ROUNDED_FEAS_TOL * np.maximum(1.0, np.abs(model.b))
+    row_hi = np.where(model.senses >= 0, model.b + tol, np.inf)
+    row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
+    var_hi = model.hi + ROUNDED_FEAS_TOL
+    var_lo = model.lo - ROUNDED_FEAS_TOL
+    form = _bounded_form(model)
     nodes = pivots = 0
     seq = itertools.count()
-    heap = [(-math.inf, 0, next(seq), {})]
+    heap = [(-math.inf, 0, next(seq), {}, None)]
     while heap:
-        bound, neg_depth, _, fixes = heapq.heappop(heap)
+        bound, neg_depth, _, fixes, start = heapq.heappop(heap)
         if bound >= incumbent_val - IMPROVEMENT_EPS:
             continue
         nodes += 1
         # Looked up on the module, so _compare's recording sees these solves too.
-        status, value, x, lp_pivots = ifctp.milp._relaxation(model, fixes)[:4]
+        status, value, x, lp_pivots, state = ifctp.milp._node_lp(model, form, fixes, start)
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
@@ -68,28 +55,32 @@ def _reference_solve_milp(model):
             return MilpSolution(UNBOUNDED, None, None, nodes, pivots)
         if value >= incumbent_val - IMPROVEMENT_EPS:
             continue
-        j = _most_fractional(x, binaries, fixes)
-        if j < 0:
-            rounded = x.copy()
-            for k in binaries:
-                rounded[k] = float(round(rounded[k]))
-            candidate = model.value_at(rounded)
+        point = x.copy()
+        point[binaries] = np.ceil(x[binaries] - INT_TOL) + 0.0
+        rows = model.A @ point
+        feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
+                    and (point <= var_hi).all() and (point >= var_lo).all())
+        frac = np.abs(x[binaries] - np.round(x[binaries]))
+        worst = frac.max(initial=0.0)
+        if worst <= INT_TOL and (feasible or worst == 0.0):
+            candidate = model.value_at(point)
             if candidate < incumbent_val - IMPROVEMENT_EPS:
                 incumbent_val = candidate
-                incumbent_x = rounded
+                incumbent_x = point
             continue
+        j = int(binaries[frac.argmax()])
         depth = -neg_depth + 1
         first = 1.0 if x[j] >= 0.5 else 0.0
         for branch_value in (first, 1.0 - first):
             child = dict(fixes)
             child[j] = branch_value
-            heapq.heappush(heap, (value, -depth, next(seq), child))
+            heapq.heappush(heap, (value, -depth, next(seq), child, state[:2]))
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
-    if not binaries:
+    if not binaries.size:
         return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
-    status, value, x, lp_pivots = ifctp.milp._relaxation(
-        model, {j: incumbent_x[j] for j in binaries})[:4]
+    status, value, x, lp_pivots = _relaxation(
+        model, {j: incumbent_x[j] for j in binaries.tolist()})[:4]
     assert status == OPTIMAL
     return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes, pivots + lp_pivots)
 
@@ -137,21 +128,20 @@ def _compare(models, monkeypatch):
     must appear in the reference's, in the same order.
     """
     solved = []
-    relaxation = ifctp.milp._relaxation
+    node_lp = ifctp.milp._node_lp
 
-    def recording_relaxation(model, fixes):
+    def recording_node_lp(model, form, fixes, start):
         solved.append(tuple(sorted(fixes.items())))
-        return relaxation(model, fixes)
+        return node_lp(model, form, fixes, start)
 
-    monkeypatch.setattr(ifctp.milp, "_relaxation", recording_relaxation)
+    monkeypatch.setattr(ifctp.milp, "_node_lp", recording_node_lp)
     nodes = ref_nodes = 0
     for name, model in models.items():
         solved.clear()
         solution = solve_milp(model)
-        pruned_solves = solved[:-1]  # the last solve is the incumbent's pattern
+        pruned_solves = list(solved)
         solved.clear()
         reference = _reference_solve_milp(model)
-        del solved[-1]
         assert _bits(solution) == _bits(reference), name
         assert solution.nodes == len(pruned_solves) <= reference.nodes == len(solved), name
         assert _is_subsequence(pruned_solves, solved), name
@@ -195,13 +185,13 @@ class TestPenaltyBounds:
     def test_root_penalties_bound_child_lps(self, bench1, factor):
         checked = positive = 0
         for name, model in _stage_models(scaled_costs(bench1, factor)).items():
-            status, value, x, _, tableau = _relaxation(model, {})
+            form = _bounded_form(model)
+            status, value, x, _, state = _node_lp(model, form, {}, None)
             assert status == OPTIMAL, name
             fractional = [j for j in model.binaries.tolist()
                           if abs(x[j] - round(x[j])) > ifctp.milp.INT_TOL]
             for j in fractional:
-                free, T, basis = tableau
-                down, up = _penalties((free, T.copy(), basis), j)
+                down, up = _penalties(form, state, j)
                 scale = 1e-9 * max(1.0, abs(value))
                 for fixed, bound in ((0.0, value + x[j] * down),
                                      (1.0, value + (1.0 - x[j]) * up)):
@@ -219,8 +209,9 @@ class TestPenaltyBounds:
         # reach 0, so the child that pushes it down has no column to pay for it.
         model = MilpModel([-1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [0, 1], [1.0, 0.4],
                           [0.0, 0.0], [np.inf, 1.0], [1])
-        status, value, x, _, tableau = _relaxation(model, {})
+        form = _bounded_form(model)
+        status, value, x, _, state = _node_lp(model, form, {}, None)
         assert status == OPTIMAL and 0 < x[1] < 1
-        down, _ = _penalties(tableau, 1)
+        down, _ = _penalties(form, state, 1)
         assert down == math.inf
         assert _relaxation(model, {1: 0.0})[0] == INFEASIBLE

@@ -7,6 +7,7 @@ from _reference import COMPETITOR_1, COMPETITOR_1_DISTANCE, PAYOFF_OVERRIDE
 import ifctp.cli
 import ifctp.compromise
 import ifctp.crisp
+import ifctp.milp
 import ifctp.pipeline
 from ifctp import (CompetitorEntry, Interval, OracleScopeError, UnattainableLevelsError,
                    check_plan, run_oracle_check, run_pipeline)
@@ -418,3 +419,46 @@ class TestCliOverflow:
         assert main(["solve", str(path)]) == 3
         assert self._one_error_line(capsys) == (
             "error: unit costs times supply caps overflow a float")
+
+
+def _huge_unit_costs(scale):
+    """2x2 whose unit costs dwarf its charges: column 1 at [-scale, scale], column 2 at scale."""
+    routes = "".join(f"cost {i} 1 = [-{scale},{scale}] fixed [3,4]\n"
+                     f"cost {i} 2 = [{scale},{scale}] fixed [3,4]\n" for i in (1, 2))
+    return (f"dims 2 2\n{routes}supply 1 = [100,300]\nsupply 2 = [100,300]\n"
+            "demand 1 = [200,300]\ndemand 2 = [200,300]\n")
+
+
+class TestHugeUnitCosts:
+    """Round-off at huge unit costs is a numerical breakdown, with one stderr line."""
+
+    def test_overflowing_ratio_prints_no_warning(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(_huge_unit_costs("3.5e304"))
+        assert main(["solve", str(path)]) == 5
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_computed_levels_lost_to_round_off_exit_5(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(_huge_unit_costs("1e20"))
+        assert main(["solve", str(path)]) == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: numerical breakdown: ")
+
+    def test_unattainable_override_still_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(_huge_unit_costs("1e20"))
+        assert main(["solve", str(path), "--override-payoff", "0,1,0,1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: override levels are unattainable: no plan has lower endpoint <= 1.0 "
+            "and width <= 1.0"]
+
+    def test_infeasible_max_min_blames_the_levels_only_when_supplied(self, bench1, monkeypatch):
+        def infeasible(bi, payoff):
+            raise ifctp.compromise.InfeasibleProblemError("compromise solve ended infeasible")
+
+        monkeypatch.setattr(ifctp.pipeline, "solve_compromise", infeasible)
+        with pytest.raises(ifctp.milp.DegeneratePivotError, match="computed payoff levels"):
+            run_pipeline(bench1)
+        with pytest.raises(UnattainableLevelsError):
+            run_pipeline(bench1, payoff_override=PAYOFF_OVERRIDE)
