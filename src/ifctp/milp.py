@@ -41,9 +41,8 @@ T -= col * pivot_row, with the pivot row's own entry of col zeroed.
   once and takes a few dual pivots.  The refactorisation inverts the m x m
   basis and multiplies; at 41 rows, on a shared 2-core x86 VM, that took
   100 us against 165 us for np.linalg.solve with the tableau's columns as
-  right-hand sides.
-  A heap entry stores the parent's basis and at-upper flags, not its
-  tableau.
+  right-hand sides.  A heap entry stores the parent's basis and at-upper
+  flags, not its tableau: up to a few hundred nodes are open at once.
 
 Rounding: each solved node rounds its binaries up once, ceil(x - INT_TOL),
 and checks the point against every row and bound within ROUNDED_FEAS_TOL.
@@ -116,7 +115,6 @@ SKIP_MARGIN = 1e-7
 ROUNDED_FEAS_TOL = 1e-9
 # How far a basic variable may pass a bound when the dual simplex stops (scaled units).
 BOUND_TOL = 1e-9
-SCALE_PASSES = 4          # geometric-mean scaling passes over the rows and columns
 
 
 class DegeneratePivotError(RuntimeError):
@@ -424,7 +422,7 @@ def _bounded_form(model: MilpModel) -> tuple[np.ndarray, ...]:
     M = [R A C | I] with diagonal R and C, powers of two, so scaling is
     exact.  Structural v_j = x_j / C_jj; column nv + i is row i's slack
     R_ii (b_i - A_i x), bounded to [0, inf) for "<=", (-inf, 0] for ">="
-    and [0, 0] for "=".  Upper bounds stay implicit.  A few passes of
+    and [0, 0] for "=".  Upper bounds stay implicit.  Four passes of
     geometric-mean scaling bring every row and column near magnitude one,
     so the absolute tolerances mean the same in a big-M row or at any cost
     scale.  cols holds C's diagonal.
@@ -434,7 +432,7 @@ def _bounded_form(model: MilpModel) -> tuple[np.ndarray, ...]:
     nonzero = magnitude > 0.0
     rows = np.ones(m)
     cols = np.ones(nv)
-    for axis, scale in ((1, rows), (0, cols)) * SCALE_PASSES:
+    for axis, scale in ((1, rows), (0, cols)) * 4:
         scaled = magnitude * rows[:, None] * cols
         big = scaled.max(axis=axis)
         small = np.where(nonzero, scaled, np.inf).min(axis=axis)
