@@ -111,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          required=True, help="competitor objective interval")
     add_common(sub.add_parser("payoff", help="payoff table only"), payoff=False)
     add_common(sub.add_parser("ideal", help="ideal point only"), payoff=False)
-    add_common(sub.add_parser("oracle-check", help="cross-check solver vs enumeration"),
-               payoff=False)
+    sub.add_parser("oracle-check", help="cross-check solver vs enumeration").add_argument(
+        "file", help="problem file")
     return parser
 
 

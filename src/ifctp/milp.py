@@ -2,10 +2,11 @@
 
 The programs produced by this package are tiny (tens of variables, a handful
 of binaries), so the engine favours transparency over scale: best-bound
-branch and bound over the binary variables, with dense numpy tableaus.  The
-root and every answer are solved cold by a two-phase primal simplex; the
-other nodes are re-optimised warm by a bounded dual simplex.  An exhaustive
-enumeration oracle provides an independent second opinion for testing.
+branch and bound over the binary variables, with dense numpy tableaus.  Every
+answer is solved cold by a two-phase primal simplex; every node is solved
+warm by a bounded dual simplex, the root from its cold optimal basis.  An
+exhaustive enumeration oracle provides an independent second opinion for
+testing.
 
 A model is one set of read-only numpy arrays (MilpModel): objective c,
 constraint matrix A with row senses and right-hand sides b, variable bounds
@@ -24,65 +25,46 @@ Kernel cost: a tableau has tens of rows and columns, so numpy's per-call
 overhead costs about as much as the arithmetic, and each pivot is written
 with as few calls as it allows.  The update is one broadcast,
 T -= col * pivot_row, with the pivot row's own entry of col zeroed.
-- Cold (the root, the answer, solve_lp, oracle_solve).  Fixed variables are
-  substituted out and finite upper bounds become rows.  The ratio test
-  divides over the eligible rows only.  Rows whose column entry is zero
-  subtract an exact zero; skipping them by fancy indexing was measured
-  slower at these sizes than letting them through.  Artificial columns are
-  not stored: they never enter and nothing reads them, so only their basis
-  labels remain.  Each stored entry thus sees the same floating-point
-  operations, in the same order, as the textbook full-tableau update, and
-  every pivot choice is the same.  The cost-row loops stay sequential
-  because their order fixes the rounding.
-- Warm (every other node).  The model is scaled by powers of two and gets
-  one slack per row; bounds stay implicit, so there are no upper-bound
-  rows.  A child differs from its parent by one fixed binary, so the
-  parent's optimal basis stays dual feasible: the child refactorises it
-  once and takes a few dual pivots.  The refactorisation inverts the m x m
-  basis and multiplies; at 41 rows, on a shared 2-core x86 VM, that took
-  100 us against 165 us for np.linalg.solve with the tableau's columns as
-  right-hand sides.  A heap entry stores the parent's basis and at-upper
-  flags, not its tableau: up to a few hundred nodes are open at once.
+- Cold (the root's basis, the answer, solve_lp, oracle_solve).  Fixed
+  variables are substituted out and finite upper bounds become rows.  The
+  ratio test divides over the eligible rows only.  Rows whose column entry
+  is zero subtract an exact zero; skipping them by fancy indexing was
+  measured slower at these sizes than letting them through.  Artificial
+  columns are not stored: they never enter and nothing reads them, so only
+  their basis labels remain.  Each stored entry thus sees the same
+  floating-point operations, in the same order, as the textbook full-tableau
+  update, and every pivot choice is the same.  The cost-row loops stay
+  sequential because their order fixes the rounding.
+- Warm (every node).  The model is scaled by powers of two and gets one
+  slack per row; bounds stay implicit, so there are no upper-bound rows.
+  The root starts from its cold optimal basis in this form.  A child differs
+  from its parent by one fixed binary, so the parent's optimal basis stays
+  dual feasible: the child refactorises it once and takes a few dual pivots.
+  The refactorisation inverts the m x m basis and multiplies; at 41 rows, on
+  a shared 2-core x86 VM, that took 100 us against 165 us for
+  np.linalg.solve with the tableau's columns as right-hand sides.  A heap
+  entry stores the parent's basis and at-upper flags, not its tableau: up to
+  a few hundred nodes are open at once.
 
 Rounding: each solved node rounds its binaries up once, ceil(x - INT_TOL),
 and checks the point against every row and bound within ROUNDED_FEAS_TOL.
-The node is integral, and the point its incumbent candidate, when all
-binaries are within INT_TOL of integers and the point passes, or all are
-exact.  Otherwise it branches on its most fractional binary: if the check
-failed, a near-integral one whose rounding breaks a row, such as an
-activation below INT_TOL still carrying flow through its big-M row.
+A point that passes, or an LP point whose binaries are all exact, is an
+incumbent candidate: it is integral and feasible, whether or not its node
+goes on to branch.  A node stops branching when its binaries are within
+INT_TOL of integers and its point is a candidate.  Otherwise it branches on
+its most fractional binary: if the check failed, a near-integral one whose
+rounding breaks a row, such as an activation below INT_TOL still carrying
+flow through its big-M row.
 
-Skipping nodes: branch and bound does not solve a node that a bound proves
-cannot come near the optimum.  Two bounds serve.
-- Penalty bound (Driebeck 1966).  When a node branches on a fractional
-  binary, the binary's row and the reduced costs of the node's final
-  bounded tableau give each child a lower bound on its LP value
-  (_penalties).  It rides in the child's heap entry after the key
-  (parent bound, -depth, sequence), so it never changes the pop order.
-- Cutoff.  A branching node's rounded point, if it passes, bounds the
-  optimum from above; the least such value is the cutoff, never the incumbent.
-A popped node is skipped, with no LP solve and no node counted, when its
-penalty bound is at least C - IMPROVEMENT_EPS + SKIP_MARGIN * max(1, |C|),
-where C = min(incumbent, cutoff).
-
-Why skipping is exact.  C is the value of an integral feasible point, so
-the optimum z* is at most C, and a skipped node's penalty bound bounds
-every integral point below it.  Each of those points is worse than z* by
-more than SKIP_MARGIN * max(1, |C|) - IMPROVEMENT_EPS, about a hundred
-times the IMPROVEMENT_EPS by which an incumbent must beat the last one.
-The search without skipping, with the same integrality test, returns a
-point within IMPROVEMENT_EPS of z*, so it never returns such a point: at
-most it holds one as a passing incumbent, which any near-optimal point
-beats when it appears.  So a subtree holding a near-optimal point is never
-skipped, and never pruned by a passing incumbent.  Heap keys depend only
-on a node's parent LP and on the order of pushes, and a node's LP depends
-only on its ancestors, since it starts from its parent's basis.  Skipping
-removes pushes without reordering the rest, so these subtrees are popped
-in the same relative order, meet the same near-optimal incumbents, and end
-with the same incumbent, hence the same answer bit for bit.  SKIP_MARGIN
-sits far above LP round-off, so no floating-point error in a penalty or a
-row check makes a near-optimal subtree look fruitless; penalties are
-clipped at zero too.
+Keys: a child enters the heap keyed by its Driebeck (1966) penalty bound.
+The branching binary's row and the reduced costs of the parent's final
+bounded tableau bound how much the child's fix must raise the parent's LP
+value (_penalties), so the key is a valid lower bound on the child's LP and
+on every integral point below it.  A popped node whose key is within
+IMPROVEMENT_EPS of the incumbent is pruned without an LP solve; the same
+test after its LP prunes a node whose own value cannot beat the incumbent.
+The penalties are clipped at zero, so round-off in a reduced cost can only
+weaken a key, never prune a subtree that holds a better point.
 """
 
 from __future__ import annotations
@@ -108,9 +90,6 @@ DEFAULT_NODE_LIMIT = 10 ** 6
 ORACLE_MAX_BINARIES = 20
 # An incumbent must beat the previous one by more than this (avoids tie-flapping).
 IMPROVEMENT_EPS = 1e-9
-# A node is not solved when its penalty bound lies this far (relative) above
-# the best known value; far above LP round-off and above IMPROVEMENT_EPS.
-SKIP_MARGIN = 1e-7
 # Row and bound slack a node's rounded point may use to count as feasible.
 ROUNDED_FEAS_TOL = 1e-9
 # How far a basic variable may pass a bound when the dual simplex stops (scaled units).
@@ -569,12 +548,12 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, basis: np.ndarray,
 # --------------------------------------------------------------------------
 
 def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
-    """One node's LP: (status, value, x, pivots, state).
+    """One node's LP by _dual_simplex: (status, value, x, pivots, state).
 
-    The root (start None) is the cold _relaxation, and its final basis is
-    put into bounded form for the children.  A child starts from its parent's
-    (basis, at_upper) with the fixes as bounds and runs _dual_simplex.  state
-    is _dual_simplex's and is None unless the status is optimal.
+    A child starts from its parent's (basis, at_upper), the root (start
+    None) from the cold _relaxation's final basis put into bounded form; the
+    fixes become bounds.  A root with no free variable has no basis, so its
+    cold result stands.  state is _dual_simplex's, None unless optimal.
     """
     lo, hi, cols = form[3:]
     lo = lo.copy()
@@ -583,15 +562,14 @@ def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
         fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
         lo[fixed] = hi[fixed] = (np.fromiter(fixes.values(), dtype=float, count=len(fixes))
                                  / cols[fixed])
+    pivots = 0
     if start is None:
         status, value, x, pivots, tableau = _relaxation(model, fixes)
         if tableau is None:
             return status, value, x, pivots, None
-        bounded_status, _, _, state = _dual_simplex(form, lo, hi, *_warm_start(model, tableau))
-        if bounded_status != OPTIMAL:
-            raise DegeneratePivotError("the root basis is not optimal in bounded form")
-        return status, value, x, pivots, state
-    status, v, pivots, state = _dual_simplex(form, lo, hi, *start)
+        start = _warm_start(model, tableau)
+    status, v, dual_pivots, state = _dual_simplex(form, lo, hi, *start)
+    pivots += dual_pivots
     if status != OPTIMAL:
         return status, None, None, pivots, None
     x = v[:cols.size] * cols
@@ -602,7 +580,7 @@ def _penalties(form, state, j: int) -> tuple[float, float]:
     """Driebeck penalties: least objective increases for forcing binary j down, up.
 
     x_j is basic (a fractional variable sits at neither bound) in some row
-    r of the final bounded tableau, x_j + sum a_rk v_k = f over the
+    r of the node's final bounded tableau, x_j + sum a_rk v_k = f over the
     nonbasic v_k.  A nonbasic at its lower bound can only rise and one at
     its upper bound can only fall, so the latter enters with the opposite
     sign; fixed nonbasics cannot move at all.  Pushing x_j to 0 costs at
@@ -613,10 +591,7 @@ def _penalties(form, state, j: int) -> tuple[float, float]:
     bound.  Returns the two minima; the caller scales them by f and 1 - f.
     """
     basis, at_upper, T, movable = state
-    row = (basis == j).nonzero()[0]
-    if not row.size:  # the root's bounded basis may sit at another optimal vertex
-        return 0.0, 0.0
-    a = T[row[0]]
+    a = T[(basis == j).argmax()]
     toward = np.where(at_upper, -a, a)
     with np.errstate(over="ignore"):
         q = np.divide(T[-1], a, out=np.full(a.size, np.inf), where=movable & (a != 0.0))
@@ -629,20 +604,16 @@ def _penalties(form, state, j: int) -> tuple[float, float]:
 def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSolution:
     """Globally optimal solution via best-bound branch and bound on the binaries.
 
-    Node selection is best bound first, ties broken deeper-first then by
-    creation order.  Each solved node's rounded point is checked once: it is
-    the incumbent candidate at an integral node and may lower the cutoff at
-    a branching one, which picks the most fractional binary and explores the
-    rounded-toward value first.  A node whose penalty bound lies SKIP_MARGIN
-    (relative) above min(incumbent, cutoff) is not solved (see the module
-    docstring, which also defines "integral").  The root is solved cold and
-    every other node warm from its parent's basis; the solution returned is
-    the cold LP at the incumbent's activation pattern.
+    Node selection is best bound first: each child is keyed by its penalty
+    bound, ties broken deeper-first then by creation order.  Each solved
+    node's rounded point is checked once and, if it passes, is an incumbent
+    candidate; a node that must branch picks the most fractional binary and
+    explores the rounded-toward value first (see the module docstring).  The
+    solution returned is the cold LP at the incumbent's activation pattern.
     """
     binaries = model.binaries
     incumbent_val = math.inf
     incumbent_x: Optional[np.ndarray] = None
-    cutoff = math.inf
     # Row and bound ranges, widened by ROUNDED_FEAS_TOL, that a rounded point must meet.
     tol = ROUNDED_FEAS_TOL * np.maximum(1.0, np.abs(model.b))
     row_hi = np.where(model.senses >= 0, model.b + tol, np.inf)
@@ -652,17 +623,14 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     form = _bounded_form(model)
     nodes = pivots = 0
     seq = itertools.count()
-    # heap entries: (lp bound of parent, -depth, sequence, penalty bound, fixes,
+    # heap entries: (penalty bound, -depth, sequence, fixes,
     # parent's (basis, at_upper) or None at the root)
-    heap: list[tuple] = [(-math.inf, 0, next(seq), -math.inf, {}, None)]
+    heap: list[tuple] = [(-math.inf, 0, next(seq), {}, None)]
 
     while heap:
-        bound, neg_depth, _, penalty_bound, fixes, start = heapq.heappop(heap)
-        if bound >= incumbent_val - IMPROVEMENT_EPS:
+        key, neg_depth, _, fixes, start = heapq.heappop(heap)
+        if key >= incumbent_val - IMPROVEMENT_EPS:
             continue  # cannot beat the incumbent
-        best = min(incumbent_val, cutoff)
-        if penalty_bound >= best - IMPROVEMENT_EPS + SKIP_MARGIN * max(1.0, abs(best)):
-            continue  # cannot come near the optimum
         if nodes >= node_limit:
             raise NodeLimitError(f"node limit {node_limit} exceeded")
         nodes += 1
@@ -682,27 +650,24 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
                     and (point <= var_hi).all() and (point >= var_lo).all())
         frac = np.abs(x[binaries] - np.round(x[binaries]))  # fixed binaries give 0
         worst = frac.max(initial=0.0)
-        if worst <= INT_TOL and (feasible or worst == 0.0):
+        if feasible or worst == 0.0:
             candidate = model.value_at(point)
             if candidate < incumbent_val - IMPROVEMENT_EPS:
                 incumbent_val = candidate
                 incumbent_x = point
-            continue
-
-        if feasible and value < cutoff:  # the point also obeys this node's fixes
-            cutoff = min(cutoff, model.value_at(point))
+            if worst <= INT_TOL:
+                continue
 
         j = int(binaries[frac.argmax()])
         down, up = _penalties(form, state, j)
         f = x[j]
-        child_bounds = {0.0: value + f * down, 1.0: value + (1.0 - f) * up}
+        keys = {0.0: value + f * down, 1.0: value + (1.0 - f) * up}
         depth = -neg_depth + 1
         first = 1.0 if x[j] >= 0.5 else 0.0
         for branch_value in (first, 1.0 - first):
             child = dict(fixes)
             child[j] = branch_value
-            heapq.heappush(heap, (value, -depth, next(seq), child_bounds[branch_value], child,
-                                  state[:2]))
+            heapq.heappush(heap, (keys[branch_value], -depth, next(seq), child, state[:2]))
 
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots)

@@ -85,7 +85,7 @@ class TestRendering:
         assert render_text(_reference_report(bench1)) == expected
 
     def test_machine_golden(self, bench1):
-        expected = (DATA_DIR / "golden_solve_machine.txt").read_text()
+        expected = (DATA_DIR / "golden_compare_machine.txt").read_text()
         assert render_machine(_reference_report(bench1)) == expected
 
     def test_rendering_is_deterministic(self, bench1):
@@ -268,7 +268,9 @@ class TestCliArgumentErrors:
     @pytest.mark.parametrize("args, message", [
         (["solve", "{path}", "--bogus"], "error: unrecognized arguments: --bogus"),
         (["solve"], "error: the following arguments are required: file"),
-    ], ids=["unknown-option", "missing-file"])
+        (["oracle-check", "{path}", "--report", "machine"],
+         "error: unrecognized arguments: --report machine"),
+    ], ids=["unknown-option", "missing-file", "oracle-check-report"])
     def test_usage_error_exit_code(self, bench1_path, capsys, args, message):
         assert main([a.format(path=bench1_path) for a in args]) == 3
         captured = capsys.readouterr()

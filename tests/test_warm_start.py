@@ -1,9 +1,9 @@
 """Warm-started node LPs against cold solves, and stage optima against HiGHS.
 
-Branch and bound solves its root cold and every other node by the bounded
-dual simplex from its parent's basis; the answer is the cold LP at the
-incumbent's activation pattern.  These tests check each warm node against
-the cold LP of the same fixes, the paper's answers against the enumeration
+Branch and bound solves every node by the bounded dual simplex, the root
+from its cold optimal basis and every other node from its parent's basis;
+the answer is the cold LP at the incumbent's activation pattern.  These
+tests check each node, root included, against the cold LP of the same fixes, the paper's answers against the enumeration
 oracle bit for bit, and stage optima beyond the oracle's reach against
 scipy's HiGHS.
 """
@@ -52,36 +52,35 @@ def _paper_models(bench1):
 
 class TestWarmNodesMatchCold:
     @staticmethod
-    def _check_every_warm_node(models, monkeypatch):
-        """Solve each model; every warm node LP must match the cold LP of its fixes."""
-        warm = []
+    def _check_every_node(models, monkeypatch):
+        """Solve each model; every node LP, root included, must match the cold LP of its fixes."""
+        statuses = []
         node_lp = ifctp.milp._node_lp
 
         def checking_node_lp(model, form, fixes, start):
             result = node_lp(model, form, fixes, start)
-            if start is not None:
-                cold = _relaxation(model, fixes)
-                assert result[0] == cold[0], sorted(fixes.items())
-                if cold[0] == OPTIMAL:
-                    assert abs(result[1] - cold[1]) <= 1e-9 * max(1.0, abs(cold[1]))
-                warm.append(result[0])
+            cold = _relaxation(model, fixes)
+            assert result[0] == cold[0], sorted(fixes.items())
+            if cold[0] == OPTIMAL:
+                assert abs(result[1] - cold[1]) <= 1e-9 * max(1.0, abs(cold[1]))
+            statuses.append(result[0])
             return result
 
         monkeypatch.setattr(ifctp.milp, "_node_lp", checking_node_lp)
         for model in models:
             solve_milp(model)
-        return warm
+        return statuses
 
     def test_bench1_stage_searches(self, bench1, monkeypatch):
-        warm = self._check_every_warm_node(_paper_models(bench1).values(), monkeypatch)
-        assert len(warm) > 100 and {"optimal", "infeasible"} <= set(warm)
+        statuses = self._check_every_node(_paper_models(bench1).values(), monkeypatch)
+        assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
     def test_random_stage_searches(self, monkeypatch):
         rng = random.Random(77031)
         models = [model for _ in range(40)
                   for model in _stage_models(random_instance(rng)).values()]
-        warm = self._check_every_warm_node(models, monkeypatch)
-        assert len(warm) > 100 and {"optimal", "infeasible"} <= set(warm)
+        statuses = self._check_every_node(models, monkeypatch)
+        assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
 
 class TestAnswerIsThePatternLp:
