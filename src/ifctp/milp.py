@@ -4,9 +4,9 @@ The programs produced by this package are tiny (tens of variables, a handful
 of binaries), so the engine favours transparency over scale: best-bound
 branch and bound over the binary variables, with dense numpy tableaus.  Every
 answer is solved cold by a two-phase primal simplex; every node is solved
-warm by a bounded dual simplex, the root from its cold optimal basis.  An
-exhaustive enumeration oracle provides an independent second opinion for
-testing.
+by a bounded dual simplex, the root from the slack basis and every other node
+from its parent's basis.  An exhaustive enumeration oracle provides an
+independent second opinion for testing.
 
 A model is one set of read-only numpy arrays (MilpModel): objective c,
 constraint matrix A with row senses and right-hand sides b, variable bounds
@@ -25,7 +25,7 @@ Kernel cost: a tableau has tens of rows and columns, so numpy's per-call
 overhead costs about as much as the arithmetic, and each pivot is written
 with as few calls as it allows.  The update is one broadcast,
 T -= col * pivot_row, with the pivot row's own entry of col zeroed.
-- Cold (the root's basis, the answer, solve_lp, oracle_solve).  Fixed
+- Cold (each answer's pattern LP, oracle_solve).  Fixed
   variables are substituted out and finite upper bounds become rows.  The
   ratio test divides over the eligible rows only.  Rows whose column entry
   is zero subtract an exact zero; skipping them by fancy indexing was
@@ -35,9 +35,10 @@ T -= col * pivot_row, with the pivot row's own entry of col zeroed.
   floating-point operations, in the same order, as the textbook full-tableau
   update, and every pivot choice is the same.  The cost-row loops stay
   sequential because their order fixes the rounding.
-- Warm (every node).  The model is scaled by powers of two and gets one
-  slack per row; bounds stay implicit, so there are no upper-bound rows.
-  The root starts from its cold optimal basis in this form.  A child differs
+- Warm (every node, solve_lp).  The model is scaled by powers of two and
+  gets one slack per row; bounds stay implicit, so there are no upper-bound
+  rows.  The root starts from the slack basis, after a phase 1 where some
+  cost prefers an infinite bound (_dual_simplex).  A child differs
   from its parent by one fixed binary, so the parent's optimal basis stays
   dual feasible: the child refactorises it once and takes a few dual pivots.
   The refactorisation inverts the m x m basis and multiplies; at 41 rows, on
@@ -250,14 +251,13 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray) -> int:
 
 
 def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
-             ) -> tuple[str, Optional[np.ndarray], int, Optional[tuple[np.ndarray, np.ndarray]]]:
+             ) -> tuple[str, Optional[np.ndarray], int]:
     """min c.x  s.t.  A x <sense> b,  x >= 0, by the two-phase tableau simplex.
 
     senses holds 1 for "<=", -1 for ">=" and 0 for "=".  Returns (status, x,
-    pivots, (T, basis, kept)): the final phase-2 tableau, its basis and the
-    indices of the rows of A it kept; None unless the status is optimal.
-    Artificial columns are implicit: they never enter, so only their basis
-    labels (indices from n_real up) are kept.
+    pivots); x is None unless the status is optimal.  Artificial columns are
+    implicit: they never enter, so only their basis labels (indices from
+    n_real up) are kept.
     """
     m, n = A.shape
     flip = b < 0
@@ -275,7 +275,6 @@ def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = slack_cols
     basis[art_rows] = n_real + np.arange(art_rows.size)
-    kept = np.arange(m)
     pivots = 0
 
     if art_rows.size:
@@ -288,7 +287,7 @@ def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
         except _Unbounded:  # phase-1 objective is bounded below by zero
             raise DegeneratePivotError("phase-1 relaxation reported unbounded")
         if -T[-1, -1] > LP_FEAS_TOL:
-            return INFEASIBLE, None, pivots, None
+            return INFEASIBLE, None, pivots
 
         # Pivot leftover artificials out of the basis; a row that offers no
         # pivot is linearly dependent and gets dropped.
@@ -303,7 +302,6 @@ def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
         if not keep.all():
             T = np.vstack([T[:m][keep], T[m:]])
             basis = basis[keep]
-            kept = kept[keep]
             m = len(basis)
 
     # Phase 2 with the real objective.  Basic columns are exact unit vectors,
@@ -315,12 +313,12 @@ def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
     try:
         pivots += _run_simplex(T, basis)
     except _Unbounded as exc:
-        return UNBOUNDED, None, pivots + exc.args[0], None
+        return UNBOUNDED, None, pivots + exc.args[0]
 
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = T[:m, -1][structural]
-    return OPTIMAL, x, pivots, (T, basis, kept)
+    return OPTIMAL, x, pivots
 
 
 # --------------------------------------------------------------------------
@@ -332,10 +330,7 @@ def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
 
     Fixed variables (including those whose bounds already coincide) are
     substituted out before the simplex runs.  Returns (status, value, x,
-    pivots, tableau).  tableau is (free, live, T, basis, kept): the model
-    indices of the simplex columns that are structural, the mask of model
-    rows passed to the simplex, then the simplex's final phase-2 tableau,
-    basis and kept rows.  It is None unless a simplex run ended optimal.
+    pivots).
     """
     lo = model.lo.copy()
     hi = model.hi.copy()
@@ -343,7 +338,7 @@ def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
         fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
         lo[fixed] = hi[fixed] = np.fromiter(fixes.values(), dtype=float, count=len(fixes))
     if (lo > hi + 1e-12).any():
-        return INFEASIBLE, None, None, 0, None
+        return INFEASIBLE, None, None, 0
 
     free = (hi - lo > 0).nonzero()[0]
     b_shift = model.b - model.A @ lo
@@ -362,11 +357,11 @@ def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
         violated = np.where(sense > 0, resid < -tol,
                             np.where(sense < 0, resid > tol, np.abs(resid) > tol))
         if violated.any():
-            return INFEASIBLE, None, None, 0, None
+            return INFEASIBLE, None, None, 0
 
     x_full = lo.copy()
     if free.size == 0:
-        return OPTIMAL, model.value_at(x_full), x_full, 0, None
+        return OPTIMAL, model.value_at(x_full), x_full, 0
 
     # Finite upper bounds of free variables become explicit rows.
     ub_idx = np.isfinite(hi[free]).nonzero()[0]
@@ -376,23 +371,15 @@ def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
     A[n_live + np.arange(ub_idx.size), ub_idx] = 1.0
     b = np.concatenate((b_shift[live], (hi[free] - lo[free])[ub_idx]))
     senses = np.concatenate((model.senses[live], np.ones(ub_idx.size, dtype=int)))
-    status, u, pivots, tableau = _simplex(model.c[free], A, senses, b)
+    status, u, pivots = _simplex(model.c[free], A, senses, b)
     if status != OPTIMAL:
-        return status, None, None, pivots, None
+        return status, None, None, pivots
     x_full[free] += u
-    return OPTIMAL, model.value_at(x_full), x_full, pivots, (free, live, *tableau)
-
-
-def solve_lp(model: MilpModel) -> MilpSolution:
-    """Solve the continuous relaxation (binaries relaxed to their [0, 1] bounds)."""
-    status, value, x, pivots, _ = _relaxation(model, {})
-    if status != OPTIMAL:
-        return MilpSolution(status, None, None, nodes=1, pivots=pivots)
-    return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes=1, pivots=pivots)
+    return OPTIMAL, model.value_at(x_full), x_full, pivots
 
 
 # --------------------------------------------------------------------------
-# bounded dual simplex, warm-started at branch-and-bound children
+# bounded dual simplex, for every branch-and-bound node
 # --------------------------------------------------------------------------
 
 def _bounded_form(model: MilpModel) -> tuple[np.ndarray, ...]:
@@ -425,55 +412,33 @@ def _bounded_form(model: MilpModel) -> tuple[np.ndarray, ...]:
     return M, model.b * rows, c, lo, hi, cols
 
 
-def _warm_start(model: MilpModel, tableau) -> tuple[np.ndarray, np.ndarray]:
-    """The root's final cold basis in bounded form: (basis, at_upper).
-
-    tableau comes from _relaxation(model, {}).  A basic structural variable
-    whose upper-bound row has a nonbasic slack sits at its upper bound and
-    becomes nonbasic there; the upper-bound slacks themselves drop out.  A
-    row slack stays basic if it was; rows the simplex never saw (no free
-    variable) or dropped (dependent) get their slack as the basic variable.
-    Nonbasic slacks of ">=" rows sit at their upper bound 0.
-    """
-    free, live, T, basis, kept = tableau
-    m, nv = model.A.shape
-    live_rows = live.nonzero()[0]
-    n_free = free.size
-    ub_vars = free[np.isfinite(model.hi[free])]
-    # The simplex's slack columns follow its rows that have a sense: the live
-    # model rows, then one upper-bound row per entry of ub_vars.
-    cold_rows = np.concatenate((model.senses[live_rows], np.ones(ub_vars.size))).nonzero()[0]
-    slack_of = cold_rows[basis[basis >= n_free] - n_free]
-    ub_basic = np.zeros(nv, dtype=bool)
-    ub_basic[ub_vars[slack_of[slack_of >= live_rows.size] - live_rows.size]] = True
-    at_upper = np.concatenate((np.zeros(nv, dtype=bool), model.senses < 0))
-    at_upper[ub_vars] = ~ub_basic[ub_vars]
-    structural = free[basis[basis < n_free]]
-    unseen = np.ones(m, dtype=bool)
-    unseen[live_rows[kept[kept < live_rows.size]]] = False
-    new_basis = np.concatenate((structural[~at_upper[structural]],
-                                nv + live_rows[slack_of[slack_of < live_rows.size]],
-                                nv + unseen.nonzero()[0]))
-    new_basis.sort()
-    if new_basis.size != m:
-        raise DegeneratePivotError("the root basis has no bounded form")
-    return new_basis, at_upper
-
-
 @np.errstate(over="ignore")  # an overflowing ratio is inf, never the minimum
-def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, basis: np.ndarray,
-                  at_upper: np.ndarray):
-    """Re-optimise a dual feasible basis under new bounds: (status, v, pivots, state).
+def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
+    """Optimise from a dual feasible basis under bounds lo, hi: (status, v, pivots, state).
 
-    form is _bounded_form's and lo, hi are its bounds with the node's fixes.
-    Refactorises M at basis, puts every nonbasic at its lower or (by
+    form is _bounded_form's, or its (M, b, c) with another b or c, and lo, hi
+    are bounds on its columns, with a node's fixes.  start is a dual feasible
+    (basis, at_upper), such as a parent's.  The root (start None) starts from
+    the slack basis, each structural at the bound its cost prefers.  Where
+    some cost prefers an infinite bound, phase 1 first solves the box
+    auxiliary problem (Koberstein 2005): the same M and c, rhs 0, and bounds
+    [-1, 1], [0, 1], [-1, 0] or [0, 0] per finite side.  Its optimal basis,
+    each nonbasic at the finite bound its reduced cost prefers, is dual
+    feasible here unless its value is negative.  Then no basis is, and the
+    LP is unbounded if a zero-cost run finds a feasible point, infeasible
+    otherwise.
+
+    Refactorises M at the basis, puts every nonbasic at its lower or (by
     at_upper) upper bound, and runs the bounded dual simplex.  The leaving
     row has the largest bound violation beyond BOUND_TOL.  The entering
-    column minimises |d_k / a_rk| over the free nonbasics that move the
-    leaving variable toward its bound, a reduced cost of the wrong sign
-    (round-off) counting as zero; ties go to the lowest index.  After
+    column comes from the free nonbasics that move the leaving variable
+    toward its bound, a reduced cost of the wrong sign (round-off) counting
+    as zero, by Harris's (1973) ratio test: pass 1 finds the smallest ratio
+    |d_k / a_rk| with PIVOT_TOL of slack on each d_k, pass 2 takes the
+    largest |a_rk| within it, so a tiny pivot cannot win a near tie.  After
     DEGENERATE_LIMIT consecutive zero-step pivots the leaving row is the
-    violated one with the lowest variable index instead (Bland's rule for
+    violated one with the lowest variable index instead, and the entering
+    column the exact minimum ratio with the lowest index (Bland's rule for
     the dual).  No entering column means the bounds admit no point.  At the
     end every value within BOUND_TOL of a bound is put on it, so a fixed
     variable takes exactly its value.  state is (basis, at_upper, T,
@@ -482,15 +447,27 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, basis: np.ndarray,
     """
     M, b, c = form[:3]
     m = b.size
-    basis = basis.copy()
-    at_upper = at_upper.copy()
+    done = 0
+    if start is None:
+        basis, costs = np.arange(M.shape[1] - m, M.shape[1]), c
+        if np.isinf(np.where(c < 0.0, hi, lo)[:-m]).any():
+            # v = 0 is feasible in the box, so phase 1 always ends optimal.
+            _, v, done, state = _dual_simplex((M, np.zeros(m), c),
+                                              np.where(np.isfinite(lo), 0.0, -1.0),
+                                              np.where(np.isfinite(hi), 0.0, 1.0))
+            if c @ v < -PIVOT_TOL:
+                status, _, pivots, _ = _dual_simplex((M, b, np.zeros_like(c)), lo, hi)
+                return UNBOUNDED if status == OPTIMAL else INFEASIBLE, None, done + pivots, None
+            basis, costs = state[0], state[2][m]
+        start = basis, np.isinf(lo) | (np.isfinite(hi) & (costs < 0.0))
+    basis, at_upper = (array.copy() for array in start)
     v = np.where(at_upper, hi, lo)
     v[basis] = 0.0
     T = np.empty((m + 1, M.shape[1]))
     try:
         inverse = np.linalg.inv(M[:, basis])
     except np.linalg.LinAlgError:
-        raise DegeneratePivotError("singular basis in a warm start") from None
+        raise DegeneratePivotError("singular starting basis") from None
     np.matmul(inverse, M, out=T[:m])
     T[:m, basis] = np.eye(m)
     x_basic = inverse @ (b - M @ v)
@@ -502,7 +479,7 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, basis: np.ndarray,
     flip = np.where(at_upper, -1.0, 1.0)
     bland = False
     degenerate_run = 0
-    for pivots in range(ITERATION_CAP):
+    for pivots in range(done, ITERATION_CAP):
         below = lo[basis] - x_basic
         above = x_basic - hi[basis]
         violation = np.maximum(below, above) - BOUND_TOL
@@ -522,7 +499,13 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, basis: np.ndarray,
             if (movable & (toward > 1e-12)).any():
                 raise DegeneratePivotError("leaving row has only sub-tolerance pivots")
             return INFEASIBLE, None, pivots, None
-        q = cols[(np.maximum(costs[cols] * flip[cols], 0.0) / toward[cols]).argmin()]
+        alpha = toward[cols]
+        dual = np.maximum(costs[cols] * flip[cols], 0.0)
+        if bland:
+            q = cols[(dual / alpha).argmin()]
+        else:
+            within = dual / alpha <= ((dual + PIVOT_TOL) / alpha).min()
+            q = cols[np.where(within, alpha, 0.0).argmax()]
 
         if abs(costs[q]) <= PIVOT_TOL:
             degenerate_run += 1
@@ -551,29 +534,27 @@ def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
     """One node's LP by _dual_simplex: (status, value, x, pivots, state).
 
     A child starts from its parent's (basis, at_upper), the root (start
-    None) from the cold _relaxation's final basis put into bounded form; the
-    fixes become bounds.  A root with no free variable has no basis, so its
-    cold result stands.  state is _dual_simplex's, None unless optimal.
+    None) from the slack basis; the fixes become bounds.  state is
+    _dual_simplex's, None unless optimal.
     """
-    lo, hi, cols = form[3:]
-    lo = lo.copy()
-    hi = hi.copy()
+    lo, hi, cols = form[3].copy(), form[4].copy(), form[5]
     if fixes:
         fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
         lo[fixed] = hi[fixed] = (np.fromiter(fixes.values(), dtype=float, count=len(fixes))
                                  / cols[fixed])
-    pivots = 0
-    if start is None:
-        status, value, x, pivots, tableau = _relaxation(model, fixes)
-        if tableau is None:
-            return status, value, x, pivots, None
-        start = _warm_start(model, tableau)
-    status, v, dual_pivots, state = _dual_simplex(form, lo, hi, *start)
-    pivots += dual_pivots
+    status, v, pivots, state = _dual_simplex(form, lo, hi, start)
     if status != OPTIMAL:
         return status, None, None, pivots, None
     x = v[:cols.size] * cols
     return OPTIMAL, model.value_at(x), x, pivots, state
+
+
+def solve_lp(model: MilpModel) -> MilpSolution:
+    """Solve the continuous relaxation the way branch and bound solves its root."""
+    status, value, x, pivots, _ = _node_lp(model, _bounded_form(model), {}, None)
+    if status != OPTIMAL:
+        return MilpSolution(status, None, None, nodes=1, pivots=pivots)
+    return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes=1, pivots=pivots)
 
 
 def _penalties(form, state, j: int) -> tuple[float, float]:
@@ -674,7 +655,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     if not binaries.size:
         return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
     # The answer is the LP at the incumbent's activation pattern, as oracle_solve solves it.
-    status, value, x, lp_pivots, _ = _relaxation(
+    status, value, x, lp_pivots = _relaxation(
         model, {j: incumbent_x[j] for j in binaries.tolist()})
     if status != OPTIMAL:
         raise DegeneratePivotError(f"the incumbent's activation pattern solved {status}")
@@ -696,7 +677,7 @@ def oracle_solve(model: MilpModel) -> MilpSolution:
     solves = pivots = 0
     for pattern in itertools.product((0.0, 1.0), repeat=len(binaries)):
         solves += 1
-        status, value, x, lp_pivots, _ = _relaxation(model, dict(zip(binaries, pattern)))
+        status, value, x, lp_pivots = _relaxation(model, dict(zip(binaries, pattern)))
         pivots += lp_pivots
         if status == UNBOUNDED:
             return MilpSolution(UNBOUNDED, None, None, solves, pivots)

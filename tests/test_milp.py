@@ -35,6 +35,11 @@ class TestLinearProgram:
         sol = solve_lp(_one_var_model([[1.0]], [GE], [3.0], c=(-1.0,)))
         assert sol.status == "unbounded"
 
+    def test_empty_region_with_a_cost_that_prefers_an_infinite_bound(self):
+        # Phase 1 finds no dual feasible basis; the zero-cost run finds no point.
+        sol = solve_lp(_one_var_model([[1.0], [1.0]], [LE, GE], [1.0, 2.0], c=(-1.0,)))
+        assert sol.status == "infeasible"
+
     def test_equality_row(self):
         sol = solve_lp(_one_var_model([[2.0]], [EQ], [5.0]))
         assert sol.objective_value == pytest.approx(2.5)

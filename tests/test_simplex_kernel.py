@@ -168,7 +168,7 @@ class TestTextbookReference:
         for _ in range(400):
             c, A, relations, b = _random_lp(rng)
             senses = np.array([_SENSE[rel] for rel in relations])
-            status, x, pivots = ifctp.milp._simplex(c, A, senses, b)[:3]
+            status, x, pivots = ifctp.milp._simplex(c, A, senses, b)
             ref_status, ref_x, ref_pivots = _textbook_standard_lp(c, A, relations, b,
                                                                   degenerate_limit)
             assert (status, pivots) == (ref_status, ref_pivots)
@@ -181,11 +181,28 @@ class TestTextbookReference:
 class TestBreakdowns:
     def test_sub_tolerance_entering_column(self):
         # x must enter (reduced cost -1) but its only entry, 1e-10, lies
-        # between the zero threshold and PIVOT_TOL.
-        model = MilpModel([-1.0], [[1e-10]], [1], [1.0], [0.0], [np.inf], [])
+        # between the zero threshold and PIVOT_TOL.  The cold kernel sees the
+        # model unscaled; the warm one would scale the entry to 1.
         assert 1e-12 < 1e-10 <= ifctp.milp.PIVOT_TOL
         with pytest.raises(DegeneratePivotError, match="sub-tolerance"):
-            solve_lp(model)
+            ifctp.milp._simplex(np.array([-1.0]), np.array([[1e-10]]), np.array([1]),
+                                np.array([1.0]))
+
+    def test_singular_starting_basis(self):
+        # The second row is twice the first, so the basis of both structurals is singular.
+        model = MilpModel([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1, 1], [1.0, 2.0],
+                          [0.0] * 2, [np.inf] * 2, [])
+        form = ifctp.milp._bounded_form(model)
+        start = np.array([0, 1]), np.zeros(4, dtype=bool)
+        with pytest.raises(DegeneratePivotError, match="singular"):
+            ifctp.milp._dual_simplex(form, form[3], form[4], start)
+
+    def test_sub_tolerance_leaving_row(self):
+        # The "=" row's slack starts at 1 and must leave, but the row's only
+        # movable entry, 1e-10, lies between the zero threshold and PIVOT_TOL.
+        form = np.array([[1e-10, 1.0]]), np.array([1.0]), np.zeros(2)
+        with pytest.raises(DegeneratePivotError, match="sub-tolerance"):
+            ifctp.milp._dual_simplex(form, np.zeros(2), np.array([np.inf, 0.0]))
 
     def test_iteration_cap(self, bench1, monkeypatch):
         monkeypatch.setattr(ifctp.milp, "ITERATION_CAP", 1)

@@ -1,9 +1,11 @@
-"""Warm-started node LPs against cold solves, and stage optima against HiGHS.
+"""Node LPs against cold solves, and stage optima against HiGHS.
 
-Branch and bound solves every node by the bounded dual simplex, the root
-from its cold optimal basis and every other node from its parent's basis;
-the answer is the cold LP at the incumbent's activation pattern.  These
-tests check each node, root included, against the cold LP of the same fixes, the paper's answers against the enumeration
+Branch and bound solves every node by the bounded dual simplex: the root
+from the slack basis, after phase 1 where a cost prefers an infinite bound,
+and every other node from its parent's basis.  The answer is the cold LP at
+the incumbent's activation pattern.  These tests check each node, root
+included, against the cold LP of the same fixes, a phase-1 root on negative
+unit costs against the enumeration oracle, the paper's answers against the
 oracle bit for bit, and stage optima beyond the oracle's reach against
 scipy's HiGHS.
 """
@@ -21,7 +23,7 @@ from _stages import payoff_of
 
 import ifctp.milp
 from ifctp import (IfctpInstance, Interval, PayoffTable, build_bi_objective,
-                   build_max_min_model, oracle_solve, solve_milp, to_milp)
+                   build_max_min_model, oracle_solve, run_oracle_check, solve_milp, to_milp)
 from ifctp.compromise import _refine
 from ifctp.milp import OPTIMAL, _relaxation
 
@@ -83,6 +85,22 @@ class TestWarmNodesMatchCold:
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
 
+class TestPhaseOneRoot:
+    def test_negative_unit_costs_match_the_oracle(self):
+        # Shifted by -30, most unit costs are negative.  A shipment has no
+        # upper bound of its own, so its cost prefers an infinite bound and
+        # the root's dual simplex must run phase 1 first.
+        rng = random.Random(7)
+        negative = 0
+        for k in range(25):
+            base = random_instance(rng)
+            unit = [[Interval(iv.lo - 30, iv.hi - 30) for iv in row] for row in base.unit_cost]
+            negative += any(iv.lo < 0 for row in unit for iv in row)
+            instance = IfctpInstance(unit, base.fixed_charge, base.supply, base.demand)
+            assert run_oracle_check(instance).passed, k
+        assert negative > 20
+
+
 class TestAnswerIsThePatternLp:
     def test_paper_stage_answers_are_the_oracle_lp_bit_for_bit(self, bench1):
         for name, model in _paper_models(bench1).items():
@@ -115,7 +133,7 @@ def _ladder_instance(rng, m, n):
 class TestHighsSweep:
     """Stage optima beyond the oracle's 20 binaries agree with HiGHS."""
 
-    @pytest.mark.parametrize("m, n, count", [(5, 6, 3), (6, 8, 1)])
+    @pytest.mark.parametrize("m, n, count", [(5, 6, 3), (6, 8, 1), (7, 9, 1)])
     def test_stage_optima_match_highs(self, m, n, count):
         rng = random.Random(f"highs-sweep-{m}x{n}")
         started = time.perf_counter()
