@@ -14,7 +14,7 @@ from .crisp import (BiObjectiveMilp, InvalidInstanceError, build_bi_objective,
                     evaluate_interval_objective, extract_plan, plan_value, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError,
-                   OracleScopeError, oracle_solve, solve_lp, solve_milp)
+                   OracleScopeError, oracle_solve, solve_milp)
 from .model import IfctpInstance, ShipmentPlan, check_plan, validate
 from .pipeline import (CompetitorEntry, CompromiseReport, OracleCheck,
                        UnattainableLevelsError, run_oracle_check, run_pipeline)
@@ -34,7 +34,7 @@ __all__ = [
     "extract_plan", "membership", "oracle_solve", "parse_instance", "plan_value",
     "render_ideal", "render_instance", "render_machine", "render_oracle_check",
     "render_payoff", "render_text", "run_oracle_check", "run_pipeline", "solve_compromise",
-    "solve_lp", "solve_milp", "to_milp", "validate",
+    "solve_milp", "to_milp", "validate",
 ]
 
 __version__ = "0.1.0"

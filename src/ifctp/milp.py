@@ -2,11 +2,11 @@
 
 The programs produced by this package are tiny (tens of variables, a handful
 of binaries), so the engine favours transparency over scale: best-bound
-branch and bound over the binary variables, with dense numpy tableaus.  Every
-answer is solved cold by a two-phase primal simplex; every node is solved
-by a bounded dual simplex, the root from the slack basis and every other node
-from its parent's basis.  An exhaustive enumeration oracle provides an
-independent second opinion for testing.
+branch and bound over the binary variables, with dense numpy tableaus.  One
+LP kernel, a bounded dual simplex, solves every LP: each node, the root from
+the slack basis and every other node from its parent's basis, and each
+answer's pattern LP from the slack basis.  An exhaustive enumeration oracle
+solves every pattern the same way; it shares the kernel but not the search.
 
 A model is one set of read-only numpy arrays (MilpModel): objective c,
 constraint matrix A with row senses and right-hand sides b, variable bounds
@@ -16,36 +16,26 @@ Determinism: pivot, branching and node-selection rules are all fixed with
 index-order tie breaking, so two runs on identical input produce identical
 assignments.  A node is warm-started from its own parent's final basis,
 never from the node solved just before it, so its LP depends only on its
-ancestors.  The answer is not the search's incumbent point but the cold LP
-at the incumbent's activation pattern, exactly as oracle_solve solves that
-pattern; when the optimal pattern is unique, the answer's bits depend only
-on the model, not on the path the search took to the pattern.
+ancestors.  The answer is not the search's incumbent point but the LP at the
+incumbent's activation pattern, solved from the slack basis exactly as
+oracle_solve solves that pattern; when the optimal pattern is unique, the
+answer's bits depend only on the model, not on the path the search took to
+the pattern.
 
 Kernel cost: a tableau has tens of rows and columns, so numpy's per-call
 overhead costs about as much as the arithmetic, and each pivot is written
 with as few calls as it allows.  The update is one broadcast,
-T -= col * pivot_row, with the pivot row's own entry of col zeroed.
-- Cold (each answer's pattern LP, oracle_solve).  Fixed
-  variables are substituted out and finite upper bounds become rows.  The
-  ratio test divides over the eligible rows only.  Rows whose column entry
-  is zero subtract an exact zero; skipping them by fancy indexing was
-  measured slower at these sizes than letting them through.  Artificial
-  columns are not stored: they never enter and nothing reads them, so only
-  their basis labels remain.  Each stored entry thus sees the same
-  floating-point operations, in the same order, as the textbook full-tableau
-  update, and every pivot choice is the same.  The cost-row loops stay
-  sequential because their order fixes the rounding.
-- Warm (every node, solve_lp).  The model is scaled by powers of two and
-  gets one slack per row; bounds stay implicit, so there are no upper-bound
-  rows.  The root starts from the slack basis, after a phase 1 where some
-  cost prefers an infinite bound (_dual_simplex).  A child differs
-  from its parent by one fixed binary, so the parent's optimal basis stays
-  dual feasible: the child refactorises it once and takes a few dual pivots.
-  The refactorisation inverts the m x m basis and multiplies; at 41 rows, on
-  a shared 2-core x86 VM, that took 100 us against 165 us for
-  np.linalg.solve with the tableau's columns as right-hand sides.  A heap
-  entry stores the parent's basis and at-upper flags, not its tableau: up to
-  a few hundred nodes are open at once.
+T -= col * pivot_row, with the pivot row's own entry of col zeroed.  The
+model is scaled by powers of two and gets one slack per row; bounds stay
+implicit, so there are no upper-bound rows.  A root or pattern LP starts
+from the slack basis, after a phase 1 where some cost prefers an infinite
+bound (_dual_simplex).  A child differs from its parent by one fixed binary,
+so the parent's optimal basis stays dual feasible: the child refactorises it
+once and takes a few dual pivots.  The refactorisation inverts the m x m
+basis and multiplies; at 41 rows, on a shared 2-core x86 VM, that took
+100 us against 165 us for np.linalg.solve with the tableau's columns as
+right-hand sides.  A heap entry stores the parent's basis and at-upper
+flags, not its tableau: up to a few hundred nodes are open at once.
 
 Rounding: each solved node rounds its binaries up once, ceil(x - INT_TOL),
 and checks the point against every row and bound within ROUNDED_FEAS_TOL.
@@ -82,7 +72,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-LP_FEAS_TOL = 1e-7        # primal feasibility (phase-1 residual)
 PIVOT_TOL = 1e-9          # smallest acceptable pivot element / reduced cost
 INT_TOL = 1e-6            # binary integrality tolerance
 DEGENERATE_LIMIT = 500    # consecutive degenerate pivots before Bland's rule
@@ -177,8 +166,8 @@ class MilpSolution:
     """Solver outcome; assignment and objective_value are None unless optimal.
 
     nodes counts LP solves performed (branch-and-bound nodes, or enumerated
-    patterns for the oracle); pivots counts simplex pivots over all of them,
-    plus those of branch and bound's final pattern solve.
+    patterns for the oracle); pivots counts dual simplex pivots over all of
+    them, plus those of branch and bound's final pattern solve.
     """
 
     status: str
@@ -189,12 +178,8 @@ class MilpSolution:
 
 
 # --------------------------------------------------------------------------
-# dense two-phase simplex over shifted nonnegative variables
+# bounded dual simplex, the one LP kernel
 # --------------------------------------------------------------------------
-
-class _Unbounded(Exception):
-    """Raised with the number of pivots made before the unbounded ray showed."""
-
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     pivot_row = T[r]
@@ -204,183 +189,6 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     T -= col[:, None] * pivot_row
     basis[r] = j
 
-
-@np.errstate(over="ignore")
-def _run_simplex(T: np.ndarray, basis: np.ndarray) -> int:
-    """Pivot until the reduced-cost row is nonnegative; returns the pivot count.
-
-    Every column but the right-hand side may enter.  Dantzig entering rule
-    with Bland's rule fallback once DEGENERATE_LIMIT consecutive degenerate
-    pivots occur; ties go to the lowest index.  An overflowing ratio is inf,
-    never the minimum.  Raises _Unbounded / DegeneratePivotError.
-    """
-    m = len(basis)
-    costs = T[-1, :-1]
-    rhs = T[:m, -1]
-    bland = False
-    degenerate_run = 0
-    for pivots in range(ITERATION_CAP):
-        j = costs.argmin()
-        if costs[j] >= -PIVOT_TOL:
-            return pivots
-        if bland:
-            j = (costs < -PIVOT_TOL).argmax()
-
-        col = T[:m, j]
-        rows = (col > PIVOT_TOL).nonzero()[0]
-        if not rows.size:
-            if (col > 1e-12).any():
-                raise DegeneratePivotError("entering column has only sub-tolerance pivots")
-            raise _Unbounded(pivots)
-        ratios = rhs[rows] / col[rows]
-        k = ratios.argmin()
-        if bland:
-            tied = rows[ratios <= ratios[k] + 1e-12]
-            r = tied[basis[tied].argmin()]
-        else:
-            r = rows[k]
-
-        if rhs[r] <= PIVOT_TOL:
-            degenerate_run += 1
-            if degenerate_run > DEGENERATE_LIMIT:
-                bland = True
-        else:
-            degenerate_run = 0
-        _pivot(T, basis, r, j)
-    raise DegeneratePivotError("simplex iteration cap exceeded")
-
-
-def _simplex(c: np.ndarray, A: np.ndarray, senses: np.ndarray, b: np.ndarray
-             ) -> tuple[str, Optional[np.ndarray], int]:
-    """min c.x  s.t.  A x <sense> b,  x >= 0, by the two-phase tableau simplex.
-
-    senses holds 1 for "<=", -1 for ">=" and 0 for "=".  Returns (status, x,
-    pivots); x is None unless the status is optimal.  Artificial columns are
-    implicit: they never enter, so only their basis labels (indices from
-    n_real up) are kept.
-    """
-    m, n = A.shape
-    flip = b < 0
-    sign = np.where(flip, -1.0, 1.0)
-    senses = np.where(flip, -senses, senses)
-    slack_rows = senses.nonzero()[0]
-    n_real = n + slack_rows.size  # structural + slack columns
-    art_rows = (senses <= 0).nonzero()[0]
-
-    T = np.zeros((m + 1, n_real + 1))
-    T[:m, :n] = A * sign[:, None]
-    T[:m, -1] = b * sign
-    slack_cols = n + np.arange(slack_rows.size)
-    T[slack_rows, slack_cols] = senses[slack_rows]
-    basis = np.empty(m, dtype=int)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = n_real + np.arange(art_rows.size)
-    pivots = 0
-
-    if art_rows.size:
-        # Phase 1: minimize the artificial sum; start from the all-artificial
-        # basis.  Rows are subtracted one at a time, in row order.
-        for r in art_rows:
-            T[-1] -= T[r]
-        try:
-            pivots += _run_simplex(T, basis)
-        except _Unbounded:  # phase-1 objective is bounded below by zero
-            raise DegeneratePivotError("phase-1 relaxation reported unbounded")
-        if -T[-1, -1] > LP_FEAS_TOL:
-            return INFEASIBLE, None, pivots
-
-        # Pivot leftover artificials out of the basis; a row that offers no
-        # pivot is linearly dependent and gets dropped.
-        keep = np.ones(m, dtype=bool)
-        for r in (basis >= n_real).nonzero()[0]:
-            options = (np.abs(T[r, :n_real]) > PIVOT_TOL).nonzero()[0]
-            if options.size:
-                _pivot(T, basis, r, options[0])
-                pivots += 1
-            else:
-                keep[r] = False
-        if not keep.all():
-            T = np.vstack([T[:m][keep], T[m:]])
-            basis = basis[keep]
-            m = len(basis)
-
-    # Phase 2 with the real objective.  Basic columns are exact unit vectors,
-    # so only rows whose basic variable has a nonzero cost change the row.
-    T[-1] = 0.0
-    T[-1, :n] = c
-    for r in (T[-1, basis] != 0.0).nonzero()[0]:
-        T[-1] -= T[-1, basis[r]] * T[r]
-    try:
-        pivots += _run_simplex(T, basis)
-    except _Unbounded as exc:
-        return UNBOUNDED, None, pivots + exc.args[0]
-
-    x = np.zeros(n)
-    structural = basis < n
-    x[basis[structural]] = T[:m, -1][structural]
-    return OPTIMAL, x, pivots
-
-
-# --------------------------------------------------------------------------
-# bound handling: shift to nonnegative variables, drop fixed columns
-# --------------------------------------------------------------------------
-
-def _relaxation(model: MilpModel, fixes: Mapping[int, float]):
-    """Solve the LP relaxation with some variables pinned to fixed values.
-
-    Fixed variables (including those whose bounds already coincide) are
-    substituted out before the simplex runs.  Returns (status, value, x,
-    pivots).
-    """
-    lo = model.lo.copy()
-    hi = model.hi.copy()
-    if fixes:
-        fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
-        lo[fixed] = hi[fixed] = np.fromiter(fixes.values(), dtype=float, count=len(fixes))
-    if (lo > hi + 1e-12).any():
-        return INFEASIBLE, None, None, 0
-
-    free = (hi - lo > 0).nonzero()[0]
-    b_shift = model.b - model.A @ lo
-    A_free = model.A[:, free]
-
-    # Rows with no free variables are plain number comparisons now.
-    if A_free.size:
-        live = np.abs(A_free).max(axis=1) > 1e-12
-    else:
-        live = np.zeros(len(b_shift), dtype=bool)
-    dead = ~live
-    if dead.any():
-        resid = b_shift[dead]
-        tol = LP_FEAS_TOL * np.maximum(1.0, np.abs(model.b[dead]))
-        sense = model.senses[dead]
-        violated = np.where(sense > 0, resid < -tol,
-                            np.where(sense < 0, resid > tol, np.abs(resid) > tol))
-        if violated.any():
-            return INFEASIBLE, None, None, 0
-
-    x_full = lo.copy()
-    if free.size == 0:
-        return OPTIMAL, model.value_at(x_full), x_full, 0
-
-    # Finite upper bounds of free variables become explicit rows.
-    ub_idx = np.isfinite(hi[free]).nonzero()[0]
-    n_live = int(live.sum())
-    A = np.zeros((n_live + ub_idx.size, free.size))
-    A[:n_live] = A_free[live]
-    A[n_live + np.arange(ub_idx.size), ub_idx] = 1.0
-    b = np.concatenate((b_shift[live], (hi[free] - lo[free])[ub_idx]))
-    senses = np.concatenate((model.senses[live], np.ones(ub_idx.size, dtype=int)))
-    status, u, pivots = _simplex(model.c[free], A, senses, b)
-    if status != OPTIMAL:
-        return status, None, None, pivots
-    x_full[free] += u
-    return OPTIMAL, model.value_at(x_full), x_full, pivots
-
-
-# --------------------------------------------------------------------------
-# bounded dual simplex, for every branch-and-bound node
-# --------------------------------------------------------------------------
 
 def _bounded_form(model: MilpModel) -> tuple[np.ndarray, ...]:
     """(M, b, c, lo, hi, cols): the model scaled, as min c.v  s.t.  M v = b,  lo <= v <= hi.
@@ -486,7 +294,7 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
         r = violation.argmax()
         if violation[r] <= 0.0:
             v[basis] = x_basic
-            np.clip(v, lo, hi, out=v)  # within tolerance is on the bound, exactly
+            v = np.where(v - lo <= BOUND_TOL, lo, np.where(hi - v <= BOUND_TOL, hi, v))
             return OPTIMAL, v, pivots, (basis, at_upper, T, movable)
         if bland:
             r = np.where(violation > 0.0, basis, basis.size + M.shape[1]).argmin()
@@ -531,11 +339,11 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
 # --------------------------------------------------------------------------
 
 def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
-    """One node's LP by _dual_simplex: (status, value, x, pivots, state).
+    """One LP by _dual_simplex, a node's or a pattern's: (status, value, x, pivots, state).
 
-    A child starts from its parent's (basis, at_upper), the root (start
-    None) from the slack basis; the fixes become bounds.  state is
-    _dual_simplex's, None unless optimal.
+    A child starts from its parent's (basis, at_upper), the root and a
+    pattern LP (start None) from the slack basis; the fixes become bounds.
+    state is _dual_simplex's, None unless optimal.
     """
     lo, hi, cols = form[3].copy(), form[4].copy(), form[5]
     if fixes:
@@ -590,7 +398,8 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     node's rounded point is checked once and, if it passes, is an incumbent
     candidate; a node that must branch picks the most fractional binary and
     explores the rounded-toward value first (see the module docstring).  The
-    solution returned is the cold LP at the incumbent's activation pattern.
+    solution returned is the LP at the incumbent's activation pattern, solved
+    from the slack basis.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -655,8 +464,8 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     if not binaries.size:
         return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
     # The answer is the LP at the incumbent's activation pattern, as oracle_solve solves it.
-    status, value, x, lp_pivots = _relaxation(
-        model, {j: incumbent_x[j] for j in binaries.tolist()})
+    status, value, x, lp_pivots, _ = _node_lp(
+        model, form, {j: incumbent_x[j] for j in binaries.tolist()}, None)
     if status != OPTIMAL:
         raise DegeneratePivotError(f"the incumbent's activation pattern solved {status}")
     return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes, pivots + lp_pivots)
@@ -665,19 +474,23 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
 def oracle_solve(model: MilpModel) -> MilpSolution:
     """Reference answer by brute force: try every 0/1 pattern of the binaries.
 
-    Deliberately ignorant of bounds-based pruning so it stays an independent
-    check on solve_milp.  Refuses more than ORACLE_MAX_BINARIES binaries.
+    Each pattern's LP is solved from the slack basis, as solve_milp solves
+    its answer's pattern, so the oracle shares the LP kernel.  It is a check
+    on the search, not on the kernel: it knows no bounds, pruning or warm
+    starts.  The kernel itself is checked against a textbook simplex and
+    HiGHS in the tests.  Refuses more than ORACLE_MAX_BINARIES binaries.
     """
     binaries = model.binaries.tolist()
     if len(binaries) > ORACLE_MAX_BINARIES:
         raise OracleScopeError(
             f"{len(binaries)} binaries exceed the oracle's scope of {ORACLE_MAX_BINARIES}")
+    form = _bounded_form(model)
     best_val = math.inf
     best_x: Optional[np.ndarray] = None
     solves = pivots = 0
     for pattern in itertools.product((0.0, 1.0), repeat=len(binaries)):
         solves += 1
-        status, value, x, lp_pivots = _relaxation(model, dict(zip(binaries, pattern)))
+        status, value, x, lp_pivots, _ = _node_lp(model, form, dict(zip(binaries, pattern)), None)
         pivots += lp_pivots
         if status == UNBOUNDED:
             return MilpSolution(UNBOUNDED, None, None, solves, pivots)

@@ -18,6 +18,7 @@ import pytest
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _stages import payoff_of
+from _textbook_lp import textbook_relaxation
 from conftest import scaled_costs
 
 import ifctp.milp
@@ -25,7 +26,7 @@ from ifctp import (MilpModel, MilpSolution, PayoffTable, build_bi_objective,
                    build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import _refine
 from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, ROUNDED_FEAS_TOL,
-                        UNBOUNDED, _bounded_form, _node_lp, _penalties, _relaxation)
+                        UNBOUNDED, _bounded_form, _node_lp, _penalties)
 
 
 def _reference_solve_milp(model):
@@ -85,8 +86,8 @@ def _reference_solve_milp(model):
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
     if not binaries.size:
         return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
-    status, value, x, lp_pivots = _relaxation(
-        model, {j: incumbent_x[j] for j in binaries.tolist()})[:4]
+    status, value, x, lp_pivots, _ = ifctp.milp._node_lp(
+        model, form, {j: incumbent_x[j] for j in binaries.tolist()}, None)
     assert status == OPTIMAL
     return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes, pivots + lp_pivots)
 
@@ -125,14 +126,16 @@ def _stage_models(instance, override=None):
 def _compare(models, monkeypatch):
     """Assert identical answers model by model; returns (nodes, reference nodes).
 
-    Each search's node count must equal its LP solves, and the penalty keys
-    must never need more of them than the parent-keyed reference.
+    Each search's node count must equal its node LP solves, and the penalty
+    keys must never need more of them than the parent-keyed reference.
     """
     solved = []
     node_lp = ifctp.milp._node_lp
 
     def recording_node_lp(model, form, fixes, start):
-        solved.append(tuple(sorted(fixes.items())))
+        # The answer's pattern solve is the one slack-basis start with fixes.
+        if start is not None or not fixes:
+            solved.append(tuple(sorted(fixes.items())))
         return node_lp(model, form, fixes, start)
 
     monkeypatch.setattr(ifctp.milp, "_node_lp", recording_node_lp)
@@ -195,7 +198,7 @@ class TestPenaltyBounds:
                 scale = 1e-9 * max(1.0, abs(value))
                 for fixed, bound in ((0.0, value + x[j] * down),
                                      (1.0, value + (1.0 - x[j]) * up)):
-                    child = _relaxation(model, {j: fixed})[:4]
+                    child = textbook_relaxation(model, {j: fixed})
                     if child[0] == INFEASIBLE:
                         continue
                     assert bound <= child[1] + scale, (name, j, fixed)
@@ -205,7 +208,7 @@ class TestPenaltyBounds:
         assert positive > 0  # the bounds are not all the parent's value
 
     def test_every_child_key_bounds_its_lp(self, bench1, monkeypatch):
-        """At every branching node, each child's key is at most its cold LP value."""
+        """At every branching node, each child's key is at most its textbook LP value."""
         models = [model for factor in (1.0, 1e6, 1e-7)
                   for model in _stage_models(scaled_costs(bench1, factor)).values()]
         models += [model for name, model in _stage_models(bench1, PAYOFF_OVERRIDE).items()
@@ -226,7 +229,7 @@ class TestPenaltyBounds:
             pushed.clear()
             solve_milp(model)
             for key, fixes in pushed:
-                status, value = _relaxation(model, fixes)[:2]
+                status, value, _ = textbook_relaxation(model, fixes)
                 if status == OPTIMAL:
                     assert key <= value + 1e-9 * max(1.0, abs(value)), sorted(fixes.items())
                     checked += 1
@@ -242,4 +245,4 @@ class TestPenaltyBounds:
         assert status == OPTIMAL and 0 < x[1] < 1
         down, _ = _penalties(form, state, 1)
         assert down == math.inf
-        assert _relaxation(model, {1: 0.0})[0] == INFEASIBLE
+        assert textbook_relaxation(model, {1: 0.0})[0] == INFEASIBLE

@@ -2,13 +2,18 @@
 
 Multiplying every unit cost and fixed charge by k > 0 multiplies both
 objectives by k, so the payoff levels, the ideal point and the objective
-interval scale by k while λ* and the plan stay put.  The LP engine's pivot
-and feasibility tolerances are absolute, so these cases guard them at either
-end of the cost scale.
+interval scale by k while λ* and the plan stay put.  The LP kernel scales
+each model by powers of two before its absolute pivot and feasibility
+tolerances apply, so these cases guard that scaling at either end of the
+cost scale: in the max-min and refine models at costs x 1e6, the level rows
+carry coefficients near 1e8.
 """
+
+import random
 
 import pytest
 
+from _random_instances import random_instance
 from conftest import bench1_instance, scaled_costs
 
 from ifctp import IfctpInstance, Interval, run_pipeline
@@ -30,6 +35,14 @@ TIED_AT_LEVEL_ZERO = IfctpInstance(
 )
 
 
+def _draw(seed, count):
+    """The count-th draw (from 1) of random_instance(random.Random(seed))."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        instance = random_instance(rng)
+    return instance
+
+
 def _scale_free(report, factor):
     """The report's numbers with every cost-valued one divided by factor."""
     per_k = lambda *values: [v / factor for v in values]
@@ -49,6 +62,12 @@ def _scale_free(report, factor):
         strict=True, raises=AssertionError,
         reason="tied refine optima: the plan depends on the search path")),
     pytest.param(TIED_AT_LEVEL_ZERO, 1e-7, id="tied-1e-7"),
+    # An unscaled LP engine with absolute tolerances got these wrong at 1e6:
+    # λ* 0.8010 against 0.8062; memberships (0.933, 0.746) at λ* 0.776; and
+    # a refine pattern that "solved infeasible" (exit 5).
+    pytest.param(_draw(33, 40), 1e6, id="draw-33-40-1e6"),
+    pytest.param(_draw(27, 36), 1e6, id="draw-27-36-1e6"),
+    pytest.param(_draw(2592, 21), 1e6, id="draw-2592-21-1e6"),
 ])
 def test_pipeline_scales_with_costs(instance, factor):
     base = run_pipeline(instance)

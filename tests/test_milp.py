@@ -9,8 +9,9 @@ from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
 from _stages import payoff_of
 
 from ifctp import (MilpModel, NodeLimitError, OracleScopeError,
-                   build_bi_objective, build_max_min_model, oracle_solve, solve_lp,
+                   build_bi_objective, build_max_min_model, oracle_solve,
                    solve_milp, to_milp)
+from ifctp.milp import solve_lp
 
 
 INF = np.inf
@@ -53,6 +54,10 @@ class TestLinearProgram:
     def test_negative_lower_bound_shift(self):
         model = _one_var_model([[1.0]], [GE], [-4.0], lo=(-10.0,))
         assert solve_lp(model).objective_value == pytest.approx(-4.0)
+
+    def test_solve_lp_is_not_exported(self):
+        import ifctp
+        assert "solve_lp" not in ifctp.__all__ and not hasattr(ifctp, "solve_lp")
 
 
 class TestModelValidation:

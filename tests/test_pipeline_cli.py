@@ -374,7 +374,7 @@ class TestCliExactOutcomes:
         (TINY_2X2, ["oracle-check"], 0,
          "ideal-center: solver=27.5 oracle=27.5 delta=0 ok\n"
          "ideal-width: solver=6.5 oracle=6.5 delta=0 ok\n"
-         "max-min level: solver=0.24 oracle=0.24 delta=0 ok\n"
+         "max-min level: solver=0.2400000000000001 oracle=0.2400000000000001 delta=0 ok\n"
          "pareto dominance: none found\noracle check: PASS\n", ""),
     ], ids=["undersupplied-solve-text", "undersupplied-solve-machine",
             "undersupplied-compare-machine", "undersupplied-payoff-text",
@@ -432,7 +432,7 @@ def _huge_unit_costs(scale):
 
 
 class TestHugeUnitCosts:
-    """Round-off at huge unit costs is a numerical breakdown, with one stderr line."""
+    """Huge unit costs answer exactly, or end in a numerical breakdown with one stderr line."""
 
     def test_overflowing_ratio_prints_no_warning(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
@@ -440,12 +440,18 @@ class TestHugeUnitCosts:
         assert main(["solve", str(path)]) == 5
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    def test_computed_levels_lost_to_round_off_exit_5(self, tmp_path, capsys):
+    def test_computed_levels_give_the_exact_level(self, tmp_path, capsys):
+        # t units on route 1 -> 1 give memberships (t - 200) / 200 and
+        # (400 - t) / 200, so λ* = 0.5 at t = 300.
         path = tmp_path / "huge.txt"
         path.write_text(_huge_unit_costs("1e20"))
-        assert main(["solve", str(path)]) == 5
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: numerical breakdown: ")
+        assert main(["solve", str(path), "--report", "machine"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        for line in ("level=0.5", "payoff.lower.best=-2e+22", "payoff.width.best=2e+22",
+                     "payoff.width.worst=4e+22"):
+            assert line in lines
 
     def test_unattainable_override_still_exits_3(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"

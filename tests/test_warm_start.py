@@ -1,13 +1,14 @@
-"""Node LPs against cold solves, and stage optima against HiGHS.
+"""Node LPs against the textbook simplex, and stage optima against HiGHS.
 
-Branch and bound solves every node by the bounded dual simplex: the root
-from the slack basis, after phase 1 where a cost prefers an infinite bound,
-and every other node from its parent's basis.  The answer is the cold LP at
-the incumbent's activation pattern.  These tests check each node, root
-included, against the cold LP of the same fixes, a phase-1 root on negative
-unit costs against the enumeration oracle, the paper's answers against the
-oracle bit for bit, and stage optima beyond the oracle's reach against
-scipy's HiGHS.
+The bounded dual simplex solves every LP: each branch-and-bound node, the
+root from the slack basis, after phase 1 where a cost prefers an infinite
+bound, and every other node from its parent's basis; and each answer's LP at
+the incumbent's activation pattern, from the slack basis.  These tests check
+each node, root included, against the textbook simplex on the same fixes
+(tests/_textbook_lp.py), a phase-1 root on negative unit costs against the
+enumeration oracle, the paper's answers against the oracle bit for bit and
+against the textbook optimum, and stage optima beyond the oracle's reach
+against scipy's HiGHS.
 """
 
 import random
@@ -20,12 +21,13 @@ from _highs import highs_solve
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _stages import payoff_of
+from _textbook_lp import textbook_relaxation
 
 import ifctp.milp
 from ifctp import (IfctpInstance, Interval, PayoffTable, build_bi_objective,
                    build_max_min_model, oracle_solve, run_oracle_check, solve_milp, to_milp)
 from ifctp.compromise import _refine
-from ifctp.milp import OPTIMAL, _relaxation
+from ifctp.milp import OPTIMAL
 
 
 def _stage_models(instance, override=None):
@@ -55,16 +57,16 @@ def _paper_models(bench1):
 class TestWarmNodesMatchCold:
     @staticmethod
     def _check_every_node(models, monkeypatch):
-        """Solve each model; every node LP, root included, must match the cold LP of its fixes."""
+        """Solve each model; every LP, root and pattern solve included, must match the textbook."""
         statuses = []
         node_lp = ifctp.milp._node_lp
 
         def checking_node_lp(model, form, fixes, start):
             result = node_lp(model, form, fixes, start)
-            cold = _relaxation(model, fixes)
-            assert result[0] == cold[0], sorted(fixes.items())
-            if cold[0] == OPTIMAL:
-                assert abs(result[1] - cold[1]) <= 1e-9 * max(1.0, abs(cold[1]))
+            textbook = textbook_relaxation(model, fixes)
+            assert result[0] == textbook[0], sorted(fixes.items())
+            if textbook[0] == OPTIMAL:
+                assert abs(result[1] - textbook[1]) <= 1e-9 * max(1.0, abs(textbook[1]))
             statuses.append(result[0])
             return result
 
@@ -106,12 +108,13 @@ class TestAnswerIsThePatternLp:
         for name, model in _paper_models(bench1).items():
             solution = solve_milp(model)
             pattern = {j: solution.assignment[j] for j in model.binaries.tolist()}
-            status, value, x = _relaxation(model, pattern)[:3]
+            status, value, _ = textbook_relaxation(model, pattern)
             oracle = oracle_solve(model)
             assert status == oracle.status == OPTIMAL, name
-            assert np.array(solution.assignment).tobytes() == x.tobytes(), name
-            assert np.array(oracle.assignment).tobytes() == x.tobytes(), name
-            assert solution.objective_value == value == oracle.objective_value, name
+            assert np.array(solution.assignment).tobytes() == \
+                np.array(oracle.assignment).tobytes(), name
+            assert solution.objective_value == oracle.objective_value, name
+            assert abs(solution.objective_value - value) <= 1e-9 * max(1.0, abs(value)), name
 
 
 def _ladder_instance(rng, m, n):
