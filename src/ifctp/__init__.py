@@ -8,15 +8,14 @@ Typical use::
 """
 
 from .compromise import (CompromiseResult, InfeasibleProblemError, PayoffTable,
-                         build_payoff, build_max_min_model, compute_ideal,
-                         membership, solve_compromise)
+                         build_max_min_model, membership, solve_compromise)
 from .crisp import (BiObjectiveMilp, InvalidInstanceError, build_bi_objective,
                     evaluate_interval_objective, extract_plan, plan_value, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError,
                    OracleScopeError, oracle_solve, solve_milp)
 from .model import IfctpInstance, ShipmentPlan, check_plan, validate
-from .pipeline import (CompetitorEntry, CompromiseReport, OracleCheck,
+from .pipeline import (CompetitorEntry, CompromiseReport, OracleCheck, Stages,
                        UnattainableLevelsError, run_oracle_check, run_pipeline)
 from .problemfile import ProblemFileError, parse_instance, render_instance
 from .reporting import (render_ideal, render_machine, render_oracle_check, render_payoff,
@@ -27,10 +26,10 @@ __all__ = [
     "CompromiseResult", "DegeneratePivotError", "IfctpInstance",
     "InfeasibleProblemError", "Interval", "InvalidInstanceError",
     "MilpModel", "MilpSolution", "NodeLimitError", "OracleCheck", "OracleScopeError",
-    "PayoffTable", "ProblemFileError", "ShipmentPlan",
+    "PayoffTable", "ProblemFileError", "ShipmentPlan", "Stages",
     "UnattainableLevelsError",
-    "build_bi_objective", "build_payoff", "build_max_min_model", "check_plan",
-    "compute_ideal", "distance_to_ideal", "evaluate_interval_objective",
+    "build_bi_objective", "build_max_min_model", "check_plan",
+    "distance_to_ideal", "evaluate_interval_objective",
     "extract_plan", "membership", "oracle_solve", "parse_instance", "plan_value",
     "render_ideal", "render_instance", "render_machine", "render_oracle_check",
     "render_payoff", "render_text", "run_oracle_check", "run_pipeline", "solve_compromise",

@@ -20,12 +20,13 @@ import math
 import re
 import sys
 
-from .compromise import InfeasibleProblemError, build_payoff, compute_ideal
-from .crisp import InvalidInstanceError, build_bi_objective, to_milp
+from .compromise import InfeasibleProblemError
+from .crisp import InvalidInstanceError
 from .intervals import Interval
-from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError, solve_milp
+from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError
 from .model import FEASIBILITY_TOL
-from .pipeline import CompetitorEntry, UnattainableLevelsError, run_oracle_check, run_pipeline
+from .pipeline import (CompetitorEntry, Stages, UnattainableLevelsError, run_oracle_check,
+                       run_pipeline)
 from .problemfile import ProblemFileError, parse_instance
 from .reporting import (render_ideal, render_machine, render_oracle_check, render_payoff,
                         render_text)
@@ -141,16 +142,10 @@ def main(argv=None) -> int:
             sys.stdout.write(render(report))
             return EXIT_OK if report.status == "optimal" else EXIT_INFEASIBLE
         if args.command == "payoff":
-            bi = build_bi_objective(instance)
-            payoff = build_payoff(bi, solve_milp(to_milp(bi, bi.obj_lower)),
-                                  solve_milp(to_milp(bi, bi.obj_width)))
-            sys.stdout.write(render_payoff(payoff, args.report))
+            sys.stdout.write(render_payoff(Stages(instance).payoff(), args.report))
             return EXIT_OK
         if args.command == "ideal":
-            bi = build_bi_objective(instance)
-            ideal = compute_ideal(solve_milp(to_milp(bi, bi.obj_center)),
-                                  solve_milp(to_milp(bi, bi.obj_width)))
-            sys.stdout.write(render_ideal(ideal, args.report))
+            sys.stdout.write(render_ideal(Stages(instance).ideal(), args.report))
             return EXIT_OK
         # oracle-check
         check = run_oracle_check(instance)

@@ -1,4 +1,4 @@
-"""Max-min compromise between the two crisp objectives, and the ideal point.
+"""Max-min compromise between the two crisp objectives.
 
 The payoff table records, for each objective, its solo optimum (best level)
 and its value at the other objective's optimum (worst acceptable level).
@@ -8,9 +8,9 @@ up weakly-efficient answers: holding the achieved level fixed, it minimizes
 the range-normalized sum of both objectives, so the returned plan is Pareto
 optimal rather than merely max-min optimal.
 
-The ideal point and the payoff table are assembled from single-objective
-solutions the caller supplies; the only solves here are the two that depend
-on the payoff levels, max-min and refinement.
+The payoff levels come from the anchor solves of pipeline.Stages, or from
+the caller; the only solves here are the two that depend on them, max-min
+and refinement.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crisp import BiObjectiveMilp, constraint_rows, extract_plan, plan_value
-from .intervals import CenterWidth
 from .milp import OPTIMAL, MilpModel, MilpSolution, solve_milp
 from .model import ShipmentPlan
 
@@ -56,13 +55,14 @@ class PayoffTable:
 
 @dataclass(frozen=True)
 class CompromiseResult:
-    """The refined compromise plan; max_min is the max-min model's own solution."""
+    """The refined compromise plan, with the max-min and refine models and solutions."""
 
     lambda_star: float
     plan: ShipmentPlan
     objective_values: tuple[float, float]
     memberships: tuple[float, float]
-    max_min: MilpSolution
+    models: dict[str, MilpModel]
+    solutions: dict[str, MilpSolution]
 
 
 def membership(value: float, best: float, worst: float) -> float:
@@ -70,25 +70,6 @@ def membership(value: float, best: float, worst: float) -> float:
     if worst - best <= RANGE_TOL:
         return 1.0
     return min(1.0, max(0.0, (worst - value) / (worst - best)))
-
-
-def build_payoff(bi: BiObjectiveMilp, lower_sol: MilpSolution,
-                 width_sol: MilpSolution) -> PayoffTable:
-    """Cross-evaluate the two anchor plans.
-
-    lower_sol and width_sol solve to_milp(bi, bi.obj_lower) and
-    to_milp(bi, bi.obj_width), each objective alone.
-    """
-    anchors = []
-    for sol in (lower_sol, width_sol):
-        if sol.status != OPTIMAL:
-            raise InfeasibleProblemError(f"single-objective solve ended {sol.status}")
-        anchors.append(extract_plan(bi, sol.assignment))
-    lower_at = [plan_value(bi.obj_lower, p) for p in anchors]
-    width_at = [plan_value(bi.obj_width, p) for p in anchors]
-    best = (lower_at[0], width_at[1])
-    worst = (max(lower_at), max(width_at))
-    return PayoffTable(best, worst)
 
 
 def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:
@@ -132,36 +113,21 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
 
 
 def solve_compromise(bi: BiObjectiveMilp, payoff: PayoffTable) -> CompromiseResult:
-    """Max-min solve for the payoff levels, then the Pareto refinement solve.
-
-    The payoff table may be computed by build_payoff or supplied (e.g. levels
-    taken from an external source); infeasibility raises.
-    """
+    """Max-min solve at the payoff levels, then the Pareto refinement; infeasibility raises."""
     max_min = build_max_min_model(bi, payoff)
     sol = solve_milp(max_min)
     if sol.status != OPTIMAL:
         raise InfeasibleProblemError(f"compromise solve ended {sol.status}")
     lambda_star = min(1.0, max(0.0, -sol.objective_value))
 
-    refined = solve_milp(_refine(bi, payoff, max_min, lambda_star))
+    refine = _refine(bi, payoff, max_min, lambda_star)
+    refined = solve_milp(refine)
     if refined.status != OPTIMAL:  # lambda_star is attainable, so this cannot fail
         raise InfeasibleProblemError(f"refinement solve ended {refined.status}")
     plan = extract_plan(bi, refined.assignment)
     values = (plan_value(bi.obj_lower, plan), plan_value(bi.obj_width, plan))
     memberships = (membership(values[0], payoff.best[0], payoff.worst[0]),
                    membership(values[1], payoff.best[1], payoff.worst[1]))
-    return CompromiseResult(lambda_star, plan, values, memberships, sol)
-
-
-def compute_ideal(center_sol: MilpSolution, width_sol: MilpSolution) -> CenterWidth:
-    """Componentwise minima of expected cost and uncertainty (generally unattainable).
-
-    center_sol and width_sol solve to_milp(bi, bi.obj_center) and
-    to_milp(bi, bi.obj_width).
-    """
-    coordinates = []
-    for which, sol in (("center", center_sol), ("width", width_sol)):
-        if sol.status != OPTIMAL:
-            raise InfeasibleProblemError(f"ideal-point solve ({which}) ended {sol.status}")
-        coordinates.append(sol.objective_value)
-    return CenterWidth(coordinates[0], max(0.0, coordinates[1]))
+    return CompromiseResult(lambda_star, plan, values, memberships,
+                            {"max-min": max_min, "refine": refine},
+                            {"max-min": sol, "refine": refined})

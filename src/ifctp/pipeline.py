@@ -1,4 +1,4 @@
-"""End-to-end runs: validate, crispify, compromise, ideal point, distance report.
+"""End-to-end runs: validate, crispify, the named stage solves, distance report.
 
 The report keeps raw solution objects; derived quantities (center/width form,
 distances) are recomputed on access so a rendered report can never disagree
@@ -12,9 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from .compromise import (InfeasibleProblemError, PayoffTable, build_payoff,
-                         build_max_min_model, solve_compromise, compute_ideal)
-from .crisp import build_bi_objective, constraint_rows, evaluate_interval_objective, to_milp
+from .compromise import (CompromiseResult, InfeasibleProblemError, PayoffTable,
+                         solve_compromise)
+from .crisp import (build_bi_objective, constraint_rows, evaluate_interval_objective,
+                    extract_plan, plan_value, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, DegeneratePivotError, MilpModel, MilpSolution,
                    OracleScopeError, oracle_solve, solve_milp)
@@ -24,10 +25,72 @@ DOMINANCE_TOL = 1e-6
 
 
 class UnattainableLevelsError(ValueError):
-    """No plan meets both worst payoff levels, so no satisfaction level exists.
+    """No plan meets both worst payoff levels, so no satisfaction level exists."""
 
-    Only supplied levels can do this: computed ones are met by the anchor plans.
+
+class Stages:
+    """The method's named solves for one instance, each built and solved once, on first use.
+
+    The anchors center, width and lower minimize one objective each; the width
+    anchor serves both the ideal point and the payoff table.  models and
+    solutions hold each solved stage's model and solution under its name,
+    max-min and refine included.
     """
+
+    def __init__(self, instance: IfctpInstance):
+        self.bi = build_bi_objective(instance)  # validates the instance once
+        self.models: dict[str, MilpModel] = {}
+        self.solutions: dict[str, MilpSolution] = {}
+
+    def anchor(self, name: str, what: str) -> MilpSolution:
+        """Anchor name's optimal solution; any other outcome raises, naming the solve what."""
+        if name not in self.solutions:
+            self.models[name] = to_milp(self.bi, getattr(self.bi, f"obj_{name}"))
+            self.solutions[name] = solve_milp(self.models[name])
+        if self.solutions[name].status != OPTIMAL:
+            raise InfeasibleProblemError(f"{what} ended {self.solutions[name].status}")
+        return self.solutions[name]
+
+    def ideal(self) -> CenterWidth:
+        """Componentwise minima of expected cost and uncertainty (generally unattainable)."""
+        center, width = (self.anchor(name, f"ideal-point solve ({name})").objective_value
+                         for name in ("center", "width"))
+        return CenterWidth(center, max(0.0, width))
+
+    def payoff(self) -> PayoffTable:
+        """Cross-evaluate the lower and width anchor plans."""
+        anchors = [extract_plan(self.bi, self.anchor(name, "single-objective solve").assignment)
+                   for name in ("lower", "width")]
+        lower_at = [plan_value(self.bi.obj_lower, p) for p in anchors]
+        width_at = [plan_value(self.bi.obj_width, p) for p in anchors]
+        return PayoffTable((lower_at[0], width_at[1]), (max(lower_at), max(width_at)))
+
+    def compromise(self, override: Optional[tuple[float, float, float, float]] = None
+                   ) -> tuple[PayoffTable, CompromiseResult]:
+        """Max-min and refine at the computed payoff levels, or at override as in run_pipeline.
+
+        An infeasible instance raises InfeasibleProblemError first.  Then only
+        the worst levels can leave the max-min model without a point: computed
+        ones are met by the anchor plans, so round-off must have lost them.
+        """
+        if override is None:
+            payoff = self.payoff()
+        else:
+            self.ideal()  # proves the instance feasible, leaving only the levels to blame
+            l1, u1, l2, u2 = override
+            payoff = PayoffTable((l1, l2), (u1, u2))
+        try:
+            result = solve_compromise(self.bi, payoff)
+        except InfeasibleProblemError:
+            if override is None:
+                raise DegeneratePivotError(
+                    "the max-min model is infeasible at the computed payoff levels") from None
+            raise UnattainableLevelsError(
+                f"no plan has lower endpoint <= {float(payoff.worst[0])} and width <= "
+                f"{float(payoff.worst[1])}") from None
+        self.models.update(result.models)
+        self.solutions.update(result.solutions)
+        return payoff, result
 
 
 @dataclass(frozen=True)
@@ -87,38 +150,18 @@ def run_pipeline(instance: IfctpInstance, *,
     plan of a feasible instance meets raise UnattainableLevelsError; computed
     levels that round-off leaves unmet raise DegeneratePivotError.
     """
-    bi = build_bi_objective(instance)  # validates the instance once for the whole run
+    stages = Stages(instance)
     summary = dict(
         sources=instance.m,
         destinations=instance.n,
         supply_cap_total=sum(iv.hi for iv in instance.supply),
         demand_floor_total=sum(iv.lo for iv in instance.demand),
     )
-    # The width model gives both the ideal point's width and the payoff
-    # table's width anchor.
-    center = solve_milp(to_milp(bi, bi.obj_center))
-    width = solve_milp(to_milp(bi, bi.obj_width))
     try:
-        ideal = compute_ideal(center, width)
-        if payoff_override is not None:
-            l1, u1, l2, u2 = payoff_override
-            payoff = PayoffTable((l1, l2), (u1, u2))
-        else:
-            payoff = build_payoff(bi, solve_milp(to_milp(bi, bi.obj_lower)), width)
+        ideal = stages.ideal()
+        payoff, result = stages.compromise(payoff_override)
     except InfeasibleProblemError:
         return CompromiseReport(status="infeasible", competitor=competitor, **summary)
-    try:
-        result = solve_compromise(bi, payoff)
-    except InfeasibleProblemError:
-        # The ideal point exists, so the instance is feasible and only the
-        # worst levels can leave the max-min model without a point.  The
-        # anchor plans meet computed levels, so then round-off lost them.
-        if payoff_override is None:
-            raise DegeneratePivotError(
-                "the max-min model is infeasible at the computed payoff levels") from None
-        raise UnattainableLevelsError(
-            f"no plan has lower endpoint <= {float(payoff.worst[0])} and width <= "
-            f"{float(payoff.worst[1])}") from None
 
     objective = evaluate_interval_objective(instance, result.plan)
     violations = tuple(check_plan(instance, result.plan, tol=tolerance))
@@ -174,16 +217,15 @@ def _bounded_objective_model(bi, minimize, cap_objective, cap_value) -> MilpMode
                      np.append(b, cap_value), lo, hi, binaries)
 
 
-def _check_line(name: str, model: MilpModel, solver: MilpSolution,
-                sign: float = 1.0) -> CheckLine:
-    """Enumeration's answer for model against the solver's; sign flips a maximized value."""
-    oracle = oracle_solve(model)
-    ok = solver.status == oracle.status and (
-        solver.status != OPTIMAL
-        or _values_agree(solver.objective_value, oracle.objective_value))
-    if solver.status != OPTIMAL:
-        return CheckLine(name, float("nan"), float("nan"), ok)
-    return CheckLine(name, sign * solver.objective_value, sign * oracle.objective_value, ok)
+def _check_line(label: str, stages: Stages, name: str, sign: float = 1.0) -> CheckLine:
+    """Enumeration against the solver on stage name; sign flips a maximized value.
+
+    An oracle that finds no optimum reads NaN, which agrees with nothing.
+    """
+    solver = stages.solutions[name].objective_value
+    oracle = oracle_solve(stages.models[name])
+    value = oracle.objective_value if oracle.status == OPTIMAL else float("nan")
+    return CheckLine(label, sign * solver, sign * value, _values_agree(solver, value))
 
 
 def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
@@ -200,21 +242,16 @@ def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
             f"{instance.m * instance.n} routes exceed the oracle's scope of "
             f"{ORACLE_MAX_BINARIES}")
 
-    bi = build_bi_objective(instance)
-    center_model = to_milp(bi, bi.obj_center)
-    width_model = to_milp(bi, bi.obj_width)
-    center = solve_milp(center_model)
-    width = solve_milp(width_model)
-    payoff = build_payoff(bi, solve_milp(to_milp(bi, bi.obj_lower)), width)
-    result = solve_compromise(bi, payoff)
-    lines = (
-        _check_line("ideal-center", center_model, center),
-        _check_line("ideal-width", width_model, width),
-        _check_line("max-min level", build_max_min_model(bi, payoff), result.max_min, sign=-1.0),
-    )
+    stages = Stages(instance)
+    _, result = stages.compromise()
+    stages.ideal()  # solves the center anchor; every checked solution is now optimal
+    lines = (_check_line("ideal-center", stages, "center"),
+             _check_line("ideal-width", stages, "width"),
+             _check_line("max-min level", stages, "max-min", sign=-1.0))
 
     z_lower, z_width = result.objective_values
     dominated = False
+    bi = stages.bi
     probes = (
         (bi.obj_width, bi.obj_lower, z_lower, z_width),   # shave width at equal lower bound
         (bi.obj_lower, bi.obj_width, z_width, z_lower),   # shave lower at equal width

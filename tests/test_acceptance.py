@@ -15,13 +15,12 @@ from _reference import (BEST_LOWER, BEST_WIDTH, COMPETITOR_1,
                         PUBLISHED_CENTER, PUBLISHED_DISTANCE, PUBLISHED_WIDTH,
                         PUBLISHED_Z_LOWER, PUBLISHED_Z_UPPER, WORST_LOWER,
                         WORST_WIDTH)
-from _stages import compromise_of, ideal_of, payoff_of, solve
 from conftest import zero_width_bench1
 
-from ifctp import (CenterWidth, CompetitorEntry, Interval, ShipmentPlan,
+from ifctp import (CenterWidth, CompetitorEntry, Interval, ShipmentPlan, Stages,
                    build_bi_objective, distance_to_ideal, evaluate_interval_objective,
                    membership, plan_value, run_oracle_check, run_pipeline,
-                   solve_compromise)
+                   solve_compromise, solve_milp, to_milp)
 from ifctp.cli import main as cli_main
 
 
@@ -36,7 +35,7 @@ def _near(value, target, abs_tol):
 
 def test_criterion_1_ideal_point(bench1):
     start = time.perf_counter()
-    ideal = ideal_of(bench1)
+    ideal = Stages(bench1).ideal()
     elapsed = time.perf_counter() - start
     ok = (_near(ideal.center, IDEAL_CENTER, 1e-6 * IDEAL_CENTER)
           and _near(ideal.width, IDEAL_WIDTH, 1e-6 * IDEAL_WIDTH)
@@ -47,7 +46,7 @@ def test_criterion_1_ideal_point(bench1):
 
 def test_criterion_2_payoff_reproduction(bench1, bench1_path, capsys):
     start = time.perf_counter()
-    payoff = payoff_of(build_bi_objective(bench1))
+    payoff = Stages(bench1).payoff()
     elapsed = time.perf_counter() - start
     ok = (_near(payoff.best[0], BEST_LOWER, 1e-6 * BEST_LOWER)
           and _near(payoff.best[1], BEST_WIDTH, 1e-6 * BEST_WIDTH)
@@ -192,11 +191,11 @@ def test_criterion_7_algebraic_invariants(bench1):
             bad.append("membership range")
 
     for _ in range(15):  # max-min level equals the smallest membership
-        result = compromise_of(random_instance(rng))
+        _, result = Stages(random_instance(rng)).compromise()
         if not (0.0 <= result.lambda_star <= 1.0
                 and abs(result.lambda_star - min(result.memberships)) <= 1e-6):
             bad.append("level vs membership")
-    result = compromise_of(bench1)
+    _, result = Stages(bench1).compromise()
     if abs(result.lambda_star - min(result.memberships)) > 1e-6:
         bad.append("level vs membership (benchmark)")
 
@@ -208,10 +207,10 @@ def test_criterion_7_algebraic_invariants(bench1):
 
 def test_criterion_8_crisp_degeneration():
     instance = zero_width_bench1()
-    result = compromise_of(instance)
+    _, result = Stages(instance).compromise()
     z_lower, z_width = result.objective_values
     bi = build_bi_objective(instance)
-    direct = solve(bi, bi.obj_center)
+    direct = solve_milp(to_milp(bi, bi.obj_center))
     ok = (abs(z_width) <= 1e-9
           and result.memberships[1] == 1.0
           and abs(result.lambda_star - result.memberships[0]) <= 1e-6

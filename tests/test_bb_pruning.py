@@ -17,12 +17,11 @@ import pytest
 
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
-from _stages import payoff_of
 from _textbook_lp import textbook_relaxation
 from conftest import scaled_costs
 
 import ifctp.milp
-from ifctp import (MilpModel, MilpSolution, PayoffTable, build_bi_objective,
+from ifctp import (MilpModel, MilpSolution, PayoffTable, Stages, build_bi_objective,
                    build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import _refine
 from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, ROUNDED_FEAS_TOL,
@@ -112,7 +111,7 @@ def _stage_models(instance, override=None):
         "ideal-width": to_milp(bi, bi.obj_width),
         "anchor-lower": to_milp(bi, bi.obj_lower),
     }
-    payoff = payoff_of(bi)
+    payoff = Stages(instance).payoff()
     if override is not None:
         l1, u1, l2, u2 = override
         payoff = PayoffTable((l1, l2), (u1, u2))

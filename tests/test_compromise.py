@@ -6,36 +6,45 @@ from _random_instances import random_instance
 from _reference import (BEST_LOWER, BEST_WIDTH, IDEAL_CENTER, IDEAL_WIDTH,
                         LEVEL_STAR, PAYOFF_OVERRIDE, WORST_LOWER, WORST_WIDTH,
                         Z_LOWER_STAR, Z_WIDTH_STAR)
-from _stages import anchor_plans, compromise_of, ideal_of, payoff_of, solve
 from conftest import zero_width_bench1
 
-import ifctp.compromise
-from ifctp import (IfctpInstance, InfeasibleProblemError, Interval, PayoffTable,
-                   build_bi_objective, build_max_min_model, build_payoff, check_plan,
-                   compute_ideal, membership, solve_compromise, solve_milp)
+from ifctp import (IfctpInstance, InfeasibleProblemError, Interval, PayoffTable, Stages,
+                   build_bi_objective, build_max_min_model, check_plan, extract_plan,
+                   membership, solve_compromise, solve_milp, to_milp)
 
 REFERENCE_PAYOFF = PayoffTable((PAYOFF_OVERRIDE[0], PAYOFF_OVERRIDE[2]),
                            (PAYOFF_OVERRIDE[1], PAYOFF_OVERRIDE[3]))
 
 
+def _anchor_plans(stages):
+    """The plans of the lower-endpoint and width anchor solutions."""
+    return tuple(extract_plan(stages.bi, stages.anchor(name, name).assignment)
+                 for name in ("lower", "width"))
+
+
+def _compromise(instance):
+    """The compromise under the computed payoff table."""
+    return Stages(instance).compromise()[1]
+
+
 class TestPayoff:
     def test_best_levels_exact(self, bench1):
-        payoff = payoff_of(build_bi_objective(bench1))
+        payoff = Stages(bench1).payoff()
         assert payoff.best[0] == pytest.approx(BEST_LOWER, rel=1e-9)
         assert payoff.best[1] == pytest.approx(BEST_WIDTH, rel=1e-9)
 
     def test_worst_levels_near_reference(self, bench1):
         # alternate optima may move the anchors a little
-        payoff = payoff_of(build_bi_objective(bench1))
+        payoff = Stages(bench1).payoff()
         assert payoff.worst[0] == pytest.approx(WORST_LOWER, abs=2.0)
         assert payoff.worst[1] == pytest.approx(WORST_WIDTH, abs=2.0)
 
     def test_anchor_plans_are_feasible(self, bench1):
-        for plan in anchor_plans(build_bi_objective(bench1)):
+        for plan in _anchor_plans(Stages(bench1)):
             assert check_plan(bench1, plan) == []
 
     def test_zero_width_instance_collapses_width_levels(self):
-        payoff = payoff_of(build_bi_objective(zero_width_bench1()))
+        payoff = Stages(zero_width_bench1()).payoff()
         assert payoff.best[1] == payoff.worst[1] == 0.0
 
     def test_inverted_levels_rejected(self):
@@ -46,7 +55,7 @@ class TestPayoff:
         starved = IfctpInstance([[Interval(1, 2)]], [[Interval(1, 1)]],
                                 [Interval(3, 3)], [Interval(9, 9)])
         with pytest.raises(InfeasibleProblemError):
-            payoff_of(build_bi_objective(starved))
+            Stages(starved).payoff()
 
 
 class TestMaxMinModel:
@@ -77,7 +86,7 @@ class TestMaxMinModel:
         inst = IfctpInstance([[Interval(2, 4)]], [[Interval(1, 3)]],
                              [Interval(10, 10)], [Interval(5, 5)])
         bi = build_bi_objective(inst)
-        payoff = payoff_of(bi)
+        payoff = Stages(inst).payoff()
         assert payoff.best == payoff.worst
         sol = solve_milp(build_max_min_model(bi, payoff))
         assert -sol.objective_value == pytest.approx(1.0)
@@ -100,23 +109,23 @@ class TestSolveCompromise:
         assert check_plan(bench1, result.plan) == []
 
     def test_default_payoff_close_to_reference(self, bench1):
-        result = compromise_of(bench1)
+        result = _compromise(bench1)
         assert result.lambda_star == pytest.approx(LEVEL_STAR, abs=0.01)
 
     def test_zero_width_instance_degenerates_to_crisp(self):
         inst = zero_width_bench1()
-        result = compromise_of(inst)
+        result = _compromise(inst)
         assert result.objective_values[1] == pytest.approx(0.0, abs=1e-9)
         assert result.memberships[1] == 1.0  # width constraint satisfied outright
         bi = build_bi_objective(inst)
-        direct = solve(bi, bi.obj_center)
+        direct = solve_milp(to_milp(bi, bi.obj_center))
         assert result.objective_values[0] == pytest.approx(direct.objective_value, rel=1e-6)
         assert result.lambda_star == pytest.approx(1.0, abs=1e-9)
 
     def test_coincident_anchors_give_full_satisfaction(self):
         inst = IfctpInstance([[Interval(2, 4)]], [[Interval(1, 3)]],
                              [Interval(10, 10)], [Interval(5, 5)])
-        result = compromise_of(inst)
+        result = _compromise(inst)
         assert result.lambda_star == pytest.approx(1.0)
         assert result.memberships == (1.0, 1.0)
 
@@ -124,13 +133,13 @@ class TestSolveCompromise:
         starved = IfctpInstance([[Interval(1, 2)]], [[Interval(1, 1)]],
                                 [Interval(3, 3)], [Interval(9, 9)])
         with pytest.raises(InfeasibleProblemError):
-            compromise_of(starved)
+            _compromise(starved)
 
     def test_level_and_memberships_on_random_instances(self):
         rng = random.Random(909)
         for _ in range(12):
             inst = random_instance(rng)
-            result = compromise_of(inst)
+            result = _compromise(inst)
             assert 0.0 <= result.lambda_star <= 1.0
             assert result.lambda_star <= min(result.memberships) + 1e-6
             assert result.lambda_star == pytest.approx(min(result.memberships), abs=1e-6)
@@ -149,37 +158,23 @@ class TestMembership:
 
 class TestComputeIdeal:
     def test_reference_ideal(self, bench1):
-        ideal = ideal_of(bench1)
+        ideal = Stages(bench1).ideal()
         assert ideal.center == pytest.approx(IDEAL_CENTER, rel=1e-9)
         assert ideal.width == pytest.approx(IDEAL_WIDTH, rel=1e-9)
 
     def test_zero_width_ideal(self):
         inst = zero_width_bench1()
-        ideal = ideal_of(inst)
+        ideal = Stages(inst).ideal()
         bi = build_bi_objective(inst)
-        direct = solve(bi, bi.obj_center)
+        direct = solve_milp(to_milp(bi, bi.obj_center))
         assert ideal.center == pytest.approx(direct.objective_value, rel=1e-9)
         assert ideal.width == 0.0
 
     def test_ideal_is_componentwise_lower_bound(self, bench1):
         from ifctp.crisp import plan_value
-        bi = build_bi_objective(bench1)
-        center = bi.obj_center
-        ideal = ideal_of(bench1)
-        payoff = payoff_of(bi)
-        plans = list(anchor_plans(bi)) + [solve_compromise(bi, payoff).plan]
-        for plan in plans:
-            assert plan_value(center, plan) >= ideal.center - 1e-9
-            assert plan_value(bi.obj_width, plan) >= ideal.width - 1e-9
-
-    def test_assembly_solves_nothing(self, bench1, monkeypatch):
-        bi = build_bi_objective(bench1)
-        center, width, lower = (solve(bi, bi.obj_center), solve(bi, bi.obj_width),
-                                solve(bi, bi.obj_lower))
-
-        def no_solve(model, *args, **kwargs):
-            raise AssertionError("assembly must not solve")
-
-        monkeypatch.setattr(ifctp.compromise, "solve_milp", no_solve)
-        assert compute_ideal(center, width) == ideal_of(bench1)
-        assert build_payoff(bi, lower, width) == payoff_of(bi)
+        stages = Stages(bench1)
+        ideal = stages.ideal()
+        _, result = stages.compromise()
+        for plan in _anchor_plans(stages) + (result.plan,):
+            assert plan_value(stages.bi.obj_center, plan) >= ideal.center - 1e-9
+            assert plan_value(stages.bi.obj_width, plan) >= ideal.width - 1e-9

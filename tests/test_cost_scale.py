@@ -6,12 +6,15 @@ interval scale by k while λ* and the plan stay put.  The LP kernel scales
 each model by powers of two before its absolute pivot and feasibility
 tolerances apply, so these cases guard that scaling at either end of the
 cost scale: in the max-min and refine models at costs x 1e6, the level rows
-carry coefficients near 1e8.
+carry coefficients near 1e8.  For k a power of two every product and sum
+scales exactly, so the property test asks for bit-identical answers.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _random_instances import random_instance
 from conftest import bench1_instance, scaled_costs
@@ -79,3 +82,23 @@ def test_pipeline_scales_with_costs(instance, factor):
         assert len(got[key]) == len(values)
         for a, b in zip(got[key], values):
             assert abs(a - b) <= REL * max(1.0, abs(a), abs(b)), (key, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(-20, 20))
+def test_power_of_two_scale_is_exact(seed, p):
+    instance = random_instance(random.Random(seed))
+    k = 2.0 ** p
+    base = run_pipeline(instance)
+    scaled = run_pipeline(scaled_costs(instance, k))
+    assert scaled.status == base.status == "optimal"
+    # repr tells every bit apart, the sign of a zero included.
+    assert repr((scaled.lambda_star, scaled.memberships, scaled.plan)) == \
+        repr((base.lambda_star, base.memberships, base.plan))
+    for got, want in [(scaled.payoff.best, base.payoff.best),
+                      (scaled.payoff.worst, base.payoff.worst),
+                      ((scaled.ideal.center, scaled.ideal.width),
+                       (base.ideal.center, base.ideal.width)),
+                      ((scaled.objective.lo, scaled.objective.hi),
+                       (base.objective.lo, base.objective.hi))]:
+        assert got == tuple(k * v for v in want)

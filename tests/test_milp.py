@@ -6,9 +6,7 @@ import pytest
 from _random_instances import random_instance
 from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
 
-from _stages import payoff_of
-
-from ifctp import (MilpModel, NodeLimitError, OracleScopeError,
+from ifctp import (MilpModel, NodeLimitError, OracleScopeError, Stages,
                    build_bi_objective, build_max_min_model, oracle_solve,
                    solve_milp, to_milp)
 from ifctp.milp import solve_lp
@@ -198,7 +196,7 @@ class TestOracleEquivalenceSweep:
             models = [
                 to_milp(bi, bi.obj_center),
                 to_milp(bi, bi.obj_width),
-                build_max_min_model(bi, payoff_of(bi)),
+                build_max_min_model(bi, Stages(instance).payoff()),
             ]
             for model in models:
                 sol = solve_milp(model)

@@ -1,7 +1,9 @@
 import pathlib
+import random
 
 import pytest
 
+from _random_instances import random_instance
 from _reference import COMPETITOR_1, COMPETITOR_1_DISTANCE, PAYOFF_OVERRIDE
 
 import ifctp.cli
@@ -10,7 +12,7 @@ import ifctp.crisp
 import ifctp.milp
 import ifctp.pipeline
 from ifctp import (CompetitorEntry, Interval, OracleScopeError, UnattainableLevelsError,
-                   check_plan, run_oracle_check, run_pipeline)
+                   check_plan, render_instance, run_oracle_check, run_pipeline)
 from ifctp.cli import main
 from ifctp.reporting import render_machine, render_text
 
@@ -324,26 +326,50 @@ class TestUnattainableOverride:
 
 
 class TestOneBuildPerJob:
-    @pytest.mark.parametrize("args", [
-        ["solve", "{path}", "--report", "machine"],
-        ["compare", "{path}", "--override-payoff", "640,787,163,190",
-         "--competitor", "safi-razmjoo=[640,1020]"],
-        ["payoff", "{path}"],
-        ["ideal", "{path}"],
-    ], ids=["solve", "compare", "payoff", "ideal"])
-    def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args):
-        original = ifctp.crisp.build_bi_objective
-        builds = []
+    """Each job builds the bi-objective model once and solves each stage model once."""
 
-        def counting_build(instance):
-            builds.append(instance)
-            return original(instance)
+    @pytest.mark.parametrize("args, solves, oracle_solves", [
+        (["solve", "{path}", "--report", "machine"], 5, 0),
+        (["solve", "{path}", "--override-payoff", "640,787,163,190"], 4, 0),
+        (["compare", "{path}", "--override-payoff", "640,787,163,190",
+          "--competitor", "safi-razmjoo=[640,1020]"], 4, 0),
+        (["payoff", "{path}"], 2, 0),
+        (["ideal", "{path}"], 2, 0),
+        (["oracle-check", "{path}"], 5, 5),
+    ], ids=["solve", "solve-override", "compare", "payoff", "ideal", "oracle-check"])
+    def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args, solves,
+                                     oracle_solves):
+        calls = {"build_bi_objective": 0, "solve_milp": 0, "oracle_solve": 0}
 
-        for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
-            if hasattr(module, "build_bi_objective"):
-                monkeypatch.setattr(module, "build_bi_objective", counting_build)
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            original = getattr(ifctp.crisp if name == "build_bi_objective" else ifctp.milp, name)
+            for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
         assert main([a.format(path=bench1_path) for a in args]) == 0
-        assert len(builds) == 1
+        assert calls == {"build_bi_objective": 1, "solve_milp": solves,
+                         "oracle_solve": oracle_solves}
+
+
+class TestSubcommandsAgreeWithSolve:
+    def test_payoff_and_ideal_print_the_lines_solve_prints(self, tmp_path, capsys):
+        rng = random.Random(2718)
+        path = tmp_path / "instance.txt"
+        for _ in range(20):
+            path.write_text(render_instance(random_instance(rng)))
+            out = {}
+            for command in ("solve", "payoff", "ideal"):
+                assert main([command, str(path), "--report", "machine"]) == 0
+                out[command] = capsys.readouterr().out.splitlines(keepends=True)
+            for command in ("payoff", "ideal"):
+                assert out[command] == [line for line in out["solve"]
+                                        if line.startswith(f"{command}.")]
 
 
 _INFEASIBLE_TEXT = ("interval fixed-charge transportation: 2 sources, 2 destinations\n"
@@ -461,7 +487,8 @@ class TestHugeUnitCosts:
             "error: override levels are unattainable: no plan has lower endpoint <= 1.0 "
             "and width <= 1.0"]
 
-    def test_infeasible_max_min_blames_the_levels_only_when_supplied(self, bench1, monkeypatch):
+    def test_infeasible_max_min_blames_the_levels_only_when_supplied(self, bench1, bench1_path,
+                                                                     capsys, monkeypatch):
         def infeasible(bi, payoff):
             raise ifctp.compromise.InfeasibleProblemError("compromise solve ended infeasible")
 
@@ -470,3 +497,8 @@ class TestHugeUnitCosts:
             run_pipeline(bench1)
         with pytest.raises(UnattainableLevelsError):
             run_pipeline(bench1, payoff_override=PAYOFF_OVERRIDE)
+        for command in ("solve", "oracle-check"):
+            assert main([command, str(bench1_path)]) == 5
+            assert capsys.readouterr().err.splitlines() == [
+                "error: numerical breakdown: the max-min model is infeasible at the computed "
+                "payoff levels"]

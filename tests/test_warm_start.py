@@ -20,11 +20,10 @@ import pytest
 from _highs import highs_solve
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
-from _stages import payoff_of
 from _textbook_lp import textbook_relaxation
 
 import ifctp.milp
-from ifctp import (IfctpInstance, Interval, PayoffTable, build_bi_objective,
+from ifctp import (IfctpInstance, Interval, PayoffTable, Stages, build_bi_objective,
                    build_max_min_model, oracle_solve, run_oracle_check, solve_milp, to_milp)
 from ifctp.compromise import _refine
 from ifctp.milp import OPTIMAL
@@ -38,7 +37,8 @@ def _stage_models(instance, override=None):
         "ideal-width": to_milp(bi, bi.obj_width),
         "anchor-lower": to_milp(bi, bi.obj_lower),
     }
-    payoff = payoff_of(bi) if override is None else PayoffTable(override[::2], override[1::2])
+    payoff = (Stages(instance).payoff() if override is None
+              else PayoffTable(override[::2], override[1::2]))
     max_min = build_max_min_model(bi, payoff)
     lambda_star = min(1.0, max(0.0, -solve_milp(max_min).objective_value))
     models["max-min"] = max_min
