@@ -6,11 +6,11 @@ error or usage error, 4 = resource limit hit, 5 = numerical breakdown in the
 simplex.  Exits 3, 4 and 5 print one ``error:`` line on stderr.
 
 Usage errors include an unknown option, a missing argument and a rejected
-option value (--override-payoff, --tolerance, --competitor).  argparse would
-print its usage text and exit 2, the code of an infeasible instance, so the
-parser reports them as one line and exit 3 instead.  --override-payoff
-levels that no plan of a feasible instance attains also exit 3: the option
-value is at fault, not the instance.
+option value (--override-payoff, --competitor).  argparse would print its
+usage text and exit 2, the code of an infeasible instance, so the parser
+reports them as one line and exit 3 instead.  --override-payoff levels that
+no plan of a feasible instance attains also exit 3: the option value is at
+fault, not the instance.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .compromise import InfeasibleProblemError
 from .crisp import InvalidInstanceError
 from .intervals import Interval
 from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError
-from .model import FEASIBILITY_TOL
 from .pipeline import (CompetitorEntry, Stages, UnattainableLevelsError, run_oracle_check,
                        run_pipeline)
 from .problemfile import ProblemFileError, parse_instance
@@ -71,13 +70,6 @@ def _parse_override(text: str) -> tuple[float, float, float, float]:
     return l1, u1, l2, u2
 
 
-def _parse_tolerance(text: str) -> float:
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
-
-
 def _parse_competitor(text: str) -> CompetitorEntry:
     match = _COMPETITOR.match(text.strip())
     if not match:
@@ -102,8 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if payoff:
             p.add_argument("--override-payoff", type=_parse_override, metavar="L1,U1,L2,U2",
                            help="replace the computed payoff levels")
-            p.add_argument("--tolerance", type=_parse_tolerance, default=FEASIBILITY_TOL,
-                           help="feasibility tolerance for the plan check")
 
     add_common(sub.add_parser("solve", help="full pipeline and report"))
     compare = sub.add_parser("compare", help="pipeline plus an external competitor entry")
@@ -132,12 +122,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         instance = _load(args.file)
         if args.command in ("solve", "compare"):
-            report = run_pipeline(
-                instance,
-                payoff_override=args.override_payoff,
-                competitor=getattr(args, "competitor", None),
-                tolerance=args.tolerance,
-            )
+            report = run_pipeline(instance, payoff_override=args.override_payoff,
+                                  competitor=getattr(args, "competitor", None))
             render = render_machine if args.report == "machine" else render_text
             sys.stdout.write(render(report))
             return EXIT_OK if report.status == "optimal" else EXIT_INFEASIBLE

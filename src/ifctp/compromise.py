@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crisp import BiObjectiveMilp, constraint_rows, extract_plan, plan_value
-from .milp import OPTIMAL, MilpModel, MilpSolution, solve_milp
+from .milp import OPTIMAL, DegeneratePivotError, MilpModel, MilpSolution, solve_milp
 from .model import ShipmentPlan
 
 # Ranges below this are treated as degenerate (both anchors agree on the objective).
@@ -113,7 +113,12 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
 
 
 def solve_compromise(bi: BiObjectiveMilp, payoff: PayoffTable) -> CompromiseResult:
-    """Max-min solve at the payoff levels, then the Pareto refinement; infeasibility raises."""
+    """Max-min solve at the payoff levels, then the Pareto refinement.
+
+    A max-min model without an optimum raises InfeasibleProblemError.  The
+    refine model holds the level at one the max-min solve attained, so a
+    refine solve without an optimum is a numerical breakdown.
+    """
     max_min = build_max_min_model(bi, payoff)
     sol = solve_milp(max_min)
     if sol.status != OPTIMAL:
@@ -122,8 +127,8 @@ def solve_compromise(bi: BiObjectiveMilp, payoff: PayoffTable) -> CompromiseResu
 
     refine = _refine(bi, payoff, max_min, lambda_star)
     refined = solve_milp(refine)
-    if refined.status != OPTIMAL:  # lambda_star is attainable, so this cannot fail
-        raise InfeasibleProblemError(f"refinement solve ended {refined.status}")
+    if refined.status != OPTIMAL:
+        raise DegeneratePivotError(f"the refine model ended {refined.status} at the max-min level")
     plan = extract_plan(bi, refined.assignment)
     values = (plan_value(bi.obj_lower, plan), plan_value(bi.obj_width, plan))
     memberships = (membership(values[0], payoff.best[0], payoff.worst[0]),

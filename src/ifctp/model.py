@@ -19,11 +19,8 @@ from typing import Sequence
 
 from .intervals import Interval
 
-# Default absolute tolerance for plan feasibility checks; matches the LP
-# engine's primal feasibility tolerance order of magnitude.
+# Slack of the plan check's row rules, relative to each row's own bound.
 FEASIBILITY_TOL = 1e-6
-# A shipment below this is treated as zero when linking x to y.
-INTEGRALITY_TOL = 1e-6
 
 
 def _as_matrix(rows: Sequence[Sequence], what: str) -> tuple[tuple, ...]:
@@ -75,9 +72,9 @@ class ShipmentPlan:
 
     @classmethod
     def from_quantities(cls, y: Sequence[Sequence[float]]) -> ShipmentPlan:
-        """Derive activations: a route is open iff it ships more than INTEGRALITY_TOL."""
+        """Derive activations: a route is open iff it ships a positive amount."""
         ys = [list(map(float, row)) for row in y]
-        xs = [[1 if v > INTEGRALITY_TOL else 0 for v in row] for row in ys]
+        xs = [[1 if v > 0 else 0 for v in row] for row in ys]
         return cls(ys, xs)
 
     @property
@@ -146,13 +143,14 @@ def validate(instance: IfctpInstance) -> list[str]:
     return v
 
 
-def check_plan(instance: IfctpInstance, plan: ShipmentPlan,
-               tol: float = FEASIBILITY_TOL) -> list[str]:
+def check_plan(instance: IfctpInstance, plan: ShipmentPlan) -> list[str]:
     """Check a plan against the crisp constraint set and the x/y linking rule.
 
     Returns one violation string per broken rule: cell-level checks row-major
     (sign, binarity, linking), then row supply caps, then column demand floors.
-    Dimension mismatches are malformed input and raise instead.
+    A route is open iff it ships a positive amount; a row sum may pass its cap
+    or floor by FEASIBILITY_TOL of that bound, so no rule depends on the unit
+    of the quantities.  Dimension mismatches are malformed input and raise.
     """
     m, n = instance.m, instance.n
     if plan.m != m or plan.n != n or len(plan.x) != m or any(len(r) != n for r in plan.x):
@@ -162,24 +160,24 @@ def check_plan(instance: IfctpInstance, plan: ShipmentPlan,
     for i in range(m):
         for j in range(n):
             yij, xij = plan.y[i][j], plan.x[i][j]
-            if yij < -tol:
+            if yij < 0:
                 v.append(f"y({i + 1},{j + 1}) = {yij:g} is negative")
             if xij not in (0, 1):
                 v.append(f"x({i + 1},{j + 1}) = {xij!r} is not binary")
                 continue
-            if yij > INTEGRALITY_TOL and xij == 0:
+            if yij > 0 and xij == 0:
                 v.append(f"route ({i + 1},{j + 1}) ships {yij:g} but is not activated")
-            if yij <= INTEGRALITY_TOL and xij == 1:
+            if yij <= 0 and xij == 1:
                 v.append(f"route ({i + 1},{j + 1}) is activated but ships nothing")
 
     for i in range(m):
         shipped = sum(plan.y[i])
         cap = instance.supply[i].hi
-        if shipped > cap + tol:
+        if shipped > cap * (1 + FEASIBILITY_TOL):
             v.append(f"row {i + 1} ships {shipped:g} > supply cap {cap:g}")
     for j in range(n):
         received = sum(plan.y[i][j] for i in range(m))
         floor = instance.demand[j].lo
-        if received < floor - tol:
+        if received < floor * (1 - FEASIBILITY_TOL):
             v.append(f"column {j + 1} receives {received:g} < demand floor {floor:g}")
     return v

@@ -19,7 +19,7 @@ from .crisp import (build_bi_objective, constraint_rows, evaluate_interval_objec
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, DegeneratePivotError, MilpModel, MilpSolution,
                    OracleScopeError, oracle_solve, solve_milp)
-from .model import FEASIBILITY_TOL, IfctpInstance, ShipmentPlan, check_plan
+from .model import IfctpInstance, ShipmentPlan, check_plan
 
 DOMINANCE_TOL = 1e-6
 
@@ -139,8 +139,7 @@ class CompromiseReport:
 
 def run_pipeline(instance: IfctpInstance, *,
                  payoff_override: Optional[tuple[float, float, float, float]] = None,
-                 competitor: Optional[CompetitorEntry] = None,
-                 tolerance: float = FEASIBILITY_TOL) -> CompromiseReport:
+                 competitor: Optional[CompetitorEntry] = None) -> CompromiseReport:
     """Validate, solve and assemble the full report for one instance.
 
     payoff_override is (L1, U1, L2, U2): aspired and worst levels for the
@@ -164,7 +163,7 @@ def run_pipeline(instance: IfctpInstance, *,
         return CompromiseReport(status="infeasible", competitor=competitor, **summary)
 
     objective = evaluate_interval_objective(instance, result.plan)
-    violations = tuple(check_plan(instance, result.plan, tol=tolerance))
+    violations = tuple(check_plan(instance, result.plan))
     return CompromiseReport(
         status="optimal",
         payoff=payoff,

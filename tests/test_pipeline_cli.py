@@ -142,12 +142,6 @@ class TestCli:
         assert record["status"] == "optimal"
         assert float(record["ideal.center"]) == 830.0
 
-    def test_tolerance_flag(self, bench1_path, capsys):
-        code = main(["solve", str(bench1_path), "--tolerance", "1e-4"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "warning: plan check" not in out
-
     def test_compare(self, bench1_path, capsys):
         code = main(["compare", str(bench1_path),
                      "--override-payoff", "640,787,163,190",
@@ -254,12 +248,8 @@ class TestCliArgumentErrors:
         ["--override-payoff", "640,787,163,nan"],
         ["--override-payoff", "800,640,163,190"],
         ["--override-payoff", "640,787,190,163"],
-        ["--tolerance", "-1"],
-        ["--tolerance", "abc"],
-        ["--tolerance", "inf"],
     ], ids=["payoff-arity", "payoff-non-numeric", "payoff-nan", "payoff-reversed-lower",
-            "payoff-reversed-width", "tolerance-negative", "tolerance-non-numeric",
-            "tolerance-inf"])
+            "payoff-reversed-width"])
     def test_bad_value_exit_code(self, bench1_path, capsys, args):
         assert main(["solve", str(bench1_path), *args]) == 3
         captured = capsys.readouterr()
@@ -272,7 +262,9 @@ class TestCliArgumentErrors:
         (["solve"], "error: the following arguments are required: file"),
         (["oracle-check", "{path}", "--report", "machine"],
          "error: unrecognized arguments: --report machine"),
-    ], ids=["unknown-option", "missing-file", "oracle-check-report"])
+        (["solve", "{path}", "--tolerance", "1e-4"],
+         "error: unrecognized arguments: --tolerance 1e-4"),
+    ], ids=["unknown-option", "missing-file", "oracle-check-report", "tolerance-removed"])
     def test_usage_error_exit_code(self, bench1_path, capsys, args, message):
         assert main([a.format(path=bench1_path) for a in args]) == 3
         captured = capsys.readouterr()
@@ -285,11 +277,6 @@ class TestCliArgumentErrors:
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith("usage: ifctp")
 
-    def test_zero_tolerance_is_accepted(self, bench1_path, capsys):
-        assert main(["solve", str(bench1_path), "--tolerance", "0",
-                     "--override-payoff", "640,787,163,190"]) == 0
-        assert "status: optimal" in capsys.readouterr().out
-
 
 class TestCliNumericalBreakdown:
     def test_degenerate_pivot_exit_code(self, bench1_path, capsys, monkeypatch):
@@ -301,6 +288,26 @@ class TestCliNumericalBreakdown:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: numerical breakdown: simplex iteration cap exceeded"]
+
+    @pytest.mark.parametrize("args", [[], ["--override-payoff", "640,787,163,190"]],
+                             ids=["computed-levels", "override-levels"])
+    def test_refine_failure_is_named(self, bench1_path, capsys, monkeypatch, args):
+        # The refine model holds the level at an attained one, so neither the
+        # instance nor the override levels are to blame when it fails.
+        solves = []
+
+        def refine_fails(model):
+            solves.append(model)  # max-min, then refine
+            if len(solves) == 2:
+                return ifctp.milp.MilpSolution(ifctp.milp.INFEASIBLE, None, None)
+            return ifctp.milp.solve_milp(model)
+
+        monkeypatch.setattr(ifctp.compromise, "solve_milp", refine_fails)
+        assert main(["solve", str(bench1_path), *args]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: numerical breakdown: the refine model ended infeasible at the max-min level"]
 
 
 class TestUnattainableOverride:
@@ -339,22 +346,26 @@ class TestOneBuildPerJob:
     ], ids=["solve", "solve-override", "compare", "payoff", "ideal", "oracle-check"])
     def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args, solves,
                                      oracle_solves):
-        calls = {"build_bi_objective": 0, "solve_milp": 0, "oracle_solve": 0}
+        calls = {"build_bi_objective": [], "solve_milp": [], "oracle_solve": []}
 
-        def counting(name, original):
-            def counted(*args, **kwargs):
-                calls[name] += 1
+        def recording(name, original):
+            def recorded(*args, **kwargs):
+                # The bytes of every array tell two solved models apart.
+                calls[name].append(tuple(getattr(args[0], field).tobytes() for field in
+                                         ("c", "A", "senses", "b", "lo", "hi", "binaries"))
+                                   if name == "solve_milp" else None)
                 return original(*args, **kwargs)
-            return counted
+            return recorded
 
         for name in calls:
             original = getattr(ifctp.crisp if name == "build_bi_objective" else ifctp.milp, name)
             for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
                 if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counting(name, original))
+                    monkeypatch.setattr(module, name, recording(name, original))
         assert main([a.format(path=bench1_path) for a in args]) == 0
-        assert calls == {"build_bi_objective": 1, "solve_milp": solves,
-                         "oracle_solve": oracle_solves}
+        assert len(calls["build_bi_objective"]) == 1
+        assert len(calls["solve_milp"]) == len(set(calls["solve_milp"])) == solves
+        assert len(calls["oracle_solve"]) == oracle_solves
 
 
 class TestSubcommandsAgreeWithSolve:

@@ -1,0 +1,93 @@
+"""Pipeline answers do not depend on the unit of the quantities.
+
+Writing supplies and demands in a unit 2^-p times as large multiplies them by
+2^p and every unit cost by 2^-p.  Every plan's cost stays the same, so λ*,
+the memberships, the payoff levels, the ideal point and the objective
+interval stay put, and the shipments scale by 2^p.  Which routes are open
+and which plans warn must follow: a route is open iff it ships a positive
+amount, and the plan check compares each row sum with its own bound.
+"""
+
+import functools
+import random
+
+import pytest
+
+from _random_instances import random_instance
+from conftest import bench1_instance
+
+from ifctp import IfctpInstance, Interval, run_pipeline
+
+REL = 1e-9
+POWERS = (-30, -24, -20, -10, -3, 10, 20, 30)
+
+
+def _draws(seed, count):
+    rng = random.Random(seed)
+    return [random_instance(rng) for _ in range(count)]
+
+
+INSTANCES = {"paper": bench1_instance(),
+             **{f"draw-{k}": inst for k, inst in enumerate(_draws(4242, 15))}}
+
+
+def rescaled(instance: IfctpInstance, quantity: float, unit_cost: float) -> IfctpInstance:
+    """Copy with supplies and demands times quantity and unit costs times unit_cost."""
+    scale = lambda iv, f: Interval(iv.lo * f, iv.hi * f)
+    return IfctpInstance([[scale(iv, unit_cost) for iv in row] for row in instance.unit_cost],
+                         instance.fixed_charge,
+                         [scale(iv, quantity) for iv in instance.supply],
+                         [scale(iv, quantity) for iv in instance.demand])
+
+
+@functools.lru_cache(maxsize=None)
+def _base_report(name):
+    return run_pipeline(INSTANCES[name])
+
+
+def _unit_free(report, factor):
+    """The report's numbers, shipments divided by factor."""
+    return {
+        "lambda_star": [report.lambda_star],
+        "memberships": list(report.memberships),
+        "payoff": [*report.payoff.best, *report.payoff.worst],
+        "ideal": [report.ideal.center, report.ideal.width],
+        "objective": [report.objective.lo, report.objective.hi],
+        "plan": [v / factor for row in report.plan.y for v in row],
+    }
+
+
+def _cases():
+    for name in INSTANCES:
+        for p in POWERS:
+            marks = ()
+            if (name, p) == ("draw-4", 30):
+                marks = pytest.mark.xfail(
+                    strict=True, raises=AssertionError,
+                    reason="a 2x4 draw whose supplies at 2^30 give λ* 0.5758 instead of 0.5848 "
+                           "with other activations")
+            yield pytest.param(name, p, id=f"{name}-p{p}", marks=marks)
+
+
+@pytest.mark.parametrize("name, p", _cases())
+def test_answers_do_not_depend_on_the_quantity_unit(name, p):
+    factor = 2.0 ** p
+    base = _base_report(name)
+    scaled = run_pipeline(rescaled(INSTANCES[name], factor, 1 / factor))
+    assert scaled.status == base.status == "optimal"
+    assert scaled.plan.x == base.plan.x
+    want, got = _unit_free(base, 1.0), _unit_free(scaled, factor)
+    for key, values in want.items():
+        assert len(got[key]) == len(values)
+        for a, b in zip(got[key], values):
+            assert abs(a - b) <= REL * max(1.0, abs(a), abs(b)), (key, a, b)
+    assert scaled.plan_violations == base.plan_violations
+
+
+@pytest.mark.parametrize("index", [4, 47])
+def test_large_quantities_raise_no_false_warning(index):
+    # Under an absolute slack of 1e-6, round-off in a column sum read as an
+    # unmet floor: "column 2 receives 2.6e+10 < demand floor 2.6e+10".
+    report = run_pipeline(rescaled(_draws(5, index + 1)[index], 1e9, 1.0))
+    assert report.status == "optimal"
+    assert report.plan_violations == ()
