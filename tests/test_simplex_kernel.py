@@ -9,6 +9,7 @@ from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_standard_lp
 
+import ifctp.cli
 import ifctp.compromise
 import ifctp.milp
 import ifctp.pipeline
@@ -151,3 +152,27 @@ class TestOneSolvePerModel:
         # ideal center, shared width, lower anchor, max-min, refinement
         assert len(solved) == 5
         assert len(set(solved)) == len(solved)
+
+    @pytest.mark.parametrize("args, solves", [
+        (["solve", "--report", "machine"], 5),
+        (["compare", "--override-payoff", "640,787,163,190",
+          "--competitor", "safi-razmjoo=[640,1020]"], 4),
+        (["payoff"], 2),
+        (["ideal"], 2),
+        (["oracle-check"], 5),
+    ], ids=["solve", "compare", "payoff", "ideal", "oracle-check"])
+    def test_each_job_solves_each_distinct_model_once(self, bench1_path, capsys, monkeypatch,
+                                                      args, solves):
+        solved = []
+
+        def recording_solve(model, *a, **kw):
+            solved.append(tuple(getattr(model, name).tobytes()
+                                for name in ("c", "A", "senses", "b", "lo", "hi", "binaries")))
+            return solve_milp(model, *a, **kw)
+
+        for module in (ifctp.cli, ifctp.pipeline, ifctp.compromise):
+            if hasattr(module, "solve_milp"):
+                monkeypatch.setattr(module, "solve_milp", recording_solve)
+        assert ifctp.cli.main([args[0], str(bench1_path), *args[1:]]) == 0
+        assert len(solved) == solves
+        assert len(set(solved)) == solves
