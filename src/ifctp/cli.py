@@ -16,6 +16,7 @@ fault, not the instance.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -81,6 +82,7 @@ def _parse_competitor(text: str) -> CompetitorEntry:
     return CompetitorEntry(match.group("name").strip(), interval)
 
 
+@functools.cache  # built on the first main call; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="ifctp",

@@ -101,6 +101,7 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
 
     Weights are reciprocals of the payoff ranges so neither objective's scale
     dominates; degenerate ranges get weight one (the level row already pins them).
+    The model derives from max_min, so the two share one scaling of their rows.
     """
     level_var = 2 * bi.m * bi.n
     combined = np.zeros(level_var + 1)
@@ -108,8 +109,7 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
         combined[:level_var] += (1.0 / span if span > RANGE_TOL else 1.0) * objective
     lo = max_min.lo.copy()
     lo[level_var] = max(0.0, lambda_star - LEVEL_SLACK)
-    return MilpModel(combined, max_min.A, max_min.senses, max_min.b, lo, max_min.hi,
-                     max_min.binaries)
+    return max_min.derive(c=combined, lo=lo)
 
 
 def solve_compromise(bi: BiObjectiveMilp, payoff: PayoffTable) -> CompromiseResult:

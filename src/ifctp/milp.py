@@ -27,15 +27,22 @@ overhead costs about as much as the arithmetic, and each pivot is written
 with as few calls as it allows.  The update is one broadcast,
 T -= col * pivot_row, with the pivot row's own entry of col zeroed.  The
 model is scaled by powers of two and gets one slack per row; bounds stay
-implicit, so there are no upper-bound rows.  A root or pattern LP starts
-from the slack basis, after a phase 1 where some cost prefers an infinite
-bound (_dual_simplex).  A child differs from its parent by one fixed binary,
-so the parent's optimal basis stays dual feasible: the child refactorises it
-once and takes a few dual pivots.  The refactorisation inverts the m x m
-basis and multiplies; at 41 rows, on a shared 2-core x86 VM, that took
-100 us against 165 us for np.linalg.solve with the tableau's columns as
-right-hand sides.  A heap entry stores the parent's basis and at-upper
-flags, not its tableau: up to a few hundred nodes are open at once.
+implicit, so there are no upper-bound rows.  The scaling depends on A
+alone, so models derived from one another (MilpModel.derive) share it.  A
+root or pattern LP starts from the slack basis, after a phase 1 where some
+cost prefers an infinite bound (_dual_simplex).  A child differs from its
+parent by one fixed binary, so the parent's optimal basis stays dual
+feasible: the child factorises it and takes a few dual pivots.  The
+factorisation inverts the m x m basis and multiplies; at 41 rows, on a
+shared 2-core x86 VM, that took 100 us against 165 us for np.linalg.solve
+with the tableau's columns as right-hand sides.  Each start basis is
+inverted once (_Start): the two children of a node share their parent's
+start, and the first one solved keeps the inverse for the second; the root
+and the answer's pattern LP, or every pattern of the oracle, share the
+slack start.  A heap entry holds that start, the parent's basis and at-upper
+flags and at most the inverse, not its tableau: up to a few hundred nodes
+are open at once.  A child whose key cannot beat the incumbent is not
+pushed at all.
 
 Rounding: each solved node rounds its binaries up once, ceil(x - INT_TOL),
 and checks the point against every row and bound within ROUNDED_FEAS_TOL.
@@ -60,6 +67,7 @@ weaken a key, never prune a subtree that holds a better point.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -111,7 +119,8 @@ class MilpModel:
     senses holds 1 for "<=", -1 for ">=" and 0 for "=" per row of A; hi is
     inf where a variable has no upper bound.  binaries lists the variables
     restricted to {0, 1}; each must be bounded within [0, 1].  Every array is
-    a read-only copy, so solves can share a model and its arrays.
+    a read-only copy, so solves can share a model and its arrays.  Models
+    made by derive share A's scaling too (_bounded_form).
     """
 
     c: np.ndarray
@@ -131,6 +140,16 @@ class MilpModel:
                                     ("binaries", sorted(set(map(int, binaries))), int)):
             object.__setattr__(self, name, _frozen(values, dtype))
         self._check()
+        # A's scaled bounded form, computed on the first solve; see _bounded_form.
+        object.__setattr__(self, "_scaling", [])
+
+    def derive(self, **arrays) -> MilpModel:
+        """This model with some arrays other than A replaced, sharing A's scaling."""
+        if "A" in arrays:
+            raise TypeError("a derived model keeps its constraint matrix")
+        model = dataclasses.replace(self, **arrays)
+        object.__setattr__(model, "_scaling", self._scaling)
+        return model
 
     def _check(self) -> None:
         nv = self.c.size
@@ -190,8 +209,32 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     basis[r] = j
 
 
-def _bounded_form(model: MilpModel) -> tuple[np.ndarray, ...]:
-    """(M, b, c, lo, hi, cols): the model scaled, as min c.v  s.t.  M v = b,  lo <= v <= hi.
+class _Start:
+    """A start for _dual_simplex: a basis, its nonbasics' at-upper flags and the basis inverse.
+
+    at_upper None puts each nonbasic at the bound its cost prefers, as the
+    slack basis starts.  The inverse of M at basis is computed by the first
+    LP solved from the start and reused by the others: a node's two
+    children share one start, and the root and every pattern LP of one
+    solve share the slack start (_bounded_form).
+    """
+
+    __slots__ = ("basis", "at_upper", "inverse")
+
+    def __init__(self, basis: np.ndarray, at_upper: Optional[np.ndarray] = None):
+        self.basis, self.at_upper, self.inverse = basis, at_upper, None
+
+    def factor(self, M: np.ndarray) -> np.ndarray:
+        if self.inverse is None:
+            try:
+                self.inverse = np.linalg.inv(M[:, self.basis])
+            except np.linalg.LinAlgError:
+                raise DegeneratePivotError("singular starting basis") from None
+        return self.inverse
+
+
+def _bounded_form(model: MilpModel) -> tuple:
+    """(M, b, c, lo, hi, cols, slack): the model scaled, as min c.v  s.t.  M v = b,  lo <= v <= hi.
 
     M = [R A C | I] with diagonal R and C, powers of two, so scaling is
     exact.  Structural v_j = x_j / C_jj; column nv + i is row i's slack
@@ -199,10 +242,25 @@ def _bounded_form(model: MilpModel) -> tuple[np.ndarray, ...]:
     and [0, 0] for "=".  Upper bounds stay implicit.  Four passes of
     geometric-mean scaling bring every row and column near magnitude one,
     so the absolute tolerances mean the same in a big-M row or at any cost
-    scale.  cols holds C's diagonal.
+    scale.  cols holds C's diagonal.  M, R and C depend on A alone, so they
+    are computed once for a model and every model derived from it.  slack
+    is a fresh slack-basis _Start, shared by the LPs of one solve that start
+    from it.
     """
+    if not model._scaling:
+        model._scaling.append(_scaled_matrix(model.A))
+    M, rows, cols = model._scaling[0]
     m, nv = model.A.shape
-    magnitude = np.abs(model.A)
+    c = np.concatenate((model.c * cols, np.zeros(m)))
+    lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
+    hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
+    return M, model.b * rows, c, lo, hi, cols, _Start(np.arange(nv, nv + m))
+
+
+def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(M, rows, cols) of _bounded_form: [R A C | I] and the diagonals of R and C."""
+    m, nv = A.shape
+    magnitude = np.abs(A)
     nonzero = magnitude > 0.0
     rows = np.ones(m)
     cols = np.ones(nv)
@@ -213,11 +271,10 @@ def _bounded_form(model: MilpModel) -> tuple[np.ndarray, ...]:
         scale /= np.where(big > 0.0, np.sqrt(big) * np.sqrt(np.minimum(small, big)), 1.0)
     rows = np.exp2(np.round(np.log2(rows)))
     cols = np.exp2(np.round(np.log2(cols)))
-    M = np.hstack((model.A * rows[:, None] * cols, np.eye(m)))
-    c = np.concatenate((model.c * cols, np.zeros(m)))
-    lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
-    hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
-    return M, model.b * rows, c, lo, hi, cols
+    M = np.hstack((A * rows[:, None] * cols, np.eye(m)))
+    for array in (M, rows, cols):
+        array.flags.writeable = False
+    return M, rows, cols
 
 
 @np.errstate(over="ignore")  # an overflowing ratio is inf, never the minimum
@@ -226,22 +283,23 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
 
     form is _bounded_form's, or its (M, b, c) with another b or c, and lo, hi
     are bounds on its columns, with a node's fixes.  start is a dual feasible
-    (basis, at_upper), such as a parent's.  The root (start None) starts from
-    the slack basis, each structural at the bound its cost prefers.  Where
-    some cost prefers an infinite bound, phase 1 first solves the box
-    auxiliary problem (Koberstein 2005): the same M and c, rhs 0, and bounds
-    [-1, 1], [0, 1], [-1, 0] or [0, 0] per finite side.  Its optimal basis,
-    each nonbasic at the finite bound its reduced cost prefers, is dual
-    feasible here unless its value is negative.  Then no basis is, and the
-    LP is unbounded if a zero-cost run finds a feasible point, infeasible
-    otherwise.
+    _Start, such as a parent's basis.  The slack basis (start None, or
+    _bounded_form's slack) puts each structural at the bound its cost
+    prefers.  Where some cost prefers an infinite bound, phase 1 first
+    solves the box auxiliary problem (Koberstein 2005): the same M and c,
+    rhs 0, and bounds [-1, 1], [0, 1], [-1, 0] or [0, 0] per finite side.
+    Its optimal basis, each nonbasic at the finite bound its reduced cost
+    prefers, is dual feasible here unless its value is negative.  Then no
+    basis is, and the LP is unbounded if a zero-cost run finds a feasible
+    point, infeasible otherwise.
 
-    Refactorises M at the basis, puts every nonbasic at its lower or (by
-    at_upper) upper bound, and runs the bounded dual simplex.  The leaving
-    row has the largest bound violation beyond BOUND_TOL.  The entering
-    column comes from the free nonbasics that move the leaving variable
-    toward its bound, a reduced cost of the wrong sign (round-off) counting
-    as zero, by Harris's (1973) ratio test: pass 1 finds the smallest ratio
+    Factorises M at the basis, unless an LP solved from the same start
+    already did, puts every nonbasic at its lower or (by at_upper) upper
+    bound, and runs the bounded dual simplex.  The leaving row has the
+    largest bound violation beyond BOUND_TOL.  The entering column comes
+    from the free nonbasics that move the leaving variable toward its
+    bound, a reduced cost of the wrong sign (round-off) counting as zero,
+    by Harris's (1973) ratio test: pass 1 finds the smallest ratio
     |d_k / a_rk| with PIVOT_TOL of slack on each d_k, pass 2 takes the
     largest |a_rk| within it, so a tiny pivot cannot win a near tie.  After
     DEGENERATE_LIMIT consecutive zero-step pivots the leaving row is the
@@ -257,25 +315,25 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     m = b.size
     done = 0
     if start is None:
-        basis, costs = np.arange(M.shape[1] - m, M.shape[1]), c
+        start = _Start(np.arange(M.shape[1] - m, M.shape[1]))
+    at_upper = start.at_upper
+    if at_upper is None:
+        costs = c
         if np.isinf(np.where(c < 0.0, hi, lo)[:-m]).any():
             # v = 0 is feasible in the box, so phase 1 always ends optimal.
             _, v, done, state = _dual_simplex((M, np.zeros(m), c),
                                               np.where(np.isfinite(lo), 0.0, -1.0),
-                                              np.where(np.isfinite(hi), 0.0, 1.0))
+                                              np.where(np.isfinite(hi), 0.0, 1.0), start)
             if c @ v < -PIVOT_TOL:
-                status, _, pivots, _ = _dual_simplex((M, b, np.zeros_like(c)), lo, hi)
+                status, _, pivots, _ = _dual_simplex((M, b, np.zeros_like(c)), lo, hi, start)
                 return UNBOUNDED if status == OPTIMAL else INFEASIBLE, None, done + pivots, None
-            basis, costs = state[0], state[2][m]
-        start = basis, np.isinf(lo) | (np.isfinite(hi) & (costs < 0.0))
-    basis, at_upper = (array.copy() for array in start)
+            start, costs = _Start(state[0]), state[2][m]
+        at_upper = np.isinf(lo) | (np.isfinite(hi) & (costs < 0.0))
+    basis, at_upper = start.basis.copy(), at_upper.copy()
     v = np.where(at_upper, hi, lo)
     v[basis] = 0.0
     T = np.empty((m + 1, M.shape[1]))
-    try:
-        inverse = np.linalg.inv(M[:, basis])
-    except np.linalg.LinAlgError:
-        raise DegeneratePivotError("singular starting basis") from None
+    inverse = start.factor(M)
     np.matmul(inverse, M, out=T[:m])
     T[:m, basis] = np.eye(m)
     x_basic = inverse @ (b - M @ v)
@@ -341,8 +399,8 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
 def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
     """One LP by _dual_simplex, a node's or a pattern's: (status, value, x, pivots, state).
 
-    A child starts from its parent's (basis, at_upper), the root and a
-    pattern LP (start None) from the slack basis; the fixes become bounds.
+    A child starts from its parent's _Start, the root and a pattern LP
+    (start None) from the form's slack start; the fixes become bounds.
     state is _dual_simplex's, None unless optimal.
     """
     lo, hi, cols = form[3].copy(), form[4].copy(), form[5]
@@ -350,7 +408,7 @@ def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
         fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
         lo[fixed] = hi[fixed] = (np.fromiter(fixes.values(), dtype=float, count=len(fixes))
                                  / cols[fixed])
-    status, v, pivots, state = _dual_simplex(form, lo, hi, start)
+    status, v, pivots, state = _dual_simplex(form, lo, hi, start or form[6])
     if status != OPTIMAL:
         return status, None, None, pivots, None
     x = v[:cols.size] * cols
@@ -414,7 +472,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     nodes = pivots = 0
     seq = itertools.count()
     # heap entries: (penalty bound, -depth, sequence, fixes,
-    # parent's (basis, at_upper) or None at the root)
+    # the parent's final basis as a _Start, or None at the root)
     heap: list[tuple] = [(-math.inf, 0, next(seq), {}, None)]
 
     while heap:
@@ -454,10 +512,13 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         keys = {0.0: value + f * down, 1.0: value + (1.0 - f) * up}
         depth = -neg_depth + 1
         first = 1.0 if x[j] >= 0.5 else 0.0
+        shared = _Start(*state[:2])
         for branch_value in (first, 1.0 - first):
+            if keys[branch_value] >= incumbent_val - IMPROVEMENT_EPS:
+                continue  # pruned when popped too: the incumbent only falls
             child = dict(fixes)
             child[j] = branch_value
-            heapq.heappush(heap, (keys[branch_value], -depth, next(seq), child, state[:2]))
+            heapq.heappush(heap, (keys[branch_value], -depth, next(seq), child, shared))
 
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots)

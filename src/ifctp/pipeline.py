@@ -32,7 +32,9 @@ class Stages:
     """The method's named solves for one instance, each built and solved once, on first use.
 
     The anchors center, width and lower minimize one objective each; the width
-    anchor serves both the ideal point and the payoff table.  models and
+    anchor serves both the ideal point and the payoff table.  They differ only
+    in their objective, so each anchor model derives from the one built before
+    it and the three share one scaling of the constraint matrix.  models and
     solutions hold each solved stage's model and solution under its name,
     max-min and refine included.
     """
@@ -41,11 +43,15 @@ class Stages:
         self.bi = build_bi_objective(instance)  # validates the instance once
         self.models: dict[str, MilpModel] = {}
         self.solutions: dict[str, MilpSolution] = {}
+        self._anchor_model: Optional[MilpModel] = None  # the last anchor model built
 
     def anchor(self, name: str, what: str) -> MilpSolution:
         """Anchor name's optimal solution; any other outcome raises, naming the solve what."""
         if name not in self.solutions:
-            self.models[name] = to_milp(self.bi, getattr(self.bi, f"obj_{name}"))
+            objective = getattr(self.bi, f"obj_{name}")
+            self._anchor_model = (to_milp(self.bi, objective) if self._anchor_model is None
+                                  else self._anchor_model.derive(c=objective))
+            self.models[name] = self._anchor_model
             self.solutions[name] = solve_milp(self.models[name])
         if self.solutions[name].status != OPTIMAL:
             raise InfeasibleProblemError(f"{what} ended {self.solutions[name].status}")

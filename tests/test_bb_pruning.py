@@ -25,7 +25,7 @@ from ifctp import (MilpModel, MilpSolution, PayoffTable, Stages, build_bi_object
                    build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import _refine
 from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, ROUNDED_FEAS_TOL,
-                        UNBOUNDED, _bounded_form, _node_lp, _penalties)
+                        UNBOUNDED, _bounded_form, _node_lp, _penalties, _Start)
 
 
 def _reference_solve_milp(model):
@@ -33,6 +33,7 @@ def _reference_solve_milp(model):
 
     solve_milp's search with every child keyed by its parent's LP value:
     same node LPs, branching rule, incumbent rule and final pattern solve.
+    Each child factorises its start basis itself, shared with no sibling.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -80,7 +81,7 @@ def _reference_solve_milp(model):
         for branch_value in (first, 1.0 - first):
             child = dict(fixes)
             child[j] = branch_value
-            heapq.heappush(heap, (value, -depth, next(seq), child, state[:2]))
+            heapq.heappush(heap, (value, -depth, next(seq), child, _Start(*state[:2])))
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
     if not binaries.size:

@@ -1,4 +1,4 @@
-"""The simplex kernel's rare paths, its pivot counts, and one solve per model."""
+"""The simplex kernel's rare paths, its pivot counts, shared factorisations, one solve per model."""
 
 import random
 
@@ -13,7 +13,7 @@ import ifctp.cli
 import ifctp.compromise
 import ifctp.milp
 import ifctp.pipeline
-from ifctp import (DegeneratePivotError, MilpModel, PayoffTable,
+from ifctp import (DegeneratePivotError, MilpModel, PayoffTable, Stages,
                    build_bi_objective, build_max_min_model, oracle_solve, run_pipeline,
                    solve_milp, to_milp)
 from ifctp.milp import solve_lp
@@ -86,7 +86,7 @@ class TestBreakdowns:
         model = MilpModel([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1, 1], [1.0, 2.0],
                           [0.0] * 2, [np.inf] * 2, [])
         form = ifctp.milp._bounded_form(model)
-        start = np.array([0, 1]), np.zeros(4, dtype=bool)
+        start = ifctp.milp._Start(np.array([0, 1]), np.zeros(4, dtype=bool))
         with pytest.raises(DegeneratePivotError, match="singular"):
             ifctp.milp._dual_simplex(form, form[3], form[4], start)
 
@@ -153,26 +153,121 @@ class TestOneSolvePerModel:
         assert len(solved) == 5
         assert len(set(solved)) == len(solved)
 
-    @pytest.mark.parametrize("args, solves", [
-        (["solve", "--report", "machine"], 5),
-        (["compare", "--override-payoff", "640,787,163,190",
-          "--competitor", "safi-razmjoo=[640,1020]"], 4),
-        (["payoff"], 2),
-        (["ideal"], 2),
-        (["oracle-check"], 5),
-    ], ids=["solve", "compare", "payoff", "ideal", "oracle-check"])
-    def test_each_job_solves_each_distinct_model_once(self, bench1_path, capsys, monkeypatch,
-                                                      args, solves):
-        solved = []
 
-        def recording_solve(model, *a, **kw):
-            solved.append(tuple(getattr(model, name).tobytes()
-                                for name in ("c", "A", "senses", "b", "lo", "hi", "binaries")))
-            return solve_milp(model, *a, **kw)
+def _draws_of_at_least_2x3(seed, count=3):
+    """The first count random_instance draws of random.Random(seed) with 2+ rows, 3+ columns."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        instance = random_instance(rng)
+        if instance.m >= 2 and instance.n >= 3:
+            draws.append(instance)
+    return draws
 
-        for module in (ifctp.cli, ifctp.pipeline, ifctp.compromise):
-            if hasattr(module, "solve_milp"):
-                monkeypatch.setattr(module, "solve_milp", recording_solve)
-        assert ifctp.cli.main([args[0], str(bench1_path), *args[1:]]) == 0
-        assert len(solved) == solves
-        assert len(set(solved)) == solves
+
+def _solve_every_stage(instance):
+    """Run the five stage solves of a pipeline on instance."""
+    stages = Stages(instance)
+    stages.ideal()
+    stages.compromise()
+    return stages
+
+
+class TestSharedFactorisation:
+    """Two children of a node, and the LPs of one solve that start from the slack
+    basis, factorise their start once between them; a fresh factorisation gives the
+    same bits."""
+
+    @staticmethod
+    def _recorded_lps(monkeypatch, run):
+        """Every _dual_simplex call that run() makes, with its outcome and whether it
+        found its start already factorised."""
+        calls = []
+        dual_simplex = ifctp.milp._dual_simplex
+
+        def recording(form, lo, hi, start=None):
+            reused = start is not None and start.inverse is not None
+            status, v, pivots, state = dual_simplex(form, lo, hi, start)
+            calls.append(((form, lo, hi, start), reused,
+                          (status, None if v is None else v.tobytes(), pivots,
+                           None if state is None else state[0].tobytes())))
+            return status, v, pivots, state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ifctp.milp, "_dual_simplex", recording)
+            run()
+        return calls
+
+    @staticmethod
+    def _assert_fresh_factorisation_agrees(calls):
+        """Status, the bits of v, pivots and the final basis from a start factorised anew."""
+        for (form, lo, hi, start), _, outcome in calls:
+            fresh = None if start is None else ifctp.milp._Start(start.basis, start.at_upper)
+            status, v, pivots, state = ifctp.milp._dual_simplex(form, lo, hi, fresh)
+            assert (status, None if v is None else v.tobytes(), pivots,
+                    None if state is None else state[0].tobytes()) == outcome
+
+    def test_search_lps_match_a_fresh_factorisation(self, bench1, monkeypatch):
+        calls = [call for instance in [bench1, *_draws_of_at_least_2x3(3141)]
+                 for call in self._recorded_lps(monkeypatch,
+                                                lambda: _solve_every_stage(instance))]
+        self._assert_fresh_factorisation_agrees(calls)
+        # Both kinds of sharing happened: a sibling's start and the slack start.
+        reused = [start for (_, _, _, start), was_reused, _ in calls if was_reused]
+        assert any(start.at_upper is None for start in reused)
+        assert any(start.at_upper is not None for start in reused)
+
+    def test_oracle_patterns_match_a_fresh_factorisation(self, monkeypatch):
+        bi = build_bi_objective(_draws_of_at_least_2x3(3141, count=1)[0])  # 2x3: 64 patterns
+        model = to_milp(bi, bi.obj_width)
+        calls = self._recorded_lps(monkeypatch, lambda: oracle_solve(model))
+        assert len(calls) >= 2 ** model.binaries.size
+        self._assert_fresh_factorisation_agrees(calls)
+        assert sum(reused for _, reused, _ in calls) == len(calls) - 1
+
+    @pytest.mark.parametrize("draw", [None, 0, 1, 2], ids=["shipped", "draw0", "draw1", "draw2"])
+    def test_one_inverse_per_start_basis(self, bench1, monkeypatch, draw):
+        instance = bench1 if draw is None else _draws_of_at_least_2x3(3141)[draw]
+        inv = np.linalg.inv
+        for model in _solve_every_stage(instance).models.values():
+            inverses = 0
+            fixes_solved = []
+
+            def counting_inv(matrix):
+                nonlocal inverses
+                inverses += 1
+                return inv(matrix)
+
+            def recording_node_lp(model, form, fixes, start, node_lp=ifctp.milp._node_lp):
+                fixes_solved.append(list(fixes.items()))
+                return node_lp(model, form, fixes, start)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "inv", counting_inv)
+                patch.setattr(ifctp.milp, "_node_lp", recording_node_lp)
+                solution = solve_milp(model)
+            assert solution.status == "optimal"
+            # The root first, the answer's pattern LP last; a child adds one fix to
+            # its parent's, so the parents of the children solved are told by their fixes.
+            children = fixes_solved[1:-1]
+            branched = {tuple(fixes[:-1]) for fixes in children}
+            assert inverses == 1 + len(branched)
+
+    def test_one_scaling_per_constraint_matrix(self, bench1, monkeypatch):
+        scalings = []
+        scaled_matrix = ifctp.milp._scaled_matrix
+
+        def recording(A):
+            scalings.append(A.tobytes())
+            return scaled_matrix(A)
+
+        monkeypatch.setattr(ifctp.milp, "_scaled_matrix", recording)
+        stages = _solve_every_stage(bench1)
+        # The three anchors share one matrix, max-min and refine another.
+        assert len(scalings) == len(set(scalings)) == 2
+        for name, model in stages.models.items():
+            copy = MilpModel(model.c, model.A, model.senses, model.b, model.lo, model.hi,
+                             model.binaries)
+            shared, fresh = ifctp.milp._bounded_form(model), ifctp.milp._bounded_form(copy)
+            for a, b in zip(shared[:6], fresh[:6]):
+                assert a.tobytes() == b.tobytes(), name
