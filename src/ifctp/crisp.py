@@ -6,7 +6,8 @@ width; the ideal point also minimizes the center (expected cost).
 Constraints relax supplies to their upper limits and demands to their lower
 limits.  The conditional activation rule "x_ij = 1 iff y_ij > 0" is
 linearized exactly as y_ij <= M_ij x_ij with M_ij equal to the row's supply
-cap, which the row constraint already implies for any feasible y.
+cap, which the row constraint already implies for any feasible y.  The
+same M_ij is y_ij's upper bound.
 
 All models built here share one variable layout: y(i,j) at index i*n + j,
 x(i,j) at m*n + i*n + j, optional extra columns appended after that.  An
@@ -102,9 +103,10 @@ def constraint_rows(bi: BiObjectiveMilp, extra_vars: int = 0) -> tuple[np.ndarra
     """Shared constraint set: supply caps, demand floors, big-M linking.
 
     Returns (A, senses, b, lo, hi, binaries) over the (y, x, extras) layout,
-    rows in that order, linking rows cell by cell.  Extra columns get zero
-    coefficients; lo and hi cover y and x only, so the caller appends the
-    extras' bounds.
+    rows in that order, linking rows cell by cell.  Each y_ij is boxed at
+    [0, M_ij], the bound its linking row implies, so every variable has a
+    finite box.  Extra columns get zero coefficients; lo and hi cover y and
+    x only, so the caller appends the extras' bounds.
     """
     m, n = bi.m, bi.n
     mn = m * n
@@ -120,7 +122,7 @@ def constraint_rows(bi: BiObjectiveMilp, extra_vars: int = 0) -> tuple[np.ndarra
     senses = np.concatenate((np.ones(m, dtype=int), np.full(n, -1), np.ones(mn, dtype=int)))
     b = np.concatenate((bi.supply_caps, bi.demand_floors, np.zeros(mn)))
     lo = np.zeros(2 * mn)
-    hi = np.concatenate((np.full(mn, np.inf), np.ones(mn)))
+    hi = np.concatenate((bi.big_m.ravel(), np.ones(mn)))
     return A, senses, b, lo, hi, np.arange(mn, 2 * mn)
 
 

@@ -29,8 +29,8 @@ T -= col * pivot_row, with the pivot row's own entry of col zeroed.  The
 model is scaled by powers of two and gets one slack per row; bounds stay
 implicit, so there are no upper-bound rows.  The scaling depends on A
 alone, so models derived from one another (MilpModel.derive) share it.  A
-root or pattern LP starts from the slack basis, after a phase 1 where some
-cost prefers an infinite bound (_dual_simplex).  A child differs from its
+root or pattern LP starts from the slack basis, which is dual feasible
+because every bound is finite (_dual_simplex).  A child differs from its
 parent by one fixed binary, so the parent's optimal basis stays dual
 feasible: the child factorises it and takes a few dual pivots.  The
 factorisation inverts the m x m basis and multiplies; at 41 rows, on a
@@ -78,7 +78,6 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-9          # smallest acceptable pivot element / reduced cost
 INT_TOL = 1e-6            # binary integrality tolerance
@@ -116,11 +115,12 @@ def _frozen(values, dtype) -> np.ndarray:
 class MilpModel:
     """Minimization model: min c.v  s.t.  A v <senses> b,  lo <= v <= hi.
 
-    senses holds 1 for "<=", -1 for ">=" and 0 for "=" per row of A; hi is
-    inf where a variable has no upper bound.  binaries lists the variables
-    restricted to {0, 1}; each must be bounded within [0, 1].  Every array is
-    a read-only copy, so solves can share a model and its arrays.  Models
-    made by derive share A's scaling too (_bounded_form).
+    senses holds 1 for "<=", -1 for ">=" and 0 for "=" per row of A; every
+    bound is finite, so no LP is unbounded and the slack basis is dual
+    feasible.  binaries lists the variables restricted to {0, 1}; each must
+    be bounded within [0, 1].  Every array is a read-only copy, so solves
+    can share a model and its arrays.  Models made by derive share A's
+    scaling too (_bounded_form).
     """
 
     c: np.ndarray
@@ -168,6 +168,8 @@ class MilpModel:
             raise ValueError("constraint coefficients must be finite")
         if not np.isfinite(self.c).all():
             raise ValueError("objective coefficients must be finite")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("variable bounds must be finite")
         if not (self.lo <= self.hi).all():
             raise ValueError("every variable needs lo <= hi")
         if self.binaries.size:
@@ -285,13 +287,8 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     are bounds on its columns, with a node's fixes.  start is a dual feasible
     _Start, such as a parent's basis.  The slack basis (start None, or
     _bounded_form's slack) puts each structural at the bound its cost
-    prefers.  Where some cost prefers an infinite bound, phase 1 first
-    solves the box auxiliary problem (Koberstein 2005): the same M and c,
-    rhs 0, and bounds [-1, 1], [0, 1], [-1, 0] or [0, 0] per finite side.
-    Its optimal basis, each nonbasic at the finite bound its reduced cost
-    prefers, is dual feasible here unless its value is negative.  Then no
-    basis is, and the LP is unbounded if a zero-cost run finds a feasible
-    point, infeasible otherwise.
+    prefers, the upper one where the cost is negative; with every
+    structural bound finite (MilpModel), that basis is dual feasible.
 
     Factorises M at the basis, unless an LP solved from the same start
     already did, puts every nonbasic at its lower or (by at_upper) upper
@@ -313,23 +310,10 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     """
     M, b, c = form[:3]
     m = b.size
-    done = 0
     if start is None:
         start = _Start(np.arange(M.shape[1] - m, M.shape[1]))
-    at_upper = start.at_upper
-    if at_upper is None:
-        costs = c
-        if np.isinf(np.where(c < 0.0, hi, lo)[:-m]).any():
-            # v = 0 is feasible in the box, so phase 1 always ends optimal.
-            _, v, done, state = _dual_simplex((M, np.zeros(m), c),
-                                              np.where(np.isfinite(lo), 0.0, -1.0),
-                                              np.where(np.isfinite(hi), 0.0, 1.0), start)
-            if c @ v < -PIVOT_TOL:
-                status, _, pivots, _ = _dual_simplex((M, b, np.zeros_like(c)), lo, hi, start)
-                return UNBOUNDED if status == OPTIMAL else INFEASIBLE, None, done + pivots, None
-            start, costs = _Start(state[0]), state[2][m]
-        at_upper = np.isinf(lo) | (np.isfinite(hi) & (costs < 0.0))
-    basis, at_upper = start.basis.copy(), at_upper.copy()
+    basis = start.basis.copy()
+    at_upper = c < 0.0 if start.at_upper is None else start.at_upper.copy()
     v = np.where(at_upper, hi, lo)
     v[basis] = 0.0
     T = np.empty((m + 1, M.shape[1]))
@@ -345,7 +329,7 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     flip = np.where(at_upper, -1.0, 1.0)
     bland = False
     degenerate_run = 0
-    for pivots in range(done, ITERATION_CAP):
+    for pivots in range(ITERATION_CAP):
         below = lo[basis] - x_basic
         above = x_basic - hi[basis]
         violation = np.maximum(below, above) - BOUND_TOL
@@ -486,8 +470,6 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
-        if status == UNBOUNDED:
-            return MilpSolution(UNBOUNDED, None, None, nodes, pivots)
         if value >= incumbent_val - IMPROVEMENT_EPS:
             continue
 
@@ -553,8 +535,6 @@ def oracle_solve(model: MilpModel) -> MilpSolution:
         solves += 1
         status, value, x, lp_pivots, _ = _node_lp(model, form, dict(zip(binaries, pattern)), None)
         pivots += lp_pivots
-        if status == UNBOUNDED:
-            return MilpSolution(UNBOUNDED, None, None, solves, pivots)
         if status == OPTIMAL and value < best_val:
             best_val = value
             best_x = x

@@ -21,6 +21,7 @@ from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, DegeneratePivotError, MilpModel
                    OracleScopeError, oracle_solve, solve_milp)
 from .model import IfctpInstance, ShipmentPlan, check_plan
 
+# How far, relative to the compromise's value, a probe must beat it to dominate it.
 DOMINANCE_TOL = 1e-6
 
 
@@ -239,8 +240,10 @@ def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
     Solves the pipeline's five stage models once each, checks the two
     ideal-point solves and the max-min solve against enumeration, then searches
     every activation pattern for a plan that Pareto-dominates the compromise
-    solution.  Refuses instances with more routes than the oracle can
-    enumerate.
+    solution.  Each probe caps one objective at the compromise's value plus
+    1e-9 of it and must beat the other by DOMINANCE_TOL of it, so the check
+    means the same at every cost scale.  Refuses instances with more routes
+    than the oracle can enumerate.
     """
     if instance.m * instance.n > ORACLE_MAX_BINARIES:
         raise OracleScopeError(
@@ -263,7 +266,8 @@ def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
     )
     for minimize, cap_obj, cap_val, incumbent in probes:
         probe = oracle_solve(_bounded_objective_model(bi, minimize, cap_obj,
-                                                      cap_val + 1e-9))
-        if probe.status == OPTIMAL and probe.objective_value < incumbent - DOMINANCE_TOL:
+                                                      cap_val + 1e-9 * abs(cap_val)))
+        if (probe.status == OPTIMAL
+                and probe.objective_value < incumbent - DOMINANCE_TOL * abs(incumbent)):
             dominated = True
     return OracleCheck(lines, dominated)

@@ -14,11 +14,11 @@ DEGENERATE_LIMIT = 500
 _RELATION = {1: "<=", -1: ">=", 0: "="}
 
 
-def textbook_standard_lp(c, A, relations, b, degenerate_limit=DEGENERATE_LIMIT):
+def textbook_standard_lp(c, A, relations, b):
     """min c.x  s.t.  A x <relations> b,  x >= 0, by the full-tableau two-phase simplex.
 
     Dantzig's entering rule, falling back to Bland's rule after
-    degenerate_limit consecutive degenerate pivots.  Returns (status, x,
+    DEGENERATE_LIMIT consecutive degenerate pivots.  Returns (status, x,
     pivots); x is None unless the status is "optimal".
     """
     tol = PIVOT_TOL
@@ -54,7 +54,7 @@ def textbook_standard_lp(c, A, relations, b, degenerate_limit=DEGENERATE_LIMIT):
                 r = int(tied[np.argmin(basis[tied])])
             if T[r, -1] <= tol:
                 degenerate_run += 1
-                bland = bland or degenerate_run > degenerate_limit
+                bland = bland or degenerate_run > DEGENERATE_LIMIT
             else:
                 degenerate_run = 0
             pivot(T, basis, r, j)
@@ -117,7 +117,8 @@ def textbook_relaxation(model, fixes):
     """(status, value, x) of a MilpModel's LP relaxation with the variables in fixes pinned.
 
     Fixed variables are substituted out, rows left without a free variable
-    are checked as plain comparisons, and finite upper bounds become rows.
+    are checked as plain comparisons, and upper bounds (finite in every
+    MilpModel) become rows.
     """
     lo, hi = model.lo.copy(), model.hi.copy()
     for j, value in fixes.items():
@@ -131,10 +132,9 @@ def textbook_relaxation(model, fixes):
     tol = FEAS_TOL * np.maximum(1.0, np.abs(model.b[~live]))
     if ((slack < -tol) | ((model.senses[~live] == 0) & (np.abs(b[~live]) > tol))).any():
         return "infeasible", None, None
-    capped = np.flatnonzero(np.isfinite(hi[free]))
-    A = np.vstack((model.A[live][:, free], np.eye(free.size)[capped]))
-    b = np.concatenate((b[live], (hi - lo)[free][capped]))
-    relations = [_RELATION[s] for s in model.senses[live]] + ["<="] * capped.size
+    A = np.vstack((model.A[live][:, free], np.eye(free.size)))
+    b = np.concatenate((b[live], (hi - lo)[free]))
+    relations = [_RELATION[s] for s in model.senses[live]] + ["<="] * free.size
     status, u, _ = textbook_standard_lp(model.c[free], A, relations, b)
     if status != "optimal":
         return status, None, None

@@ -25,7 +25,7 @@ from ifctp import (MilpModel, MilpSolution, PayoffTable, Stages, build_bi_object
                    build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import _refine
 from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, ROUNDED_FEAS_TOL,
-                        UNBOUNDED, _bounded_form, _node_lp, _penalties, _Start)
+                        _bounded_form, _node_lp, _penalties, _Start)
 
 
 def _reference_solve_milp(model):
@@ -57,8 +57,6 @@ def _reference_solve_milp(model):
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
-        if status == UNBOUNDED:
-            return MilpSolution(UNBOUNDED, None, None, nodes, pivots)
         if value >= incumbent_val - IMPROVEMENT_EPS:
             continue
         point = x.copy()
@@ -239,7 +237,7 @@ class TestPenaltyBounds:
         # max x0 with x0 + x1 = 1 and x0 <= 0.4 puts x1 at 0.6; x1 cannot
         # reach 0, so the child that pushes it down has no column to pay for it.
         model = MilpModel([-1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [0, 1], [1.0, 0.4],
-                          [0.0, 0.0], [np.inf, 1.0], [1])
+                          [0.0, 0.0], [1.0, 1.0], [1])
         form = _bounded_form(model)
         status, value, x, _, state = _node_lp(model, form, {}, None)
         assert status == OPTIMAL and 0 < x[1] < 1

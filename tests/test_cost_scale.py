@@ -7,9 +7,12 @@ each model by powers of two before its absolute pivot and feasibility
 tolerances apply, so these cases guard that scaling at either end of the
 cost scale: in the max-min and refine models at costs x 1e6, the level rows
 carry coefficients near 1e8.  For k a power of two every product and sum
-scales exactly, so the property test asks for bit-identical answers.
+scales exactly, so the property test asks for bit-identical answers; the
+shipped instance gives them for p in [-31, 120] but not just below that.
+oracle-check's dominance probe must mean the same at every scale too.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -19,7 +22,9 @@ from hypothesis import strategies as st
 from _random_instances import random_instance
 from conftest import bench1_instance, scaled_costs
 
-from ifctp import IfctpInstance, Interval, run_pipeline
+from ifctp import (IfctpInstance, Interval, Stages, render_instance, run_oracle_check,
+                   run_pipeline)
+from ifctp.cli import main
 
 REL = 1e-9
 
@@ -84,10 +89,7 @@ def test_pipeline_scales_with_costs(instance, factor):
             assert abs(a - b) <= REL * max(1.0, abs(a), abs(b)), (key, a, b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(-20, 20))
-def test_power_of_two_scale_is_exact(seed, p):
-    instance = random_instance(random.Random(seed))
+def _assert_scales_exactly(instance, p):
     k = 2.0 ** p
     base = run_pipeline(instance)
     scaled = run_pipeline(scaled_costs(instance, k))
@@ -102,3 +104,49 @@ def test_power_of_two_scale_is_exact(seed, p):
                       ((scaled.objective.lo, scaled.objective.hi),
                        (base.objective.lo, base.objective.hi))]:
         assert got == tuple(k * v for v in want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(-20, 20))
+def test_power_of_two_scale_is_exact(seed, p):
+    _assert_scales_exactly(random_instance(random.Random(seed)), p)
+
+
+_SMALL_UNIT_BREAKS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="λ* comes out 0.551, 1.0, 0.947 and 0.951 instead of 52/67; not diagnosed yet")
+
+
+@pytest.mark.parametrize("p", [
+    -31, 120,
+    *(pytest.param(p, marks=_SMALL_UNIT_BREAKS) for p in (-32, -33, -34, -35)),
+])
+def test_shipped_instance_power_of_two_scale_is_exact(p):
+    _assert_scales_exactly(bench1_instance(), p)
+
+
+def test_oracle_check_passes_at_costs_times_1e9(tmp_path, capsys):
+    # The width probe finds the compromise's own width one ulp lower,
+    # 169044776045.90295 against 169044776045.90298; an absolute tolerance
+    # of 1e-6 called that a domination.
+    path = tmp_path / "scaled.txt"
+    path.write_text(render_instance(scaled_costs(bench1_instance(), 1e9)))
+    assert main(["oracle-check", str(path)]) == 0
+    assert "pareto dominance: none found" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("factor", [1e-9, 1.0, 1e9])
+def test_oracle_check_finds_a_slightly_worse_compromise_dominated(monkeypatch, factor):
+    # The compromise's width is reported 1e-4 (relative) above its plan's,
+    # so its own plan dominates it.  At costs x 1e-9 the width is near 1e-7,
+    # below an absolute tolerance of 1e-6.
+    compromise = Stages.compromise
+
+    def worse_width(self, override=None):
+        payoff, result = compromise(self, override)
+        lower, width = result.objective_values
+        return payoff, dataclasses.replace(result, objective_values=(lower, width * (1 + 1e-4)))
+
+    monkeypatch.setattr(Stages, "compromise", worse_width)
+    check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
+    assert check.dominated and not check.passed

@@ -102,7 +102,8 @@ class TestConstraintRows:
         assert b.tobytes() == ref_b.tobytes()
         mn = bi.m * bi.n
         assert lo.tolist() == [0.0] * (2 * mn)
-        assert hi.tolist() == [float("inf")] * mn + [1.0] * mn
+        caps = [float(bi.big_m[i][j]) for i in range(bi.m) for j in range(bi.n)]
+        assert hi.tolist() == caps + [1.0] * mn
         assert binaries.tolist() == list(range(mn, 2 * mn))
 
 

@@ -16,7 +16,7 @@ INF = np.inf
 LE, GE, EQ = 1, -1, 0
 
 
-def _one_var_model(A, senses, b, c=(1.0,), lo=(0.0,), hi=(INF,), binaries=()):
+def _one_var_model(A, senses, b, c=(1.0,), lo=(0.0,), hi=(10.0,), binaries=()):
     return MilpModel(c, A, senses, b, lo, hi, binaries)
 
 
@@ -30,12 +30,9 @@ class TestLinearProgram:
         sol = solve_lp(_one_var_model([[1.0], [1.0]], [LE, GE], [1.0, 2.0]))
         assert sol.status == "infeasible"
 
-    def test_unbounded(self):
-        sol = solve_lp(_one_var_model([[1.0]], [GE], [3.0], c=(-1.0,)))
-        assert sol.status == "unbounded"
-
-    def test_empty_region_with_a_cost_that_prefers_an_infinite_bound(self):
-        # Phase 1 finds no dual feasible basis; the zero-cost run finds no point.
+    def test_empty_region_with_a_negative_cost(self):
+        # The slack basis starts the variable at the upper bound its cost
+        # prefers; no point meets both rows.
         sol = solve_lp(_one_var_model([[1.0], [1.0]], [LE, GE], [1.0, 2.0], c=(-1.0,)))
         assert sol.status == "infeasible"
 
@@ -87,13 +84,17 @@ class TestModelValidation:
         (dict(b=[1.0, 2.0]), "right-hand sides"),
         (dict(lo=[2.0], hi=[1.0]), "lo <= hi"),
         (dict(hi=[1.0, 1.0]), "upper bounds"),
+        (dict(lo=[-INF]), "bounds must be finite"),
+        (dict(lo=[np.nan]), "bounds must be finite"),
+        (dict(hi=[INF]), "bounds must be finite"),
+        (dict(hi=[np.nan]), "bounds must be finite"),
         (dict(hi=[1.0], binaries=[1]), "binary index out of range"),
         (dict(hi=[1.0], binaries=[-1]), "binary index out of range"),
     ], ids=["A-nan", "A-inf", "b-nan", "b-inf", "c-nan", "c-inf", "sense-fraction",
-            "senses-length", "b-length", "lo-above-hi", "hi-length", "binary-past-end",
-            "binary-negative"])
+            "senses-length", "b-length", "lo-above-hi", "hi-length", "lo-inf", "lo-nan",
+            "hi-inf", "hi-nan", "binary-past-end", "binary-negative"])
     def test_bad_input_rejected(self, bad, match):
-        args = dict(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0], lo=[0.0], hi=[INF], binaries=[])
+        args = dict(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0], lo=[0.0], hi=[10.0], binaries=[])
         args.update(bad)
         with pytest.raises(ValueError, match=match):
             MilpModel(**args)

@@ -7,7 +7,7 @@ import pytest
 
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
-from _textbook_lp import textbook_standard_lp
+from _textbook_lp import textbook_relaxation
 
 import ifctp.cli
 import ifctp.compromise
@@ -63,28 +63,34 @@ class TestBlandFallback:
 class TestRandomLpsAgainstTextbook:
     @pytest.mark.parametrize("degenerate_limit", [ifctp.milp.DEGENERATE_LIMIT, 0])
     def test_status_and_optimum_match(self, monkeypatch, degenerate_limit):
-        # The bounded dual simplex against the textbook primal simplex: same
+        # The bounded dual simplex against the textbook primal simplex, with
+        # every variable boxed in [0, 10] (upper bounds as rows there): same
         # status, and the same optimum within 1e-9 relative.
         monkeypatch.setattr(ifctp.milp, "DEGENERATE_LIMIT", degenerate_limit)
         rng = random.Random(20240917)
         statuses = set()
+        negative_cost_at_upper = False
         for _ in range(400):
             c, A, relations, b = _random_lp(rng)
             senses = [{"<=": 1, ">=": -1, "=": 0}[rel] for rel in relations]
-            ours = solve_lp(MilpModel(c, A, senses, b, [0.0] * c.size, [np.inf] * c.size, []))
-            status, x, _ = textbook_standard_lp(c, A, relations, b, degenerate_limit)
+            model = MilpModel(c, A, senses, b, [0.0] * c.size, [10.0] * c.size, [])
+            ours = solve_lp(model)
+            status, value, _ = textbook_relaxation(model, {})
             assert ours.status == status
             if status == "optimal":
-                assert abs(ours.objective_value - c @ x) <= 1e-9 * max(1.0, abs(c @ x))
+                assert abs(ours.objective_value - value) <= 1e-9 * max(1.0, abs(value))
+                x = np.array(ours.assignment)
+                negative_cost_at_upper |= bool(((c < 0) & (x == 10.0)).any())
             statuses.add(status)
-        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert statuses == {"optimal", "infeasible"}
+        assert negative_cost_at_upper
 
 
 class TestBreakdowns:
     def test_singular_starting_basis(self):
         # The second row is twice the first, so the basis of both structurals is singular.
         model = MilpModel([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1, 1], [1.0, 2.0],
-                          [0.0] * 2, [np.inf] * 2, [])
+                          [0.0] * 2, [10.0] * 2, [])
         form = ifctp.milp._bounded_form(model)
         start = ifctp.milp._Start(np.array([0, 1]), np.zeros(4, dtype=bool))
         with pytest.raises(DegeneratePivotError, match="singular"):
@@ -132,7 +138,7 @@ class TestPivotCounts:
         assert first.pivots == second.pivots > 0
 
     def test_root_node_pivots_match_solve_lp(self):
-        model = MilpModel([1.0, 1.0], [[1.0, 1.0]], [-1], [3.0], [0.0] * 2, [np.inf] * 2, [])
+        model = MilpModel([1.0, 1.0], [[1.0, 1.0]], [-1], [3.0], [0.0] * 2, [10.0] * 2, [])
         assert solve_milp(model).pivots == solve_lp(model).pivots > 0
 
 

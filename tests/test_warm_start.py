@@ -1,11 +1,10 @@
 """Node LPs against the textbook simplex, and stage optima against HiGHS.
 
 The bounded dual simplex solves every LP: each branch-and-bound node, the
-root from the slack basis, after phase 1 where a cost prefers an infinite
-bound, and every other node from its parent's basis; and each answer's LP at
-the incumbent's activation pattern, from the slack basis.  These tests check
-each node, root included, against the textbook simplex on the same fixes
-(tests/_textbook_lp.py), a phase-1 root on negative unit costs against the
+root from the slack basis and every other node from its parent's basis; and
+each answer's LP at the incumbent's activation pattern, from the slack basis.
+These tests check each node, root included, against the textbook simplex on
+the same fixes (tests/_textbook_lp.py), negative unit costs against the
 enumeration oracle, the paper's answers against the oracle bit for bit and
 against the textbook optimum, and stage optima beyond the oracle's reach
 against scipy's HiGHS.
@@ -87,11 +86,10 @@ class TestWarmNodesMatchCold:
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
 
-class TestPhaseOneRoot:
+class TestNegativeUnitCosts:
     def test_negative_unit_costs_match_the_oracle(self):
-        # Shifted by -30, most unit costs are negative.  A shipment has no
-        # upper bound of its own, so its cost prefers an infinite bound and
-        # the root's dual simplex must run phase 1 first.
+        # Shifted by -30, most unit costs are negative, so the slack basis
+        # starts those shipments at their upper bound, the big-M.
         rng = random.Random(7)
         negative = 0
         for k in range(25):
