@@ -30,7 +30,7 @@ LEVEL_SLACK = 1e-9
 
 
 class InfeasibleProblemError(Exception):
-    """A required single-objective or compromise solve had no feasible point."""
+    """Supply caps short of demand floors (from pipeline.Stages), or an empty max-min model."""
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def validate(instance: IfctpInstance) -> list[str]:
     An objective that could overflow a float makes an instance malformed.
     Aggregate supply is not compared with demand: a well-formed but
     undersupplied instance is an infeasible problem, not a malformed one, and
-    its solves end infeasible.
+    pipeline.Stages rejects it from the totals before any solve.
     """
     v: list[str] = []
     m, n = instance.m, instance.n
@@ -140,6 +140,10 @@ def validate(instance: IfctpInstance) -> list[str]:
                                              instance.supply) for t, f in zip(t_row, f_row))
     if not math.isfinite(4.0 * bound):
         v.append("unit costs times supply caps overflow a float")
+    # math.fsum of the caps or the floors raises on overflow; 2 covers this sum's rounding.
+    totals = sum(s.hi for s in instance.supply) + sum(d.lo for d in instance.demand)
+    if not math.isfinite(2.0 * totals):
+        v.append("supply caps plus demand floors overflow a float")
     return v
 
 
@@ -171,12 +175,12 @@ def check_plan(instance: IfctpInstance, plan: ShipmentPlan) -> list[str]:
                 v.append(f"route ({i + 1},{j + 1}) is activated but ships nothing")
 
     for i in range(m):
-        shipped = sum(plan.y[i])
+        shipped = math.fsum(plan.y[i])
         cap = instance.supply[i].hi
         if shipped > cap * (1 + FEASIBILITY_TOL):
             v.append(f"row {i + 1} ships {shipped:g} > supply cap {cap:g}")
     for j in range(n):
-        received = sum(plan.y[i][j] for i in range(m))
+        received = math.fsum(plan.y[i][j] for i in range(m))
         floor = instance.demand[j].lo
         if received < floor * (1 - FEASIBILITY_TOL):
             v.append(f"column {j + 1} receives {received:g} < demand floor {floor:g}")

@@ -7,6 +7,7 @@ with its own inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,41 +33,39 @@ class UnattainableLevelsError(ValueError):
 class Stages:
     """The method's named solves for one instance, each built and solved once, on first use.
 
-    The anchors center, width and lower minimize one objective each; the width
-    anchor serves both the ideal point and the payoff table.  They differ only
-    in their objective, so each anchor model derives from the one built before
-    it and the three share one scaling of the constraint matrix.  models and
-    solutions hold each solved stage's model and solution under its name,
-    max-min and refine included.
+    An instance whose supply caps add up to less than its demand floors has no
+    plan, so it raises InfeasibleProblemError here, before any solve.  The
+    anchors center, width and lower minimize one objective each over one model
+    and one scaling of its matrix; the width anchor serves the ideal point and
+    the payoff table.  models and solutions hold each solved stage by name.
     """
 
     def __init__(self, instance: IfctpInstance):
         self.bi = build_bi_objective(instance)  # validates the instance once
+        s, d = math.fsum(self.bi.supply_caps), math.fsum(self.bi.demand_floors)
+        if s < d:
+            raise InfeasibleProblemError(f"supply cap total {s!r} < demand floor total {d!r}")
+        self._anchors = to_milp(self.bi, self.bi.obj_center)  # each anchor swaps in its objective
         self.models: dict[str, MilpModel] = {}
         self.solutions: dict[str, MilpSolution] = {}
-        self._anchor_model: Optional[MilpModel] = None  # the last anchor model built
 
-    def anchor(self, name: str, what: str) -> MilpSolution:
-        """Anchor name's optimal solution; any other outcome raises, naming the solve what."""
+    def anchor(self, name: str) -> MilpSolution:
+        """Anchor name's optimal solution; any other outcome is a numerical breakdown."""
         if name not in self.solutions:
-            objective = getattr(self.bi, f"obj_{name}")
-            self._anchor_model = (to_milp(self.bi, objective) if self._anchor_model is None
-                                  else self._anchor_model.derive(c=objective))
-            self.models[name] = self._anchor_model
+            self.models[name] = self._anchors.derive(c=getattr(self.bi, f"obj_{name}"))
             self.solutions[name] = solve_milp(self.models[name])
         if self.solutions[name].status != OPTIMAL:
-            raise InfeasibleProblemError(f"{what} ended {self.solutions[name].status}")
+            raise DegeneratePivotError(f"the {name} anchor ended {self.solutions[name].status}")
         return self.solutions[name]
 
     def ideal(self) -> CenterWidth:
         """Componentwise minima of expected cost and uncertainty (generally unattainable)."""
-        center, width = (self.anchor(name, f"ideal-point solve ({name})").objective_value
-                         for name in ("center", "width"))
+        center, width = (self.anchor(name).objective_value for name in ("center", "width"))
         return CenterWidth(center, max(0.0, width))
 
     def payoff(self) -> PayoffTable:
         """Cross-evaluate the lower and width anchor plans."""
-        anchors = [extract_plan(self.bi, self.anchor(name, "single-objective solve").assignment)
+        anchors = [extract_plan(self.bi, self.anchor(name).assignment)
                    for name in ("lower", "width")]
         lower_at = [plan_value(self.bi.obj_lower, p) for p in anchors]
         width_at = [plan_value(self.bi.obj_width, p) for p in anchors]
@@ -76,14 +75,13 @@ class Stages:
                    ) -> tuple[PayoffTable, CompromiseResult]:
         """Max-min and refine at the computed payoff levels, or at override as in run_pipeline.
 
-        An infeasible instance raises InfeasibleProblemError first.  Then only
-        the worst levels can leave the max-min model without a point: computed
+        The instance is feasible, so only the worst levels can leave the max-min
+        model without a point: override ones are then unattainable, and computed
         ones are met by the anchor plans, so round-off must have lost them.
         """
         if override is None:
             payoff = self.payoff()
         else:
-            self.ideal()  # proves the instance feasible, leaving only the levels to blame
             l1, u1, l2, u2 = override
             payoff = PayoffTable((l1, l2), (u1, u2))
         try:
@@ -152,22 +150,21 @@ def run_pipeline(instance: IfctpInstance, *,
     payoff_override is (L1, U1, L2, U2): aspired and worst levels for the
     lower-endpoint and width objectives, replacing the computed payoff table.
     Structural defects raise InvalidInstanceError; an undersupplied instance
-    comes back with status "infeasible" and no plan.  Override levels that no
-    plan of a feasible instance meets raise UnattainableLevelsError; computed
-    levels that round-off leaves unmet raise DegeneratePivotError.
+    comes back, unsolved, with status "infeasible" and no plan.  Override levels
+    that no plan meets raise UnattainableLevelsError; computed levels that
+    round-off leaves unmet raise DegeneratePivotError.
     """
-    stages = Stages(instance)
-    summary = dict(
-        sources=instance.m,
-        destinations=instance.n,
-        supply_cap_total=sum(iv.hi for iv in instance.supply),
-        demand_floor_total=sum(iv.lo for iv in instance.demand),
-    )
     try:
-        ideal = stages.ideal()
-        payoff, result = stages.compromise(payoff_override)
+        stages = Stages(instance)  # validates before the totals below are taken
     except InfeasibleProblemError:
+        stages = None
+    summary = dict(sources=instance.m, destinations=instance.n,
+                   supply_cap_total=math.fsum(iv.hi for iv in instance.supply),
+                   demand_floor_total=math.fsum(iv.lo for iv in instance.demand))
+    if stages is None:
         return CompromiseReport(status="infeasible", competitor=competitor, **summary)
+    ideal = stages.ideal()
+    payoff, result = stages.compromise(payoff_override)
 
     objective = evaluate_interval_objective(instance, result.plan)
     violations = tuple(check_plan(instance, result.plan))
@@ -211,11 +208,6 @@ class OracleCheck:
         return not self.dominated and all(line.passed for line in self.lines)
 
 
-def _values_agree(a: float, b: float) -> bool:
-    """Equal within 1e-6, relative to the larger magnitude or to one."""
-    return abs(a - b) <= 1e-6 * max(1.0, abs(a), abs(b))
-
-
 def _bounded_objective_model(bi, minimize, cap_objective, cap_value) -> MilpModel:
     """Minimize one objective subject to the other staying at or below a cap."""
     A, senses, b, lo, hi, binaries = constraint_rows(bi)
@@ -226,19 +218,23 @@ def _bounded_objective_model(bi, minimize, cap_objective, cap_value) -> MilpMode
 def _check_line(label: str, stages: Stages, name: str, sign: float = 1.0) -> CheckLine:
     """Enumeration against the solver on stage name; sign flips a maximized value.
 
-    An oracle that finds no optimum reads NaN, which agrees with nothing.
+    Values agree within 1e-6 of the larger magnitude, or of 1.0 for the level:
+    costs at every unit, the level as the ratio in [0, 1] it is.  An oracle
+    that finds no optimum reads NaN, which agrees with nothing.
     """
     solver = stages.solutions[name].objective_value
     oracle = oracle_solve(stages.models[name])
     value = oracle.objective_value if oracle.status == OPTIMAL else float("nan")
-    return CheckLine(label, sign * solver, sign * value, _values_agree(solver, value))
+    least = 1.0 if sign < 0 else 0.0
+    agree = abs(solver - value) <= 1e-6 * max(least, abs(solver), abs(value))
+    return CheckLine(label, sign * solver, sign * value, agree)
 
 
 def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
     """Compare branch-and-bound answers against exhaustive enumeration.
 
-    Solves the pipeline's five stage models once each, checks the two
-    ideal-point solves and the max-min solve against enumeration, then searches
+    Solves the pipeline's five stage models once each, checks the center and
+    width anchors and the max-min solve against enumeration, then searches
     every activation pattern for a plan that Pareto-dominates the compromise
     solution.  Each probe caps one objective at the compromise's value plus
     1e-9 of it and must beat the other by DOMINANCE_TOL of it, so the check

@@ -55,7 +55,7 @@ def parse_instance(text: str) -> IfctpInstance:
     Raises ProblemFileError on malformed lines, duplicate or missing entries,
     out-of-range indices, reversed intervals and structural validation
     failures.  Aggregate supply/demand feasibility is not checked here: an
-    undersupplied file parses fine and is reported infeasible by the solver.
+    undersupplied file parses fine, and pipeline.Stages rejects it unsolved.
     """
     dims: tuple[int, int] | None = None
     cost: dict[tuple[int, int], tuple[Interval, Interval]] = {}

@@ -18,7 +18,7 @@ REFERENCE_PAYOFF = PayoffTable((PAYOFF_OVERRIDE[0], PAYOFF_OVERRIDE[2]),
 
 def _anchor_plans(stages):
     """The plans of the lower-endpoint and width anchor solutions."""
-    return tuple(extract_plan(stages.bi, stages.anchor(name, name).assignment)
+    return tuple(extract_plan(stages.bi, stages.anchor(name).assignment)
                  for name in ("lower", "width"))
 
 

@@ -9,7 +9,8 @@ cost scale: in the max-min and refine models at costs x 1e6, the level rows
 carry coefficients near 1e8.  For k a power of two every product and sum
 scales exactly, so the property test asks for bit-identical answers; the
 shipped instance gives them for p in [-31, 120] but not just below that.
-oracle-check's dominance probe must mean the same at every scale too.
+oracle-check's dominance probe and ideal-point lines must mean the same at every
+scale too.
 """
 
 import dataclasses
@@ -22,8 +23,9 @@ from hypothesis import strategies as st
 from _random_instances import random_instance
 from conftest import bench1_instance, scaled_costs
 
+import ifctp.pipeline
 from ifctp import (IfctpInstance, Interval, Stages, render_instance, run_oracle_check,
-                   run_pipeline)
+                   run_pipeline, solve_milp)
 from ifctp.cli import main
 
 REL = 1e-9
@@ -150,3 +152,18 @@ def test_oracle_check_finds_a_slightly_worse_compromise_dominated(monkeypatch, f
     monkeypatch.setattr(Stages, "compromise", worse_width)
     check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
     assert check.dominated and not check.passed
+
+
+@pytest.mark.parametrize("factor", [1e-9, 1.0, 1e9])
+def test_oracle_check_fails_ideal_lines_half_again_too_high(monkeypatch, factor):
+    # Every anchor reports 1.5 times its optimum.  At costs x 1e-9 the ideal
+    # point is near 1e-7, so a tolerance of 1e-6 times at least one passed it.
+    def half_again(model):
+        solution = solve_milp(model)
+        return dataclasses.replace(solution, objective_value=1.5 * solution.objective_value)
+
+    monkeypatch.setattr(ifctp.pipeline, "solve_milp", half_again)
+    check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
+    assert [(line.name, line.passed) for line in check.lines] == [
+        ("ideal-center", False), ("ideal-width", False), ("max-min level", True)]
+    assert not check.passed

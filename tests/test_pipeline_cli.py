@@ -11,8 +11,9 @@ import ifctp.compromise
 import ifctp.crisp
 import ifctp.milp
 import ifctp.pipeline
-from ifctp import (CompetitorEntry, Interval, OracleScopeError, UnattainableLevelsError,
-                   check_plan, render_instance, run_oracle_check, run_pipeline)
+from ifctp import (CompetitorEntry, IfctpInstance, Interval, OracleScopeError, Stages,
+                   UnattainableLevelsError, check_plan, render_instance, run_oracle_check,
+                   run_pipeline)
 from ifctp.cli import main
 from ifctp.reporting import render_machine, render_text
 
@@ -31,8 +32,7 @@ demand 2 = [4,5]
 """
 
 # TINY_2X2 with supply caps totalling 4 against demand floors totalling 7.
-UNDERSUPPLIED_2X2 = TINY_2X2.replace("supply 1 = [5,6]", "supply 1 = [1,2]").replace(
-    "supply 2 = [4,5]", "supply 2 = [1,2]")
+UNDERSUPPLIED_2X2 = (DATA_DIR / "undersupplied_2x2.txt").read_text()
 
 STARVED = """\
 dims 1 1
@@ -79,6 +79,17 @@ class TestRunPipeline:
         report = run_pipeline(parse_instance(STARVED))
         assert report.status == "infeasible"
         assert report.plan is None and report.distance is None
+
+    def test_totals_do_not_depend_on_the_python_version(self):
+        # A plain left-to-right sum of 0.1, 0.2 and 0.3 is 0.6000000000000001;
+        # builtin sum compensates it on Python 3.12 but not on 3.10 or 3.11.
+        tenths = IfctpInstance([[Interval(1, 2)]] * 3, [[Interval(0, 1)]] * 3,
+                               [Interval(0, cap) for cap in (0.1, 0.2, 0.3)],
+                               [Interval(0.5, 0.5)])
+        report = run_pipeline(tenths)
+        assert report.status == "optimal"
+        assert (report.supply_cap_total, report.demand_floor_total) == (0.6, 0.5)
+        assert "supply_cap_total=0.6\n" in render_machine(report)
 
 
 class TestRendering:
@@ -387,6 +398,7 @@ _INFEASIBLE_TEXT = ("interval fixed-charge transportation: 2 sources, 2 destinat
                     "supply cap total 4.00, demand floor total 7.00\nstatus: infeasible\n")
 _INFEASIBLE_MACHINE = ("status=infeasible\nsources=2\ndestinations=2\nsupply_cap_total=4.0\n"
                        "demand_floor_total=7.0\n")
+_INFEASIBLE_LINE = "infeasible: supply cap total 4.0 < demand floor total 7.0\n"
 
 
 class TestCliExactOutcomes:
@@ -398,16 +410,11 @@ class TestCliExactOutcomes:
         (UNDERSUPPLIED_2X2, ["compare", "--competitor", "x=[1,2]", "--report", "machine"], 2,
          _INFEASIBLE_MACHINE + "competitor.name=x\ncompetitor.lo=1.0\ncompetitor.hi=2.0\n"
                                "competitor.center=1.5\ncompetitor.width=0.5\n", ""),
-        (UNDERSUPPLIED_2X2, ["payoff"], 2, "",
-         "infeasible: single-objective solve ended infeasible\n"),
-        (UNDERSUPPLIED_2X2, ["payoff", "--report", "machine"], 2, "",
-         "infeasible: single-objective solve ended infeasible\n"),
-        (UNDERSUPPLIED_2X2, ["ideal"], 2, "",
-         "infeasible: ideal-point solve (center) ended infeasible\n"),
-        (UNDERSUPPLIED_2X2, ["ideal", "--report", "machine"], 2, "",
-         "infeasible: ideal-point solve (center) ended infeasible\n"),
-        (UNDERSUPPLIED_2X2, ["oracle-check"], 2, "",
-         "infeasible: single-objective solve ended infeasible\n"),
+        (UNDERSUPPLIED_2X2, ["payoff"], 2, "", _INFEASIBLE_LINE),
+        (UNDERSUPPLIED_2X2, ["payoff", "--report", "machine"], 2, "", _INFEASIBLE_LINE),
+        (UNDERSUPPLIED_2X2, ["ideal"], 2, "", _INFEASIBLE_LINE),
+        (UNDERSUPPLIED_2X2, ["ideal", "--report", "machine"], 2, "", _INFEASIBLE_LINE),
+        (UNDERSUPPLIED_2X2, ["oracle-check"], 2, "", _INFEASIBLE_LINE),
         (TINY_2X2, ["oracle-check"], 0,
          "ideal-center: solver=27.5 oracle=27.5 delta=0 ok\n"
          "ideal-width: solver=6.5 oracle=6.5 delta=0 ok\n"
@@ -423,6 +430,69 @@ class TestCliExactOutcomes:
         assert main([args[0], str(path), *args[1:]]) == code
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, err)
+
+
+def _record_solves(monkeypatch):
+    """The models that every solve_milp and oracle_solve call receives from here on."""
+    solved = []
+    for module in (ifctp.pipeline, ifctp.compromise):
+        for name in ("solve_milp", "oracle_solve"):
+            original = getattr(module, name, None)
+            if original is not None:
+                monkeypatch.setattr(module, name, lambda model, _solve=original:
+                                    solved.append(model) or _solve(model))
+    return solved
+
+
+class TestFeasibilityRule:
+    """An instance has a plan iff its supply caps add up to its demand floors.
+
+    The rule decides before any solve, so a stage solve without an optimum can
+    only be a numerical breakdown.
+    """
+
+    @pytest.mark.parametrize("args", [
+        ["solve"], ["compare", "--competitor", "x=[1,2]"], ["payoff"], ["ideal"],
+        ["oracle-check"]], ids=lambda args: args[0])
+    def test_undersupplied_instance_makes_no_solve(self, capsys, monkeypatch, args):
+        solved = _record_solves(monkeypatch)
+        path = DATA_DIR / "undersupplied_2x2.txt"
+        assert main([args[0], str(path), *args[1:]]) == 2
+        assert solved == []
+
+    def test_caps_equal_to_floors_solve_and_one_unit_short_do_not(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        path = tmp_path / "instance.txt"
+        # Caps 3 + 4 meet floors 3 + 4 exactly.
+        path.write_text(UNDERSUPPLIED_2X2.replace("supply 1 = [1,2]", "supply 1 = [1,3]")
+                        .replace("supply 2 = [1,2]", "supply 2 = [1,4]"))
+        assert main(["solve", str(path), "--report", "machine"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("status=optimal\n")
+        assert "plan_violation" not in out
+        path.write_text(path.read_text().replace("supply 2 = [1,4]", "supply 2 = [1,3]"))
+        solved = _record_solves(monkeypatch)
+        assert main(["payoff", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: supply cap total 6.0 < demand floor total 7.0\n")
+        assert solved == []
+
+    @pytest.mark.parametrize("command, first_anchor", [
+        ("solve", "center"), ("ideal", "center"), ("payoff", "lower"), ("oracle-check", "lower")])
+    def test_anchor_without_an_optimum_is_a_breakdown(self, bench1_path, capsys, monkeypatch,
+                                                      command, first_anchor):
+        monkeypatch.setattr(ifctp.pipeline, "solve_milp", lambda model: ifctp.milp.MilpSolution(
+            ifctp.milp.INFEASIBLE, None, None))
+        assert main([command, str(bench1_path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: numerical breakdown: the {first_anchor} anchor ended infeasible"]
+
+    def test_override_levels_solve_only_max_min_and_refine(self, bench1, monkeypatch):
+        solved = _record_solves(monkeypatch)
+        Stages(bench1).compromise(PAYOFF_OVERRIDE)
+        assert len(solved) == 2
 
 
 class TestCliOverflow:
@@ -458,6 +528,17 @@ class TestCliOverflow:
         assert main(["solve", str(path)]) == 3
         assert self._one_error_line(capsys) == (
             "error: unit costs times supply caps overflow a float")
+
+    def test_supply_caps_can_overflow(self, tmp_path, capsys):
+        # Each cap fits in a float, but their total does not; the costs are zero.
+        path = tmp_path / "roomy.txt"
+        path.write_text("dims 3 1\n" + "".join(f"cost {i} 1 = [0,0] fixed [0,0]\n"
+                                                for i in (1, 2, 3))
+                        + "".join(f"supply {i} = [8e307,8e307]\n" for i in (1, 2, 3))
+                        + "demand 1 = [1,1]\n")
+        assert main(["solve", str(path)]) == 3
+        assert self._one_error_line(capsys) == (
+            "error: supply caps plus demand floors overflow a float")
 
 
 def _huge_unit_costs(scale):

@@ -1,4 +1,4 @@
-"""The simplex kernel's rare paths, its pivot counts, shared factorisations, one solve per model."""
+"""The simplex kernel's rare paths, its pivot counts and its shared factorisations."""
 
 import random
 
@@ -9,10 +9,7 @@ from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
 
-import ifctp.cli
-import ifctp.compromise
 import ifctp.milp
-import ifctp.pipeline
 from ifctp import (DegeneratePivotError, MilpModel, PayoffTable, Stages,
                    build_bi_objective, build_max_min_model, oracle_solve, run_pipeline,
                    solve_milp, to_milp)
@@ -140,24 +137,6 @@ class TestPivotCounts:
     def test_root_node_pivots_match_solve_lp(self):
         model = MilpModel([1.0, 1.0], [[1.0, 1.0]], [-1], [3.0], [0.0] * 2, [10.0] * 2, [])
         assert solve_milp(model).pivots == solve_lp(model).pivots > 0
-
-
-class TestOneSolvePerModel:
-    def test_pipeline_solves_each_distinct_model_once(self, bench1, monkeypatch):
-        solved = []
-
-        def recording_solve(model, *args, **kwargs):
-            solved.append(tuple(getattr(model, name).tobytes()
-                                for name in ("c", "A", "senses", "b", "lo", "hi", "binaries")))
-            return solve_milp(model, *args, **kwargs)
-
-        monkeypatch.setattr(ifctp.pipeline, "solve_milp", recording_solve)
-        monkeypatch.setattr(ifctp.compromise, "solve_milp", recording_solve)
-        report = run_pipeline(bench1)
-        assert report.status == "optimal"
-        # ideal center, shared width, lower anchor, max-min, refinement
-        assert len(solved) == 5
-        assert len(set(solved)) == len(solved)
 
 
 def _draws_of_at_least_2x3(seed, count=3):
