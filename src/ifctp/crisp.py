@@ -5,9 +5,16 @@ objectives: its lower endpoint (center minus width coefficients) and its
 width; the ideal point also minimizes the center (expected cost).
 Constraints relax supplies to their upper limits and demands to their lower
 limits.  The conditional activation rule "x_ij = 1 iff y_ij > 0" is
-linearized exactly as y_ij <= M_ij x_ij with M_ij equal to the row's supply
-cap, which the row constraint already implies for any feasible y.  The
-same M_ij is y_ij's upper bound.
+linearized as y_ij <= M_ij x_ij with Balinski's (1961) M_ij = min(s_i.hi,
+d_j.lo), and the same M_ij is y_ij's upper bound.  The supply row alone
+implies only y_ij <= s_i.hi, so this box cuts off plans that ship more
+than a column's floor on one route.  It is valid when every unit cost has
+a lower endpoint >= 0: then every y-coefficient of every objective and
+level row built from these objectives is >= 0, so cutting a column's
+inflow back to its floor worsens nothing, and some optimum of every model
+has y_ij <= d_j.lo.  Otherwise M_ij stays s_i.hi, the bound the supply row
+implies.  A smaller M_ij tightens every LP relaxation: x_ij >= y_ij / M_ij
+charges more of the fixed cost.
 
 All models built here share one variable layout: y(i,j) at index i*n + j,
 x(i,j) at m*n + i*n + j, optional extra columns appended after that.  An
@@ -37,7 +44,8 @@ class BiObjectiveMilp:
 
     obj_center (the expected cost, which the ideal point minimizes), obj_lower
     and obj_width are length-2mn coefficient vectors over (y, x); big_m is the
-    m x n array of linking constants M_ij.
+    m x n array of linking constants M_ij, min(s_i.hi, d_j.lo) when every unit
+    cost is >= 0 and s_i.hi otherwise (see the module docstring).
     """
 
     obj_center: np.ndarray
@@ -77,6 +85,8 @@ def build_bi_objective(instance: IfctpInstance) -> BiObjectiveMilp:
     caps = tuple(iv.hi for iv in instance.supply)
     floors = tuple(iv.lo for iv in instance.demand)
     big_m = np.repeat(np.array(caps, dtype=float)[:, None], instance.n, axis=1)
+    if all(iv.lo >= 0 for row in instance.unit_cost for iv in row):
+        big_m = np.minimum(big_m, np.array(floors, dtype=float))
     # Lower endpoint = center - width, exact as floats since both derive from
     # the same division by two.
     return BiObjectiveMilp(center, center - width, width, caps, floors, big_m)
@@ -104,9 +114,11 @@ def constraint_rows(bi: BiObjectiveMilp, extra_vars: int = 0) -> tuple[np.ndarra
 
     Returns (A, senses, b, lo, hi, binaries) over the (y, x, extras) layout,
     rows in that order, linking rows cell by cell.  Each y_ij is boxed at
-    [0, M_ij], the bound its linking row implies, so every variable has a
-    finite box.  Extra columns get zero coefficients; lo and hi cover y and
-    x only, so the caller appends the extras' bounds.
+    [0, M_ij], so every variable has a finite box.  With M_ij below s_i.hi
+    that box is not implied by the rows; it holds an optimum because every
+    unit cost is >= 0 (see the module docstring).  Extra columns get zero
+    coefficients; lo and hi cover y and x only, so the caller appends the
+    extras' bounds.
     """
     m, n = bi.m, bi.n
     mn = m * n

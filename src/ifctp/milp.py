@@ -27,8 +27,9 @@ overhead costs about as much as the arithmetic, and each pivot is written
 with as few calls as it allows.  The update is one broadcast,
 T -= col * pivot_row, with the pivot row's own entry of col zeroed.  The
 model is scaled by powers of two and gets one slack per row; bounds stay
-implicit, so there are no upper-bound rows.  The scaling depends on A
-alone, so models derived from one another (MilpModel.derive) share it.  A
+implicit, so there are no upper-bound rows.  The row and column scaling
+depends on A alone, so models derived from one another (MilpModel.derive)
+share it; the objective gets one power of two of its own.  A
 root or pattern LP starts from the slack basis, which is dual feasible
 because every bound is finite (_dual_simplex).  A child differs from its
 parent by one fixed binary, so the parent's optimal basis stays dual
@@ -59,7 +60,8 @@ The branching binary's row and the reduced costs of the parent's final
 bounded tableau bound how much the child's fix must raise the parent's LP
 value (_penalties), so the key is a valid lower bound on the child's LP and
 on every integral point below it.  A popped node whose key is within
-IMPROVEMENT_EPS of the incumbent is pruned without an LP solve; the same
+IMPROVEMENT_EPS (in the objective's unit) of the incumbent is pruned
+without an LP solve; the same
 test after its LP prunes a node whose own value cannot beat the incumbent.
 The penalties are clipped at zero, so round-off in a reduced cost can only
 weaken a key, never prune a subtree that holds a better point.
@@ -67,6 +69,7 @@ weaken a key, never prune a subtree that holds a better point.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import heapq
 import itertools
@@ -85,11 +88,13 @@ DEGENERATE_LIMIT = 500    # consecutive degenerate pivots before Bland's rule
 ITERATION_CAP = 100_000   # hard stop against pathological cycling
 DEFAULT_NODE_LIMIT = 10 ** 6
 ORACLE_MAX_BINARIES = 20
-# An incumbent must beat the previous one by more than this (avoids tie-flapping).
+# An incumbent must beat the previous one by more than this times the objective's
+# unit (_bounded_form), which avoids tie-flapping at every cost scale.
 IMPROVEMENT_EPS = 1e-9
 # Row and bound slack a node's rounded point may use to count as feasible.
 ROUNDED_FEAS_TOL = 1e-9
-# How far a basic variable may pass a bound when the dual simplex stops (scaled units).
+# How far a basic variable may pass a bound when the dual simplex stops: in
+# scaled units, and relative to the variable's magnitude above 1.
 BOUND_TOL = 1e-9
 
 
@@ -105,8 +110,15 @@ class OracleScopeError(ValueError):
     """Problem has too many binaries for exhaustive enumeration."""
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    array = np.array(values, dtype=dtype)
+def _frozen(name: str, values) -> np.ndarray:
+    """A read-only copy of the values of MilpModel field name, with its dtype."""
+    if name == "senses":
+        values = np.asarray(values, dtype=float)
+        if not np.isin(values, (1, -1, 0)).all():
+            raise ValueError("unknown relation sense; use 1 (<=), -1 (>=) or 0 (=)")
+    elif name == "binaries":
+        values = sorted(set(map(int, values)))
+    array = np.array(values, dtype=int if name in ("senses", "binaries") else float)
     array.flags.writeable = False
     return array
 
@@ -132,23 +144,26 @@ class MilpModel:
     binaries: np.ndarray
 
     def __init__(self, c, A, senses, b, lo, hi, binaries):
-        senses = np.asarray(senses, dtype=float)
-        if not np.isin(senses, (1, -1, 0)).all():
-            raise ValueError("unknown relation sense; use 1 (<=), -1 (>=) or 0 (=)")
-        for name, values, dtype in (("c", c, float), ("A", A, float), ("senses", senses, int),
-                                    ("b", b, float), ("lo", lo, float), ("hi", hi, float),
-                                    ("binaries", sorted(set(map(int, binaries))), int)):
-            object.__setattr__(self, name, _frozen(values, dtype))
+        for name, values in zip(_FIELDS, (c, A, senses, b, lo, hi, binaries)):
+            object.__setattr__(self, name, _frozen(name, values))
         self._check()
         # A's scaled bounded form, computed on the first solve; see _bounded_form.
         object.__setattr__(self, "_scaling", [])
 
     def derive(self, **arrays) -> MilpModel:
-        """This model with some arrays other than A replaced, sharing A's scaling."""
+        """This model with some arrays other than A replaced, sharing A's scaling.
+
+        Only the replaced arrays are copied; the others, read-only, are shared.
+        """
         if "A" in arrays:
             raise TypeError("a derived model keeps its constraint matrix")
-        model = dataclasses.replace(self, **arrays)
-        object.__setattr__(model, "_scaling", self._scaling)
+        unknown = set(arrays) - set(_FIELDS)
+        if unknown:
+            raise TypeError(f"MilpModel has no array {sorted(unknown)[0]!r}")
+        model = copy.copy(self)  # shares every array and the scaling list
+        for name, values in arrays.items():
+            object.__setattr__(model, name, _frozen(name, values))
+        model._check()
         return model
 
     def _check(self) -> None:
@@ -180,6 +195,9 @@ class MilpModel:
 
     def value_at(self, assignment: Sequence[float]) -> float:
         return float(np.dot(self.c, assignment))
+
+
+_FIELDS = tuple(field.name for field in dataclasses.fields(MilpModel))
 
 
 @dataclass(frozen=True)
@@ -236,27 +254,33 @@ class _Start:
 
 
 def _bounded_form(model: MilpModel) -> tuple:
-    """(M, b, c, lo, hi, cols, slack): the model scaled, as min c.v  s.t.  M v = b,  lo <= v <= hi.
+    """(M, b, c, lo, hi, cols, slack, unit): the model as min c.v  s.t.  M v = b,  lo <= v <= hi.
 
     M = [R A C | I] with diagonal R and C, powers of two, so scaling is
     exact.  Structural v_j = x_j / C_jj; column nv + i is row i's slack
     R_ii (b_i - A_i x), bounded to [0, inf) for "<=", (-inf, 0] for ">="
     and [0, 0] for "=".  Upper bounds stay implicit.  Four passes of
     geometric-mean scaling bring every row and column near magnitude one,
-    so the absolute tolerances mean the same in a big-M row or at any cost
-    scale.  cols holds C's diagonal.  M, R and C depend on A alone, so they
-    are computed once for a model and every model derived from it.  slack
-    is a fresh slack-basis _Start, shared by the LPs of one solve that start
-    from it.
+    so the absolute pivot tolerance means the same in a big-M row.  c is
+    the scaled objective divided by unit, the power of two nearest its
+    largest magnitude, so the reduced-cost tolerances mean the same at any
+    cost scale: c and 2^k c pivot alike, bit for bit.  Reduced costs times
+    unit are in the model's objective units.  cols holds C's diagonal.  M,
+    R and C depend on A alone, so they are computed once for a model and
+    every model derived from it.  slack is a fresh slack-basis _Start,
+    shared by the LPs of one solve that start from it.
     """
     if not model._scaling:
         model._scaling.append(_scaled_matrix(model.A))
     M, rows, cols = model._scaling[0]
     m, nv = model.A.shape
-    c = np.concatenate((model.c * cols, np.zeros(m)))
+    c = model.c * cols
+    top = np.abs(c).max(initial=0.0)
+    unit = float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
+    c = np.concatenate((c / unit, np.zeros(m)))
     lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
     hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
-    return M, model.b * rows, c, lo, hi, cols, _Start(np.arange(nv, nv + m))
+    return M, model.b * rows, c, lo, hi, cols, _Start(np.arange(nv, nv + m)), unit
 
 
 def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -292,21 +316,26 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
 
     Factorises M at the basis, unless an LP solved from the same start
     already did, puts every nonbasic at its lower or (by at_upper) upper
-    bound, and runs the bounded dual simplex.  The leaving row has the
-    largest bound violation beyond BOUND_TOL.  The entering column comes
-    from the free nonbasics that move the leaving variable toward its
-    bound, a reduced cost of the wrong sign (round-off) counting as zero,
-    by Harris's (1973) ratio test: pass 1 finds the smallest ratio
+    bound, and runs the bounded dual simplex.  A basic value is violated
+    when it passes a bound by more than BOUND_TOL times max(1, |value|):
+    round-off grows with the value, so a fixed absolute slack would call a
+    basic value of 1e6 that one update left a few ulps past its bound
+    infeasible.  The leaving row has the largest violation.  The entering
+    column comes from the free nonbasics that move the leaving variable
+    toward its bound, a reduced cost of the wrong sign (round-off) counting
+    as zero, by Harris's (1973) ratio test: pass 1 finds the smallest ratio
     |d_k / a_rk| with PIVOT_TOL of slack on each d_k, pass 2 takes the
     largest |a_rk| within it, so a tiny pivot cannot win a near tie.  After
     DEGENERATE_LIMIT consecutive zero-step pivots the leaving row is the
     violated one with the lowest variable index instead, and the entering
     column the exact minimum ratio with the lowest index (Bland's rule for
-    the dual).  No entering column means the bounds admit no point.  At the
-    end every value within BOUND_TOL of a bound is put on it, so a fixed
-    variable takes exactly its value.  state is (basis, at_upper, T,
-    movable): the final basis, the final tableau B^-1 M with the
-    reduced-cost row below it, and the mask of nonbasics free to move.
+    the dual).  No entering column means the bounds admit no point; state
+    is then the final (basis, at_upper), from which _node_lp can confirm
+    it.  At the end every value within BOUND_TOL of a bound is put on it,
+    so a fixed variable takes exactly its value.  An optimal state is
+    (basis, at_upper, T, movable): the final basis, the final tableau
+    B^-1 M with the reduced-cost row below it, and the mask of nonbasics
+    free to move.
     """
     M, b, c = form[:3]
     m = b.size
@@ -332,14 +361,15 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     for pivots in range(ITERATION_CAP):
         below = lo[basis] - x_basic
         above = x_basic - hi[basis]
-        violation = np.maximum(below, above) - BOUND_TOL
-        r = violation.argmax()
-        if violation[r] <= 0.0:
+        violation = np.maximum(below, above)
+        violated = violation > BOUND_TOL * np.maximum(1.0, np.abs(x_basic))
+        r = np.where(violated, violation, -np.inf).argmax()
+        if not violated[r]:
             v[basis] = x_basic
             v = np.where(v - lo <= BOUND_TOL, lo, np.where(hi - v <= BOUND_TOL, hi, v))
             return OPTIMAL, v, pivots, (basis, at_upper, T, movable)
         if bland:
-            r = np.where(violation > 0.0, basis, basis.size + M.shape[1]).argmin()
+            r = np.where(violated, basis, basis.size + M.shape[1]).argmin()
         leaving = basis[r]
         too_high = above[r] > below[r]
         row = T[r]
@@ -348,7 +378,7 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
         if not cols.size:
             if (movable & (toward > 1e-12)).any():
                 raise DegeneratePivotError("leaving row has only sub-tolerance pivots")
-            return INFEASIBLE, None, pivots, None
+            return INFEASIBLE, None, pivots, (basis, at_upper)
         alpha = toward[cols]
         dual = np.maximum(costs[cols] * flip[cols], 0.0)
         if bland:
@@ -384,7 +414,10 @@ def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
     """One LP by _dual_simplex, a node's or a pattern's: (status, value, x, pivots, state).
 
     A child starts from its parent's _Start, the root and a pattern LP
-    (start None) from the form's slack start; the fixes become bounds.
+    (start None) from the form's slack start; the fixes become bounds.  A
+    child's INFEASIBLE rests on a tableau updated pivot by pivot from its
+    parent's, so it is solved once more from a fresh factorisation of the
+    basis where it stopped, and only a verdict confirmed there stands.
     state is _dual_simplex's, None unless optimal.
     """
     lo, hi, cols = form[3].copy(), form[4].copy(), form[5]
@@ -393,6 +426,9 @@ def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
         lo[fixed] = hi[fixed] = (np.fromiter(fixes.values(), dtype=float, count=len(fixes))
                                  / cols[fixed])
     status, v, pivots, state = _dual_simplex(form, lo, hi, start or form[6])
+    if status == INFEASIBLE and start is not None:
+        status, v, recheck_pivots, state = _dual_simplex(form, lo, hi, _Start(*state))
+        pivots += recheck_pivots
     if status != OPTIMAL:
         return status, None, None, pivots, None
     x = v[:cols.size] * cols
@@ -428,7 +464,7 @@ def _penalties(form, state, j: int) -> tuple[float, float]:
         q = np.divide(T[-1], a, out=np.full(a.size, np.inf), where=movable & (a != 0.0))
     down = np.minimum.reduce(q, where=movable & (toward > 0.0), initial=np.inf)
     up = -np.maximum.reduce(q, where=movable & (toward < 0.0), initial=-np.inf)
-    per_unit = 1.0 / form[5][j]  # the tableau's x_j is scaled: x_j / C_jj
+    per_unit = form[7] / form[5][j]  # the tableau's x_j is x_j / C_jj, its costs c / unit
     return max(float(down) * per_unit, 0.0), max(float(up) * per_unit, 0.0)
 
 
@@ -453,6 +489,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
     form = _bounded_form(model)
+    eps = IMPROVEMENT_EPS * form[7]  # in the objective's own unit, see _bounded_form
     nodes = pivots = 0
     seq = itertools.count()
     # heap entries: (penalty bound, -depth, sequence, fixes,
@@ -461,7 +498,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
 
     while heap:
         key, neg_depth, _, fixes, start = heapq.heappop(heap)
-        if key >= incumbent_val - IMPROVEMENT_EPS:
+        if key >= incumbent_val - eps:
             continue  # cannot beat the incumbent
         if nodes >= node_limit:
             raise NodeLimitError(f"node limit {node_limit} exceeded")
@@ -470,7 +507,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
-        if value >= incumbent_val - IMPROVEMENT_EPS:
+        if value >= incumbent_val - eps:
             continue
 
         point = x.copy()
@@ -482,7 +519,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         worst = frac.max(initial=0.0)
         if feasible or worst == 0.0:
             candidate = model.value_at(point)
-            if candidate < incumbent_val - IMPROVEMENT_EPS:
+            if candidate < incumbent_val - eps:
                 incumbent_val = candidate
                 incumbent_x = point
             if worst <= INT_TOL:
@@ -496,7 +533,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         first = 1.0 if x[j] >= 0.5 else 0.0
         shared = _Start(*state[:2])
         for branch_value in (first, 1.0 - first):
-            if keys[branch_value] >= incumbent_val - IMPROVEMENT_EPS:
+            if keys[branch_value] >= incumbent_val - eps:
                 continue  # pruned when popped too: the incumbent only falls
             child = dict(fixes)
             child[j] = branch_value

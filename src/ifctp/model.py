@@ -61,7 +61,10 @@ class IfctpInstance:
 
 @dataclass(frozen=True)
 class ShipmentPlan:
-    """A concrete assignment: shipped quantities y and route activations x."""
+    """A concrete assignment: shipped quantities y and route activations x.
+
+    Every shipment must be a finite number; check_plan judges the rest.
+    """
 
     y: tuple[tuple[float, ...], ...]
     x: tuple[tuple[int, ...], ...]
@@ -69,6 +72,8 @@ class ShipmentPlan:
     def __init__(self, y, x):
         object.__setattr__(self, "y", _as_matrix(y, "y"))
         object.__setattr__(self, "x", _as_matrix(x, "x"))
+        if not all(math.isfinite(v) for row in self.y for v in row):
+            raise ValueError("every shipment must be a finite number")
 
     @classmethod
     def from_quantities(cls, y: Sequence[Sequence[float]]) -> ShipmentPlan:
@@ -147,6 +152,20 @@ def validate(instance: IfctpInstance) -> list[str]:
     return v
 
 
+def _total(values) -> float:
+    """Correctly rounded sum; inf when it passes the float range.
+
+    math.fsum raises when a partial sum overflows, even if the total would
+    not; summing the values times 2^-64 cannot overflow, and only the scale
+    of a total that large matters here.
+    """
+    values = list(values)
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.fsum(math.ldexp(v, -64) for v in values) * 2.0 ** 64
+
+
 def check_plan(instance: IfctpInstance, plan: ShipmentPlan) -> list[str]:
     """Check a plan against the crisp constraint set and the x/y linking rule.
 
@@ -154,7 +173,8 @@ def check_plan(instance: IfctpInstance, plan: ShipmentPlan) -> list[str]:
     (sign, binarity, linking), then row supply caps, then column demand floors.
     A route is open iff it ships a positive amount; a row sum may pass its cap
     or floor by FEASIBILITY_TOL of that bound, so no rule depends on the unit
-    of the quantities.  Dimension mismatches are malformed input and raise.
+    of the quantities.  Row sums too large for a float count as inf.
+    Dimension mismatches are malformed input and raise; nothing else does.
     """
     m, n = instance.m, instance.n
     if plan.m != m or plan.n != n or len(plan.x) != m or any(len(r) != n for r in plan.x):
@@ -175,12 +195,12 @@ def check_plan(instance: IfctpInstance, plan: ShipmentPlan) -> list[str]:
                 v.append(f"route ({i + 1},{j + 1}) is activated but ships nothing")
 
     for i in range(m):
-        shipped = math.fsum(plan.y[i])
+        shipped = _total(plan.y[i])
         cap = instance.supply[i].hi
         if shipped > cap * (1 + FEASIBILITY_TOL):
             v.append(f"row {i + 1} ships {shipped:g} > supply cap {cap:g}")
     for j in range(n):
-        received = math.fsum(plan.y[i][j] for i in range(m))
+        received = _total(plan.y[i][j] for i in range(m))
         floor = instance.demand[j].lo
         if received < floor * (1 - FEASIBILITY_TOL):
             v.append(f"column {j + 1} receives {received:g} < demand floor {floor:g}")

@@ -118,7 +118,11 @@ def textbook_relaxation(model, fixes):
 
     Fixed variables are substituted out, rows left without a free variable
     are checked as plain comparisons, and upper bounds (finite in every
-    MilpModel) become rows.
+    MilpModel) become rows.  Each remaining row is multiplied by the power of
+    two that brings its largest coefficient nearest one, which is exact, so
+    the absolute tolerances read every row at the same magnitude: a level
+    row with coefficients near 1e-5 would otherwise pass FEAS_TOL while
+    violated by a tenth of its scale.
     """
     lo, hi = model.lo.copy(), model.hi.copy()
     for j, value in fixes.items():
@@ -134,6 +138,8 @@ def textbook_relaxation(model, fixes):
         return "infeasible", None, None
     A = np.vstack((model.A[live][:, free], np.eye(free.size)))
     b = np.concatenate((b[live], (hi - lo)[free]))
+    scale = np.exp2(-np.round(np.log2(np.abs(A).max(axis=1))))
+    A, b = A * scale[:, None], b * scale
     relations = [_RELATION[s] for s in model.senses[live]] + ["<="] * free.size
     status, u, _ = textbook_standard_lp(model.c[free], A, relations, b)
     if status != "optimal":

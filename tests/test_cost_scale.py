@@ -3,12 +3,14 @@
 Multiplying every unit cost and fixed charge by k > 0 multiplies both
 objectives by k, so the payoff levels, the ideal point and the objective
 interval scale by k while λ* and the plan stay put.  The LP kernel scales
-each model by powers of two before its absolute pivot and feasibility
-tolerances apply, so these cases guard that scaling at either end of the
-cost scale: in the max-min and refine models at costs x 1e6, the level rows
-carry coefficients near 1e8.  For k a power of two every product and sum
-scales exactly, so the property test asks for bit-identical answers; the
-shipped instance gives them for p in [-31, 120] but not just below that.
+each model's rows, columns and objective by powers of two before its
+absolute pivot, reduced-cost and feasibility tolerances apply, so these
+cases guard that scaling at either end of the cost scale: in the max-min
+and refine models at costs x 1e6, the level rows carry coefficients near
+1e8.  For k a power of two every product and sum scales exactly, so the
+property test asks for bit-identical answers; the shipped instance gives
+them for p in [-34, 120].  At p = -35 its width payoff range falls below
+the compromise's absolute RANGE_TOL.
 oracle-check's dominance probe and ideal-point lines must mean the same at every
 scale too.
 """
@@ -32,9 +34,11 @@ REL = 1e-9
 
 # A 2x3 instance (the 4th draw of random_instance(random.Random(185))) whose
 # refine model has tied optima: λ* is 0, so the level row binds nothing, and
-# the two anchor plans have the same weighted sum.  At cost scale 1e6 branch
-# and bound finds the other one, so objective.lo / k moves from 263 to 274
-# and objective.hi / k from 533 to 396.
+# the two anchor plans have the same weighted sum.  With every big-M at its
+# row's supply cap, the refine root LP was fractional, and at cost scale 1e6
+# branch and bound reached the other tied plan, so objective.lo / k moved
+# from 263 to 274 and objective.hi / k from 533 to 396.  With M_ij =
+# min(s_i.hi, d_j.lo) the root LP is integral at both scales.
 TIED_AT_LEVEL_ZERO = IfctpInstance(
     [[Interval(25, 34), Interval(11, 21), Interval(37, 48)],
      [Interval(27, 37), Interval(14, 45), Interval(45, 45)]],
@@ -68,9 +72,7 @@ def _scale_free(report, factor):
 @pytest.mark.parametrize("instance, factor", [
     pytest.param(bench1_instance(), 1e6, id="paper-1e6"),
     pytest.param(bench1_instance(), 1e-7, id="paper-1e-7"),
-    pytest.param(TIED_AT_LEVEL_ZERO, 1e6, id="tied-1e6", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="tied refine optima: the plan depends on the search path")),
+    pytest.param(TIED_AT_LEVEL_ZERO, 1e6, id="tied-1e6"),
     pytest.param(TIED_AT_LEVEL_ZERO, 1e-7, id="tied-1e-7"),
     # An unscaled LP engine with absolute tolerances got these wrong at 1e6:
     # λ* 0.8010 against 0.8062; memberships (0.933, 0.746) at λ* 0.776; and
@@ -114,14 +116,11 @@ def test_power_of_two_scale_is_exact(seed, p):
     _assert_scales_exactly(random_instance(random.Random(seed)), p)
 
 
-_SMALL_UNIT_BREAKS = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="λ* comes out 0.551, 1.0, 0.947 and 0.951 instead of 52/67; not diagnosed yet")
-
-
 @pytest.mark.parametrize("p", [
-    -31, 120,
-    *(pytest.param(p, marks=_SMALL_UNIT_BREAKS) for p in (-32, -33, -34, -35)),
+    -34, -33, -32, -31, 120,
+    pytest.param(-35, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the width payoff range, 27 * 2^-35, is below RANGE_TOL = 1e-9, so λ* is 1.0")),
 ])
 def test_shipped_instance_power_of_two_scale_is_exact(p):
     _assert_scales_exactly(bench1_instance(), p)

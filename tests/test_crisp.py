@@ -1,12 +1,16 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
+from _random_instances import random_instance
 from conftest import BENCH1_CELLS, zero_width_bench1
 
-from ifctp import (InvalidInstanceError, IfctpInstance, Interval, ShipmentPlan,
-                   build_bi_objective, evaluate_interval_objective, extract_plan, solve_milp)
+from ifctp import (InvalidInstanceError, IfctpInstance, Interval, ShipmentPlan, Stages,
+                   build_bi_objective, build_max_min_model, evaluate_interval_objective,
+                   extract_plan, solve_milp)
+from ifctp.compromise import _refine
 from ifctp.crisp import constraint_rows, plan_value, to_milp
 
 # Reference coefficient matrices for the 3x4 benchmark.
@@ -50,8 +54,24 @@ class TestBuildBiObjective:
         bi = build_bi_objective(bench1)
         assert bi.supply_caps == (33, 28, 25)
         assert bi.demand_floors == (20, 19, 23, 20)
-        assert all(bi.big_m[i][j] == bi.supply_caps[i]
-                   for i in range(3) for j in range(4))
+        # Balinski's M_ij = min(s_i.hi, d_j.lo): every floor is below every cap here.
+        assert bi.big_m.tolist() == [[20.0, 19.0, 23.0, 20.0]] * 3
+
+    def test_big_m_takes_the_smaller_of_cap_and_floor(self, bench1):
+        # A cap of 21 below the floor of 23, and a zero floor closing column 1.
+        instance = dataclasses.replace(
+            bench1, supply=[Interval(20, 21), Interval(27, 28), Interval(22, 25)],
+            demand=[Interval(0, 21), Interval(19, 24), Interval(23, 24), Interval(20, 22)])
+        assert build_bi_objective(instance).big_m.tolist() == [
+            [0.0, 19.0, 21.0, 20.0], [0.0, 19.0, 23.0, 20.0], [0.0, 19.0, 23.0, 20.0]]
+
+    def test_negative_unit_cost_keeps_the_supply_cap_big_m(self, bench1):
+        # A negative lower endpoint makes a y-coefficient of the lower objective
+        # negative, where shipping beyond a demand floor can pay.
+        unit = [list(row) for row in bench1.unit_cost]
+        unit[1][2] = Interval(-1, 15)
+        bi = build_bi_objective(dataclasses.replace(bench1, unit_cost=unit))
+        assert bi.big_m.tolist() == [[33.0] * 4, [28.0] * 4, [25.0] * 4]
 
     def test_zero_width_instance_has_zero_width_objective(self):
         bi = build_bi_objective(zero_width_bench1())
@@ -178,3 +198,37 @@ class TestBigMExactness:
         for i in range(3):
             for j in range(4):
                 assert (plan.y[i][j] > 1e-6) == (plan.x[i][j] == 1)
+
+
+def _stage_optima(bi, payoff, lambda_star):
+    """Optimal values of the five stage models over bi: the three anchors, max-min, refine."""
+    max_min = build_max_min_model(bi, payoff)
+    models = [to_milp(bi, bi.obj_center), to_milp(bi, bi.obj_width), to_milp(bi, bi.obj_lower),
+              max_min, _refine(bi, payoff, max_min, lambda_star)]
+    return [solve_milp(model).objective_value for model in models]
+
+
+class TestBalinskiBigM:
+    def test_every_stage_optimum_matches_the_supply_cap_big_m(self):
+        # With every unit cost >= 0, cutting a column's inflow back to its floor
+        # worsens no objective and no level row, so y_ij <= min(s_i.hi, d_j.lo)
+        # keeps an optimum of every stage model.  Every third draw gets a zero
+        # demand floor, which closes its column: M_ij = 0.
+        rng = random.Random(1961)
+        closed = 0
+        for k in range(150):
+            instance = random_instance(rng)
+            if k % 3 == 0:
+                demand = [Interval(0.0, instance.demand[0].hi), *instance.demand[1:]]
+                instance = dataclasses.replace(instance, demand=demand)
+            stages = Stages(instance)
+            payoff, result = stages.compromise()
+            bi = stages.bi
+            caps = np.array(bi.supply_caps, dtype=float)
+            paper_bi = dataclasses.replace(bi, big_m=np.repeat(caps[:, None], bi.n, axis=1))
+            closed += bool((bi.big_m == 0.0).any())
+            for stage, (ours, paper) in enumerate(zip(
+                    _stage_optima(bi, payoff, result.lambda_star),
+                    _stage_optima(paper_bi, payoff, result.lambda_star))):
+                assert abs(ours - paper) <= 1e-9 * max(abs(ours), abs(paper)), (k, stage)
+        assert closed == 50

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import BENCH1_DEMAND, BENCH1_SUPPLY
@@ -106,6 +108,27 @@ class TestCheckPlan:
         plan = ShipmentPlan.from_quantities([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="shape"):
             check_plan(bench1, plan)
+
+    def test_huge_finite_shipments_read_as_an_infinite_row_sum(self, bench1):
+        # math.fsum raises OverflowError on these; the row ships more than a float holds.
+        plan = ShipmentPlan.from_quantities([[1e308, 1e308, 0, 0], [0] * 4, [0] * 4])
+        got = check_plan(bench1, plan)
+        assert got[0] == "row 1 ships inf > supply cap 33"
+        assert "column 3 receives 0 < demand floor 23" in got
+
+    def test_partial_sum_overflow_keeps_the_exact_total(self, bench1):
+        y = [[1e308, 0, 0, 0], [1e308, 0, 0, 0], [-1e308, 0, 0, 0]]
+        got = check_plan(bench1, ShipmentPlan(y, [[1, 0, 0, 0]] * 3))
+        assert "y(3,1) = -1e+308 is negative" in got
+        assert not any("column 1" in v for v in got)  # it receives exactly 1e308
+
+    @pytest.mark.parametrize("y", [[[math.inf, -math.inf]], [[math.nan, 1.0]]],
+                             ids=["inf", "nan"])
+    def test_non_finite_shipments_are_rejected(self, y):
+        with pytest.raises(ValueError, match="finite"):
+            ShipmentPlan(y, [[1, 1]])
+        with pytest.raises(ValueError, match="finite"):
+            ShipmentPlan.from_quantities(y)
 
     def test_from_quantities_derives_activations(self):
         # Any positive shipment opens its route, however small the unit.

@@ -13,10 +13,11 @@ import random
 
 import pytest
 
+from _highs import highs_solve
 from _random_instances import random_instance
 from conftest import bench1_instance
 
-from ifctp import IfctpInstance, Interval, run_pipeline
+from ifctp import IfctpInstance, Interval, Stages, run_pipeline
 
 REL = 1e-9
 POWERS = (-30, -24, -20, -10, -3, 10, 20, 30)
@@ -57,19 +58,8 @@ def _unit_free(report, factor):
     }
 
 
-def _cases():
-    for name in INSTANCES:
-        for p in POWERS:
-            marks = ()
-            if (name, p) == ("draw-4", 30):
-                marks = pytest.mark.xfail(
-                    strict=True, raises=AssertionError,
-                    reason="a 2x4 draw whose supplies at 2^30 give λ* 0.5758 instead of 0.5848 "
-                           "with other activations")
-            yield pytest.param(name, p, id=f"{name}-p{p}", marks=marks)
-
-
-@pytest.mark.parametrize("name, p", _cases())
+@pytest.mark.parametrize("name, p", [pytest.param(name, p, id=f"{name}-p{p}")
+                                     for name in INSTANCES for p in POWERS])
 def test_answers_do_not_depend_on_the_quantity_unit(name, p):
     factor = 2.0 ** p
     base = _base_report(name)
@@ -91,3 +81,18 @@ def test_large_quantities_raise_no_false_warning(index):
     report = run_pipeline(rescaled(_draws(5, index + 1)[index], 1e9, 1.0))
     assert report.status == "optimal"
     assert report.plan_violations == ()
+
+
+def test_shipped_instance_at_quantities_times_1e9_matches_highs():
+    # A warm child of the width anchor, {x(3,2) = 0}, came back infeasible from
+    # its parent's basis although it holds the optimum, so the width anchor
+    # ended at 133000000033 and λ* at 0.5833.  A warm child's infeasible
+    # verdict now stands only once a fresh factorisation confirms it.
+    stages = Stages(rescaled(bench1_instance(), 1e9, 1.0))
+    for name in ("center", "width", "lower"):
+        ours = stages.anchor(name).objective_value
+        status, value = highs_solve(stages.models[name])
+        assert status == "optimal" and abs(ours - value) <= 1e-12 * value, name
+    assert stages.anchor("width").objective_value == 133000000030.0
+    _, result = stages.compromise()
+    assert abs(result.lambda_star - 0.8901) < 1e-4

@@ -10,6 +10,7 @@ against the textbook optimum, and stage optima beyond the oracle's reach
 against scipy's HiGHS.
 """
 
+import pathlib
 import random
 import time
 
@@ -23,9 +24,12 @@ from _textbook_lp import textbook_relaxation
 
 import ifctp.milp
 from ifctp import (IfctpInstance, Interval, PayoffTable, Stages, build_bi_objective,
-                   build_max_min_model, oracle_solve, run_oracle_check, solve_milp, to_milp)
+                   build_max_min_model, oracle_solve, parse_instance, run_oracle_check,
+                   solve_milp, to_milp)
 from ifctp.compromise import _refine
 from ifctp.milp import OPTIMAL
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def _stage_models(instance, override=None):
@@ -75,7 +79,14 @@ class TestWarmNodesMatchCold:
         return statuses
 
     def test_bench1_stage_searches(self, bench1, monkeypatch):
-        statuses = self._check_every_node(_paper_models(bench1).values(), monkeypatch)
+        # With M_ij = min(s_i.hi, d_j.lo) the paper's seven searches take 86
+        # node LPs, so the copies with a zero demand floor (M_ij = 0 in one
+        # column) and with a negative unit cost (M_ij = s_i.hi) join them.
+        models = list(_paper_models(bench1).values())
+        for variant in ("zero_floor", "negative_cost"):
+            text = (DATA / f"safi_razmjoo_1_{variant}.txt").read_text()
+            models += _stage_models(parse_instance(text)).values()
+        statuses = self._check_every_node(models, monkeypatch)
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
     def test_random_stage_searches(self, monkeypatch):
