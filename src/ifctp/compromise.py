@@ -23,7 +23,8 @@ from .crisp import BiObjectiveMilp, constraint_rows, extract_plan, plan_value
 from .milp import OPTIMAL, DegeneratePivotError, MilpModel, MilpSolution, solve_milp
 from .model import ShipmentPlan
 
-# Ranges below this are treated as degenerate (both anchors agree on the objective).
+# A payoff range this small relative to its levels is degenerate (both anchors
+# agree on the objective); see _degenerate.
 RANGE_TOL = 1e-9
 # Numerical slack when pinning the achieved level in the refinement pass.
 LEVEL_SLACK = 1e-9
@@ -49,9 +50,6 @@ class PayoffTable:
                 raise ValueError(
                     f"objective {k}: best level {self.best[k]} exceeds worst {self.worst[k]}")
 
-    def spans(self) -> tuple[float, float]:
-        return (self.worst[0] - self.best[0], self.worst[1] - self.best[1])
-
 
 @dataclass(frozen=True)
 class CompromiseResult:
@@ -65,9 +63,18 @@ class CompromiseResult:
     solutions: dict[str, MilpSolution]
 
 
+def _degenerate(best: float, worst: float) -> bool:
+    """Whether the range from best to worst is round-off: at most RANGE_TOL of the larger level.
+
+    Relative, so a real range stays one at any cost unit; equal levels,
+    zero included, are degenerate.
+    """
+    return worst - best <= RANGE_TOL * max(abs(best), abs(worst))
+
+
 def membership(value: float, best: float, worst: float) -> float:
     """Linear satisfaction degree in [0, 1]; 1 when the levels coincide."""
-    if worst - best <= RANGE_TOL:
+    if _degenerate(best, worst):
         return 1.0
     return min(1.0, max(0.0, (worst - value) / (worst - best)))
 
@@ -85,9 +92,8 @@ def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:
     level_rows = np.zeros((2, level_var + 1))
     for k, objective in enumerate((bi.obj_lower, bi.obj_width)):
         level_rows[k, :level_var] = objective
-        span = payoff.worst[k] - payoff.best[k]
-        if span > RANGE_TOL:
-            level_rows[k, level_var] = span
+        if not _degenerate(payoff.best[k], payoff.worst[k]):
+            level_rows[k, level_var] = payoff.worst[k] - payoff.best[k]
     c = np.zeros(level_var + 1)
     c[level_var] = -1.0  # maximize the level
     return MilpModel(c, np.vstack((A, level_rows)), np.append(senses, (1, 1)),
@@ -105,8 +111,9 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
     """
     level_var = 2 * bi.m * bi.n
     combined = np.zeros(level_var + 1)
-    for span, objective in zip(payoff.spans(), (bi.obj_lower, bi.obj_width)):
-        combined[:level_var] += (1.0 / span if span > RANGE_TOL else 1.0) * objective
+    for best, worst, objective in zip(payoff.best, payoff.worst, (bi.obj_lower, bi.obj_width)):
+        weight = 1.0 if _degenerate(best, worst) else 1.0 / (worst - best)
+        combined[:level_var] += weight * objective
     lo = max_min.lo.copy()
     lo[level_var] = max(0.0, lambda_star - LEVEL_SLACK)
     return max_min.derive(c=combined, lo=lo)
@@ -118,6 +125,20 @@ def solve_compromise(bi: BiObjectiveMilp, payoff: PayoffTable) -> CompromiseResu
     A max-min model without an optimum raises InfeasibleProblemError.  The
     refine model holds the level at one the max-min solve attained, so a
     refine solve without an optimum is a numerical breakdown.
+
+    The refine searches only the band of max-min leaves (MilpSolution.leaves)
+    that can reach its level floor l.  The refine model is the max-min model
+    with another objective and the level held at l or above, so a refine
+    plan has max-min value -level <= -l, and the max-min leaf holding it has
+    a bound no higher; the LP-infeasible subtrees hold no plan of either
+    model.  The band takes every leaf with bound <= -l + LEVEL_SLACK: the
+    kernel lets a basic value pass its bound by BOUND_TOL and a key carries
+    round-off (1e-16 above a floor of 0 was seen), so a bound may sit a
+    little above the plans it holds.  Two cases search from the root
+    instead.  At l = 0 every plan qualifies, yet as several leaves, each
+    searched from the slack basis, which can end at another of several tied
+    refine optima than the root search.  A band of every leaf narrows
+    nothing and would only start each leaf cold.
     """
     max_min = build_max_min_model(bi, payoff)
     sol = solve_milp(max_min)
@@ -126,7 +147,12 @@ def solve_compromise(bi: BiObjectiveMilp, payoff: PayoffTable) -> CompromiseResu
     lambda_star = min(1.0, max(0.0, -sol.objective_value))
 
     refine = _refine(bi, payoff, max_min, lambda_star)
-    refined = solve_milp(refine)
+    floor = refine.lo[-1]
+    band = [fixes for bound, fixes in sol.leaves if bound <= LEVEL_SLACK - floor]
+    if floor > 0.0 and len(band) < len(sol.leaves):
+        refined = solve_milp(refine, within=band)
+    else:
+        refined = solve_milp(refine)
     if refined.status != OPTIMAL:
         raise DegeneratePivotError(f"the refine model ended {refined.status} at the max-min level")
     plan = extract_plan(bi, refined.assignment)

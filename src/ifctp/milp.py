@@ -46,7 +46,10 @@ are open at once.  A child whose key cannot beat the incumbent is not
 pushed at all.
 
 Rounding: each solved node rounds its binaries up once, ceil(x - INT_TOL),
-and checks the point against every row and bound within ROUNDED_FEAS_TOL.
+and checks the point against every bound within ROUNDED_FEAS_TOL and every
+row within ROUNDED_FEAS_TOL times |b_i| (absolute where b_i is 0): a
+max-min level row at costs times 2^-36 has b_i near 3e-9, so an absolute
+1e-9 let a point at level 1.0 pass it.
 A point that passes, or an LP point whose binaries are all exact, is an
 incumbent candidate: it is integral and feasible, whether or not its node
 goes on to branch.  A node stops branching when its binaries are within
@@ -65,6 +68,17 @@ without an LP solve; the same
 test after its LP prunes a node whose own value cannot beat the incumbent.
 The penalties are clipped at zero, so round-off in a reduced cost can only
 weaken a key, never prune a subtree that holds a better point.
+
+Leaves: a search covers the subtrees its within argument names, each a
+dict of binary fixes entered from the slack basis; the default ({},) is the
+whole space.  Each subtree it closes with a finite bound is a leaf, a
+(bound, fixes) pair in MilpSolution.leaves: popped with a key that cannot
+beat the incumbent (the key), pruned by its LP value or stopped as
+integral (the LP value), or not pushed because of its key (the key).  The
+leaves and the LP-infeasible subtrees, an infinite key among them,
+partition within, and no point of a leaf has a value below its bound.  A
+second search over the same constraints can then be handed only the
+leaves that may hold its points (compromise.solve_compromise).
 """
 
 from __future__ import annotations
@@ -91,7 +105,8 @@ ORACLE_MAX_BINARIES = 20
 # An incumbent must beat the previous one by more than this times the objective's
 # unit (_bounded_form), which avoids tie-flapping at every cost scale.
 IMPROVEMENT_EPS = 1e-9
-# Row and bound slack a node's rounded point may use to count as feasible.
+# Slack a node's rounded point may use to count as feasible: times |b_i| for a row
+# with b_i != 0, absolute for the other rows and the bounds.
 ROUNDED_FEAS_TOL = 1e-9
 # How far a basic variable may pass a bound when the dual simplex stops: in
 # scaled units, and relative to the variable's magnitude above 1.
@@ -206,7 +221,9 @@ class MilpSolution:
 
     nodes counts LP solves performed (branch-and-bound nodes, or enumerated
     patterns for the oracle); pivots counts dual simplex pivots over all of
-    them, plus those of branch and bound's final pattern solve.
+    them, plus those of branch and bound's final pattern solve.  leaves holds
+    a (bound, fixes) pair for each subtree branch and bound closed with a
+    finite bound (solve_milp); the oracle leaves it empty.
     """
 
     status: str
@@ -214,6 +231,7 @@ class MilpSolution:
     assignment: Optional[tuple[float, ...]]
     nodes: int = 0
     pivots: int = 0
+    leaves: tuple[tuple[float, dict[int, float]], ...] = ()
 
 
 # --------------------------------------------------------------------------
@@ -468,22 +486,27 @@ def _penalties(form, state, j: int) -> tuple[float, float]:
     return max(float(down) * per_unit, 0.0), max(float(up) * per_unit, 0.0)
 
 
-def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSolution:
+def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
+               within: Sequence[Mapping[int, float]] = ({},)) -> MilpSolution:
     """Globally optimal solution via best-bound branch and bound on the binaries.
 
+    The search covers the subtrees named by within, each a dict of binary
+    fixes entered from the slack basis; the default is the whole space.
     Node selection is best bound first: each child is keyed by its penalty
     bound, ties broken deeper-first then by creation order.  Each solved
     node's rounded point is checked once and, if it passes, is an incumbent
     candidate; a node that must branch picks the most fractional binary and
     explores the rounded-toward value first (see the module docstring).  The
     solution returned is the LP at the incumbent's activation pattern, solved
-    from the slack basis.
+    from the slack basis.  Its leaves and the LP-infeasible subtrees
+    partition within, and no point of a leaf beats its bound (module
+    docstring, Leaves).
     """
     binaries = model.binaries
     incumbent_val = math.inf
     incumbent_x: Optional[np.ndarray] = None
     # Row and bound ranges, widened by ROUNDED_FEAS_TOL, that a rounded point must meet.
-    tol = ROUNDED_FEAS_TOL * np.maximum(1.0, np.abs(model.b))
+    tol = ROUNDED_FEAS_TOL * np.where(model.b != 0.0, np.abs(model.b), 1.0)
     row_hi = np.where(model.senses >= 0, model.b + tol, np.inf)
     row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
     var_hi = model.hi + ROUNDED_FEAS_TOL
@@ -491,14 +514,16 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
     form = _bounded_form(model)
     eps = IMPROVEMENT_EPS * form[7]  # in the objective's own unit, see _bounded_form
     nodes = pivots = 0
+    leaves: list[tuple[float, dict[int, float]]] = []
     seq = itertools.count()
     # heap entries: (penalty bound, -depth, sequence, fixes,
-    # the parent's final basis as a _Start, or None at the root)
-    heap: list[tuple] = [(-math.inf, 0, next(seq), {}, None)]
+    # the parent's final basis as a _Start, or None for a subtree of within)
+    heap: list[tuple] = [(-math.inf, 0, next(seq), dict(fixes), None) for fixes in within]
 
     while heap:
         key, neg_depth, _, fixes, start = heapq.heappop(heap)
         if key >= incumbent_val - eps:
+            leaves.append((key, fixes))
             continue  # cannot beat the incumbent
         if nodes >= node_limit:
             raise NodeLimitError(f"node limit {node_limit} exceeded")
@@ -508,6 +533,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         if status == INFEASIBLE:
             continue
         if value >= incumbent_val - eps:
+            leaves.append((value, fixes))
             continue
 
         point = x.copy()
@@ -523,6 +549,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
                 incumbent_val = candidate
                 incumbent_x = point
             if worst <= INT_TOL:
+                leaves.append((value, fixes))
                 continue
 
         j = int(binaries[frac.argmax()])
@@ -533,22 +560,26 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
         first = 1.0 if x[j] >= 0.5 else 0.0
         shared = _Start(*state[:2])
         for branch_value in (first, 1.0 - first):
-            if keys[branch_value] >= incumbent_val - eps:
-                continue  # pruned when popped too: the incumbent only falls
             child = dict(fixes)
             child[j] = branch_value
+            if keys[branch_value] >= incumbent_val - eps:
+                if keys[branch_value] < math.inf:  # an infinite key: no LP point
+                    leaves.append((keys[branch_value], child))
+                continue  # pruned when popped too: the incumbent only falls
             heapq.heappush(heap, (keys[branch_value], -depth, next(seq), child, shared))
 
     if incumbent_x is None:
-        return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
+        return MilpSolution(INFEASIBLE, None, None, nodes, pivots, tuple(leaves))
     if not binaries.size:
-        return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
+        return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots,
+                            tuple(leaves))
     # The answer is the LP at the incumbent's activation pattern, as oracle_solve solves it.
     status, value, x, lp_pivots, _ = _node_lp(
         model, form, {j: incumbent_x[j] for j in binaries.tolist()}, None)
     if status != OPTIMAL:
         raise DegeneratePivotError(f"the incumbent's activation pattern solved {status}")
-    return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes, pivots + lp_pivots)
+    return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes, pivots + lp_pivots,
+                        tuple(leaves))
 
 
 def oracle_solve(model: MilpModel) -> MilpSolution:

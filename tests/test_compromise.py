@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -8,9 +9,12 @@ from _reference import (BEST_LOWER, BEST_WIDTH, IDEAL_CENTER, IDEAL_WIDTH,
                         Z_LOWER_STAR, Z_WIDTH_STAR)
 from conftest import zero_width_bench1
 
+import ifctp.compromise
 from ifctp import (IfctpInstance, InfeasibleProblemError, Interval, PayoffTable, Stages,
                    build_bi_objective, build_max_min_model, check_plan, extract_plan,
-                   membership, solve_compromise, solve_milp, to_milp)
+                   membership, parse_instance, solve_compromise, solve_milp, to_milp)
+
+DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
 REFERENCE_PAYOFF = PayoffTable((PAYOFF_OVERRIDE[0], PAYOFF_OVERRIDE[2]),
                            (PAYOFF_OVERRIDE[1], PAYOFF_OVERRIDE[3]))
@@ -146,6 +150,40 @@ class TestSolveCompromise:
             assert check_plan(inst, result.plan) == []
 
 
+def _refine_searches(monkeypatch, instance):
+    """The within argument of the refine solve (None for the whole space), and its solution."""
+    calls = []
+
+    def recording(model, **kwargs):
+        calls.append(kwargs.get("within"))
+        return solve_milp(model, **kwargs)
+
+    monkeypatch.setattr(ifctp.compromise, "solve_milp", recording)
+    result = _compromise(instance)
+    assert calls[0] is None  # max-min searches the whole space
+    return calls[1], result
+
+
+class TestRefineBand:
+    """The refine searches only the max-min leaves that can reach its level floor."""
+
+    def test_shipped_instance_refines_one_leaf_in_one_node(self, bench1, monkeypatch):
+        within, result = _refine_searches(monkeypatch, bench1)
+        assert len(within) == 1
+        assert len(result.solutions["max-min"].leaves) > 1
+        assert result.solutions["refine"].nodes == 1
+        assert result.lambda_star == pytest.approx(LEVEL_STAR, abs=1e-9)
+
+    def test_level_zero_refines_from_the_root(self, monkeypatch):
+        # Every leaf reaches a floor of 0; searched one by one, each from the
+        # slack basis, they can end at another of several tied refine optima.
+        instance = parse_instance((DATA_DIR / "tied_at_level_zero.txt").read_text())
+        within, result = _refine_searches(monkeypatch, instance)
+        assert result.lambda_star == 0.0
+        assert len(result.solutions["max-min"].leaves) > 1
+        assert within is None
+
+
 class TestMembership:
     def test_clipping(self):
         assert membership(5.0, 10.0, 20.0) == 1.0     # better than aspired
@@ -154,6 +192,12 @@ class TestMembership:
 
     def test_degenerate_range(self):
         assert membership(10.0, 10.0, 10.0) == 1.0
+
+    def test_degenerate_range_is_relative_to_the_levels(self):
+        # A range of 2^-35 is real between levels of that size; one of 1e-4 is
+        # round-off between levels of 1e12.
+        assert membership(1.5 * 2.0 ** -35, 2.0 ** -35, 2.0 ** -34) == 0.5
+        assert membership(1e12 + 1e-4, 1e12, 1e12 + 1e-4) == 1.0
 
 
 class TestComputeIdeal:

@@ -9,13 +9,19 @@ cases guard that scaling at either end of the cost scale: in the max-min
 and refine models at costs x 1e6, the level rows carry coefficients near
 1e8.  For k a power of two every product and sum scales exactly, so the
 property test asks for bit-identical answers; the shipped instance gives
-them for p in [-34, 120].  At p = -35 its width payoff range falls below
-the compromise's absolute RANGE_TOL.
+them for p in [-49, 120].  That takes a degenerate payoff range relative to
+its levels (compromise._degenerate) and rounded-point row tolerances
+relative to each row's right-hand side (solve_milp): with absolute ones,
+the width range 27 * 2^-35 counted as degenerate and λ* was 1.0, and from
+p = -36 a rounded max-min point at level 1.0 that broke a level row by
+7.5% of its right-hand side passed as the incumbent, pruned the optimum
+and left λ* at 0.6766.
 oracle-check's dominance probe and ideal-point lines must mean the same at every
 scale too.
 """
 
 import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -26,8 +32,8 @@ from _random_instances import random_instance
 from conftest import bench1_instance, scaled_costs
 
 import ifctp.pipeline
-from ifctp import (IfctpInstance, Interval, Stages, render_instance, run_oracle_check,
-                   run_pipeline, solve_milp)
+from ifctp import (IfctpInstance, Interval, Stages, parse_instance, render_instance,
+                   run_oracle_check, run_pipeline, solve_milp)
 from ifctp.cli import main
 
 REL = 1e-9
@@ -47,6 +53,12 @@ TIED_AT_LEVEL_ZERO = IfctpInstance(
     [Interval(12, 23), Interval(17, 32)],
     [Interval(3, 16), Interval(7, 13), Interval(1, 28)],
 )
+
+
+def test_level_zero_data_file_holds_the_tied_instance():
+    # CI runs oracle-check on the file.
+    path = pathlib.Path(__file__).resolve().parent / "data" / "tied_at_level_zero.txt"
+    assert parse_instance(path.read_text()) == TIED_AT_LEVEL_ZERO
 
 
 def _draw(seed, count):
@@ -116,12 +128,7 @@ def test_power_of_two_scale_is_exact(seed, p):
     _assert_scales_exactly(random_instance(random.Random(seed)), p)
 
 
-@pytest.mark.parametrize("p", [
-    -34, -33, -32, -31, 120,
-    pytest.param(-35, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the width payoff range, 27 * 2^-35, is below RANGE_TOL = 1e-9, so λ* is 1.0")),
-])
+@pytest.mark.parametrize("p", [-49, -45, -40, -36, -35, -34, -33, -32, -31, 120])
 def test_shipped_instance_power_of_two_scale_is_exact(p):
     _assert_scales_exactly(bench1_instance(), p)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
 from ifctp import (MilpModel, NodeLimitError, OracleScopeError, Stages,
                    build_bi_objective, build_max_min_model, oracle_solve,
                    solve_milp, to_milp)
+from ifctp.compromise import LEVEL_SLACK
 from ifctp.milp import solve_lp
 
 
@@ -216,14 +218,16 @@ class TestOracleEquivalenceSweep:
 
     def test_randomized_instances(self):
         rng = random.Random(424242)
+        narrowed = 0
         for _ in range(40):
             instance = random_instance(rng)
             bi = build_bi_objective(instance)
             k = instance.m * instance.n
+            stages = Stages(instance)
             models = [
                 to_milp(bi, bi.obj_center),
                 to_milp(bi, bi.obj_width),
-                build_max_min_model(bi, Stages(instance).payoff()),
+                build_max_min_model(bi, stages.payoff()),
             ]
             for model in models:
                 sol = solve_milp(model)
@@ -233,3 +237,76 @@ class TestOracleEquivalenceSweep:
                     scale = max(1.0, abs(ref.objective_value))
                     assert abs(sol.objective_value - ref.objective_value) <= 1e-6 * scale
                 assert sol.nodes <= 2 ** (k + 1)
+            # The refine searches only the max-min leaves that can reach its
+            # level floor (solve_compromise); the oracle enumerates them all.
+            _, result = stages.compromise()
+            refine, refined = result.models["refine"], result.solutions["refine"]
+            ref = oracle_solve(refine)
+            assert refined.status == ref.status == "optimal"
+            scale = max(1.0, abs(ref.objective_value))
+            assert abs(refined.objective_value - ref.objective_value) <= 1e-6 * scale
+            leaves = result.solutions["max-min"].leaves
+            floor = refine.lo[-1]
+            band = [bound for bound, _ in leaves if bound <= LEVEL_SLACK - floor]
+            narrowed += floor > 0.0 and len(band) < len(leaves)
+        assert narrowed >= 20  # 27 of the 40 draws
+
+
+class TestSearchLeaves:
+    """The leaves of a search and its LP-infeasible subtrees partition the space it searched."""
+
+    @staticmethod
+    def _pattern_value(model, pattern):
+        """The LP value with the binaries fixed at pattern; inf when it has no point."""
+        lo, hi = model.lo.copy(), model.hi.copy()
+        lo[model.binaries] = hi[model.binaries] = pattern
+        sol = solve_lp(model.derive(lo=lo, hi=hi))
+        return sol.objective_value if sol.status == "optimal" else INF
+
+    @staticmethod
+    def _max_min_models(count):
+        """Max-min models of the first count 3x3 draws of random_instance(Random(5150)).
+
+        Draws 4 and 6 each have a child that was not pushed for its key, 3 in all.
+        """
+        rng = random.Random(5150)
+        models = []
+        while len(models) < count:
+            instance = random_instance(rng)
+            if (instance.m, instance.n) == (3, 3):
+                bi = build_bi_objective(instance)
+                models.append(build_max_min_model(bi, Stages(instance).payoff()))
+        return models
+
+    @pytest.mark.parametrize("split", [False, True], ids=["root", "within-two-subtrees"])
+    def test_leaves_partition_the_max_min_patterns(self, split):
+        for model in self._max_min_models(6):
+            binaries = model.binaries.tolist()
+            within = [{binaries[0]: 0.0}, {binaries[0]: 1.0}] if split else [{}]
+            sol = solve_milp(model, within=within)
+            assert sol.status == "optimal"
+            for pattern in itertools.product((0.0, 1.0), repeat=len(binaries)):
+                fixed = dict(zip(binaries, pattern))
+                holding = [bound for bound, fixes in sol.leaves
+                           if all(fixed[j] == v for j, v in fixes.items())]
+                value = self._pattern_value(model, pattern)
+                assert len(holding) <= 1, (pattern, holding)
+                if not holding:
+                    assert value == INF, pattern  # in an LP-infeasible subtree
+                elif value < INF:
+                    assert holding[0] <= value + 1e-9, (pattern, holding[0], value)
+
+    def test_within_restricts_the_search(self):
+        for model in self._max_min_models(3):
+            binaries = model.binaries.tolist()
+            values = {pattern: self._pattern_value(model, pattern)
+                      for pattern in itertools.product((0.0, 1.0), repeat=len(binaries))}
+            for branch in (0.0, 1.0):
+                sol = solve_milp(model, within=[{binaries[-1]: branch}])
+                best = min(v for pattern, v in values.items() if pattern[-1] == branch)
+                if best == INF:
+                    assert sol.status == "infeasible"
+                    continue
+                assert sol.assignment[binaries[-1]] == branch
+                assert sol.objective_value == pytest.approx(best, abs=1e-9)
+            assert solve_milp(model, within=[]).status == "infeasible"

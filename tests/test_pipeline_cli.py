@@ -307,11 +307,11 @@ class TestCliNumericalBreakdown:
         # instance nor the override levels are to blame when it fails.
         solves = []
 
-        def refine_fails(model):
+        def refine_fails(model, **kwargs):
             solves.append(model)  # max-min, then refine
             if len(solves) == 2:
                 return ifctp.milp.MilpSolution(ifctp.milp.INFEASIBLE, None, None)
-            return ifctp.milp.solve_milp(model)
+            return ifctp.milp.solve_milp(model, **kwargs)
 
         monkeypatch.setattr(ifctp.compromise, "solve_milp", refine_fails)
         assert main(["solve", str(bench1_path), *args]) == 5
@@ -439,8 +439,8 @@ def _record_solves(monkeypatch):
         for name in ("solve_milp", "oracle_solve"):
             original = getattr(module, name, None)
             if original is not None:
-                monkeypatch.setattr(module, name, lambda model, _solve=original:
-                                    solved.append(model) or _solve(model))
+                monkeypatch.setattr(module, name, lambda model, _solve=original, **kwargs:
+                                    solved.append(model) or _solve(model, **kwargs))
     return solved
 
 
