@@ -7,16 +7,15 @@ Typical use::
     print(report.distance)
 """
 
-from .compromise import (CompromiseResult, InfeasibleProblemError, PayoffTable,
-                         build_max_min_model, membership, solve_compromise)
+from .compromise import CompromiseResult, PayoffTable, build_max_min_model, membership
 from .crisp import (BiObjectiveMilp, InvalidInstanceError, build_bi_objective,
                     evaluate_interval_objective, extract_plan, plan_value, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError,
                    OracleScopeError, oracle_solve, solve_milp)
 from .model import IfctpInstance, ShipmentPlan, check_plan, validate
-from .pipeline import (CompetitorEntry, CompromiseReport, OracleCheck, Stages,
-                       UnattainableLevelsError, run_oracle_check, run_pipeline)
+from .pipeline import (CompetitorEntry, CompromiseReport, InfeasibleProblemError, OracleCheck,
+                       Stages, UnattainableLevelsError, run_oracle_check, run_pipeline)
 from .problemfile import ProblemFileError, parse_instance, render_instance
 from .reporting import (render_ideal, render_machine, render_oracle_check, render_payoff,
                         render_text)
@@ -32,7 +31,7 @@ __all__ = [
     "distance_to_ideal", "evaluate_interval_objective",
     "extract_plan", "membership", "oracle_solve", "parse_instance", "plan_value",
     "render_ideal", "render_instance", "render_machine", "render_oracle_check",
-    "render_payoff", "render_text", "run_oracle_check", "run_pipeline", "solve_compromise",
+    "render_payoff", "render_text", "run_oracle_check", "run_pipeline",
     "solve_milp", "to_milp", "validate",
 ]
 

@@ -21,12 +21,11 @@ import math
 import re
 import sys
 
-from .compromise import InfeasibleProblemError
 from .crisp import InvalidInstanceError
 from .intervals import Interval
 from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError
-from .pipeline import (CompetitorEntry, Stages, UnattainableLevelsError, run_oracle_check,
-                       run_pipeline)
+from .pipeline import (CompetitorEntry, InfeasibleProblemError, Stages, UnattainableLevelsError,
+                       run_oracle_check, run_pipeline)
 from .problemfile import ProblemFileError, parse_instance
 from .reporting import (render_ideal, render_machine, render_oracle_check, render_payoff,
                         render_text)

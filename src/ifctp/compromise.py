@@ -1,4 +1,4 @@
-"""Max-min compromise between the two crisp objectives.
+"""Max-min compromise between the two crisp objectives: the method's models and math.
 
 The payoff table records, for each objective, its solo optimum (best level)
 and its value at the other objective's optimum (worst acceptable level).
@@ -8,9 +8,8 @@ up weakly-efficient answers: holding the achieved level fixed, it minimizes
 the range-normalized sum of both objectives, so the returned plan is Pareto
 optimal rather than merely max-min optimal.
 
-The payoff levels come from the anchor solves of pipeline.Stages, or from
-the caller; the only solves here are the two that depend on them, max-min
-and refinement.
+pipeline.Stages solves these models: the anchors give the payoff levels,
+then the max-min model and the refine model built from its level.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crisp import BiObjectiveMilp, constraint_rows, extract_plan, plan_value
-from .milp import OPTIMAL, DegeneratePivotError, MilpModel, MilpSolution, solve_milp
+from .crisp import BiObjectiveMilp, constraint_rows
+from .milp import MilpModel
 from .model import ShipmentPlan
 
 # A payoff range this small relative to its levels is degenerate (both anchors
@@ -28,10 +27,6 @@ from .model import ShipmentPlan
 RANGE_TOL = 1e-9
 # Numerical slack when pinning the achieved level in the refinement pass.
 LEVEL_SLACK = 1e-9
-
-
-class InfeasibleProblemError(Exception):
-    """Supply caps short of demand floors (from pipeline.Stages), or an empty max-min model."""
 
 
 @dataclass(frozen=True)
@@ -53,14 +48,12 @@ class PayoffTable:
 
 @dataclass(frozen=True)
 class CompromiseResult:
-    """The refined compromise plan, with the max-min and refine models and solutions."""
+    """The refined compromise plan, its objective values and memberships, and the level."""
 
     lambda_star: float
     plan: ShipmentPlan
     objective_values: tuple[float, float]
     memberships: tuple[float, float]
-    models: dict[str, MilpModel]
-    solutions: dict[str, MilpSolution]
 
 
 def _degenerate(best: float, worst: float) -> bool:
@@ -101,8 +94,8 @@ def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:
                      binaries)
 
 
-def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
-            lambda_star: float) -> MilpModel:
+def build_refine_model(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
+                       lambda_star: float) -> MilpModel:
     """Second-stage model: keep the level at lambda_star, minimize both objectives.
 
     Weights are reciprocals of the payoff ranges so neither objective's scale
@@ -118,47 +111,3 @@ def _refine(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
     lo[level_var] = max(0.0, lambda_star - LEVEL_SLACK)
     return max_min.derive(c=combined, lo=lo)
 
-
-def solve_compromise(bi: BiObjectiveMilp, payoff: PayoffTable) -> CompromiseResult:
-    """Max-min solve at the payoff levels, then the Pareto refinement.
-
-    A max-min model without an optimum raises InfeasibleProblemError.  The
-    refine model holds the level at one the max-min solve attained, so a
-    refine solve without an optimum is a numerical breakdown.
-
-    The refine searches only the band of max-min leaves (MilpSolution.leaves)
-    that can reach its level floor l.  The refine model is the max-min model
-    with another objective and the level held at l or above, so a refine
-    plan has max-min value -level <= -l, and the max-min leaf holding it has
-    a bound no higher; the LP-infeasible subtrees hold no plan of either
-    model.  The band takes every leaf with bound <= -l + LEVEL_SLACK: the
-    kernel lets a basic value pass its bound by BOUND_TOL and a key carries
-    round-off (1e-16 above a floor of 0 was seen), so a bound may sit a
-    little above the plans it holds.  Two cases search from the root
-    instead.  At l = 0 every plan qualifies, yet as several leaves, each
-    searched from the slack basis, which can end at another of several tied
-    refine optima than the root search.  A band of every leaf narrows
-    nothing and would only start each leaf cold.
-    """
-    max_min = build_max_min_model(bi, payoff)
-    sol = solve_milp(max_min)
-    if sol.status != OPTIMAL:
-        raise InfeasibleProblemError(f"compromise solve ended {sol.status}")
-    lambda_star = min(1.0, max(0.0, -sol.objective_value))
-
-    refine = _refine(bi, payoff, max_min, lambda_star)
-    floor = refine.lo[-1]
-    band = [fixes for bound, fixes in sol.leaves if bound <= LEVEL_SLACK - floor]
-    if floor > 0.0 and len(band) < len(sol.leaves):
-        refined = solve_milp(refine, within=band)
-    else:
-        refined = solve_milp(refine)
-    if refined.status != OPTIMAL:
-        raise DegeneratePivotError(f"the refine model ended {refined.status} at the max-min level")
-    plan = extract_plan(bi, refined.assignment)
-    values = (plan_value(bi.obj_lower, plan), plan_value(bi.obj_width, plan))
-    memberships = (membership(values[0], payoff.best[0], payoff.worst[0]),
-                   membership(values[1], payoff.best[1], payoff.worst[1]))
-    return CompromiseResult(lambda_star, plan, values, memberships,
-                            {"max-min": max_min, "refine": refine},
-                            {"max-min": sol, "refine": refined})

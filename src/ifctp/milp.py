@@ -78,7 +78,7 @@ integral (the LP value), or not pushed because of its key (the key).  The
 leaves and the LP-infeasible subtrees, an infinite key among them,
 partition within, and no point of a leaf has a value below its bound.  A
 second search over the same constraints can then be handed only the
-leaves that may hold its points (compromise.solve_compromise).
+leaves that may hold its points (pipeline.Stages.compromise).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .compromise import (CompromiseResult, InfeasibleProblemError, PayoffTable,
-                         solve_compromise)
+from .compromise import (LEVEL_SLACK, CompromiseResult, PayoffTable, build_max_min_model,
+                         build_refine_model, membership)
 from .crisp import (build_bi_objective, constraint_rows, evaluate_interval_objective,
                     extract_plan, plan_value, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
@@ -26,18 +26,23 @@ from .model import IfctpInstance, ShipmentPlan, check_plan
 DOMINANCE_TOL = 1e-6
 
 
+class InfeasibleProblemError(Exception):
+    """The supply caps add up to less than the demand floors, so no plan exists."""
+
+
 class UnattainableLevelsError(ValueError):
     """No plan meets both worst payoff levels, so no satisfaction level exists."""
 
 
 class Stages:
-    """The method's named solves for one instance, each built and solved once, on first use.
+    """The method's five named solves for one instance, each built and solved once, on first use.
 
     An instance whose supply caps add up to less than its demand floors has no
     plan, so it raises InfeasibleProblemError here, before any solve.  The
     anchors center, width and lower minimize one objective each over one model
     and one scaling of its matrix; the width anchor serves the ideal point and
-    the payoff table.  models and solutions hold each solved stage by name.
+    the payoff table.  compromise solves max-min and refine at the payoff
+    levels.  models and solutions hold each solved stage by name.
     """
 
     def __init__(self, instance: IfctpInstance):
@@ -77,25 +82,56 @@ class Stages:
 
         The instance is feasible, so only the worst levels can leave the max-min
         model without a point: override ones are then unattainable, and computed
-        ones are met by the anchor plans, so round-off must have lost them.
+        ones are met by the anchor plans, so round-off must have lost them.  The
+        refine model holds the level at one the max-min solve attained, so a
+        refine solve without an optimum is a numerical breakdown.
+
+        The refine searches only the band of max-min leaves (MilpSolution.leaves)
+        that can reach its level floor l.  The refine model is the max-min model
+        with another objective and the level held at l or above, so a refine
+        plan has max-min value -level <= -l, and the max-min leaf holding it has
+        a bound no higher; the LP-infeasible subtrees hold no plan of either
+        model.  The band takes every leaf with bound <= -l + LEVEL_SLACK: the
+        kernel lets a basic value pass its bound by BOUND_TOL and a key carries
+        round-off (1e-16 above a floor of 0 was seen), so a bound may sit a
+        little above the plans it holds.  Two cases search from the root
+        instead.  At l = 0 every plan qualifies, yet as several leaves, each
+        searched from the slack basis, which can end at another of several tied
+        refine optima than the root search.  A band of every leaf narrows
+        nothing and would only start each leaf cold.
         """
         if override is None:
             payoff = self.payoff()
         else:
             l1, u1, l2, u2 = override
             payoff = PayoffTable((l1, l2), (u1, u2))
-        try:
-            result = solve_compromise(self.bi, payoff)
-        except InfeasibleProblemError:
+        max_min = self.models["max-min"] = build_max_min_model(self.bi, payoff)
+        sol = self.solutions["max-min"] = solve_milp(max_min)
+        if sol.status != OPTIMAL:
             if override is None:
                 raise DegeneratePivotError(
-                    "the max-min model is infeasible at the computed payoff levels") from None
+                    "the max-min model is infeasible at the computed payoff levels")
             raise UnattainableLevelsError(
                 f"no plan has lower endpoint <= {float(payoff.worst[0])} and width <= "
-                f"{float(payoff.worst[1])}") from None
-        self.models.update(result.models)
-        self.solutions.update(result.solutions)
-        return payoff, result
+                f"{float(payoff.worst[1])}")
+        lambda_star = min(1.0, max(0.0, -sol.objective_value))
+
+        refine = self.models["refine"] = build_refine_model(self.bi, payoff, max_min, lambda_star)
+        floor = refine.lo[-1]
+        band = [fixes for bound, fixes in sol.leaves if bound <= LEVEL_SLACK - floor]
+        if floor > 0.0 and len(band) < len(sol.leaves):
+            refined = solve_milp(refine, within=band)
+        else:
+            refined = solve_milp(refine)
+        self.solutions["refine"] = refined
+        if refined.status != OPTIMAL:
+            raise DegeneratePivotError(
+                f"the refine model ended {refined.status} at the max-min level")
+        plan = extract_plan(self.bi, refined.assignment)
+        values = (plan_value(self.bi.obj_lower, plan), plan_value(self.bi.obj_width, plan))
+        memberships = (membership(values[0], payoff.best[0], payoff.worst[0]),
+                       membership(values[1], payoff.best[1], payoff.worst[1]))
+        return payoff, CompromiseResult(lambda_star, plan, values, memberships)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from conftest import zero_width_bench1
 from ifctp import (CenterWidth, CompetitorEntry, Interval, ShipmentPlan, Stages,
                    build_bi_objective, distance_to_ideal, evaluate_interval_objective,
                    membership, plan_value, run_oracle_check, run_pipeline,
-                   solve_compromise, solve_milp, to_milp)
+                   solve_milp, to_milp)
 from ifctp.cli import main as cli_main
 
 
@@ -72,11 +72,8 @@ def test_criterion_2_payoff_reproduction(bench1, bench1_path, capsys):
 
 
 def test_criterion_3_compromise_solution(bench1):
-    from ifctp import PayoffTable
-    payoff = PayoffTable((PAYOFF_OVERRIDE[0], PAYOFF_OVERRIDE[2]),
-                         (PAYOFF_OVERRIDE[1], PAYOFF_OVERRIDE[3]))
     start = time.perf_counter()
-    result = solve_compromise(build_bi_objective(bench1), payoff)
+    _, result = Stages(bench1).compromise(PAYOFF_OVERRIDE)
     elapsed = time.perf_counter() - start
     z_lower, z_width = result.objective_values
     z_upper = z_lower + 2 * z_width

@@ -23,7 +23,7 @@ from conftest import scaled_costs
 import ifctp.milp
 from ifctp import (MilpModel, MilpSolution, PayoffTable, Stages, build_bi_objective,
                    build_max_min_model, solve_milp, to_milp)
-from ifctp.compromise import _refine
+from ifctp.compromise import build_refine_model
 from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, ROUNDED_FEAS_TOL,
                         _bounded_form, _node_lp, _penalties, _Start)
 
@@ -118,7 +118,7 @@ def _stage_models(instance, override=None):
     max_min = build_max_min_model(bi, payoff)
     lambda_star = min(1.0, max(0.0, -_reference_solve_milp(max_min).objective_value))
     models["max-min"] = max_min
-    models["refine"] = _refine(bi, payoff, max_min, lambda_star)
+    models["refine"] = build_refine_model(bi, payoff, max_min, lambda_star)
     return models
 
 

@@ -9,10 +9,10 @@ from _reference import (BEST_LOWER, BEST_WIDTH, IDEAL_CENTER, IDEAL_WIDTH,
                         Z_LOWER_STAR, Z_WIDTH_STAR)
 from conftest import zero_width_bench1
 
-import ifctp.compromise
+import ifctp.pipeline
 from ifctp import (IfctpInstance, InfeasibleProblemError, Interval, PayoffTable, Stages,
                    build_bi_objective, build_max_min_model, check_plan, extract_plan,
-                   membership, parse_instance, solve_compromise, solve_milp, to_milp)
+                   membership, parse_instance, solve_milp, to_milp)
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -26,9 +26,9 @@ def _anchor_plans(stages):
                  for name in ("lower", "width"))
 
 
-def _compromise(instance):
-    """The compromise under the computed payoff table."""
-    return Stages(instance).compromise()[1]
+def _compromise(instance, override=None):
+    """The compromise under the computed payoff table, or at override levels."""
+    return Stages(instance).compromise(override)[1]
 
 
 class TestPayoff:
@@ -98,18 +98,18 @@ class TestMaxMinModel:
 
 class TestSolveCompromise:
     def test_reference_payoff_reproduces_known_solution(self, bench1):
-        result = solve_compromise(build_bi_objective(bench1), REFERENCE_PAYOFF)
+        result = _compromise(bench1, PAYOFF_OVERRIDE)
         assert result.lambda_star == pytest.approx(LEVEL_STAR, abs=1e-9)
         assert result.objective_values[0] == pytest.approx(Z_LOWER_STAR, abs=1e-5)
         assert result.objective_values[1] == pytest.approx(Z_WIDTH_STAR, abs=1e-5)
 
     def test_level_equals_smallest_membership(self, bench1):
-        result = solve_compromise(build_bi_objective(bench1), REFERENCE_PAYOFF)
+        result = _compromise(bench1, PAYOFF_OVERRIDE)
         assert 0.0 <= result.lambda_star <= 1.0
         assert result.lambda_star == pytest.approx(min(result.memberships), abs=1e-6)
 
     def test_plan_is_feasible(self, bench1):
-        result = solve_compromise(build_bi_objective(bench1), REFERENCE_PAYOFF)
+        result = _compromise(bench1, PAYOFF_OVERRIDE)
         assert check_plan(bench1, result.plan) == []
 
     def test_default_payoff_close_to_reference(self, bench1):
@@ -151,36 +151,38 @@ class TestSolveCompromise:
 
 
 def _refine_searches(monkeypatch, instance):
-    """The within argument of the refine solve (None for the whole space), and its solution."""
+    """The refine solve's within (None for the whole space), the compromise and its stages."""
+    stages = Stages(instance)
+    stages.payoff()  # the anchors, solved before the recording starts
     calls = []
 
     def recording(model, **kwargs):
         calls.append(kwargs.get("within"))
         return solve_milp(model, **kwargs)
 
-    monkeypatch.setattr(ifctp.compromise, "solve_milp", recording)
-    result = _compromise(instance)
+    monkeypatch.setattr(ifctp.pipeline, "solve_milp", recording)
+    _, result = stages.compromise()
     assert calls[0] is None  # max-min searches the whole space
-    return calls[1], result
+    return calls[1], result, stages
 
 
 class TestRefineBand:
     """The refine searches only the max-min leaves that can reach its level floor."""
 
     def test_shipped_instance_refines_one_leaf_in_one_node(self, bench1, monkeypatch):
-        within, result = _refine_searches(monkeypatch, bench1)
+        within, result, stages = _refine_searches(monkeypatch, bench1)
         assert len(within) == 1
-        assert len(result.solutions["max-min"].leaves) > 1
-        assert result.solutions["refine"].nodes == 1
+        assert len(stages.solutions["max-min"].leaves) > 1
+        assert stages.solutions["refine"].nodes == 1
         assert result.lambda_star == pytest.approx(LEVEL_STAR, abs=1e-9)
 
     def test_level_zero_refines_from_the_root(self, monkeypatch):
         # Every leaf reaches a floor of 0; searched one by one, each from the
         # slack basis, they can end at another of several tied refine optima.
         instance = parse_instance((DATA_DIR / "tied_at_level_zero.txt").read_text())
-        within, result = _refine_searches(monkeypatch, instance)
+        within, result, stages = _refine_searches(monkeypatch, instance)
         assert result.lambda_star == 0.0
-        assert len(result.solutions["max-min"].leaves) > 1
+        assert len(stages.solutions["max-min"].leaves) > 1
         assert within is None
 
 

@@ -10,7 +10,7 @@ from conftest import BENCH1_CELLS, zero_width_bench1
 from ifctp import (InvalidInstanceError, IfctpInstance, Interval, ShipmentPlan, Stages,
                    build_bi_objective, build_max_min_model, evaluate_interval_objective,
                    extract_plan, solve_milp)
-from ifctp.compromise import _refine
+from ifctp.compromise import build_refine_model
 from ifctp.crisp import constraint_rows, plan_value, to_milp
 
 # Reference coefficient matrices for the 3x4 benchmark.
@@ -204,7 +204,7 @@ def _stage_optima(bi, payoff, lambda_star):
     """Optimal values of the five stage models over bi: the three anchors, max-min, refine."""
     max_min = build_max_min_model(bi, payoff)
     models = [to_milp(bi, bi.obj_center), to_milp(bi, bi.obj_width), to_milp(bi, bi.obj_lower),
-              max_min, _refine(bi, payoff, max_min, lambda_star)]
+              max_min, build_refine_model(bi, payoff, max_min, lambda_star)]
     return [solve_milp(model).objective_value for model in models]
 
 

@@ -238,14 +238,14 @@ class TestOracleEquivalenceSweep:
                     assert abs(sol.objective_value - ref.objective_value) <= 1e-6 * scale
                 assert sol.nodes <= 2 ** (k + 1)
             # The refine searches only the max-min leaves that can reach its
-            # level floor (solve_compromise); the oracle enumerates them all.
-            _, result = stages.compromise()
-            refine, refined = result.models["refine"], result.solutions["refine"]
+            # level floor (Stages.compromise); the oracle enumerates them all.
+            stages.compromise()
+            refine, refined = stages.models["refine"], stages.solutions["refine"]
             ref = oracle_solve(refine)
             assert refined.status == ref.status == "optimal"
             scale = max(1.0, abs(ref.objective_value))
             assert abs(refined.objective_value - ref.objective_value) <= 1e-6 * scale
-            leaves = result.solutions["max-min"].leaves
+            leaves = stages.solutions["max-min"].leaves
             floor = refine.lo[-1]
             band = [bound for bound, _ in leaves if bound <= LEVEL_SLACK - floor]
             narrowed += floor > 0.0 and len(band) < len(leaves)

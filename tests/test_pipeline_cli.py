@@ -289,6 +289,24 @@ class TestCliArgumentErrors:
         assert capsys.readouterr().out.startswith("usage: ifctp")
 
 
+def _fail_the_solves_of(monkeypatch, builder):
+    """Every model that ifctp.pipeline's builder returns from here on solves infeasible."""
+    built = []
+    build, solve = getattr(ifctp.pipeline, builder), ifctp.pipeline.solve_milp
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def failing(model, **kwargs):
+        if any(model is model_built for model_built in built):
+            return ifctp.milp.MilpSolution(ifctp.milp.INFEASIBLE, None, None)
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(ifctp.pipeline, builder, recording)
+    monkeypatch.setattr(ifctp.pipeline, "solve_milp", failing)
+
+
 class TestCliNumericalBreakdown:
     def test_degenerate_pivot_exit_code(self, bench1_path, capsys, monkeypatch):
         import ifctp.milp
@@ -305,15 +323,7 @@ class TestCliNumericalBreakdown:
     def test_refine_failure_is_named(self, bench1_path, capsys, monkeypatch, args):
         # The refine model holds the level at an attained one, so neither the
         # instance nor the override levels are to blame when it fails.
-        solves = []
-
-        def refine_fails(model, **kwargs):
-            solves.append(model)  # max-min, then refine
-            if len(solves) == 2:
-                return ifctp.milp.MilpSolution(ifctp.milp.INFEASIBLE, None, None)
-            return ifctp.milp.solve_milp(model, **kwargs)
-
-        monkeypatch.setattr(ifctp.compromise, "solve_milp", refine_fails)
+        _fail_the_solves_of(monkeypatch, "build_refine_model")
         assert main(["solve", str(bench1_path), *args]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -581,10 +591,7 @@ class TestHugeUnitCosts:
 
     def test_infeasible_max_min_blames_the_levels_only_when_supplied(self, bench1, bench1_path,
                                                                      capsys, monkeypatch):
-        def infeasible(bi, payoff):
-            raise ifctp.compromise.InfeasibleProblemError("compromise solve ended infeasible")
-
-        monkeypatch.setattr(ifctp.pipeline, "solve_compromise", infeasible)
+        _fail_the_solves_of(monkeypatch, "build_max_min_model")
         with pytest.raises(ifctp.milp.DegeneratePivotError, match="computed payoff levels"):
             run_pipeline(bench1)
         with pytest.raises(UnattainableLevelsError):

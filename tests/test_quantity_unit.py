@@ -17,7 +17,8 @@ from _highs import highs_solve
 from _random_instances import random_instance
 from conftest import bench1_instance
 
-from ifctp import IfctpInstance, Interval, Stages, run_pipeline
+from ifctp import (DegeneratePivotError, IfctpInstance, Interval, Stages, run_oracle_check,
+                   run_pipeline)
 
 REL = 1e-9
 POWERS = (-30, -24, -20, -10, -3, 10, 20, 30)
@@ -96,3 +97,25 @@ def test_shipped_instance_at_quantities_times_1e9_matches_highs():
     assert stages.anchor("width").objective_value == 133000000030.0
     _, result = stages.compromise()
     assert abs(result.lambda_star - 0.8901) < 1e-4
+
+
+def test_shipped_instance_at_quantities_times_1e_minus_8():
+    # A warm max-min child used to break down here ("leaving row has only
+    # sub-tolerance pivots").  HiGHS's tolerances give 0 for every stage model
+    # at this unit, so the oracle, which shares the kernel, is the check.
+    instance = rescaled(bench1_instance(), 1e-8, 1.0)
+    report = run_pipeline(instance)
+    assert report.status == "optimal"
+    assert report.plan_violations == ()
+    assert abs(report.lambda_star - 0.583333325208333) <= 1e-6
+    assert run_oracle_check(instance).passed
+
+
+@pytest.mark.xfail(strict=True, raises=DegeneratePivotError,
+                   reason="the max-min root, solved from the slack basis, ends infeasible")
+def test_draw_30_at_quantities_times_1e6():
+    # Unscaled, this 2x2 draw solves at λ* 1.0.  At supplies and demands ×1e6
+    # the max-min model is infeasible at its root, so the run breaks down.
+    report = run_pipeline(rescaled(_draws(5, 31)[30], 1e6, 1.0))
+    assert report.status == "optimal"
+    assert report.lambda_star == 1.0

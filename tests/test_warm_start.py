@@ -26,7 +26,7 @@ import ifctp.milp
 from ifctp import (IfctpInstance, Interval, PayoffTable, Stages, build_bi_objective,
                    build_max_min_model, oracle_solve, parse_instance, run_oracle_check,
                    solve_milp, to_milp)
-from ifctp.compromise import _refine
+from ifctp.compromise import build_refine_model
 from ifctp.milp import OPTIMAL
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -45,7 +45,7 @@ def _stage_models(instance, override=None):
     max_min = build_max_min_model(bi, payoff)
     lambda_star = min(1.0, max(0.0, -solve_milp(max_min).objective_value))
     models["max-min"] = max_min
-    models["refine"] = _refine(bi, payoff, max_min, lambda_star)
+    models["refine"] = build_refine_model(bi, payoff, max_min, lambda_star)
     return models
 
 
