@@ -69,12 +69,24 @@ test after its LP prunes a node whose own value cannot beat the incumbent.
 The penalties are clipped at zero, so round-off in a reduced cost can only
 weaken a key, never prune a subtree that holds a better point.
 
+Shipment-only node LPs: given the rows that link each binary x_j to the
+shipment y_k it switches on, y_k - M x_j <= 0, solve_milp solves each node
+as a transportation LP over the shipments alone (_shipment_form; Balinski
+1961), about a third of the full tableau's rows.  An opened route changes a
+cost, so its child's warm start may flip nonbasics (_dual_simplex).  Its
+children are keyed by bounds read off that tableau (_shipment_keys), and a
+route whose other branch cannot beat the incumbent by its reduced cost is
+fixed for the whole subtree (_fix_by_reduced_cost), the branch recorded as
+a leaf.  The rounding check, the leaves and the answer stay the full
+model's.
+
 Leaves: a search covers the subtrees its within argument names, each a
 dict of binary fixes entered from the slack basis; the default ({},) is the
 whole space.  Each subtree it closes with a finite bound is a leaf, a
 (bound, fixes) pair in MilpSolution.leaves: popped with a key that cannot
 beat the incumbent (the key), pruned by its LP value or stopped as
-integral (the LP value), or not pushed because of its key (the key).  The
+integral (the LP value), not pushed because of its key (the key), or fixed
+out by reduced cost (its bound).  The
 leaves and the LP-infeasible subtrees, an infinite key among them,
 partition within, and no point of a leaf has a value below its bound.  A
 second search over the same constraints can then be handed only the
@@ -111,6 +123,10 @@ ROUNDED_FEAS_TOL = 1e-9
 # How far a basic variable may pass a bound when the dual simplex stops: in
 # scaled units, and relative to the variable's magnitude above 1.
 BOUND_TOL = 1e-9
+# A matrix entry below this share of its row's (column's) largest does not set
+# that row's (column's) scale: a fixed charge of 1e-16 in a level row of costs
+# near 10, scaled to one, would push the row's other entries toward 1e8.
+SCALE_FLOOR = 2.0 ** -40
 
 
 class DegeneratePivotError(RuntimeError):
@@ -279,7 +295,9 @@ def _bounded_form(model: MilpModel) -> tuple:
     R_ii (b_i - A_i x), bounded to [0, inf) for "<=", (-inf, 0] for ">="
     and [0, 0] for "=".  Upper bounds stay implicit.  Four passes of
     geometric-mean scaling bring every row and column near magnitude one,
-    so the absolute pivot tolerance means the same in a big-M row.  c is
+    so the absolute pivot tolerance means the same in a big-M row; an entry
+    below SCALE_FLOOR of its row's or column's largest is left out of the
+    geometric mean.  c is
     the scaled objective divided by unit, the power of two nearest its
     largest magnitude, so the reduced-cost tolerances mean the same at any
     cost scale: c and 2^k c pivot alike, bit for bit.  Reduced costs times
@@ -293,8 +311,7 @@ def _bounded_form(model: MilpModel) -> tuple:
     M, rows, cols = model._scaling[0]
     m, nv = model.A.shape
     c = model.c * cols
-    top = np.abs(c).max(initial=0.0)
-    unit = float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
+    unit = _unit(c)
     c = np.concatenate((c / unit, np.zeros(m)))
     lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
     hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
@@ -305,13 +322,13 @@ def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
     """(M, rows, cols) of _bounded_form: [R A C | I] and the diagonals of R and C."""
     m, nv = A.shape
     magnitude = np.abs(A)
-    nonzero = magnitude > 0.0
     rows = np.ones(m)
     cols = np.ones(nv)
     for axis, scale in ((1, rows), (0, cols)) * 4:
         scaled = magnitude * rows[:, None] * cols
         big = scaled.max(axis=axis)
-        small = np.where(nonzero, scaled, np.inf).min(axis=axis)
+        counted = scaled >= SCALE_FLOOR * np.expand_dims(big, axis)
+        small = np.where(counted, scaled, np.inf).min(axis=axis)
         scale /= np.where(big > 0.0, np.sqrt(big) * np.sqrt(np.minimum(small, big)), 1.0)
     rows = np.exp2(np.round(np.log2(rows)))
     cols = np.exp2(np.round(np.log2(cols)))
@@ -321,16 +338,94 @@ def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
     return M, rows, cols
 
 
+def _unit(c: np.ndarray) -> float:
+    """The power of two nearest the largest magnitude in c, or 1 if c is all zeros."""
+    top = np.abs(c).max(initial=0.0)
+    return float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
+
+
+def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> tuple:
+    """(M, b, c, lo, hi, cols, slack, unit, links): a fixed-charge model's shipment-only node LP.
+
+    Link row t of link_rows reads y_k - M_t x_j <= 0 for binary j =
+    binaries[t] and the continuous column y_k it switches on, which is
+    boxed at [0, M_t]; x_j is in no other row and costs f_t >= 0.  Some
+    optimum of every LP relaxation then has x_j = y_k / M_t, so a node's LP
+    is an LP over the continuous columns and the other rows alone (Balinski
+    1961): a free route costs c_k + f_t / M_t per unit, an open one c_k plus
+    the constant f_t, and a closed one is boxed at [0, 0] (_shipment_lp).
+    The first eight entries are laid out as _bounded_form's, with the free
+    routes' costs.  Column k is scaled by the power of two nearest M_t (1
+    where M_t is 0), and each row by the one nearest the geometric mean of
+    its largest and smallest entry over the columns that can move, so that
+    BOUND_TOL is relative to the quantities in every unit.  Each slack is
+    boxed at the range its row implies, so every column has two finite
+    bounds: _dual_simplex can flip any nonbasic after a cost change, and
+    _shipment_keys can weigh each nonbasic's box.  links is (cont, column,
+    big_m, charge, c_open): the continuous columns, the position of each
+    binary's y_k among them, M_t, f_t, and c with every route open.
+    """
+    binaries = model.binaries
+    links = np.asarray(link_rows, dtype=int)
+    # np.delete and np.bincount, not np.setdiff1d or np.unique: those import
+    # numpy.ma on first use, which grew each process's heap by about 0.5 MB.
+    cont = np.delete(np.arange(model.c.size), binaries)
+    rows = np.delete(np.arange(model.b.size), links)
+    column = model.A[links][:, cont].argmax(axis=1)
+    big_m, charge = model.hi[cont[column]], model.c[binaries]
+    expected = np.zeros((links.size, model.c.size))
+    expected[np.arange(links.size), cont[column]] = 1.0
+    if links.size == binaries.size:
+        expected[np.arange(links.size), binaries] = -big_m
+    if (links.size != binaries.size or np.bincount(column).max(initial=0) > 1
+            or not np.array_equal(model.A[links], expected) or model.A[rows][:, binaries].any()
+            or (model.senses[links] != 1).any() or model.b[links].any()
+            or model.lo[cont[column]].any() or (charge < 0.0).any()):
+        raise ValueError("every link row must read y - M x <= 0 with y boxed at [0, M], for a "
+                         "binary x of cost >= 0 in no other row")
+    A, senses, b = model.A[rows][:, cont], model.senses[rows], model.b[rows]
+    lo, hi = model.lo[cont], model.hi[cont]
+    cols = np.ones(cont.size)
+    cols[column] = np.exp2(np.round(np.log2(np.where(big_m > 0.0, big_m, 1.0))))
+    scaled = np.abs(A) * cols * (lo < hi)
+    big = scaled.max(axis=1)
+    small = np.where((scaled > 0.0) & (scaled >= SCALE_FLOOR * big[:, None]), scaled,
+                     np.inf).min(axis=1)
+    mean = np.where(big > 0.0, np.sqrt(big) * np.sqrt(np.minimum(small, big)), 1.0)
+    scale = np.exp2(-np.round(np.log2(mean)))
+    low, high = A * lo, A * hi
+    slack_lo = np.maximum(np.where(senses < 0, -np.inf, 0.0),
+                          scale * (b - np.maximum(low, high).sum(axis=1)))
+    slack_hi = np.minimum(np.where(senses > 0, np.inf, 0.0),
+                          scale * (b - np.minimum(low, high).sum(axis=1)))
+    per_unit = np.zeros(cont.size)
+    per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
+    c = (model.c[cont] + per_unit) * cols
+    unit = _unit(c)
+    m, ns = A.shape
+    c_open = np.concatenate((model.c[cont] * cols / unit, np.zeros(m)))
+    return (np.hstack((A * scale[:, None] * cols, np.eye(m))), b * scale,
+            np.concatenate((c / unit, np.zeros(m))),
+            np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
+            np.concatenate((hi / cols, slack_hi)), cols, _Start(np.arange(ns, ns + m)), unit,
+            (cont, column, big_m, charge, c_open))
+
+
 @np.errstate(over="ignore")  # an overflowing ratio is inf, never the minimum
 def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     """Optimise from a dual feasible basis under bounds lo, hi: (status, v, pivots, state).
 
-    form is _bounded_form's, or its (M, b, c) with another b or c, and lo, hi
-    are bounds on its columns, with a node's fixes.  start is a dual feasible
-    _Start, such as a parent's basis.  The slack basis (start None, or
-    _bounded_form's slack) puts each structural at the bound its cost
-    prefers, the upper one where the cost is negative; with every
-    structural bound finite (MilpModel), that basis is dual feasible.
+    form is _bounded_form's or _shipment_form's, or its (M, b, c) with
+    another b or c, and lo, hi are bounds on its columns, with a node's
+    fixes.  start is a _Start, such as a parent's basis.  The slack basis
+    (start None, or the form's slack) puts each structural at the bound its
+    cost prefers, the upper one where the cost is negative; with every
+    structural bound finite (MilpModel), that basis is dual feasible.  A
+    parent's basis is dual feasible for a child that changes only bounds.  A
+    child that changes a cost (an opened route, _shipment_lp) can leave a
+    nonbasic's reduced cost of the wrong sign: each such nonbasic, wrong by
+    more than PIVOT_TOL, starts at its other bound instead, which every
+    column of a shipment form has.
 
     Factorises M at the basis, unless an LP solved from the same start
     already did, puts every nonbasic at its lower or (by at_upper) upper
@@ -360,19 +455,20 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     if start is None:
         start = _Start(np.arange(M.shape[1] - m, M.shape[1]))
     basis = start.basis.copy()
-    at_upper = c < 0.0 if start.at_upper is None else start.at_upper.copy()
-    v = np.where(at_upper, hi, lo)
-    v[basis] = 0.0
     T = np.empty((m + 1, M.shape[1]))
     inverse = start.factor(M)
     np.matmul(inverse, M, out=T[:m])
     T[:m, basis] = np.eye(m)
-    x_basic = inverse @ (b - M @ v)
     T[m] = c - c[basis] @ T[:m]
     T[m, basis] = 0.0
     costs = T[m]
     movable = lo < hi
     movable[basis] = False
+    at_upper = c < 0.0 if start.at_upper is None else start.at_upper.copy()
+    at_upper ^= movable & (np.where(at_upper, costs, -costs) > PIVOT_TOL)  # after a cost change
+    v = np.where(at_upper, hi, lo)
+    v[basis] = 0.0
+    x_basic = inverse @ (b - M @ v)
     flip = np.where(at_upper, -1.0, 1.0)
     bland = False
     degenerate_run = 0
@@ -443,13 +539,52 @@ def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
         fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
         lo[fixed] = hi[fixed] = (np.fromiter(fixes.values(), dtype=float, count=len(fixes))
                                  / cols[fixed])
-    status, v, pivots, state = _dual_simplex(form, lo, hi, start or form[6])
-    if status == INFEASIBLE and start is not None:
-        status, v, recheck_pivots, state = _dual_simplex(form, lo, hi, _Start(*state))
-        pivots += recheck_pivots
+    status, v, pivots, state = _confirmed(form, form[2], lo, hi, start)
     if status != OPTIMAL:
         return status, None, None, pivots, None
     x = v[:cols.size] * cols
+    return OPTIMAL, model.value_at(x), x, pivots, state
+
+
+def _confirmed(form, c, lo, hi, start):
+    """_dual_simplex with costs c; a warm INFEASIBLE stands only once confirmed (_node_lp)."""
+    status, v, pivots, state = _dual_simplex((form[0], form[1], c), lo, hi, start or form[6])
+    if status == INFEASIBLE and start is not None:
+        status, v, recheck_pivots, state = _dual_simplex((form[0], form[1], c), lo, hi,
+                                                         _Start(*state))
+        pivots += recheck_pivots
+    return status, v, pivots, state
+
+
+def _shipment_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
+    """One node LP in _shipment_form's form: (status, value, x, pivots, state) as _node_lp's.
+
+    A fix of binary j at 0 closes its route, boxing y_k at [0, 0]; a fix at
+    1 opens it, at the cost c_k per unit, and the charge f_t enters the value
+    through x_j = 1.  x is the full model's point: each fixed binary at its
+    fix, and each free one at y_k / M_t (0 where M_t is 0), so value is the
+    model's objective there.
+    """
+    lo, hi, c, cols = form[3], form[4], form[2], form[5]
+    cont, column, big_m, _, c_open = form[8]
+    if fixes:
+        fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
+        values = np.fromiter(fixes.values(), dtype=float, count=len(fixes))
+        routes = column[np.searchsorted(model.binaries, fixed)]
+        hi = hi.copy()
+        hi[routes[values == 0.0]] = 0.0
+        opened = routes[values == 1.0]
+        c = c.copy()
+        c[opened] = c_open[opened]
+    status, v, pivots, state = _confirmed(form, c, lo, hi, start)
+    if status != OPTIMAL:
+        return status, None, None, pivots, None
+    y = v[:cols.size] * cols
+    x = np.empty(model.c.size)
+    x[cont] = y
+    x[model.binaries] = y[column] / np.where(big_m > 0.0, big_m, np.inf)
+    if fixes:
+        x[fixed] = values
     return OPTIMAL, model.value_at(x), x, pivots, state
 
 
@@ -486,8 +621,55 @@ def _penalties(form, state, j: int) -> tuple[float, float]:
     return max(float(down) * per_unit, 0.0), max(float(up) * per_unit, 0.0)
 
 
+def _shipment_keys(form, state, t: int, value: float, x: np.ndarray) -> tuple[float, float]:
+    """Keys of the children that close and open free route t: bounds on their subtrees.
+
+    Closing pushes y_k, basic, from its value to 0: Driebeck's penalty on
+    y_k's row (_penalties).  Opening changes the objective by f_t - (f_t /
+    M_t) y_k, which is >= 0 since y_k <= M_t, so the node's value V bounds
+    it.  Every point of the child is the node's point with each nonbasic q
+    moved within its box, of width r_q, which changes the objective by
+    delta_q and y_k by alpha_q per unit, so the child's value is at least
+    V + f_t (1 - x_j) + sum_q min(0, delta_q - (f_t / M_t) alpha_q) r_q.
+    """
+    cont, column, big_m, charge, _ = form[8]
+    k = column[t]
+    down, _ = _penalties(form, state, k)
+    basis, at_upper, T, movable = state
+    per_y = charge[t] / big_m[t] * form[5][k] / form[7]  # in the tableau's units
+    moves = np.where(at_upper, -1.0, 1.0) * (T[-1] + per_y * T[(basis == k).argmax()])
+    gain = np.minimum(moves, 0.0) @ np.where(movable, form[4] - form[3], 0.0)
+    y = x[cont[k]]
+    return value + y * down, max(value, value + charge[t] * (1.0 - y / big_m[t]) + form[7] * gain)
+
+
+def _fix_by_reduced_cost(binaries, form, state, value: float, cutoff: float,
+                         fixes: dict, leaves: list) -> None:
+    """Fix each free route whose other branch cannot beat cutoff, and record that branch as a leaf.
+
+    Route t's y_k nonbasic at 0 with reduced cost delta_k per unit: a point
+    that opens the route and ships s on it costs at least V + f_t + s (delta_k
+    - f_t / M_t), so at least V + min(f_t, delta_k M_t), since the LP charged
+    f_t / M_t per unit of it.  Route t's y_k nonbasic at M_t: a point that
+    closes it costs at least V + |delta_k| M_t.  Where that bound is at or
+    above cutoff, the route is fixed at the branch that keeps its place, in
+    fixes, and the other branch is a leaf with that bound.
+    """
+    _, column, big_m, charge, _ = form[8]
+    _, at_upper, T, movable = state
+    per_unit = T[-1][column] * form[7] / form[5][column]
+    shut = ~at_upper[column]
+    bounds = value + np.where(shut, np.minimum(charge, per_unit * big_m), -per_unit * big_m)
+    for t in (movable[column] & (bounds >= cutoff)).nonzero()[0].tolist():
+        j, keep = int(binaries[t]), 0.0 if shut[t] else 1.0
+        if j not in fixes:
+            leaves.append((float(bounds[t]), {**fixes, j: 1.0 - keep}))
+            fixes[j] = keep
+
+
 def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
-               within: Sequence[Mapping[int, float]] = ({},)) -> MilpSolution:
+               within: Sequence[Mapping[int, float]] = ({},),
+               link_rows: Optional[Sequence[int]] = None) -> MilpSolution:
     """Globally optimal solution via best-bound branch and bound on the binaries.
 
     The search covers the subtrees named by within, each a dict of binary
@@ -501,6 +683,13 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     from the slack basis.  Its leaves and the LP-infeasible subtrees
     partition within, and no point of a leaf beats its bound (module
     docstring, Leaves).
+
+    link_rows, if given, names the row that links each binary to the
+    shipment it switches on (_shipment_form).  Each node is then solved as
+    the shipment-only LP (_shipment_lp), its children keyed by
+    _shipment_keys, and routes fixed by reduced cost (_fix_by_reduced_cost);
+    the rounding check, the leaves and the answer's pattern LP stay those of
+    the full model.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -513,6 +702,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     var_lo = model.lo - ROUNDED_FEAS_TOL
     form = _bounded_form(model)
     eps = IMPROVEMENT_EPS * form[7]  # in the objective's own unit, see _bounded_form
+    shipments = None if link_rows is None else _shipment_form(model, link_rows)
     nodes = pivots = 0
     leaves: list[tuple[float, dict[int, float]]] = []
     seq = itertools.count()
@@ -528,7 +718,10 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         if nodes >= node_limit:
             raise NodeLimitError(f"node limit {node_limit} exceeded")
         nodes += 1
-        status, value, x, lp_pivots, state = _node_lp(model, form, fixes, start)
+        if shipments is None:
+            status, value, x, lp_pivots, state = _node_lp(model, form, fixes, start)
+        else:
+            status, value, x, lp_pivots, state = _shipment_lp(model, shipments, fixes, start)
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
@@ -553,9 +746,15 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
                 continue
 
         j = int(binaries[frac.argmax()])
-        down, up = _penalties(form, state, j)
         f = x[j]
-        keys = {0.0: value + f * down, 1.0: value + (1.0 - f) * up}
+        if shipments is None:
+            down, up = _penalties(form, state, j)
+            keys = {0.0: value + f * down, 1.0: value + (1.0 - f) * up}
+        else:
+            if incumbent_x is not None:
+                _fix_by_reduced_cost(binaries, shipments, state, value, incumbent_val - eps,
+                                     fixes, leaves)
+            keys = dict(zip((0.0, 1.0), _shipment_keys(shipments, state, frac.argmax(), value, x)))
         depth = -neg_depth + 1
         first = 1.0 if x[j] >= 0.5 else 0.0
         shared = _Start(*state[:2])

@@ -41,8 +41,11 @@ class Stages:
     plan, so it raises InfeasibleProblemError here, before any solve.  The
     anchors center, width and lower minimize one objective each over one model
     and one scaling of its matrix; the width anchor serves the ideal point and
-    the payoff table.  compromise solves max-min and refine at the payoff
-    levels.  models and solutions hold each solved stage by name.
+    the payoff table.  Only the center anchor's value is reported, never its
+    plan, so only its search runs over shipment-only node LPs (solve_milp's
+    link_rows): another of several tied optimal plans could not change a
+    report.  compromise solves max-min and refine at the payoff levels.
+    models and solutions hold each solved stage by name.
     """
 
     def __init__(self, instance: IfctpInstance):
@@ -51,6 +54,9 @@ class Stages:
         if s < d:
             raise InfeasibleProblemError(f"supply cap total {s!r} < demand floor total {d!r}")
         self._anchors = to_milp(self.bi, self.bi.obj_center)  # each anchor swaps in its objective
+        # constraint_rows puts the linking rows, cell by cell, after the supply and demand rows.
+        m, n = self.bi.m, self.bi.n
+        self._link_rows = range(m + n, m + n + m * n)
         self.models: dict[str, MilpModel] = {}
         self.solutions: dict[str, MilpSolution] = {}
 
@@ -58,7 +64,8 @@ class Stages:
         """Anchor name's optimal solution; any other outcome is a numerical breakdown."""
         if name not in self.solutions:
             self.models[name] = self._anchors.derive(c=getattr(self.bi, f"obj_{name}"))
-            self.solutions[name] = solve_milp(self.models[name])
+            self.solutions[name] = solve_milp(
+                self.models[name], link_rows=self._link_rows if name == "center" else None)
         if self.solutions[name].status != OPTIMAL:
             raise DegeneratePivotError(f"the {name} anchor ended {self.solutions[name].status}")
         return self.solutions[name]

@@ -49,6 +49,15 @@ def scaled_costs(instance: IfctpInstance, factor: float) -> IfctpInstance:
                          instance.supply, instance.demand)
 
 
+def rescaled(instance: IfctpInstance, quantity: float, unit_cost: float) -> IfctpInstance:
+    """Copy with supplies and demands times quantity and unit costs times unit_cost."""
+    scale = lambda iv, f: Interval(iv.lo * f, iv.hi * f)
+    return IfctpInstance([[scale(iv, unit_cost) for iv in row] for row in instance.unit_cost],
+                         instance.fixed_charge,
+                         [scale(iv, quantity) for iv in instance.supply],
+                         [scale(iv, quantity) for iv in instance.demand])
+
+
 @pytest.fixture(scope="session")
 def bench1() -> IfctpInstance:
     return bench1_instance()

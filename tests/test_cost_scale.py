@@ -133,6 +133,35 @@ def test_shipped_instance_power_of_two_scale_is_exact(p):
     _assert_scales_exactly(bench1_instance(), p)
 
 
+def _with_route_1_1_charged(charge: str) -> IfctpInstance:
+    """The shipped instance with route (1,1)'s fixed charge replaced by charge, "[lo,hi]"."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "problems"
+            / "safi_razmjoo_1.txt").read_text()
+    line = "cost 1 1 = [4,8] fixed [10,30]"
+    assert line in text
+    return parse_instance(text.replace(line, f"cost 1 1 = [4,8] fixed {charge}"))
+
+
+def test_tiny_charge_data_file_holds_the_shipped_instance_with_route_1_1_charged_1e_16():
+    # CI runs oracle-check on the file.
+    path = pathlib.Path(__file__).resolve().parent / "data" / "safi_razmjoo_1_tiny_charge.txt"
+    assert parse_instance(path.read_text()) == _with_route_1_1_charged("[1e-16,1e-15]")
+
+
+@pytest.mark.parametrize("charge", ["[1e-320,1e-310]", "[1e-200,1e-190]", "[1e-30,1e-20]",
+                                    "[1e-16,1e-15]"])
+def test_tiny_fixed_charge_answers_as_no_charge(charge):
+    # The charge sits in the level rows of the max-min and refine models and in
+    # its route's activation column, far below their other entries.  It used
+    # to set those rows' and that column's scale, and the run exited 5: "the
+    # incumbent's activation pattern solved infeasible" at 1e-16, "the max-min
+    # model is infeasible at the computed payoff levels" at 1e-200.
+    free = run_pipeline(_with_route_1_1_charged("[0,0]"))
+    tiny = run_pipeline(_with_route_1_1_charged(charge))
+    assert free.lambda_star == tiny.lambda_star == 0.7761194029850746
+    assert tiny.payoff == free.payoff
+
+
 def test_oracle_check_passes_at_costs_times_1e9(tmp_path, capsys):
     # The width probe finds the compromise's own width one ulp lower,
     # 169044776045.90295 against 169044776045.90298; an absolute tolerance
@@ -164,8 +193,8 @@ def test_oracle_check_finds_a_slightly_worse_compromise_dominated(monkeypatch, f
 def test_oracle_check_fails_ideal_lines_half_again_too_high(monkeypatch, factor):
     # Every anchor reports 1.5 times its optimum.  At costs x 1e-9 the ideal
     # point is near 1e-7, so a tolerance of 1e-6 times at least one passed it.
-    def half_again(model):
-        solution = solve_milp(model)
+    def half_again(model, **kwargs):
+        solution = solve_milp(model, **kwargs)
         return dataclasses.replace(solution, objective_value=1.5 * solution.objective_value)
 
     monkeypatch.setattr(ifctp.pipeline, "solve_milp", half_again)

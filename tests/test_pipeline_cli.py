@@ -491,8 +491,9 @@ class TestFeasibilityRule:
         ("solve", "center"), ("ideal", "center"), ("payoff", "lower"), ("oracle-check", "lower")])
     def test_anchor_without_an_optimum_is_a_breakdown(self, bench1_path, capsys, monkeypatch,
                                                       command, first_anchor):
-        monkeypatch.setattr(ifctp.pipeline, "solve_milp", lambda model: ifctp.milp.MilpSolution(
-            ifctp.milp.INFEASIBLE, None, None))
+        monkeypatch.setattr(ifctp.pipeline, "solve_milp",
+                            lambda model, **kwargs: ifctp.milp.MilpSolution(
+                                ifctp.milp.INFEASIBLE, None, None))
         assert main([command, str(bench1_path)]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -563,10 +564,20 @@ class TestHugeUnitCosts:
     """Huge unit costs answer exactly, or end in a numerical breakdown with one stderr line."""
 
     def test_overflowing_ratio_prints_no_warning(self, tmp_path, capsys):
+        # The charges, 1e-304 of the unit costs in the level rows, used to set
+        # those rows' scale and end the run in a numerical breakdown (exit 5).
+        # They are now left out of it, so the level is the one the 1e20 case
+        # derives; from 1e305 the objective could overflow, which exits 3.
         path = tmp_path / "huge.txt"
-        path.write_text(_huge_unit_costs("3.5e304"))
-        assert main(["solve", str(path)]) == 5
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        for scale in ("3.5e304", "1e300"):
+            path.write_text(_huge_unit_costs(scale))
+            assert main(["solve", str(path), "--report", "machine"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert "level=0.5" in captured.out.splitlines()
+        path.write_text(_huge_unit_costs("1e305"))
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err == "error: unit costs times supply caps overflow a float\n"
 
     def test_computed_levels_give_the_exact_level(self, tmp_path, capsys):
         # t units on route 1 -> 1 give memberships (t - 200) / 200 and

@@ -15,9 +15,9 @@ import pytest
 
 from _highs import highs_solve
 from _random_instances import random_instance
-from conftest import bench1_instance
+from conftest import bench1_instance, rescaled
 
-from ifctp import (DegeneratePivotError, IfctpInstance, Interval, Stages, run_oracle_check,
+from ifctp import (DegeneratePivotError, Stages, run_oracle_check,
                    run_pipeline)
 
 REL = 1e-9
@@ -29,22 +29,20 @@ def _draws(seed, count):
     return [random_instance(rng) for _ in range(count)]
 
 
+DRAWS = _draws(4242, 48)
 INSTANCES = {"paper": bench1_instance(),
-             **{f"draw-{k}": inst for k, inst in enumerate(_draws(4242, 15))}}
-
-
-def rescaled(instance: IfctpInstance, quantity: float, unit_cost: float) -> IfctpInstance:
-    """Copy with supplies and demands times quantity and unit costs times unit_cost."""
-    scale = lambda iv, f: Interval(iv.lo * f, iv.hi * f)
-    return IfctpInstance([[scale(iv, unit_cost) for iv in row] for row in instance.unit_cost],
-                         instance.fixed_charge,
-                         [scale(iv, quantity) for iv in instance.supply],
-                         [scale(iv, quantity) for iv in instance.demand])
+             **{f"draw-{k}": inst for k, inst in enumerate(DRAWS[:15])}}
+# Past 2^-30 the pipeline answers some draws wrongly, and HiGHS agrees with the
+# unscaled answers: draw 25 at 2^-34 gives λ* 0.6664670658682637 against
+# 0.6663636363636365, and draw 47 at 2^-38 gives payoff.lower.best 489.0
+# against 485.0 and λ* 0.6042 against 0.0426.  Over 300 draws, 1 is wrong at
+# 2^-34, 12 at 2^-38 and 42 at 2^-42.  The cause is not diagnosed.
+BELOW_2_TO_THE_30 = {"draw-25": (DRAWS[25], -34), "draw-47": (DRAWS[47], -38)}
 
 
 @functools.lru_cache(maxsize=None)
 def _base_report(name):
-    return run_pipeline(INSTANCES[name])
+    return run_pipeline(INSTANCES[name] if name in INSTANCES else BELOW_2_TO_THE_30[name][0])
 
 
 def _unit_free(report, factor):
@@ -60,11 +58,15 @@ def _unit_free(report, factor):
 
 
 @pytest.mark.parametrize("name, p", [pytest.param(name, p, id=f"{name}-p{p}")
-                                     for name in INSTANCES for p in POWERS])
+                                     for name in INSTANCES for p in POWERS] + [
+    pytest.param(name, p, id=f"{name}-p{p}", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="wrong answers below 2^-30, not diagnosed"))
+    for name, (_, p) in BELOW_2_TO_THE_30.items()])
 def test_answers_do_not_depend_on_the_quantity_unit(name, p):
     factor = 2.0 ** p
     base = _base_report(name)
-    scaled = run_pipeline(rescaled(INSTANCES[name], factor, 1 / factor))
+    instance = INSTANCES[name] if name in INSTANCES else BELOW_2_TO_THE_30[name][0]
+    scaled = run_pipeline(rescaled(instance, factor, 1 / factor))
     assert scaled.status == base.status == "optimal"
     assert scaled.plan.x == base.plan.x
     want, got = _unit_free(base, 1.0), _unit_free(scaled, factor)

@@ -1,0 +1,154 @@
+"""The center anchor's search over shipment-only transportation LPs.
+
+Stages.anchor("center") hands solve_milp the center model's linking rows, so
+each node of its search is a transportation LP over the shipments alone
+(milp._shipment_form): a free route at c_ij + f_ij / M_ij per unit, an open
+one at c_ij plus f_ij, a closed one boxed at [0, 0].  Each node's value must
+be the full model's LP relaxation at the node's fixes; every child key and
+every reduced-cost fixing must bound the subtree it closes; and the answer,
+the full model's LP at the incumbent's activation pattern, must be the one
+the full-form search returns.
+"""
+
+import heapq
+import pathlib
+import random
+import types
+
+import pytest
+
+from _random_instances import ladder, random_instance
+from _textbook_lp import textbook_relaxation
+from conftest import bench1_instance, rescaled
+
+import ifctp.milp
+from ifctp import Stages, build_bi_objective, parse_instance, solve_milp, to_milp
+from ifctp.milp import OPTIMAL, _shipment_form
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def _data_file(variant):
+    return parse_instance((DATA / f"safi_razmjoo_1_{variant}.txt").read_text())
+
+
+def _cases():
+    """Lists of (instance, reference) pairs by name.
+
+    The reference instance has the same center model LPs: the instance itself,
+    or for quantities times 2^p, the unscaled one.  Shipments times 2^p at
+    unit costs times 2^-p give every LP point the same value, and the textbook
+    simplex, with its absolute tolerances, misreads the model at those units.
+    """
+    rng = random.Random(77031)
+    draws = [random_instance(rng) for _ in range(40)]
+    return {
+        "paper": [(bench1_instance(), bench1_instance())],
+        "zero-floor": [(_data_file("zero_floor"),) * 2],          # M_ij = 0 into one column
+        "negative-cost": [(_data_file("negative_cost"),) * 2],    # M_ij = s_i.hi
+        "random-40": [(draw, draw) for draw in draws],
+        **{f"quantities-2^{p}": [(rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p),
+                                  bench1_instance())] for p in (30, -30)},
+    }
+
+
+CASES = _cases()
+
+
+def _relative(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+def _center_model(instance):
+    bi = build_bi_objective(instance)
+    return to_milp(bi, bi.obj_center)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_every_center_node_is_the_full_models_relaxation(case, monkeypatch):
+    nodes = []
+    shipment_lp = ifctp.milp._shipment_lp
+
+    def recording(model, form, fixes, start):
+        result = shipment_lp(model, form, fixes, start)
+        nodes.append((dict(fixes), result[0], result[1]))
+        return result
+
+    monkeypatch.setattr(ifctp.milp, "_shipment_lp", recording)
+    checked = 0
+    for instance, reference in CASES[case]:
+        nodes.clear()
+        Stages(instance).anchor("center")
+        model = _center_model(reference)
+        for fixes, status, value in nodes:
+            textbook = textbook_relaxation(model, fixes)
+            assert status == textbook[0], sorted(fixes.items())
+            if status == OPTIMAL:
+                assert _relative(value, textbook[1]), (sorted(fixes.items()), value, textbook[1])
+        checked += len(nodes)
+    assert checked >= len(CASES[case])
+
+
+def test_every_key_and_fixing_bounds_the_subtree_it_closes(monkeypatch):
+    """Each pushed child's key and each fixed-out branch's bound is at most its textbook LP."""
+    bounded = []  # (bound, fixes, model)
+    current = []
+
+    def recording_push(heap, entry):  # entry: (key, -depth, sequence, fixes, start)
+        bounded.append((entry[0], entry[3], current[0]))
+        heapq.heappush(heap, entry)
+
+    fix = ifctp.milp._fix_by_reduced_cost
+    fixed = []
+
+    def recording_fix(binaries, form, state, value, cutoff, fixes, leaves):
+        before = len(leaves)
+        fix(binaries, form, state, value, cutoff, fixes, leaves)
+        fixed.extend((bound, dict(subtree), current[0]) for bound, subtree in leaves[before:])
+
+    monkeypatch.setattr(ifctp.milp, "heapq",
+                        types.SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
+    monkeypatch.setattr(ifctp.milp, "_fix_by_reduced_cost", recording_fix)
+    pairs = [pair for pairs in CASES.values() for pair in pairs]
+    for instance, reference in pairs + [(ladder, ladder) for ladder in ladder(1)]:
+        current[:] = [_center_model(reference)]
+        Stages(instance).anchor("center")
+    checked = {"key": 0, "fixing": 0}
+    for kind, records in (("key", bounded), ("fixing", fixed)):
+        for bound, fixes, model in records:
+            status, value, _ = textbook_relaxation(model, fixes)
+            if status == OPTIMAL:
+                assert bound <= value + 1e-9 * max(1.0, abs(value)), (kind, sorted(fixes.items()))
+                checked[kind] += 1
+    assert checked["key"] > 400 and checked["fixing"] > 400, checked
+
+
+@pytest.mark.parametrize("source", ["ladder-seed-1", "random-200"])
+def test_center_value_is_the_full_form_searchs_bit_for_bit(source):
+    rng = random.Random(1000)
+    instances = ladder(1) if source == "ladder-seed-1" else [random_instance(rng)
+                                                               for _ in range(200)]
+    nodes = full_nodes = 0
+    for k, instance in enumerate(instances):
+        center = Stages(instance).anchor("center")
+        bi = build_bi_objective(instance)
+        full = solve_milp(to_milp(bi, bi.obj_center))
+        assert center.objective_value.hex() == full.objective_value.hex(), k
+        nodes += center.nodes
+        full_nodes += full.nodes
+    assert nodes < full_nodes
+
+
+def test_link_rows_must_link_one_binary_to_one_boxed_shipment():
+    bi = build_bi_objective(bench1_instance())
+    model = to_milp(bi, bi.obj_center)
+    _shipment_form(model, range(7, 19))  # the linking rows
+    for rows in (range(0, 12), range(6, 18), range(7, 18)):
+        with pytest.raises(ValueError, match="link row"):
+            _shipment_form(model, rows)
+    with pytest.raises(ValueError, match="link row"):  # a charge below zero
+        _shipment_form(model.derive(c=-bi.obj_center), range(7, 19))
+    lo = model.lo.copy()
+    lo[0] = 1.0  # a shipment that must ship
+    with pytest.raises(ValueError, match="link row"):
+        _shipment_form(model.derive(lo=lo), range(7, 19))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from _highs import highs_solve
-from _random_instances import random_instance
+from _random_instances import ladder_instance, random_instance
 from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
 
@@ -126,22 +126,6 @@ class TestAnswerIsThePatternLp:
             assert abs(solution.objective_value - value) <= 1e-9 * max(1.0, abs(value)), name
 
 
-def _ladder_instance(rng, m, n):
-    """Random m x n instance with heavy fixed charges and demand floors near 85% of the caps."""
-    def interval(lo, hi, max_width):
-        start = rng.randint(lo, hi)
-        return Interval(start, start + rng.randint(0, max_width))
-
-    unit = [[interval(1, 20, 6) for _ in range(n)] for _ in range(m)]
-    fixed = [[interval(10, 60, 20) for _ in range(n)] for _ in range(m)]
-    supply = [interval(20, 40, 3) for _ in range(m)]
-    cap = sum(iv.hi for iv in supply)
-    floors = [max(1, int(0.85 * cap / n * rng.uniform(0.8, 1.2))) for _ in range(n)]
-    while sum(floors) > cap:
-        floors = [max(1, f - 1) for f in floors]
-    return IfctpInstance(unit, fixed, supply, [Interval(f, f + rng.randint(0, 3)) for f in floors])
-
-
 class TestHighsSweep:
     """Stage optima beyond the oracle's 20 binaries agree with HiGHS."""
 
@@ -150,7 +134,7 @@ class TestHighsSweep:
         rng = random.Random(f"highs-sweep-{m}x{n}")
         started = time.perf_counter()
         for k in range(count):
-            for name, model in _stage_models(_ladder_instance(rng, m, n)).items():
+            for name, model in _stage_models(ladder_instance(rng, m, n)).items():
                 ours = solve_milp(model, node_limit=20_000)
                 status, value = highs_solve(model)
                 assert ours.status == status == OPTIMAL, (k, name)
