@@ -94,18 +94,25 @@ def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:
                      binaries)
 
 
-def build_refine_model(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
-                       lambda_star: float) -> MilpModel:
-    """Second-stage model: keep the level at lambda_star, minimize both objectives.
+def refine_weights(payoff: PayoffTable) -> tuple[float, float]:
+    """The refine pass's positive weights on the lower-endpoint and width objectives.
 
     Weights are reciprocals of the payoff ranges so neither objective's scale
     dominates; degenerate ranges get weight one (the level row already pins them).
+    """
+    return tuple(1.0 if _degenerate(best, worst) else 1.0 / (worst - best)
+                 for best, worst in zip(payoff.best, payoff.worst))
+
+
+def build_refine_model(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
+                       lambda_star: float) -> MilpModel:
+    """Second-stage model: keep the level at lambda_star, minimize the refine_weights sum.
+
     The model derives from max_min, so the two share one scaling of their rows.
     """
     level_var = 2 * bi.m * bi.n
     combined = np.zeros(level_var + 1)
-    for best, worst, objective in zip(payoff.best, payoff.worst, (bi.obj_lower, bi.obj_width)):
-        weight = 1.0 if _degenerate(best, worst) else 1.0 / (worst - best)
+    for weight, objective in zip(refine_weights(payoff), (bi.obj_lower, bi.obj_width)):
         combined[:level_var] += weight * objective
     lo = max_min.lo.copy()
     lo[level_var] = max(0.0, lambda_star - LEVEL_SLACK)

@@ -11,19 +11,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .compromise import (LEVEL_SLACK, CompromiseResult, PayoffTable, build_max_min_model,
-                         build_refine_model, membership)
-from .crisp import (build_bi_objective, constraint_rows, evaluate_interval_objective,
-                    extract_plan, plan_value, to_milp)
+                         build_refine_model, membership, refine_weights)
+from .crisp import (build_bi_objective, evaluate_interval_objective, extract_plan, plan_value,
+                    to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, DegeneratePivotError, MilpModel, MilpSolution,
                    OracleScopeError, oracle_solve, solve_milp)
 from .model import IfctpInstance, ShipmentPlan, check_plan
-
-# How far, relative to the compromise's value, a probe must beat it to dominate it.
-DOMINANCE_TOL = 1e-6
 
 
 class InfeasibleProblemError(Exception):
@@ -244,29 +239,20 @@ class CheckLine:
 @dataclass(frozen=True)
 class OracleCheck:
     lines: tuple[CheckLine, ...]
-    dominated: bool  # True means enumeration found a plan beating the compromise
 
     @property
     def passed(self) -> bool:
-        return not self.dominated and all(line.passed for line in self.lines)
+        return all(line.passed for line in self.lines)
 
 
-def _bounded_objective_model(bi, minimize, cap_objective, cap_value) -> MilpModel:
-    """Minimize one objective subject to the other staying at or below a cap."""
-    A, senses, b, lo, hi, binaries = constraint_rows(bi)
-    return MilpModel(minimize, np.vstack((A, cap_objective)), np.append(senses, 1),
-                     np.append(b, cap_value), lo, hi, binaries)
-
-
-def _check_line(label: str, stages: Stages, name: str, sign: float = 1.0) -> CheckLine:
-    """Enumeration against the solver on stage name; sign flips a maximized value.
+def _check_line(label: str, solver: float, model: MilpModel, sign: float = 1.0) -> CheckLine:
+    """Enumeration's optimum of model against the solver's value; sign flips a maximized value.
 
     Values agree within 1e-6 of the larger magnitude, or of 1.0 for the level:
     costs at every unit, the level as the ratio in [0, 1] it is.  An oracle
     that finds no optimum reads NaN, which agrees with nothing.
     """
-    solver = stages.solutions[name].objective_value
-    oracle = oracle_solve(stages.models[name])
+    oracle = oracle_solve(model)
     value = oracle.objective_value if oracle.status == OPTIMAL else float("nan")
     least = 1.0 if sign < 0 else 0.0
     agree = abs(solver - value) <= 1e-6 * max(least, abs(solver), abs(value))
@@ -276,13 +262,15 @@ def _check_line(label: str, stages: Stages, name: str, sign: float = 1.0) -> Che
 def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
     """Compare branch-and-bound answers against exhaustive enumeration.
 
-    Solves the pipeline's five stage models once each, checks the center and
-    width anchors and the max-min solve against enumeration, then searches
-    every activation pattern for a plan that Pareto-dominates the compromise
-    solution.  Each probe caps one objective at the compromise's value plus
-    1e-9 of it and must beat the other by DOMINANCE_TOL of it, so the check
-    means the same at every cost scale.  Refuses instances with more routes
-    than the oracle can enumerate.
+    Solves the pipeline's five stage models once each and checks four of them
+    against enumeration: the center and width anchors, the max-min level, and
+    the refine weighted sum of the reported compromise values.  The refine
+    line also proves the compromise C Pareto optimal.  A plan P that beat C
+    in one objective and lost to it in neither would meet the refine model's
+    level rows at C's level and, both refine_weights being positive, have a
+    smaller weighted sum: the refine optimum would lie below C's sum and the
+    line would fail.  Refuses instances with more routes than the oracle can
+    enumerate.
     """
     if instance.m * instance.n > ORACLE_MAX_BINARIES:
         raise OracleScopeError(
@@ -290,23 +278,13 @@ def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
             f"{ORACLE_MAX_BINARIES}")
 
     stages = Stages(instance)
-    _, result = stages.compromise()
+    payoff, result = stages.compromise()
     stages.ideal()  # solves the center anchor; every checked solution is now optimal
-    lines = (_check_line("ideal-center", stages, "center"),
-             _check_line("ideal-width", stages, "width"),
-             _check_line("max-min level", stages, "max-min", sign=-1.0))
-
-    z_lower, z_width = result.objective_values
-    dominated = False
-    bi = stages.bi
-    probes = (
-        (bi.obj_width, bi.obj_lower, z_lower, z_width),   # shave width at equal lower bound
-        (bi.obj_lower, bi.obj_width, z_width, z_lower),   # shave lower at equal width
-    )
-    for minimize, cap_obj, cap_val, incumbent in probes:
-        probe = oracle_solve(_bounded_objective_model(bi, minimize, cap_obj,
-                                                      cap_val + 1e-9 * abs(cap_val)))
-        if (probe.status == OPTIMAL
-                and probe.objective_value < incumbent - DOMINANCE_TOL * abs(incumbent)):
-            dominated = True
-    return OracleCheck(lines, dominated)
+    weighted = sum(w * z for w, z in zip(refine_weights(payoff), result.objective_values))
+    models, solutions = stages.models, stages.solutions
+    return OracleCheck((
+        _check_line("ideal-center", solutions["center"].objective_value, models["center"]),
+        _check_line("ideal-width", solutions["width"].objective_value, models["width"]),
+        _check_line("max-min level", solutions["max-min"].objective_value, models["max-min"],
+                    sign=-1.0),
+        _check_line("refine", weighted, models["refine"])))

@@ -150,8 +150,5 @@ def render_oracle_check(check: OracleCheck) -> str:
         verdict = "ok" if line.passed else "FAIL"
         lines.append(f"{line.name}: solver={line.solver_value!r} "
                      f"oracle={line.oracle_value!r} delta={line.delta:.3g} {verdict}")
-    lines.append("pareto dominance: "
-                 + ("DOMINATED (enumeration beat the compromise plan)"
-                    if check.dominated else "none found"))
     lines.append("oracle check: " + ("PASS" if check.passed else "FAIL"))
     return _lines(lines)

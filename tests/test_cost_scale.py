@@ -163,30 +163,39 @@ def test_tiny_fixed_charge_answers_as_no_charge(charge):
 
 
 def test_oracle_check_passes_at_costs_times_1e9(tmp_path, capsys):
-    # The width probe finds the compromise's own width one ulp lower,
-    # 169044776045.90295 against 169044776045.90298; an absolute tolerance
-    # of 1e-6 called that a domination.
+    # The compromise's width is 169044776045.90298, and enumeration can land
+    # an ulp away from it, far more than an absolute 1e-6.  The refine line
+    # weighs both objectives by their reciprocal payoff ranges, so it compares
+    # sums near 10.84 whatever the cost unit, within 1e-6 of their magnitude.
     path = tmp_path / "scaled.txt"
     path.write_text(render_instance(scaled_costs(bench1_instance(), 1e9)))
     assert main(["oracle-check", str(path)]) == 0
-    assert "pareto dominance: none found" in capsys.readouterr().out
+    refine, = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("refine: ")]
+    assert refine.endswith(" ok")
 
 
 @pytest.mark.parametrize("factor", [1e-9, 1.0, 1e9])
-def test_oracle_check_finds_a_slightly_worse_compromise_dominated(monkeypatch, factor):
-    # The compromise's width is reported 1e-4 (relative) above its plan's,
-    # so its own plan dominates it.  At costs x 1e-9 the width is near 1e-7,
+@pytest.mark.parametrize("inflated", [0, 1], ids=["lower", "width"])
+def test_oracle_check_finds_a_slightly_worse_compromise_dominated(monkeypatch, inflated,
+                                                                  factor):
+    # One compromise objective is reported 1e-4 (relative) above its plan's,
+    # so its own plan dominates it.  Of the refine weighted sum 25.7, the
+    # width term is 1.8 and the lower term 23.9, so either inflation moves the
+    # sum by more than 1e-6 of it.  At costs x 1e-9 the width is near 1e-7,
     # below an absolute tolerance of 1e-6.
     compromise = Stages.compromise
 
-    def worse_width(self, override=None):
+    def worse(self, override=None):
         payoff, result = compromise(self, override)
-        lower, width = result.objective_values
-        return payoff, dataclasses.replace(result, objective_values=(lower, width * (1 + 1e-4)))
+        values = list(result.objective_values)
+        values[inflated] *= 1 + 1e-4
+        return payoff, dataclasses.replace(result, objective_values=tuple(values))
 
-    monkeypatch.setattr(Stages, "compromise", worse_width)
+    monkeypatch.setattr(Stages, "compromise", worse)
     check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
-    assert check.dominated and not check.passed
+    assert [line.name for line in check.lines if not line.passed] == ["refine"]
+    assert not check.passed
 
 
 @pytest.mark.parametrize("factor", [1e-9, 1.0, 1e9])
@@ -200,5 +209,6 @@ def test_oracle_check_fails_ideal_lines_half_again_too_high(monkeypatch, factor)
     monkeypatch.setattr(ifctp.pipeline, "solve_milp", half_again)
     check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
     assert [(line.name, line.passed) for line in check.lines] == [
-        ("ideal-center", False), ("ideal-width", False), ("max-min level", True)]
+        ("ideal-center", False), ("ideal-width", False), ("max-min level", True),
+        ("refine", True)]
     assert not check.passed

@@ -124,9 +124,8 @@ class TestOracleCheckApi:
         from ifctp import parse_instance
         check = run_oracle_check(parse_instance(TINY_2X2))
         assert check.passed
-        assert not check.dominated
         assert [line.name for line in check.lines] == \
-            ["ideal-center", "ideal-width", "max-min level"]
+            ["ideal-center", "ideal-width", "max-min level", "refine"]
 
     def test_scope_guard(self):
         from ifctp import IfctpInstance
@@ -234,6 +233,11 @@ class TestCliOutputBytes:
         # No override: the payoff table comes from the anchor solves.
         expected = (DATA_DIR / "golden_solve_payoff_machine.txt").read_text()
         assert main(["solve", str(bench1_path), "--report", "machine"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_oracle_check_golden(self, bench1_path, capsys):
+        expected = (DATA_DIR / "golden_oracle_check.txt").read_text()
+        assert main(["oracle-check", str(bench1_path)]) == 0
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("command, report, expected", [
@@ -363,7 +367,7 @@ class TestOneBuildPerJob:
           "--competitor", "safi-razmjoo=[640,1020]"], 4, 0),
         (["payoff", "{path}"], 2, 0),
         (["ideal", "{path}"], 2, 0),
-        (["oracle-check", "{path}"], 5, 5),
+        (["oracle-check", "{path}"], 5, 4),
     ], ids=["solve", "solve-override", "compare", "payoff", "ideal", "oracle-check"])
     def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args, solves,
                                      oracle_solves):
@@ -429,7 +433,8 @@ class TestCliExactOutcomes:
          "ideal-center: solver=27.5 oracle=27.5 delta=0 ok\n"
          "ideal-width: solver=6.5 oracle=6.5 delta=0 ok\n"
          "max-min level: solver=0.2400000000000001 oracle=0.2400000000000001 delta=0 ok\n"
-         "pareto dominance: none found\noracle check: PASS\n", ""),
+         "refine: solver=5.586666666166667 oracle=5.586666666166668 delta=8.88e-16 ok\n"
+         "oracle check: PASS\n", ""),
     ], ids=["undersupplied-solve-text", "undersupplied-solve-machine",
             "undersupplied-compare-machine", "undersupplied-payoff-text",
             "undersupplied-payoff-machine", "undersupplied-ideal-text",
