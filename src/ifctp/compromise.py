@@ -81,7 +81,7 @@ def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:
     instead and leaves the level unconstrained by it.
     """
     level_var = 2 * bi.m * bi.n
-    A, senses, b, lo, hi, binaries = constraint_rows(bi, extra_vars=1)
+    A, senses, b, lo, hi, binaries = constraint_rows(bi)
     level_rows = np.zeros((2, level_var + 1))
     for k, objective in enumerate((bi.obj_lower, bi.obj_width)):
         level_rows[k, :level_var] = objective
@@ -89,7 +89,8 @@ def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:
             level_rows[k, level_var] = payoff.worst[k] - payoff.best[k]
     c = np.zeros(level_var + 1)
     c[level_var] = -1.0  # maximize the level
-    return MilpModel(c, np.vstack((A, level_rows)), np.append(senses, (1, 1)),
+    shared = np.column_stack((A, np.zeros(b.size)))  # the level is in no shared row
+    return MilpModel(c, np.vstack((shared, level_rows)), np.append(senses, (1, 1)),
                      np.append(b, payoff.worst), np.append(lo, 0.0), np.append(hi, 1.0),
                      binaries)
 

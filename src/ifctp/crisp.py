@@ -17,7 +17,8 @@ implies.  A smaller M_ij tightens every LP relaxation: x_ij >= y_ij / M_ij
 charges more of the fixed cost.
 
 All models built here share one variable layout: y(i,j) at index i*n + j,
-x(i,j) at m*n + i*n + j, optional extra columns appended after that.  An
+x(i,j) at m*n + i*n + j, a model's own columns appended after that, and one
+row layout: supply rows, demand rows, then the linking rows (link_rows).  An
 objective is a flat coefficient vector over the y and x entries of that
 layout, and the constraint set is built as numpy arrays for MilpModel.
 """
@@ -109,22 +110,25 @@ def plan_value(coeffs: np.ndarray, plan: ShipmentPlan) -> float:
     return total
 
 
-def constraint_rows(bi: BiObjectiveMilp, extra_vars: int = 0) -> tuple[np.ndarray, ...]:
+def link_rows(bi: BiObjectiveMilp) -> range:
+    """The linking rows y_ij - M_ij x_ij <= 0 of constraint_rows, cell by cell."""
+    return range(bi.m + bi.n, bi.m + bi.n + bi.m * bi.n)
+
+
+def constraint_rows(bi: BiObjectiveMilp) -> tuple[np.ndarray, ...]:
     """Shared constraint set: supply caps, demand floors, big-M linking.
 
-    Returns (A, senses, b, lo, hi, binaries) over the (y, x, extras) layout,
-    rows in that order, linking rows cell by cell.  Each y_ij is boxed at
-    [0, M_ij], so every variable has a finite box.  With M_ij below s_i.hi
-    that box is not implied by the rows; it holds an optimum because every
-    unit cost is >= 0 (see the module docstring).  Extra columns get zero
-    coefficients; lo and hi cover y and x only, so the caller appends the
-    extras' bounds.
+    Returns (A, senses, b, lo, hi, binaries) over the (y, x) layout, rows in
+    that order, linking rows cell by cell (link_rows).  Each y_ij is boxed
+    at [0, M_ij], so every variable has a finite box.  With M_ij below
+    s_i.hi that box is not implied by the rows; it holds an optimum because
+    every unit cost is >= 0 (see the module docstring).
     """
     m, n = bi.m, bi.n
     mn = m * n
     cells = np.arange(mn)
-    link = m + n + cells
-    A = np.zeros((m + n + mn, 2 * mn + extra_vars))
+    link = np.array(link_rows(bi))
+    A = np.zeros((m + n + mn, 2 * mn))
     A[cells // n, cells] = 1.0
     A[m + cells % n, cells] = 1.0
     A[link, cells] = 1.0

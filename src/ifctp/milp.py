@@ -28,10 +28,12 @@ with as few calls as it allows.  The update is one broadcast,
 T -= col * pivot_row, with the pivot row's own entry of col zeroed.  The
 model is scaled by powers of two and gets one slack per row; bounds stay
 implicit, so there are no upper-bound rows.  The row and column scaling
-depends on A alone, so models derived from one another (MilpModel.derive)
-share it; the objective gets one power of two of its own.  A
-root or pattern LP starts from the slack basis, which is dual feasible
-because every bound is finite (_dual_simplex).  A child differs from its
+depends on A alone, so it is computed once, with the model, and models
+derived from one another (MilpModel.derive) share it; the objective gets one
+power of two of its own.  Every LP start is a basis with its nonbasics'
+at-upper flags (_Start).  A root or pattern LP starts from the slack basis,
+each column at the bound its cost prefers, which is dual feasible because
+every bound is finite (_dual_simplex).  A child differs from its
 parent by one fixed binary, so the parent's optimal basis stays dual
 feasible: the child factorises it and takes a few dual pivots.  The
 factorisation inverts the m x m basis and multiplies; at 41 rows, on a
@@ -178,8 +180,8 @@ class MilpModel:
         for name, values in zip(_FIELDS, (c, A, senses, b, lo, hi, binaries)):
             object.__setattr__(self, name, _frozen(name, values))
         self._check()
-        # A's scaled bounded form, computed on the first solve; see _bounded_form.
-        object.__setattr__(self, "_scaling", [])
+        # A's scaled bounded form, shared by every model derived from this one.
+        object.__setattr__(self, "_scaling", _scaled_matrix(self.A))
 
     def derive(self, **arrays) -> MilpModel:
         """This model with some arrays other than A replaced, sharing A's scaling.
@@ -191,7 +193,7 @@ class MilpModel:
         unknown = set(arrays) - set(_FIELDS)
         if unknown:
             raise TypeError(f"MilpModel has no array {sorted(unknown)[0]!r}")
-        model = copy.copy(self)  # shares every array and the scaling list
+        model = copy.copy(self)  # shares every array and the scaling
         for name, values in arrays.items():
             object.__setattr__(model, name, _frozen(name, values))
         model._check()
@@ -266,16 +268,16 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
 class _Start:
     """A start for _dual_simplex: a basis, its nonbasics' at-upper flags and the basis inverse.
 
-    at_upper None puts each nonbasic at the bound its cost prefers, as the
-    slack basis starts.  The inverse of M at basis is computed by the first
-    LP solved from the start and reused by the others: a node's two
-    children share one start, and the root and every pattern LP of one
-    solve share the slack start (_bounded_form).
+    A form's slack start puts each nonbasic at the bound its own cost
+    prefers, the upper one where the cost is negative (_bounded_form).  The
+    inverse of M at basis is computed by the first LP solved from the start
+    and reused by the others: a node's two children share one start, and the
+    root and every pattern LP of one solve share the slack start.
     """
 
     __slots__ = ("basis", "at_upper", "inverse")
 
-    def __init__(self, basis: np.ndarray, at_upper: Optional[np.ndarray] = None):
+    def __init__(self, basis: np.ndarray, at_upper: np.ndarray):
         self.basis, self.at_upper, self.inverse = basis, at_upper, None
 
     def factor(self, M: np.ndarray) -> np.ndarray:
@@ -302,20 +304,19 @@ def _bounded_form(model: MilpModel) -> tuple:
     largest magnitude, so the reduced-cost tolerances mean the same at any
     cost scale: c and 2^k c pivot alike, bit for bit.  Reduced costs times
     unit are in the model's objective units.  cols holds C's diagonal.  M,
-    R and C depend on A alone, so they are computed once for a model and
-    every model derived from it.  slack is a fresh slack-basis _Start,
-    shared by the LPs of one solve that start from it.
+    R and C depend on A alone, so they are computed once, with the model,
+    for it and every model derived from it.  slack is a fresh slack-basis
+    _Start, each column at its upper bound where c is negative, shared by
+    the LPs of one solve that start from it.
     """
-    if not model._scaling:
-        model._scaling.append(_scaled_matrix(model.A))
-    M, rows, cols = model._scaling[0]
+    M, rows, cols = model._scaling
     m, nv = model.A.shape
     c = model.c * cols
     unit = _unit(c)
     c = np.concatenate((c / unit, np.zeros(m)))
     lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
     hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
-    return M, model.b * rows, c, lo, hi, cols, _Start(np.arange(nv, nv + m)), unit
+    return M, model.b * rows, c, lo, hi, cols, _Start(np.arange(nv, nv + m), c < 0.0), unit
 
 
 def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -325,17 +326,22 @@ def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
     rows = np.ones(m)
     cols = np.ones(nv)
     for axis, scale in ((1, rows), (0, cols)) * 4:
-        scaled = magnitude * rows[:, None] * cols
-        big = scaled.max(axis=axis)
-        counted = scaled >= SCALE_FLOOR * np.expand_dims(big, axis)
-        small = np.where(counted, scaled, np.inf).min(axis=axis)
-        scale /= np.where(big > 0.0, np.sqrt(big) * np.sqrt(np.minimum(small, big)), 1.0)
+        scale /= _geometric_mean(magnitude * rows[:, None] * cols, axis)
     rows = np.exp2(np.round(np.log2(rows)))
     cols = np.exp2(np.round(np.log2(cols)))
     M = np.hstack((A * rows[:, None] * cols, np.eye(m)))
     for array in (M, rows, cols):
         array.flags.writeable = False
     return M, rows, cols
+
+
+def _geometric_mean(scaled: np.ndarray, axis: int) -> np.ndarray:
+    """Per line of scaled along axis: the geometric mean of its largest entry and its
+    smallest entry not below SCALE_FLOOR of that, or 1 for a line of zeros."""
+    big = scaled.max(axis=axis)
+    counted = scaled >= SCALE_FLOOR * np.expand_dims(big, axis)
+    small = np.where(counted, scaled, np.inf).min(axis=axis)
+    return np.where(big > 0.0, np.sqrt(big) * np.sqrt(small), 1.0)
 
 
 def _unit(c: np.ndarray) -> float:
@@ -387,12 +393,7 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> tuple:
     lo, hi = model.lo[cont], model.hi[cont]
     cols = np.ones(cont.size)
     cols[column] = np.exp2(np.round(np.log2(np.where(big_m > 0.0, big_m, 1.0))))
-    scaled = np.abs(A) * cols * (lo < hi)
-    big = scaled.max(axis=1)
-    small = np.where((scaled > 0.0) & (scaled >= SCALE_FLOOR * big[:, None]), scaled,
-                     np.inf).min(axis=1)
-    mean = np.where(big > 0.0, np.sqrt(big) * np.sqrt(np.minimum(small, big)), 1.0)
-    scale = np.exp2(-np.round(np.log2(mean)))
+    scale = np.exp2(-np.round(np.log2(_geometric_mean(np.abs(A) * cols * (lo < hi), 1))))
     low, high = A * lo, A * hi
     slack_lo = np.maximum(np.where(senses < 0, -np.inf, 0.0),
                           scale * (b - np.maximum(low, high).sum(axis=1)))
@@ -403,29 +404,28 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> tuple:
     c = (model.c[cont] + per_unit) * cols
     unit = _unit(c)
     m, ns = A.shape
+    c = np.concatenate((c / unit, np.zeros(m)))
     c_open = np.concatenate((model.c[cont] * cols / unit, np.zeros(m)))
-    return (np.hstack((A * scale[:, None] * cols, np.eye(m))), b * scale,
-            np.concatenate((c / unit, np.zeros(m))),
+    return (np.hstack((A * scale[:, None] * cols, np.eye(m))), b * scale, c,
             np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
-            np.concatenate((hi / cols, slack_hi)), cols, _Start(np.arange(ns, ns + m)), unit,
-            (cont, column, big_m, charge, c_open))
+            np.concatenate((hi / cols, slack_hi)), cols, _Start(np.arange(ns, ns + m), c < 0.0),
+            unit, (cont, column, big_m, charge, c_open))
 
 
 @np.errstate(over="ignore")  # an overflowing ratio is inf, never the minimum
-def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
+def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     """Optimise from a dual feasible basis under bounds lo, hi: (status, v, pivots, state).
 
     form is _bounded_form's or _shipment_form's, or its (M, b, c) with
     another b or c, and lo, hi are bounds on its columns, with a node's
-    fixes.  start is a _Start, such as a parent's basis.  The slack basis
-    (start None, or the form's slack) puts each structural at the bound its
-    cost prefers, the upper one where the cost is negative; with every
-    structural bound finite (MilpModel), that basis is dual feasible.  A
-    parent's basis is dual feasible for a child that changes only bounds.  A
-    child that changes a cost (an opened route, _shipment_lp) can leave a
-    nonbasic's reduced cost of the wrong sign: each such nonbasic, wrong by
-    more than PIVOT_TOL, starts at its other bound instead, which every
-    column of a shipment form has.
+    fixes.  start is a _Start: the form's slack start, which puts each
+    structural at the bound its cost prefers, or a parent's basis.  With
+    every structural bound finite (MilpModel), the slack start is dual
+    feasible.  A parent's basis is dual feasible for a child that changes
+    only bounds.  An LP whose costs are not its start's (an opened route,
+    _shipment_lp) can leave a nonbasic's reduced cost of the wrong sign:
+    each such nonbasic, wrong by more than PIVOT_TOL, starts at its other
+    bound instead, which every column of a shipment form has.
 
     Factorises M at the basis, unless an LP solved from the same start
     already did, puts every nonbasic at its lower or (by at_upper) upper
@@ -452,8 +452,6 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     """
     M, b, c = form[:3]
     m = b.size
-    if start is None:
-        start = _Start(np.arange(M.shape[1] - m, M.shape[1]))
     basis = start.basis.copy()
     T = np.empty((m + 1, M.shape[1]))
     inverse = start.factor(M)
@@ -464,7 +462,7 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start=None):
     costs = T[m]
     movable = lo < hi
     movable[basis] = False
-    at_upper = c < 0.0 if start.at_upper is None else start.at_upper.copy()
+    at_upper = start.at_upper.copy()
     at_upper ^= movable & (np.where(at_upper, costs, -costs) > PIVOT_TOL)  # after a cost change
     v = np.where(at_upper, hi, lo)
     v[basis] = 0.0

@@ -13,8 +13,8 @@ from typing import Optional
 
 from .compromise import (LEVEL_SLACK, CompromiseResult, PayoffTable, build_max_min_model,
                          build_refine_model, membership, refine_weights)
-from .crisp import (build_bi_objective, evaluate_interval_objective, extract_plan, plan_value,
-                    to_milp)
+from .crisp import (build_bi_objective, evaluate_interval_objective, extract_plan, link_rows,
+                    plan_value, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, DegeneratePivotError, MilpModel, MilpSolution,
                    OracleScopeError, oracle_solve, solve_milp)
@@ -49,9 +49,6 @@ class Stages:
         if s < d:
             raise InfeasibleProblemError(f"supply cap total {s!r} < demand floor total {d!r}")
         self._anchors = to_milp(self.bi, self.bi.obj_center)  # each anchor swaps in its objective
-        # constraint_rows puts the linking rows, cell by cell, after the supply and demand rows.
-        m, n = self.bi.m, self.bi.n
-        self._link_rows = range(m + n, m + n + m * n)
         self.models: dict[str, MilpModel] = {}
         self.solutions: dict[str, MilpSolution] = {}
 
@@ -60,7 +57,7 @@ class Stages:
         if name not in self.solutions:
             self.models[name] = self._anchors.derive(c=getattr(self.bi, f"obj_{name}"))
             self.solutions[name] = solve_milp(
-                self.models[name], link_rows=self._link_rows if name == "center" else None)
+                self.models[name], link_rows=link_rows(self.bi) if name == "center" else None)
         if self.solutions[name].status != OPTIMAL:
             raise DegeneratePivotError(f"the {name} anchor ended {self.solutions[name].status}")
         return self.solutions[name]

@@ -23,7 +23,6 @@ class ProblemFileError(ValueError):
     """Unreadable, unparsable or malformed problem file, with the offending line when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.message = message
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
 

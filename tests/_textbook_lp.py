@@ -118,11 +118,14 @@ def textbook_relaxation(model, fixes):
 
     Fixed variables are substituted out, rows left without a free variable
     are checked as plain comparisons, and upper bounds (finite in every
-    MilpModel) become rows.  Each remaining row is multiplied by the power of
-    two that brings its largest coefficient nearest one, which is exact, so
-    the absolute tolerances read every row at the same magnitude: a level
-    row with coefficients near 1e-5 would otherwise pass FEAS_TOL while
-    violated by a tenth of its scale.
+    MilpModel) become rows.  Each free column is measured in the power of two
+    nearest its box width, and then each row is multiplied by the power of
+    two that brings its largest coefficient nearest one; both are exact, so
+    the absolute tolerances read every column and row at the same magnitude.
+    A level row with coefficients near 1e-5 would otherwise pass FEAS_TOL
+    while violated by a tenth of its scale, and shipments boxed near 2^34 or
+    2^-30 would put their linking coefficients below PIVOT_TOL or their
+    right-hand sides below FEAS_TOL.
     """
     lo, hi = model.lo.copy(), model.hi.copy()
     for j, value in fixes.items():
@@ -136,14 +139,16 @@ def textbook_relaxation(model, fixes):
     tol = FEAS_TOL * np.maximum(1.0, np.abs(model.b[~live]))
     if ((slack < -tol) | ((model.senses[~live] == 0) & (np.abs(b[~live]) > tol))).any():
         return "infeasible", None, None
-    A = np.vstack((model.A[live][:, free], np.eye(free.size)))
-    b = np.concatenate((b[live], (hi - lo)[free]))
+    width = (hi - lo)[free]
+    unit = np.exp2(np.round(np.log2(width)))
+    A = np.vstack((model.A[live][:, free], np.eye(free.size))) * unit
+    b = np.concatenate((b[live], width))
     scale = np.exp2(-np.round(np.log2(np.abs(A).max(axis=1))))
     A, b = A * scale[:, None], b * scale
     relations = [_RELATION[s] for s in model.senses[live]] + ["<="] * free.size
-    status, u, _ = textbook_standard_lp(model.c[free], A, relations, b)
+    status, u, _ = textbook_standard_lp(model.c[free] * unit, A, relations, b)
     if status != "optimal":
         return status, None, None
     x = lo.copy()
-    x[free] += u
+    x[free] += u * unit
     return "optimal", model.value_at(x), x

@@ -1,10 +1,14 @@
 import pathlib
+import sys
 
 import pytest
 
 from ifctp import IfctpInstance, Interval, ShipmentPlan
 
-PROBLEMS_DIR = pathlib.Path(__file__).resolve().parent.parent / "problems"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PROBLEMS_DIR = ROOT / "problems"
+# The tests draw the benchmark's ladder-bb instances from its own workloads module.
+sys.path.append(str(ROOT / "bench"))
 
 # 3x4 benchmark data: (unit lo, unit hi, charge lo, charge hi) per route.
 BENCH1_CELLS = [

@@ -38,7 +38,7 @@ def _reference_solve_milp(model):
     binaries = model.binaries
     incumbent_val = math.inf
     incumbent_x = None
-    tol = ROUNDED_FEAS_TOL * np.maximum(1.0, np.abs(model.b))
+    tol = ROUNDED_FEAS_TOL * np.where(model.b != 0.0, np.abs(model.b), 1.0)
     row_hi = np.where(model.senses >= 0, model.b + tol, np.inf)
     row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
     var_hi = model.hi + ROUNDED_FEAS_TOL
@@ -161,7 +161,7 @@ class TestSameAnswerAsUnprunedSearch:
         nodes, ref_nodes = _compare(models, monkeypatch)
         assert nodes < ref_nodes
 
-    @pytest.mark.parametrize("factor", [1e6, 1e-7])
+    @pytest.mark.parametrize("factor", [1e6, 1e-7, 2.0 ** -36])
     def test_bench1_scaled_costs(self, bench1, monkeypatch, factor):
         # The penalties are read off a scaled tableau and unscaled per
         # binary, so the keys must stay valid at either end of the cost scale.

@@ -7,8 +7,8 @@ import pytest
 from _random_instances import random_instance
 from conftest import BENCH1_CELLS, zero_width_bench1
 
-from ifctp import (InvalidInstanceError, IfctpInstance, Interval, ShipmentPlan, Stages,
-                   build_bi_objective, build_max_min_model, evaluate_interval_objective,
+from ifctp import (InvalidInstanceError, IfctpInstance, Interval, PayoffTable, ShipmentPlan,
+                   Stages, build_bi_objective, build_max_min_model, evaluate_interval_objective,
                    extract_plan, solve_milp)
 from ifctp.compromise import build_refine_model
 from ifctp.crisp import constraint_rows, plan_value, to_milp
@@ -114,8 +114,13 @@ def _loop_constraint_rows(bi, extra_vars):
 class TestConstraintRows:
     @pytest.mark.parametrize("extra_vars", [0, 1])
     def test_matches_row_by_row_build_bit_for_bit(self, bench1, extra_vars):
+        # extra_vars 1: the max-min model's shared rows, with its level column in none of them.
         bi = build_bi_objective(bench1)
-        A, senses, b, lo, hi, binaries = constraint_rows(bi, extra_vars)
+        A, senses, b, lo, hi, binaries = constraint_rows(bi)
+        if extra_vars:
+            model = build_max_min_model(bi, PayoffTable((640.0, 163.0), (787.0, 190.0)))
+            A, senses, b = model.A[:-2], model.senses[:-2], model.b[:-2]
+            lo, hi, binaries = model.lo[:-1], model.hi[:-1], model.binaries
         ref_A, ref_senses, ref_b = _loop_constraint_rows(bi, extra_vars)
         assert A.tobytes() == ref_A.tobytes()  # also rules out -0.0 entries
         assert senses.tolist() == ref_senses.tolist()

@@ -17,15 +17,17 @@ import types
 
 import pytest
 
-from _random_instances import ladder, random_instance
+from _random_instances import random_instance
 from _textbook_lp import textbook_relaxation
 from conftest import bench1_instance, rescaled
 
 import ifctp.milp
+import workloads
 from ifctp import Stages, build_bi_objective, parse_instance, solve_milp, to_milp
 from ifctp.milp import OPTIMAL, _shipment_form
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+LADDER_SEED_1 = list(workloads.instances("ladder-bb", 1).values())
 
 
 def _data_file(variant):
@@ -33,13 +35,7 @@ def _data_file(variant):
 
 
 def _cases():
-    """Lists of (instance, reference) pairs by name.
-
-    The reference instance has the same center model LPs: the instance itself,
-    or for quantities times 2^p, the unscaled one.  Shipments times 2^p at
-    unit costs times 2^-p give every LP point the same value, and the textbook
-    simplex, with its absolute tolerances, misreads the model at those units.
-    """
+    """Lists of (instance, reference) pairs by name; the reference is the instance itself."""
     rng = random.Random(77031)
     draws = [random_instance(rng) for _ in range(40)]
     return {
@@ -47,8 +43,8 @@ def _cases():
         "zero-floor": [(_data_file("zero_floor"),) * 2],          # M_ij = 0 into one column
         "negative-cost": [(_data_file("negative_cost"),) * 2],    # M_ij = s_i.hi
         "random-40": [(draw, draw) for draw in draws],
-        **{f"quantities-2^{p}": [(rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p),
-                                  bench1_instance())] for p in (30, -30)},
+        **{f"quantities-2^{p}": [(rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p),) * 2]
+           for p in (30, -30)},
     }
 
 
@@ -110,7 +106,7 @@ def test_every_key_and_fixing_bounds_the_subtree_it_closes(monkeypatch):
                         types.SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
     monkeypatch.setattr(ifctp.milp, "_fix_by_reduced_cost", recording_fix)
     pairs = [pair for pairs in CASES.values() for pair in pairs]
-    for instance, reference in pairs + [(ladder, ladder) for ladder in ladder(1)]:
+    for instance, reference in pairs + [(ladder, ladder) for ladder in LADDER_SEED_1]:
         current[:] = [_center_model(reference)]
         Stages(instance).anchor("center")
     checked = {"key": 0, "fixing": 0}
@@ -126,8 +122,8 @@ def test_every_key_and_fixing_bounds_the_subtree_it_closes(monkeypatch):
 @pytest.mark.parametrize("source", ["ladder-seed-1", "random-200"])
 def test_center_value_is_the_full_form_searchs_bit_for_bit(source):
     rng = random.Random(1000)
-    instances = ladder(1) if source == "ladder-seed-1" else [random_instance(rng)
-                                                               for _ in range(200)]
+    instances = LADDER_SEED_1 if source == "ladder-seed-1" else [random_instance(rng)
+                                                                   for _ in range(200)]
     nodes = full_nodes = 0
     for k, instance in enumerate(instances):
         center = Stages(instance).anchor("center")

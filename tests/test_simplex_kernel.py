@@ -97,8 +97,9 @@ class TestBreakdowns:
         # The "=" row's slack starts at 1 and must leave, but the row's only
         # movable entry, 1e-10, lies between the zero threshold and PIVOT_TOL.
         form = np.array([[1e-10, 1.0]]), np.array([1.0]), np.zeros(2)
+        slack = ifctp.milp._Start(np.array([1]), np.zeros(2, dtype=bool))
         with pytest.raises(DegeneratePivotError, match="sub-tolerance"):
-            ifctp.milp._dual_simplex(form, np.zeros(2), np.array([np.inf, 0.0]))
+            ifctp.milp._dual_simplex(form, np.zeros(2), np.array([np.inf, 0.0]), slack)
 
     def test_iteration_cap(self, bench1, monkeypatch):
         monkeypatch.setattr(ifctp.milp, "ITERATION_CAP", 1)
@@ -164,14 +165,15 @@ class TestSharedFactorisation:
     same bits."""
 
     @staticmethod
-    def _recorded_lps(monkeypatch, run):
+    def _recorded_lps(monkeypatch, run, slacks=None):
         """Every _dual_simplex call that run() makes, with its outcome and whether it
-        found its start already factorised."""
+        found its start already factorised; slacks, if given, collects each form's
+        slack start."""
         calls = []
         dual_simplex = ifctp.milp._dual_simplex
 
-        def recording(form, lo, hi, start=None):
-            reused = start is not None and start.inverse is not None
+        def recording(form, lo, hi, start):
+            reused = start.inverse is not None
             status, v, pivots, state = dual_simplex(form, lo, hi, start)
             calls.append(((form, lo, hi, start), reused,
                           (status, None if v is None else v.tobytes(), pivots,
@@ -180,6 +182,13 @@ class TestSharedFactorisation:
 
         with monkeypatch.context() as patch:
             patch.setattr(ifctp.milp, "_dual_simplex", recording)
+            for name in ("_bounded_form", "_shipment_form"):
+                def recording_form(*args, make=getattr(ifctp.milp, name)):
+                    form = make(*args)
+                    if slacks is not None:
+                        slacks.append(form[6])
+                    return form
+                patch.setattr(ifctp.milp, name, recording_form)
             run()
         return calls
 
@@ -187,20 +196,21 @@ class TestSharedFactorisation:
     def _assert_fresh_factorisation_agrees(calls):
         """Status, the bits of v, pivots and the final basis from a start factorised anew."""
         for (form, lo, hi, start), _, outcome in calls:
-            fresh = None if start is None else ifctp.milp._Start(start.basis, start.at_upper)
+            fresh = ifctp.milp._Start(start.basis, start.at_upper)
             status, v, pivots, state = ifctp.milp._dual_simplex(form, lo, hi, fresh)
             assert (status, None if v is None else v.tobytes(), pivots,
                     None if state is None else state[0].tobytes()) == outcome
 
     def test_search_lps_match_a_fresh_factorisation(self, bench1, monkeypatch):
+        slacks = []
         calls = [call for instance in [bench1, *_draws_of_at_least_2x3(3141)]
                  for call in self._recorded_lps(monkeypatch,
-                                                lambda: _solve_every_stage(instance))]
+                                                lambda: _solve_every_stage(instance), slacks)]
         self._assert_fresh_factorisation_agrees(calls)
         # Both kinds of sharing happened: a sibling's start and the slack start.
         reused = [start for (_, _, _, start), was_reused, _ in calls if was_reused]
-        assert any(start.at_upper is None for start in reused)
-        assert any(start.at_upper is not None for start in reused)
+        assert any(any(start is slack for slack in slacks) for start in reused)
+        assert any(all(start is not slack for slack in slacks) for start in reused)
 
     def test_oracle_patterns_match_a_fresh_factorisation(self, monkeypatch):
         bi = build_bi_objective(_draws_of_at_least_2x3(3141, count=1)[0])  # 2x3: 64 patterns

@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 
 from _highs import highs_solve
-from _random_instances import ladder_instance, random_instance
+from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
 
 import ifctp.milp
+import workloads
 from ifctp import (IfctpInstance, Interval, PayoffTable, Stages, build_bi_objective,
                    build_max_min_model, oracle_solve, parse_instance, run_oracle_check,
                    solve_milp, to_milp)
@@ -134,7 +135,7 @@ class TestHighsSweep:
         rng = random.Random(f"highs-sweep-{m}x{n}")
         started = time.perf_counter()
         for k in range(count):
-            for name, model in _stage_models(ladder_instance(rng, m, n)).items():
+            for name, model in _stage_models(workloads.generate(rng, m, n)).items():
                 ours = solve_milp(model, node_limit=20_000)
                 status, value = highs_solve(model)
                 assert ours.status == status == OPTIMAL, (k, name)
