@@ -67,6 +67,8 @@ def _parse_override(text: str) -> tuple[float, float, float, float]:
     l1, u1, l2, u2 = map(_finite, parts)
     if l1 > u1 or l2 > u2:
         raise argparse.ArgumentTypeError(f"a best level exceeds its worst level in {text!r}")
+    if not (math.isfinite(u1 - l1) and math.isfinite(u2 - l2)):  # a level row holds U - L
+        raise argparse.ArgumentTypeError(f"a level span overflows in {text!r}")
     return l1, u1, l2, u2
 
 

@@ -60,23 +60,24 @@ its most fractional binary: if the check failed, a near-integral one whose
 rounding breaks a row, such as an activation below INT_TOL still carrying
 flow through its big-M row.
 
-Keys: a child enters the heap keyed by its Driebeck (1966) penalty bound.
-The branching binary's row and the reduced costs of the parent's final
-bounded tableau bound how much the child's fix must raise the parent's LP
-value (_penalties), so the key is a valid lower bound on the child's LP and
-on every integral point below it.  A popped node whose key is within
-IMPROVEMENT_EPS (in the objective's unit) of the incumbent is pruned
-without an LP solve; the same
-test after its LP prunes a node whose own value cannot beat the incumbent.
+Keys: a child enters the heap keyed by its Driebeck (1966) penalty bound
+(_child_keys).  The branching binary's row and the reduced costs of the
+parent's final bounded tableau bound how much the child's fix must raise
+the parent's LP value (_penalties), so the key is a valid lower bound on
+the child's LP and on every integral point below it.  A popped node whose
+key is within IMPROVEMENT_EPS (in the objective's unit) of the incumbent
+is pruned without an LP solve; the same test after its LP prunes a node
+whose own value cannot beat the incumbent.
 The penalties are clipped at zero, so round-off in a reduced cost can only
 weaken a key, never prune a subtree that holds a better point.
 
 Shipment-only node LPs: given the rows that link each binary x_j to the
 shipment y_k it switches on, y_k - M x_j <= 0, solve_milp solves each node
 as a transportation LP over the shipments alone (_shipment_form; Balinski
-1961), about a third of the full tableau's rows.  An opened route changes a
-cost, so its child's warm start may flip nonbasics (_dual_simplex).  Its
-children are keyed by bounds read off that tableau (_shipment_keys), and a
+1961), about a third of the full tableau's rows.  The search is the same;
+only its LP form differs (_Form's links), and with it what a fix does
+(_node_lp) and how a child is keyed (_child_keys).  An opened route changes
+a cost, so its child's warm start may flip nonbasics (_dual_simplex).  A
 route whose other branch cannot beat the incumbent by its reduced cost is
 fixed for the whole subtree (_fix_by_reduced_cost), the branch recorded as
 a leaf.  The rounding check, the leaves and the answer stay the full
@@ -103,7 +104,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,7 +118,7 @@ ITERATION_CAP = 100_000   # hard stop against pathological cycling
 DEFAULT_NODE_LIMIT = 10 ** 6
 ORACLE_MAX_BINARIES = 20
 # An incumbent must beat the previous one by more than this times the objective's
-# unit (_bounded_form), which avoids tie-flapping at every cost scale.
+# unit (_form), which avoids tie-flapping at every cost scale.
 IMPROVEMENT_EPS = 1e-9
 # Slack a node's rounded point may use to count as feasible: times |b_i| for a row
 # with b_i != 0, absolute for the other rows and the bounds.
@@ -269,7 +270,7 @@ class _Start:
     """A start for _dual_simplex: a basis, its nonbasics' at-upper flags and the basis inverse.
 
     A form's slack start puts each nonbasic at the bound its own cost
-    prefers, the upper one where the cost is negative (_bounded_form).  The
+    prefers, the upper one where the cost is negative (_form).  The
     inverse of M at basis is computed by the first LP solved from the start
     and reused by the others: a node's two children share one start, and the
     root and every pattern LP of one solve share the slack start.
@@ -289,34 +290,59 @@ class _Start:
         return self.inverse
 
 
-def _bounded_form(model: MilpModel) -> tuple:
-    """(M, b, c, lo, hi, cols, slack, unit): the model as min c.v  s.t.  M v = b,  lo <= v <= hi.
+class _Form(NamedTuple):
+    """An LP form: min c.v  s.t.  M v = b,  lo <= v <= hi, in scaled units.
 
-    M = [R A C | I] with diagonal R and C, powers of two, so scaling is
-    exact.  Structural v_j = x_j / C_jj; column nv + i is row i's slack
-    R_ii (b_i - A_i x), bounded to [0, inf) for "<=", (-inf, 0] for ">="
-    and [0, 0] for "=".  Upper bounds stay implicit.  Four passes of
-    geometric-mean scaling bring every row and column near magnitude one,
-    so the absolute pivot tolerance means the same in a big-M row; an entry
-    below SCALE_FLOOR of its row's or column's largest is left out of the
-    geometric mean.  c is
-    the scaled objective divided by unit, the power of two nearest its
-    largest magnitude, so the reduced-cost tolerances mean the same at any
-    cost scale: c and 2^k c pivot alike, bit for bit.  Reduced costs times
-    unit are in the model's objective units.  cols holds C's diagonal.  M,
-    R and C depend on A alone, so they are computed once, with the model,
-    for it and every model derived from it.  slack is a fresh slack-basis
-    _Start, each column at its upper bound where c is negative, shared by
-    the LPs of one solve that start from it.
+    Structural v_j = x_j / cols_j.  c is the scaled objective divided by
+    unit, so reduced costs times unit are in the model's objective units.
+    slack is the form's slack-basis _Start, shared by the LPs of one solve
+    that start from it.  links is None for _bounded_form's form, and
+    _shipment_form's route data otherwise.
+    """
+
+    M: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cols: np.ndarray
+    slack: _Start
+    unit: float
+    links: Optional[tuple] = None
+
+
+def _form(M, b, c, lo, hi, cols) -> _Form:
+    """The _Form of scaled M, b, lo, hi and structural costs c scaled by cols.
+
+    unit is the power of two nearest c's largest magnitude (1 if c is all
+    zeros), so the reduced-cost tolerances mean the same at any cost scale:
+    c and 2^k c pivot alike, bit for bit.  The slacks cost 0, and the slack
+    start puts each column at its upper bound where its cost is negative.
+    """
+    top = np.abs(c).max(initial=0.0)
+    unit = float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
+    m, nv = b.size, c.size
+    c = np.concatenate((c / unit, np.zeros(m)))
+    return _Form(M, b, c, lo, hi, cols, _Start(np.arange(nv, nv + m), c < 0.0), unit)
+
+
+def _bounded_form(model: MilpModel) -> _Form:
+    """The model as a _Form with a slack per row: M = [R A C | I].
+
+    R and C are diagonal, powers of two, so scaling is exact; cols holds
+    C's diagonal.  Column nv + i is row i's slack R_ii (b_i - A_i x),
+    bounded to [0, inf) for "<=", (-inf, 0] for ">=" and [0, 0] for "=".
+    Upper bounds stay implicit.  Four passes of geometric-mean scaling
+    bring every row and column near magnitude one, so the absolute pivot
+    tolerance means the same in a big-M row; an entry below SCALE_FLOOR of
+    its row's or column's largest is left out of the geometric mean.  M, R
+    and C depend on A alone, so they are computed once, with the model, for
+    it and every model derived from it.
     """
     M, rows, cols = model._scaling
-    m, nv = model.A.shape
-    c = model.c * cols
-    unit = _unit(c)
-    c = np.concatenate((c / unit, np.zeros(m)))
     lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
     hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
-    return M, model.b * rows, c, lo, hi, cols, _Start(np.arange(nv, nv + m), c < 0.0), unit
+    return _form(M, model.b * rows, model.c * cols, lo, hi, cols)
 
 
 def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -344,14 +370,8 @@ def _geometric_mean(scaled: np.ndarray, axis: int) -> np.ndarray:
     return np.where(big > 0.0, np.sqrt(big) * np.sqrt(small), 1.0)
 
 
-def _unit(c: np.ndarray) -> float:
-    """The power of two nearest the largest magnitude in c, or 1 if c is all zeros."""
-    top = np.abs(c).max(initial=0.0)
-    return float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
-
-
-def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> tuple:
-    """(M, b, c, lo, hi, cols, slack, unit, links): a fixed-charge model's shipment-only node LP.
+def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
+    """A fixed-charge model's shipment-only node LP, as a _Form with links.
 
     Link row t of link_rows reads y_k - M_t x_j <= 0 for binary j =
     binaries[t] and the continuous column y_k it switches on, which is
@@ -359,17 +379,16 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> tuple:
     optimum of every LP relaxation then has x_j = y_k / M_t, so a node's LP
     is an LP over the continuous columns and the other rows alone (Balinski
     1961): a free route costs c_k + f_t / M_t per unit, an open one c_k plus
-    the constant f_t, and a closed one is boxed at [0, 0] (_shipment_lp).
-    The first eight entries are laid out as _bounded_form's, with the free
-    routes' costs.  Column k is scaled by the power of two nearest M_t (1
-    where M_t is 0), and each row by the one nearest the geometric mean of
-    its largest and smallest entry over the columns that can move, so that
-    BOUND_TOL is relative to the quantities in every unit.  Each slack is
-    boxed at the range its row implies, so every column has two finite
-    bounds: _dual_simplex can flip any nonbasic after a cost change, and
-    _shipment_keys can weigh each nonbasic's box.  links is (cont, column,
-    big_m, charge, c_open): the continuous columns, the position of each
-    binary's y_k among them, M_t, f_t, and c with every route open.
+    the constant f_t, and a closed one is boxed at [0, 0] (_node_lp).  c
+    holds the free routes' costs.  Column k is scaled by the power of two
+    nearest M_t (1 where M_t is 0), and each row by the one nearest the
+    geometric mean of its largest and smallest entry over the columns that
+    can move, so that BOUND_TOL is relative to the quantities in every unit.
+    Each slack is boxed at the range its row implies, so every column has
+    two finite bounds: _dual_simplex can flip any nonbasic after a cost
+    change, and _child_keys can weigh each nonbasic's box.  links is (cont,
+    column, big_m, charge, c_open): the continuous columns, the position of
+    each binary's y_k among them, M_t, f_t, and c with every route open.
     """
     binaries = model.binaries
     links = np.asarray(link_rows, dtype=int)
@@ -401,31 +420,28 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> tuple:
                           scale * (b - np.minimum(low, high).sum(axis=1)))
     per_unit = np.zeros(cont.size)
     per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
-    c = (model.c[cont] + per_unit) * cols
-    unit = _unit(c)
-    m, ns = A.shape
-    c = np.concatenate((c / unit, np.zeros(m)))
-    c_open = np.concatenate((model.c[cont] * cols / unit, np.zeros(m)))
-    return (np.hstack((A * scale[:, None] * cols, np.eye(m))), b * scale, c,
-            np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
-            np.concatenate((hi / cols, slack_hi)), cols, _Start(np.arange(ns, ns + m), c < 0.0),
-            unit, (cont, column, big_m, charge, c_open))
+    form = _form(np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale,
+                 (model.c[cont] + per_unit) * cols,
+                 np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
+                 np.concatenate((hi / cols, slack_hi)), cols)
+    c_open = np.concatenate((model.c[cont] * cols / form.unit, np.zeros(b.size)))
+    return form._replace(links=(cont, column, big_m, charge, c_open))
 
 
 @np.errstate(over="ignore")  # an overflowing ratio is inf, never the minimum
 def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     """Optimise from a dual feasible basis under bounds lo, hi: (status, v, pivots, state).
 
-    form is _bounded_form's or _shipment_form's, or its (M, b, c) with
-    another b or c, and lo, hi are bounds on its columns, with a node's
-    fixes.  start is a _Start: the form's slack start, which puts each
-    structural at the bound its cost prefers, or a parent's basis.  With
-    every structural bound finite (MilpModel), the slack start is dual
-    feasible.  A parent's basis is dual feasible for a child that changes
-    only bounds.  An LP whose costs are not its start's (an opened route,
-    _shipment_lp) can leave a nonbasic's reduced cost of the wrong sign:
-    each such nonbasic, wrong by more than PIVOT_TOL, starts at its other
-    bound instead, which every column of a shipment form has.
+    form is a _Form, or its (M, b, c) with another b or c, and lo, hi are
+    bounds on its columns, with a node's fixes.  start is a _Start: the
+    form's slack start, which puts each structural at the bound its cost
+    prefers, or a parent's basis.  With every structural bound finite
+    (MilpModel), the slack start is dual feasible.  A parent's basis is
+    dual feasible for a child that changes only bounds.  An LP whose costs
+    are not its start's (an opened route, _node_lp) can leave a nonbasic's
+    reduced cost of the wrong sign: each such nonbasic, wrong by more than
+    PIVOT_TOL, starts at its other bound instead, which every column of a
+    shipment form has.
 
     Factorises M at the basis, unless an LP solved from the same start
     already did, puts every nonbasic at its lower or (by at_upper) upper
@@ -522,67 +538,50 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
 # branch and bound
 # --------------------------------------------------------------------------
 
-def _node_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
+def _node_lp(model: MilpModel, form: _Form, fixes: Mapping[int, float], start):
     """One LP by _dual_simplex, a node's or a pattern's: (status, value, x, pivots, state).
 
     A child starts from its parent's _Start, the root and a pattern LP
-    (start None) from the form's slack start; the fixes become bounds.  A
-    child's INFEASIBLE rests on a tableau updated pivot by pivot from its
-    parent's, so it is solved once more from a fresh factorisation of the
-    basis where it stopped, and only a verdict confirmed there stands.
-    state is _dual_simplex's, None unless optimal.
+    (start None) from the form's slack start.  In a bounded form the fixes
+    become bounds.  In a shipment form (links) a fix of binary j at 0
+    closes its route, boxing y_k at [0, 0], and a fix at 1 opens it, at the
+    cost c_k per unit, the charge f_t entering the value through x_j = 1;
+    x is lifted to the full model, each fixed binary at its fix and each
+    free one at y_k / M_t (0 where M_t is 0).  Either way value is the
+    model's objective at x.  A child's INFEASIBLE rests on a tableau updated
+    pivot by pivot from its parent's, so it is solved once more from a
+    fresh factorisation of the basis where it stopped, and only a verdict
+    confirmed there stands.  state is _dual_simplex's, None unless optimal.
     """
-    lo, hi, cols = form[3].copy(), form[4].copy(), form[5]
-    if fixes:
-        fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
-        lo[fixed] = hi[fixed] = (np.fromiter(fixes.values(), dtype=float, count=len(fixes))
-                                 / cols[fixed])
-    status, v, pivots, state = _confirmed(form, form[2], lo, hi, start)
-    if status != OPTIMAL:
-        return status, None, None, pivots, None
-    x = v[:cols.size] * cols
-    return OPTIMAL, model.value_at(x), x, pivots, state
-
-
-def _confirmed(form, c, lo, hi, start):
-    """_dual_simplex with costs c; a warm INFEASIBLE stands only once confirmed (_node_lp)."""
-    status, v, pivots, state = _dual_simplex((form[0], form[1], c), lo, hi, start or form[6])
-    if status == INFEASIBLE and start is not None:
-        status, v, recheck_pivots, state = _dual_simplex((form[0], form[1], c), lo, hi,
-                                                         _Start(*state))
-        pivots += recheck_pivots
-    return status, v, pivots, state
-
-
-def _shipment_lp(model: MilpModel, form, fixes: Mapping[int, float], start):
-    """One node LP in _shipment_form's form: (status, value, x, pivots, state) as _node_lp's.
-
-    A fix of binary j at 0 closes its route, boxing y_k at [0, 0]; a fix at
-    1 opens it, at the cost c_k per unit, and the charge f_t enters the value
-    through x_j = 1.  x is the full model's point: each fixed binary at its
-    fix, and each free one at y_k / M_t (0 where M_t is 0), so value is the
-    model's objective there.
-    """
-    lo, hi, c, cols = form[3], form[4], form[2], form[5]
-    cont, column, big_m, _, c_open = form[8]
+    lo, hi, c, cols = form.lo, form.hi, form.c, form.cols
     if fixes:
         fixed = np.fromiter(fixes.keys(), dtype=int, count=len(fixes))
         values = np.fromiter(fixes.values(), dtype=float, count=len(fixes))
-        routes = column[np.searchsorted(model.binaries, fixed)]
-        hi = hi.copy()
-        hi[routes[values == 0.0]] = 0.0
-        opened = routes[values == 1.0]
-        c = c.copy()
-        c[opened] = c_open[opened]
-    status, v, pivots, state = _confirmed(form, c, lo, hi, start)
+        if form.links is None:
+            lo, hi = lo.copy(), hi.copy()
+            lo[fixed] = hi[fixed] = values / cols[fixed]
+        else:
+            _, column, _, _, c_open = form.links
+            routes = column[np.searchsorted(model.binaries, fixed)]
+            hi, c = hi.copy(), c.copy()
+            hi[routes[values == 0.0]] = 0.0
+            opened = routes[values == 1.0]
+            c[opened] = c_open[opened]
+    lp = (form.M, form.b, c)
+    status, v, pivots, state = _dual_simplex(lp, lo, hi, start or form.slack)
+    if status == INFEASIBLE and start is not None:
+        status, v, recheck_pivots, state = _dual_simplex(lp, lo, hi, _Start(*state))
+        pivots += recheck_pivots
     if status != OPTIMAL:
         return status, None, None, pivots, None
-    y = v[:cols.size] * cols
-    x = np.empty(model.c.size)
-    x[cont] = y
-    x[model.binaries] = y[column] / np.where(big_m > 0.0, big_m, np.inf)
-    if fixes:
-        x[fixed] = values
+    x = v[:cols.size] * cols
+    if form.links is not None:
+        cont, column, big_m, _, _ = form.links
+        y, x = x, np.empty(model.c.size)
+        x[cont] = y
+        x[model.binaries] = y[column] / np.where(big_m > 0.0, big_m, np.inf)
+        if fixes:
+            x[fixed] = values
     return OPTIMAL, model.value_at(x), x, pivots, state
 
 
@@ -594,7 +593,7 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes=1, pivots=pivots)
 
 
-def _penalties(form, state, j: int) -> tuple[float, float]:
+def _penalties(form: _Form, state, j: int) -> tuple[float, float]:
     """Driebeck penalties: least objective increases for forcing binary j down, up.
 
     x_j is basic (a fractional variable sits at neither bound) in some row
@@ -615,33 +614,40 @@ def _penalties(form, state, j: int) -> tuple[float, float]:
         q = np.divide(T[-1], a, out=np.full(a.size, np.inf), where=movable & (a != 0.0))
     down = np.minimum.reduce(q, where=movable & (toward > 0.0), initial=np.inf)
     up = -np.maximum.reduce(q, where=movable & (toward < 0.0), initial=-np.inf)
-    per_unit = form[7] / form[5][j]  # the tableau's x_j is x_j / C_jj, its costs c / unit
+    per_unit = form.unit / form.cols[j]  # the tableau's x_j is x_j / C_jj, its costs c / unit
     return max(float(down) * per_unit, 0.0), max(float(up) * per_unit, 0.0)
 
 
-def _shipment_keys(form, state, t: int, value: float, x: np.ndarray) -> tuple[float, float]:
-    """Keys of the children that close and open free route t: bounds on their subtrees.
+def _child_keys(form: _Form, state, t: int, j: int, value: float, x) -> tuple[float, float]:
+    """Keys of the children that fix binary j = binaries[t] at 0 and 1: bounds on their subtrees.
 
-    Closing pushes y_k, basic, from its value to 0: Driebeck's penalty on
-    y_k's row (_penalties).  Opening changes the objective by f_t - (f_t /
-    M_t) y_k, which is >= 0 since y_k <= M_t, so the node's value V bounds
-    it.  Every point of the child is the node's point with each nonbasic q
-    moved within its box, of width r_q, which changes the objective by
-    delta_q and y_k by alpha_q per unit, so the child's value is at least
-    V + f_t (1 - x_j) + sum_q min(0, delta_q - (f_t / M_t) alpha_q) r_q.
+    In a bounded form, Driebeck's penalties (_penalties) scaled by the
+    fractional x_j and 1 - x_j.  In a shipment form the children close and
+    open free route t.  Closing pushes y_k, basic, from its value to 0:
+    Driebeck's penalty on y_k's row.  Opening changes the objective by f_t -
+    (f_t / M_t) y_k, which is >= 0 since y_k <= M_t, so the node's value V
+    bounds it.  Every point of the child is the node's point with each
+    nonbasic q moved within its box, of width r_q, which changes the
+    objective by delta_q and y_k by alpha_q per unit, so the child's value
+    is at least V + f_t (1 - x_j) + sum_q min(0, delta_q - (f_t / M_t)
+    alpha_q) r_q.
     """
-    cont, column, big_m, charge, _ = form[8]
+    if form.links is None:
+        down, up = _penalties(form, state, j)
+        return value + x[j] * down, value + (1.0 - x[j]) * up
+    cont, column, big_m, charge, _ = form.links
     k = column[t]
     down, _ = _penalties(form, state, k)
     basis, at_upper, T, movable = state
-    per_y = charge[t] / big_m[t] * form[5][k] / form[7]  # in the tableau's units
+    per_y = charge[t] / big_m[t] * form.cols[k] / form.unit  # in the tableau's units
     moves = np.where(at_upper, -1.0, 1.0) * (T[-1] + per_y * T[(basis == k).argmax()])
-    gain = np.minimum(moves, 0.0) @ np.where(movable, form[4] - form[3], 0.0)
+    gain = np.minimum(moves, 0.0) @ np.where(movable, form.hi - form.lo, 0.0)
     y = x[cont[k]]
-    return value + y * down, max(value, value + charge[t] * (1.0 - y / big_m[t]) + form[7] * gain)
+    opened = value + charge[t] * (1.0 - y / big_m[t]) + form.unit * gain
+    return value + y * down, max(value, opened)
 
 
-def _fix_by_reduced_cost(binaries, form, state, value: float, cutoff: float,
+def _fix_by_reduced_cost(binaries, form: _Form, state, value: float, cutoff: float,
                          fixes: dict, leaves: list) -> None:
     """Fix each free route whose other branch cannot beat cutoff, and record that branch as a leaf.
 
@@ -653,9 +659,9 @@ def _fix_by_reduced_cost(binaries, form, state, value: float, cutoff: float,
     above cutoff, the route is fixed at the branch that keeps its place, in
     fixes, and the other branch is a leaf with that bound.
     """
-    _, column, big_m, charge, _ = form[8]
+    _, column, big_m, charge, _ = form.links
     _, at_upper, T, movable = state
-    per_unit = T[-1][column] * form[7] / form[5][column]
+    per_unit = T[-1][column] * form.unit / form.cols[column]
     shut = ~at_upper[column]
     bounds = value + np.where(shut, np.minimum(charge, per_unit * big_m), -per_unit * big_m)
     for t in (movable[column] & (bounds >= cutoff)).nonzero()[0].tolist():
@@ -684,10 +690,9 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 
     link_rows, if given, names the row that links each binary to the
     shipment it switches on (_shipment_form).  Each node is then solved as
-    the shipment-only LP (_shipment_lp), its children keyed by
-    _shipment_keys, and routes fixed by reduced cost (_fix_by_reduced_cost);
-    the rounding check, the leaves and the answer's pattern LP stay those of
-    the full model.
+    the shipment-only LP (_node_lp), its children keyed by _child_keys, and
+    routes fixed by reduced cost (_fix_by_reduced_cost); the rounding check,
+    the leaves and the answer's pattern LP stay those of the full model.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -699,8 +704,8 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
     form = _bounded_form(model)
-    eps = IMPROVEMENT_EPS * form[7]  # in the objective's own unit, see _bounded_form
-    shipments = None if link_rows is None else _shipment_form(model, link_rows)
+    eps = IMPROVEMENT_EPS * form.unit  # in the objective's own unit, see _form
+    search = form if link_rows is None else _shipment_form(model, link_rows)
     nodes = pivots = 0
     leaves: list[tuple[float, dict[int, float]]] = []
     seq = itertools.count()
@@ -716,10 +721,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         if nodes >= node_limit:
             raise NodeLimitError(f"node limit {node_limit} exceeded")
         nodes += 1
-        if shipments is None:
-            status, value, x, lp_pivots, state = _node_lp(model, form, fixes, start)
-        else:
-            status, value, x, lp_pivots, state = _shipment_lp(model, shipments, fixes, start)
+        status, value, x, lp_pivots, state = _node_lp(model, search, fixes, start)
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
@@ -743,27 +745,23 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
                 leaves.append((value, fixes))
                 continue
 
-        j = int(binaries[frac.argmax()])
-        f = x[j]
-        if shipments is None:
-            down, up = _penalties(form, state, j)
-            keys = {0.0: value + f * down, 1.0: value + (1.0 - f) * up}
-        else:
-            if incumbent_x is not None:
-                _fix_by_reduced_cost(binaries, shipments, state, value, incumbent_val - eps,
-                                     fixes, leaves)
-            keys = dict(zip((0.0, 1.0), _shipment_keys(shipments, state, frac.argmax(), value, x)))
+        t = int(frac.argmax())
+        j = int(binaries[t])
+        if search.links is not None and incumbent_x is not None:
+            _fix_by_reduced_cost(binaries, search, state, value, incumbent_val - eps, fixes,
+                                 leaves)
+        keys = _child_keys(search, state, t, j, value, x)
         depth = -neg_depth + 1
-        first = 1.0 if x[j] >= 0.5 else 0.0
+        first = 1 if x[j] >= 0.5 else 0
         shared = _Start(*state[:2])
-        for branch_value in (first, 1.0 - first):
+        for branch in (first, 1 - first):
             child = dict(fixes)
-            child[j] = branch_value
-            if keys[branch_value] >= incumbent_val - eps:
-                if keys[branch_value] < math.inf:  # an infinite key: no LP point
-                    leaves.append((keys[branch_value], child))
+            child[j] = float(branch)
+            if keys[branch] >= incumbent_val - eps:
+                if keys[branch] < math.inf:  # an infinite key: no LP point
+                    leaves.append((keys[branch], child))
                 continue  # pruned when popped too: the incumbent only falls
-            heapq.heappush(heap, (keys[branch_value], -depth, next(seq), child, shared))
+            heapq.heappush(heap, (keys[branch], -depth, next(seq), child, shared))
 
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots, tuple(leaves))

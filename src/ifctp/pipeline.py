@@ -140,9 +140,6 @@ class CompetitorEntry:
     name: str
     objective: Interval
 
-    def center_width(self) -> CenterWidth:
-        return self.objective.as_center_width()
-
 
 @dataclass(frozen=True)
 class CompromiseReport:
@@ -174,7 +171,7 @@ class CompromiseReport:
     def competitor_distance(self) -> Optional[float]:
         if self.competitor is None or self.ideal is None:
             return None
-        return distance_to_ideal(self.competitor.center_width(), self.ideal)
+        return distance_to_ideal(self.competitor.objective.as_center_width(), self.ideal)
 
 
 def run_pipeline(instance: IfctpInstance, *,

@@ -90,7 +90,7 @@ def render_text(report: CompromiseReport) -> str:
     ]
     if report.competitor is not None:
         comp = report.competitor
-        ccw = comp.center_width()
+        ccw = comp.objective.as_center_width()
         lines.append(
             f"competitor {comp.name}: [{_f(comp.objective.lo)}, {_f(comp.objective.hi)}]"
             f" = center {_f(ccw.center)}, width {_f(ccw.width)}"
@@ -130,12 +130,13 @@ def render_machine(report: CompromiseReport) -> str:
                 pairs.append((f"plan.x.{i + 1}.{j + 1}", active))
     if report.competitor is not None:
         comp = report.competitor
+        ccw = comp.objective.as_center_width()
         pairs.append(("competitor.name", comp.name))
         pairs += [
             ("competitor.lo", repr(float(comp.objective.lo))),
             ("competitor.hi", repr(float(comp.objective.hi))),
-            ("competitor.center", repr(float(comp.center_width().center))),
-            ("competitor.width", repr(float(comp.center_width().width))),
+            ("competitor.center", repr(float(ccw.center))),
+            ("competitor.width", repr(float(ccw.width))),
         ]
         if report.competitor_distance is not None:
             pairs.append(("competitor.distance", repr(float(report.competitor_distance))))

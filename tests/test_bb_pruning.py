@@ -44,7 +44,7 @@ def _reference_solve_milp(model):
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
     form = _bounded_form(model)
-    eps = IMPROVEMENT_EPS * form[7]
+    eps = IMPROVEMENT_EPS * form.unit
     nodes = pivots = 0
     seq = itertools.count()
     heap = [(-math.inf, 0, next(seq), {}, None)]

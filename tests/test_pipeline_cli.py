@@ -263,8 +263,9 @@ class TestCliArgumentErrors:
         ["--override-payoff", "640,787,163,nan"],
         ["--override-payoff", "800,640,163,190"],
         ["--override-payoff", "640,787,190,163"],
+        ["--override-payoff", "-1e308,1e308,163,190"],
     ], ids=["payoff-arity", "payoff-non-numeric", "payoff-nan", "payoff-reversed-lower",
-            "payoff-reversed-width"])
+            "payoff-reversed-width", "payoff-span-overflow"])
     def test_bad_value_exit_code(self, bench1_path, capsys, args):
         assert main(["solve", str(bench1_path), *args]) == 3
         captured = capsys.readouterr()

@@ -91,7 +91,7 @@ class TestBreakdowns:
         form = ifctp.milp._bounded_form(model)
         start = ifctp.milp._Start(np.array([0, 1]), np.zeros(4, dtype=bool))
         with pytest.raises(DegeneratePivotError, match="singular"):
-            ifctp.milp._dual_simplex(form, form[3], form[4], start)
+            ifctp.milp._dual_simplex(form, form.lo, form.hi, start)
 
     def test_sub_tolerance_leaving_row(self):
         # The "=" row's slack starts at 1 and must leave, but the row's only
@@ -186,7 +186,7 @@ class TestSharedFactorisation:
                 def recording_form(*args, make=getattr(ifctp.milp, name)):
                     form = make(*args)
                     if slacks is not None:
-                        slacks.append(form[6])
+                        slacks.append(form.slack)
                     return form
                 patch.setattr(ifctp.milp, name, recording_form)
             run()
