@@ -17,10 +17,10 @@ index-order tie breaking, so two runs on identical input produce identical
 assignments.  A node is warm-started from its own parent's final basis,
 never from the node solved just before it, so its LP depends only on its
 ancestors.  The answer is not the search's incumbent point but the LP at the
-incumbent's activation pattern, solved from the slack basis exactly as
-oracle_solve solves that pattern; when the optimal pattern is unique, the
-answer's bits depend only on the model, not on the path the search took to
-the pattern.
+incumbent's activation pattern, solved in the search's own form from its
+slack basis; in the bounded form that is exactly how oracle_solve solves the
+pattern.  When the optimal pattern is unique, the answer's bits depend only
+on the model and the form, not on the path the search took to the pattern.
 
 Kernel cost: a tableau has tens of rows and columns, so numpy's per-call
 overhead costs about as much as the arithmetic, and each pivot is written
@@ -80,8 +80,9 @@ only its LP form differs (_Form's links), and with it what a fix does
 a cost, so its child's warm start may flip nonbasics (_dual_simplex).  A
 route whose other branch cannot beat the incumbent by its reduced cost is
 fixed for the whole subtree (_fix_by_reduced_cost), the branch recorded as
-a leaf.  The rounding check, the leaves and the answer stay the full
-model's.
+a leaf.  The answer's pattern LP is a shipment-only LP too, lifted to the
+full model, so such a solve never builds the bounded form; the rounding
+check and the leaves stay the full model's.
 
 Leaves: a search covers the subtrees its within argument names, each a
 dict of binary fixes entered from the slack basis; the default ({},) is the
@@ -684,15 +685,15 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     candidate; a node that must branch picks the most fractional binary and
     explores the rounded-toward value first (see the module docstring).  The
     solution returned is the LP at the incumbent's activation pattern, solved
-    from the slack basis.  Its leaves and the LP-infeasible subtrees
-    partition within, and no point of a leaf beats its bound (module
-    docstring, Leaves).
+    in the search's one form from its slack basis.  Its leaves and the
+    LP-infeasible subtrees partition within, and no point of a leaf beats
+    its bound (module docstring, Leaves).
 
     link_rows, if given, names the row that links each binary to the
-    shipment it switches on (_shipment_form).  Each node is then solved as
-    the shipment-only LP (_node_lp), its children keyed by _child_keys, and
-    routes fixed by reduced cost (_fix_by_reduced_cost); the rounding check,
-    the leaves and the answer's pattern LP stay those of the full model.
+    shipment it switches on (_shipment_form).  Every LP, the answer's pattern
+    LP too, is then shipment-only (_node_lp), children keyed by _child_keys
+    and routes fixed by reduced cost (_fix_by_reduced_cost); the rounding
+    check and the leaves stay the full model's.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -703,9 +704,8 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
-    form = _bounded_form(model)
+    form = _bounded_form(model) if link_rows is None else _shipment_form(model, link_rows)
     eps = IMPROVEMENT_EPS * form.unit  # in the objective's own unit, see _form
-    search = form if link_rows is None else _shipment_form(model, link_rows)
     nodes = pivots = 0
     leaves: list[tuple[float, dict[int, float]]] = []
     seq = itertools.count()
@@ -721,7 +721,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         if nodes >= node_limit:
             raise NodeLimitError(f"node limit {node_limit} exceeded")
         nodes += 1
-        status, value, x, lp_pivots, state = _node_lp(model, search, fixes, start)
+        status, value, x, lp_pivots, state = _node_lp(model, form, fixes, start)
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
@@ -747,10 +747,9 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 
         t = int(frac.argmax())
         j = int(binaries[t])
-        if search.links is not None and incumbent_x is not None:
-            _fix_by_reduced_cost(binaries, search, state, value, incumbent_val - eps, fixes,
-                                 leaves)
-        keys = _child_keys(search, state, t, j, value, x)
+        if form.links is not None and incumbent_x is not None:
+            _fix_by_reduced_cost(binaries, form, state, value, incumbent_val - eps, fixes, leaves)
+        keys = _child_keys(form, state, t, j, value, x)
         depth = -neg_depth + 1
         first = 1 if x[j] >= 0.5 else 0
         shared = _Start(*state[:2])
@@ -780,11 +779,12 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 def oracle_solve(model: MilpModel) -> MilpSolution:
     """Reference answer by brute force: try every 0/1 pattern of the binaries.
 
-    Each pattern's LP is solved from the slack basis, as solve_milp solves
-    its answer's pattern, so the oracle shares the LP kernel.  It is a check
-    on the search, not on the kernel: it knows no bounds, pruning or warm
-    starts.  The kernel itself is checked against a textbook simplex and
-    HiGHS in the tests.  Refuses more than ORACLE_MAX_BINARIES binaries.
+    Each pattern's LP is solved from the slack basis, as solve_milp without
+    link_rows solves its answer's pattern, so the oracle shares the LP
+    kernel.  It is a check on the search, not on the kernel: it knows no
+    bounds, pruning or warm starts.  The kernel itself is checked against a
+    textbook simplex and HiGHS in the tests.  Refuses more than
+    ORACLE_MAX_BINARIES binaries.
     """
     binaries = model.binaries.tolist()
     if len(binaries) > ORACLE_MAX_BINARIES:

@@ -37,10 +37,10 @@ class Stages:
     anchors center, width and lower minimize one objective each over one model
     and one scaling of its matrix; the width anchor serves the ideal point and
     the payoff table.  Only the center anchor's value is reported, never its
-    plan, so only its search runs over shipment-only node LPs (solve_milp's
-    link_rows): another of several tied optimal plans could not change a
-    report.  compromise solves max-min and refine at the payoff levels.
-    models and solutions hold each solved stage by name.
+    plan, so only it is solved over shipment-only LPs, its search and its
+    answer alike (solve_milp's link_rows): another of several tied optimal
+    plans could not change a report.  compromise solves max-min and refine
+    at the payoff levels.  models and solutions hold each solved stage by name.
     """
 
     def __init__(self, instance: IfctpInstance):
