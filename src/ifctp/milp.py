@@ -47,27 +47,27 @@ flags and at most the inverse, not its tableau: up to a few hundred nodes
 are open at once.  A child whose key cannot beat the incumbent is not
 pushed at all.
 
-Rounding: each solved node rounds its binaries up once, ceil(x - INT_TOL),
-and checks the point against every bound within ROUNDED_FEAS_TOL and every
-row within ROUNDED_FEAS_TOL times |b_i| (absolute where b_i is 0): a
-max-min level row at costs times 2^-36 has b_i near 3e-9, so an absolute
-1e-9 let a point at level 1.0 pass it.
-A point that passes, or an LP point whose binaries are all exact, is an
-incumbent candidate: it is integral and feasible, whether or not its node
-goes on to branch.  A node stops branching when its binaries are within
-INT_TOL of integers and its point is a candidate.  Otherwise it branches on
-its most fractional binary: if the check failed, a near-integral one whose
-rounding breaks a row, such as an activation below INT_TOL still carrying
-flow through its big-M row.
+Rounding: each solved node rounds its binaries up, ceil(x), and checks
+the point against every bound within ROUNDED_FEAS_TOL and every row within
+ROUNDED_FEAS_TOL times |b_i| (absolute where b_i is 0): a max-min level
+row at costs times 2^-36 has b_i near 3e-9, so an absolute 1e-9 let a
+point at level 1.0 pass it.  A point that passes, or an LP point whose
+binaries are all exact, is an incumbent candidate, whether or not its node
+goes on to branch; it replaces the incumbent only if strictly smaller.  A
+node stops branching only when its binaries are exactly 0 or 1 (the kernel
+puts a value within BOUND_TOL of a bound on it); otherwise it branches on
+its most fractional binary.
 
 Keys: a child enters the heap keyed by its Driebeck (1966) penalty bound
 (_child_keys).  The branching binary's row and the reduced costs of the
 parent's final bounded tableau bound how much the child's fix must raise
 the parent's LP value (_penalties), so the key is a valid lower bound on
 the child's LP and on every integral point below it.  A popped node whose
-key is within IMPROVEMENT_EPS (in the objective's unit) of the incumbent
-is pruned without an LP solve; the same test after its LP prunes a node
-whose own value cannot beat the incumbent.
+key is at or above the incumbent is pruned without an LP solve; the same
+test after its LP prunes a node whose own value cannot beat the incumbent.
+Every comparison with the incumbent is exact: a margin in the objective's
+unit would grow with the costs, and at unit costs times 1e9 one hid an
+optimum 4 below the incumbent.
 The penalties are clipped at zero, so round-off in a reduced cost can only
 weaken a key, never prune a subtree that holds a better point.
 
@@ -113,14 +113,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 PIVOT_TOL = 1e-9          # smallest acceptable pivot element / reduced cost
-INT_TOL = 1e-6            # binary integrality tolerance
 DEGENERATE_LIMIT = 500    # consecutive degenerate pivots before Bland's rule
 ITERATION_CAP = 100_000   # hard stop against pathological cycling
 DEFAULT_NODE_LIMIT = 10 ** 6
 ORACLE_MAX_BINARIES = 20
-# An incumbent must beat the previous one by more than this times the objective's
-# unit (_form), which avoids tie-flapping at every cost scale.
-IMPROVEMENT_EPS = 1e-9
 # Slack a node's rounded point may use to count as feasible: times |b_i| for a row
 # with b_i != 0, absolute for the other rows and the bounds.
 ROUNDED_FEAS_TOL = 1e-9
@@ -693,7 +689,10 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     shipment it switches on (_shipment_form).  Every LP, the answer's pattern
     LP too, is then shipment-only (_node_lp), children keyed by _child_keys
     and routes fixed by reduced cost (_fix_by_reduced_cost); the rounding
-    check and the leaves stay the full model's.
+    check and the leaves stay the full model's.  pipeline.Stages passes
+    link_rows for the center and lower anchors.  The width anchor keeps the
+    full form: over shipment-only LPs it meets another of its tied optima
+    first, and that plan's lower endpoint is a reported payoff level.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -705,7 +704,6 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
     form = _bounded_form(model) if link_rows is None else _shipment_form(model, link_rows)
-    eps = IMPROVEMENT_EPS * form.unit  # in the objective's own unit, see _form
     nodes = pivots = 0
     leaves: list[tuple[float, dict[int, float]]] = []
     seq = itertools.count()
@@ -715,7 +713,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 
     while heap:
         key, neg_depth, _, fixes, start = heapq.heappop(heap)
-        if key >= incumbent_val - eps:
+        if key >= incumbent_val:
             leaves.append((key, fixes))
             continue  # cannot beat the incumbent
         if nodes >= node_limit:
@@ -725,12 +723,12 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
-        if value >= incumbent_val - eps:
+        if value >= incumbent_val:
             leaves.append((value, fixes))
             continue
 
         point = x.copy()
-        point[binaries] = np.ceil(x[binaries] - INT_TOL) + 0.0  # no -0.0 in the assignment
+        point[binaries] = np.ceil(x[binaries]) + 0.0  # no -0.0 in the assignment
         rows = model.A @ point
         feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
                     and (point <= var_hi).all() and (point >= var_lo).all())
@@ -738,17 +736,17 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         worst = frac.max(initial=0.0)
         if feasible or worst == 0.0:
             candidate = model.value_at(point)
-            if candidate < incumbent_val - eps:
+            if candidate < incumbent_val:
                 incumbent_val = candidate
                 incumbent_x = point
-            if worst <= INT_TOL:
+            if worst == 0.0:
                 leaves.append((value, fixes))
                 continue
 
         t = int(frac.argmax())
         j = int(binaries[t])
         if form.links is not None and incumbent_x is not None:
-            _fix_by_reduced_cost(binaries, form, state, value, incumbent_val - eps, fixes, leaves)
+            _fix_by_reduced_cost(binaries, form, state, value, incumbent_val, fixes, leaves)
         keys = _child_keys(form, state, t, j, value, x)
         depth = -neg_depth + 1
         first = 1 if x[j] >= 0.5 else 0
@@ -756,7 +754,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         for branch in (first, 1 - first):
             child = dict(fixes)
             child[j] = float(branch)
-            if keys[branch] >= incumbent_val - eps:
+            if keys[branch] >= incumbent_val:
                 if keys[branch] < math.inf:  # an infinite key: no LP point
                     leaves.append((keys[branch], child))
                 continue  # pruned when popped too: the incumbent only falls

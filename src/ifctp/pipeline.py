@@ -36,11 +36,12 @@ class Stages:
     plan, so it raises InfeasibleProblemError here, before any solve.  The
     anchors center, width and lower minimize one objective each over one model
     and one scaling of its matrix; the width anchor serves the ideal point and
-    the payoff table.  Only the center anchor's value is reported, never its
-    plan, so only it is solved over shipment-only LPs, its search and its
-    answer alike (solve_milp's link_rows): another of several tied optimal
-    plans could not change a report.  compromise solves max-min and refine
-    at the payoff levels.  models and solutions hold each solved stage by name.
+    the payoff table.  The center and lower anchors are solved over
+    shipment-only LPs, search and answer alike (solve_milp's link_rows); the
+    width anchor's would meet another tied optimum first on some instances,
+    and the payoff table reports that plan's lower endpoint.  compromise
+    solves max-min and refine at the payoff levels.  models and solutions
+    hold each solved stage by name.
     """
 
     def __init__(self, instance: IfctpInstance):
@@ -57,7 +58,7 @@ class Stages:
         if name not in self.solutions:
             self.models[name] = self._anchors.derive(c=getattr(self.bi, f"obj_{name}"))
             self.solutions[name] = solve_milp(
-                self.models[name], link_rows=link_rows(self.bi) if name == "center" else None)
+                self.models[name], link_rows=None if name == "width" else link_rows(self.bi))
         if self.solutions[name].status != OPTIMAL:
             raise DegeneratePivotError(f"the {name} anchor ended {self.solutions[name].status}")
         return self.solutions[name]

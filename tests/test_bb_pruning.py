@@ -24,8 +24,8 @@ import ifctp.milp
 from ifctp import (MilpModel, MilpSolution, PayoffTable, Stages, build_bi_objective,
                    build_max_min_model, solve_milp, to_milp)
 from ifctp.compromise import build_refine_model
-from ifctp.milp import (IMPROVEMENT_EPS, INFEASIBLE, INT_TOL, OPTIMAL, ROUNDED_FEAS_TOL,
-                        _bounded_form, _node_lp, _penalties, _Start)
+from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _bounded_form, _node_lp,
+                        _penalties, _Start)
 
 
 def _reference_solve_milp(model):
@@ -44,13 +44,12 @@ def _reference_solve_milp(model):
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
     form = _bounded_form(model)
-    eps = IMPROVEMENT_EPS * form.unit
     nodes = pivots = 0
     seq = itertools.count()
     heap = [(-math.inf, 0, next(seq), {}, None)]
     while heap:
         key, neg_depth, _, fixes, start = heapq.heappop(heap)
-        if key >= incumbent_val - eps:
+        if key >= incumbent_val:
             continue
         nodes += 1
         # Looked up on the module, so _compare's recording sees these solves too.
@@ -58,10 +57,10 @@ def _reference_solve_milp(model):
         pivots += lp_pivots
         if status == INFEASIBLE:
             continue
-        if value >= incumbent_val - eps:
+        if value >= incumbent_val:
             continue
         point = x.copy()
-        point[binaries] = np.ceil(x[binaries] - INT_TOL) + 0.0
+        point[binaries] = np.ceil(x[binaries]) + 0.0
         rows = model.A @ point
         feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
                     and (point <= var_hi).all() and (point >= var_lo).all())
@@ -69,10 +68,10 @@ def _reference_solve_milp(model):
         worst = frac.max(initial=0.0)
         if feasible or worst == 0.0:
             candidate = model.value_at(point)
-            if candidate < incumbent_val - eps:
+            if candidate < incumbent_val:
                 incumbent_val = candidate
                 incumbent_x = point
-            if worst <= INT_TOL:
+            if worst == 0.0:
                 continue
         j = int(binaries[frac.argmax()])
         depth = -neg_depth + 1
@@ -190,8 +189,7 @@ class TestPenaltyBounds:
             form = _bounded_form(model)
             status, value, x, _, state = _node_lp(model, form, {}, None)
             assert status == OPTIMAL, name
-            fractional = [j for j in model.binaries.tolist()
-                          if abs(x[j] - round(x[j])) > ifctp.milp.INT_TOL]
+            fractional = [j for j in model.binaries.tolist() if x[j] != round(x[j])]
             for j in fractional:
                 down, up = _penalties(form, state, j)
                 scale = 1e-9 * max(1.0, abs(value))

@@ -17,7 +17,7 @@ p = -36 a rounded max-min point at level 1.0 that broke a level row by
 7.5% of its right-hand side passed as the incumbent, pruned the optimum
 and left λ* at 0.6766.
 oracle-check's dominance probe and ideal-point lines must mean the same at every
-scale too.
+scale too, and every anchor must be its exact optimum at unit costs up to 1e12.
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _random_instances import random_instance
-from conftest import bench1_instance, scaled_costs
+from conftest import bench1_instance, rescaled, scaled_costs
 
 import ifctp.pipeline
 from ifctp import (IfctpInstance, Interval, Stages, parse_instance, render_instance,
@@ -160,6 +160,26 @@ def test_tiny_fixed_charge_answers_as_no_charge(charge):
     tiny = run_pipeline(_with_route_1_1_charged(charge))
     assert free.lambda_star == tiny.lambda_star == 0.7761194029850746
     assert tiny.payoff == free.payoff
+
+
+def test_anchors_are_exact_at_unit_costs_up_to_1e12():
+    # Branch and bound once pruned within 1e-9 times the objective's unit, the
+    # power of two nearest its largest cost, so the margin grew with the unit
+    # costs.  The width anchor ended 4 above its optimum at k = 1e9, 2^30 and
+    # 1e12, after one to three nodes.
+    nodes = set()
+    for k in (1e6, 1e9, 2.0 ** 30, 1e12):
+        stages = Stages(rescaled(bench1_instance(), 1.0, k))
+        exact = {"center": 674 * k + 167, "width": 133 * k + 30, "lower": 524 * k + 134}
+        assert {name: stages.anchor(name).objective_value for name in exact} == exact, k
+        nodes.add(tuple(stages.anchor(name).nodes for name in exact))
+    assert len(nodes) == 1, nodes
+
+
+def test_unit_costs_1e9_data_file_holds_the_shipped_instance_at_unit_costs_times_1e9():
+    # CI runs ideal on the file.
+    path = pathlib.Path(__file__).resolve().parent / "data" / "safi_razmjoo_1_unit_costs_1e9.txt"
+    assert parse_instance(path.read_text()) == rescaled(bench1_instance(), 1.0, 1e9)
 
 
 def test_oracle_check_passes_at_costs_times_1e9(tmp_path, capsys):

@@ -1,14 +1,15 @@
-"""The center anchor's search over shipment-only transportation LPs.
+"""The center and lower anchors' searches over shipment-only transportation LPs.
 
-Stages.anchor("center") hands solve_milp the center model's linking rows, so
-each node of its search is a transportation LP over the shipments alone
-(milp._shipment_form): a free route at c_ij + f_ij / M_ij per unit, an open
-one at c_ij plus f_ij, a closed one boxed at [0, 0].  Each node's value must
-be the full model's LP relaxation at the node's fixes; every child key and
-every reduced-cost fixing must bound the subtree it closes; and the answer,
-the shipment-only LP at the incumbent's activation pattern lifted to the full
-model, must have the value of the full-form search's answer, bit for bit.  The
-center solve never builds the full model's bounded form.
+Stages.anchor hands solve_milp the linking rows for the center and lower
+anchors, so each node of their searches is a transportation LP over the
+shipments alone (milp._shipment_form): a free route at c_ij + f_ij / M_ij per
+unit, an open one at c_ij plus f_ij, a closed one boxed at [0, 0].  Each
+center node's value must be the full model's LP relaxation at the node's
+fixes; every child key and every reduced-cost fixing must bound the subtree
+it closes; and the answer, the shipment-only LP at the incumbent's activation
+pattern lifted to the full model, must have the value of the full-form
+search's answer, bit for bit, and for the lower anchor its assignment too.
+Neither solve builds the full model's bounded form.
 """
 
 import heapq
@@ -135,30 +136,38 @@ SOURCES = {
 }
 
 
-@pytest.mark.parametrize("source", list(SOURCES))
-def test_center_value_is_the_full_form_searchs_bit_for_bit(source):
+@pytest.mark.parametrize("anchor, source", [
+    *(pytest.param("center", source, id=source) for source in SOURCES),
+    *(pytest.param("lower", source, id=f"lower-{source}") for source in SOURCES)])
+def test_center_value_is_the_full_form_searchs_bit_for_bit(anchor, source):
     """A zero big-M, M_ij = s_i.hi and extreme quantity units are where the shipment-only
     answer could drift from the full form's; the ladder and random draws also need fewer
-    nodes in all."""
+    nodes in all.  The payoff table reports the lower anchor's plan, so its assignment
+    must be the full form's too."""
     nodes = full_nodes = 0
     for k, instance in enumerate(SOURCES[source]):
-        center = Stages(instance).anchor("center")
+        shipment = Stages(instance).anchor(anchor)
         bi = build_bi_objective(instance)
-        full = solve_milp(to_milp(bi, bi.obj_center))
-        assert center.objective_value.hex() == full.objective_value.hex(), k
-        nodes += center.nodes
+        full = solve_milp(to_milp(bi, getattr(bi, f"obj_{anchor}")))
+        assert shipment.objective_value.hex() == full.objective_value.hex(), k
+        if anchor == "lower":
+            assert shipment.assignment == full.assignment, k
+        nodes += shipment.nodes
         full_nodes += full.nodes
     if source in ("ladder-seed-1", "random-200"):
         assert nodes < full_nodes
 
 
 def test_center_solve_never_builds_the_bounded_form(monkeypatch):
+    """Nor does the lower anchor's solve."""
     def refused(model):
-        raise AssertionError("the center solve built the bounded form")
+        raise AssertionError("a shipment-only solve built the bounded form")
 
     monkeypatch.setattr(ifctp.milp, "_bounded_form", refused)
-    center = Stages(bench1_instance()).anchor("center")
-    assert center.status == OPTIMAL and center.nodes > 0
+    stages = Stages(bench1_instance())
+    for anchor in ("center", "lower"):
+        solution = stages.anchor(anchor)
+        assert solution.status == OPTIMAL and solution.nodes > 0, anchor
 
 
 def test_link_rows_must_link_one_binary_to_one_boxed_shipment():
