@@ -51,6 +51,11 @@ class TestConversions:
         with pytest.raises(ValueError, match="width"):
             CenterWidth(10, -1)
 
+    @pytest.mark.parametrize("center, width", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_center_width_rejected(self, center, width):
+        with pytest.raises(ValueError, match="center/width must be finite"):
+            CenterWidth(center, width)
+
 
 class TestDistance:
     def test_reference_distance(self):

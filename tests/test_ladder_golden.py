@@ -3,8 +3,9 @@
 For each of the benchmark's 19 ladder instances, tests/data/golden_ladder_seed1.txt
 holds a "# <name>" line, the machine report, and one line per stage solve
 with its status, nodes and pivots.  A change that moves any report bit, or
-the search's path through any stage, shows here.  After an intended change,
-regenerate the file with
+the search's path through any stage, shows here.  golden_ladder_seed1_text.txt
+holds a "# <name>" line and the text report of each instance compared with
+the competitor COMPETITOR.  After an intended change, regenerate both files with
 
     PYTHONPATH=src python tests/test_ladder_golden.py
 """
@@ -16,10 +17,12 @@ sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
 import ifctp.pipeline  # noqa: E402
-from ifctp import run_pipeline  # noqa: E402
-from ifctp.reporting import render_machine  # noqa: E402
+from ifctp import CompetitorEntry, Interval, run_pipeline  # noqa: E402
+from ifctp.reporting import render_machine, render_text  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden_ladder_seed1.txt"
+TEXT_GOLDEN = GOLDEN.with_name("golden_ladder_seed1_text.txt")
+COMPETITOR = CompetitorEntry("ladder", Interval(900, 1300))
 
 
 def ladder_golden() -> str:
@@ -45,9 +48,20 @@ def ladder_golden() -> str:
     return "".join(parts)
 
 
+def ladder_text_golden() -> str:
+    """The text golden file's text, computed now."""
+    return "".join(f"# {name}\n" + render_text(run_pipeline(instance, competitor=COMPETITOR))
+                   for name, instance in workloads.instances("ladder-bb", 1).items())
+
+
 def test_ladder_reports_and_solves_match_the_golden_file():
     assert ladder_golden() == GOLDEN.read_text()
 
 
+def test_ladder_text_reports_match_the_text_golden_file():
+    assert ladder_text_golden() == TEXT_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(ladder_golden())
+    TEXT_GOLDEN.write_text(ladder_text_golden())

@@ -66,6 +66,20 @@ class TestValidate:
         inst = _tiny(supply=[Interval(5, 5), Interval(2, 2)])
         assert any("rows" in v or "supply" in v for v in validate(inst))
 
+    def test_non_rectangular_matrix_raises(self):
+        with pytest.raises(ValueError, match="^unit_cost must be a non-empty rectangular matrix$"):
+            _tiny(unit=[[Interval(1, 2), Interval(1, 2)], [Interval(1, 2)]])
+
+    def test_no_source_or_no_destination(self):
+        assert validate(IfctpInstance([[Interval(1, 2)]], [[Interval(1, 3)]], [],
+                                      [Interval(4, 4)])) == ["need at least one source"]
+        assert validate(IfctpInstance([[Interval(1, 2)]], [[Interval(1, 3)]], [], [])) == [
+            "need at least one source", "need at least one destination"]
+
+    def test_cost_rows_of_the_wrong_length(self):
+        inst = _tiny(unit=[[Interval(1, 2), Interval(1, 2)]])
+        assert validate(inst) == ["unit_cost rows must all have n=1 entries"]
+
     def test_validate_is_deterministic(self, bench1):
         assert validate(bench1) == validate(bench1)
 

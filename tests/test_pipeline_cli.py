@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import random
 
@@ -117,6 +118,31 @@ class TestRendering:
         from ifctp import parse_instance
         text = render_text(run_pipeline(parse_instance(STARVED)))
         assert "status: infeasible" in text
+
+    def test_plan_violations_follow_the_report(self, bench1):
+        violations = ("row 1 ships 34 > supply cap 33", "column 2 receives 18 < demand floor 19")
+        report = dataclasses.replace(_reference_report(bench1), plan_violations=violations)
+        assert render_text(report) == (DATA_DIR / "golden_solve_text.txt").read_text() + (
+            "warning: plan check: row 1 ships 34 > supply cap 33\n"
+            "warning: plan check: column 2 receives 18 < demand floor 19\n")
+        assert render_machine(report) == (DATA_DIR / "golden_compare_machine.txt").read_text() + (
+            "plan_violation.1=row 1 ships 34 > supply cap 33\n"
+            "plan_violation.2=column 2 receives 18 < demand floor 19\n")
+
+    def test_infeasible_report_with_a_competitor(self):
+        from ifctp import parse_instance
+        report = run_pipeline(parse_instance(UNDERSUPPLIED_2X2),
+                              competitor=CompetitorEntry("c", Interval(1, 2)))
+        assert render_text(report) == _INFEASIBLE_TEXT
+        assert render_machine(report) == _INFEASIBLE_MACHINE + (
+            "competitor.name=c\ncompetitor.lo=1.0\ncompetitor.hi=2.0\n"
+            "competitor.center=1.5\ncompetitor.width=0.5\n")
+
+    def test_integer_competitor_endpoints_print_as_floats(self, bench1):
+        report = run_pipeline(bench1, payoff_override=PAYOFF_OVERRIDE,
+                              competitor=CompetitorEntry("safi-razmjoo", Interval(640, 1020)))
+        assert render_text(report) == (DATA_DIR / "golden_solve_text.txt").read_text()
+        assert render_machine(report) == (DATA_DIR / "golden_compare_machine.txt").read_text()
 
 
 class TestOracleCheckApi:
@@ -425,6 +451,7 @@ class TestCliExactOutcomes:
         (UNDERSUPPLIED_2X2, ["compare", "--competitor", "x=[1,2]", "--report", "machine"], 2,
          _INFEASIBLE_MACHINE + "competitor.name=x\ncompetitor.lo=1.0\ncompetitor.hi=2.0\n"
                                "competitor.center=1.5\ncompetitor.width=0.5\n", ""),
+        (UNDERSUPPLIED_2X2, ["compare", "--competitor", "x=[1,2]"], 2, _INFEASIBLE_TEXT, ""),
         (UNDERSUPPLIED_2X2, ["payoff"], 2, "", _INFEASIBLE_LINE),
         (UNDERSUPPLIED_2X2, ["payoff", "--report", "machine"], 2, "", _INFEASIBLE_LINE),
         (UNDERSUPPLIED_2X2, ["ideal"], 2, "", _INFEASIBLE_LINE),
@@ -437,7 +464,8 @@ class TestCliExactOutcomes:
          "refine: solver=5.586666666166667 oracle=5.586666666166668 delta=8.88e-16 ok\n"
          "oracle check: PASS\n", ""),
     ], ids=["undersupplied-solve-text", "undersupplied-solve-machine",
-            "undersupplied-compare-machine", "undersupplied-payoff-text",
+            "undersupplied-compare-machine", "undersupplied-compare-text",
+            "undersupplied-payoff-text",
             "undersupplied-payoff-machine", "undersupplied-ideal-text",
             "undersupplied-ideal-machine", "undersupplied-oracle-check", "tiny-oracle-check"])
     def test_outcome(self, tmp_path, capsys, instance, args, code, out, err):

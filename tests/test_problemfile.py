@@ -80,6 +80,23 @@ demand 1 = [3,4]
     def test_zero_dims(self):
         self._expect("dims 0 2\n", "at least 1x1", line=1)
 
+    @pytest.mark.parametrize("text, message, line", [
+        (MINIMAL.replace("[1,2]", "[1]"), "line 2: malformed interval '[1]', expected [lo,hi]", 2),
+        (MINIMAL + "cost 1 1 = [1,2] fixed [0,1]\n", "line 5: duplicate cost entry (1,1)", 5),
+        (MINIMAL + "supply 2 = [5,6]\n", "line 5: supply index 2 outside dims 1x1", 5),
+        (MINIMAL + "demand 2 = [3,4]\n", "line 5: demand index 2 outside dims 1x1", 5),
+        (MINIMAL + "demand 1 = [3,4]\n", "line 5: duplicate demand entry 1", 5),
+        ("# nothing but a comment\n", "missing dims line", None),
+        (MINIMAL.replace("dims 1 1", "dims 2 1").replace(
+            "supply 1", "cost 2 1 = [1,2] fixed [0,1]\nsupply 1"),
+         "expected 2 supply entries, found 1", None),
+    ], ids=["malformed-interval", "duplicate-cost", "supply-index", "demand-index",
+            "duplicate-demand", "missing-dims", "supply-count"])
+    def test_error_message(self, text, message, line):
+        with pytest.raises(ProblemFileError) as err:
+            parse_instance(text)
+        assert (str(err.value), err.value.line) == (message, line)
+
     def test_undersupplied_file_still_parses(self):
         text = MINIMAL.replace("supply 1 = [5,6]", "supply 1 = [1,2]")
         inst = parse_instance(text)  # infeasibility is the solver's business
