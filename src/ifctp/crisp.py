@@ -150,13 +150,13 @@ def to_milp(bi: BiObjectiveMilp, objective: np.ndarray) -> MilpModel:
 def extract_plan(bi: BiObjectiveMilp, assignment) -> ShipmentPlan:
     """Shipment plan from a solver assignment.
 
-    Activations are re-derived from the quantities: with nonnegative fixed
+    The plan derives its activations from the quantities: with nonnegative fixed
     charges, opening a route that ships nothing never changes an optimal
     objective, so snapping such x to zero is free and keeps plans canonical.
     """
     m, n = bi.m, bi.n
     y = [[max(float(assignment[i * n + j]), 0.0) for j in range(n)] for i in range(m)]
-    return ShipmentPlan.from_quantities(y)
+    return ShipmentPlan(y)
 
 
 def evaluate_interval_objective(instance: IfctpInstance, plan: ShipmentPlan) -> Interval:

@@ -14,7 +14,7 @@ stable: scalar checks, then matrix entries row-major, then vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .intervals import Interval
@@ -61,26 +61,20 @@ class IfctpInstance:
 
 @dataclass(frozen=True)
 class ShipmentPlan:
-    """A concrete assignment: shipped quantities y and route activations x.
+    """Shipped quantities y; route (i, j) is open, x[i][j] = 1, iff it ships a positive amount.
 
     Every shipment must be a finite number; check_plan judges the rest.
     """
 
     y: tuple[tuple[float, ...], ...]
-    x: tuple[tuple[int, ...], ...]
+    x: tuple[tuple[int, ...], ...] = field(init=False)
 
-    def __init__(self, y, x):
-        object.__setattr__(self, "y", _as_matrix(y, "y"))
-        object.__setattr__(self, "x", _as_matrix(x, "x"))
+    def __init__(self, y):
+        object.__setattr__(self, "y", _as_matrix([map(float, row) for row in y], "y"))
         if not all(math.isfinite(v) for row in self.y for v in row):
             raise ValueError("every shipment must be a finite number")
-
-    @classmethod
-    def from_quantities(cls, y: Sequence[Sequence[float]]) -> ShipmentPlan:
-        """Derive activations: a route is open iff it ships a positive amount."""
-        ys = [list(map(float, row)) for row in y]
-        xs = [[1 if v > 0 else 0 for v in row] for row in ys]
-        return cls(ys, xs)
+        object.__setattr__(self, "x", tuple(tuple(1 if v > 0 else 0 for v in row)
+                                            for row in self.y))
 
     @property
     def m(self) -> int:
@@ -167,32 +161,23 @@ def _total(values) -> float:
 
 
 def check_plan(instance: IfctpInstance, plan: ShipmentPlan) -> list[str]:
-    """Check a plan against the crisp constraint set and the x/y linking rule.
+    """Check a plan against the crisp constraint set.
 
-    Returns one violation string per broken rule: cell-level checks row-major
-    (sign, binarity, linking), then row supply caps, then column demand floors.
-    A route is open iff it ships a positive amount; a row sum may pass its cap
-    or floor by FEASIBILITY_TOL of that bound, so no rule depends on the unit
-    of the quantities.  Row sums too large for a float count as inf.
-    Dimension mismatches are malformed input and raise; nothing else does.
+    Returns one violation string per broken rule: negative shipments
+    row-major, then row supply caps, then column demand floors.  A row sum may
+    pass its cap or floor by FEASIBILITY_TOL of that bound, so no rule depends
+    on the unit of the quantities.  Row sums too large for a float count as
+    inf.  Dimension mismatches are malformed input and raise; nothing else does.
     """
     m, n = instance.m, instance.n
-    if plan.m != m or plan.n != n or len(plan.x) != m or any(len(r) != n for r in plan.x):
+    if plan.m != m or plan.n != n:
         raise ValueError(f"plan shape {plan.m}x{plan.n} does not match instance {m}x{n}")
 
     v: list[str] = []
     for i in range(m):
         for j in range(n):
-            yij, xij = plan.y[i][j], plan.x[i][j]
-            if yij < 0:
-                v.append(f"y({i + 1},{j + 1}) = {yij:g} is negative")
-            if xij not in (0, 1):
-                v.append(f"x({i + 1},{j + 1}) = {xij!r} is not binary")
-                continue
-            if yij > 0 and xij == 0:
-                v.append(f"route ({i + 1},{j + 1}) ships {yij:g} but is not activated")
-            if yij <= 0 and xij == 1:
-                v.append(f"route ({i + 1},{j + 1}) is activated but ships nothing")
+            if plan.y[i][j] < 0:
+                v.append(f"y({i + 1},{j + 1}) = {plan.y[i][j]:g} is negative")
 
     for i in range(m):
         shipped = _total(plan.y[i])

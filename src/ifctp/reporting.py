@@ -1,148 +1,146 @@
 """Deterministic report rendering: human-readable text and flat key=value output.
 
-Text reports round to two decimals; machine output keeps full float precision
-(repr) with one datum per line and stable key names, so downstream tooling can
-diff runs byte for byte.
+Both formats print one field list.  Text reports round its numbers to two
+decimals; machine output keeps full float precision (repr) with one datum per
+line and stable key names, so downstream tooling can diff runs byte for byte.
 """
 
 from __future__ import annotations
 
 from .compromise import PayoffTable
-from .intervals import CenterWidth
+from .intervals import CenterWidth, Interval
 from .pipeline import CompromiseReport, OracleCheck
-
-
-def _f(value: float) -> str:
-    return f"{value:.2f}"
 
 
 def _lines(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pairs(pairs: list[tuple[str, object]]) -> str:
-    return _lines([f"{key}={value}" for key, value in pairs])
+def _render(fields: dict[str, object], report: str) -> str:
+    """fields as a "machine" report (a float's str is its repr) or a "text" one (two decimals)."""
+    if report == "machine":
+        return _lines([f"{key}={value}" for key, value in fields.items()])
+    return _lines(_text_lines(fields, lambda key: f"{fields[key]:.2f}"))
 
 
-def _payoff_lines(payoff: PayoffTable) -> list[str]:
-    return [
-        "payoff levels (best / worst):",
-        f"  lower endpoint: {_f(payoff.best[0])} / {_f(payoff.worst[0])}",
-        f"  width:          {_f(payoff.best[1])} / {_f(payoff.worst[1])}",
-    ]
+def _payoff_fields(payoff: PayoffTable) -> dict[str, object]:
+    return {
+        "payoff.lower.best": float(payoff.best[0]),
+        "payoff.lower.worst": float(payoff.worst[0]),
+        "payoff.width.best": float(payoff.best[1]),
+        "payoff.width.worst": float(payoff.worst[1]),
+    }
 
 
-def _payoff_pairs(payoff: PayoffTable) -> list[tuple[str, object]]:
-    return [
-        ("payoff.lower.best", repr(float(payoff.best[0]))),
-        ("payoff.lower.worst", repr(float(payoff.worst[0]))),
-        ("payoff.width.best", repr(float(payoff.best[1]))),
-        ("payoff.width.worst", repr(float(payoff.worst[1]))),
-    ]
+def _center_width_fields(name: str, cw: CenterWidth) -> dict[str, object]:
+    return {f"{name}.center": float(cw.center), f"{name}.width": float(cw.width)}
 
 
-def _ideal_line(ideal: CenterWidth) -> str:
-    return f"ideal point: center {_f(ideal.center)}, width {_f(ideal.width)}"
+def _interval_fields(name: str, interval: Interval) -> dict[str, object]:
+    return ({f"{name}.lo": float(interval.lo), f"{name}.hi": float(interval.hi)}
+            | _center_width_fields(name, interval.as_center_width()))
 
 
-def _ideal_pairs(ideal: CenterWidth) -> list[tuple[str, object]]:
-    return [("ideal.center", repr(float(ideal.center))),
-            ("ideal.width", repr(float(ideal.width)))]
+def _report_fields(report: CompromiseReport) -> dict[str, object]:
+    """Every fact a report prints, in machine order under its machine key; numbers as floats."""
+    fields: dict[str, object] = {
+        "status": report.status,
+        "sources": report.sources,
+        "destinations": report.destinations,
+        "supply_cap_total": float(report.supply_cap_total),
+        "demand_floor_total": float(report.demand_floor_total),
+    }
+    if report.status == "optimal":
+        fields |= _payoff_fields(report.payoff)
+        fields["level"] = float(report.lambda_star)
+        fields["membership.lower"] = float(report.memberships[0])
+        fields["membership.width"] = float(report.memberships[1])
+        fields |= _interval_fields("objective", report.objective)
+        fields |= _center_width_fields("ideal", report.ideal)
+        fields["distance"] = float(report.distance)
+        for i, row in enumerate(report.plan.y, start=1):
+            for j, quantity in enumerate(row, start=1):
+                fields[f"plan.y.{i}.{j}"] = float(quantity)
+        for i, row in enumerate(report.plan.x, start=1):
+            for j, active in enumerate(row, start=1):
+                fields[f"plan.x.{i}.{j}"] = active
+    if report.competitor is not None:
+        fields["competitor.name"] = report.competitor.name
+        fields |= _interval_fields("competitor", report.competitor.objective)
+        if report.competitor_distance is not None:
+            fields["competitor.distance"] = float(report.competitor_distance)
+    for k, violation in enumerate(report.plan_violations, start=1):
+        fields[f"plan_violation.{k}"] = violation
+    return fields
+
+
+def _interval_text(n, name: str) -> str:
+    return (f"[{n(name + '.lo')}, {n(name + '.hi')}]"
+            f" = center {n(name + '.center')}, width {n(name + '.width')}")
+
+
+def _text_lines(t: dict[str, object], n) -> list[str]:
+    """Text lines of each section whose fields t lists, each number under key printed as n(key).
+
+    A report that is not optimal stops at its header.
+    """
+    lines = []
+    if "status" in t:
+        lines += [
+            f"interval fixed-charge transportation: {t['sources']} sources, "
+            f"{t['destinations']} destinations",
+            f"supply cap total {n('supply_cap_total')}, "
+            f"demand floor total {n('demand_floor_total')}",
+            f"status: {t['status']}",
+        ]
+        if t["status"] != "optimal":
+            return lines
+    if "payoff.lower.best" in t:
+        lines += [
+            "payoff levels (best / worst):",
+            f"  lower endpoint: {n('payoff.lower.best')} / {n('payoff.lower.worst')}",
+            f"  width:          {n('payoff.width.best')} / {n('payoff.width.worst')}",
+        ]
+    if "level" in t:
+        lines += [
+            f"max-min level: {n('level')}",
+            f"memberships: lower {n('membership.lower')}, width {n('membership.width')}",
+            "shipments (source -> destination: quantity):",
+        ]
+        for i in range(1, t["sources"] + 1):
+            for j in range(1, t["destinations"] + 1):
+                if t[f"plan.x.{i}.{j}"]:
+                    lines.append(f"  {i} -> {j}: {n(f'plan.y.{i}.{j}')}")
+        lines.append(f"objective: {_interval_text(n, 'objective')}")
+    if "ideal.center" in t:
+        lines.append(f"ideal point: center {n('ideal.center')}, width {n('ideal.width')}")
+    if "distance" in t:
+        lines.append(f"distance to ideal: {n('distance')}")
+    if "competitor.name" in t:
+        lines.append(f"competitor {t['competitor.name']}: {_interval_text(n, 'competitor')}"
+                     f", distance {n('competitor.distance')}")
+    for key, violation in t.items():
+        if key.startswith("plan_violation."):
+            lines.append(f"warning: plan check: {violation}")
+    return lines
 
 
 def render_payoff(payoff: PayoffTable, report: str) -> str:
     """The payoff table alone, as a "text" or "machine" report."""
-    return _pairs(_payoff_pairs(payoff)) if report == "machine" else _lines(_payoff_lines(payoff))
+    return _render(_payoff_fields(payoff), report)
 
 
 def render_ideal(ideal: CenterWidth, report: str) -> str:
     """The ideal point alone, as a "text" or "machine" report."""
-    return _pairs(_ideal_pairs(ideal)) if report == "machine" else _lines([_ideal_line(ideal)])
+    return _render(_center_width_fields("ideal", ideal), report)
 
 
 def render_text(report: CompromiseReport) -> str:
-    lines = [
-        f"interval fixed-charge transportation: {report.sources} sources, "
-        f"{report.destinations} destinations",
-        f"supply cap total {_f(report.supply_cap_total)}, "
-        f"demand floor total {_f(report.demand_floor_total)}",
-        f"status: {report.status}",
-    ]
-    if report.status != "optimal":
-        return _lines(lines)
-
-    lines += _payoff_lines(report.payoff)
-    lines += [
-        f"max-min level: {_f(report.lambda_star)}",
-        f"memberships: lower {_f(report.memberships[0])}, width {_f(report.memberships[1])}",
-        "shipments (source -> destination: quantity):",
-    ]
-    for i, row in enumerate(report.plan.y):
-        for j, quantity in enumerate(row):
-            if report.plan.x[i][j]:
-                lines.append(f"  {i + 1} -> {j + 1}: {_f(quantity)}")
-    cw = report.center_width
-    lines += [
-        f"objective: [{_f(report.objective.lo)}, {_f(report.objective.hi)}]"
-        f" = center {_f(cw.center)}, width {_f(cw.width)}",
-        _ideal_line(report.ideal),
-        f"distance to ideal: {_f(report.distance)}",
-    ]
-    if report.competitor is not None:
-        comp = report.competitor
-        ccw = comp.objective.as_center_width()
-        lines.append(
-            f"competitor {comp.name}: [{_f(comp.objective.lo)}, {_f(comp.objective.hi)}]"
-            f" = center {_f(ccw.center)}, width {_f(ccw.width)}"
-            f", distance {_f(report.competitor_distance)}")
-    for violation in report.plan_violations:
-        lines.append(f"warning: plan check: {violation}")
-    return _lines(lines)
+    return _render(_report_fields(report), "text")
 
 
 def render_machine(report: CompromiseReport) -> str:
-    pairs: list[tuple[str, object]] = [
-        ("status", report.status),
-        ("sources", report.sources),
-        ("destinations", report.destinations),
-        ("supply_cap_total", repr(float(report.supply_cap_total))),
-        ("demand_floor_total", repr(float(report.demand_floor_total))),
-    ]
-    if report.status == "optimal":
-        cw = report.center_width
-        pairs += _payoff_pairs(report.payoff)
-        pairs += [
-            ("level", repr(float(report.lambda_star))),
-            ("membership.lower", repr(float(report.memberships[0]))),
-            ("membership.width", repr(float(report.memberships[1]))),
-            ("objective.lo", repr(float(report.objective.lo))),
-            ("objective.hi", repr(float(report.objective.hi))),
-            ("objective.center", repr(float(cw.center))),
-            ("objective.width", repr(float(cw.width))),
-        ]
-        pairs += _ideal_pairs(report.ideal)
-        pairs += [("distance", repr(float(report.distance)))]
-        for i, row in enumerate(report.plan.y):
-            for j, quantity in enumerate(row):
-                pairs.append((f"plan.y.{i + 1}.{j + 1}", repr(float(quantity))))
-        for i, row in enumerate(report.plan.x):
-            for j, active in enumerate(row):
-                pairs.append((f"plan.x.{i + 1}.{j + 1}", active))
-    if report.competitor is not None:
-        comp = report.competitor
-        ccw = comp.objective.as_center_width()
-        pairs.append(("competitor.name", comp.name))
-        pairs += [
-            ("competitor.lo", repr(float(comp.objective.lo))),
-            ("competitor.hi", repr(float(comp.objective.hi))),
-            ("competitor.center", repr(float(ccw.center))),
-            ("competitor.width", repr(float(ccw.width))),
-        ]
-        if report.competitor_distance is not None:
-            pairs.append(("competitor.distance", repr(float(report.competitor_distance))))
-    for k, violation in enumerate(report.plan_violations, start=1):
-        pairs.append((f"plan_violation.{k}", violation))
-    return _pairs(pairs)
+    return _render(_report_fields(report), "machine")
 
 
 def render_oracle_check(check: OracleCheck) -> str:

@@ -75,5 +75,4 @@ def bench1_path() -> pathlib.Path:
 @pytest.fixture(scope="session")
 def reference_plan() -> ShipmentPlan:
     """The benchmark's published compromise plan (quantities rounded to 2 decimals)."""
-    return ShipmentPlan.from_quantities(
-        [[20, 0, 13, 0], [0, 4.95, 0, 20], [0, 14.04, 10, 0]])
+    return ShipmentPlan([[20, 0, 13, 0], [0, 4.95, 0, 20], [0, 14.04, 10, 0]])

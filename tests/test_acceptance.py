@@ -174,7 +174,7 @@ def test_criterion_7_algebraic_invariants(bench1):
         inst, bi = instances[pick], bis[pick]
         y = [[rng.uniform(0, 20) if rng.random() < 0.6 else 0.0
               for _ in range(inst.n)] for _ in range(inst.m)]
-        plan = ShipmentPlan.from_quantities(y)
+        plan = ShipmentPlan(y)
         z = evaluate_interval_objective(inst, plan)
         if not close(plan_value(bi.obj_lower, plan) + 2 * plan_value(bi.obj_width, plan),
                      z.hi, rel=1e-9):

@@ -162,18 +162,18 @@ class TestEvaluateIntervalObjective:
         assert (got.lo, got.hi) == pytest.approx(naive_interval_value(bench1, reference_plan))
 
     def test_all_zero_plan(self, bench1):
-        plan = ShipmentPlan.from_quantities([[0] * 4 for _ in range(3)])
+        plan = ShipmentPlan([[0] * 4 for _ in range(3)])
         assert evaluate_interval_objective(bench1, plan) == Interval(0, 0)
 
     def test_single_route_hand_value(self, bench1):
-        plan = ShipmentPlan.from_quantities([[20, 0, 0, 0], [0] * 4, [0] * 4])
+        plan = ShipmentPlan([[20, 0, 0, 0], [0] * 4, [0] * 4])
         got = evaluate_interval_objective(bench1, plan)
         assert got == Interval(90, 190)  # 4*20+10 and 8*20+30
         assert (got.lo, got.hi) == naive_interval_value(bench1, plan)
 
     def test_dimension_mismatch(self, bench1):
         with pytest.raises(ValueError, match="shape"):
-            evaluate_interval_objective(bench1, ShipmentPlan.from_quantities([[1]]))
+            evaluate_interval_objective(bench1, ShipmentPlan([[1]]))
 
     def test_upper_endpoint_identity_random_plans(self, bench1):
         # z_upper == z_lower + 2 * z_width at arbitrary plans
@@ -182,7 +182,7 @@ class TestEvaluateIntervalObjective:
         for _ in range(200):
             y = [[rng.uniform(0, 30) if rng.random() < 0.5 else 0.0
                   for _ in range(4)] for _ in range(3)]
-            plan = ShipmentPlan.from_quantities(y)
+            plan = ShipmentPlan(y)
             z = evaluate_interval_objective(bench1, plan)
             reconstructed = plan_value(bi.obj_lower, plan) + 2 * plan_value(bi.obj_width, plan)
             assert reconstructed == pytest.approx(z.hi, rel=1e-9)

@@ -92,47 +92,32 @@ class TestCheckPlan:
         assert got == ["column 2 receives 18.99 < demand floor 19"]
 
     def test_all_zero_plan_misses_every_demand(self, bench1):
-        plan = ShipmentPlan.from_quantities([[0] * 4 for _ in range(3)])
+        plan = ShipmentPlan([[0] * 4 for _ in range(3)])
         got = check_plan(bench1, plan)
         assert len(got) == 4
         assert all("demand floor" in v for v in got)
 
     def test_supply_cap_violation(self, bench1):
-        plan = ShipmentPlan.from_quantities(
-            [[82, 0, 23, 0], [0, 8, 0, 20], [0, 11, 0, 0]])
+        plan = ShipmentPlan([[82, 0, 23, 0], [0, 8, 0, 20], [0, 11, 0, 0]])
         got = check_plan(bench1, plan)
         assert len(got) == 1
         assert "row 1" in got[0] and "33" in got[0]
 
-    def test_linking_rule(self, bench1):
-        y = [[20, 0, 23, 0], [0, 19, 0, 20], [0, 0, 0, 0]]
-        x = [[1, 1, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]]  # (1,2) open but unused
-        got = check_plan(bench1, ShipmentPlan(y, x))
-        assert "route (1,2) is activated but ships nothing" in got
-        x2 = [[0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]]  # (1,1) used but closed
-        got2 = check_plan(bench1, ShipmentPlan(y, x2))
-        assert "route (1,1) ships 20 but is not activated" in got2
-
-    def test_non_binary_activation(self, bench1):
-        y = [[20, 0, 23, 0], [0, 19, 0, 20], [0, 0, 0, 0]]
-        x = [[0.5, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]]
-        assert any("not binary" in v for v in check_plan(bench1, ShipmentPlan(y, x)))
-
     def test_dimension_mismatch_raises(self, bench1):
-        plan = ShipmentPlan.from_quantities([[1, 2], [3, 4]])
+        plan = ShipmentPlan([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="shape"):
             check_plan(bench1, plan)
 
     def test_huge_finite_shipments_read_as_an_infinite_row_sum(self, bench1):
         # math.fsum raises OverflowError on these; the row ships more than a float holds.
-        plan = ShipmentPlan.from_quantities([[1e308, 1e308, 0, 0], [0] * 4, [0] * 4])
+        plan = ShipmentPlan([[1e308, 1e308, 0, 0], [0] * 4, [0] * 4])
         got = check_plan(bench1, plan)
         assert got[0] == "row 1 ships inf > supply cap 33"
         assert "column 3 receives 0 < demand floor 23" in got
 
     def test_partial_sum_overflow_keeps_the_exact_total(self, bench1):
         y = [[1e308, 0, 0, 0], [1e308, 0, 0, 0], [-1e308, 0, 0, 0]]
-        got = check_plan(bench1, ShipmentPlan(y, [[1, 0, 0, 0]] * 3))
+        got = check_plan(bench1, ShipmentPlan(y))
         assert "y(3,1) = -1e+308 is negative" in got
         assert not any("column 1" in v for v in got)  # it receives exactly 1e308
 
@@ -140,13 +125,11 @@ class TestCheckPlan:
                              ids=["inf", "nan"])
     def test_non_finite_shipments_are_rejected(self, y):
         with pytest.raises(ValueError, match="finite"):
-            ShipmentPlan(y, [[1, 1]])
-        with pytest.raises(ValueError, match="finite"):
-            ShipmentPlan.from_quantities(y)
+            ShipmentPlan(y)
 
     def test_from_quantities_derives_activations(self):
         # Any positive shipment opens its route, however small the unit.
-        plan = ShipmentPlan.from_quantities([[0.0, 3.5], [1e-9, 2.0]])
+        plan = ShipmentPlan([[0.0, 3.5], [1e-9, 2.0]])
         assert plan.x == ((0, 1), (1, 1))
 
 
