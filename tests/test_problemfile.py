@@ -90,8 +90,15 @@ demand 1 = [3,4]
         (MINIMAL.replace("dims 1 1", "dims 2 1").replace(
             "supply 1", "cost 2 1 = [1,2] fixed [0,1]\nsupply 1"),
          "expected 2 supply entries, found 1", None),
+        (MINIMAL + "supply 1 2 = [1,2]\n", "line 5: unrecognized line 'supply 1 2 = [1,2]'", 5),
+        (MINIMAL + "cost 1 = [1,2] fixed [0,1]\n",
+         "line 5: unrecognized line 'cost 1 = [1,2] fixed [0,1]'", 5),
+        (MINIMAL.replace(" fixed [0,1]", ""), "line 2: unrecognized line 'cost 1 1 = [1,2]'", 2),
+        (MINIMAL + "cost 1 2 = [1,2] fixed [0,1]\n",
+         "line 5: cost index (1,2) outside dims 1x1", 5),
     ], ids=["malformed-interval", "duplicate-cost", "supply-index", "demand-index",
-            "duplicate-demand", "missing-dims", "supply-count"])
+            "duplicate-demand", "missing-dims", "supply-count", "supply-index-count",
+            "cost-index-count", "cost-without-fixed", "cost-column-index"])
     def test_error_message(self, text, message, line):
         with pytest.raises(ProblemFileError) as err:
             parse_instance(text)
