@@ -80,7 +80,10 @@ def _parse_competitor(text: str) -> CompetitorEntry:
         interval = Interval(float(match.group("lo")), float(match.group("hi")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return CompetitorEntry(match.group("name").strip(), interval)
+    name = match.group("name").strip()
+    if not name.isprintable():  # a line break would split the machine report's line
+        raise argparse.ArgumentTypeError(f"name {name!r} is not printable")
+    return CompetitorEntry(name, interval)
 
 
 @functools.cache  # built on the first main call; parsing leaves the parser unchanged

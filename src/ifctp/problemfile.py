@@ -13,6 +13,7 @@ Every cost cell, supply and demand entry must appear exactly once.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .intervals import Interval
@@ -28,9 +29,13 @@ class ProblemFileError(ValueError):
 
 
 _DIMS = re.compile(r"^dims\s+(\d+)\s+(\d+)$")
-_COST = re.compile(r"^cost\s+(\d+)\s+(\d+)\s*=\s*(\[[^\]]*\])\s+fixed\s+(\[[^\]]*\])$")
-_SUPPLY = re.compile(r"^supply\s+(\d+)\s*=\s*(\[[^\]]*\])$")
-_DEMAND = re.compile(r"^demand\s+(\d+)\s*=\s*(\[[^\]]*\])$")
+_IV = r"(\[[^\]]*\])"
+# Each entry kind: its pattern (indices, then intervals) and the dims axis of each index.
+_ENTRIES = {
+    "cost": (re.compile(rf"^cost\s+(\d+)\s+(\d+)\s*=\s*{_IV}\s+fixed\s+{_IV}$"), (0, 1)),
+    "supply": (re.compile(rf"^supply\s+(\d+)\s*=\s*{_IV}$"), (0,)),
+    "demand": (re.compile(rf"^demand\s+(\d+)\s*=\s*{_IV}$"), (1,)),
+}
 _INTERVAL = re.compile(r"^\[\s*([^,\s\]]+)\s*,\s*([^,\s\]]+)\s*\]$")
 
 
@@ -57,9 +62,7 @@ def parse_instance(text: str) -> IfctpInstance:
     undersupplied file parses fine, and pipeline.Stages rejects it unsolved.
     """
     dims: tuple[int, int] | None = None
-    cost: dict[tuple[int, int], tuple[Interval, Interval]] = {}
-    supply: dict[int, Interval] = {}
-    demand: dict[int, Interval] = {}
+    entries: dict[str, dict[tuple[int, ...], list[Interval]]] = {kind: {} for kind in _ENTRIES}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -71,52 +74,39 @@ def parse_instance(text: str) -> IfctpInstance:
             m, n = int(match.group(1)), int(match.group(2))
             if m < 1 or n < 1:
                 raise ProblemFileError(f"dims must be at least 1x1, got {m}x{n}", line_no)
-            dims = (m, n)
+            dims = (m, n)  # m and n keep these values for the rest of the parse
             continue
         if dims is None:
             raise ProblemFileError("dims line must come before data lines", line_no)
-        m, n = dims
 
-        if match := _COST.match(line):
-            i, j = int(match.group(1)), int(match.group(2))
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise ProblemFileError(f"cost index ({i},{j}) outside dims {m}x{n}", line_no)
-            if (i, j) in cost:
-                raise ProblemFileError(f"duplicate cost entry ({i},{j})", line_no)
-            cost[(i, j)] = (_parse_interval(match.group(3), line_no),
-                            _parse_interval(match.group(4), line_no))
-        elif match := _SUPPLY.match(line):
-            i = int(match.group(1))
-            if not 1 <= i <= m:
-                raise ProblemFileError(f"supply index {i} outside dims {m}x{n}", line_no)
-            if i in supply:
-                raise ProblemFileError(f"duplicate supply entry {i}", line_no)
-            supply[i] = _parse_interval(match.group(2), line_no)
-        elif match := _DEMAND.match(line):
-            j = int(match.group(1))
-            if not 1 <= j <= n:
-                raise ProblemFileError(f"demand index {j} outside dims {m}x{n}", line_no)
-            if j in demand:
-                raise ProblemFileError(f"duplicate demand entry {j}", line_no)
-            demand[j] = _parse_interval(match.group(2), line_no)
+        for kind, (pattern, axes) in _ENTRIES.items():
+            if match := pattern.match(line):
+                break
         else:
             raise ProblemFileError(f"unrecognized line {line!r}", line_no)
+        key = tuple(int(group) for group in match.groups()[:len(axes)])
+        label = f"({','.join(map(str, key))})" if len(key) > 1 else str(key[0])
+        if not all(1 <= index <= dims[axis] for index, axis in zip(key, axes)):
+            raise ProblemFileError(f"{kind} index {label} outside dims {m}x{n}", line_no)
+        if key in entries[kind]:
+            raise ProblemFileError(f"duplicate {kind} entry {label}", line_no)
+        entries[kind][key] = [_parse_interval(token, line_no)
+                              for token in match.groups()[len(axes):]]
 
     if dims is None:
         raise ProblemFileError("missing dims line")
-    m, n = dims
-    if len(cost) != m * n:
-        raise ProblemFileError(f"expected {m * n} cost entries, found {len(cost)}")
-    if len(supply) != m:
-        raise ProblemFileError(f"expected {m} supply entries, found {len(supply)}")
-    if len(demand) != n:
-        raise ProblemFileError(f"expected {n} demand entries, found {len(demand)}")
+    for kind, (_, axes) in _ENTRIES.items():
+        expected = math.prod(dims[axis] for axis in axes)
+        if len(entries[kind]) != expected:
+            raise ProblemFileError(f"expected {expected} {kind} entries, "
+                                   f"found {len(entries[kind])}")
 
+    cost, supply, demand = entries.values()
     instance = IfctpInstance(
         [[cost[(i, j)][0] for j in range(1, n + 1)] for i in range(1, m + 1)],
         [[cost[(i, j)][1] for j in range(1, n + 1)] for i in range(1, m + 1)],
-        [supply[i] for i in range(1, m + 1)],
-        [demand[j] for j in range(1, n + 1)],
+        [supply[(i,)][0] for i in range(1, m + 1)],
+        [demand[(j,)][0] for j in range(1, n + 1)],
     )
     violations = validate(instance)
     if violations:

@@ -299,6 +299,21 @@ class TestCliArgumentErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: argument {args[0]}:")
 
+    @pytest.mark.parametrize("name, message", [
+        ("x\ny", r"name 'x\ny' is not printable"),
+        ("x\ry", r"name 'x\ry' is not printable"),
+        ("x\x1by", r"name 'x\x1by' is not printable"),
+        (" \t", "expected name=[lo,hi]"),
+    ], ids=["line-feed", "carriage-return", "escape", "blank"])
+    def test_competitor_name_is_printable_and_not_blank(self, bench1_path, capsys, name,
+                                                        message):
+        # A line break in the name would split the machine report's competitor.name line.
+        assert main(["compare", str(bench1_path), "--override-payoff", "640,787,163,190",
+                     "--competitor", f"{name}=[640,1020]", "--report", "machine"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: argument --competitor: {message}"]
+
     @pytest.mark.parametrize("args, message", [
         (["solve", "{path}", "--bogus"], "error: unrecognized arguments: --bogus"),
         (["solve"], "error: the following arguments are required: file"),
