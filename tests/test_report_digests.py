@@ -16,7 +16,6 @@ import random
 import sys
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
-sys.path.append(str(pathlib.Path(__file__).resolve().parent))
 
 import workloads  # noqa: E402
 from _random_instances import random_instance  # noqa: E402
