@@ -456,6 +456,9 @@ _INFEASIBLE_MACHINE = ("status=infeasible\nsources=2\ndestinations=2\nsupply_cap
                        "demand_floor_total=7.0\n")
 _INFEASIBLE_LINE = "infeasible: supply cap total 4.0 < demand floor total 7.0\n"
 
+NEGATIVE_CHARGE_1X1 = "dims 1 1\ncost 1 1 = [1,2] fixed [-1,1]\nsupply 1 = [5,5]\ndemand 1 = [4,4]\n"
+_NEGATIVE_CHARGE_LINE = "error: fixed_charge(1,1): negative lower endpoint -1\n"
+
 
 class TestCliExactOutcomes:
     """Exact stdout, stderr and exit code of jobs that have no golden file."""
@@ -478,11 +481,22 @@ class TestCliExactOutcomes:
          "max-min level: solver=0.2400000000000001 oracle=0.2400000000000001 delta=0 ok\n"
          "refine: solver=5.586666666166667 oracle=5.586666666166668 delta=8.88e-16 ok\n"
          "oracle check: PASS\n", ""),
+        (NEGATIVE_CHARGE_1X1, ["solve"], 3, "", _NEGATIVE_CHARGE_LINE),
+        (NEGATIVE_CHARGE_1X1, ["compare", "--competitor", "x=[1,2]"], 3, "",
+         _NEGATIVE_CHARGE_LINE),
+        (NEGATIVE_CHARGE_1X1, ["payoff"], 3, "", _NEGATIVE_CHARGE_LINE),
+        (NEGATIVE_CHARGE_1X1, ["ideal"], 3, "", _NEGATIVE_CHARGE_LINE),
+        (NEGATIVE_CHARGE_1X1, ["oracle-check"], 3, "", _NEGATIVE_CHARGE_LINE),
+        (NEGATIVE_CHARGE_1X1.replace("fixed [-1,1]", "fixed [0,1]").replace("[4,4]", "[-2,4]"),
+         ["solve", "--report", "machine"], 3, "",
+         "error: demand(1): negative lower endpoint -2\n"),
     ], ids=["undersupplied-solve-text", "undersupplied-solve-machine",
             "undersupplied-compare-machine", "undersupplied-compare-text",
             "undersupplied-payoff-text",
             "undersupplied-payoff-machine", "undersupplied-ideal-text",
-            "undersupplied-ideal-machine", "undersupplied-oracle-check", "tiny-oracle-check"])
+            "undersupplied-ideal-machine", "undersupplied-oracle-check", "tiny-oracle-check",
+            "negative-charge-solve", "negative-charge-compare", "negative-charge-payoff",
+            "negative-charge-ideal", "negative-charge-oracle-check", "negative-demand-solve"])
     def test_outcome(self, tmp_path, capsys, instance, args, code, out, err):
         path = tmp_path / "instance.txt"
         path.write_text(instance)
