@@ -14,6 +14,7 @@ then the max-min model and the refine model built from its level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ LEVEL_SLACK = 1e-9
 class PayoffTable:
     """Best (aspired) and worst (highest acceptable) level per objective.
 
-    Index 0 is the lower-endpoint objective, index 1 the width objective.
+    Index 0 is the lower-endpoint objective, index 1 the width objective.  A
+    level row holds worst - best, so that span must be a finite float.
     """
 
     best: tuple[float, float]
@@ -44,6 +46,9 @@ class PayoffTable:
             if self.best[k] > self.worst[k]:
                 raise ValueError(
                     f"objective {k}: best level {self.best[k]} exceeds worst {self.worst[k]}")
+            if not math.isfinite(self.worst[k] - self.best[k]):
+                raise ValueError(f"objective {k}: the span from best level {self.best[k]} "
+                                 f"to worst {self.worst[k]} overflows a float")
 
 
 @dataclass(frozen=True)

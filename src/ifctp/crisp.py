@@ -32,11 +32,7 @@ import numpy as np
 
 from .intervals import Interval
 from .milp import MilpModel
-from .model import IfctpInstance, ShipmentPlan, validate
-
-
-class InvalidInstanceError(ValueError):
-    """Raised when a model is requested for an instance that fails validation."""
+from .model import IfctpInstance, ShipmentPlan
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +69,8 @@ def _centers_widths(instance: IfctpInstance) -> tuple[np.ndarray, np.ndarray]:
             np.array([iv.width for iv in cells], dtype=float))
 
 
-def _require_valid(instance: IfctpInstance) -> None:
-    violations = validate(instance)
-    if violations:
-        raise InvalidInstanceError(violations[0])
-
-
 def build_bi_objective(instance: IfctpInstance) -> BiObjectiveMilp:
     """Derive the crisp objectives and the relaxed constraint data."""
-    _require_valid(instance)
     center, width = _centers_widths(instance)
     caps = tuple(iv.hi for iv in instance.supply)
     floors = tuple(iv.lo for iv in instance.demand)

@@ -6,9 +6,9 @@ paid once if the route is used at all.  Every cost, charge, supply and demand
 is an :class:`~ifctp.intervals.Interval`; a crisp instance has degenerate
 intervals only.
 
-Validation returns a list of human-readable violations instead of raising, so
-callers can report all problems in a table at once.  The violation order is
-stable: scalar checks, then matrix entries row-major, then vectors.
+An instance is well formed by construction: IfctpInstance raises
+InvalidInstanceError naming the first structural rule it breaks, in a stable
+order: scalar checks, then matrix entries row-major, then vectors.
 """
 
 from __future__ import annotations
@@ -30,13 +30,20 @@ def _as_matrix(rows: Sequence[Sequence], what: str) -> tuple[tuple, ...]:
     return out
 
 
+class InvalidInstanceError(ValueError):
+    """An instance breaks a structural rule; the message names the first one."""
+
+
 @dataclass(frozen=True)
 class IfctpInstance:
     """Interval-valued fixed-charge transportation instance.
 
     unit_cost and fixed_charge are m x n matrices of Interval; supply has
-    length m and demand length n.  Construction only normalizes shapes;
-    semantic checks live in :func:`validate`.
+    length m and demand length n.  Fixed charges, supplies and demands have
+    nonnegative lower endpoints, and no objective overflows a float.
+    Aggregate supply is not compared with demand: a well-formed but
+    undersupplied instance is an infeasible problem, not a malformed one, and
+    pipeline.Stages rejects it from the totals before any solve.
     """
 
     unit_cost: tuple[tuple[Interval, ...], ...]
@@ -49,6 +56,7 @@ class IfctpInstance:
         object.__setattr__(self, "fixed_charge", _as_matrix(fixed_charge, "fixed_charge"))
         object.__setattr__(self, "supply", tuple(supply))
         object.__setattr__(self, "demand", tuple(demand))
+        _check_structure(self)
 
     @property
     def m(self) -> int:
@@ -85,65 +93,48 @@ class ShipmentPlan:
         return len(self.y[0])
 
 
-def _interval_violations(kind: str, i: int, j: int | None, iv: Interval,
-                         require_nonneg_lo: bool) -> list[str]:
-    where = f"{kind}({i + 1},{j + 1})" if j is not None else f"{kind}({i + 1})"
-    out = []
+def _check_interval(where: str, iv: Interval, require_nonneg_lo: bool) -> None:
     # Defensive re-check: Interval construction already rejects lo > hi, but a
-    # matrix assembled by other means must not slip through validation.
+    # matrix assembled by other means must not slip through.
     if iv.lo > iv.hi:
-        out.append(f"{where}: interval lo {iv.lo:g} > hi {iv.hi:g}")
+        raise InvalidInstanceError(f"{where}: interval lo {iv.lo:g} > hi {iv.hi:g}")
     if require_nonneg_lo and iv.lo < 0:
-        out.append(f"{where}: negative lower endpoint {iv.lo:g}")
-    return out
+        raise InvalidInstanceError(f"{where}: negative lower endpoint {iv.lo:g}")
 
 
-def validate(instance: IfctpInstance) -> list[str]:
-    """Structural checks; an empty list means the instance is well formed.
-
-    An objective that could overflow a float makes an instance malformed.
-    Aggregate supply is not compared with demand: a well-formed but
-    undersupplied instance is an infeasible problem, not a malformed one, and
-    pipeline.Stages rejects it from the totals before any solve.
-    """
-    v: list[str] = []
+def _check_structure(instance: IfctpInstance) -> None:
+    """Raise InvalidInstanceError at the first broken structural rule, in the module's order."""
     m, n = instance.m, instance.n
     if m < 1:
-        v.append("need at least one source")
+        raise InvalidInstanceError("need at least one source")
     if n < 1:
-        v.append("need at least one destination")
-    if m < 1 or n < 1:
-        return v
-
+        raise InvalidInstanceError("need at least one destination")
     for name, matrix in (("unit_cost", instance.unit_cost),
                          ("fixed_charge", instance.fixed_charge)):
         if len(matrix) != m:
-            v.append(f"{name} has {len(matrix)} rows, expected m={m}")
-            continue
+            raise InvalidInstanceError(f"{name} has {len(matrix)} rows, expected m={m}")
         if any(len(row) != n for row in matrix):
-            v.append(f"{name} rows must all have n={n} entries")
-            continue
+            raise InvalidInstanceError(f"{name} rows must all have n={n} entries")
         for i, row in enumerate(matrix):
             for j, iv in enumerate(row):
-                v.extend(_interval_violations(name, i, j, iv,
-                                              require_nonneg_lo=(name == "fixed_charge")))
+                _check_interval(f"{name}({i + 1},{j + 1})", iv,
+                                require_nonneg_lo=(name == "fixed_charge"))
 
     for i, iv in enumerate(instance.supply):
-        v.extend(_interval_violations("supply", i, None, iv, require_nonneg_lo=True))
+        _check_interval(f"supply({i + 1})", iv, require_nonneg_lo=True)
     for j, iv in enumerate(instance.demand):
-        v.extend(_interval_violations("demand", j, None, iv, require_nonneg_lo=True))
+        _check_interval(f"demand({j + 1})", iv, require_nonneg_lo=True)
     # A route ships at most its row's cap.  The factor 4 leaves room to add
     # two objective values (an interval's center and width, a payoff span).
     bound = sum(max(abs(t.lo), abs(t.hi)) * cap.hi + f.hi
                 for t_row, f_row, cap in zip(instance.unit_cost, instance.fixed_charge,
                                              instance.supply) for t, f in zip(t_row, f_row))
     if not math.isfinite(4.0 * bound):
-        v.append("unit costs times supply caps overflow a float")
+        raise InvalidInstanceError("unit costs times supply caps overflow a float")
     # math.fsum of the caps or the floors raises on overflow; 2 covers this sum's rounding.
     totals = sum(s.hi for s in instance.supply) + sum(d.lo for d in instance.demand)
     if not math.isfinite(2.0 * totals):
-        v.append("supply caps plus demand floors overflow a float")
-    return v
+        raise InvalidInstanceError("supply caps plus demand floors overflow a float")
 
 
 def _total(values) -> float:

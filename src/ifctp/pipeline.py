@@ -1,4 +1,4 @@
-"""End-to-end runs: validate, crispify, the named stage solves, distance report.
+"""End-to-end runs: crispify, the named stage solves, distance report.
 
 The report keeps raw solution objects; derived quantities (center/width form,
 distances) are recomputed on access so a rendered report can never disagree
@@ -45,7 +45,7 @@ class Stages:
     """
 
     def __init__(self, instance: IfctpInstance):
-        self.bi = build_bi_objective(instance)  # validates the instance once
+        self.bi = build_bi_objective(instance)
         s, d = math.fsum(self.bi.supply_caps), math.fsum(self.bi.demand_floors)
         if s < d:
             raise InfeasibleProblemError(f"supply cap total {s!r} < demand floor total {d!r}")
@@ -141,6 +141,10 @@ class CompetitorEntry:
     name: str
     objective: Interval
 
+    def __post_init__(self) -> None:
+        if not self.name.isprintable():  # a line break would split the machine report's line
+            raise ValueError(f"name {self.name!r} is not printable")
+
 
 @dataclass(frozen=True)
 class CompromiseReport:
@@ -178,23 +182,21 @@ class CompromiseReport:
 def run_pipeline(instance: IfctpInstance, *,
                  payoff_override: Optional[tuple[float, float, float, float]] = None,
                  competitor: Optional[CompetitorEntry] = None) -> CompromiseReport:
-    """Validate, solve and assemble the full report for one instance.
+    """Solve and assemble the full report for one instance.
 
     payoff_override is (L1, U1, L2, U2): aspired and worst levels for the
     lower-endpoint and width objectives, replacing the computed payoff table.
-    Structural defects raise InvalidInstanceError; an undersupplied instance
-    comes back, unsolved, with status "infeasible" and no plan.  Override levels
-    that no plan meets raise UnattainableLevelsError; computed levels that
-    round-off leaves unmet raise DegeneratePivotError.
+    An undersupplied instance comes back, unsolved, with status "infeasible"
+    and no plan.  Override levels that no plan meets raise
+    UnattainableLevelsError; computed levels that round-off leaves unmet raise
+    DegeneratePivotError.
     """
-    try:
-        stages = Stages(instance)  # validates before the totals below are taken
-    except InfeasibleProblemError:
-        stages = None
     summary = dict(sources=instance.m, destinations=instance.n,
                    supply_cap_total=math.fsum(iv.hi for iv in instance.supply),
                    demand_floor_total=math.fsum(iv.lo for iv in instance.demand))
-    if stages is None:
+    try:
+        stages = Stages(instance)
+    except InfeasibleProblemError:
         return CompromiseReport(status="infeasible", competitor=competitor, **summary)
     ideal = stages.ideal()
     payoff, result = stages.compromise(payoff_override)

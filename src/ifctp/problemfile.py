@@ -17,7 +17,7 @@ import math
 import re
 
 from .intervals import Interval
-from .model import IfctpInstance, validate
+from .model import IfctpInstance, InvalidInstanceError
 
 
 class ProblemFileError(ValueError):
@@ -54,11 +54,11 @@ def _parse_interval(token: str, line: int) -> Interval:
 
 
 def parse_instance(text: str) -> IfctpInstance:
-    """Parse and structurally validate a problem file.
+    """Parse a problem file into an instance, which checks its own structure.
 
     Raises ProblemFileError on malformed lines, duplicate or missing entries,
-    out-of-range indices, reversed intervals and structural validation
-    failures.  Aggregate supply/demand feasibility is not checked here: an
+    out-of-range indices, reversed intervals and the instance's structural
+    errors.  Aggregate supply/demand feasibility is not checked here: an
     undersupplied file parses fine, and pipeline.Stages rejects it unsolved.
     """
     dims: tuple[int, int] | None = None
@@ -102,16 +102,15 @@ def parse_instance(text: str) -> IfctpInstance:
                                    f"found {len(entries[kind])}")
 
     cost, supply, demand = entries.values()
-    instance = IfctpInstance(
-        [[cost[(i, j)][0] for j in range(1, n + 1)] for i in range(1, m + 1)],
-        [[cost[(i, j)][1] for j in range(1, n + 1)] for i in range(1, m + 1)],
-        [supply[(i,)][0] for i in range(1, m + 1)],
-        [demand[(j,)][0] for j in range(1, n + 1)],
-    )
-    violations = validate(instance)
-    if violations:
-        raise ProblemFileError(violations[0])
-    return instance
+    try:
+        return IfctpInstance(
+            [[cost[(i, j)][0] for j in range(1, n + 1)] for i in range(1, m + 1)],
+            [[cost[(i, j)][1] for j in range(1, n + 1)] for i in range(1, m + 1)],
+            [supply[(i,)][0] for i in range(1, m + 1)],
+            [demand[(j,)][0] for j in range(1, n + 1)],
+        )
+    except InvalidInstanceError as exc:
+        raise ProblemFileError(str(exc)) from None
 
 
 def _fmt(value: float) -> str:

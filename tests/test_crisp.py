@@ -79,10 +79,9 @@ class TestBuildBiObjective:
         assert all(c == 0 for c in bi.obj_width)
 
     def test_invalid_instance_names_first_violation(self):
-        bad = IfctpInstance([[Interval(1, 2)]], [[Interval(-1, 3)]],
-                            [Interval(5, 5)], [Interval(4, 4)])
         with pytest.raises(InvalidInstanceError, match=r"fixed_charge\(1,1\)"):
-            build_bi_objective(bad)
+            IfctpInstance([[Interval(1, 2)]], [[Interval(-1, 3)]],
+                          [Interval(5, 5)], [Interval(4, 4)])
 
 
 def _loop_constraint_rows(bi, extra_vars):

@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import re
 
 import pytest
 
 from conftest import BENCH1_DEMAND, BENCH1_SUPPLY
 
-from ifctp import IfctpInstance, Interval, ShipmentPlan, check_plan, validate
+from ifctp import IfctpInstance, Interval, InvalidInstanceError, ShipmentPlan, check_plan
 
 
 def _raw_interval(lo, hi):
@@ -24,64 +26,64 @@ def _tiny(unit=None, fixed=None, supply=None, demand=None):
     )
 
 
+def _invalid(message):
+    """Construction must raise InvalidInstanceError with exactly this message."""
+    return pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$")
+
+
 class TestValidate:
     def test_bench1_is_valid(self, bench1):
-        assert validate(bench1) == []
+        assert dataclasses.replace(bench1) == bench1
         # aggregate check backing the instance: upper supplies cover lower demands
         assert sum(hi for _, hi in BENCH1_SUPPLY) == 86
         assert sum(lo for lo, _ in BENCH1_DEMAND) == 82
 
     def test_aggregate_shortfall(self):
         # well formed, so not a violation: the instance solves to infeasible
-        inst = _tiny(demand=[Interval(10, 10)])
-        assert validate(inst) == []
+        assert _tiny(demand=[Interval(10, 10)]).demand == (Interval(10, 10),)
 
     def test_corrupted_interval_reported(self):
-        inst = _tiny(unit=[[_raw_interval(8, 4)]])
-        assert validate(inst) == ["unit_cost(1,1): interval lo 8 > hi 4"]
+        with _invalid("unit_cost(1,1): interval lo 8 > hi 4"):
+            _tiny(unit=[[_raw_interval(8, 4)]])
 
     def test_negative_fixed_charge(self):
-        inst = _tiny(fixed=[[Interval(-1, 3)]])
-        assert validate(inst) == ["fixed_charge(1,1): negative lower endpoint -1"]
+        with _invalid("fixed_charge(1,1): negative lower endpoint -1"):
+            _tiny(fixed=[[Interval(-1, 3)]])
 
     def test_negative_supply_and_demand(self):
-        inst = _tiny(supply=[Interval(-2, 5)], demand=[Interval(-3, 4)])
-        got = validate(inst)
-        assert got == [
-            "supply(1): negative lower endpoint -2",
-            "demand(1): negative lower endpoint -3",
-        ]
+        # the first violation is named; the demand's follows it
+        with _invalid("supply(1): negative lower endpoint -2"):
+            _tiny(supply=[Interval(-2, 5)], demand=[Interval(-3, 4)])
+        with _invalid("demand(1): negative lower endpoint -3"):
+            _tiny(demand=[Interval(-3, 4)])
 
     def test_violation_order_is_row_major(self):
         unit = [[Interval(1, 2), _raw_interval(9, 3)],
                 [_raw_interval(7, 1), Interval(1, 2)]]
         fixed = [[Interval(0, 1), Interval(0, 1)], [Interval(0, 1), _raw_interval(5, 2)]]
-        inst = IfctpInstance(unit, fixed, [Interval(9, 9), Interval(9, 9)],
-                             [Interval(1, 1), Interval(1, 1)])
-        got = validate(inst)
-        assert [v.split(":")[0] for v in got] == [
-            "unit_cost(1,2)", "unit_cost(2,1)", "fixed_charge(2,2)"]
+        with _invalid("unit_cost(1,2): interval lo 9 > hi 3"):
+            IfctpInstance(unit, fixed, [Interval(9, 9), Interval(9, 9)],
+                          [Interval(1, 1), Interval(1, 1)])
 
     def test_dimension_mismatch(self):
-        inst = _tiny(supply=[Interval(5, 5), Interval(2, 2)])
-        assert any("rows" in v or "supply" in v for v in validate(inst))
+        with _invalid("unit_cost has 1 rows, expected m=2"):
+            _tiny(supply=[Interval(5, 5), Interval(2, 2)])
 
     def test_non_rectangular_matrix_raises(self):
         with pytest.raises(ValueError, match="^unit_cost must be a non-empty rectangular matrix$"):
             _tiny(unit=[[Interval(1, 2), Interval(1, 2)], [Interval(1, 2)]])
 
     def test_no_source_or_no_destination(self):
-        assert validate(IfctpInstance([[Interval(1, 2)]], [[Interval(1, 3)]], [],
-                                      [Interval(4, 4)])) == ["need at least one source"]
-        assert validate(IfctpInstance([[Interval(1, 2)]], [[Interval(1, 3)]], [], [])) == [
-            "need at least one source", "need at least one destination"]
+        with _invalid("need at least one source"):
+            IfctpInstance([[Interval(1, 2)]], [[Interval(1, 3)]], [], [Interval(4, 4)])
+        with _invalid("need at least one source"):
+            IfctpInstance([[Interval(1, 2)]], [[Interval(1, 3)]], [], [])
+        with _invalid("need at least one destination"):
+            IfctpInstance([[Interval(1, 2)]], [[Interval(1, 3)]], [Interval(5, 5)], [])
 
     def test_cost_rows_of_the_wrong_length(self):
-        inst = _tiny(unit=[[Interval(1, 2), Interval(1, 2)]])
-        assert validate(inst) == ["unit_cost rows must all have n=1 entries"]
-
-    def test_validate_is_deterministic(self, bench1):
-        assert validate(bench1) == validate(bench1)
+        with _invalid("unit_cost rows must all have n=1 entries"):
+            _tiny(unit=[[Interval(1, 2), Interval(1, 2)]])
 
 
 class TestCheckPlan:

@@ -11,6 +11,7 @@ import ifctp.cli
 import ifctp.compromise
 import ifctp.crisp
 import ifctp.milp
+import ifctp.model
 import ifctp.pipeline
 from ifctp import (CompetitorEntry, IfctpInstance, Interval, OracleScopeError, Stages,
                    UnattainableLevelsError, check_plan, render_instance, run_oracle_check,
@@ -91,6 +92,19 @@ class TestRunPipeline:
         assert report.status == "optimal"
         assert (report.supply_cap_total, report.demand_floor_total) == (0.6, 0.5)
         assert "supply_cap_total=0.6\n" in render_machine(report)
+
+    def test_competitor_name_must_be_printable(self):
+        # a line break would split the machine report's competitor.name line
+        with pytest.raises(ValueError, match=r"^name 'x\\ny' is not printable$"):
+            CompetitorEntry("x\ny", Interval(640, 1020))
+
+    @pytest.mark.parametrize("override, k", [((-1e308, 1e308, 163, 190), 0),
+                                             ((640, 787, -1e308, 1e308), 1)])
+    def test_override_span_that_overflows_is_named(self, bench1, override, k):
+        # a level row holds worst - best, so the span must be a float
+        with pytest.raises(ValueError, match=rf"^objective {k}: the span from best level "
+                                             r"-1e\+308 to worst 1e\+308 overflows a float$"):
+            run_pipeline(bench1, payoff_override=override)
 
 
 class TestRendering:
@@ -433,6 +447,14 @@ class TestOneBuildPerJob:
         assert len(calls["build_bi_objective"]) == 1
         assert len(calls["solve_milp"]) == len(set(calls["solve_milp"])) == solves
         assert len(calls["oracle_solve"]) == oracle_solves
+
+    def test_instance_checked_once(self, bench1_path, capsys, monkeypatch):
+        checks = []
+        original = ifctp.model._check_structure
+        monkeypatch.setattr(ifctp.model, "_check_structure",
+                            lambda instance: checks.append(instance) or original(instance))
+        assert main(["solve", str(bench1_path)]) == 0
+        assert len(checks) == 1
 
 
 class TestSubcommandsAgreeWithSolve:

@@ -1,11 +1,12 @@
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifctp import (IfctpInstance, Interval, ProblemFileError, parse_instance, render_instance,
-                   validate)
+from ifctp import (IfctpInstance, Interval, InvalidInstanceError, ProblemFileError, parse_instance,
+                   render_instance)
 
 MINIMAL = """\
 dims 1 1
@@ -146,19 +147,24 @@ def _intervals(draw, signed):
 
 @st.composite
 def _instances(draw):
+    """Instance data that render_instance reads; it may overflow, so it is no IfctpInstance."""
     m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    unit = [[draw(_intervals(True)) for _ in range(n)] for _ in range(m)]
-    fixed = [[draw(_intervals(False)) for _ in range(n)] for _ in range(m)]
-    return IfctpInstance(unit, fixed, [draw(_intervals(False)) for _ in range(m)],
-                         [draw(_intervals(False)) for _ in range(n)])
+    return types.SimpleNamespace(
+        m=m, n=n,
+        unit_cost=[[draw(_intervals(True)) for _ in range(n)] for _ in range(m)],
+        fixed_charge=[[draw(_intervals(False)) for _ in range(n)] for _ in range(m)],
+        supply=[draw(_intervals(False)) for _ in range(m)],
+        demand=[draw(_intervals(False)) for _ in range(n)])
 
 
 class TestRoundTripProperty:
     @settings(max_examples=300, deadline=None)
     @given(_instances())
-    def test_parse_inverts_render(self, instance):
-        text = render_instance(instance)
-        if validate(instance):
+    def test_parse_inverts_render(self, data):
+        text = render_instance(data)
+        try:
+            instance = IfctpInstance(data.unit_cost, data.fixed_charge, data.supply, data.demand)
+        except InvalidInstanceError:
             # Every interval is well formed, so only the objective bound fails.
             with pytest.raises(ProblemFileError, match="overflow a float"):
                 parse_instance(text)
