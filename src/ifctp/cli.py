@@ -21,6 +21,7 @@ import math
 import re
 import sys
 
+from .compromise import PayoffTable
 from .intervals import Interval
 from .milp import DegeneratePivotError, NodeLimitError, OracleScopeError
 from .pipeline import (CompetitorEntry, InfeasibleProblemError, Stages, UnattainableLevelsError,
@@ -59,16 +60,15 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_override(text: str) -> tuple[float, float, float, float]:
+def _parse_override(text: str) -> PayoffTable:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expected L1,U1,L2,U2, got {text!r}")
     l1, u1, l2, u2 = map(_finite, parts)
-    if l1 > u1 or l2 > u2:
-        raise argparse.ArgumentTypeError(f"a best level exceeds its worst level in {text!r}")
-    if not (math.isfinite(u1 - l1) and math.isfinite(u2 - l2)):  # a level row holds U - L
-        raise argparse.ArgumentTypeError(f"a level span overflows in {text!r}")
-    return l1, u1, l2, u2
+    try:
+        return PayoffTable((l1, l2), (u1, u2))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
 
 
 def _parse_competitor(text: str) -> CompetitorEntry:

@@ -52,8 +52,8 @@ class IfctpInstance:
     demand: tuple[Interval, ...]
 
     def __init__(self, unit_cost, fixed_charge, supply, demand):
-        object.__setattr__(self, "unit_cost", _as_matrix(unit_cost, "unit_cost"))
-        object.__setattr__(self, "fixed_charge", _as_matrix(fixed_charge, "fixed_charge"))
+        object.__setattr__(self, "unit_cost", tuple(map(tuple, unit_cost)))
+        object.__setattr__(self, "fixed_charge", tuple(map(tuple, fixed_charge)))
         object.__setattr__(self, "supply", tuple(supply))
         object.__setattr__(self, "demand", tuple(demand))
         _check_structure(self)

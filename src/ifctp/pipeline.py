@@ -76,7 +76,7 @@ class Stages:
         width_at = [plan_value(self.bi.obj_width, p) for p in anchors]
         return PayoffTable((lower_at[0], width_at[1]), (max(lower_at), max(width_at)))
 
-    def compromise(self, override: Optional[tuple[float, float, float, float]] = None
+    def compromise(self, override: Optional[PayoffTable] = None
                    ) -> tuple[PayoffTable, CompromiseResult]:
         """Max-min and refine at the computed payoff levels, or at override as in run_pipeline.
 
@@ -100,11 +100,7 @@ class Stages:
         refine optima than the root search.  A band of every leaf narrows
         nothing and would only start each leaf cold.
         """
-        if override is None:
-            payoff = self.payoff()
-        else:
-            l1, u1, l2, u2 = override
-            payoff = PayoffTable((l1, l2), (u1, u2))
+        payoff = self.payoff() if override is None else override
         max_min = self.models["max-min"] = build_max_min_model(self.bi, payoff)
         sol = self.solutions["max-min"] = solve_milp(max_min)
         if sol.status != OPTIMAL:
@@ -180,12 +176,11 @@ class CompromiseReport:
 
 
 def run_pipeline(instance: IfctpInstance, *,
-                 payoff_override: Optional[tuple[float, float, float, float]] = None,
+                 payoff_override: Optional[PayoffTable] = None,
                  competitor: Optional[CompetitorEntry] = None) -> CompromiseReport:
     """Solve and assemble the full report for one instance.
 
-    payoff_override is (L1, U1, L2, U2): aspired and worst levels for the
-    lower-endpoint and width objectives, replacing the computed payoff table.
+    payoff_override replaces the computed payoff table.
     An undersupplied instance comes back, unsolved, with status "infeasible"
     and no plan.  Override levels that no plan meets raise
     UnattainableLevelsError; computed levels that round-off leaves unmet raise

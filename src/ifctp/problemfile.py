@@ -64,7 +64,8 @@ def parse_instance(text: str) -> IfctpInstance:
     dims: tuple[int, int] | None = None
     entries: dict[str, dict[tuple[int, ...], list[Interval]]] = {kind: {} for kind in _ENTRIES}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # An editor's byte-order mark is not text, and str.strip keeps it.
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

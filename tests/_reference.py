@@ -9,6 +9,8 @@ Solver-independent provenance:
     (124 - 2q)/147 = (16 + q)/27 gives q = 996/201, level 52/67.
 """
 
+from ifctp import PayoffTable
+
 IDEAL_CENTER = 830.0
 IDEAL_WIDTH = 163.0
 
@@ -16,7 +18,7 @@ BEST_LOWER = 640.0     # lower-endpoint objective solo optimum
 WORST_LOWER = 787.0    # its value at the width anchor
 BEST_WIDTH = 163.0
 WORST_WIDTH = 190.0
-PAYOFF_OVERRIDE = (BEST_LOWER, WORST_LOWER, BEST_WIDTH, WORST_WIDTH)
+PAYOFF_OVERRIDE = PayoffTable((BEST_LOWER, BEST_WIDTH), (WORST_LOWER, WORST_WIDTH))
 
 LEVEL_STAR = 52.0 / 67.0            # 0.77611940...
 Z_LOWER_STAR = 45085.0 / 67.0       # 672.91044...

@@ -21,8 +21,8 @@ from _textbook_lp import textbook_relaxation
 from conftest import scaled_costs
 
 import ifctp.milp
-from ifctp import (MilpModel, MilpSolution, PayoffTable, Stages, build_bi_objective,
-                   build_max_min_model, solve_milp, to_milp)
+from ifctp import (MilpModel, MilpSolution, Stages, build_bi_objective, build_max_min_model,
+                   solve_milp, to_milp)
 from ifctp.compromise import build_refine_model
 from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _bounded_form, _node_lp,
                         _penalties, _Start)
@@ -110,10 +110,7 @@ def _stage_models(instance, override=None):
         "ideal-width": to_milp(bi, bi.obj_width),
         "anchor-lower": to_milp(bi, bi.obj_lower),
     }
-    payoff = Stages(instance).payoff()
-    if override is not None:
-        l1, u1, l2, u2 = override
-        payoff = PayoffTable((l1, l2), (u1, u2))
+    payoff = Stages(instance).payoff() if override is None else override
     max_min = build_max_min_model(bi, payoff)
     lambda_star = min(1.0, max(0.0, -_reference_solve_milp(max_min).objective_value))
     models["max-min"] = max_min

@@ -16,10 +16,6 @@ from ifctp import (IfctpInstance, InfeasibleProblemError, Interval, PayoffTable,
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
-REFERENCE_PAYOFF = PayoffTable((PAYOFF_OVERRIDE[0], PAYOFF_OVERRIDE[2]),
-                           (PAYOFF_OVERRIDE[1], PAYOFF_OVERRIDE[3]))
-
-
 def _anchor_plans(stages):
     """The plans of the lower-endpoint and width anchor solutions."""
     return tuple(extract_plan(stages.bi, stages.anchor(name).assignment)
@@ -65,7 +61,7 @@ class TestPayoff:
 class TestMaxMinModel:
     def test_membership_rows(self, bench1):
         bi = build_bi_objective(bench1)
-        model = build_max_min_model(bi, REFERENCE_PAYOFF)
+        model = build_max_min_model(bi, PAYOFF_OVERRIDE)
         m, n = bi.m, bi.n
         assert model.c.size == 2 * m * n + 1
         assert model.A.shape[0] == m + n + m * n + 2

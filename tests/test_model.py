@@ -70,8 +70,13 @@ class TestValidate:
             _tiny(supply=[Interval(5, 5), Interval(2, 2)])
 
     def test_non_rectangular_matrix_raises(self):
-        with pytest.raises(ValueError, match="^unit_cost must be a non-empty rectangular matrix$"):
+        with _invalid("unit_cost has 2 rows, expected m=1"):
             _tiny(unit=[[Interval(1, 2), Interval(1, 2)], [Interval(1, 2)]])
+        with _invalid("unit_cost rows must all have n=2 entries"):
+            IfctpInstance([[Interval(1, 2), Interval(1, 2)], [Interval(1, 2)]],
+                          [[Interval(1, 3)] * 2] * 2, [Interval(5, 5)] * 2, [Interval(4, 4)] * 2)
+        with _invalid("unit_cost has 0 rows, expected m=1"):
+            IfctpInstance([], [[Interval(1, 3)]], [Interval(5, 5)], [Interval(4, 4)])
 
     def test_no_source_or_no_destination(self):
         with _invalid("need at least one source"):

@@ -13,8 +13,8 @@ import ifctp.crisp
 import ifctp.milp
 import ifctp.model
 import ifctp.pipeline
-from ifctp import (CompetitorEntry, IfctpInstance, Interval, OracleScopeError, Stages,
-                   UnattainableLevelsError, check_plan, render_instance, run_oracle_check,
+from ifctp import (CompetitorEntry, IfctpInstance, Interval, OracleScopeError, PayoffTable,
+                   Stages, UnattainableLevelsError, check_plan, render_instance, run_oracle_check,
                    run_pipeline)
 from ifctp.cli import main
 from ifctp.reporting import render_machine, render_text
@@ -98,13 +98,14 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match=r"^name 'x\\ny' is not printable$"):
             CompetitorEntry("x\ny", Interval(640, 1020))
 
-    @pytest.mark.parametrize("override, k", [((-1e308, 1e308, 163, 190), 0),
-                                             ((640, 787, -1e308, 1e308), 1)])
-    def test_override_span_that_overflows_is_named(self, bench1, override, k):
-        # a level row holds worst - best, so the span must be a float
+    @pytest.mark.parametrize("override, k", [(((-1e308, 163), (1e308, 190)), 0),
+                                             (((640, -1e308), (787, 1e308)), 1)])
+    def test_override_span_that_overflows_is_named(self, override, k):
+        # a level row holds worst - best, so the span must be a float; the
+        # override table is checked as it is built, before any solve
         with pytest.raises(ValueError, match=rf"^objective {k}: the span from best level "
                                              r"-1e\+308 to worst 1e\+308 overflows a float$"):
-            run_pipeline(bench1, payoff_override=override)
+            PayoffTable(*override)
 
 
 class TestRendering:
@@ -301,9 +302,12 @@ class TestCliArgumentErrors:
         ("1,2", "expected L1,U1,L2,U2, got '1,2'"),
         ("640,787,163,x", "non-numeric value 'x'"),
         ("640,787,163,nan", "value 'nan' is not finite"),
-        ("800,640,163,190", "a best level exceeds its worst level in '800,640,163,190'"),
-        ("640,787,190,163", "a best level exceeds its worst level in '640,787,190,163'"),
-        ("-1e308,1e308,163,190", "a level span overflows in '-1e308,1e308,163,190'"),
+        ("800,640,163,190", "objective 0: best level 800.0 exceeds worst 640.0 "
+                            "in '800,640,163,190'"),
+        ("640,787,190,163", "objective 1: best level 190.0 exceeds worst 163.0 "
+                            "in '640,787,190,163'"),
+        ("-1e308,1e308,163,190", "objective 0: the span from best level -1e+308 to worst "
+                                 "1e+308 overflows a float in '-1e308,1e308,163,190'"),
     ], ids=["payoff-arity", "payoff-non-numeric", "payoff-nan", "payoff-reversed-lower",
             "payoff-reversed-width", "payoff-span-overflow"])
     def test_bad_value_exit_code(self, bench1_path, capsys, value, message):
@@ -410,7 +414,7 @@ class TestUnattainableOverride:
 
     def test_run_pipeline_raises(self, bench1):
         with pytest.raises(UnattainableLevelsError, match="width <= 101.0"):
-            run_pipeline(bench1, payoff_override=(500, 510, 100, 101))
+            run_pipeline(bench1, payoff_override=PayoffTable((500, 100), (510, 101)))
 
 
 class TestOneBuildPerJob:

@@ -125,6 +125,10 @@ class TestRoundTrip:
         assert "#" not in rendered
         assert parse_instance(rendered) == bench1
 
+    def test_byte_order_mark_is_not_text(self, bench1_path):
+        text = bench1_path.read_text()
+        assert parse_instance("\ufeff" + text) == parse_instance(text)
+
     def test_fractional_values_round_trip(self):
         text = MINIMAL.replace("[1,2]", "[1.25,2.75]").replace("[3,4]", "[3.5,3.5]")
         inst = parse_instance(text)

@@ -135,3 +135,17 @@ def test_draw_30_at_quantities_times_1e6():
     report = run_pipeline(rescaled(_draws(5, 31)[30], 1e6, 1.0))
     assert report.status == "optimal"
     assert report.lambda_star == 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=DegeneratePivotError,
+                   reason="the max-min's incumbent pattern solves infeasible")
+def test_draw_96_at_quantities_times_2_to_the_30():
+    # Unscaled, this 2x3 draw solves at λ* 0.4726141078838175.  At supplies
+    # and demands ×2^30 the three anchors are optimal and the payoff table is
+    # the unscaled one (889/1292, 107/245), yet the max-min solve breaks down:
+    # "the incumbent's activation pattern solved infeasible".  ×2^29 passes;
+    # ×2^30, 2^31, 2^32 and 2^34 break down.  Of the first 100 draws of
+    # random.Random(4242), only this one breaks down at ×2^30.
+    report = run_pipeline(rescaled(_draws(4242, 97)[96], 2**30, 2**-30))
+    assert report.status == "optimal"
+    assert abs(report.lambda_star - 0.4726141078838175) <= 1e-9

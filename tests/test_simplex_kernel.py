@@ -10,9 +10,8 @@ from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
 
 import ifctp.milp
-from ifctp import (DegeneratePivotError, MilpModel, PayoffTable, Stages,
-                   build_bi_objective, build_max_min_model, oracle_solve, run_pipeline,
-                   solve_milp, to_milp)
+from ifctp import (DegeneratePivotError, MilpModel, Stages, build_bi_objective,
+                   build_max_min_model, oracle_solve, run_pipeline, solve_milp, to_milp)
 from ifctp.milp import solve_lp
 
 
@@ -30,12 +29,11 @@ def _random_lp(rng):
 def _bench1_models(bench1):
     """The ideal, anchor and max-min models of the benchmark, by name."""
     bi = build_bi_objective(bench1)
-    l1, u1, l2, u2 = PAYOFF_OVERRIDE
     return {
         "ideal-center": to_milp(bi, bi.obj_center),
         "ideal-width": to_milp(bi, bi.obj_width),
         "anchor-lower": to_milp(bi, bi.obj_lower),
-        "max-min": build_max_min_model(bi, PayoffTable((l1, l2), (u1, u2))),
+        "max-min": build_max_min_model(bi, PAYOFF_OVERRIDE),
     }
 
 

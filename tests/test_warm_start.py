@@ -24,9 +24,8 @@ from _textbook_lp import textbook_relaxation
 
 import ifctp.milp
 import workloads
-from ifctp import (IfctpInstance, Interval, PayoffTable, Stages, build_bi_objective,
-                   build_max_min_model, oracle_solve, parse_instance, run_oracle_check,
-                   solve_milp, to_milp)
+from ifctp import (IfctpInstance, Interval, Stages, build_bi_objective, build_max_min_model,
+                   oracle_solve, parse_instance, run_oracle_check, solve_milp, to_milp)
 from ifctp.compromise import build_refine_model
 from ifctp.milp import OPTIMAL
 
@@ -41,8 +40,7 @@ def _stage_models(instance, override=None):
         "ideal-width": to_milp(bi, bi.obj_width),
         "anchor-lower": to_milp(bi, bi.obj_lower),
     }
-    payoff = (Stages(instance).payoff() if override is None
-              else PayoffTable(override[::2], override[1::2]))
+    payoff = Stages(instance).payoff() if override is None else override
     max_min = build_max_min_model(bi, payoff)
     lambda_star = min(1.0, max(0.0, -solve_milp(max_min).objective_value))
     models["max-min"] = max_min
