@@ -7,12 +7,9 @@ Typical use::
     print(report.distance)
 """
 
-from .compromise import CompromiseResult, PayoffTable, build_max_min_model, membership
-from .crisp import (BiObjectiveMilp, build_bi_objective, evaluate_interval_objective,
-                    extract_plan, plan_value, to_milp)
+from .compromise import CompromiseResult, PayoffTable
 from .intervals import CenterWidth, Interval, distance_to_ideal
-from .milp import (DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError,
-                   OracleScopeError, oracle_solve, solve_milp)
+from .milp import DegeneratePivotError, MilpModel, MilpSolution, NodeLimitError, OracleScopeError
 from .model import IfctpInstance, InvalidInstanceError, ShipmentPlan, check_plan
 from .pipeline import (CompetitorEntry, CompromiseReport, InfeasibleProblemError, OracleCheck,
                        Stages, UnattainableLevelsError, run_oracle_check, run_pipeline)
@@ -21,18 +18,11 @@ from .reporting import (render_ideal, render_machine, render_oracle_check, rende
                         render_text)
 
 __all__ = [
-    "BiObjectiveMilp", "CenterWidth", "CompetitorEntry", "CompromiseReport",
-    "CompromiseResult", "DegeneratePivotError", "IfctpInstance",
-    "InfeasibleProblemError", "Interval", "InvalidInstanceError",
-    "MilpModel", "MilpSolution", "NodeLimitError", "OracleCheck", "OracleScopeError",
-    "PayoffTable", "ProblemFileError", "ShipmentPlan", "Stages",
-    "UnattainableLevelsError",
-    "build_bi_objective", "build_max_min_model", "check_plan",
-    "distance_to_ideal", "evaluate_interval_objective",
-    "extract_plan", "membership", "oracle_solve", "parse_instance", "plan_value",
+    "CenterWidth", "CompetitorEntry", "CompromiseReport", "CompromiseResult",
+    "DegeneratePivotError", "IfctpInstance", "InfeasibleProblemError", "Interval",
+    "InvalidInstanceError", "MilpModel", "MilpSolution", "NodeLimitError", "OracleCheck",
+    "OracleScopeError", "PayoffTable", "ProblemFileError", "ShipmentPlan", "Stages",
+    "UnattainableLevelsError", "check_plan", "distance_to_ideal", "parse_instance",
     "render_ideal", "render_instance", "render_machine", "render_oracle_check",
     "render_payoff", "render_text", "run_oracle_check", "run_pipeline",
-    "solve_milp", "to_milp",
 ]
-
-__version__ = "0.1.0"

@@ -429,16 +429,17 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
 def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     """Optimise from a dual feasible basis under bounds lo, hi: (status, v, pivots, state).
 
-    form is a _Form, or its (M, b, c) with another b or c, and lo, hi are
-    bounds on its columns, with a node's fixes.  start is a _Start: the
-    form's slack start, which puts each structural at the bound its cost
-    prefers, or a parent's basis.  With every structural bound finite
-    (MilpModel), the slack start is dual feasible.  A parent's basis is
-    dual feasible for a child that changes only bounds.  An LP whose costs
-    are not its start's (an opened route, _node_lp) can leave a nonbasic's
-    reduced cost of the wrong sign: each such nonbasic, wrong by more than
-    PIVOT_TOL, starts at its other bound instead, which every column of a
-    shipment form has.
+    form is a _Form, or its (M, b, c) with another c, and lo, hi are bounds
+    on its columns, with a node's fixes.  start is a _Start: the form's
+    slack start, which puts each structural at the bound its cost prefers,
+    or a parent's basis.  With every structural bound finite (MilpModel),
+    the slack start is dual feasible.  A parent's basis is dual feasible for
+    a child that changes only bounds.  An LP whose costs are not its start's
+    (an opened route, _node_lp) can leave a nonbasic's reduced cost of the
+    wrong sign: each such nonbasic, wrong by more than PIVOT_TOL, starts at
+    its other bound instead when that bound is finite (always, in a shipment
+    form).  In a bounded form only round-off makes a reduced cost wrong, and
+    an inequality row's slack, with one finite bound, stays put.
 
     Factorises M at the basis, unless an LP solved from the same start
     already did, puts every nonbasic at its lower or (by at_upper) upper
@@ -476,7 +477,9 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     movable = lo < hi
     movable[basis] = False
     at_upper = start.at_upper.copy()
-    at_upper ^= movable & (np.where(at_upper, costs, -costs) > PIVOT_TOL)  # after a cost change
+    wrong = movable & (np.where(at_upper, costs, -costs) > PIVOT_TOL)  # after a cost change
+    if wrong.any():
+        at_upper ^= wrong & np.isfinite(np.where(at_upper, lo, hi))
     v = np.where(at_upper, hi, lo)
     v[basis] = 0.0
     x_basic = inverse @ (b - M @ v)

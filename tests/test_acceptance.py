@@ -18,10 +18,11 @@ from _reference import (BEST_LOWER, BEST_WIDTH, COMPETITOR_1,
 from conftest import zero_width_bench1
 
 from ifctp import (CenterWidth, CompetitorEntry, Interval, ShipmentPlan, Stages,
-                   build_bi_objective, distance_to_ideal, evaluate_interval_objective,
-                   membership, plan_value, run_oracle_check, run_pipeline,
-                   solve_milp, to_milp)
+                   distance_to_ideal, run_oracle_check, run_pipeline)
 from ifctp.cli import main as cli_main
+from ifctp.compromise import membership
+from ifctp.crisp import build_bi_objective, evaluate_interval_objective, plan_value, to_milp
+from ifctp.milp import solve_milp
 
 
 def _criterion(num: int, label: str, ok: bool, detail: str) -> None:

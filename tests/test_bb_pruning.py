@@ -18,14 +18,12 @@ import pytest
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
-from conftest import scaled_costs
+from conftest import scaled_costs, stage_models
 
 import ifctp.milp
-from ifctp import (MilpModel, MilpSolution, Stages, build_bi_objective, build_max_min_model,
-                   solve_milp, to_milp)
-from ifctp.compromise import build_refine_model
+from ifctp import MilpModel, MilpSolution
 from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _bounded_form, _node_lp,
-                        _penalties, _Start)
+                        _penalties, _Start, solve_milp)
 
 
 def _reference_solve_milp(model):
@@ -98,26 +96,6 @@ def _bits(solution):
             np.array(solution.assignment).tobytes())
 
 
-def _stage_models(instance, override=None):
-    """The stage models of one pipeline run, by name.
-
-    ideal-width is also the payoff table's width anchor.  The max-min and
-    refine models use the computed payoff table, or the override levels.
-    """
-    bi = build_bi_objective(instance)
-    models = {
-        "ideal-center": to_milp(bi, bi.obj_center),
-        "ideal-width": to_milp(bi, bi.obj_width),
-        "anchor-lower": to_milp(bi, bi.obj_lower),
-    }
-    payoff = Stages(instance).payoff() if override is None else override
-    max_min = build_max_min_model(bi, payoff)
-    lambda_star = min(1.0, max(0.0, -_reference_solve_milp(max_min).objective_value))
-    models["max-min"] = max_min
-    models["refine"] = build_refine_model(bi, payoff, max_min, lambda_star)
-    return models
-
-
 def _compare(models, monkeypatch):
     """Assert identical answers model by model; returns (nodes, reference nodes).
 
@@ -150,9 +128,9 @@ def _compare(models, monkeypatch):
 
 class TestSameAnswerAsUnprunedSearch:
     def test_bench1_stage_models(self, bench1, monkeypatch):
-        models = _stage_models(bench1)
+        models = stage_models(bench1, _reference_solve_milp)
         models.update({f"{name} (override)": model for name, model in
-                       _stage_models(bench1, PAYOFF_OVERRIDE).items()
+                       stage_models(bench1, _reference_solve_milp, PAYOFF_OVERRIDE).items()
                        if name in ("max-min", "refine")})
         nodes, ref_nodes = _compare(models, monkeypatch)
         assert nodes < ref_nodes
@@ -161,14 +139,15 @@ class TestSameAnswerAsUnprunedSearch:
     def test_bench1_scaled_costs(self, bench1, monkeypatch, factor):
         # The penalties are read off a scaled tableau and unscaled per
         # binary, so the keys must stay valid at either end of the cost scale.
-        nodes, ref_nodes = _compare(_stage_models(scaled_costs(bench1, factor)), monkeypatch)
+        models = stage_models(scaled_costs(bench1, factor), _reference_solve_milp)
+        nodes, ref_nodes = _compare(models, monkeypatch)
         assert nodes < ref_nodes
 
     def test_random_max_min_and_refine_models(self, monkeypatch):
         rng = random.Random(77031)
         nodes = ref_nodes = 0
         for k in range(40):
-            models = _stage_models(random_instance(rng))
+            models = stage_models(random_instance(rng), _reference_solve_milp)
             counts = _compare({f"{k} {name}": models[name] for name in ("max-min", "refine")},
                               monkeypatch)
             nodes += counts[0]
@@ -182,7 +161,8 @@ class TestPenaltyBounds:
     @pytest.mark.parametrize("factor", [1.0, 1e6, 1e-7])
     def test_root_penalties_bound_child_lps(self, bench1, factor):
         checked = positive = 0
-        for name, model in _stage_models(scaled_costs(bench1, factor)).items():
+        models = stage_models(scaled_costs(bench1, factor), _reference_solve_milp)
+        for name, model in models.items():
             form = _bounded_form(model)
             status, value, x, _, state = _node_lp(model, form, {}, None)
             assert status == OPTIMAL, name
@@ -203,15 +183,16 @@ class TestPenaltyBounds:
 
     def test_every_child_key_bounds_its_lp(self, bench1, monkeypatch):
         """At every branching node, each child's key is at most its textbook LP value."""
-        models = [model for factor in (1.0, 1e6, 1e-7)
-                  for model in _stage_models(scaled_costs(bench1, factor)).values()]
-        models += [model for name, model in _stage_models(bench1, PAYOFF_OVERRIDE).items()
+        models = [model for factor in (1.0, 1e6, 1e-7) for model in
+                  stage_models(scaled_costs(bench1, factor), _reference_solve_milp).values()]
+        models += [model for name, model in
+                   stage_models(bench1, _reference_solve_milp, PAYOFF_OVERRIDE).items()
                    if name in ("max-min", "refine")]
         # 200 draws, not 40: with M_ij = min(s_i.hi, d_j.lo) the trees are about
         # half as large, and 40 draws left 464 keys to check.
         rng = random.Random(77031)
         models += [model for _ in range(200)
-                   for model in _stage_models(random_instance(rng)).values()]
+                   for model in stage_models(random_instance(rng), _reference_solve_milp).values()]
         pushed = []
 
         def recording_push(heap, entry):  # entry: (key, -depth, sequence, fixes, start)

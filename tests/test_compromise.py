@@ -11,8 +11,10 @@ from conftest import zero_width_bench1
 
 import ifctp.pipeline
 from ifctp import (IfctpInstance, InfeasibleProblemError, Interval, PayoffTable, Stages,
-                   build_bi_objective, build_max_min_model, check_plan, extract_plan,
-                   membership, parse_instance, solve_milp, to_milp)
+                   check_plan, parse_instance)
+from ifctp.compromise import build_max_min_model, membership
+from ifctp.crisp import build_bi_objective, extract_plan, to_milp
+from ifctp.milp import solve_milp
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 

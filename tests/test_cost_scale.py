@@ -32,9 +32,10 @@ from _random_instances import random_instance
 from conftest import bench1_instance, rescaled, scaled_costs
 
 import ifctp.pipeline
-from ifctp import (IfctpInstance, Interval, Stages, parse_instance, render_instance,
-                   run_oracle_check, run_pipeline, solve_milp)
+from ifctp import (DegeneratePivotError, IfctpInstance, Interval, Stages, parse_instance,
+                   render_instance, run_oracle_check, run_pipeline)
 from ifctp.cli import main
+from ifctp.milp import solve_milp
 
 REL = 1e-9
 
@@ -180,6 +181,26 @@ def test_unit_costs_1e9_data_file_holds_the_shipped_instance_at_unit_costs_times
     # CI runs ideal on the file.
     path = pathlib.Path(__file__).resolve().parent / "data" / "safi_razmjoo_1_unit_costs_1e9.txt"
     assert parse_instance(path.read_text()) == rescaled(bench1_instance(), 1.0, 1e9)
+
+
+def test_costs_1e40_data_file_holds_the_shipped_instance_at_costs_1e40_quantities_1e_minus_10():
+    # CI runs solve on the file and expects exit 5 with one error line.
+    path = (pathlib.Path(__file__).resolve().parent / "data"
+            / "safi_razmjoo_1_costs_1e40_quantities_1e-10.txt")
+    assert parse_instance(path.read_text()) == rescaled(scaled_costs(bench1_instance(), 1e40),
+                                                        1e-10, 1.0)
+
+
+@pytest.mark.parametrize("factor", [1e40, 1e-300])
+def test_warm_start_never_moves_a_nonbasic_to_an_infinite_bound(factor):
+    # In the bounded form a warm start's reduced costs differ from its
+    # parent's only by round-off, yet one of the wrong sign flipped an
+    # inequality row's slack to its other bound, -inf or inf, and the LP
+    # turned to NaN: a RuntimeWarning, and at 1e-300 a search that ran for
+    # minutes into the node limit.  The slack now stays, and the kernel
+    # reports its breakdown.
+    with pytest.raises(DegeneratePivotError, match="sub-tolerance pivots"):
+        run_pipeline(rescaled(scaled_costs(bench1_instance(), factor), 1e-10, 1.0))
 
 
 def test_oracle_check_passes_at_costs_times_1e9(tmp_path, capsys):

@@ -8,10 +8,11 @@ from _random_instances import random_instance
 from conftest import BENCH1_CELLS, zero_width_bench1
 
 from ifctp import (InvalidInstanceError, IfctpInstance, Interval, PayoffTable, ShipmentPlan,
-                   Stages, build_bi_objective, build_max_min_model, evaluate_interval_objective,
-                   extract_plan, solve_milp)
-from ifctp.compromise import build_refine_model
-from ifctp.crisp import constraint_rows, plan_value, to_milp
+                   Stages)
+from ifctp.compromise import build_max_min_model, build_refine_model
+from ifctp.crisp import (build_bi_objective, constraint_rows, evaluate_interval_objective,
+                         extract_plan, plan_value, to_milp)
+from ifctp.milp import solve_milp
 
 # Reference coefficient matrices for the 3x4 benchmark.
 T_LOWER = [[4, 8, 9, 8], [10, 10, 11, 5], [7, 8, 8, 13]]

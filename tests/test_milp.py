@@ -7,11 +7,10 @@ import pytest
 from _random_instances import random_instance
 from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
 
-from ifctp import (MilpModel, NodeLimitError, OracleScopeError, Stages,
-                   build_bi_objective, build_max_min_model, oracle_solve,
-                   solve_milp, to_milp)
-from ifctp.compromise import LEVEL_SLACK
-from ifctp.milp import solve_lp
+from ifctp import MilpModel, NodeLimitError, OracleScopeError, Stages
+from ifctp.compromise import LEVEL_SLACK, build_max_min_model
+from ifctp.crisp import build_bi_objective, to_milp
+from ifctp.milp import oracle_solve, solve_lp, solve_milp
 
 
 INF = np.inf
@@ -53,8 +52,26 @@ class TestLinearProgram:
         assert solve_lp(model).objective_value == pytest.approx(-4.0)
 
     def test_solve_lp_is_not_exported(self):
+        # Nor are the model builders and the MILP engine: their modules export them.
         import ifctp
-        assert "solve_lp" not in ifctp.__all__ and not hasattr(ifctp, "solve_lp")
+        for name in ("solve_lp", "BiObjectiveMilp", "build_bi_objective", "to_milp",
+                     "plan_value", "extract_plan", "evaluate_interval_objective",
+                     "build_max_min_model", "membership", "solve_milp", "oracle_solve",
+                     "__version__"):
+            assert name not in ifctp.__all__ and not hasattr(ifctp, name), name
+
+    def test_root_exports_the_entry_points_their_types_and_errors(self):
+        import ifctp
+        assert sorted(ifctp.__all__) == [
+            "CenterWidth", "CompetitorEntry", "CompromiseReport", "CompromiseResult",
+            "DegeneratePivotError", "IfctpInstance", "InfeasibleProblemError", "Interval",
+            "InvalidInstanceError", "MilpModel", "MilpSolution", "NodeLimitError",
+            "OracleCheck", "OracleScopeError", "PayoffTable", "ProblemFileError",
+            "ShipmentPlan", "Stages", "UnattainableLevelsError", "check_plan",
+            "distance_to_ideal", "parse_instance", "render_ideal", "render_instance",
+            "render_machine", "render_oracle_check", "render_payoff", "render_text",
+            "run_oracle_check", "run_pipeline"]
+        assert all(hasattr(ifctp, name) for name in ifctp.__all__)
 
 
 class TestModelValidation:

@@ -142,7 +142,8 @@ class TestCheckPlan:
 
 class TestFctpInstance:
     def test_lifted_instance_solves_like_plain_fctp(self):
-        from ifctp import build_bi_objective, solve_milp, to_milp
+        from ifctp.crisp import build_bi_objective, to_milp
+        from ifctp.milp import solve_milp
         point = lambda v: Interval(v, v)
         crisp = IfctpInstance([[point(2.0), point(3.0)]], [[point(1.0), point(4.0)]],
                               [point(7.0)], [point(3.0), point(4.0)])

@@ -261,6 +261,27 @@ class TestCli:
             "error: argument --competitor: expected name=[lo,hi]"]
 
 
+def _record_builds_and_solves(monkeypatch):
+    """The build_bi_objective, solve_milp and oracle_solve calls a job makes from here on."""
+    calls = {"build_bi_objective": [], "solve_milp": [], "oracle_solve": []}
+
+    def recording(name, original):
+        def recorded(*args, **kwargs):
+            # The bytes of every array tell two solved models apart.
+            calls[name].append(tuple(getattr(args[0], field).tobytes() for field in
+                                     ("c", "A", "senses", "b", "lo", "hi", "binaries"))
+                               if name == "solve_milp" else None)
+            return original(*args, **kwargs)
+        return recorded
+
+    for name in calls:
+        original = getattr(ifctp.crisp if name == "build_bi_objective" else ifctp.milp, name)
+        for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording(name, original))
+    return calls
+
+
 class TestCliOutputBytes:
     """Exact stdout of the CLI's own rendering paths on the shipped instance."""
 
@@ -276,10 +297,15 @@ class TestCliOutputBytes:
         assert main(["solve", str(bench1_path), "--report", "machine"]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_oracle_check_golden(self, bench1_path, capsys):
+    def test_oracle_check_golden(self, bench1_path, capsys, monkeypatch):
+        # The run also counts what TestOneBuildPerJob counts for the other jobs.
+        calls = _record_builds_and_solves(monkeypatch)
         expected = (DATA_DIR / "golden_oracle_check.txt").read_text()
         assert main(["oracle-check", str(bench1_path)]) == 0
         assert capsys.readouterr().out == expected
+        assert len(calls["build_bi_objective"]) == 1
+        assert len(calls["solve_milp"]) == len(set(calls["solve_milp"])) == 5
+        assert len(calls["oracle_solve"]) == 4
 
     @pytest.mark.parametrize("command, report, expected", [
         ("payoff", "text", "payoff levels (best / worst):\n"
@@ -427,26 +453,11 @@ class TestOneBuildPerJob:
           "--competitor", "safi-razmjoo=[640,1020]"], 4, 0),
         (["payoff", "{path}"], 2, 0),
         (["ideal", "{path}"], 2, 0),
-        (["oracle-check", "{path}"], 5, 4),
-    ], ids=["solve", "solve-override", "compare", "payoff", "ideal", "oracle-check"])
+    ], ids=["solve", "solve-override", "compare", "payoff", "ideal"])
     def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args, solves,
                                      oracle_solves):
-        calls = {"build_bi_objective": [], "solve_milp": [], "oracle_solve": []}
-
-        def recording(name, original):
-            def recorded(*args, **kwargs):
-                # The bytes of every array tell two solved models apart.
-                calls[name].append(tuple(getattr(args[0], field).tobytes() for field in
-                                         ("c", "A", "senses", "b", "lo", "hi", "binaries"))
-                                   if name == "solve_milp" else None)
-                return original(*args, **kwargs)
-            return recorded
-
-        for name in calls:
-            original = getattr(ifctp.crisp if name == "build_bi_objective" else ifctp.milp, name)
-            for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, recording(name, original))
+        # TestCliOutputBytes.test_oracle_check_golden checks the oracle-check job.
+        calls = _record_builds_and_solves(monkeypatch)
         assert main([a.format(path=bench1_path) for a in args]) == 0
         assert len(calls["build_bi_objective"]) == 1
         assert len(calls["solve_milp"]) == len(set(calls["solve_milp"])) == solves

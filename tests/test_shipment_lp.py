@@ -25,8 +25,9 @@ from conftest import bench1_instance, rescaled
 
 import ifctp.milp
 import workloads
-from ifctp import Stages, build_bi_objective, parse_instance, solve_milp, to_milp
-from ifctp.milp import OPTIMAL, _shipment_form
+from ifctp import Stages, parse_instance
+from ifctp.crisp import build_bi_objective, to_milp
+from ifctp.milp import OPTIMAL, _shipment_form, solve_milp
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 LADDER_SEED_1 = list(workloads.instances("ladder-bb", 1).values())

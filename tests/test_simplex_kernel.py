@@ -10,9 +10,10 @@ from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
 
 import ifctp.milp
-from ifctp import (DegeneratePivotError, MilpModel, Stages, build_bi_objective,
-                   build_max_min_model, oracle_solve, run_pipeline, solve_milp, to_milp)
-from ifctp.milp import solve_lp
+from ifctp import DegeneratePivotError, MilpModel, Stages, run_pipeline
+from ifctp.compromise import build_max_min_model
+from ifctp.crisp import build_bi_objective, to_milp
+from ifctp.milp import oracle_solve, solve_lp, solve_milp
 
 
 def _random_lp(rng):

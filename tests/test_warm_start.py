@@ -21,37 +21,20 @@ from _highs import highs_solve
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
+from conftest import stage_models
 
 import ifctp.milp
 import workloads
-from ifctp import (IfctpInstance, Interval, Stages, build_bi_objective, build_max_min_model,
-                   oracle_solve, parse_instance, run_oracle_check, solve_milp, to_milp)
-from ifctp.compromise import build_refine_model
-from ifctp.milp import OPTIMAL
+from ifctp import IfctpInstance, Interval, parse_instance, run_oracle_check
+from ifctp.milp import OPTIMAL, oracle_solve, solve_milp
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
-def _stage_models(instance, override=None):
-    """The five stage models of a pipeline run, by name, under the computed or given levels."""
-    bi = build_bi_objective(instance)
-    models = {
-        "ideal-center": to_milp(bi, bi.obj_center),
-        "ideal-width": to_milp(bi, bi.obj_width),
-        "anchor-lower": to_milp(bi, bi.obj_lower),
-    }
-    payoff = Stages(instance).payoff() if override is None else override
-    max_min = build_max_min_model(bi, payoff)
-    lambda_star = min(1.0, max(0.0, -solve_milp(max_min).objective_value))
-    models["max-min"] = max_min
-    models["refine"] = build_refine_model(bi, payoff, max_min, lambda_star)
-    return models
-
-
 def _paper_models(bench1):
-    models = _stage_models(bench1)
+    models = stage_models(bench1, solve_milp)
     models.update({f"{name} (override)": model for name, model in
-                   _stage_models(bench1, PAYOFF_OVERRIDE).items()
+                   stage_models(bench1, solve_milp, PAYOFF_OVERRIDE).items()
                    if name in ("max-min", "refine")})
     return models
 
@@ -84,14 +67,14 @@ class TestWarmNodesMatchCold:
         models = list(_paper_models(bench1).values())
         for variant in ("zero_floor", "negative_cost"):
             text = (DATA / f"safi_razmjoo_1_{variant}.txt").read_text()
-            models += _stage_models(parse_instance(text)).values()
+            models += stage_models(parse_instance(text), solve_milp).values()
         statuses = self._check_every_node(models, monkeypatch)
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
     def test_random_stage_searches(self, monkeypatch):
         rng = random.Random(77031)
         models = [model for _ in range(40)
-                  for model in _stage_models(random_instance(rng)).values()]
+                  for model in stage_models(random_instance(rng), solve_milp).values()]
         statuses = self._check_every_node(models, monkeypatch)
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
@@ -133,7 +116,7 @@ class TestHighsSweep:
         rng = random.Random(f"highs-sweep-{m}x{n}")
         started = time.perf_counter()
         for k in range(count):
-            for name, model in _stage_models(workloads.generate(rng, m, n)).items():
+            for name, model in stage_models(workloads.generate(rng, m, n), solve_milp).items():
                 ours = solve_milp(model, node_limit=20_000)
                 status, value = highs_solve(model)
                 assert ours.status == status == OPTIMAL, (k, name)

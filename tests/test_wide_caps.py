@@ -17,9 +17,10 @@ import numpy as np
 
 from _random_instances import random_instance
 
-from ifctp import (IfctpInstance, Interval, build_bi_objective, check_plan, extract_plan,
-                   run_oracle_check, solve_milp, to_milp)
+from ifctp import IfctpInstance, Interval, check_plan, run_oracle_check
 from ifctp.cli import main
+from ifctp.crisp import build_bi_objective, extract_plan, to_milp
+from ifctp.milp import solve_milp
 
 WIDE_CAPS = pathlib.Path(__file__).resolve().parent / "data" / "safi_razmjoo_1_wide_caps.txt"
 
