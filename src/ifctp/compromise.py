@@ -9,7 +9,8 @@ the range-normalized sum of both objectives, so the returned plan is Pareto
 optimal rather than merely max-min optimal.
 
 pipeline.Stages solves these models: the anchors give the payoff levels,
-then the max-min model and the refine model built from its level.
+then the max-min model, which extends the anchors' model (crisp.to_milp),
+and the refine model, derived from the max-min model at its level.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crisp import BiObjectiveMilp, constraint_rows
+from .crisp import BiObjectiveMilp
 from .milp import MilpModel
 from .model import ShipmentPlan
 
@@ -77,27 +78,26 @@ def membership(value: float, best: float, worst: float) -> float:
     return min(1.0, max(0.0, (worst - value) / (worst - best)))
 
 
-def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable) -> MilpModel:
-    """Max-min model: maximize the auxiliary level variable.
+def build_max_min_model(bi: BiObjectiveMilp, payoff: PayoffTable, anchors: MilpModel) -> MilpModel:
+    """Max-min model: anchors' constraint set plus a level column and two level rows.
 
-    For each objective with a positive payoff range the constraint
+    anchors is crisp.to_milp's model; its objective is dropped.  The model
+    maximizes the level, a column in none of anchors' rows.  For each
+    objective with a positive payoff range the row
     z_k + level * range_k <= worst_k keeps the level below that objective's
     membership.  A degenerate range pins the objective to its optimum
     instead and leaves the level unconstrained by it.
     """
-    level_var = 2 * bi.m * bi.n
-    A, senses, b, lo, hi, binaries = constraint_rows(bi)
-    level_rows = np.zeros((2, level_var + 1))
-    for k, objective in enumerate((bi.obj_lower, bi.obj_width)):
-        level_rows[k, :level_var] = objective
-        if not _degenerate(payoff.best[k], payoff.worst[k]):
-            level_rows[k, level_var] = payoff.worst[k] - payoff.best[k]
+    level_var = anchors.c.size
+    spans = [0.0 if _degenerate(best, worst) else worst - best
+             for best, worst in zip(payoff.best, payoff.worst)]
+    level_rows = np.column_stack((np.vstack((bi.obj_lower, bi.obj_width)), spans))
     c = np.zeros(level_var + 1)
     c[level_var] = -1.0  # maximize the level
-    shared = np.column_stack((A, np.zeros(b.size)))  # the level is in no shared row
-    return MilpModel(c, np.vstack((shared, level_rows)), np.append(senses, (1, 1)),
-                     np.append(b, payoff.worst), np.append(lo, 0.0), np.append(hi, 1.0),
-                     binaries)
+    shared = np.column_stack((anchors.A, np.zeros(anchors.b.size)))
+    return MilpModel(c, np.vstack((shared, level_rows)), np.append(anchors.senses, (1, 1)),
+                     np.append(anchors.b, payoff.worst), np.append(anchors.lo, 0.0),
+                     np.append(anchors.hi, 1.0), anchors.binaries)
 
 
 def refine_weights(payoff: PayoffTable) -> tuple[float, float]:

@@ -20,7 +20,7 @@ All models built here share one variable layout: y(i,j) at index i*n + j,
 x(i,j) at m*n + i*n + j, a model's own columns appended after that, and one
 row layout: supply rows, demand rows, then the linking rows (link_rows).  An
 objective is a flat coefficient vector over the y and x entries of that
-layout, and the constraint set is built as numpy arrays for MilpModel.
+layout, and to_milp alone builds the constraint set, as a MilpModel.
 """
 
 from __future__ import annotations
@@ -100,18 +100,18 @@ def plan_value(coeffs: np.ndarray, plan: ShipmentPlan) -> float:
 
 
 def link_rows(bi: BiObjectiveMilp) -> range:
-    """The linking rows y_ij - M_ij x_ij <= 0 of constraint_rows, cell by cell."""
+    """The linking rows y_ij - M_ij x_ij <= 0 of to_milp, cell by cell."""
     return range(bi.m + bi.n, bi.m + bi.n + bi.m * bi.n)
 
 
-def constraint_rows(bi: BiObjectiveMilp) -> tuple[np.ndarray, ...]:
-    """Shared constraint set: supply caps, demand floors, big-M linking.
+def to_milp(bi: BiObjectiveMilp, objective: np.ndarray) -> MilpModel:
+    """Single-objective model over the shared constraint set; every stage model grows from it.
 
-    Returns (A, senses, b, lo, hi, binaries) over the (y, x) layout, rows in
-    that order, linking rows cell by cell (link_rows).  Each y_ij is boxed
-    at [0, M_ij], so every variable has a finite box.  With M_ij below
-    s_i.hi that box is not implied by the rows; it holds an optimum because
-    every unit cost is >= 0 (see the module docstring).
+    Rows: supply caps, demand floors, then the big-M linking rows cell by
+    cell (link_rows), over the (y, x) layout.  Each y_ij is boxed at
+    [0, M_ij], so every variable has a finite box.  With M_ij below s_i.hi
+    that box is not implied by the rows; it holds an optimum because every
+    unit cost is >= 0 (see the module docstring).
     """
     m, n = bi.m, bi.n
     mn = m * n
@@ -126,14 +126,8 @@ def constraint_rows(bi: BiObjectiveMilp) -> tuple[np.ndarray, ...]:
     A[link, mn + cells] = -bi.big_m.ravel()
     senses = np.concatenate((np.ones(m, dtype=int), np.full(n, -1), np.ones(mn, dtype=int)))
     b = np.concatenate((bi.supply_caps, bi.demand_floors, np.zeros(mn)))
-    lo = np.zeros(2 * mn)
     hi = np.concatenate((bi.big_m.ravel(), np.ones(mn)))
-    return A, senses, b, lo, hi, np.arange(mn, 2 * mn)
-
-
-def to_milp(bi: BiObjectiveMilp, objective: np.ndarray) -> MilpModel:
-    """Single-objective model over the shared constraint set."""
-    return MilpModel(objective, *constraint_rows(bi))
+    return MilpModel(objective, A, senses, b, np.zeros(2 * mn), hi, np.arange(mn, 2 * mn))
 
 
 def extract_plan(bi: BiObjectiveMilp, assignment) -> ShipmentPlan:

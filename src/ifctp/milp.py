@@ -315,7 +315,10 @@ def _form(M, b, c, lo, hi, cols) -> _Form:
     zeros), so the reduced-cost tolerances mean the same at any cost scale:
     c and 2^k c pivot alike, bit for bit.  The slacks cost 0, and the slack
     start puts each column at its upper bound where its cost is negative.
+    A cost that overflowed to inf while being scaled is a numerical breakdown.
     """
+    if not np.isfinite(c).all():
+        raise DegeneratePivotError("the scaled objective overflows a float")
     top = np.abs(c).max(initial=0.0)
     unit = float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
     m, nv = b.size, c.size
@@ -339,7 +342,9 @@ def _bounded_form(model: MilpModel) -> _Form:
     M, rows, cols = model._scaling
     lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
     hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
-    return _form(M, model.b * rows, model.c * cols, lo, hi, cols)
+    with np.errstate(over="ignore"):  # _form rejects an overflowed cost
+        c = model.c * cols
+    return _form(M, model.b * rows, c, lo, hi, cols)
 
 
 def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -416,9 +421,10 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
     slack_hi = np.minimum(np.where(senses > 0, np.inf, 0.0),
                           scale * (b - np.minimum(low, high).sum(axis=1)))
     per_unit = np.zeros(cont.size)
-    per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
-    form = _form(np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale,
-                 (model.c[cont] + per_unit) * cols,
+    with np.errstate(over="ignore"):  # _form rejects an overflowed cost
+        per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
+        c = (model.c[cont] + per_unit) * cols
+    form = _form(np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale, c,
                  np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
                  np.concatenate((hi / cols, slack_hi)), cols)
     c_open = np.concatenate((model.c[cont] * cols / form.unit, np.zeros(b.size)))

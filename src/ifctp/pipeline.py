@@ -101,7 +101,7 @@ class Stages:
         nothing and would only start each leaf cold.
         """
         payoff = self.payoff() if override is None else override
-        max_min = self.models["max-min"] = build_max_min_model(self.bi, payoff)
+        max_min = self.models["max-min"] = build_max_min_model(self.bi, payoff, self._anchors)
         sol = self.solutions["max-min"] = solve_milp(max_min)
         if sol.status != OPTIMAL:
             if override is None:

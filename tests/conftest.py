@@ -77,7 +77,7 @@ def stage_models(instance: IfctpInstance, solve, override=None) -> dict:
         "anchor-lower": to_milp(bi, bi.obj_lower),
     }
     payoff = Stages(instance).payoff() if override is None else override
-    max_min = build_max_min_model(bi, payoff)
+    max_min = build_max_min_model(bi, payoff, to_milp(bi, bi.obj_center))
     lambda_star = min(1.0, max(0.0, -solve(max_min).objective_value))
     models["max-min"] = max_min
     models["refine"] = build_refine_model(bi, payoff, max_min, lambda_star)

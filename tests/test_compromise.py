@@ -63,7 +63,7 @@ class TestPayoff:
 class TestMaxMinModel:
     def test_membership_rows(self, bench1):
         bi = build_bi_objective(bench1)
-        model = build_max_min_model(bi, PAYOFF_OVERRIDE)
+        model = build_max_min_model(bi, PAYOFF_OVERRIDE, to_milp(bi, bi.obj_center))
         m, n = bi.m, bi.n
         assert model.c.size == 2 * m * n + 1
         assert model.A.shape[0] == m + n + m * n + 2
@@ -78,7 +78,7 @@ class TestMaxMinModel:
     def test_degenerate_range_pins_objective(self, bench1):
         bi = build_bi_objective(bench1)
         payoff = PayoffTable((BEST_LOWER, BEST_WIDTH), (BEST_LOWER, WORST_WIDTH))
-        model = build_max_min_model(bi, payoff)
+        model = build_max_min_model(bi, payoff, to_milp(bi, bi.obj_center))
         level = 2 * bi.m * bi.n
         assert model.A[-2, level] == 0.0  # no level term, just z <= U
         assert model.b[-2] == pytest.approx(BEST_LOWER)
@@ -90,7 +90,7 @@ class TestMaxMinModel:
         bi = build_bi_objective(inst)
         payoff = Stages(inst).payoff()
         assert payoff.best == payoff.worst
-        sol = solve_milp(build_max_min_model(bi, payoff))
+        sol = solve_milp(build_max_min_model(bi, payoff, to_milp(bi, bi.obj_center)))
         assert -sol.objective_value == pytest.approx(1.0)
 
 

@@ -191,6 +191,24 @@ def test_costs_1e40_data_file_holds_the_shipped_instance_at_costs_1e40_quantitie
                                                         1e-10, 1.0)
 
 
+def test_costs_1e300_data_file_holds_the_shipped_instance_at_costs_1e300_quantities_1e_minus_20():
+    # CI runs solve on the file and expects exit 5 with one error line.
+    path = (pathlib.Path(__file__).resolve().parent / "data"
+            / "safi_razmjoo_1_costs_1e300_quantities_1e-20.txt")
+    assert parse_instance(path.read_text()) == rescaled(scaled_costs(bench1_instance(), 1e300),
+                                                        1e-20, 1.0)
+
+
+@pytest.mark.parametrize("quantity", [1e-10, 1e-20, 1e-40])
+def test_an_overflowing_scaled_objective_is_a_numerical_breakdown(quantity):
+    # A fixed charge near 1e301 over a big-M of 2e-9 or less overflows a
+    # float in the shipment-only form's per-unit cost, and scaling by the
+    # columns overflows the bounded form's.  The inf costs turned to NaN with six
+    # RuntimeWarnings, and at quantities x 1e-20 the run printed a zero plan.
+    with pytest.raises(DegeneratePivotError, match="the scaled objective overflows a float"):
+        run_pipeline(rescaled(scaled_costs(bench1_instance(), 1e300), quantity, 1.0))
+
+
 @pytest.mark.parametrize("factor", [1e40, 1e-300])
 def test_warm_start_never_moves_a_nonbasic_to_an_infinite_bound(factor):
     # In the bounded form a warm start's reduced costs differ from its

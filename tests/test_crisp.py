@@ -10,8 +10,8 @@ from conftest import BENCH1_CELLS, zero_width_bench1
 from ifctp import (InvalidInstanceError, IfctpInstance, Interval, PayoffTable, ShipmentPlan,
                    Stages)
 from ifctp.compromise import build_max_min_model, build_refine_model
-from ifctp.crisp import (build_bi_objective, constraint_rows, evaluate_interval_objective,
-                         extract_plan, plan_value, to_milp)
+from ifctp.crisp import (build_bi_objective, evaluate_interval_objective, extract_plan,
+                         plan_value, to_milp)
 from ifctp.milp import solve_milp
 
 # Reference coefficient matrices for the 3x4 benchmark.
@@ -116,9 +116,11 @@ class TestConstraintRows:
     def test_matches_row_by_row_build_bit_for_bit(self, bench1, extra_vars):
         # extra_vars 1: the max-min model's shared rows, with its level column in none of them.
         bi = build_bi_objective(bench1)
-        A, senses, b, lo, hi, binaries = constraint_rows(bi)
+        anchors = to_milp(bi, bi.obj_center)
+        A, senses, b = anchors.A, anchors.senses, anchors.b
+        lo, hi, binaries = anchors.lo, anchors.hi, anchors.binaries
         if extra_vars:
-            model = build_max_min_model(bi, PayoffTable((640.0, 163.0), (787.0, 190.0)))
+            model = build_max_min_model(bi, PayoffTable((640.0, 163.0), (787.0, 190.0)), anchors)
             A, senses, b = model.A[:-2], model.senses[:-2], model.b[:-2]
             lo, hi, binaries = model.lo[:-1], model.hi[:-1], model.binaries
         ref_A, ref_senses, ref_b = _loop_constraint_rows(bi, extra_vars)
@@ -207,7 +209,7 @@ class TestBigMExactness:
 
 def _stage_optima(bi, payoff, lambda_star):
     """Optimal values of the five stage models over bi: the three anchors, max-min, refine."""
-    max_min = build_max_min_model(bi, payoff)
+    max_min = build_max_min_model(bi, payoff, to_milp(bi, bi.obj_center))
     models = [to_milp(bi, bi.obj_center), to_milp(bi, bi.obj_width), to_milp(bi, bi.obj_lower),
               max_min, build_refine_model(bi, payoff, max_min, lambda_star)]
     return [solve_milp(model).objective_value for model in models]

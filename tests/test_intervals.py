@@ -13,6 +13,10 @@ class TestIntervalBasics:
     def test_add_identity(self):
         assert Interval(0, 0) + Interval(19, 25) == Interval(19, 25)
 
+    def test_add_a_number_raises(self):
+        with pytest.raises(TypeError):
+            Interval(1, 2) + 1
+
     def test_scale_positive(self):
         assert Interval(4, 8).scale(2) == Interval(8, 16)
 

@@ -244,7 +244,7 @@ class TestOracleEquivalenceSweep:
             models = [
                 to_milp(bi, bi.obj_center),
                 to_milp(bi, bi.obj_width),
-                build_max_min_model(bi, stages.payoff()),
+                build_max_min_model(bi, stages.payoff(), to_milp(bi, bi.obj_center)),
             ]
             for model in models:
                 sol = solve_milp(model)
@@ -292,7 +292,8 @@ class TestSearchLeaves:
             instance = random_instance(rng)
             if (instance.m, instance.n) == (3, 3):
                 bi = build_bi_objective(instance)
-                models.append(build_max_min_model(bi, Stages(instance).payoff()))
+                models.append(build_max_min_model(bi, Stages(instance).payoff(),
+                                                  to_milp(bi, bi.obj_center)))
         return models
 
     @pytest.mark.parametrize("split", [False, True], ids=["root", "within-two-subtrees"])

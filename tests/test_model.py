@@ -134,6 +134,11 @@ class TestCheckPlan:
         with pytest.raises(ValueError, match="finite"):
             ShipmentPlan(y)
 
+    @pytest.mark.parametrize("y", [[[1.0, 2.0], [3.0]], []], ids=["ragged", "empty"])
+    def test_shipments_must_form_a_non_empty_rectangular_matrix(self, y):
+        with pytest.raises(ValueError, match="^y must be a non-empty rectangular matrix$"):
+            ShipmentPlan(y)
+
     def test_from_quantities_derives_activations(self):
         # Any positive shipment opens its route, however small the unit.
         plan = ShipmentPlan([[0.0, 3.5], [1e-9, 2.0]])

@@ -34,7 +34,7 @@ def _bench1_models(bench1):
         "ideal-center": to_milp(bi, bi.obj_center),
         "ideal-width": to_milp(bi, bi.obj_width),
         "anchor-lower": to_milp(bi, bi.obj_lower),
-        "max-min": build_max_min_model(bi, PAYOFF_OVERRIDE),
+        "max-min": build_max_min_model(bi, PAYOFF_OVERRIDE, to_milp(bi, bi.obj_center)),
     }
 
 
