@@ -57,7 +57,7 @@ TIED_AT_LEVEL_ZERO = IfctpInstance(
 
 
 def test_level_zero_data_file_holds_the_tied_instance():
-    # CI runs oracle-check on the file.
+    # test_pipeline_cli.py's TestCliExactOutcomes runs oracle-check on the file.
     path = pathlib.Path(__file__).resolve().parent / "data" / "tied_at_level_zero.txt"
     assert parse_instance(path.read_text()) == TIED_AT_LEVEL_ZERO
 
@@ -144,7 +144,7 @@ def _with_route_1_1_charged(charge: str) -> IfctpInstance:
 
 
 def test_tiny_charge_data_file_holds_the_shipped_instance_with_route_1_1_charged_1e_16():
-    # CI runs oracle-check on the file.
+    # test_pipeline_cli.py's TestCliExactOutcomes runs oracle-check on the file.
     path = pathlib.Path(__file__).resolve().parent / "data" / "safi_razmjoo_1_tiny_charge.txt"
     assert parse_instance(path.read_text()) == _with_route_1_1_charged("[1e-16,1e-15]")
 
@@ -178,13 +178,14 @@ def test_anchors_are_exact_at_unit_costs_up_to_1e12():
 
 
 def test_unit_costs_1e9_data_file_holds_the_shipped_instance_at_unit_costs_times_1e9():
-    # CI runs ideal on the file.
+    # test_pipeline_cli.py's TestCliExactOutcomes runs ideal on the file.
     path = pathlib.Path(__file__).resolve().parent / "data" / "safi_razmjoo_1_unit_costs_1e9.txt"
     assert parse_instance(path.read_text()) == rescaled(bench1_instance(), 1.0, 1e9)
 
 
 def test_costs_1e40_data_file_holds_the_shipped_instance_at_costs_1e40_quantities_1e_minus_10():
-    # CI runs solve on the file and expects exit 5 with one error line.
+    # test_pipeline_cli.py's TestCliExactOutcomes runs solve on the file and expects exit 5
+    # with one error line.
     path = (pathlib.Path(__file__).resolve().parent / "data"
             / "safi_razmjoo_1_costs_1e40_quantities_1e-10.txt")
     assert parse_instance(path.read_text()) == rescaled(scaled_costs(bench1_instance(), 1e40),
@@ -192,7 +193,8 @@ def test_costs_1e40_data_file_holds_the_shipped_instance_at_costs_1e40_quantitie
 
 
 def test_costs_1e300_data_file_holds_the_shipped_instance_at_costs_1e300_quantities_1e_minus_20():
-    # CI runs solve on the file and expects exit 5 with one error line.
+    # test_pipeline_cli.py's TestCliExactOutcomes runs solve on the file and expects exit 5
+    # with one error line.
     path = (pathlib.Path(__file__).resolve().parent / "data"
             / "safi_razmjoo_1_costs_1e300_quantities_1e-20.txt")
     assert parse_instance(path.read_text()) == rescaled(scaled_costs(bench1_instance(), 1e300),

@@ -6,6 +6,7 @@ import pytest
 
 from _random_instances import random_instance
 from _reference import COMPETITOR_1, COMPETITOR_1_DISTANCE, PAYOFF_OVERRIDE
+from conftest import PROBLEMS_DIR
 
 import ifctp.cli
 import ifctp.compromise
@@ -283,24 +284,30 @@ def _record_builds_and_solves(monkeypatch):
 
 
 class TestCliOutputBytes:
-    """Exact stdout of the CLI's own rendering paths on the shipped instance."""
+    """Exact stdout and empty stderr of the CLI's own rendering paths on the shipped instance."""
 
     def test_compare_machine_golden(self, bench1_path, capsys):
         expected = (DATA_DIR / "golden_compare_machine.txt").read_text()
         assert main(["compare", str(bench1_path), "--override-payoff", "640,787,163,190",
                      "--competitor", "safi-razmjoo=[640,1020]", "--report", "machine"]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr() == (expected, "")
+
+    def test_compare_text_golden(self, bench1_path, capsys):
+        expected = (DATA_DIR / "golden_solve_text.txt").read_text()
+        assert main(["compare", str(bench1_path), "--override-payoff", "640,787,163,190",
+                     "--competitor", "safi-razmjoo=[640,1020]"]) == 0
+        assert capsys.readouterr() == (expected, "")
 
     def test_solve_machine_golden(self, bench1_path, capsys):
         # No override: the payoff table comes from the anchor solves.
         expected = (DATA_DIR / "golden_solve_payoff_machine.txt").read_text()
         assert main(["solve", str(bench1_path), "--report", "machine"]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr() == (expected, "")
 
     def test_oracle_check_golden(self, bench1_path, capsys):
         expected = (DATA_DIR / "golden_oracle_check.txt").read_text()
         assert main(["oracle-check", str(bench1_path)]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr() == (expected, "")
 
     @pytest.mark.parametrize("command, report, expected", [
         ("payoff", "text", "payoff levels (best / worst):\n"
@@ -313,7 +320,11 @@ class TestCliOutputBytes:
     ])
     def test_payoff_and_ideal_stdout(self, bench1_path, capsys, command, report, expected):
         assert main([command, str(bench1_path), "--report", report]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr() == (expected, "")
+        if report == "machine":  # the lines of the solve golden that start with command
+            golden = (DATA_DIR / "golden_solve_payoff_machine.txt").read_text()
+            assert expected == "".join(line for line in golden.splitlines(keepends=True)
+                                       if line.startswith(f"{command}."))
 
 
 class TestCliArgumentErrors:
@@ -334,9 +345,7 @@ class TestCliArgumentErrors:
     def test_bad_value_exit_code(self, bench1_path, capsys, value, message):
         # The = form, as a value that starts with "-" would otherwise read as an option.
         assert main(["solve", str(bench1_path), f"--override-payoff={value}"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: argument --override-payoff: {message}"]
+        assert capsys.readouterr() == ("", f"error: argument --override-payoff: {message}\n")
 
     @pytest.mark.parametrize("name, message", [
         ("x\ny", r"name 'x\ny' is not printable"),
@@ -349,9 +358,7 @@ class TestCliArgumentErrors:
         # A line break in the name would split the machine report's competitor.name line.
         assert main(["compare", str(bench1_path), "--override-payoff", "640,787,163,190",
                      "--competitor", f"{name}=[640,1020]", "--report", "machine"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: argument --competitor: {message}"]
+        assert capsys.readouterr() == ("", f"error: argument --competitor: {message}\n")
 
     @pytest.mark.parametrize("args, message", [
         (["solve", "{path}", "--bogus"], "error: unrecognized arguments: --bogus"),
@@ -491,6 +498,13 @@ _INFEASIBLE_LINE = "infeasible: supply cap total 4.0 < demand floor total 7.0\n"
 NEGATIVE_CHARGE_1X1 = "dims 1 1\ncost 1 1 = [1,2] fixed [-1,1]\nsupply 1 = [5,5]\ndemand 1 = [4,4]\n"
 _NEGATIVE_CHARGE_LINE = "error: fixed_charge(1,1): negative lower endpoint -1\n"
 
+BENCH1_TEXT = (PROBLEMS_DIR / "safi_razmjoo_1.txt").read_text()
+_BREAKDOWN = "error: numerical breakdown: "
+
+
+def _data_text(name):
+    return (DATA_DIR / name).read_text()
+
 
 class TestCliExactOutcomes:
     """Exact stdout, stderr and exit code of jobs that have no golden file."""
@@ -522,19 +536,41 @@ class TestCliExactOutcomes:
         (NEGATIVE_CHARGE_1X1.replace("fixed [-1,1]", "fixed [0,1]").replace("[4,4]", "[-2,4]"),
          ["solve", "--report", "machine"], 3, "",
          "error: demand(1): negative lower endpoint -2\n"),
+        ("\ufeff" + BENCH1_TEXT, ["ideal", "--report", "machine"], 0,
+         "ideal.center=830.0\nideal.width=163.0\n", ""),
+        (_data_text("safi_razmjoo_1_unit_costs_1e9.txt"), ["ideal", "--report", "machine"], 0,
+         "ideal.center=674000000167.0\nideal.width=133000000030.0\n", ""),
+        (_data_text("safi_razmjoo_1_costs_1e40_quantities_1e-10.txt"), ["solve"], 5, "",
+         _BREAKDOWN + "leaving row has only sub-tolerance pivots\n"),
+        (_data_text("safi_razmjoo_1_costs_1e300_quantities_1e-20.txt"), ["solve"], 5, "",
+         _BREAKDOWN + "the scaled objective overflows a float\n"),
     ], ids=["undersupplied-solve-text", "undersupplied-solve-machine",
             "undersupplied-compare-machine", "undersupplied-compare-text",
             "undersupplied-payoff-text",
             "undersupplied-payoff-machine", "undersupplied-ideal-text",
             "undersupplied-ideal-machine", "undersupplied-oracle-check", "tiny-oracle-check",
             "negative-charge-solve", "negative-charge-compare", "negative-charge-payoff",
-            "negative-charge-ideal", "negative-charge-oracle-check", "negative-demand-solve"])
+            "negative-charge-ideal", "negative-charge-oracle-check", "negative-demand-solve",
+            "byte-order-mark-ideal-machine", "unit-costs-1e9-ideal-machine",
+            "costs-1e40-quantities-1e-10-solve", "costs-1e300-quantities-1e-20-solve"])
     def test_outcome(self, tmp_path, capsys, instance, args, code, out, err):
         path = tmp_path / "instance.txt"
-        path.write_text(instance)
+        path.write_text(instance, encoding="utf-8")
         assert main([args[0], str(path), *args[1:]]) == code
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, err)
+
+    @pytest.mark.parametrize("name", [
+        "safi_razmjoo_1_wide_caps.txt",      # supply caps in the tens of millions
+        "safi_razmjoo_1_zero_floor.txt",     # big-M 0 into one column
+        "safi_razmjoo_1_negative_cost.txt",  # every big-M back at its supply cap
+        "safi_razmjoo_1_tiny_charge.txt",    # a fixed charge of 1e-16 on one route
+        "tied_at_level_zero.txt",            # level 0, so the refine searches from the root
+    ])
+    def test_oracle_check_passes(self, capsys, name):
+        assert main(["oracle-check", str(DATA_DIR / name)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\noracle check: PASS\n") and captured.err == ""
 
 
 def _record_solves(monkeypatch):
