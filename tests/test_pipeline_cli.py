@@ -187,37 +187,10 @@ class TestCli:
         assert "status: optimal" in out
         assert "distance to ideal: 13.40" in out
 
-    def test_solve_machine(self, bench1_path, capsys):
-        code = main(["solve", str(bench1_path), "--report", "machine"])
-        record = _machine_dict(capsys.readouterr().out)
-        assert code == 0
-        assert record["status"] == "optimal"
-        assert float(record["ideal.center"]) == 830.0
-
-    def test_compare(self, bench1_path, capsys):
-        code = main(["compare", str(bench1_path),
-                     "--override-payoff", "640,787,163,190",
-                     "--competitor", "safi-razmjoo=[640,1020]"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "competitor safi-razmjoo" in out
-        assert "distance 27.00" in out
-
     def test_payoff_subcommand(self, bench1_path, capsys):
         assert main(["payoff", str(bench1_path)]) == 0
         out = capsys.readouterr().out
         assert "640.00" in out and "787.00" in out
-
-    def test_ideal_subcommand(self, bench1_path, capsys):
-        assert main(["ideal", str(bench1_path), "--report", "machine"]) == 0
-        record = _machine_dict(capsys.readouterr().out)
-        assert record == {"ideal.center": "830.0", "ideal.width": "163.0"}
-
-    def test_oracle_check_subcommand(self, tmp_path, capsys):
-        path = tmp_path / "tiny.txt"
-        path.write_text(TINY_2X2)
-        assert main(["oracle-check", str(path)]) == 0
-        assert "oracle check: PASS" in capsys.readouterr().out
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

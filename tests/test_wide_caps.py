@@ -57,11 +57,6 @@ def test_wide_caps_ideal_point(capsys):
     assert capsys.readouterr().out == "ideal point: center 763.00, width 121.00\n"
 
 
-def test_wide_caps_oracle_check(capsys):
-    assert main(["oracle-check", str(WIDE_CAPS)]) == 0
-    assert capsys.readouterr().out.endswith("oracle check: PASS\n")
-
-
 def test_oracle_equivalence_with_caps_times_1e6():
     rng = random.Random(20261018)
     for k in range(30):
