@@ -237,16 +237,18 @@ class OracleCheck:
         return all(line.passed for line in self.lines)
 
 
-def _check_line(label: str, solver: float, model: MilpModel, sign: float = 1.0) -> CheckLine:
+def _check_line(label: str, solver: float, model: MilpModel, sign: float = 1.0,
+                least: float = 0.0) -> CheckLine:
     """Enumeration's optimum of model against the solver's value; sign flips a maximized value.
 
-    Values agree within 1e-6 of the larger magnitude, or of 1.0 for the level:
-    costs at every unit, the level as the ratio in [0, 1] it is.  An oracle
-    that finds no optimum reads NaN, which agrees with nothing.
+    Values agree within 1e-6 of the larger magnitude, or of least if that is
+    larger: costs at every unit, the level (least 1.0) as the ratio in [0, 1]
+    it is, and a sum whose terms can cancel (least the sum of their
+    magnitudes) to the round-off of those terms.  An oracle that finds no
+    optimum reads NaN, which agrees with nothing.
     """
     oracle = oracle_solve(model)
     value = oracle.objective_value if oracle.status == OPTIMAL else float("nan")
-    least = 1.0 if sign < 0 else 0.0
     agree = abs(solver - value) <= 1e-6 * max(least, abs(solver), abs(value))
     return CheckLine(label, sign * solver, sign * value, agree)
 
@@ -272,11 +274,11 @@ def run_oracle_check(instance: IfctpInstance) -> OracleCheck:
     stages = Stages(instance)
     payoff, result = stages.compromise()
     stages.ideal()  # solves the center anchor; every checked solution is now optimal
-    weighted = sum(w * z for w, z in zip(refine_weights(payoff), result.objective_values))
+    terms = [w * z for w, z in zip(refine_weights(payoff), result.objective_values)]
     models, solutions = stages.models, stages.solutions
     return OracleCheck((
         _check_line("ideal-center", solutions["center"].objective_value, models["center"]),
         _check_line("ideal-width", solutions["width"].objective_value, models["width"]),
         _check_line("max-min level", solutions["max-min"].objective_value, models["max-min"],
-                    sign=-1.0),
-        _check_line("refine", weighted, models["refine"])))
+                    sign=-1.0, least=1.0),
+        _check_line("refine", sum(terms), models["refine"], least=sum(map(abs, terms)))))

@@ -471,6 +471,11 @@ _INFEASIBLE_LINE = "infeasible: supply cap total 4.0 < demand floor total 7.0\n"
 NEGATIVE_CHARGE_1X1 = "dims 1 1\ncost 1 1 = [1,2] fixed [-1,1]\nsupply 1 = [5,5]\ndemand 1 = [4,4]\n"
 _NEGATIVE_CHARGE_LINE = "error: fixed_charge(1,1): negative lower endpoint -1\n"
 
+# The two refine terms w_k z_k are about -0.5 and +0.5 (weights 1/135 and
+# about 1/0.75), so the weighted sum is round-off around 0.
+CANCELLING_REFINE_1X1 = ("dims 1 1\ncost 1 1 = [-9,-8.9] fixed [0,0]\nsupply 1 = [15,15]\n"
+                         "demand 1 = [0,1]\n")
+
 BENCH1_TEXT = (PROBLEMS_DIR / "safi_razmjoo_1.txt").read_text()
 _BREAKDOWN = "error: numerical breakdown: "
 
@@ -517,6 +522,12 @@ class TestCliExactOutcomes:
          _BREAKDOWN + "leaving row has only sub-tolerance pivots\n"),
         (_data_text("safi_razmjoo_1_costs_1e300_quantities_1e-20.txt"), ["solve"], 5, "",
          _BREAKDOWN + "the scaled objective overflows a float\n"),
+        (CANCELLING_REFINE_1X1, ["oracle-check"], 0,
+         "ideal-center: solver=-134.25 oracle=-134.25 delta=0 ok\n"
+         "ideal-width: solver=0.0 oracle=0.0 delta=0 ok\n"
+         "max-min level: solver=0.5 oracle=0.5 delta=0 ok\n"
+         "refine: solver=-5.551115123125783e-17 oracle=0.0 delta=5.55e-17 ok\n"
+         "oracle check: PASS\n", ""),
     ], ids=["undersupplied-solve-text", "undersupplied-solve-machine",
             "undersupplied-compare-machine", "undersupplied-compare-text",
             "undersupplied-payoff-text",
@@ -525,7 +536,8 @@ class TestCliExactOutcomes:
             "negative-charge-solve", "negative-charge-compare", "negative-charge-payoff",
             "negative-charge-ideal", "negative-charge-oracle-check", "negative-demand-solve",
             "byte-order-mark-ideal-machine", "unit-costs-1e9-ideal-machine",
-            "costs-1e40-quantities-1e-10-solve", "costs-1e300-quantities-1e-20-solve"])
+            "costs-1e40-quantities-1e-10-solve", "costs-1e300-quantities-1e-20-solve",
+            "cancelling-refine-oracle-check"])
     def test_outcome(self, tmp_path, capsys, instance, args, code, out, err):
         path = tmp_path / "instance.txt"
         path.write_text(instance, encoding="utf-8")
