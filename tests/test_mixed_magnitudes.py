@@ -42,11 +42,9 @@ def _highs_level(instance):
         reason="the refine model ends infeasible at the max-min level")),
 ])
 def test_pipeline_gives_the_highs_level(name):
-    # max-min: HiGHS gives λ* 0.  refine: HiGHS gives 0.4834093828903028; the
-    # level rows leave LEVEL_SLACK only 4e-14 to 2e-13 of their right-hand sides.
+    # HiGHS gives λ* 0 on max-min and 0.4834093828903028 on refine.
     instance = _instance(name)
-    level = _highs_level(instance)
-    assert abs(run_pipeline(instance).lambda_star - level) <= 1e-9
+    assert abs(run_pipeline(instance).lambda_star - _highs_level(instance)) <= 1e-9
 
 
 @pytest.mark.xfail(strict=True, raises=DegeneratePivotError,
