@@ -33,19 +33,20 @@ derived from one another (MilpModel.derive) share it; the objective gets one
 power of two of its own.  Every LP start is a basis with its nonbasics'
 at-upper flags (_Start).  A root or pattern LP starts from the slack basis,
 each column at the bound its cost prefers, which is dual feasible because
-every bound is finite (_dual_simplex).  A child differs from its
-parent by one fixed binary, so the parent's optimal basis stays dual
-feasible: the child factorises it and takes a few dual pivots.  The
+every bound is finite (_dual_simplex).  A child differs from its parent by
+one fixed binary, so the parent's optimal basis stays dual feasible: the
+child factorises it and takes a few dual pivots.  A child that ends there
+infeasible or in a breakdown is solved again from the slack start.  The
 factorisation inverts the m x m basis and multiplies; at 41 rows, on a
 shared 2-core x86 VM, that took 100 us against 165 us for np.linalg.solve
 with the tableau's columns as right-hand sides.  Each start basis is
 inverted once (_Start): the two children of a node share their parent's
-start, and the first one solved keeps the inverse for the second; the root
-and the answer's pattern LP, or every pattern of the oracle, share the
-slack start.  A heap entry holds that start, the parent's basis and at-upper
-flags and at most the inverse, not its tableau: up to a few hundred nodes
-are open at once.  A child whose key cannot beat the incumbent is not
-pushed at all.
+start, and the first one solved keeps the inverse for the second; the root,
+the answer's pattern LP and every child solved again, or every pattern of
+the oracle, share the slack start.  A heap entry holds that start, the
+parent's basis and at-upper flags and at most the inverse, not its
+tableau: up to a few hundred nodes are open at once.  A child whose key
+cannot beat the incumbent is not pushed at all.
 
 Rounding: each solved node rounds its binaries up, ceil(x), and checks
 the point against every bound within ROUNDED_FEAS_TOL and every row within
@@ -99,6 +100,7 @@ leaves that may hold its points (pipeline.Stages.compromise).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import heapq
@@ -236,10 +238,10 @@ class MilpSolution:
     """Solver outcome; assignment and objective_value are None unless optimal.
 
     nodes counts LP solves performed (branch-and-bound nodes, or enumerated
-    patterns for the oracle); pivots counts dual simplex pivots over all of
-    them, plus those of branch and bound's final pattern solve.  leaves holds
-    a (bound, fixes) pair for each subtree branch and bound closed with a
-    finite bound (solve_milp); the oracle leaves it empty.
+    patterns for the oracle), pivots their dual simplex pivots and those of
+    branch and bound's final pattern solve, but none of a run that raised
+    (_node_lp).  leaves holds a (bound, fixes) pair for each subtree branch
+    and bound closed with a finite bound (solve_milp); the oracle has none.
     """
 
     status: str
@@ -462,13 +464,12 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     DEGENERATE_LIMIT consecutive zero-step pivots the leaving row is the
     violated one with the lowest variable index instead, and the entering
     column the exact minimum ratio with the lowest index (Bland's rule for
-    the dual).  No entering column means the bounds admit no point; state
-    is then the final (basis, at_upper), from which _node_lp can confirm
-    it.  At the end every value within BOUND_TOL of a bound is put on it,
-    so a fixed variable takes exactly its value.  An optimal state is
-    (basis, at_upper, T, movable): the final basis, the final tableau
-    B^-1 M with the reduced-cost row below it, and the mask of nonbasics
-    free to move.
+    the dual).  No entering column means the bounds admit no point.  At
+    the end every value within BOUND_TOL of a bound is put on it, so a
+    fixed variable takes exactly its value.  state is None unless OPTIMAL,
+    and then (basis, at_upper, T, movable): the final basis, the final
+    tableau B^-1 M with the reduced-cost row below it, and the mask of
+    nonbasics free to move.
     """
     M, b, c = form[:3]
     m = b.size
@@ -512,7 +513,7 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
         if not cols.size:
             if (movable & (toward > 1e-12)).any():
                 raise DegeneratePivotError("leaving row has only sub-tolerance pivots")
-            return INFEASIBLE, None, pivots, (basis, at_upper)
+            return INFEASIBLE, None, pivots, None
         alpha = toward[cols]
         dual = np.maximum(costs[cols] * flip[cols], 0.0)
         if bland:
@@ -554,10 +555,10 @@ def _node_lp(model: MilpModel, form: _Form, fixes: Mapping[int, float], start):
     cost c_k per unit, the charge f_t entering the value through x_j = 1;
     x is lifted to the full model, each fixed binary at its fix and each
     free one at y_k / M_t (0 where M_t is 0).  Either way value is the
-    model's objective at x.  A child's INFEASIBLE rests on a tableau updated
-    pivot by pivot from its parent's, so it is solved once more from a
-    fresh factorisation of the basis where it stopped, and only a verdict
-    confirmed there stands.  state is _dual_simplex's, None unless optimal.
+    model's objective at x.  A child that ends INFEASIBLE or raises
+    DegeneratePivotError from its parent's basis is solved once more from
+    the slack start, and only that verdict stands; pivots counts both runs,
+    but not those of a run that raised.  state is _dual_simplex's.
     """
     lo, hi, c, cols = form.lo, form.hi, form.c, form.cols
     if fixes:
@@ -574,10 +575,13 @@ def _node_lp(model: MilpModel, form: _Form, fixes: Mapping[int, float], start):
             opened = routes[values == 1.0]
             c[opened] = c_open[opened]
     lp = (form.M, form.b, c)
-    status, v, pivots, state = _dual_simplex(lp, lo, hi, start or form.slack)
-    if status == INFEASIBLE and start is not None:
-        status, v, recheck_pivots, state = _dual_simplex(lp, lo, hi, _Start(*state))
-        pivots += recheck_pivots
+    status, pivots = INFEASIBLE, 0
+    if start is not None:
+        with contextlib.suppress(DegeneratePivotError):
+            status, v, pivots, state = _dual_simplex(lp, lo, hi, start)
+    if status == INFEASIBLE:
+        status, v, slack_pivots, state = _dual_simplex(lp, lo, hi, form.slack)
+        pivots += slack_pivots
     if status != OPTIMAL:
         return status, None, None, pivots, None
     x = v[:cols.size] * cols

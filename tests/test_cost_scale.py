@@ -35,7 +35,7 @@ import ifctp.pipeline
 from ifctp import (DegeneratePivotError, IfctpInstance, Interval, Stages, parse_instance,
                    render_instance, run_oracle_check, run_pipeline)
 from ifctp.cli import main
-from ifctp.milp import solve_milp
+from ifctp.milp import oracle_solve, solve_milp
 
 REL = 1e-9
 
@@ -184,8 +184,8 @@ def test_unit_costs_1e9_data_file_holds_the_shipped_instance_at_unit_costs_times
 
 
 def test_costs_1e40_data_file_holds_the_shipped_instance_at_costs_1e40_quantities_1e_minus_10():
-    # test_pipeline_cli.py's TestCliExactOutcomes runs solve on the file and expects exit 5
-    # with one error line.
+    # test_pipeline_cli.py's TestCliExactOutcomes runs solve and oracle-check on the file and
+    # expects exit 0 from both.
     path = (pathlib.Path(__file__).resolve().parent / "data"
             / "safi_razmjoo_1_costs_1e40_quantities_1e-10.txt")
     assert parse_instance(path.read_text()) == rescaled(scaled_costs(bench1_instance(), 1e40),
@@ -217,10 +217,16 @@ def test_warm_start_never_moves_a_nonbasic_to_an_infinite_bound(factor):
     # parent's only by round-off, yet one of the wrong sign flipped an
     # inequality row's slack to its other bound, -inf or inf, and the LP
     # turned to NaN: a RuntimeWarning, and at 1e-300 a search that ran for
-    # minutes into the node limit.  The slack now stays, and the kernel
-    # reports its breakdown.
-    with pytest.raises(DegeneratePivotError, match="sub-tolerance pivots"):
-        run_pipeline(rescaled(scaled_costs(bench1_instance(), factor), 1e-10, 1.0))
+    # minutes into the node limit.  The slack now stays.  The warm child
+    # then broke down on sub-tolerance pivots and ended the run (exit 5);
+    # solved again from the slack start, it is optimal, and the run solves
+    # at the oracle's max-min level.
+    instance = rescaled(scaled_costs(bench1_instance(), factor), 1e-10, 1.0)
+    report = run_pipeline(instance)
+    assert report.status == "optimal" and report.plan_violations == ()
+    stages = Stages(instance)
+    stages.compromise()
+    assert report.lambda_star == -oracle_solve(stages.models["max-min"]).objective_value
 
 
 def test_oracle_check_passes_at_costs_times_1e9(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""Instances that mix magnitudes from 1e-9 to 1e6 break down where HiGHS does not.
+"""Instances that mix magnitudes from 1e-9 to 1e6, against HiGHS.
 
 A seeded sweep of small instances with such magnitudes inside one instance
 found draws that exit 5, though HiGHS (tests/_highs.py) solves every max-min
-model among them.  Three are kept as data files, each a strict xfail that
-asks for HiGHS's λ* (ROADMAP items 9 and 15).
+model among them.  Three are kept as data files, each asking for HiGHS's λ*.
+The max-min one passes since a warm child that breaks down is solved again
+from the slack start; the other two are strict xfails (ROADMAP items 9 and 15).
 """
 
 import pathlib
@@ -34,9 +35,7 @@ def _highs_level(instance):
 
 
 @pytest.mark.parametrize("name", [
-    pytest.param("max_min_breakdown", id="max-min", marks=pytest.mark.xfail(
-        strict=True, raises=DegeneratePivotError,
-        reason="the max-min search ends on sub-tolerance pivots")),
+    pytest.param("max_min_breakdown", id="max-min"),
     pytest.param("refine_breakdown", id="refine", marks=pytest.mark.xfail(
         strict=True, raises=DegeneratePivotError,
         reason="the refine model ends infeasible at the max-min level")),

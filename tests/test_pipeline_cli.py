@@ -478,6 +478,25 @@ CANCELLING_REFINE_1X1 = ("dims 1 1\ncost 1 1 = [-9,-8.9] fixed [0,0]\nsupply 1 =
 
 BENCH1_TEXT = (PROBLEMS_DIR / "safi_razmjoo_1.txt").read_text()
 
+# The shipped instance at costs x1e40 and quantities x1e-10: a warm max-min
+# child that breaks down is solved again from the slack start (exit 5 before).
+_COSTS_1E40_MACHINE = ("status=optimal\nsources=3\ndestinations=4\nsupply_cap_total=8.600000000000001e-09\n"
+                       "demand_floor_total=8.2e-09\npayoff.lower.best=9.000000007939999e+41\n"
+                       "payoff.lower.worst=1.3400000007549999e+42\npayoff.width.best=1.40000000173e+41\n"
+                       "payoff.width.worst=2.60000000144e+41\nlevel=0.5833333332243054\n"
+                       "membership.lower=0.7954545453455061\nmembership.width=0.5833333332243055\n"
+                       "objective.lo=9.900000008340001e+41\nobjective.hi=1.3700000011820001e+42\n"
+                       "objective.center=1.1800000010080001e+42\nobjective.width=1.90000000174e+41\n"
+                       "ideal.center=1.1600000009380001e+42\nideal.width=1.40000000173e+41\n"
+                       "distance=5.385164809827084e+40\nplan.y.1.1=0.0\n"
+                       "plan.y.1.2=1.0000000000000003e-09\nplan.y.1.3=2.3e-09\nplan.y.1.4=0.0\n"
+                       "plan.y.2.1=1.9000000000000005e-09\nplan.y.2.2=8.999999999999998e-10\n"
+                       "plan.y.2.3=0.0\nplan.y.2.4=0.0\nplan.y.3.1=9.999999999999965e-11\n"
+                       "plan.y.3.2=0.0\nplan.y.3.3=0.0\nplan.y.3.4=2e-09\n"
+                       "plan.x.1.1=0\nplan.x.1.2=1\nplan.x.1.3=1\nplan.x.1.4=0\nplan.x.2.1=1\n"
+                       "plan.x.2.2=1\nplan.x.2.3=0\nplan.x.2.4=0\nplan.x.3.1=1\nplan.x.3.2=0\n"
+                       "plan.x.3.3=0\nplan.x.3.4=1\n")
+
 
 def _data_text(name):
     return (DATA_DIR / name).read_text()
@@ -517,8 +536,14 @@ class TestCliExactOutcomes:
          "ideal.center=830.0\nideal.width=163.0\n", ""),
         (_data_text("safi_razmjoo_1_unit_costs_1e9.txt"), ["ideal", "--report", "machine"], 0,
          "ideal.center=674000000167.0\nideal.width=133000000030.0\n", ""),
-        (_data_text("safi_razmjoo_1_costs_1e40_quantities_1e-10.txt"), ["solve"], 5, "",
-         "error: numerical breakdown: leaving row has only sub-tolerance pivots\n"),
+        (_data_text("safi_razmjoo_1_costs_1e40_quantities_1e-10.txt"),
+         ["solve", "--report", "machine"], 0, _COSTS_1E40_MACHINE, ""),
+        (_data_text("safi_razmjoo_1_costs_1e40_quantities_1e-10.txt"), ["oracle-check"], 0,
+         "ideal-center: solver=1.1600000009380001e+42 oracle=1.1600000009380001e+42 delta=0 ok\n"
+         "ideal-width: solver=1.40000000173e+41 oracle=1.40000000173e+41 delta=0 ok\n"
+         "max-min level: solver=0.5833333332243054 oracle=0.5833333332243054 delta=0 ok\n"
+         "refine: solver=3.833333337260858 oracle=3.833333337260859 delta=8.88e-16 ok\n"
+         "oracle check: PASS\n", ""),
         (_data_text("safi_razmjoo_1_costs_1e300_quantities_1e-20.txt"), ["solve"], 5, "",
          "error: numerical breakdown: the scaled objective overflows a float\n"),
         (CANCELLING_REFINE_1X1, ["oracle-check"], 0,
@@ -535,7 +560,8 @@ class TestCliExactOutcomes:
             "negative-charge-solve", "negative-charge-compare", "negative-charge-payoff",
             "negative-charge-ideal", "negative-charge-oracle-check", "negative-demand-solve",
             "byte-order-mark-ideal-machine", "unit-costs-1e9-ideal-machine",
-            "costs-1e40-quantities-1e-10-solve", "costs-1e300-quantities-1e-20-solve",
+            "costs-1e40-quantities-1e-10-solve", "costs-1e40-quantities-1e-10-oracle-check",
+            "costs-1e300-quantities-1e-20-solve",
             "cancelling-refine-oracle-check"])
     def test_outcome(self, tmp_path, capsys, instance, args, code, out, err):
         path = tmp_path / "instance.txt"

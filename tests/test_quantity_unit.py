@@ -114,7 +114,7 @@ def test_shipped_instance_at_quantities_times_1e9_matches_highs():
     # A warm child of the width anchor, {x(3,2) = 0}, came back infeasible from
     # its parent's basis although it holds the optimum, so the width anchor
     # ended at 133000000033 and λ* at 0.5833.  A warm child's infeasible
-    # verdict now stands only once a fresh factorisation confirms it.
+    # verdict now stands only once a solve from the slack start gives it too.
     stages = Stages(rescaled(bench1_instance(), 1e9, 1.0))
     for name in ("center", "width", "lower"):
         ours = stages.anchor(name).objective_value
@@ -137,11 +137,12 @@ def test_shipped_instance_at_quantities_times_1e_minus_8():
     assert run_oracle_check(instance).passed
 
 
-@pytest.mark.xfail(strict=True, raises=DegeneratePivotError,
-                   reason="the max-min root, solved from the slack basis, ends infeasible")
 def test_draw_30_at_quantities_times_1e6():
     # Unscaled, this 2x2 draw solves at λ* 1.0.  At supplies and demands ×1e6
-    # the max-min model is infeasible at its root, so the run breaks down.
+    # a warm max-min child came back infeasible from its parent's basis,
+    # and so did its re-run from the basis where it stopped, so the search
+    # ended with no incumbent and the run broke down.  Solved again from the
+    # slack start, the child is optimal.
     report = run_pipeline(rescaled(_draws(5, 31)[30], 1e6, 1.0))
     assert report.status == "optimal"
     assert report.lambda_star == 1.0

@@ -21,7 +21,7 @@ from _highs import highs_solve
 from _random_instances import random_instance
 from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
-from conftest import stage_models
+from conftest import rescaled, stage_models
 
 import ifctp.milp
 import workloads
@@ -70,6 +70,14 @@ class TestWarmNodesMatchCold:
             models += stage_models(parse_instance(text), solve_milp).values()
         statuses = self._check_every_node(models, monkeypatch)
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
+
+    def test_bench1_stage_searches_at_quantities_times_1e9(self, bench1, monkeypatch):
+        # At this unit a warm width-anchor child once came back infeasible
+        # from its parent's basis although it holds the optimum
+        # (test_quantity_unit.py); every node LP must match the textbook here.
+        models = stage_models(rescaled(bench1, 1e9, 1.0), solve_milp).values()
+        statuses = self._check_every_node(models, monkeypatch)
+        assert len(statuses) > 20
 
     def test_random_stage_searches(self, monkeypatch):
         rng = random.Random(77031)
