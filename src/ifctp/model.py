@@ -168,16 +168,16 @@ def check_plan(instance: IfctpInstance, plan: ShipmentPlan) -> list[str]:
     for i in range(m):
         for j in range(n):
             if plan.y[i][j] < 0:
-                v.append(f"y({i + 1},{j + 1}) = {plan.y[i][j]:g} is negative")
+                v.append(f"y({i + 1},{j + 1}) = {plan.y[i][j]:.12g} is negative")
 
     for i in range(m):
         shipped = _total(plan.y[i])
         cap = instance.supply[i].hi
         if shipped > cap * (1 + FEASIBILITY_TOL):
-            v.append(f"row {i + 1} ships {shipped:g} > supply cap {cap:g}")
+            v.append(f"row {i + 1} ships {shipped:.12g} > supply cap {cap:.12g}")
     for j in range(n):
         received = _total(plan.y[i][j] for i in range(m))
         floor = instance.demand[j].lo
         if received < floor * (1 - FEASIBILITY_TOL):
-            v.append(f"column {j + 1} receives {received:g} < demand floor {floor:g}")
+            v.append(f"column {j + 1} receives {received:.12g} < demand floor {floor:.12g}")
     return v

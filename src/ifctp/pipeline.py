@@ -34,14 +34,14 @@ class Stages:
 
     An instance whose supply caps add up to less than its demand floors has no
     plan, so it raises InfeasibleProblemError here, before any solve.  The
-    anchors center, width and lower minimize one objective each over one model
-    and one scaling of its matrix; the width anchor serves the ideal point and
-    the payoff table.  The center and lower anchors are solved over
-    shipment-only LPs, search and answer alike (solve_milp's link_rows); the
-    width anchor's would meet another tied optimum first on some instances,
-    and the payoff table reports that plan's lower endpoint.  compromise
-    solves max-min and refine at the payoff levels.  models and solutions
-    hold each solved stage by name.
+    anchors center, width and lower minimize one objective each over one model;
+    the width anchor serves the ideal point and the payoff table.  Only the
+    width anchor is solved in the model's bounded form, scaled once with the
+    model; the center and lower anchors build shipment-only LPs, search and
+    answer alike (solve_milp's link_rows).  A shipment-only width search would
+    meet another tied optimum first on some instances, and the payoff table
+    reports that plan's lower endpoint.  compromise solves max-min and refine
+    at the payoff levels.  models and solutions hold each solved stage by name.
     """
 
     def __init__(self, instance: IfctpInstance):

@@ -4,8 +4,6 @@ import sys
 import pytest
 
 from ifctp import IfctpInstance, Interval, ShipmentPlan, Stages
-from ifctp.compromise import build_max_min_model, build_refine_model
-from ifctp.crisp import build_bi_objective, to_milp
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEMS_DIR = ROOT / "problems"
@@ -64,24 +62,14 @@ def rescaled(instance: IfctpInstance, quantity: float, unit_cost: float) -> Ifct
                          [scale(iv, quantity) for iv in instance.demand])
 
 
-def stage_models(instance: IfctpInstance, solve, override=None) -> dict:
-    """The five stage models of a pipeline run, by name, under the computed or given levels.
-
-    ideal-width is also the payoff table's width anchor.  solve is the MILP
-    solver whose max-min optimum gives the refine model its λ*.
-    """
-    bi = build_bi_objective(instance)
-    models = {
-        "ideal-center": to_milp(bi, bi.obj_center),
-        "ideal-width": to_milp(bi, bi.obj_width),
-        "anchor-lower": to_milp(bi, bi.obj_lower),
-    }
-    payoff = Stages(instance).payoff() if override is None else override
-    max_min = build_max_min_model(bi, payoff, to_milp(bi, bi.obj_center))
-    lambda_star = min(1.0, max(0.0, -solve(max_min).objective_value))
-    models["max-min"] = max_min
-    models["refine"] = build_refine_model(bi, payoff, max_min, lambda_star)
-    return models
+def stage_models(instance: IfctpInstance, override=None) -> dict:
+    """The five stage models of a Stages run, by name, at the computed payoff levels or
+    at override, so a test checks the very models a run solves."""
+    stages = Stages(instance)
+    stages.anchor("lower")
+    stages.ideal()
+    stages.compromise(override)
+    return dict(stages.models)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from _random_instances import random_instance
-from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
 from conftest import scaled_costs, stage_models
 
@@ -128,18 +127,14 @@ def _compare(models, monkeypatch):
 
 class TestSameAnswerAsUnprunedSearch:
     def test_bench1_stage_models(self, bench1, monkeypatch):
-        models = stage_models(bench1, _reference_solve_milp)
-        models.update({f"{name} (override)": model for name, model in
-                       stage_models(bench1, _reference_solve_milp, PAYOFF_OVERRIDE).items()
-                       if name in ("max-min", "refine")})
-        nodes, ref_nodes = _compare(models, monkeypatch)
+        nodes, ref_nodes = _compare(stage_models(bench1), monkeypatch)
         assert nodes < ref_nodes
 
     @pytest.mark.parametrize("factor", [1e6, 1e-7, 2.0 ** -36])
     def test_bench1_scaled_costs(self, bench1, monkeypatch, factor):
         # The penalties are read off a scaled tableau and unscaled per
         # binary, so the keys must stay valid at either end of the cost scale.
-        models = stage_models(scaled_costs(bench1, factor), _reference_solve_milp)
+        models = stage_models(scaled_costs(bench1, factor))
         nodes, ref_nodes = _compare(models, monkeypatch)
         assert nodes < ref_nodes
 
@@ -147,7 +142,7 @@ class TestSameAnswerAsUnprunedSearch:
         rng = random.Random(77031)
         nodes = ref_nodes = 0
         for k in range(40):
-            models = stage_models(random_instance(rng), _reference_solve_milp)
+            models = stage_models(random_instance(rng))
             counts = _compare({f"{k} {name}": models[name] for name in ("max-min", "refine")},
                               monkeypatch)
             nodes += counts[0]
@@ -161,7 +156,7 @@ class TestPenaltyBounds:
     @pytest.mark.parametrize("factor", [1.0, 1e6, 1e-7])
     def test_root_penalties_bound_child_lps(self, bench1, factor):
         checked = positive = 0
-        models = stage_models(scaled_costs(bench1, factor), _reference_solve_milp)
+        models = stage_models(scaled_costs(bench1, factor))
         for name, model in models.items():
             form = _bounded_form(model)
             status, value, x, _, state = _node_lp(model, form, {}, None)
@@ -184,15 +179,12 @@ class TestPenaltyBounds:
     def test_every_child_key_bounds_its_lp(self, bench1, monkeypatch):
         """At every branching node, each child's key is at most its textbook LP value."""
         models = [model for factor in (1.0, 1e6, 1e-7) for model in
-                  stage_models(scaled_costs(bench1, factor), _reference_solve_milp).values()]
-        models += [model for name, model in
-                   stage_models(bench1, _reference_solve_milp, PAYOFF_OVERRIDE).items()
-                   if name in ("max-min", "refine")]
+                  stage_models(scaled_costs(bench1, factor)).values()]
         # 200 draws, not 40: with M_ij = min(s_i.hi, d_j.lo) the trees are about
         # half as large, and 40 draws left 464 keys to check.
         rng = random.Random(77031)
         models += [model for _ in range(200)
-                   for model in stage_models(random_instance(rng), _reference_solve_milp).values()]
+                   for model in stage_models(random_instance(rng)).values()]
         pushed = []
 
         def recording_push(heap, entry):  # entry: (key, -depth, sequence, fixes, start)

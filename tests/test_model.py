@@ -110,6 +110,18 @@ class TestCheckPlan:
         assert len(got) == 1
         assert "row 1" in got[0] and "33" in got[0]
 
+    @pytest.mark.parametrize("route, amount, expected", [
+        ((0, 2), 13.00004, "row 1 ships 33.00004 > supply cap 33"),
+        ((2, 1), 14.049966, "column 2 receives 18.999966 < demand floor 19"),
+    ], ids=["supply-cap", "demand-floor"])
+    def test_a_sum_just_past_its_bound_prints_apart_from_it(self, bench1, reference_plan,
+                                                            route, amount, expected):
+        # Past its bound by about 1.2e-6 and 1.8e-6 of it: 6 significant digits
+        # printed the sum as the bound itself.
+        y = [list(row) for row in reference_plan.y]
+        y[route[0]][route[1]] = amount
+        assert expected in check_plan(bench1, ShipmentPlan(y))
+
     def test_dimension_mismatch_raises(self, bench1):
         plan = ShipmentPlan([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="shape"):

@@ -236,7 +236,11 @@ class TestCli:
 
 
 def _record_builds_and_solves(monkeypatch):
-    """The build_bi_objective, solve_milp and oracle_solve calls a job makes from here on."""
+    """The build_bi_objective, solve_milp and oracle_solve calls a job makes from here on.
+
+    solve_milp answers oracle_solve instead of enumeration, which
+    test_oracle_check_golden runs on the same models.
+    """
     calls = {"build_bi_objective": [], "solve_milp": [], "oracle_solve": []}
 
     def recording(name, original):
@@ -252,7 +256,8 @@ def _record_builds_and_solves(monkeypatch):
         original = getattr(ifctp.crisp if name == "build_bi_objective" else ifctp.milp, name)
         for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, recording(name, original))
+                answer = ifctp.milp.solve_milp if name == "oracle_solve" else original
+                monkeypatch.setattr(module, name, recording(name, answer))
     return calls
 
 

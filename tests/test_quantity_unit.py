@@ -43,9 +43,10 @@ INSTANCES = {"paper": bench1_instance(),
 # 2^-38 and 199 at 2^-42 (3, 14 and 207 with the margin).
 #
 # The 1x1 below is right at 2^-40 and wrong at 2^-42: its plan ships 0 and
-# warns "column 1 receives 0 < demand floor 2.27374e-13".  Its link row reads
-# y - 2^-42 x <= 0, and the entry 2^-42 is below SCALE_FLOOR (2^-40) of the
-# row's largest, so it sets no scale, and every transport row keeps scale 1.
+# warns "column 1 receives 0 < demand floor 2.27373675443e-13".  Its link
+# row reads y - 2^-42 x <= 0, and the entry 2^-42 is below SCALE_FLOOR
+# (2^-40) of the row's largest, so it sets no scale, and every transport row
+# keeps scale 1.
 # The demand floor's scaled b, 2.3e-13, then passes under BOUND_TOL (1e-9) at
 # y = 0.  Whether draw 25 fails for the same cause is not checked.
 ONE_BY_ONE = IfctpInstance([[Interval(1, 2)]], [[Interval(3, 4)]], [Interval(1, 1)],

@@ -1,17 +1,19 @@
 """The simplex kernel's rare paths, its pivot counts and its shared factorisations."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from _random_instances import random_instance
-from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
+from conftest import stage_models
 
 import ifctp.milp
-from ifctp import DegeneratePivotError, MilpModel, Stages, run_pipeline
-from ifctp.compromise import build_max_min_model
+from ifctp import DegeneratePivotError, MilpModel, run_pipeline
 from ifctp.crisp import build_bi_objective, to_milp
 from ifctp.milp import oracle_solve, solve_lp, solve_milp
 
@@ -27,22 +29,11 @@ def _random_lp(rng):
     return c, A, relations, b
 
 
-def _bench1_models(bench1):
-    """The ideal, anchor and max-min models of the benchmark, by name."""
-    bi = build_bi_objective(bench1)
-    return {
-        "ideal-center": to_milp(bi, bi.obj_center),
-        "ideal-width": to_milp(bi, bi.obj_width),
-        "anchor-lower": to_milp(bi, bi.obj_lower),
-        "max-min": build_max_min_model(bi, PAYOFF_OVERRIDE, to_milp(bi, bi.obj_center)),
-    }
-
-
 class TestBlandFallback:
     def test_bland_rule_reaches_the_same_optima(self, bench1, monkeypatch):
-        models = _bench1_models(bench1)
+        # The default search meets the oracle bit for bit (TestAnswerIsThePatternLp).
+        models = stage_models(bench1)
         default = {name: solve_milp(model) for name, model in models.items()}
-        oracle = {name: oracle_solve(model) for name, model in models.items()}
         # Bland's rule takes over at the first degenerate pivot.
         monkeypatch.setattr(ifctp.milp, "DEGENERATE_LIMIT", 0)
         bland = {name: solve_milp(model) for name, model in models.items()}
@@ -50,8 +41,6 @@ class TestBlandFallback:
             assert bland[name].status == "optimal", name
             assert bland[name].objective_value == pytest.approx(
                 default[name].objective_value, rel=1e-9), name
-            assert bland[name].objective_value == pytest.approx(
-                oracle[name].objective_value, rel=1e-9), name
         # The fallback really ran: it pivots differently from Dantzig's rule.
         assert any(bland[name].pivots != default[name].pivots for name in models)
 
@@ -122,7 +111,7 @@ class TestValuesOnBounds:
 
 class TestPivotCounts:
     def test_counts_repeat_exactly(self, bench1):
-        for name, model in _bench1_models(bench1).items():
+        for name, model in stage_models(bench1).items():
             first, second = solve_milp(model), solve_milp(model)
             assert first.pivots > 0, name
             assert (first.nodes, first.pivots) == (second.nodes, second.pivots), name
@@ -138,6 +127,42 @@ class TestPivotCounts:
         model = MilpModel([1.0, 1.0], [[1.0, 1.0]], [-1], [3.0], [0.0] * 2, [10.0] * 2, [])
         assert solve_milp(model).pivots == solve_lp(model).pivots > 0
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 20: the search path depends on the BLAS thread count")
+    def test_counts_do_not_depend_on_the_blas_thread_count(self):
+        # 1365 nodes and 9355 pivots at one thread, 1447 and 9984 at two, with
+        # the same answer bits.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        runs = [subprocess.Popen([sys.executable, "-c", _MAX_MIN_8X10], stdout=subprocess.PIPE,
+                                 text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads))
+                for threads in ("1", "2")]
+        try:
+            outputs = [run.communicate(timeout=300)[0] for run in runs]
+        finally:
+            for run in runs:
+                run.kill()
+        if any(run.returncode for run in runs):
+            raise RuntimeError("an 8x10 max-min subprocess failed")
+        assert outputs[0] == outputs[1]
+
+
+# Prints the nodes, pivots and answer bits of 8x10-0's max-min solve, at its
+# computed payoff table, so that no anchor is solved.
+_MAX_MIN_8X10 = """
+import random
+import numpy as np
+import workloads
+from ifctp import PayoffTable
+from ifctp.compromise import build_max_min_model
+from ifctp.crisp import build_bi_objective, to_milp
+from ifctp.milp import solve_milp
+bi = build_bi_objective(workloads.generate(random.Random("ladder-bb:8x10:0"), 8, 10))
+payoff = PayoffTable((1162.0, 100.0), (2857.0, 311.0))
+s = solve_milp(build_max_min_model(bi, payoff, to_milp(bi, bi.obj_center)))
+print(s.nodes, s.pivots, s.objective_value.hex(), np.array(s.assignment).tobytes().hex())
+"""
+
 
 def _draws_of_at_least_2x3(seed, count=3):
     """The first count random_instance draws of random.Random(seed) with 2+ rows, 3+ columns."""
@@ -148,14 +173,6 @@ def _draws_of_at_least_2x3(seed, count=3):
         if instance.m >= 2 and instance.n >= 3:
             draws.append(instance)
     return draws
-
-
-def _solve_every_stage(instance):
-    """Run the five stage solves of a pipeline on instance."""
-    stages = Stages(instance)
-    stages.ideal()
-    stages.compromise()
-    return stages
 
 
 class TestSharedFactorisation:
@@ -204,7 +221,7 @@ class TestSharedFactorisation:
         slacks = []
         calls = [call for instance in [bench1, *_draws_of_at_least_2x3(3141)]
                  for call in self._recorded_lps(monkeypatch,
-                                                lambda: _solve_every_stage(instance), slacks)]
+                                                lambda: stage_models(instance), slacks)]
         self._assert_fresh_factorisation_agrees(calls)
         # Both kinds of sharing happened: a sibling's start and the slack start.
         reused = [start for (_, _, _, start), was_reused, _ in calls if was_reused]
@@ -223,7 +240,7 @@ class TestSharedFactorisation:
     def test_one_inverse_per_start_basis(self, bench1, monkeypatch, draw):
         instance = bench1 if draw is None else _draws_of_at_least_2x3(3141)[draw]
         inv = np.linalg.inv
-        for model in _solve_every_stage(instance).models.values():
+        for model in stage_models(instance).values():
             inverses = 0
             fixes_solved = []
 
@@ -257,10 +274,10 @@ class TestSharedFactorisation:
             return scaled_matrix(A)
 
         monkeypatch.setattr(ifctp.milp, "_scaled_matrix", recording)
-        stages = _solve_every_stage(bench1)
+        models = stage_models(bench1)
         # The three anchors share one matrix, max-min and refine another.
         assert len(scalings) == len(set(scalings)) == 2
-        for name, model in stages.models.items():
+        for name, model in models.items():
             copy = MilpModel(model.c, model.A, model.senses, model.b, model.lo, model.hi,
                              model.binaries)
             shared, fresh = ifctp.milp._bounded_form(model), ifctp.milp._bounded_form(copy)

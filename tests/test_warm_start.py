@@ -19,7 +19,6 @@ import pytest
 
 from _highs import highs_solve
 from _random_instances import random_instance
-from _reference import PAYOFF_OVERRIDE
 from _textbook_lp import textbook_relaxation
 from conftest import rescaled, stage_models
 
@@ -29,14 +28,6 @@ from ifctp import IfctpInstance, Interval, parse_instance, run_oracle_check
 from ifctp.milp import OPTIMAL, oracle_solve, solve_milp
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
-
-
-def _paper_models(bench1):
-    models = stage_models(bench1, solve_milp)
-    models.update({f"{name} (override)": model for name, model in
-                   stage_models(bench1, solve_milp, PAYOFF_OVERRIDE).items()
-                   if name in ("max-min", "refine")})
-    return models
 
 
 class TestWarmNodesMatchCold:
@@ -61,13 +52,13 @@ class TestWarmNodesMatchCold:
         return statuses
 
     def test_bench1_stage_searches(self, bench1, monkeypatch):
-        # With M_ij = min(s_i.hi, d_j.lo) the paper's seven searches take 86
+        # With M_ij = min(s_i.hi, d_j.lo) the paper's five searches take 60
         # node LPs, so the copies with a zero demand floor (M_ij = 0 in one
         # column) and with a negative unit cost (M_ij = s_i.hi) join them.
-        models = list(_paper_models(bench1).values())
+        models = list(stage_models(bench1).values())
         for variant in ("zero_floor", "negative_cost"):
             text = (DATA / f"safi_razmjoo_1_{variant}.txt").read_text()
-            models += stage_models(parse_instance(text), solve_milp).values()
+            models += stage_models(parse_instance(text)).values()
         statuses = self._check_every_node(models, monkeypatch)
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
@@ -75,14 +66,14 @@ class TestWarmNodesMatchCold:
         # At this unit a warm width-anchor child once came back infeasible
         # from its parent's basis although it holds the optimum
         # (test_quantity_unit.py); every node LP must match the textbook here.
-        models = stage_models(rescaled(bench1, 1e9, 1.0), solve_milp).values()
+        models = stage_models(rescaled(bench1, 1e9, 1.0)).values()
         statuses = self._check_every_node(models, monkeypatch)
         assert len(statuses) > 20
 
     def test_random_stage_searches(self, monkeypatch):
         rng = random.Random(77031)
         models = [model for _ in range(40)
-                  for model in stage_models(random_instance(rng), solve_milp).values()]
+                  for model in stage_models(random_instance(rng)).values()]
         statuses = self._check_every_node(models, monkeypatch)
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
@@ -104,7 +95,7 @@ class TestNegativeUnitCosts:
 
 class TestAnswerIsThePatternLp:
     def test_paper_stage_answers_are_the_oracle_lp_bit_for_bit(self, bench1):
-        for name, model in _paper_models(bench1).items():
+        for name, model in stage_models(bench1).items():
             solution = solve_milp(model)
             pattern = {j: solution.assignment[j] for j in model.binaries.tolist()}
             status, value, _ = textbook_relaxation(model, pattern)
@@ -124,7 +115,7 @@ class TestHighsSweep:
         rng = random.Random(f"highs-sweep-{m}x{n}")
         started = time.perf_counter()
         for k in range(count):
-            for name, model in stage_models(workloads.generate(rng, m, n), solve_milp).items():
+            for name, model in stage_models(workloads.generate(rng, m, n)).items():
                 ours = solve_milp(model, node_limit=20_000)
                 status, value = highs_solve(model)
                 assert ours.status == status == OPTIMAL, (k, name)
