@@ -62,13 +62,13 @@ def rescaled(instance: IfctpInstance, quantity: float, unit_cost: float) -> Ifct
                          [scale(iv, quantity) for iv in instance.demand])
 
 
-def stage_models(instance: IfctpInstance, override=None) -> dict:
-    """The five stage models of a Stages run, by name, at the computed payoff levels or
-    at override, so a test checks the very models a run solves."""
+def stage_models(instance: IfctpInstance) -> dict:
+    """The five stage models of a Stages run, by name, so a test checks the very
+    models a run solves."""
     stages = Stages(instance)
     stages.anchor("lower")
     stages.ideal()
-    stages.compromise(override)
+    stages.compromise()
     return dict(stages.models)
 
 
