@@ -78,21 +78,20 @@ as a transportation LP over the shipments alone (_shipment_form; Balinski
 1961), about a third of the full tableau's rows.  The search is the same;
 only its LP form differs (_Form's links), and with it what a fix does
 (_node_lp) and how a child is keyed (_child_keys).  An opened route changes
-a cost, so its child's warm start may flip nonbasics (_dual_simplex).  A
-route whose other branch cannot beat the incumbent by its reduced cost is
-fixed for the whole subtree (_fix_by_reduced_cost), the branch recorded as
-a leaf.  The answer's pattern LP is a shipment-only LP too, lifted to the
-full model, so such a solve never builds the bounded form; the rounding
-check and the leaves stay the full model's.
+a cost, so its child's warm start may flip nonbasics (_dual_simplex).  The
+answer's pattern LP is a shipment-only LP too, lifted to the full model, so
+such a solve never builds the bounded form; the rounding check and the
+leaves stay the full model's.
 
 Leaves: a search covers the subtrees its within argument names, each a
 dict of binary fixes entered from the slack basis; the default ({},) is the
 whole space.  Each subtree it closes with a finite bound is a leaf, a
 (bound, fixes) pair in MilpSolution.leaves: popped with a key that cannot
 beat the incumbent (the key), pruned by its LP value or stopped as
-integral (the LP value), not pushed because of its key (the key), or fixed
-out by reduced cost (its bound).  The
-leaves and the LP-infeasible subtrees, an infinite key among them,
+integral (the LP value), or not pushed because of its key (the key).  A
+node's fixes are its branching path, so each leaf is a popped node or a
+child not pushed, and a search closes at most nodes + len(within) leaves.
+The leaves and the LP-infeasible subtrees, an infinite key among them,
 partition within, and no point of a leaf has a value below its bound.  A
 second search over the same constraints can then be handed only the
 leaves that may hold its points (pipeline.Stages.compromise).
@@ -657,30 +656,6 @@ def _child_keys(form: _Form, state, t: int, j: int, value: float, x) -> tuple[fl
     return value + y * down, max(value, opened)
 
 
-def _fix_by_reduced_cost(binaries, form: _Form, state, value: float, cutoff: float,
-                         fixes: dict, leaves: list) -> None:
-    """Fix each free route whose other branch cannot beat cutoff, and record that branch as a leaf.
-
-    Route t's y_k nonbasic at 0 with reduced cost delta_k per unit: a point
-    that opens the route and ships s on it costs at least V + f_t + s (delta_k
-    - f_t / M_t), so at least V + min(f_t, delta_k M_t), since the LP charged
-    f_t / M_t per unit of it.  Route t's y_k nonbasic at M_t: a point that
-    closes it costs at least V + |delta_k| M_t.  Where that bound is at or
-    above cutoff, the route is fixed at the branch that keeps its place, in
-    fixes, and the other branch is a leaf with that bound.
-    """
-    _, column, big_m, charge, _ = form.links
-    _, at_upper, T, movable = state
-    per_unit = T[-1][column] * form.unit / form.cols[column]
-    shut = ~at_upper[column]
-    bounds = value + np.where(shut, np.minimum(charge, per_unit * big_m), -per_unit * big_m)
-    for t in (movable[column] & (bounds >= cutoff)).nonzero()[0].tolist():
-        j, keep = int(binaries[t]), 0.0 if shut[t] else 1.0
-        if j not in fixes:
-            leaves.append((float(bounds[t]), {**fixes, j: 1.0 - keep}))
-            fixes[j] = keep
-
-
 def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
                within: Sequence[Mapping[int, float]] = ({},),
                link_rows: Optional[Sequence[int]] = None) -> MilpSolution:
@@ -700,12 +675,12 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 
     link_rows, if given, names the row that links each binary to the
     shipment it switches on (_shipment_form).  Every LP, the answer's pattern
-    LP too, is then shipment-only (_node_lp), children keyed by _child_keys
-    and routes fixed by reduced cost (_fix_by_reduced_cost); the rounding
-    check and the leaves stay the full model's.  pipeline.Stages passes
-    link_rows for the center and lower anchors.  The width anchor keeps the
-    full form: over shipment-only LPs it meets another of its tied optima
-    first, and that plan's lower endpoint is a reported payoff level.
+    LP too, is then shipment-only (_node_lp) and children keyed by
+    _child_keys; the rounding check and the leaves stay the full model's.
+    pipeline.Stages passes link_rows for the center and lower anchors.  The
+    width anchor keeps the full form: over shipment-only LPs it meets
+    another of its tied optima first, and that plan's lower endpoint is a
+    reported payoff level.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -758,8 +733,6 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 
         t = int(frac.argmax())
         j = int(binaries[t])
-        if form.links is not None and incumbent_x is not None:
-            _fix_by_reduced_cost(binaries, form, state, value, incumbent_val, fixes, leaves)
         keys = _child_keys(form, state, t, j, value, x)
         depth = -neg_depth + 1
         first = 1 if x[j] >= 0.5 else 0

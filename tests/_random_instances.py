@@ -36,3 +36,9 @@ def random_instance(rng: random.Random) -> IfctpInstance:
         lo = rng.randint(1, max(1, min(50, cap // n)))
         demand.append(Interval(lo, rng.randint(lo, 50)))
     return IfctpInstance(unit, fixed, supply, demand)
+
+
+def draws(seed: int, count: int) -> list[IfctpInstance]:
+    """The first count draws of random_instance(random.Random(seed)), in order."""
+    rng = random.Random(seed)
+    return [random_instance(rng) for _ in range(count)]

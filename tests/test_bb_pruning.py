@@ -8,14 +8,13 @@ answer bit for bit, and the penalty keys must never need more nodes.
 import heapq
 import itertools
 import math
-import random
 import struct
 import types
 
 import numpy as np
 import pytest
 
-from _random_instances import random_instance
+from _random_instances import draws
 from _textbook_lp import textbook_relaxation
 from conftest import scaled_costs, stage_models
 
@@ -139,10 +138,9 @@ class TestSameAnswerAsUnprunedSearch:
         assert nodes < ref_nodes
 
     def test_random_max_min_and_refine_models(self, monkeypatch):
-        rng = random.Random(77031)
         nodes = ref_nodes = 0
-        for k in range(40):
-            models = stage_models(random_instance(rng))
+        for k, instance in enumerate(draws(77031, 40)):
+            models = stage_models(instance)
             counts = _compare({f"{k} {name}": models[name] for name in ("max-min", "refine")},
                               monkeypatch)
             nodes += counts[0]
@@ -182,9 +180,8 @@ class TestPenaltyBounds:
                   stage_models(scaled_costs(bench1, factor)).values()]
         # 200 draws, not 40: with M_ij = min(s_i.hi, d_j.lo) the trees are about
         # half as large, and 40 draws left 464 keys to check.
-        rng = random.Random(77031)
-        models += [model for _ in range(200)
-                   for model in stage_models(random_instance(rng)).values()]
+        models += [model for instance in draws(77031, 200)
+                   for model in stage_models(instance).values()]
         pushed = []
 
         def recording_push(heap, entry):  # entry: (key, -depth, sequence, fixes, start)

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _random_instances import random_instance
+from _random_instances import draws, random_instance
 from conftest import bench1_instance, rescaled, scaled_costs
 
 import ifctp.pipeline
@@ -62,14 +62,6 @@ def test_level_zero_data_file_holds_the_tied_instance():
     assert parse_instance(path.read_text()) == TIED_AT_LEVEL_ZERO
 
 
-def _draw(seed, count):
-    """The count-th draw (from 1) of random_instance(random.Random(seed))."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        instance = random_instance(rng)
-    return instance
-
-
 def _scale_free(report, factor):
     """The report's numbers with every cost-valued one divided by factor."""
     per_k = lambda *values: [v / factor for v in values]
@@ -90,9 +82,9 @@ def _scale_free(report, factor):
     # An unscaled LP engine with absolute tolerances got these wrong at 1e6:
     # λ* 0.8010 against 0.8062; memberships (0.933, 0.746) at λ* 0.776; and
     # a refine pattern that "solved infeasible" (exit 5).
-    pytest.param(_draw(33, 40), 1e6, id="draw-33-40-1e6"),
-    pytest.param(_draw(27, 36), 1e6, id="draw-27-36-1e6"),
-    pytest.param(_draw(2592, 21), 1e6, id="draw-2592-21-1e6"),
+    pytest.param(draws(33, 40)[-1], 1e6, id="draw-33-40-1e6"),
+    pytest.param(draws(27, 36)[-1], 1e6, id="draw-27-36-1e6"),
+    pytest.param(draws(2592, 21)[-1], 1e6, id="draw-2592-21-1e6"),
 ])
 def test_pipeline_scales_with_costs(instance, factor):
     base = run_pipeline(instance)

@@ -9,7 +9,7 @@ from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
 
 from ifctp import MilpModel, NodeLimitError, OracleScopeError, Stages
 from ifctp.compromise import LEVEL_SLACK, build_max_min_model
-from ifctp.crisp import build_bi_objective, to_milp
+from ifctp.crisp import build_bi_objective, link_rows, to_milp
 from ifctp.milp import oracle_solve, solve_lp, solve_milp
 
 
@@ -281,28 +281,35 @@ class TestSearchLeaves:
         return sol.objective_value if sol.status == "optimal" else INF
 
     @staticmethod
-    def _max_min_models(count):
-        """Max-min models of the first count 3x3 draws of random_instance(Random(5150)).
+    def _searches(count):
+        """(model, link_rows) of each search over the first count 3x3 draws of
+        random_instance(Random(5150)): the max-min model in the bounded form, and the
+        center and lower anchors over shipment-only LPs, as Stages solves them.
 
-        Draws 4 and 6 each have a child that was not pushed for its key, 3 in all.
+        Draws 4 and 6 each have a max-min child that was not pushed for its key, 3 in all.
         """
         rng = random.Random(5150)
-        models = []
-        while len(models) < count:
+        searches = []
+        while len(searches) < 3 * count:
             instance = random_instance(rng)
             if (instance.m, instance.n) == (3, 3):
                 bi = build_bi_objective(instance)
-                models.append(build_max_min_model(bi, Stages(instance).payoff(),
-                                                  to_milp(bi, bi.obj_center)))
-        return models
+                max_min = build_max_min_model(bi, Stages(instance).payoff(),
+                                              to_milp(bi, bi.obj_center))
+                searches += [(max_min, None), (to_milp(bi, bi.obj_center), link_rows(bi)),
+                             (to_milp(bi, bi.obj_lower), link_rows(bi))]
+        return searches
 
     @pytest.mark.parametrize("split", [False, True], ids=["root", "within-two-subtrees"])
     def test_leaves_partition_the_max_min_patterns(self, split):
-        for model in self._max_min_models(6):
+        """Each leaf is a popped node or a child not pushed, so there are at most
+        nodes + len(within) of them."""
+        for model, links in self._searches(6):
             binaries = model.binaries.tolist()
             within = [{binaries[0]: 0.0}, {binaries[0]: 1.0}] if split else [{}]
-            sol = solve_milp(model, within=within)
+            sol = solve_milp(model, within=within, link_rows=links)
             assert sol.status == "optimal"
+            assert len(sol.leaves) <= sol.nodes + len(within)
             for pattern in itertools.product((0.0, 1.0), repeat=len(binaries)):
                 fixed = dict(zip(binaries, pattern))
                 holding = [bound for bound, fixes in sol.leaves
@@ -315,7 +322,7 @@ class TestSearchLeaves:
                     assert holding[0] <= value + 1e-9, (pattern, holding[0], value)
 
     def test_within_restricts_the_search(self):
-        for model in self._max_min_models(3):
+        for model in [model for model, links in self._searches(3) if links is None]:
             binaries = model.binaries.tolist()
             values = {pattern: self._pattern_value(model, pattern)
                       for pattern in itertools.product((0.0, 1.0), repeat=len(binaries))}

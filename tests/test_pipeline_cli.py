@@ -15,8 +15,8 @@ import ifctp.milp
 import ifctp.model
 import ifctp.pipeline
 from ifctp import (CompetitorEntry, IfctpInstance, Interval, OracleScopeError, PayoffTable,
-                   Stages, UnattainableLevelsError, check_plan, render_instance, run_oracle_check,
-                   run_pipeline)
+                   Stages, UnattainableLevelsError, check_plan, parse_instance, render_instance,
+                   run_oracle_check, run_pipeline)
 from ifctp.cli import main
 from ifctp.reporting import render_machine, render_text
 
@@ -78,7 +78,6 @@ class TestRunPipeline:
         assert report.distance < report.competitor_distance
 
     def test_infeasible_instance_reports_status(self):
-        from ifctp import parse_instance
         report = run_pipeline(parse_instance(STARVED))
         assert report.status == "infeasible"
         assert report.plan is None and report.distance is None
@@ -131,7 +130,6 @@ class TestRendering:
         assert float(record["plan.y.1.1"]) == pytest.approx(20.0, abs=1e-6)
 
     def test_infeasible_text_render(self):
-        from ifctp import parse_instance
         text = render_text(run_pipeline(parse_instance(STARVED)))
         assert "status: infeasible" in text
 
@@ -146,7 +144,6 @@ class TestRendering:
             "plan_violation.2=column 2 receives 18 < demand floor 19\n")
 
     def test_infeasible_report_with_a_competitor(self):
-        from ifctp import parse_instance
         report = run_pipeline(parse_instance(UNDERSUPPLIED_2X2),
                               competitor=CompetitorEntry("c", Interval(1, 2)))
         assert render_text(report) == _INFEASIBLE_TEXT
@@ -163,14 +160,12 @@ class TestRendering:
 
 class TestOracleCheckApi:
     def test_small_instance_passes(self):
-        from ifctp import parse_instance
         check = run_oracle_check(parse_instance(TINY_2X2))
         assert check.passed
         assert [line.name for line in check.lines] == \
             ["ideal-center", "ideal-width", "max-min level", "refine"]
 
     def test_scope_guard(self):
-        from ifctp import IfctpInstance
         iv = Interval(1, 2)
         big = IfctpInstance([[iv] * 6] * 5, [[iv] * 6] * 5,
                             [Interval(50, 50)] * 5, [Interval(1, 1)] * 6)
@@ -379,7 +374,6 @@ def _fail_the_solves_of(monkeypatch, builder):
 
 class TestCliNumericalBreakdown:
     def test_degenerate_pivot_exit_code(self, bench1_path, capsys, monkeypatch):
-        import ifctp.milp
         # No pivot is allowed at all, so the first simplex run breaks down.
         monkeypatch.setattr(ifctp.milp, "ITERATION_CAP", 0)
         assert main(["solve", str(bench1_path)]) == 5

@@ -9,12 +9,11 @@ amount, and the plan check compares each row sum with its own bound.
 """
 
 import functools
-import random
 
 import pytest
 
 from _highs import highs_solve
-from _random_instances import random_instance
+from _random_instances import draws
 from conftest import bench1_instance, rescaled
 
 from ifctp import (DegeneratePivotError, IfctpInstance, Interval, Stages, run_oracle_check,
@@ -24,12 +23,7 @@ REL = 1e-9
 POWERS = (-30, -24, -20, -10, -3, 10, 20, 30)
 
 
-def _draws(seed, count):
-    rng = random.Random(seed)
-    return [random_instance(rng) for _ in range(count)]
-
-
-DRAWS = _draws(4242, 48)
+DRAWS = draws(4242, 48)
 INSTANCES = {"paper": bench1_instance(),
              **{f"draw-{k}": inst for k, inst in enumerate(DRAWS[:15])}}
 # Past 2^-30 the pipeline answers some draws wrongly, and HiGHS agrees with the
@@ -106,7 +100,7 @@ def test_answers_do_not_depend_on_the_quantity_unit(name, p):
 def test_large_quantities_raise_no_false_warning(index):
     # Under an absolute slack of 1e-6, round-off in a column sum read as an
     # unmet floor: "column 2 receives 2.6e+10 < demand floor 2.6e+10".
-    report = run_pipeline(rescaled(_draws(5, index + 1)[index], 1e9, 1.0))
+    report = run_pipeline(rescaled(draws(5, index + 1)[index], 1e9, 1.0))
     assert report.status == "optimal"
     assert report.plan_violations == ()
 
@@ -144,7 +138,7 @@ def test_draw_30_at_quantities_times_1e6():
     # and so did its re-run from the basis where it stopped, so the search
     # ended with no incumbent and the run broke down.  Solved again from the
     # slack start, the child is optimal.
-    report = run_pipeline(rescaled(_draws(5, 31)[30], 1e6, 1.0))
+    report = run_pipeline(rescaled(draws(5, 31)[30], 1e6, 1.0))
     assert report.status == "optimal"
     assert report.lambda_star == 1.0
 
@@ -158,6 +152,6 @@ def test_draw_96_at_quantities_times_2_to_the_30():
     # "the incumbent's activation pattern solved infeasible".  ×2^29 passes;
     # ×2^30, 2^31, 2^32 and 2^34 break down.  Of the first 100 draws of
     # random.Random(4242), only this one breaks down at ×2^30.
-    report = run_pipeline(rescaled(_draws(4242, 97)[96], 2**30, 2**-30))
+    report = run_pipeline(rescaled(draws(4242, 97)[96], 2**30, 2**-30))
     assert report.status == "optimal"
     assert abs(report.lambda_star - 0.4726141078838175) <= 1e-9

@@ -12,13 +12,12 @@ shows here, by name.  After an intended change, regenerate the file with
 
 import hashlib
 import pathlib
-import random
 import sys
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
-from _random_instances import random_instance  # noqa: E402
+from _random_instances import draws  # noqa: E402
 from ifctp import run_pipeline  # noqa: E402
 from ifctp.reporting import render_machine  # noqa: E402
 
@@ -31,9 +30,8 @@ def _instances():
     for seed in SEEDS:
         for name, instance in workloads.instances("ladder-bb", seed).items():
             yield f"s{seed}:{name}", instance
-    rng = random.Random(1000)
-    for k in range(DRAWS):
-        yield f"r{k}", random_instance(rng)
+    for k, instance in enumerate(draws(1000, DRAWS)):
+        yield f"r{k}", instance
 
 
 def report_digests() -> str:

@@ -5,21 +5,20 @@ anchors, so each node of their searches is a transportation LP over the
 shipments alone (milp._shipment_form): a free route at c_ij + f_ij / M_ij per
 unit, an open one at c_ij plus f_ij, a closed one boxed at [0, 0].  Each
 center node's value must be the full model's LP relaxation at the node's
-fixes; every child key and every reduced-cost fixing must bound the subtree
-it closes; and the answer, the shipment-only LP at the incumbent's activation
-pattern lifted to the full model, must have the value of the full-form
-search's answer, bit for bit, and for the lower anchor its assignment too.
-Neither solve builds the full model's bounded form.
+fixes; every child key must bound the subtree it closes; and the answer, the
+shipment-only LP at the incumbent's activation pattern lifted to the full
+model, must have the value of the full-form search's answer, bit for bit,
+and for the lower anchor its assignment too.  Neither solve builds the full
+model's bounded form.
 """
 
 import heapq
 import pathlib
-import random
 import types
 
 import pytest
 
-from _random_instances import random_instance
+from _random_instances import draws
 from _textbook_lp import textbook_relaxation
 from conftest import bench1_instance, rescaled
 
@@ -39,13 +38,11 @@ def _data_file(variant):
 
 def _cases():
     """Lists of (instance, reference) pairs by name; the reference is the instance itself."""
-    rng = random.Random(77031)
-    draws = [random_instance(rng) for _ in range(40)]
     return {
         "paper": [(bench1_instance(), bench1_instance())],
         "zero-floor": [(_data_file("zero_floor"),) * 2],          # M_ij = 0 into one column
         "negative-cost": [(_data_file("negative_cost"),) * 2],    # M_ij = s_i.hi
-        "random-40": [(draw, draw) for draw in draws],
+        "random-40": [(draw, draw) for draw in draws(77031, 40)],
         **{f"quantities-2^{p}": [(rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p),) * 2]
            for p in (30, -30)},
     }
@@ -89,8 +86,8 @@ def test_every_center_node_is_the_full_models_relaxation(case, monkeypatch):
     assert checked >= len(CASES[case])
 
 
-def test_every_key_and_fixing_bounds_the_subtree_it_closes(monkeypatch):
-    """Each pushed child's key and each fixed-out branch's bound is at most its textbook LP."""
+def test_every_key_bounds_the_subtree_it_closes(monkeypatch):
+    """Each pushed child's key is at most its textbook LP."""
     bounded = []  # (bound, fixes, model)
     current = []
 
@@ -98,39 +95,24 @@ def test_every_key_and_fixing_bounds_the_subtree_it_closes(monkeypatch):
         bounded.append((entry[0], entry[3], current[0]))
         heapq.heappush(heap, entry)
 
-    fix = ifctp.milp._fix_by_reduced_cost
-    fixed = []
-
-    def recording_fix(binaries, form, state, value, cutoff, fixes, leaves):
-        before = len(leaves)
-        fix(binaries, form, state, value, cutoff, fixes, leaves)
-        fixed.extend((bound, dict(subtree), current[0]) for bound, subtree in leaves[before:])
-
     monkeypatch.setattr(ifctp.milp, "heapq",
                         types.SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
-    monkeypatch.setattr(ifctp.milp, "_fix_by_reduced_cost", recording_fix)
     pairs = [pair for pairs in CASES.values() for pair in pairs]
     for instance, reference in pairs + [(ladder, ladder) for ladder in LADDER_SEED_1]:
         current[:] = [_center_model(reference)]
         Stages(instance).anchor("center")
-    checked = {"key": 0, "fixing": 0}
-    for kind, records in (("key", bounded), ("fixing", fixed)):
-        for bound, fixes, model in records:
-            status, value, _ = textbook_relaxation(model, fixes)
-            if status == OPTIMAL:
-                assert bound <= value + 1e-9 * max(1.0, abs(value)), (kind, sorted(fixes.items()))
-                checked[kind] += 1
-    assert checked["key"] > 400 and checked["fixing"] > 400, checked
-
-
-def _random_draws(count):
-    rng = random.Random(1000)
-    return [random_instance(rng) for _ in range(count)]
+    checked = 0
+    for bound, fixes, model in bounded:
+        status, value, _ = textbook_relaxation(model, fixes)
+        if status == OPTIMAL:
+            assert bound <= value + 1e-9 * max(1.0, abs(value)), sorted(fixes.items())
+            checked += 1
+    assert checked > 400, checked
 
 
 SOURCES = {
     "ladder-seed-1": LADDER_SEED_1,
-    "random-200": _random_draws(200),
+    "random-200": draws(1000, 200),
     **{case: [instance for instance, _ in pairs] for case, pairs in CASES.items()},
     "quantity-units": [rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p)
                        for p in (-30, -24, -20, -10, -3, 10, 20, 30)],

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from _highs import highs_solve
-from _random_instances import random_instance
+from _random_instances import draws, random_instance
 from _textbook_lp import textbook_relaxation
 from conftest import rescaled, stage_models
 
@@ -71,9 +71,8 @@ class TestWarmNodesMatchCold:
         assert len(statuses) > 20
 
     def test_random_stage_searches(self, monkeypatch):
-        rng = random.Random(77031)
-        models = [model for _ in range(40)
-                  for model in stage_models(random_instance(rng)).values()]
+        models = [model for instance in draws(77031, 40)
+                  for model in stage_models(instance).values()]
         statuses = self._check_every_node(models, monkeypatch)
         assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
 
