@@ -16,7 +16,7 @@ and the refine model, derived from the max-min model at its level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,15 +112,12 @@ def refine_weights(payoff: PayoffTable) -> tuple[float, float]:
 
 def build_refine_model(bi: BiObjectiveMilp, payoff: PayoffTable, max_min: MilpModel,
                        lambda_star: float) -> MilpModel:
-    """Second-stage model: keep the level at lambda_star, minimize the refine_weights sum.
-
-    The model derives from max_min, so the two share one scaling of their rows.
-    """
+    """Second-stage model: keep the level at lambda_star, minimize the refine_weights sum."""
     level_var = 2 * bi.m * bi.n
     combined = np.zeros(level_var + 1)
     for weight, objective in zip(refine_weights(payoff), (bi.obj_lower, bi.obj_width)):
         combined[:level_var] += weight * objective
     lo = max_min.lo.copy()
     lo[level_var] = max(0.0, lambda_star - LEVEL_SLACK)
-    return max_min.derive(c=combined, lo=lo)
+    return replace(max_min, c=combined, lo=lo)
 

@@ -27,10 +27,8 @@ overhead costs about as much as the arithmetic, and each pivot is written
 with as few calls as it allows.  The update is one broadcast,
 T -= col * pivot_row, with the pivot row's own entry of col zeroed.  The
 model is scaled by powers of two and gets one slack per row; bounds stay
-implicit, so there are no upper-bound rows.  The row and column scaling
-depends on A alone, so it is computed once, with the model, and models
-derived from one another (MilpModel.derive) share it; the objective gets one
-power of two of its own.  Every LP start is a basis with its nonbasics'
+implicit, so there are no upper-bound rows.  The objective gets one power
+of two of its own.  Every LP start is a basis with its nonbasics'
 at-upper flags (_Start).  A root or pattern LP starts from the slack basis,
 each column at the bound its cost prefers, which is dual feasible because
 every bound is finite (_dual_simplex).  A child differs from its parent by
@@ -100,7 +98,6 @@ leaves that may hold its points (pipeline.Stages.compromise).
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import heapq
 import itertools
@@ -163,8 +160,8 @@ class MilpModel:
     bound is finite, so no LP is unbounded and the slack basis is dual
     feasible.  binaries lists the variables restricted to {0, 1}; each must
     be bounded within [0, 1].  Every array is a read-only copy, so solves
-    can share a model and its arrays.  Models made by derive share A's
-    scaling too (_bounded_form).
+    can share a model and its arrays; dataclasses.replace makes a checked
+    model with some arrays replaced.
     """
 
     c: np.ndarray
@@ -179,24 +176,6 @@ class MilpModel:
         for name, values in zip(_FIELDS, (c, A, senses, b, lo, hi, binaries)):
             object.__setattr__(self, name, _frozen(name, values))
         self._check()
-        # A's scaled bounded form, shared by every model derived from this one.
-        object.__setattr__(self, "_scaling", _scaled_matrix(self.A))
-
-    def derive(self, **arrays) -> MilpModel:
-        """This model with some arrays other than A replaced, sharing A's scaling.
-
-        Only the replaced arrays are copied; the others, read-only, are shared.
-        """
-        if "A" in arrays:
-            raise TypeError("a derived model keeps its constraint matrix")
-        unknown = set(arrays) - set(_FIELDS)
-        if unknown:
-            raise TypeError(f"MilpModel has no array {sorted(unknown)[0]!r}")
-        model = copy.copy(self)  # shares every array and the scaling
-        for name, values in arrays.items():
-            object.__setattr__(model, name, _frozen(name, values))
-        model._check()
-        return model
 
     def _check(self) -> None:
         nv = self.c.size
@@ -336,11 +315,9 @@ def _bounded_form(model: MilpModel) -> _Form:
     Upper bounds stay implicit.  Four passes of geometric-mean scaling
     bring every row and column near magnitude one, so the absolute pivot
     tolerance means the same in a big-M row; an entry below SCALE_FLOOR of
-    its row's or column's largest is left out of the geometric mean.  M, R
-    and C depend on A alone, so they are computed once, with the model, for
-    it and every model derived from it.
+    its row's or column's largest is left out of the geometric mean.
     """
-    M, rows, cols = model._scaling
+    M, rows, cols = _scaled_matrix(model.A)
     lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
     hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
     with np.errstate(over="ignore"):  # _form rejects an overflowed cost
@@ -359,8 +336,6 @@ def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
     rows = np.exp2(np.round(np.log2(rows)))
     cols = np.exp2(np.round(np.log2(cols)))
     M = np.hstack((A * rows[:, None] * cols, np.eye(m)))
-    for array in (M, rows, cols):
-        array.flags.writeable = False
     return M, rows, cols
 
 

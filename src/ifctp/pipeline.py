@@ -8,7 +8,7 @@ with its own inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .compromise import (LEVEL_SLACK, CompromiseResult, PayoffTable, build_max_min_model,
@@ -36,12 +36,12 @@ class Stages:
     plan, so it raises InfeasibleProblemError here, before any solve.  The
     anchors center, width and lower minimize one objective each over one model;
     the width anchor serves the ideal point and the payoff table.  Only the
-    width anchor is solved in the model's bounded form, scaled once with the
-    model; the center and lower anchors build shipment-only LPs, search and
-    answer alike (solve_milp's link_rows).  A shipment-only width search would
-    meet another tied optimum first on some instances, and the payoff table
-    reports that plan's lower endpoint.  compromise solves max-min and refine
-    at the payoff levels.  models and solutions hold each solved stage by name.
+    width anchor is solved in the model's bounded form; the center and lower
+    anchors build shipment-only LPs, search and answer alike (solve_milp's
+    link_rows).  A shipment-only width search would meet another tied optimum
+    first on some instances, and the payoff table reports that plan's lower
+    endpoint.  compromise solves max-min and refine at the payoff levels.
+    models and solutions hold each solved stage by name.
     """
 
     def __init__(self, instance: IfctpInstance):
@@ -56,7 +56,7 @@ class Stages:
     def anchor(self, name: str) -> MilpSolution:
         """Anchor name's optimal solution; any other outcome is a numerical breakdown."""
         if name not in self.solutions:
-            self.models[name] = self._anchors.derive(c=getattr(self.bi, f"obj_{name}"))
+            self.models[name] = replace(self._anchors, c=getattr(self.bi, f"obj_{name}"))
             self.solutions[name] = solve_milp(
                 self.models[name], link_rows=None if name == "width" else link_rows(self.bi))
         if self.solutions[name].status != OPTIMAL:

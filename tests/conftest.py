@@ -62,14 +62,19 @@ def rescaled(instance: IfctpInstance, quantity: float, unit_cost: float) -> Ifct
                          [scale(iv, quantity) for iv in instance.demand])
 
 
-def stage_models(instance: IfctpInstance) -> dict:
-    """The five stage models of a Stages run, by name, so a test checks the very
-    models a run solves."""
+def stage_run(instance: IfctpInstance) -> Stages:
+    """A Stages run of all five stage solves, holding their models and solutions."""
     stages = Stages(instance)
     stages.anchor("lower")
     stages.ideal()
     stages.compromise()
-    return dict(stages.models)
+    return stages
+
+
+def stage_models(instance: IfctpInstance) -> dict:
+    """The five stage models of a Stages run, by name, so a test checks the very
+    models a run solves."""
+    return dict(stage_run(instance).models)
 
 
 @pytest.fixture(scope="session")

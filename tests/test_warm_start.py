@@ -20,7 +20,7 @@ import pytest
 from _highs import highs_solve
 from _random_instances import draws, random_instance
 from _textbook_lp import textbook_relaxation
-from conftest import rescaled, stage_models
+from conftest import rescaled, stage_models, stage_run
 
 import ifctp.milp
 import workloads
@@ -100,6 +100,7 @@ class TestAnswerIsThePatternLp:
             status, value, _ = textbook_relaxation(model, pattern)
             oracle = oracle_solve(model)
             assert status == oracle.status == OPTIMAL, name
+            assert oracle.nodes == 2 ** model.binaries.size, name
             assert np.array(solution.assignment).tobytes() == \
                 np.array(oracle.assignment).tobytes(), name
             assert solution.objective_value == oracle.objective_value, name
@@ -107,15 +108,17 @@ class TestAnswerIsThePatternLp:
 
 
 class TestHighsSweep:
-    """Stage optima beyond the oracle's 20 binaries agree with HiGHS."""
+    """Stage optima beyond the oracle's 20 binaries agree with HiGHS: each is the
+    optimum a Stages run found, in the LP form the run searched it in."""
 
     @pytest.mark.parametrize("m, n, count", [(5, 6, 3), (6, 8, 1), (7, 9, 1)])
     def test_stage_optima_match_highs(self, m, n, count):
         rng = random.Random(f"highs-sweep-{m}x{n}")
         started = time.perf_counter()
         for k in range(count):
-            for name, model in stage_models(workloads.generate(rng, m, n)).items():
-                ours = solve_milp(model, node_limit=20_000)
+            stages = stage_run(workloads.generate(rng, m, n))
+            for name, model in stages.models.items():
+                ours = stages.solutions[name]
                 status, value = highs_solve(model)
                 assert ours.status == status == OPTIMAL, (k, name)
                 assert abs(ours.objective_value - value) <= 1e-6 * max(1.0, abs(value)), (k, name)
