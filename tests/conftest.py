@@ -1,9 +1,13 @@
+import collections
+import heapq
 import pathlib
 import sys
+import types
 
 import pytest
 
-from ifctp import IfctpInstance, Interval, ShipmentPlan, Stages
+import ifctp.milp
+from ifctp import IfctpInstance, Interval, ShipmentPlan, Stages, parse_instance
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEMS_DIR = ROOT / "problems"
@@ -27,6 +31,11 @@ def bench1_instance() -> IfctpInstance:
         [Interval(*s) for s in BENCH1_SUPPLY],
         [Interval(*d) for d in BENCH1_DEMAND],
     )
+
+
+def shipped_variant(name: str) -> IfctpInstance:
+    """The shipped instance's copy in tests/data/safi_razmjoo_1_{name}.txt."""
+    return parse_instance((ROOT / "tests" / "data" / f"safi_razmjoo_1_{name}.txt").read_text())
 
 
 def zero_width_bench1() -> IfctpInstance:
@@ -75,6 +84,36 @@ def stage_models(instance: IfctpInstance) -> dict:
     """The five stage models of a Stages run, by name, so a test checks the very
     models a run solves."""
     return dict(stage_run(instance).models)
+
+
+NodeLp = collections.namedtuple("NodeLp", "model shipment_only fixes cold status value")
+
+
+def record_searches(monkeypatch, run):
+    """run()'s result, every node LP it solved and every child key it pushed.
+
+    Each node LP, pattern LPs included, is a NodeLp: the model, whether its
+    form is shipment-only, the fixes, whether it started from the slack basis
+    (cold), the status and the value.  Each pushed child is (key, parent,
+    fixes), parent being the NodeLp of the latest node LP.
+    """
+    lps, keys = [], []
+    node_lp = ifctp.milp._node_lp
+
+    def recording_node_lp(model, form, fixes, start):
+        result = node_lp(model, form, fixes, start)
+        lps.append(NodeLp(model, form.links is not None, fixes, start is None, *result[:2]))
+        return result
+
+    def recording_push(heap, entry):  # entry: (key, -depth, sequence, fixes, start)
+        keys.append((entry[0], lps[-1], entry[3]))
+        heapq.heappush(heap, entry)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ifctp.milp, "_node_lp", recording_node_lp)
+        patch.setattr(ifctp.milp, "heapq",
+                      types.SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
+        return run(), lps, keys
 
 
 @pytest.fixture(scope="session")

@@ -9,14 +9,13 @@ import heapq
 import itertools
 import math
 import struct
-import types
 
 import numpy as np
 import pytest
 
 from _random_instances import draws
 from _textbook_lp import textbook_relaxation
-from conftest import scaled_costs, stage_models
+from conftest import record_searches, scaled_costs, stage_models
 
 import ifctp.milp
 from ifctp import MilpModel, MilpSolution
@@ -100,25 +99,15 @@ def _compare(models, monkeypatch):
     Each search's node count must equal its node LP solves, and the penalty
     keys must never need more of them than the parent-keyed reference.
     """
-    solved = []
-    node_lp = ifctp.milp._node_lp
+    def searched(lps):  # the answer's pattern solve is the one slack-basis start with fixes
+        return sum(not lp.cold or not lp.fixes for lp in lps)
 
-    def recording_node_lp(model, form, fixes, start):
-        # The answer's pattern solve is the one slack-basis start with fixes.
-        if start is not None or not fixes:
-            solved.append(tuple(sorted(fixes.items())))
-        return node_lp(model, form, fixes, start)
-
-    monkeypatch.setattr(ifctp.milp, "_node_lp", recording_node_lp)
     nodes = ref_nodes = 0
     for name, model in models.items():
-        solved.clear()
-        solution = solve_milp(model)
-        pruned_solves = list(solved)
-        solved.clear()
-        reference = _reference_solve_milp(model)
+        solution, lps, _ = record_searches(monkeypatch, lambda: solve_milp(model))
+        reference, ref_lps, _ = record_searches(monkeypatch, lambda: _reference_solve_milp(model))
         assert _bits(solution) == _bits(reference), name
-        assert solution.nodes == len(pruned_solves) <= reference.nodes == len(solved), name
+        assert solution.nodes == searched(lps) <= reference.nodes == searched(ref_lps), name
         nodes += solution.nodes
         ref_nodes += reference.nodes
     return nodes, ref_nodes
@@ -173,33 +162,6 @@ class TestPenaltyBounds:
                     positive += bound > value + scale
         assert checked > 20
         assert positive > 0  # the bounds are not all the parent's value
-
-    def test_every_child_key_bounds_its_lp(self, bench1, monkeypatch):
-        """At every branching node, each child's key is at most its textbook LP value."""
-        models = [model for factor in (1.0, 1e6, 1e-7) for model in
-                  stage_models(scaled_costs(bench1, factor)).values()]
-        # 200 draws, not 40: with M_ij = min(s_i.hi, d_j.lo) the trees are about
-        # half as large, and 40 draws left 464 keys to check.
-        models += [model for instance in draws(77031, 200)
-                   for model in stage_models(instance).values()]
-        pushed = []
-
-        def recording_push(heap, entry):  # entry: (key, -depth, sequence, fixes, start)
-            pushed.append((entry[0], entry[3]))
-            heapq.heappush(heap, entry)
-
-        monkeypatch.setattr(ifctp.milp, "heapq",
-                            types.SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
-        checked = 0
-        for model in models:
-            pushed.clear()
-            solve_milp(model)
-            for key, fixes in pushed:
-                status, value, _ = textbook_relaxation(model, fixes)
-                if status == OPTIMAL:
-                    assert key <= value + 1e-9 * max(1.0, abs(value)), sorted(fixes.items())
-                    checked += 1
-        assert checked > 1000
 
     def test_no_candidate_column_means_infeasible_child(self):
         # max x0 with x0 + x1 = 1 and x0 <= 0.4 puts x1 at 0.6; x1 cannot

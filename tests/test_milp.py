@@ -7,6 +7,7 @@ import pytest
 
 from _random_instances import random_instance
 from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
+from conftest import stage_run
 
 from ifctp import MilpModel, NodeLimitError, OracleScopeError, Stages
 from ifctp.compromise import LEVEL_SLACK, build_max_min_model
@@ -200,36 +201,23 @@ class TestOracleEquivalenceSweep:
     """Primary correctness property: branch and bound equals brute force."""
 
     def test_randomized_instances(self):
+        """Each of a Stages run's five solutions is the oracle's optimum of its model."""
         rng = random.Random(424242)
         narrowed = 0
         for _ in range(40):
             instance = random_instance(rng)
-            bi = build_bi_objective(instance)
             k = instance.m * instance.n
-            stages = Stages(instance)
-            models = [
-                to_milp(bi, bi.obj_center),
-                to_milp(bi, bi.obj_width),
-                build_max_min_model(bi, stages.payoff(), to_milp(bi, bi.obj_center)),
-            ]
-            for model in models:
-                sol = solve_milp(model)
-                ref = oracle_solve(model)
-                assert sol.status == ref.status
-                if sol.status == "optimal":
-                    scale = max(1.0, abs(ref.objective_value))
-                    assert abs(sol.objective_value - ref.objective_value) <= 1e-6 * scale
-                assert sol.nodes <= 2 ** (k + 1)
+            stages = stage_run(instance)
+            for name, model in stages.models.items():
+                sol, ref = stages.solutions[name], oracle_solve(model)
+                assert sol.status == ref.status == "optimal", name
+                scale = max(1.0, abs(ref.objective_value))
+                assert abs(sol.objective_value - ref.objective_value) <= 1e-6 * scale, name
+                assert sol.nodes <= 2 ** (k + 1), name
             # The refine searches only the max-min leaves that can reach its
             # level floor (Stages.compromise); the oracle enumerates them all.
-            stages.compromise()
-            refine, refined = stages.models["refine"], stages.solutions["refine"]
-            ref = oracle_solve(refine)
-            assert refined.status == ref.status == "optimal"
-            scale = max(1.0, abs(ref.objective_value))
-            assert abs(refined.objective_value - ref.objective_value) <= 1e-6 * scale
             leaves = stages.solutions["max-min"].leaves
-            floor = refine.lo[-1]
+            floor = stages.models["refine"].lo[-1]
             band = [bound for bound, _ in leaves if bound <= LEVEL_SLACK - floor]
             narrowed += floor > 0.0 and len(band) < len(leaves)
         assert narrowed >= 20  # 27 of the 40 draws

@@ -3,118 +3,36 @@
 Stages.anchor hands solve_milp the linking rows for the center and lower
 anchors, so each node of their searches is a transportation LP over the
 shipments alone (milp._shipment_form): a free route at c_ij + f_ij / M_ij per
-unit, an open one at c_ij plus f_ij, a closed one boxed at [0, 0].  Each
-center node's value must be the full model's LP relaxation at the node's
-fixes; every child key must bound the subtree it closes; and the answer, the
-shipment-only LP at the incumbent's activation pattern lifted to the full
-model, must have the value of the full-form search's answer, bit for bit,
-and for the lower anchor its assignment too.  Neither solve builds the full
-model's bounded form.
+unit, an open one at c_ij plus f_ij, a closed one boxed at [0, 0].  The
+answer, the shipment-only LP at the incumbent's activation pattern lifted to
+the full model, must have the value of the full-form search's answer, bit
+for bit, and for the lower anchor its assignment too.  Neither solve builds
+the full model's bounded form.  test_warm_start.py checks each of their node
+LPs against the full model's LP relaxation at the node's fixes, and each
+child key against it.
 """
 
 import dataclasses
-import heapq
-import pathlib
-import types
 
 import pytest
 
 from _random_instances import draws
-from _textbook_lp import textbook_relaxation
-from conftest import bench1_instance, rescaled
+from conftest import bench1_instance, rescaled, shipped_variant
 
 import ifctp.milp
 import workloads
-from ifctp import Stages, parse_instance
+from ifctp import Stages
 from ifctp.crisp import build_bi_objective, to_milp
 from ifctp.milp import OPTIMAL, _shipment_form, solve_milp
 
-DATA = pathlib.Path(__file__).resolve().parent / "data"
-LADDER_SEED_1 = list(workloads.instances("ladder-bb", 1).values())
-
-
-def _data_file(variant):
-    return parse_instance((DATA / f"safi_razmjoo_1_{variant}.txt").read_text())
-
-
-def _cases():
-    """Lists of (instance, reference) pairs by name; the reference is the instance itself."""
-    return {
-        "paper": [(bench1_instance(), bench1_instance())],
-        "zero-floor": [(_data_file("zero_floor"),) * 2],          # M_ij = 0 into one column
-        "negative-cost": [(_data_file("negative_cost"),) * 2],    # M_ij = s_i.hi
-        "random-40": [(draw, draw) for draw in draws(77031, 40)],
-        **{f"quantities-2^{p}": [(rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p),) * 2]
-           for p in (30, -30)},
-    }
-
-
-CASES = _cases()
-
-
-def _relative(a, b):
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
-def _center_model(instance):
-    bi = build_bi_objective(instance)
-    return to_milp(bi, bi.obj_center)
-
-
-@pytest.mark.parametrize("case", list(CASES))
-def test_every_center_node_is_the_full_models_relaxation(case, monkeypatch):
-    nodes = []
-    node_lp = ifctp.milp._node_lp
-
-    def recording(model, form, fixes, start):
-        result = node_lp(model, form, fixes, start)
-        if form.links is not None:
-            nodes.append((dict(fixes), result[0], result[1]))
-        return result
-
-    monkeypatch.setattr(ifctp.milp, "_node_lp", recording)
-    checked = 0
-    for instance, reference in CASES[case]:
-        nodes.clear()
-        Stages(instance).anchor("center")
-        model = _center_model(reference)
-        for fixes, status, value in nodes:
-            textbook = textbook_relaxation(model, fixes)
-            assert status == textbook[0], sorted(fixes.items())
-            if status == OPTIMAL:
-                assert _relative(value, textbook[1]), (sorted(fixes.items()), value, textbook[1])
-        checked += len(nodes)
-    assert checked >= len(CASES[case])
-
-
-def test_every_key_bounds_the_subtree_it_closes(monkeypatch):
-    """Each pushed child's key is at most its textbook LP."""
-    bounded = []  # (bound, fixes, model)
-    current = []
-
-    def recording_push(heap, entry):  # entry: (key, -depth, sequence, fixes, start)
-        bounded.append((entry[0], entry[3], current[0]))
-        heapq.heappush(heap, entry)
-
-    monkeypatch.setattr(ifctp.milp, "heapq",
-                        types.SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
-    pairs = [pair for pairs in CASES.values() for pair in pairs]
-    for instance, reference in pairs + [(ladder, ladder) for ladder in LADDER_SEED_1]:
-        current[:] = [_center_model(reference)]
-        Stages(instance).anchor("center")
-    checked = 0
-    for bound, fixes, model in bounded:
-        status, value, _ = textbook_relaxation(model, fixes)
-        if status == OPTIMAL:
-            assert bound <= value + 1e-9 * max(1.0, abs(value)), sorted(fixes.items())
-            checked += 1
-    assert checked > 400, checked
-
-
 SOURCES = {
-    "ladder-seed-1": LADDER_SEED_1,
+    "ladder-seed-1": list(workloads.instances("ladder-bb", 1).values()),
     "random-200": draws(1000, 200),
-    **{case: [instance for instance, _ in pairs] for case, pairs in CASES.items()},
+    "paper": [bench1_instance()],
+    "zero-floor": [shipped_variant("zero_floor")],          # M_ij = 0 into one column
+    "negative-cost": [shipped_variant("negative_cost")],    # M_ij = s_i.hi
+    "random-40": draws(77031, 40),
+    **{f"quantities-2^{p}": [rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p)] for p in (30, -30)},
     "quantity-units": [rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p)
                        for p in (-30, -24, -20, -10, -3, 10, 20, 30)],
 }

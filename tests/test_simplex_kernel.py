@@ -10,7 +10,7 @@ import pytest
 
 from _random_instances import draws, random_instance
 from _textbook_lp import textbook_relaxation
-from conftest import stage_models
+from conftest import record_searches, stage_models
 
 import ifctp.milp
 from ifctp import DegeneratePivotError, MilpModel, run_pipeline
@@ -252,25 +252,19 @@ class TestSharedFactorisation:
         inv = np.linalg.inv
         for model in stage_models(instance).values():
             inverses = 0
-            fixes_solved = []
 
             def counting_inv(matrix):
                 nonlocal inverses
                 inverses += 1
                 return inv(matrix)
 
-            def recording_node_lp(model, form, fixes, start, node_lp=ifctp.milp._node_lp):
-                fixes_solved.append(list(fixes.items()))
-                return node_lp(model, form, fixes, start)
-
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "inv", counting_inv)
-                patch.setattr(ifctp.milp, "_node_lp", recording_node_lp)
-                solution = solve_milp(model)
+                solution, lps, _ = record_searches(patch, lambda: solve_milp(model))
             assert solution.status == "optimal"
             # The root first, the answer's pattern LP last; a child adds one fix to
             # its parent's, so the parents of the children solved are told by their fixes.
-            children = fixes_solved[1:-1]
+            children = [list(lp.fixes.items()) for lp in lps[1:-1]]
             branched = {tuple(fixes[:-1]) for fixes in children}
             # A child that fails warm runs once more from the slack start, already inverted.
             assert inverses == 1 + len(branched)

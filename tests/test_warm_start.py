@@ -1,16 +1,18 @@
-"""Node LPs against the textbook simplex, and stage optima against HiGHS.
+"""Node LPs and child keys against the textbook simplex, and stage optima against HiGHS.
 
 The bounded dual simplex solves every LP: each branch-and-bound node, the
 root from the slack basis and every other node from its parent's basis; and
 each answer's LP at the incumbent's activation pattern, from the slack basis.
-These tests check each node, root included, against the textbook simplex on
-the same fixes (tests/_textbook_lp.py), negative unit costs against the
+These tests check each node LP of a run's searches, in the form the run
+solves it, and of the bounded searches a run does not make, against the
+textbook simplex on the same fixes (tests/_textbook_lp.py), and each child's
+key against the textbook LP it bounds; negative unit costs against the
 enumeration oracle, the paper's answers against the oracle bit for bit and
 against the textbook optimum, and stage optima beyond the oracle's reach
 against scipy's HiGHS.
 """
 
-import pathlib
+import collections
 import random
 import time
 
@@ -20,61 +22,93 @@ import pytest
 from _highs import highs_solve
 from _random_instances import draws, random_instance
 from _textbook_lp import textbook_relaxation
-from conftest import rescaled, stage_models, stage_run
+from conftest import (bench1_instance, record_searches, rescaled, scaled_costs, shipped_variant,
+                      stage_models, stage_run)
 
-import ifctp.milp
 import workloads
-from ifctp import IfctpInstance, Interval, parse_instance, run_oracle_check
-from ifctp.milp import OPTIMAL, oracle_solve, solve_milp
+from ifctp import IfctpInstance, Interval, Stages, run_oracle_check
+from ifctp.milp import INFEASIBLE, OPTIMAL, oracle_solve, solve_milp
 
-DATA = pathlib.Path(__file__).resolve().parent / "data"
+# Instances by case.  The shipped file's copies have a zero demand floor (M_ij = 0
+# into one column) and a negative unit cost (M_ij = s_i.hi).  At quantities x1e9 a
+# warm width-anchor child once came back infeasible from its parent's basis
+# although it holds the optimum (test_quantity_unit.py).
+SEARCH_CASES = {
+    "shipped": [bench1_instance(), shipped_variant("zero_floor"), shipped_variant("negative_cost")],
+    "units": [*(scaled_costs(bench1_instance(), factor) for factor in (1e6, 1e-7)),
+              rescaled(bench1_instance(), 1e9, 1.0),
+              *(rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p) for p in (30, -30))],
+    "draws": draws(77031, 200),
+    "ladder-seed-1": list(workloads.instances("ladder-bb", 1).values()),
+}
+# Least checks per case, by (shipment-only form, LP status or "key").
+FLOORS = {
+    "shipped": {(True, OPTIMAL): 3, (False, OPTIMAL): 101, (False, INFEASIBLE): 1},
+    "units": {(True, OPTIMAL): 5, (False, OPTIMAL): 21},
+    "draws": {(True, OPTIMAL): 200, (False, OPTIMAL): 101, (False, INFEASIBLE): 1,
+              (False, "key"): 1001},
+    "ladder-seed-1": {(True, OPTIMAL): 19, (True, "key"): 401},
+}
 
 
-class TestWarmNodesMatchCold:
-    @staticmethod
-    def _check_every_node(models, monkeypatch):
-        """Solve each model; every LP, root and pattern solve included, must match the textbook."""
-        statuses = []
-        node_lp = ifctp.milp._node_lp
+def _anchors(instance):
+    stages = Stages(instance)
+    for name in ("center", "lower"):
+        stages.anchor(name)
+    return stages
 
-        def checking_node_lp(model, form, fixes, start):
-            result = node_lp(model, form, fixes, start)
-            textbook = textbook_relaxation(model, fixes)
-            assert result[0] == textbook[0], sorted(fixes.items())
-            if textbook[0] == OPTIMAL:
-                assert abs(result[1] - textbook[1]) <= 1e-9 * max(1.0, abs(textbook[1]))
-            statuses.append(result[0])
-            return result
 
-        monkeypatch.setattr(ifctp.milp, "_node_lp", checking_node_lp)
-        for model in models:
-            solve_milp(model)
-        return statuses
+def _searches(case, instance, monkeypatch):
+    """(node LPs, pushed keys) of a run's searches, then of those it does not make.
 
-    def test_bench1_stage_searches(self, bench1, monkeypatch):
-        # With M_ij = min(s_i.hi, d_j.lo) the paper's five searches take 60
-        # node LPs, so the copies with a zero demand floor (M_ij = 0 in one
-        # column) and with a negative unit cost (M_ij = s_i.hi) join them.
-        models = list(stage_models(bench1).values())
-        for variant in ("zero_floor", "negative_cost"):
-            text = (DATA / f"safi_razmjoo_1_{variant}.txt").read_text()
-            models += stage_models(parse_instance(text)).values()
-        statuses = self._check_every_node(models, monkeypatch)
-        assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
+    A run searches the center and lower anchors over shipment-only LPs and the
+    rest in the bounded form; the ladder's case takes its anchors alone.  The
+    bounded center and lower searches follow, and the refine model's from the
+    root, where most warm children end INFEASIBLE.
+    """
+    run = _anchors if case == "ladder-seed-1" else stage_run
+    stages, lps, keys = record_searches(monkeypatch, lambda: run(instance))
+    anchors = [stages.models[name] for name in ("center", "lower")]
+    assert all(lp.shipment_only == any(lp.model is model for model in anchors) for lp in lps)
+    if case != "ladder-seed-1":
+        _, more_lps, more_keys = record_searches(monkeypatch, lambda: [
+            solve_milp(stages.models[name]) for name in ("center", "lower", "refine")])
+        assert not any(lp.shipment_only for lp in more_lps)
+        lps += more_lps
+        keys += more_keys
+    return lps, keys
 
-    def test_bench1_stage_searches_at_quantities_times_1e9(self, bench1, monkeypatch):
-        # At this unit a warm width-anchor child once came back infeasible
-        # from its parent's basis although it holds the optimum
-        # (test_quantity_unit.py); every node LP must match the textbook here.
-        models = stage_models(rescaled(bench1, 1e9, 1.0)).values()
-        statuses = self._check_every_node(models, monkeypatch)
-        assert len(statuses) > 20
 
-    def test_random_stage_searches(self, monkeypatch):
-        models = [model for instance in draws(77031, 40)
-                  for model in stage_models(instance).values()]
-        statuses = self._check_every_node(models, monkeypatch)
-        assert len(statuses) > 100 and {"optimal", "infeasible"} <= set(statuses)
+@pytest.mark.parametrize("case", list(SEARCH_CASES))
+def test_every_node_lp_and_child_key_meets_the_textbook(case, monkeypatch):
+    """Each node LP, root, warm and pattern LPs alike, has the textbook's status and
+    value at its fixes; each pushed child's key is at most its textbook LP value."""
+    counts = collections.Counter()
+    # Textbook LPs by (model, fixes): a popped child repeats its key's LP, and a
+    # bounded anchor search repeats many of its shipment-only search's.
+    textbook = {}
+
+    def relaxation(model, fixes):
+        at = model, tuple(sorted(fixes.items()))
+        if at not in textbook:
+            textbook[at] = textbook_relaxation(model, fixes)[:2]
+        return textbook[at]
+
+    for instance in SEARCH_CASES[case]:
+        lps, keys = _searches(case, instance, monkeypatch)
+        for lp in lps:
+            status, value = relaxation(lp.model, lp.fixes)
+            assert lp.status == status, sorted(lp.fixes.items())
+            if status == OPTIMAL:
+                assert abs(lp.value - value) <= 1e-9 * max(1.0, abs(value)), \
+                    (sorted(lp.fixes.items()), lp.value, value)
+            counts[lp.shipment_only, status] += 1
+        for key, parent, fixes in keys:
+            status, value = relaxation(parent.model, fixes)
+            if status == OPTIMAL:
+                assert key <= value + 1e-9 * max(1.0, abs(value)), sorted(fixes.items())
+                counts[parent.shipment_only, "key"] += 1
+    assert all(counts[group] >= least for group, least in FLOORS[case].items()), counts
 
 
 class TestNegativeUnitCosts:
