@@ -6,8 +6,11 @@ import types
 
 import pytest
 
+from _textbook_lp import textbook_relaxation
+
 import ifctp.milp
 from ifctp import IfctpInstance, Interval, ShipmentPlan, Stages, parse_instance
+from ifctp.milp import OPTIMAL, solve_milp
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEMS_DIR = ROOT / "problems"
@@ -114,6 +117,69 @@ def record_searches(monkeypatch, run):
         patch.setattr(ifctp.milp, "heapq",
                       types.SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
         return run(), lps, keys
+
+
+def _searches(monkeypatch, instance, anchors_only):
+    """(node LPs, pushed keys) of a run's searches, then of those it does not make.
+
+    A run searches the center and lower anchors over shipment-only LPs and the
+    rest in the bounded form; with anchors_only it takes its anchors alone.
+    Otherwise the bounded center and lower searches follow, and the refine
+    model's from the root, where most warm children end INFEASIBLE.
+    """
+    def anchors():
+        stages = Stages(instance)
+        for name in ("center", "lower"):
+            stages.anchor(name)
+        return stages
+
+    stages, lps, keys = record_searches(
+        monkeypatch, anchors if anchors_only else lambda: stage_run(instance))
+    shipment = [stages.models[name] for name in ("center", "lower")]
+    assert all(lp.shipment_only == any(lp.model is model for model in shipment) for lp in lps)
+    if not anchors_only:
+        _, more_lps, more_keys = record_searches(monkeypatch, lambda: [
+            solve_milp(stages.models[name]) for name in ("center", "lower", "refine")])
+        assert not any(lp.shipment_only for lp in more_lps)
+        lps += more_lps
+        keys += more_keys
+    return lps, keys
+
+
+def check_searches(monkeypatch, instances, anchors_only=False):
+    """Check each instance's node LPs and child keys against the textbook simplex.
+
+    Each node LP, root, warm and pattern LPs alike, must have the textbook's
+    status and value at its fixes (tests/_textbook_lp.py); each pushed child's
+    key must be at most its textbook LP value.  Returns the counts of checks by
+    (shipment-only form, LP status or "key").
+    """
+    counts = collections.Counter()
+    # Textbook LPs by (model, fixes): a popped child repeats its key's LP, and a
+    # bounded anchor search repeats many of its shipment-only search's.
+    textbook = {}
+
+    def relaxation(model, fixes):
+        at = model, tuple(sorted(fixes.items()))
+        if at not in textbook:
+            textbook[at] = textbook_relaxation(model, fixes)[:2]
+        return textbook[at]
+
+    for instance in instances:
+        lps, keys = _searches(monkeypatch, instance, anchors_only)
+        for lp in lps:
+            status, value = relaxation(lp.model, lp.fixes)
+            assert lp.status == status, sorted(lp.fixes.items())
+            if status == OPTIMAL:
+                assert abs(lp.value - value) <= 1e-9 * max(1.0, abs(value)), \
+                    (sorted(lp.fixes.items()), lp.value, value)
+            counts[lp.shipment_only, status] += 1
+        for key, parent, fixes in keys:
+            status, value = relaxation(parent.model, fixes)
+            if status == OPTIMAL:
+                assert key <= value + 1e-9 * max(1.0, abs(value)), sorted(fixes.items())
+                counts[parent.shipment_only, "key"] += 1
+    return counts
 
 
 @pytest.fixture(scope="session")

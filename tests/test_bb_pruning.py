@@ -15,7 +15,7 @@ import pytest
 
 from _random_instances import draws
 from _textbook_lp import textbook_relaxation
-from conftest import record_searches, scaled_costs, stage_models
+from conftest import check_searches, record_searches, scaled_costs, stage_models
 
 import ifctp.milp
 from ifctp import MilpModel, MilpSolution
@@ -162,6 +162,13 @@ class TestPenaltyBounds:
                     positive += bound > value + scale
         assert checked > 20
         assert positive > 0  # the bounds are not all the parent's value
+
+    def test_every_child_key_bounds_its_lp(self, bench1, monkeypatch):
+        """At every branching node, each child's key is at most its textbook LP value
+        (conftest.check_searches); test_warm_start.py checks the unscaled costs."""
+        counts = check_searches(monkeypatch,
+                                [scaled_costs(bench1, factor) for factor in (1e6, 1e-7)])
+        assert counts[True, "key"] > 20 and counts[False, "key"] > 100, counts
 
     def test_no_candidate_column_means_infeasible_child(self):
         # max x0 with x0 + x1 = 1 and x0 <= 0.4 puts x1 at 0.6; x1 cannot

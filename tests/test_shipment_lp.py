@@ -3,13 +3,13 @@
 Stages.anchor hands solve_milp the linking rows for the center and lower
 anchors, so each node of their searches is a transportation LP over the
 shipments alone (milp._shipment_form): a free route at c_ij + f_ij / M_ij per
-unit, an open one at c_ij plus f_ij, a closed one boxed at [0, 0].  The
-answer, the shipment-only LP at the incumbent's activation pattern lifted to
-the full model, must have the value of the full-form search's answer, bit
-for bit, and for the lower anchor its assignment too.  Neither solve builds
-the full model's bounded form.  test_warm_start.py checks each of their node
-LPs against the full model's LP relaxation at the node's fixes, and each
-child key against it.
+unit, an open one at c_ij plus f_ij, a closed one boxed at [0, 0].  Each of
+their node LPs must be the full model's LP relaxation at the node's fixes;
+every child key must bound the subtree it closes; and the answer, the
+shipment-only LP at the incumbent's activation pattern lifted to the full
+model, must have the value of the full-form search's answer, bit for bit,
+and for the lower anchor its assignment too.  Neither solve builds the full
+model's bounded form.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import dataclasses
 import pytest
 
 from _random_instances import draws
-from conftest import bench1_instance, rescaled, shipped_variant
+from conftest import bench1_instance, check_searches, rescaled, shipped_variant
 
 import ifctp.milp
 import workloads
@@ -25,14 +25,34 @@ from ifctp import Stages
 from ifctp.crisp import build_bi_objective, to_milp
 from ifctp.milp import OPTIMAL, _shipment_form, solve_milp
 
-SOURCES = {
-    "ladder-seed-1": list(workloads.instances("ladder-bb", 1).values()),
-    "random-200": draws(1000, 200),
+CASES = {
     "paper": [bench1_instance()],
     "zero-floor": [shipped_variant("zero_floor")],          # M_ij = 0 into one column
     "negative-cost": [shipped_variant("negative_cost")],    # M_ij = s_i.hi
     "random-40": draws(77031, 40),
     **{f"quantities-2^{p}": [rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p)] for p in (30, -30)},
+}
+LADDER_SEED_1 = list(workloads.instances("ladder-bb", 1).values())
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_every_center_node_is_the_full_models_relaxation(case, monkeypatch):
+    """The lower anchor's nodes too (conftest.check_searches)."""
+    counts = check_searches(monkeypatch, CASES[case], anchors_only=True)
+    assert counts[True, OPTIMAL] >= len(CASES[case]), counts
+
+
+def test_every_key_bounds_the_subtree_it_closes(monkeypatch):
+    """Each pushed child's key is at most its textbook LP; the ladder's trees are
+    the deepest (conftest.check_searches)."""
+    counts = check_searches(monkeypatch, LADDER_SEED_1, anchors_only=True)
+    assert counts[True, OPTIMAL] > 18 and counts[True, "key"] > 400, counts
+
+
+SOURCES = {
+    "ladder-seed-1": LADDER_SEED_1,
+    "random-200": draws(1000, 200),
+    **CASES,
     "quantity-units": [rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p)
                        for p in (-30, -24, -20, -10, -3, 10, 20, 30)],
 }

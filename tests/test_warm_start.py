@@ -12,7 +12,6 @@ against the textbook optimum, and stage optima beyond the oracle's reach
 against scipy's HiGHS.
 """
 
-import collections
 import random
 import time
 
@@ -22,93 +21,37 @@ import pytest
 from _highs import highs_solve
 from _random_instances import draws, random_instance
 from _textbook_lp import textbook_relaxation
-from conftest import (bench1_instance, record_searches, rescaled, scaled_costs, shipped_variant,
-                      stage_models, stage_run)
+from conftest import check_searches, rescaled, shipped_variant, stage_models, stage_run
 
 import workloads
-from ifctp import IfctpInstance, Interval, Stages, run_oracle_check
+from ifctp import IfctpInstance, Interval, run_oracle_check
 from ifctp.milp import INFEASIBLE, OPTIMAL, oracle_solve, solve_milp
 
-# Instances by case.  The shipped file's copies have a zero demand floor (M_ij = 0
-# into one column) and a negative unit cost (M_ij = s_i.hi).  At quantities x1e9 a
-# warm width-anchor child once came back infeasible from its parent's basis
-# although it holds the optimum (test_quantity_unit.py).
-SEARCH_CASES = {
-    "shipped": [bench1_instance(), shipped_variant("zero_floor"), shipped_variant("negative_cost")],
-    "units": [*(scaled_costs(bench1_instance(), factor) for factor in (1e6, 1e-7)),
-              rescaled(bench1_instance(), 1e9, 1.0),
-              *(rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p) for p in (30, -30))],
-    "draws": draws(77031, 200),
-    "ladder-seed-1": list(workloads.instances("ladder-bb", 1).values()),
-}
-# Least checks per case, by (shipment-only form, LP status or "key").
-FLOORS = {
-    "shipped": {(True, OPTIMAL): 3, (False, OPTIMAL): 101, (False, INFEASIBLE): 1},
-    "units": {(True, OPTIMAL): 5, (False, OPTIMAL): 21},
-    "draws": {(True, OPTIMAL): 200, (False, OPTIMAL): 101, (False, INFEASIBLE): 1,
-              (False, "key"): 1001},
-    "ladder-seed-1": {(True, OPTIMAL): 19, (True, "key"): 401},
-}
 
+class TestWarmNodesMatchCold:
+    """Every node LP of a run's searches and of the bounded searches it does not
+    make, and every child key, against the textbook simplex (conftest.check_searches)."""
 
-def _anchors(instance):
-    stages = Stages(instance)
-    for name in ("center", "lower"):
-        stages.anchor(name)
-    return stages
+    def test_bench1_stage_searches(self, bench1, monkeypatch):
+        # The copies with a zero demand floor (M_ij = 0 into one column) and a
+        # negative unit cost (M_ij = s_i.hi) join the shipped instance.
+        counts = check_searches(monkeypatch, [
+            bench1, shipped_variant("zero_floor"), shipped_variant("negative_cost")])
+        assert counts[True, OPTIMAL] >= 3 and counts[False, OPTIMAL] > 100, counts
+        assert counts[False, INFEASIBLE] > 0, counts
 
+    def test_bench1_stage_searches_at_quantities_times_1e9(self, bench1, monkeypatch):
+        # At this unit a warm width-anchor child once came back infeasible
+        # from its parent's basis although it holds the optimum
+        # (test_quantity_unit.py); quantities 2^30 and 2^-30 join it.
+        counts = check_searches(monkeypatch, [rescaled(bench1, 1e9, 1.0), *(
+            rescaled(bench1, 2.0 ** p, 2.0 ** -p) for p in (30, -30))])
+        assert counts[True, OPTIMAL] >= 3 and counts[False, OPTIMAL] > 20, counts
 
-def _searches(case, instance, monkeypatch):
-    """(node LPs, pushed keys) of a run's searches, then of those it does not make.
-
-    A run searches the center and lower anchors over shipment-only LPs and the
-    rest in the bounded form; the ladder's case takes its anchors alone.  The
-    bounded center and lower searches follow, and the refine model's from the
-    root, where most warm children end INFEASIBLE.
-    """
-    run = _anchors if case == "ladder-seed-1" else stage_run
-    stages, lps, keys = record_searches(monkeypatch, lambda: run(instance))
-    anchors = [stages.models[name] for name in ("center", "lower")]
-    assert all(lp.shipment_only == any(lp.model is model for model in anchors) for lp in lps)
-    if case != "ladder-seed-1":
-        _, more_lps, more_keys = record_searches(monkeypatch, lambda: [
-            solve_milp(stages.models[name]) for name in ("center", "lower", "refine")])
-        assert not any(lp.shipment_only for lp in more_lps)
-        lps += more_lps
-        keys += more_keys
-    return lps, keys
-
-
-@pytest.mark.parametrize("case", list(SEARCH_CASES))
-def test_every_node_lp_and_child_key_meets_the_textbook(case, monkeypatch):
-    """Each node LP, root, warm and pattern LPs alike, has the textbook's status and
-    value at its fixes; each pushed child's key is at most its textbook LP value."""
-    counts = collections.Counter()
-    # Textbook LPs by (model, fixes): a popped child repeats its key's LP, and a
-    # bounded anchor search repeats many of its shipment-only search's.
-    textbook = {}
-
-    def relaxation(model, fixes):
-        at = model, tuple(sorted(fixes.items()))
-        if at not in textbook:
-            textbook[at] = textbook_relaxation(model, fixes)[:2]
-        return textbook[at]
-
-    for instance in SEARCH_CASES[case]:
-        lps, keys = _searches(case, instance, monkeypatch)
-        for lp in lps:
-            status, value = relaxation(lp.model, lp.fixes)
-            assert lp.status == status, sorted(lp.fixes.items())
-            if status == OPTIMAL:
-                assert abs(lp.value - value) <= 1e-9 * max(1.0, abs(value)), \
-                    (sorted(lp.fixes.items()), lp.value, value)
-            counts[lp.shipment_only, status] += 1
-        for key, parent, fixes in keys:
-            status, value = relaxation(parent.model, fixes)
-            if status == OPTIMAL:
-                assert key <= value + 1e-9 * max(1.0, abs(value)), sorted(fixes.items())
-                counts[parent.shipment_only, "key"] += 1
-    assert all(counts[group] >= least for group, least in FLOORS[case].items()), counts
+    def test_random_stage_searches(self, monkeypatch):
+        counts = check_searches(monkeypatch, draws(77031, 200))
+        assert counts[True, OPTIMAL] >= 200 and counts[False, OPTIMAL] > 100, counts
+        assert counts[False, INFEASIBLE] > 0 and counts[False, "key"] > 1000, counts
 
 
 class TestNegativeUnitCosts:
