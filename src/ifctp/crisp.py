@@ -87,8 +87,8 @@ def plan_value(coeffs: np.ndarray, plan: ShipmentPlan) -> float:
 
     The sum runs cell by cell, left to right, adding c_y*y + c_x*x each time.
     Payoff levels and memberships are printed at full precision, so this
-    order is part of the output: np.dot, or builtin sum (compensated on
-    Python 3.12), would round differently.
+    order is part of the output: a vectorised dot product, or builtin sum
+    (compensated on Python 3.12), would round differently.
     """
     mn = plan.m * plan.n
     total = 0.0

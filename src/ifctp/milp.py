@@ -21,6 +21,10 @@ incumbent's activation pattern, solved in the search's own form from its
 slack basis; in the bounded form that is exactly how oracle_solve solves the
 pattern.  When the optimal pattern is unique, the answer's bits depend only
 on the model and the form, not on the path the search took to the pattern.
+No basis is inverted by LAPACK and no product is taken by BLAS: each product
+is an np.einsum, summed in numpy's own loops, so the bits do not depend on
+the BLAS library, its CPU kernel or its thread count.  They may depend on the
+numpy version and on numpy's own SIMD dispatch.
 
 Kernel cost: a tableau has tens of rows and columns, so numpy's per-call
 overhead costs about as much as the arithmetic, and each pivot is written
@@ -29,22 +33,22 @@ T -= col * pivot_row, with the pivot row's own entry of col zeroed.  The
 model is scaled by powers of two and gets one slack per row; bounds stay
 implicit, so there are no upper-bound rows.  The objective gets one power
 of two of its own.  Every LP start is a basis with its nonbasics'
-at-upper flags (_Start).  A root or pattern LP starts from the slack basis,
-each column at the bound its cost prefers, which is dual feasible because
-every bound is finite (_dual_simplex).  A child differs from its parent by
-one fixed binary, so the parent's optimal basis stays dual feasible: the
-child factorises it and takes a few dual pivots.  A child that ends there
-infeasible or in a breakdown is solved again from the slack start.  The
-factorisation inverts the m x m basis and multiplies; at 41 rows, on a
-shared 2-core x86 VM, that took 100 us against 165 us for np.linalg.solve
-with the tableau's columns as right-hand sides.  Each start basis is
-inverted once (_Start): the two children of a node share their parent's
-start, and the first one solved keeps the inverse for the second; the root,
-the answer's pattern LP and every child solved again, or every pattern of
-the oracle, share the slack start.  A heap entry holds that start, the
-parent's basis and at-upper flags and at most the inverse, not its
-tableau: up to a few hundred nodes are open at once.  A child whose key
-cannot beat the incumbent is not pushed at all.
+at-upper flags and its basis inverse (_Start).  A root or pattern LP
+starts from the slack basis, each column at the bound its cost prefers,
+which is dual feasible because every bound is finite (_dual_simplex); its
+inverse is the identity.  A child differs from its parent by one fixed
+binary, so the parent's optimal basis stays dual feasible: the child starts
+from it and takes a few dual pivots.  A child that ends there infeasible or
+in a breakdown is solved again from the slack start.  A branched node's
+start takes its inverse from the slack block of the node's final tableau,
+which holds B^-1 because M ends in I.  The first child solved refines it by
+one Newton-Schulz step and keeps it for the second; the root, the answer's
+pattern LP and every child solved again, or every pattern of the oracle,
+share the slack start.  A start's tableau is one product, the inverse times
+M's structural columns, with the inverse copied into the slack block.  A
+heap entry holds that start, the parent's basis, at-upper flags and m x m
+inverse, not its tableau: up to a few hundred nodes are open at once.  A
+child whose key cannot beat the incumbent is not pushed at all.
 
 Rounding: each solved node rounds its binaries up, ceil(x), and checks
 the point against every bound within ROUNDED_FEAS_TOL and every row within
@@ -205,7 +209,7 @@ class MilpModel:
                 raise ValueError("binary variables must be bounded within [0, 1]")
 
     def value_at(self, assignment: Sequence[float]) -> float:
-        return float(np.dot(self.c, assignment))
+        return float(np.einsum("i,i->", self.c, assignment))
 
 
 _FIELDS = tuple(field.name for field in dataclasses.fields(MilpModel))
@@ -247,23 +251,30 @@ class _Start:
     """A start for _dual_simplex: a basis, its nonbasics' at-upper flags and the basis inverse.
 
     A form's slack start puts each nonbasic at the bound its own cost
-    prefers, the upper one where the cost is negative (_form).  The
-    inverse of M at basis is computed by the first LP solved from the start
-    and reused by the others: a node's two children share one start, and the
-    root and every pattern LP of one solve share the slack start.
+    prefers, the upper one where the cost is negative (_form); its inverse
+    is the identity.  A branched node's start takes the inverse from the
+    slack block of the node's final tableau, where B^-1 M holds B^-1
+    because M ends in I.  That block carries the round-off of every pivot,
+    so the first LP solved from the start refines it by one Newton-Schulz
+    step, X + X (I - B X) with B the basis columns of M, which squares its
+    residual I - B X.  Unrefined, the blocks reached a residual of 3e-5 on
+    the shipped instance at costs times 1e40 and quantities times 1e-10,
+    and two test inputs got wrong answers.  A node's two children share one
+    start, and the second reuses the refined inverse.
     """
 
-    __slots__ = ("basis", "at_upper", "inverse")
+    __slots__ = ("basis", "at_upper", "inverse", "refined")
 
-    def __init__(self, basis: np.ndarray, at_upper: np.ndarray):
-        self.basis, self.at_upper, self.inverse = basis, at_upper, None
+    def __init__(self, basis: np.ndarray, at_upper: np.ndarray, inverse: np.ndarray,
+                 refined: bool = False):
+        self.basis, self.at_upper, self.inverse, self.refined = basis, at_upper, inverse, refined
 
-    def factor(self, M: np.ndarray) -> np.ndarray:
-        if self.inverse is None:
-            try:
-                self.inverse = np.linalg.inv(M[:, self.basis])
-            except np.linalg.LinAlgError:
-                raise DegeneratePivotError("singular starting basis") from None
+    def refined_inverse(self, M: np.ndarray) -> np.ndarray:
+        if not self.refined:
+            X = self.inverse
+            residual = np.eye(X.shape[0]) - np.einsum("ij,jk->ik", M[:, self.basis], X)
+            self.inverse = X + np.einsum("ij,jk->ik", X, residual)
+            self.refined = True
         return self.inverse
 
 
@@ -303,7 +314,8 @@ def _form(M, b, c, lo, hi, cols) -> _Form:
     unit = float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
     m, nv = b.size, c.size
     c = np.concatenate((c / unit, np.zeros(m)))
-    return _Form(M, b, c, lo, hi, cols, _Start(np.arange(nv, nv + m), c < 0.0), unit)
+    slack = _Start(np.arange(nv, nv + m), c < 0.0, np.eye(m), refined=True)
+    return _Form(M, b, c, lo, hi, cols, slack, unit)
 
 
 def _bounded_form(model: MilpModel) -> _Form:
@@ -423,13 +435,13 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     form).  In a bounded form only round-off makes a reduced cost wrong, and
     an inequality row's slack, with one finite bound, stays put.
 
-    Factorises M at the basis, unless an LP solved from the same start
-    already did, puts every nonbasic at its lower or (by at_upper) upper
-    bound, and runs the bounded dual simplex.  A basic value is violated
-    when it passes a bound by more than BOUND_TOL times max(1, |value|):
-    round-off grows with the value, so a fixed absolute slack would call a
-    basic value of 1e6 that one update left a few ulps past its bound
-    infeasible.  The leaving row has the largest violation.  The entering
+    Builds the tableau from the start's inverse, refined by the first LP
+    solved from the start (_Start), puts every nonbasic at its lower or (by
+    at_upper) upper bound, and runs the bounded dual simplex.  A basic
+    value is violated when it passes a bound by more than BOUND_TOL times
+    max(1, |value|): round-off grows with the value, so a fixed absolute
+    slack would call a basic value of 1e6 that one update left a few ulps
+    past its bound infeasible.  The leaving row has the largest violation.  The entering
     column comes from the free nonbasics that move the leaving variable
     toward its bound, a reduced cost of the wrong sign (round-off) counting
     as zero, by Harris's (1973) ratio test: pass 1 finds the smallest ratio
@@ -448,11 +460,13 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     M, b, c = form[:3]
     m = b.size
     basis = start.basis.copy()
-    T = np.empty((m + 1, M.shape[1]))
-    inverse = start.factor(M)
-    np.matmul(inverse, M, out=T[:m])
+    n = M.shape[1] - m
+    T = np.empty((m + 1, n + m))
+    inverse = start.refined_inverse(M)
+    T[:m, :n] = np.einsum("ij,jk->ik", inverse, M[:, :n])
+    T[:m, n:] = inverse  # M ends in I
     T[:m, basis] = np.eye(m)
-    T[m] = c - c[basis] @ T[:m]
+    T[m] = c - np.einsum("i,ij->j", c[basis], T[:m])
     T[m, basis] = 0.0
     costs = T[m]
     movable = lo < hi
@@ -463,7 +477,7 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
         at_upper ^= wrong & np.isfinite(np.where(at_upper, lo, hi))
     v = np.where(at_upper, hi, lo)
     v[basis] = 0.0
-    x_basic = inverse @ (b - M @ v)
+    x_basic = np.einsum("ij,j->i", inverse, b - np.einsum("ij,j->i", M, v))
     flip = np.where(at_upper, -1.0, 1.0)
     bland = False
     degenerate_run = 0
@@ -625,7 +639,8 @@ def _child_keys(form: _Form, state, t: int, j: int, value: float, x) -> tuple[fl
     basis, at_upper, T, movable = state
     per_y = charge[t] / big_m[t] * form.cols[k] / form.unit  # in the tableau's units
     moves = np.where(at_upper, -1.0, 1.0) * (T[-1] + per_y * T[(basis == k).argmax()])
-    gain = np.minimum(moves, 0.0) @ np.where(movable, form.hi - form.lo, 0.0)
+    box = np.where(movable, form.hi - form.lo, 0.0)
+    gain = np.einsum("i,i->", np.minimum(moves, 0.0), box)
     y = x[cont[k]]
     opened = value + charge[t] * (1.0 - y / big_m[t]) + form.unit * gain
     return value + y * down, max(value, opened)
@@ -692,7 +707,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 
         point = x.copy()
         point[binaries] = np.ceil(x[binaries]) + 0.0  # no -0.0 in the assignment
-        rows = model.A @ point
+        rows = np.einsum("ij,j->i", model.A, point)
         feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
                     and (point <= var_hi).all() and (point >= var_lo).all())
         frac = np.abs(x[binaries] - np.round(x[binaries]))  # fixed binaries give 0
@@ -711,7 +726,8 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         keys = _child_keys(form, state, t, j, value, x)
         depth = -neg_depth + 1
         first = 1 if x[j] >= 0.5 else 0
-        shared = _Start(*state[:2])
+        basis, at_upper, T, _ = state
+        shared = _Start(basis, at_upper, T[:basis.size, -basis.size:].copy())
         for branch in (first, 1 - first):
             child = dict(fixes)
             child[j] = float(branch)

@@ -1,8 +1,10 @@
 """Penalty keys in branch and bound: valid bounds, same answers, fewer nodes.
 
-solve_milp keys each child by its Driebeck penalty bound.  The reference
-search keys it by its parent's LP value instead; both must return the same
-answer bit for bit, and the penalty keys must never need more nodes.
+solve_milp keys each child by its Driebeck penalty bound and prunes on it.
+Its answer must be the bits of a reference search that pops nodes in the same
+order but never prunes on a key, so pruning is the only difference between
+them.  A second reference keys each child by its parent's LP value instead;
+the penalty keys must never need more nodes than it.
 """
 
 import heapq
@@ -19,16 +21,19 @@ from conftest import check_searches, record_searches, scaled_costs, stage_models
 
 import ifctp.milp
 from ifctp import MilpModel, MilpSolution
-from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _bounded_form, _node_lp,
-                        _penalties, _Start, solve_milp)
+from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _bounded_form, _child_keys,
+                        _node_lp, _penalties, _Start, solve_milp)
 
 
-def _reference_solve_milp(model):
-    """Best-bound branch and bound keyed by the parent's LP value, without penalties.
+def _reference_solve_milp(model, penalty_keys):
+    """solve_milp's best-bound search without its pruning on keys.
 
-    solve_milp's search with every child keyed by its parent's LP value:
-    same node LPs, branching rule, incumbent rule and final pattern solve.
-    Each child factorises its start basis itself, shared with no sibling.
+    Same node LPs, starts, branching rule, incumbent rule and final pattern
+    solve.  With penalty_keys each child is keyed as solve_milp keys it
+    (_child_keys), so nodes pop in solve_milp's order, but every child is
+    pushed and every popped node solved; only an LP value that cannot beat
+    the incumbent prunes.  Otherwise each child is keyed by its parent's LP
+    value, and a popped node whose key cannot beat the incumbent is pruned.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -44,7 +49,7 @@ def _reference_solve_milp(model):
     heap = [(-math.inf, 0, next(seq), {}, None)]
     while heap:
         key, neg_depth, _, fixes, start = heapq.heappop(heap)
-        if key >= incumbent_val:
+        if not penalty_keys and key >= incumbent_val:
             continue
         nodes += 1
         # Looked up on the module, so _compare's recording sees these solves too.
@@ -56,7 +61,7 @@ def _reference_solve_milp(model):
             continue
         point = x.copy()
         point[binaries] = np.ceil(x[binaries]) + 0.0
-        rows = model.A @ point
+        rows = np.einsum("ij,j->i", model.A, point)
         feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
                     and (point <= var_hi).all() and (point >= var_lo).all())
         frac = np.abs(x[binaries] - np.round(x[binaries]))
@@ -68,13 +73,17 @@ def _reference_solve_milp(model):
                 incumbent_x = point
             if worst == 0.0:
                 continue
-        j = int(binaries[frac.argmax()])
+        t = int(frac.argmax())
+        j = int(binaries[t])
+        keys = _child_keys(form, state, t, j, value, x) if penalty_keys else (value, value)
         depth = -neg_depth + 1
-        first = 1.0 if x[j] >= 0.5 else 0.0
-        for branch_value in (first, 1.0 - first):
+        first = 1 if x[j] >= 0.5 else 0
+        basis, at_upper, T, _ = state
+        shared = _Start(basis, at_upper, T[:basis.size, -basis.size:].copy())
+        for branch in (first, 1 - first):
             child = dict(fixes)
-            child[j] = branch_value
-            heapq.heappush(heap, (value, -depth, next(seq), child, _Start(*state[:2])))
+            child[j] = float(branch)
+            heapq.heappush(heap, (keys[branch], -depth, next(seq), child, shared))
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
     if not binaries.size:
@@ -94,10 +103,11 @@ def _bits(solution):
 
 
 def _compare(models, monkeypatch):
-    """Assert identical answers model by model; returns (nodes, reference nodes).
+    """Assert identical answers model by model; returns (nodes, parent-keyed nodes).
 
-    Each search's node count must equal its node LP solves, and the penalty
-    keys must never need more of them than the parent-keyed reference.
+    solve_milp's answer must be the unpruned reference's, bit for bit.  Each
+    search's node count must equal its node LP solves, and the penalty keys
+    must never need more of them than the parent-keyed reference.
     """
     def searched(lps):  # the answer's pattern solve is the one slack-basis start with fixes
         return sum(not lp.cold or not lp.fixes for lp in lps)
@@ -105,8 +115,11 @@ def _compare(models, monkeypatch):
     nodes = ref_nodes = 0
     for name, model in models.items():
         solution, lps, _ = record_searches(monkeypatch, lambda: solve_milp(model))
-        reference, ref_lps, _ = record_searches(monkeypatch, lambda: _reference_solve_milp(model))
-        assert _bits(solution) == _bits(reference), name
+        unpruned = _reference_solve_milp(model, penalty_keys=True)
+        reference, ref_lps, _ = record_searches(
+            monkeypatch, lambda: _reference_solve_milp(model, penalty_keys=False))
+        assert _bits(solution) == _bits(unpruned), name
+        assert solution.nodes <= unpruned.nodes, name
         assert solution.nodes == searched(lps) <= reference.nodes == searched(ref_lps), name
         nodes += solution.nodes
         ref_nodes += reference.nodes

@@ -268,6 +268,6 @@ def test_oracle_check_fails_ideal_lines_half_again_too_high(monkeypatch, factor)
     monkeypatch.setattr(ifctp.pipeline, "solve_milp", half_again)
     check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
     assert [(line.name, line.passed) for line in check.lines] == [
-        ("ideal-center", False), ("ideal-width", False), ("max-min level", True),
-        ("refine", True)]
+        ("ideal-center", False), ("ideal-width", False), ("anchor-lower", False),
+        ("max-min level", True), ("refine", True)]
     assert not check.passed

@@ -163,7 +163,7 @@ class TestOracleCheckApi:
         check = run_oracle_check(parse_instance(TINY_2X2))
         assert check.passed
         assert [line.name for line in check.lines] == \
-            ["ideal-center", "ideal-width", "max-min level", "refine"]
+            ["ideal-center", "ideal-width", "anchor-lower", "max-min level", "refine"]
 
     def test_scope_guard(self):
         iv = Interval(1, 2)
@@ -427,7 +427,7 @@ class TestOneBuildPerJob:
           "--competitor", "safi-razmjoo=[640,1020]"], 4, 0),
         (["payoff", "{path}"], 2, 0),
         (["ideal", "{path}"], 2, 0),
-        (["oracle-check", "{path}"], 5, 4),
+        (["oracle-check", "{path}"], 5, 5),
     ], ids=["solve", "solve-override", "compare", "payoff", "ideal", "oracle-check"])
     def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args, solves,
                                      oracle_solves):
@@ -482,12 +482,12 @@ BENCH1_TEXT = (PROBLEMS_DIR / "safi_razmjoo_1.txt").read_text()
 _COSTS_1E40_MACHINE = ("status=optimal\nsources=3\ndestinations=4\nsupply_cap_total=8.600000000000001e-09\n"
                        "demand_floor_total=8.2e-09\npayoff.lower.best=9.000000007939999e+41\n"
                        "payoff.lower.worst=1.3400000007549999e+42\npayoff.width.best=1.40000000173e+41\n"
-                       "payoff.width.worst=2.60000000144e+41\nlevel=0.5833333332243054\n"
+                       "payoff.width.worst=2.60000000144e+41\nlevel=0.5833333332243056\n"
                        "membership.lower=0.7954545453455061\nmembership.width=0.5833333332243055\n"
                        "objective.lo=9.900000008340001e+41\nobjective.hi=1.3700000011820001e+42\n"
                        "objective.center=1.1800000010080001e+42\nobjective.width=1.90000000174e+41\n"
-                       "ideal.center=1.1600000009380001e+42\nideal.width=1.40000000173e+41\n"
-                       "distance=5.385164809827084e+40\nplan.y.1.1=0.0\n"
+                       "ideal.center=1.160000000938e+42\nideal.width=1.40000000173e+41\n"
+                       "distance=5.38516480982709e+40\nplan.y.1.1=0.0\n"
                        "plan.y.1.2=1.0000000000000003e-09\nplan.y.1.3=2.3e-09\nplan.y.1.4=0.0\n"
                        "plan.y.2.1=1.9000000000000005e-09\nplan.y.2.2=8.999999999999998e-10\n"
                        "plan.y.2.3=0.0\nplan.y.2.4=0.0\nplan.y.3.1=9.999999999999965e-11\n"
@@ -519,6 +519,7 @@ class TestCliExactOutcomes:
         (TINY_2X2, ["oracle-check"], 0,
          "ideal-center: solver=27.5 oracle=27.5 delta=0 ok\n"
          "ideal-width: solver=6.5 oracle=6.5 delta=0 ok\n"
+         "anchor-lower: solver=16.0 oracle=16.0 delta=0 ok\n"
          "max-min level: solver=0.2400000000000001 oracle=0.2400000000000001 delta=0 ok\n"
          "refine: solver=5.586666666166667 oracle=5.586666666166668 delta=8.88e-16 ok\n"
          "oracle check: PASS\n", ""),
@@ -538,16 +539,18 @@ class TestCliExactOutcomes:
         (_data_text("safi_razmjoo_1_costs_1e40_quantities_1e-10.txt"),
          ["solve", "--report", "machine"], 0, _COSTS_1E40_MACHINE, ""),
         (_data_text("safi_razmjoo_1_costs_1e40_quantities_1e-10.txt"), ["oracle-check"], 0,
-         "ideal-center: solver=1.1600000009380001e+42 oracle=1.1600000009380001e+42 delta=0 ok\n"
+         "ideal-center: solver=1.160000000938e+42 oracle=1.160000000938e+42 delta=0 ok\n"
          "ideal-width: solver=1.40000000173e+41 oracle=1.40000000173e+41 delta=0 ok\n"
-         "max-min level: solver=0.5833333332243054 oracle=0.5833333332243054 delta=0 ok\n"
-         "refine: solver=3.833333337260858 oracle=3.833333337260859 delta=8.88e-16 ok\n"
+         "anchor-lower: solver=9.00000000794e+41 oracle=9.00000000794e+41 delta=0 ok\n"
+         "max-min level: solver=0.5833333332243056 oracle=0.5833333332243056 delta=0 ok\n"
+         "refine: solver=3.833333337260858 oracle=3.833333337260858 delta=0 ok\n"
          "oracle check: PASS\n", ""),
         (_data_text("safi_razmjoo_1_costs_1e300_quantities_1e-20.txt"), ["solve"], 5, "",
          "error: numerical breakdown: the scaled objective overflows a float\n"),
         (CANCELLING_REFINE_1X1, ["oracle-check"], 0,
          "ideal-center: solver=-134.25 oracle=-134.25 delta=0 ok\n"
          "ideal-width: solver=0.0 oracle=0.0 delta=0 ok\n"
+         "anchor-lower: solver=-135.0 oracle=-135.0 delta=0 ok\n"
          "max-min level: solver=0.5 oracle=0.5 delta=0 ok\n"
          "refine: solver=-5.551115123125783e-17 oracle=0.0 delta=5.55e-17 ok\n"
          "oracle check: PASS\n", ""),

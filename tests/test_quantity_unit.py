@@ -48,14 +48,11 @@ ONE_BY_ONE = IfctpInstance([[Interval(1, 2)]], [[Interval(3, 4)]], [Interval(1, 
 WRONG = pytest.mark.xfail(strict=True, raises=AssertionError, reason="wrong answers below 2^-30")
 BELOW_2_TO_THE_30 = {"draw-25": (DRAWS[25], -34, WRONG), "draw-47": (DRAWS[47], -38, ()),
                      "1x1": (ONE_BY_ONE, -42, WRONG)}
-# Above 2^30 the shipped instance is right at 2^31 and 2^33 but not between.
-# At 2^32 λ* is 0.6517412935323382 against 0.7761194029850746, with no
-# warning; the payoff table and the ideal point are right, so the max-min
-# stage is at fault.  At 2^34 the anchors are right and the max-min solve
-# breaks down: "the incumbent's activation pattern solved infeasible".
+# Above 2^30 the shipped instance is right at 2^31, 2^32 and 2^33.  At 2^34
+# the anchors are right and the max-min solve breaks down: "the incumbent's
+# activation pattern solved infeasible".
 ABOVE_2_TO_THE_30 = [
-    pytest.param("paper", 32, id="paper-p32", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="wrong max-min level at 2^32")),
+    pytest.param("paper", 32, id="paper-p32"),
     pytest.param("paper", 34, id="paper-p34", marks=pytest.mark.xfail(
         strict=True, raises=DegeneratePivotError, reason="max-min breakdown at 2^34"))]
 

@@ -72,20 +72,12 @@ class TestRandomLpsAgainstTextbook:
 
 
 class TestBreakdowns:
-    def test_singular_starting_basis(self):
-        # The second row is twice the first, so the basis of both structurals is singular.
-        model = MilpModel([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1, 1], [1.0, 2.0],
-                          [0.0] * 2, [10.0] * 2, [])
-        form = ifctp.milp._bounded_form(model)
-        start = ifctp.milp._Start(np.array([0, 1]), np.zeros(4, dtype=bool))
-        with pytest.raises(DegeneratePivotError, match="singular"):
-            ifctp.milp._dual_simplex(form, form.lo, form.hi, start)
-
     def test_sub_tolerance_leaving_row(self):
         # The "=" row's slack starts at 1 and must leave, but the row's only
         # movable entry, 1e-10, lies between the zero threshold and PIVOT_TOL.
         form = np.array([[1e-10, 1.0]]), np.array([1.0]), np.zeros(2)
-        slack = ifctp.milp._Start(np.array([1]), np.zeros(2, dtype=bool))
+        # The slack start as _form builds it: one structural, one row.
+        slack = ifctp.milp._Start(np.arange(1, 2), np.zeros(2) < 0.0, np.eye(1), refined=True)
         with pytest.raises(DegeneratePivotError, match="sub-tolerance"):
             ifctp.milp._dual_simplex(form, np.zeros(2), np.array([np.inf, 0.0]), slack)
 
@@ -118,6 +110,19 @@ def _openblas_on_two_cpus():
     return "openblas" in blas.lower() and cpus >= 2
 
 
+def _openblas_kernels_forcible():
+    """Whether OPENBLAS_CORETYPE can put numpy's BLAS on its Haswell and Sandybridge
+    kernels: it is an OpenBLAS DYNAMIC_ARCH build, and this CPU has the AVX2 and FMA
+    instructions that the Haswell kernel uses."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        features = np._core._multiarray_umath.__cpu_features__
+    except (AttributeError, KeyError, TypeError):  # numpy before 2.0
+        return False
+    return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and features.get("AVX2", False) and features.get("FMA3", False))
+
+
 class TestPivotCounts:
     def test_counts_repeat_exactly(self, bench1):
         for name, model in stage_models(bench1).items():
@@ -137,19 +142,32 @@ class TestPivotCounts:
 
     @pytest.mark.skipif(not _openblas_on_two_cpus(),
                         reason="needs numpy on OpenBLAS and two CPUs this process may use")
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 20: the search path depends on the BLAS thread count")
     def test_counts_do_not_depend_on_the_blas_thread_count(self):
-        # 1365 nodes and 9355 pivots at one thread, 1447 and 9984 at two, with
-        # the same answer bits.  The runs take turns, so the two-thread one has
-        # both CPUs; a run that fails raises CalledProcessError, not the xfail's
-        # AssertionError.
+        # 1353 nodes and 9303 pivots at one thread and at two.  The runs take
+        # turns, so the two-thread one has both CPUs.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         outputs = [subprocess.run([sys.executable, "-c", _MAX_MIN_8X10], stdout=subprocess.PIPE,
                                   text=True, check=True, timeout=300,
                                   env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2")]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not _openblas_kernels_forcible(),
+                        reason="needs numpy on an OpenBLAS DYNAMIC_ARCH build and an AVX2 CPU")
+    def test_answers_do_not_depend_on_the_blas_kernel(self):
+        # The seed-1 ladder golden text, reports, nodes and pivots, and a sample
+        # of the 676 report digests (_LADDER_AND_DIGESTS), under OpenBLAS's own
+        # choice of kernel at one thread and under two forced kernels at two.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("OPENBLAS_CORETYPE", None)
+        outputs = [subprocess.run([sys.executable, "-c", _LADDER_AND_DIGESTS],
+                                  stdout=subprocess.PIPE, text=True, check=True, timeout=300,
+                                  env=dict(env, **forced)).stdout
+                   for forced in (dict(OPENBLAS_NUM_THREADS="1"),
+                                  dict(OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2"),
+                                  dict(OPENBLAS_CORETYPE="Sandybridge", OPENBLAS_NUM_THREADS="2"))]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 # Prints the nodes, pivots and answer bits of 8x10-0's max-min solve, at its
@@ -166,6 +184,23 @@ bi = build_bi_objective(workloads.generate(random.Random("ladder-bb:8x10:0"), 8,
 payoff = PayoffTable((1162.0, 100.0), (2857.0, 311.0))
 s = solve_milp(build_max_min_model(bi, payoff, to_milp(bi, bi.obj_center)))
 print(s.nodes, s.pivots, s.objective_value.hex(), np.array(s.assignment).tobytes().hex())
+"""
+
+
+# Prints the seed-1 ladder golden text, then the digests of the ladder's
+# reports at relabel seed 4, of every eighth draw and of r406.  While the
+# kernel's products ran in BLAS, s4:4x6-0, s4:4x6-1 and r406 changed with
+# the BLAS kernel.
+_LADDER_AND_DIGESTS = """
+import hashlib
+from ifctp import run_pipeline
+from ifctp.reporting import render_machine
+from test_ladder_golden import ladder_golden
+from test_report_digests import _instances
+print(ladder_golden(), end="")
+for key, instance in _instances():
+    if key.startswith("s4:") or key == "r406" or key[0] == "r" and int(key[1:]) % 8 == 0:
+        print(key, hashlib.sha256(render_machine(run_pipeline(instance)).encode()).hexdigest())
 """
 
 
@@ -187,22 +222,28 @@ def _oracle_width_model():
 
 
 class TestSharedFactorisation:
-    """Two children of a node, and the LPs of one solve that start from the slack
-    basis, factorise their start once between them; a fresh factorisation gives the
-    same bits."""
+    """Each start's basis inverse is refined at most once, by the first LP solved from
+    it, and shared: by a node's two children, and by the LPs of one solve that start
+    from the slack basis, whose inverse is the identity and never refined.  Every
+    refined inverse X of a basis B meets max |I - B X| <= RESIDUAL, and a start built
+    anew from the same inverse gives the same bits."""
+
+    # 16 ulps of 1.  On these models the refined inverses reach 1.8e-15, the
+    # tableau blocks they are refined from 1.1e-14.
+    RESIDUAL = 16 * np.finfo(float).eps
 
     @staticmethod
     def _recorded_lps(monkeypatch, run, slacks=None):
-        """Every _dual_simplex call that run() makes, with its outcome and whether it
-        found its start already factorised; slacks, if given, collects each form's
-        slack start."""
+        """run()'s result and every _dual_simplex call it makes: the call, the inverse
+        and refined flag its start had before it, and its outcome; slacks, if given,
+        collects each form's slack start."""
         calls = []
         dual_simplex = ifctp.milp._dual_simplex
 
         def recording(form, lo, hi, start):
-            reused = start.inverse is not None
+            before = start.inverse, start.refined
             status, v, pivots, state = dual_simplex(form, lo, hi, start)
-            calls.append(((form, lo, hi, start), reused,
+            calls.append(((form, lo, hi, start), before,
                           (status, None if v is None else v.tobytes(), pivots,
                            None if state is None else state[0].tobytes())))
             return status, v, pivots, state
@@ -216,55 +257,64 @@ class TestSharedFactorisation:
                         slacks.append(form.slack)
                     return form
                 patch.setattr(ifctp.milp, name, recording_form)
-            run()
-        return calls
+            return run(), calls
 
-    @staticmethod
-    def _assert_fresh_factorisation_agrees(calls):
-        """Status, the bits of v, pivots and the final basis from a start factorised anew."""
-        for (form, lo, hi, start), _, outcome in calls:
-            fresh = ifctp.milp._Start(start.basis, start.at_upper)
+    @classmethod
+    def _assert_refined_once(cls, calls):
+        """Each start is refined by its first LP, if at all, never again, and then meets
+        RESIDUAL; the LPs from a start built anew from that first inverse give the same
+        bits.  Returns the number of starts refined."""
+        first = {}  # id of each start: the inverse and refined flag its first LP found
+        for (form, lo, hi, start), (inverse, refined), outcome in calls:
+            if id(start) not in first:
+                first[id(start)] = inverse, refined
+                assert refined or inverse is not start.inverse  # refined here, into a new array
+            else:
+                assert refined and inverse is start.inverse  # and only here
+            fresh = ifctp.milp._Start(start.basis, start.at_upper, *first[id(start)])
             status, v, pivots, state = ifctp.milp._dual_simplex(form, lo, hi, fresh)
             assert (status, None if v is None else v.tobytes(), pivots,
                     None if state is None else state[0].tobytes()) == outcome
+        refined = {id(start): (form[0], start)
+                   for (form, _, _, start), _, _ in calls if not first[id(start)][1]}
+        for M, start in refined.values():
+            residual = np.eye(start.basis.size) - np.einsum("ij,jk->ik", M[:, start.basis],
+                                                             start.inverse)
+            assert np.abs(residual).max() <= cls.RESIDUAL
+        return len(refined)
 
     def test_search_lps_match_a_fresh_factorisation(self, bench1, monkeypatch):
         slacks = []
         calls = [call for instance in [bench1, *_draws_of_at_least_2x3(3141)]
                  for call in self._recorded_lps(monkeypatch,
-                                                lambda: stage_models(instance), slacks)]
-        self._assert_fresh_factorisation_agrees(calls)
+                                                lambda: stage_models(instance), slacks)[1]]
+        assert self._assert_refined_once(calls) > 0
+        # The slack start's inverse is the identity, refined from the start.
+        assert all(slack.refined and (slack.inverse == np.eye(slack.basis.size)).all()
+                   for slack in slacks)
         # Both kinds of sharing happened: a sibling's start and the slack start.
-        reused = [start for (_, _, _, start), was_reused, _ in calls if was_reused]
+        reused = [start for (_, _, _, start), (_, refined), _ in calls if refined]
         assert any(any(start is slack for slack in slacks) for start in reused)
         assert any(all(start is not slack for slack in slacks) for start in reused)
 
     def test_oracle_patterns_match_a_fresh_factorisation(self, monkeypatch):
         model = _oracle_width_model()
-        calls = self._recorded_lps(monkeypatch, lambda: oracle_solve(model))
+        slacks = []
+        _, calls = self._recorded_lps(monkeypatch, lambda: oracle_solve(model), slacks)
         assert len(calls) >= 2 ** model.binaries.size
-        self._assert_fresh_factorisation_agrees(calls)
-        assert sum(reused for _, reused, _ in calls) == len(calls) - 1
+        assert self._assert_refined_once(calls) == 0
+        assert all(start is slacks[0] for (_, _, _, start), _, _ in calls)
 
     @pytest.mark.parametrize("draw", [None, 0, 1, 2], ids=["shipped", "draw0", "draw1", "draw2"])
     def test_one_inverse_per_start_basis(self, bench1, monkeypatch, draw):
         instance = bench1 if draw is None else _draws_of_at_least_2x3(3141)[draw]
-        inv = np.linalg.inv
         for model in stage_models(instance).values():
-            inverses = 0
-
-            def counting_inv(matrix):
-                nonlocal inverses
-                inverses += 1
-                return inv(matrix)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "inv", counting_inv)
-                solution, lps, _ = record_searches(patch, lambda: solve_milp(model))
+            (solution, lps, _), calls = self._recorded_lps(
+                monkeypatch, lambda: record_searches(monkeypatch, lambda: solve_milp(model)))
             assert solution.status == "optimal"
             # The root first, the answer's pattern LP last; a child adds one fix to
             # its parent's, so the parents of the children solved are told by their fixes.
             children = [list(lp.fixes.items()) for lp in lps[1:-1]]
             branched = {tuple(fixes[:-1]) for fixes in children}
-            # A child that fails warm runs once more from the slack start, already inverted.
-            assert inverses == 1 + len(branched)
+            # A child that fails warm runs once more from the slack start, never refined.
+            assert self._assert_refined_once(calls) == len(branched)
