@@ -24,7 +24,8 @@ on the model and the form, not on the path the search took to the pattern.
 No basis is inverted by LAPACK and no product is taken by BLAS: each product
 is an np.einsum, summed in numpy's own loops, so the bits do not depend on
 the BLAS library, its CPU kernel or its thread count.  They may depend on the
-numpy version and on numpy's own SIMD dispatch.
+numpy version and on numpy's own SIMD dispatch.  A slack start takes no
+product but gives the same bytes (_Start.tableau).
 
 Kernel cost: a tableau has tens of rows and columns, so numpy's per-call
 overhead costs about as much as the arithmetic, and each pivot is written
@@ -44,11 +45,15 @@ start takes its inverse from the slack block of the node's final tableau,
 which holds B^-1 because M ends in I.  The first child solved refines it by
 one Newton-Schulz step and keeps it for the second; the root, the answer's
 pattern LP and every child solved again, or every pattern of the oracle,
-share the slack start.  A start's tableau is one product, the inverse times
-M's structural columns, with the inverse copied into the slack block.  A
-heap entry holds that start, the parent's basis, at-upper flags and m x m
-inverse, not its tableau: up to a few hundred nodes are open at once.  A
-child whose key cannot beat the incumbent is not pushed at all.
+share the slack start.  A branched start's tableau takes one product, the
+inverse times M's structural columns, with the inverse copied into the slack
+block; a slack start's takes none (_Start).  A heap entry holds a branched
+start, the parent's basis, at-upper flags and m x m inverse, not its
+tableau: up to a few hundred nodes are open at once.  A child whose key
+cannot beat the incumbent is not pushed at all.  solve_milp, oracle_solve
+and solve_lp ignore overflow, setting the error state once per solve, not
+per LP: an overflowing ratio is inf, never the minimum, and _form rejects an
+overflowed cost.
 
 Rounding: each solved node rounds its binaries up, ceil(x), and checks
 the point against every bound within ROUNDED_FEAS_TOL and every row within
@@ -147,7 +152,7 @@ def _frozen(name: str, values) -> np.ndarray:
     """A read-only copy of the values of MilpModel field name, with its dtype."""
     if name == "senses":
         values = np.asarray(values, dtype=float)
-        if not np.isin(values, (1, -1, 0)).all():
+        if not ((values == 0.0) | (np.abs(values) == 1.0)).all():
             raise ValueError("unknown relation sense; use 1 (<=), -1 (>=) or 0 (=)")
     elif name == "binaries":
         values = sorted(set(map(int, values)))
@@ -250,32 +255,58 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
 class _Start:
     """A start for _dual_simplex: a basis, its nonbasics' at-upper flags and the basis inverse.
 
-    A form's slack start puts each nonbasic at the bound its own cost
-    prefers, the upper one where the cost is negative (_form); its inverse
-    is the identity.  A branched node's start takes the inverse from the
-    slack block of the node's final tableau, where B^-1 M holds B^-1
-    because M ends in I.  That block carries the round-off of every pivot,
-    so the first LP solved from the start refines it by one Newton-Schulz
-    step, X + X (I - B X) with B the basis columns of M, which squares its
-    residual I - B X.  Unrefined, the blocks reached a residual of 3e-5 on
-    the shipped instance at costs times 1e40 and quantities times 1e-10,
-    and two test inputs got wrong answers.  A node's two children share one
-    start, and the second reuses the refined inverse.
+    Every start of a form shares the form's one identity.  A form's slack
+    start puts each nonbasic at the bound its own cost prefers, the upper
+    one where the cost is negative (_form); its inverse is that identity
+    array itself, so its tableau and basic values take no product.  A
+    branched node's start takes the inverse from the slack block of the
+    node's final tableau, where B^-1 M holds B^-1 because M ends in I.  That
+    block carries the round-off of every pivot, so the first LP solved from
+    the start refines it by one Newton-Schulz step, X + X (I - B X) with B
+    the basis columns of M, which squares its residual I - B X.  Unrefined,
+    the blocks reached a residual of 3e-5 on the shipped instance at costs
+    times 1e40 and quantities times 1e-10, and two test inputs got wrong
+    answers.  A node's two children share one start, and the second reuses
+    the refined inverse.
     """
 
-    __slots__ = ("basis", "at_upper", "inverse", "refined")
+    __slots__ = ("basis", "at_upper", "inverse", "identity", "refined")
 
     def __init__(self, basis: np.ndarray, at_upper: np.ndarray, inverse: np.ndarray,
-                 refined: bool = False):
-        self.basis, self.at_upper, self.inverse, self.refined = basis, at_upper, inverse, refined
+                 identity: np.ndarray, refined: bool = False):
+        self.basis, self.at_upper, self.inverse = basis, at_upper, inverse
+        self.identity, self.refined = identity, refined
 
-    def refined_inverse(self, M: np.ndarray) -> np.ndarray:
-        if not self.refined:
-            X = self.inverse
-            residual = np.eye(X.shape[0]) - np.einsum("ij,jk->ik", M[:, self.basis], X)
-            self.inverse = X + np.einsum("ij,jk->ik", X, residual)
-            self.refined = True
-        return self.inverse
+    def tableau(self, M: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """B^-1 M over the reduced costs c - c_B B^-1 M, the inverse refined first if due.
+
+        The slack start's is M + 0.0, the bytes np.einsum gives for I M: it sums
+        from +0, which also turns -0.0 into +0.0.
+        """
+        m = self.basis.size
+        T = np.empty((m + 1, M.shape[1]))
+        if self.inverse is self.identity:
+            np.add(M, 0.0, out=T[:m])
+        else:
+            if not self.refined:
+                X = self.inverse
+                residual = self.identity - np.einsum("ij,jk->ik", M[:, self.basis], X)
+                self.inverse = X + np.einsum("ij,jk->ik", X, residual)
+                self.refined = True
+            n = M.shape[1] - m
+            T[:m, :n] = np.einsum("ij,jk->ik", self.inverse, M[:, :n])
+            T[:m, n:] = self.inverse  # M ends in I
+            T[:m, self.basis] = self.identity
+        T[m] = c - np.einsum("i,ij->j", c[self.basis], T[:m])
+        T[m, self.basis] = 0.0
+        return T
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """B^-1 r, for a fresh array r: the slack start's is r + 0.0, in r itself."""
+        if self.inverse is self.identity:
+            r += 0.0
+            return r
+        return np.einsum("ij,j->i", self.inverse, r)
 
 
 class _Form(NamedTuple):
@@ -314,7 +345,8 @@ def _form(M, b, c, lo, hi, cols) -> _Form:
     unit = float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
     m, nv = b.size, c.size
     c = np.concatenate((c / unit, np.zeros(m)))
-    slack = _Start(np.arange(nv, nv + m), c < 0.0, np.eye(m), refined=True)
+    identity = np.eye(m)
+    slack = _Start(np.arange(nv, nv + m), c < 0.0, identity, identity, refined=True)
     return _Form(M, b, c, lo, hi, cols, slack, unit)
 
 
@@ -332,9 +364,7 @@ def _bounded_form(model: MilpModel) -> _Form:
     M, rows, cols = _scaled_matrix(model.A)
     lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
     hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
-    with np.errstate(over="ignore"):  # _form rejects an overflowed cost
-        c = model.c * cols
-    return _form(M, model.b * rows, c, lo, hi, cols)
+    return _form(M, model.b * rows, model.c * cols, lo, hi, cols)
 
 
 def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -354,10 +384,9 @@ def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
 def _geometric_mean(scaled: np.ndarray, axis: int) -> np.ndarray:
     """Per line of scaled along axis: the geometric mean of its largest entry and its
     smallest entry not below SCALE_FLOOR of that, or 1 for a line of zeros."""
-    big = scaled.max(axis=axis)
-    counted = scaled >= SCALE_FLOOR * np.expand_dims(big, axis)
-    small = np.where(counted, scaled, np.inf).min(axis=axis)
-    return np.where(big > 0.0, np.sqrt(big) * np.sqrt(small), 1.0)
+    big = scaled.max(axis=axis, keepdims=True)
+    small = np.where(scaled >= SCALE_FLOOR * big, scaled, np.inf).min(axis=axis, keepdims=True)
+    return np.where(big > 0.0, np.sqrt(big) * np.sqrt(small), 1.0).ravel()
 
 
 def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
@@ -409,9 +438,8 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
     slack_hi = np.minimum(np.where(senses > 0, np.inf, 0.0),
                           scale * (b - np.minimum(low, high).sum(axis=1)))
     per_unit = np.zeros(cont.size)
-    with np.errstate(over="ignore"):  # _form rejects an overflowed cost
-        per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
-        c = (model.c[cont] + per_unit) * cols
+    per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
+    c = (model.c[cont] + per_unit) * cols
     form = _form(np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale, c,
                  np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
                  np.concatenate((hi / cols, slack_hi)), cols)
@@ -419,7 +447,6 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
     return form._replace(links=(cont, column, big_m, charge, c_open))
 
 
-@np.errstate(over="ignore")  # an overflowing ratio is inf, never the minimum
 def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     """Optimise from a dual feasible basis under bounds lo, hi: (status, v, pivots, state).
 
@@ -435,9 +462,10 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     form).  In a bounded form only round-off makes a reduced cost wrong, and
     an inequality row's slack, with one finite bound, stays put.
 
-    Builds the tableau from the start's inverse, refined by the first LP
-    solved from the start (_Start), puts every nonbasic at its lower or (by
-    at_upper) upper bound, and runs the bounded dual simplex.  A basic
+    Takes the tableau from the start (_Start), puts every nonbasic at its
+    lower or (by at_upper) upper bound, takes the basic values from the
+    start too, and runs the bounded dual simplex; the caller ignores
+    overflow.  A basic
     value is violated when it passes a bound by more than BOUND_TOL times
     max(1, |value|): round-off grows with the value, so a fixed absolute
     slack would call a basic value of 1e6 that one update left a few ulps
@@ -458,16 +486,9 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     nonbasics free to move.
     """
     M, b, c = form[:3]
-    m = b.size
     basis = start.basis.copy()
-    n = M.shape[1] - m
-    T = np.empty((m + 1, n + m))
-    inverse = start.refined_inverse(M)
-    T[:m, :n] = np.einsum("ij,jk->ik", inverse, M[:, :n])
-    T[:m, n:] = inverse  # M ends in I
-    T[:m, basis] = np.eye(m)
-    T[m] = c - np.einsum("i,ij->j", c[basis], T[:m])
-    T[m, basis] = 0.0
+    T = start.tableau(M, c)
+    m = basis.size
     costs = T[m]
     movable = lo < hi
     movable[basis] = False
@@ -477,7 +498,7 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
         at_upper ^= wrong & np.isfinite(np.where(at_upper, lo, hi))
     v = np.where(at_upper, hi, lo)
     v[basis] = 0.0
-    x_basic = np.einsum("ij,j->i", inverse, b - np.einsum("ij,j->i", M, v))
+    x_basic = start.solve(b - np.einsum("ij,j->i", M, v))
     flip = np.where(at_upper, -1.0, 1.0)
     bland = False
     degenerate_run = 0
@@ -583,6 +604,7 @@ def _node_lp(model: MilpModel, form: _Form, fixes: Mapping[int, float], start):
     return OPTIMAL, model.value_at(x), x, pivots, state
 
 
+@np.errstate(over="ignore")  # module docstring, Kernel cost
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation the way branch and bound solves its root."""
     status, value, x, pivots, _ = _node_lp(model, _bounded_form(model), {}, None)
@@ -608,8 +630,7 @@ def _penalties(form: _Form, state, j: int) -> tuple[float, float]:
     basis, at_upper, T, movable = state
     a = T[(basis == j).argmax()]
     toward = np.where(at_upper, -a, a)
-    with np.errstate(over="ignore"):
-        q = np.divide(T[-1], a, out=np.full(a.size, np.inf), where=movable & (a != 0.0))
+    q = np.divide(T[-1], a, out=np.full(a.size, np.inf), where=movable & (a != 0.0))
     down = np.minimum.reduce(q, where=movable & (toward > 0.0), initial=np.inf)
     up = -np.maximum.reduce(q, where=movable & (toward < 0.0), initial=-np.inf)
     per_unit = form.unit / form.cols[j]  # the tableau's x_j is x_j / C_jj, its costs c / unit
@@ -646,6 +667,7 @@ def _child_keys(form: _Form, state, t: int, j: int, value: float, x) -> tuple[fl
     return value + y * down, max(value, opened)
 
 
+@np.errstate(over="ignore")  # module docstring, Kernel cost
 def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
                within: Sequence[Mapping[int, float]] = ({},),
                link_rows: Optional[Sequence[int]] = None) -> MilpSolution:
@@ -706,11 +728,12 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
             continue
 
         point = x.copy()
-        point[binaries] = np.ceil(x[binaries]) + 0.0  # no -0.0 in the assignment
+        x_bin = x[binaries]
+        point[binaries] = np.ceil(x_bin) + 0.0  # no -0.0 in the assignment
         rows = np.einsum("ij,j->i", model.A, point)
         feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
                     and (point <= var_hi).all() and (point >= var_lo).all())
-        frac = np.abs(x[binaries] - np.round(x[binaries]))  # fixed binaries give 0
+        frac = np.abs(x_bin - np.round(x_bin))  # fixed binaries give 0
         worst = frac.max(initial=0.0)
         if feasible or worst == 0.0:
             candidate = model.value_at(point)
@@ -727,7 +750,8 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         depth = -neg_depth + 1
         first = 1 if x[j] >= 0.5 else 0
         basis, at_upper, T, _ = state
-        shared = _Start(basis, at_upper, T[:basis.size, -basis.size:].copy())
+        inverse = T[:basis.size, -basis.size:].copy()
+        shared = _Start(basis, at_upper, inverse, form.slack.identity)
         for branch in (first, 1 - first):
             child = dict(fixes)
             child[j] = float(branch)
@@ -751,6 +775,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
                         tuple(leaves))
 
 
+@np.errstate(over="ignore")  # module docstring, Kernel cost
 def oracle_solve(model: MilpModel) -> MilpSolution:
     """Reference answer by brute force: try every 0/1 pattern of the binaries.
 

@@ -79,7 +79,8 @@ def _reference_solve_milp(model, penalty_keys):
         depth = -neg_depth + 1
         first = 1 if x[j] >= 0.5 else 0
         basis, at_upper, T, _ = state
-        shared = _Start(basis, at_upper, T[:basis.size, -basis.size:].copy())
+        inverse = T[:basis.size, -basis.size:].copy()
+        shared = _Start(basis, at_upper, inverse, form.slack.identity)
         for branch in (first, 1 - first):
             child = dict(fixes)
             child[j] = float(branch)

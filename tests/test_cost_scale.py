@@ -261,6 +261,8 @@ def test_oracle_check_finds_a_slightly_worse_compromise_dominated(monkeypatch, i
 def test_oracle_check_fails_ideal_lines_half_again_too_high(monkeypatch, factor):
     # Every anchor reports 1.5 times its optimum.  At costs x 1e-9 the ideal
     # point is near 1e-7, so a tolerance of 1e-6 times at least one passed it.
+    # anchor-lower checks payoff.lower.best, the value of the lower anchor's
+    # plan, so it passes.
     def half_again(model, **kwargs):
         solution = solve_milp(model, **kwargs)
         return dataclasses.replace(solution, objective_value=1.5 * solution.objective_value)
@@ -268,6 +270,22 @@ def test_oracle_check_fails_ideal_lines_half_again_too_high(monkeypatch, factor)
     monkeypatch.setattr(ifctp.pipeline, "solve_milp", half_again)
     check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
     assert [(line.name, line.passed) for line in check.lines] == [
-        ("ideal-center", False), ("ideal-width", False), ("anchor-lower", False),
+        ("ideal-center", False), ("ideal-width", False), ("anchor-lower", True),
         ("max-min level", True), ("refine", True)]
     assert not check.passed
+
+
+@pytest.mark.parametrize("factor", [1e-9, 1.0, 1e9])
+def test_oracle_check_fails_a_lower_best_slightly_too_high(monkeypatch, factor):
+    # payoff.lower.best is reported 1e-4 (relative) above the lower anchor's
+    # optimum; the max-min and refine models are built at that payoff table,
+    # so only anchor-lower fails.
+    payoff = Stages.payoff
+
+    def worse(self):
+        table = payoff(self)
+        return dataclasses.replace(table, best=(table.best[0] * (1 + 1e-4), table.best[1]))
+
+    monkeypatch.setattr(Stages, "payoff", worse)
+    check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
+    assert [line.name for line in check.lines if not line.passed] == ["anchor-lower"]

@@ -13,8 +13,9 @@ from _textbook_lp import textbook_relaxation
 from conftest import record_searches, stage_models
 
 import ifctp.milp
+import workloads
 from ifctp import DegeneratePivotError, MilpModel, run_pipeline
-from ifctp.crisp import build_bi_objective, to_milp
+from ifctp.crisp import build_bi_objective, link_rows, to_milp
 from ifctp.milp import oracle_solve, solve_lp, solve_milp
 
 
@@ -77,7 +78,9 @@ class TestBreakdowns:
         # movable entry, 1e-10, lies between the zero threshold and PIVOT_TOL.
         form = np.array([[1e-10, 1.0]]), np.array([1.0]), np.zeros(2)
         # The slack start as _form builds it: one structural, one row.
-        slack = ifctp.milp._Start(np.arange(1, 2), np.zeros(2) < 0.0, np.eye(1), refined=True)
+        identity = np.eye(1)
+        slack = ifctp.milp._Start(np.arange(1, 2), np.zeros(2) < 0.0, identity, identity,
+                                  refined=True)
         with pytest.raises(DegeneratePivotError, match="sub-tolerance"):
             ifctp.milp._dual_simplex(form, np.zeros(2), np.array([np.inf, 0.0]), slack)
 
@@ -221,6 +224,36 @@ def _oracle_width_model():
     return to_milp(bi, bi.obj_width)
 
 
+class TestSlackStartShortcut:
+    """A slack start's inverse is the identity, so _Start.tableau and _Start.solve take no
+    product: its tableau is M + 0.0 and its basic values (b - M v) + 0.0.  These are the
+    bytes that np.einsum with I gives, since einsum sums from +0 and so turns -0.0 into
+    +0.0 too."""
+
+    def test_slack_start_matches_the_identity_products(self, bench1):
+        forms = []
+        for instance in [bench1, *workloads.instances("ladder-bb", 1).values()]:
+            models, rows = stage_models(instance), link_rows(build_bi_objective(instance))
+            forms += map(ifctp.milp._bounded_form, models.values())
+            forms += [ifctp.milp._shipment_form(models[name], rows)
+                      for name in ("lower", "center", "width")]
+        # Signed zeros in A and b, which the stage models do not have.
+        forms.append(ifctp.milp._bounded_form(MilpModel(
+            [1.0, 1.0], [[-0.0, 1.0], [1.0, 1.0]], [1, -1], [-0.0, 1.0], [0.0] * 2, [1.0] * 2, [])))
+        negative_zeros = 0
+        for form in forms:
+            M, b, slack = form.M, form.b, form.slack
+            identity = np.eye(b.size)
+            T = slack.tableau(M, form.c)
+            assert T[:b.size].tobytes() == np.einsum("ij,jk->ik", identity, M).tobytes()
+            v = np.where(slack.at_upper, form.hi, form.lo)
+            v[slack.basis] = 0.0
+            r = b - np.einsum("ij,j->i", M, v)
+            assert slack.solve(r.copy()).tobytes() == np.einsum("ij,j->i", identity, r).tobytes()
+            negative_zeros += np.signbit(M[M == 0.0]).sum() + np.signbit(r[r == 0.0]).sum()
+        assert len(forms) == 20 * 8 + 1 and negative_zeros > 0
+
+
 class TestSharedFactorisation:
     """Each start's basis inverse is refined at most once, by the first LP solved from
     it, and shared: by a node's two children, and by the LPs of one solve that start
@@ -271,7 +304,8 @@ class TestSharedFactorisation:
                 assert refined or inverse is not start.inverse  # refined here, into a new array
             else:
                 assert refined and inverse is start.inverse  # and only here
-            fresh = ifctp.milp._Start(start.basis, start.at_upper, *first[id(start)])
+            fresh = ifctp.milp._Start(start.basis, start.at_upper, first[id(start)][0],
+                                      start.identity, first[id(start)][1])
             status, v, pivots, state = ifctp.milp._dual_simplex(form, lo, hi, fresh)
             assert (status, None if v is None else v.tobytes(), pivots,
                     None if state is None else state[0].tobytes()) == outcome
