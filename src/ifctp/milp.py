@@ -462,10 +462,10 @@ def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
     form).  In a bounded form only round-off makes a reduced cost wrong, and
     an inequality row's slack, with one finite bound, stays put.
 
-    Takes the tableau from the start (_Start), puts every nonbasic at its
-    lower or (by at_upper) upper bound, takes the basic values from the
-    start too, and runs the bounded dual simplex; the caller ignores
-    overflow.  A basic
+    Takes the tableau from the start (_Start), with no product for the
+    slack start, puts every nonbasic at its lower or (by at_upper) upper
+    bound, takes the basic values from the start too, and runs the bounded
+    dual simplex.  The solve that calls it ignores overflow, once per solve.  A basic
     value is violated when it passes a bound by more than BOUND_TOL times
     max(1, |value|): round-off grows with the value, so a fixed absolute
     slack would call a basic value of 1e6 that one update left a few ulps
