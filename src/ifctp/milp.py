@@ -53,15 +53,21 @@ tableau: up to a few hundred nodes are open at once.  A child whose key
 cannot beat the incumbent is not pushed at all.  solve_milp, oracle_solve
 and solve_lp ignore overflow, setting the error state once per solve, not
 per LP: an overflowing ratio is inf, never the minimum, and _form rejects an
-overflowed cost.
+overflowed cost.  A form is built once per constraint set: each builder
+reuses its last constraint part (scaled rows, slacks) for a model whose
+constraint arrays are those very objects, matched by identity, and redoes
+only the cost part (_constraint_part).  dataclasses.replace shares arrays
+(MilpModel), so a run's center and lower anchors share one shipment-only
+part and its max-min and refine one scaling; the next run builds its own.
 
-Rounding: each solved node rounds its binaries up, ceil(x), and checks
-the point against every bound within ROUNDED_FEAS_TOL and every row within
-ROUNDED_FEAS_TOL times |b_i| (absolute where b_i is 0): a max-min level
-row at costs times 2^-36 has b_i near 3e-9, so an absolute 1e-9 let a
-point at level 1.0 pass it.  A point that passes, or an LP point whose
-binaries are all exact, is an incumbent candidate, whether or not its node
-goes on to branch; it replaces the incumbent only if strictly smaller.  A
+Rounding: each solved node rounds its binaries up, ceil(x).  If that
+point's value is strictly below the incumbent's, it is checked against
+every bound within ROUNDED_FEAS_TOL and every row within ROUNDED_FEAS_TOL
+times |b_i| (absolute where b_i is 0): a max-min level row at costs times
+2^-36 has b_i near 3e-9, so an absolute 1e-9 let a point at level 1.0
+pass it.  A point that passes, or an LP point whose binaries are all
+exact, replaces the incumbent, whether or not its node goes on to branch;
+a point that cannot beat the incumbent is not checked at all.  A
 node stops branching only when its binaries are exactly 0 or 1 (the kernel
 puts a value within BOUND_TOL of a bound on it); otherwise it branches on
 its most fractional binary.
@@ -111,6 +117,8 @@ import dataclasses
 import heapq
 import itertools
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -148,8 +156,15 @@ class OracleScopeError(ValueError):
     """Problem has too many binaries for exhaustive enumeration."""
 
 
+# Every live array _frozen made, by its id and field name.
+_FROZEN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _frozen(name: str, values) -> np.ndarray:
-    """A read-only copy of the values of MilpModel field name, with its dtype."""
+    """A read-only copy of the values of MilpModel field name, with its dtype,
+    or values itself if _frozen made it for field name."""
+    if _FROZEN.get((id(values), name)) is values:
+        return values
     if name == "senses":
         values = np.asarray(values, dtype=float)
         if not ((values == 0.0) | (np.abs(values) == 1.0)).all():
@@ -158,6 +173,7 @@ def _frozen(name: str, values) -> np.ndarray:
         values = sorted(set(map(int, values)))
     array = np.array(values, dtype=int if name in ("senses", "binaries") else float)
     array.flags.writeable = False
+    _FROZEN[id(array), name] = array
     return array
 
 
@@ -168,9 +184,10 @@ class MilpModel:
     senses holds 1 for "<=", -1 for ">=" and 0 for "=" per row of A; every
     bound is finite, so no LP is unbounded and the slack basis is dual
     feasible.  binaries lists the variables restricted to {0, 1}; each must
-    be bounded within [0, 1].  Every array is a read-only copy, so solves
-    can share a model and its arrays; dataclasses.replace makes a checked
-    model with some arrays replaced.
+    be bounded within [0, 1].  Every array is a read-only copy; an array
+    another model already froze is shared.  So solves can share a model and
+    its arrays, and dataclasses.replace makes a checked model with some
+    arrays replaced and the others shared.
     """
 
     c: np.ndarray
@@ -330,9 +347,10 @@ class _Form(NamedTuple):
     links: Optional[tuple] = None
 
 
-def _form(M, b, c, lo, hi, cols) -> _Form:
+def _form(M, b, c, lo, hi, cols, identity) -> _Form:
     """The _Form of scaled M, b, lo, hi and structural costs c scaled by cols.
 
+    identity is np.eye(b.size), one per constraint part (_constraint_part).
     unit is the power of two nearest c's largest magnitude (1 if c is all
     zeros), so the reduced-cost tolerances mean the same at any cost scale:
     c and 2^k c pivot alike, bit for bit.  The slacks cost 0, and the slack
@@ -345,9 +363,24 @@ def _form(M, b, c, lo, hi, cols) -> _Form:
     unit = float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
     m, nv = b.size, c.size
     c = np.concatenate((c / unit, np.zeros(m)))
-    identity = np.eye(m)
     slack = _Start(np.arange(nv, nv + m), c < 0.0, identity, identity, refined=True)
     return _Form(M, b, c, lo, hi, cols, slack, unit)
+
+
+# Each constraint part builder's last part, with the arrays and args it was built from.
+_LAST_PARTS: dict = {}
+
+
+def _constraint_part(build, model: MilpModel, names: Sequence[str], *args) -> tuple:
+    """build(model, *args), or build's last part if model's fields names are the very
+    arrays it was built from (is, not ==) and args are equal (module docstring)."""
+    arrays = tuple(getattr(model, name) for name in names)
+    last = _LAST_PARTS.get(build)
+    if last is not None and last[1] == args and all(map(operator.is_, last[0], arrays)):
+        return last[2]
+    part = build(model, *args)
+    _LAST_PARTS[build] = arrays, args, part
+    return part
 
 
 def _bounded_form(model: MilpModel) -> _Form:
@@ -359,12 +392,21 @@ def _bounded_form(model: MilpModel) -> _Form:
     Upper bounds stay implicit.  Four passes of geometric-mean scaling
     bring every row and column near magnitude one, so the absolute pivot
     tolerance means the same in a big-M row; an entry below SCALE_FLOOR of
-    its row's or column's largest is left out of the geometric mean.
+    its row's or column's largest is left out of the geometric mean.  Only
+    c, lo and hi are not the constraint part's (_bounded_part).
     """
+    M, b, cols, slack_lo, slack_hi, identity = _constraint_part(
+        _bounded_part, model, ("A", "senses", "b"))
+    lo = np.concatenate((model.lo / cols, slack_lo))
+    hi = np.concatenate((model.hi / cols, slack_hi))
+    return _form(M, b, model.c * cols, lo, hi, cols, identity)
+
+
+def _bounded_part(model: MilpModel) -> tuple:
+    """_bounded_form's constraint part: (M, b, cols, the slacks' lo and hi, identity)."""
     M, rows, cols = _scaled_matrix(model.A)
-    lo = np.concatenate((model.lo / cols, np.where(model.senses < 0, -np.inf, 0.0)))
-    hi = np.concatenate((model.hi / cols, np.where(model.senses > 0, np.inf, 0.0)))
-    return _form(M, model.b * rows, model.c * cols, lo, hi, cols)
+    return (M, model.b * rows, cols, np.where(model.senses < 0, -np.inf, 0.0),
+            np.where(model.senses > 0, np.inf, 0.0), np.eye(rows.size))
 
 
 def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -408,25 +450,42 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
     change, and _child_keys can weigh each nonbasic's box.  links is (cont,
     column, big_m, charge, c_open): the continuous columns, the position of
     each binary's y_k among them, M_t, f_t, and c with every route open.
+    Only c, the charges and c_open are not the constraint part's
+    (_shipment_part).
     """
+    M, b, lo, hi, cols, identity, cont, column, big_m = _constraint_part(
+        _shipment_part, model, ("A", "senses", "b", "lo", "hi", "binaries"),
+        tuple(map(int, link_rows)))
+    charge = model.c[model.binaries]
+    if (charge < 0.0).any():
+        raise ValueError("every link row's binary x must cost >= 0")
+    per_unit = np.zeros(cont.size)
+    per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
+    form = _form(M, b, (model.c[cont] + per_unit) * cols, lo, hi, cols, identity)
+    c_open = np.concatenate((model.c[cont] * cols / form.unit, np.zeros(b.size)))
+    return form._replace(links=(cont, column, big_m, charge, c_open))
+
+
+def _shipment_part(model: MilpModel, link_rows: tuple) -> tuple:
+    """_shipment_form's constraint part: (M, b, lo, hi, cols, identity, cont, column, big_m)."""
     binaries = model.binaries
-    links = np.asarray(link_rows, dtype=int)
+    links = np.array(link_rows, dtype=int)
     # np.delete and np.bincount, not np.setdiff1d or np.unique: those import
     # numpy.ma on first use, which grew each process's heap by about 0.5 MB.
-    cont = np.delete(np.arange(model.c.size), binaries)
+    cont = np.delete(np.arange(model.lo.size), binaries)
     rows = np.delete(np.arange(model.b.size), links)
     column = model.A[links][:, cont].argmax(axis=1)
-    big_m, charge = model.hi[cont[column]], model.c[binaries]
-    expected = np.zeros((links.size, model.c.size))
+    big_m = model.hi[cont[column]]
+    expected = np.zeros((links.size, model.lo.size))
     expected[np.arange(links.size), cont[column]] = 1.0
     if links.size == binaries.size:
         expected[np.arange(links.size), binaries] = -big_m
     if (links.size != binaries.size or np.bincount(column).max(initial=0) > 1
             or not np.array_equal(model.A[links], expected) or model.A[rows][:, binaries].any()
             or (model.senses[links] != 1).any() or model.b[links].any()
-            or model.lo[cont[column]].any() or (charge < 0.0).any()):
+            or model.lo[cont[column]].any()):
         raise ValueError("every link row must read y - M x <= 0 with y boxed at [0, M], for a "
-                         "binary x of cost >= 0 in no other row")
+                         "binary x in no other row")
     A, senses, b = model.A[rows][:, cont], model.senses[rows], model.b[rows]
     lo, hi = model.lo[cont], model.hi[cont]
     cols = np.ones(cont.size)
@@ -437,14 +496,9 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
                           scale * (b - np.maximum(low, high).sum(axis=1)))
     slack_hi = np.minimum(np.where(senses > 0, np.inf, 0.0),
                           scale * (b - np.minimum(low, high).sum(axis=1)))
-    per_unit = np.zeros(cont.size)
-    per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
-    c = (model.c[cont] + per_unit) * cols
-    form = _form(np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale, c,
-                 np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
-                 np.concatenate((hi / cols, slack_hi)), cols)
-    c_open = np.concatenate((model.c[cont] * cols / form.unit, np.zeros(b.size)))
-    return form._replace(links=(cont, column, big_m, charge, c_open))
+    return (np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale,
+            np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
+            np.concatenate((hi / cols, slack_hi)), cols, np.eye(b.size), cont, column, big_m)
 
 
 def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
@@ -677,10 +731,10 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     fixes entered from the slack basis; the default is the whole space.
     Node selection is best bound first: each child is keyed by its penalty
     bound, ties broken deeper-first then by creation order.  Each solved
-    node's rounded point is checked once and, if it passes, is an incumbent
-    candidate; a node that must branch picks the most fractional binary and
-    explores the rounded-toward value first (see the module docstring).  The
-    solution returned is the LP at the incumbent's activation pattern, solved
+    node's rounded point that would beat the incumbent is checked once and,
+    if it passes, replaces it; a node that must branch picks the most
+    fractional binary and explores the rounded-toward value first (see the
+    module docstring).  The solution returned is the LP at the incumbent's activation pattern, solved
     in the search's one form from its slack basis.  Its leaves and the
     LP-infeasible subtrees partition within, and no point of a leaf beats
     its bound (module docstring, Leaves).
@@ -703,6 +757,12 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
+
+    def feasible(point):
+        rows = np.einsum("ij,j->i", model.A, point)
+        return ((rows <= row_hi).all() and (rows >= row_lo).all()
+                and (point <= var_hi).all() and (point >= var_lo).all())
+
     form = _bounded_form(model) if link_rows is None else _shipment_form(model, link_rows)
     nodes = pivots = 0
     leaves: list[tuple[float, dict[int, float]]] = []
@@ -730,19 +790,15 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         point = x.copy()
         x_bin = x[binaries]
         point[binaries] = np.ceil(x_bin) + 0.0  # no -0.0 in the assignment
-        rows = np.einsum("ij,j->i", model.A, point)
-        feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
-                    and (point <= var_hi).all() and (point >= var_lo).all())
         frac = np.abs(x_bin - np.round(x_bin))  # fixed binaries give 0
         worst = frac.max(initial=0.0)
-        if feasible or worst == 0.0:
-            candidate = model.value_at(point)
-            if candidate < incumbent_val:
-                incumbent_val = candidate
-                incumbent_x = point
-            if worst == 0.0:
-                leaves.append((value, fixes))
-                continue
+        candidate = model.value_at(point)
+        if candidate < incumbent_val and (worst == 0.0 or feasible(point)):
+            incumbent_val = candidate
+            incumbent_x = point
+        if worst == 0.0:
+            leaves.append((value, fixes))
+            continue
 
         t = int(frac.argmax())
         j = int(binaries[t])

@@ -5,10 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from _random_instances import random_instance
+from _random_instances import draws, random_instance
 from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
 from conftest import stage_run
 
+import ifctp.pipeline
 from ifctp import MilpModel, NodeLimitError, OracleScopeError, Stages
 from ifctp.compromise import LEVEL_SLACK, build_max_min_model
 from ifctp.crisp import build_bi_objective, link_rows, to_milp
@@ -128,6 +129,69 @@ class TestModelValidation:
                 getattr(model, name)[0] = 0
         A[0, 0] = 2.0  # the model keeps its own copy
         assert model.A[0, 0] == 1.0
+
+    def test_replace_shares_the_arrays_it_keeps(self, bench1):
+        bi = build_bi_objective(bench1)
+        model = to_milp(bi, bi.obj_center)
+        lower = dataclasses.replace(model, c=bi.obj_lower)
+        for name in ("A", "senses", "b", "lo", "hi", "binaries"):
+            assert getattr(lower, name) is getattr(model, name), name
+        assert lower.c is not bi.obj_lower and not lower.c.flags.writeable
+
+    def test_other_inputs_are_copied_and_checked(self):
+        read_only = np.array([[1.0, 2.0], [3.0, 4.0]])
+        read_only.flags.writeable = False
+        writable = np.array([1.0, 1.0])
+        binaries = np.array([1, 0, 1])
+        binaries.flags.writeable = False
+        view = read_only[:1]
+        assert not view.flags.writeable
+        model = MilpModel([1.0, 1.0], view, [LE], writable[:1], [0.0, 0.0], writable, binaries)
+        for given, kept in ((view, model.A), (writable, model.hi), (binaries, model.binaries)):
+            assert kept is not given and kept.base is None and not kept.flags.writeable
+        writable[0] = 5.0
+        assert model.hi[0] == 1.0 and model.binaries.tolist() == [0, 1]
+        # A frozen array is shared only as the field it was frozen for.
+        swapped = dataclasses.replace(model, c=model.hi, binaries=model.hi)
+        assert swapped.c is not model.hi and swapped.binaries.tolist() == [1]
+        senses = np.array([2])
+        senses.flags.writeable = False
+        with pytest.raises(ValueError, match="relation"):
+            dataclasses.replace(model, senses=senses)
+        with pytest.raises(ValueError, match="constraint coefficients must be finite"):
+            dataclasses.replace(model, A=np.where(read_only[:1] > 1.0, np.nan, read_only[:1]))
+
+
+class TestFormReuse:
+    """A run's models share their constraint arrays, and its solves one form per
+    constraint set: each solve must give the same bits as on a deep copy."""
+
+    @staticmethod
+    def _outcome(solution):
+        values = (solution.objective_value, *(solution.assignment or ()))
+        return (solution.status, np.array(values, dtype=float).tobytes(), solution.nodes,
+                solution.pivots, [(float(bound).hex(), fixes) for bound, fixes in solution.leaves])
+
+    @pytest.mark.parametrize("draw", [None, 0, 1, 2, 3], ids=["shipped", *map(str, range(4))])
+    def test_shared_forms_give_the_answers_of_fresh_ones(self, bench1, monkeypatch, draw):
+        instance = bench1 if draw is None else draws(8, 4)[draw]
+        solves = []
+        original = ifctp.pipeline.solve_milp
+
+        def recorded(model, **kwargs):
+            solution = original(model, **kwargs)
+            solves.append((model, kwargs, solution))
+            return solution
+
+        monkeypatch.setattr(ifctp.pipeline, "solve_milp", recorded)
+        models = stage_run(instance).models
+        assert [model for model, _, _ in solves] == [models[name] for name in models]
+        assert models["center"].A is models["lower"].A is models["width"].A
+        assert models["max-min"].A is models["refine"].A
+        for model, kwargs, solution in solves:
+            fresh = MilpModel(*(np.array(getattr(model, field.name))
+                                for field in dataclasses.fields(MilpModel)))
+            assert self._outcome(original(fresh, **kwargs)) == self._outcome(solution)
 
 
 class TestBenchmarkValues:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import pathlib
 import random
@@ -436,6 +437,25 @@ class TestOneBuildPerJob:
         assert len(calls["build_bi_objective"]) == 1
         assert len(calls["solve_milp"]) == len(set(calls["solve_milp"])) == solves
         assert len(calls["oracle_solve"]) == oracle_solves
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "{path}", "--report", "machine"],
+        ["compare", "{path}", "--override-payoff", "640,787,163,190",
+         "--competitor", "safi-razmjoo=[640,1020]"],
+    ], ids=["solve", "compare"])
+    def test_each_constraint_set_built_once(self, bench1_path, capsys, monkeypatch, args):
+        """Two scalings, the width anchor's and the one max-min shares with refine, and one
+        shipment-only constraint part, which the center and lower anchors share.  A second
+        job on the same file builds them all again: no form outlives its job."""
+        builds = collections.Counter()
+        for name in ("_scaled_matrix", "_shipment_part"):
+            def counted(*args, name=name, build=getattr(ifctp.milp, name)):
+                builds[name] += 1
+                return build(*args)
+            monkeypatch.setattr(ifctp.milp, name, counted)
+        for job in (1, 2):
+            assert main([a.format(path=bench1_path) for a in args]) == 0
+            assert builds == {"_scaled_matrix": 2 * job, "_shipment_part": job}
 
     def test_instance_checked_once(self, bench1_path, capsys, monkeypatch):
         checks = []
