@@ -9,6 +9,7 @@ import pytest
 from _textbook_lp import textbook_relaxation
 
 import ifctp.milp
+import ifctp.pipeline
 from ifctp import IfctpInstance, Interval, ShipmentPlan, Stages, parse_instance
 from ifctp.milp import OPTIMAL, solve_milp
 
@@ -117,6 +118,34 @@ def record_searches(monkeypatch, run):
         patch.setattr(ifctp.milp, "heapq",
                       types.SimpleNamespace(heappush=recording_push, heappop=heapq.heappop))
         return run(), lps, keys
+
+
+Solve = collections.namedtuple("Solve", "name model kwargs solution")
+
+
+def record_solves(monkeypatch, run, answer=None):
+    """run()'s result and every solve_milp and oracle_solve call ifctp.pipeline made in it.
+
+    Each call is a Solve: "solve_milp" or "oracle_solve", the model, the keyword
+    arguments and the solution handed back.  answer(name, model, kwargs), if
+    given, returns the solution to hand back in place of the call's own, or
+    None to make the call.
+    """
+    calls = []
+
+    def recording(name, solve):
+        def recorded(model, **kwargs):
+            solution = answer and answer(name, model, kwargs)
+            if solution is None:
+                solution = solve(model, **kwargs)
+            calls.append(Solve(name, model, kwargs, solution))
+            return solution
+        return recorded
+
+    with monkeypatch.context() as patch:
+        for name in ("solve_milp", "oracle_solve"):
+            patch.setattr(ifctp.pipeline, name, recording(name, getattr(ifctp.pipeline, name)))
+        return run(), calls
 
 
 def _searches(monkeypatch, instance, anchors_only):

@@ -7,9 +7,8 @@ from _random_instances import random_instance
 from _reference import (BEST_LOWER, BEST_WIDTH, IDEAL_CENTER, IDEAL_WIDTH,
                         LEVEL_STAR, PAYOFF_OVERRIDE, WORST_LOWER, WORST_WIDTH,
                         Z_LOWER_STAR, Z_WIDTH_STAR)
-from conftest import zero_width_bench1
+from conftest import record_solves, zero_width_bench1
 
-import ifctp.pipeline
 from ifctp import (IfctpInstance, InfeasibleProblemError, Interval, PayoffTable, Stages,
                    check_plan, parse_instance)
 from ifctp.compromise import build_max_min_model, membership
@@ -152,16 +151,9 @@ def _refine_searches(monkeypatch, instance):
     """The refine solve's within (None for the whole space), the compromise and its stages."""
     stages = Stages(instance)
     stages.payoff()  # the anchors, solved before the recording starts
-    calls = []
-
-    def recording(model, **kwargs):
-        calls.append(kwargs.get("within"))
-        return solve_milp(model, **kwargs)
-
-    monkeypatch.setattr(ifctp.pipeline, "solve_milp", recording)
-    _, result = stages.compromise()
-    assert calls[0] is None  # max-min searches the whole space
-    return calls[1], result, stages
+    (_, result), (max_min, refine) = record_solves(monkeypatch, stages.compromise)
+    assert "within" not in max_min.kwargs  # max-min searches the whole space
+    return refine.kwargs.get("within"), result, stages
 
 
 class TestRefineBand:

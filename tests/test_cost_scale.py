@@ -29,9 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _random_instances import draws, random_instance
-from conftest import bench1_instance, rescaled, scaled_costs
+from conftest import bench1_instance, record_solves, rescaled, scaled_costs
 
-import ifctp.pipeline
 from ifctp import (DegeneratePivotError, IfctpInstance, Interval, Stages, parse_instance,
                    render_instance, run_oracle_check, run_pipeline)
 from ifctp.cli import main
@@ -263,12 +262,13 @@ def test_oracle_check_fails_ideal_lines_half_again_too_high(monkeypatch, factor)
     # point is near 1e-7, so a tolerance of 1e-6 times at least one passed it.
     # anchor-lower checks payoff.lower.best, the value of the lower anchor's
     # plan, so it passes.
-    def half_again(model, **kwargs):
-        solution = solve_milp(model, **kwargs)
-        return dataclasses.replace(solution, objective_value=1.5 * solution.objective_value)
+    def half_again(name, model, kwargs):
+        if name == "solve_milp":
+            solution = solve_milp(model, **kwargs)
+            return dataclasses.replace(solution, objective_value=1.5 * solution.objective_value)
 
-    monkeypatch.setattr(ifctp.pipeline, "solve_milp", half_again)
-    check = run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor))
+    check, _ = record_solves(
+        monkeypatch, lambda: run_oracle_check(scaled_costs(TIED_AT_LEVEL_ZERO, factor)), half_again)
     assert [(line.name, line.passed) for line in check.lines] == [
         ("ideal-center", False), ("ideal-width", False), ("anchor-lower", True),
         ("max-min level", True), ("refine", True)]

@@ -7,9 +7,8 @@ import pytest
 
 from _random_instances import draws, random_instance
 from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
-from conftest import stage_run
+from conftest import record_solves, stage_run
 
-import ifctp.pipeline
 from ifctp import MilpModel, NodeLimitError, OracleScopeError, Stages
 from ifctp.compromise import LEVEL_SLACK, build_max_min_model
 from ifctp.crisp import build_bi_objective, link_rows, to_milp
@@ -175,23 +174,15 @@ class TestFormReuse:
     @pytest.mark.parametrize("draw", [None, 0, 1, 2, 3], ids=["shipped", *map(str, range(4))])
     def test_shared_forms_give_the_answers_of_fresh_ones(self, bench1, monkeypatch, draw):
         instance = bench1 if draw is None else draws(8, 4)[draw]
-        solves = []
-        original = ifctp.pipeline.solve_milp
-
-        def recorded(model, **kwargs):
-            solution = original(model, **kwargs)
-            solves.append((model, kwargs, solution))
-            return solution
-
-        monkeypatch.setattr(ifctp.pipeline, "solve_milp", recorded)
-        models = stage_run(instance).models
-        assert [model for model, _, _ in solves] == [models[name] for name in models]
+        stages, solves = record_solves(monkeypatch, lambda: stage_run(instance))
+        models = stages.models
+        assert [model for _, model, _, _ in solves] == [models[name] for name in models]
         assert models["center"].A is models["lower"].A is models["width"].A
         assert models["max-min"].A is models["refine"].A
-        for model, kwargs, solution in solves:
+        for _, model, kwargs, solution in solves:
             fresh = MilpModel(*(np.array(getattr(model, field.name))
                                 for field in dataclasses.fields(MilpModel)))
-            assert self._outcome(original(fresh, **kwargs)) == self._outcome(solution)
+            assert self._outcome(solve_milp(fresh, **kwargs)) == self._outcome(solution)
 
 
 class TestBenchmarkValues:

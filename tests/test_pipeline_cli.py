@@ -3,11 +3,13 @@ import dataclasses
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from _random_instances import random_instance
 from _reference import COMPETITOR_1, COMPETITOR_1_DISTANCE, PAYOFF_OVERRIDE
-from conftest import PROBLEMS_DIR
+from _textbook_lp import textbook_relaxation
+from conftest import PROBLEMS_DIR, record_solves
 
 import ifctp.cli
 import ifctp.compromise
@@ -19,6 +21,7 @@ from ifctp import (CompetitorEntry, IfctpInstance, Interval, OracleScopeError, P
                    Stages, UnattainableLevelsError, check_plan, parse_instance, render_instance,
                    run_oracle_check, run_pipeline)
 from ifctp.cli import main
+from ifctp.milp import OPTIMAL
 from ifctp.reporting import render_machine, render_text
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
@@ -175,86 +178,30 @@ class TestOracleCheckApi:
 
 
 class TestCli:
-    def test_solve_text(self, bench1_path, capsys):
-        code = main(["solve", str(bench1_path),
-                     "--override-payoff", "640,787,163,190"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "status: optimal" in out
-        assert "distance to ideal: 13.40" in out
-
-    def test_payoff_subcommand(self, bench1_path, capsys):
-        assert main(["payoff", str(bench1_path)]) == 0
-        out = capsys.readouterr().out
-        assert "640.00" in out and "787.00" in out
-
-    def test_parse_error_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "bad.txt"
-        path.write_text("dims 1 1\ncost 1 1 = [8,4] fixed [0,1]\n")
-        assert main(["solve", str(path)]) == 3
-        assert "lo > hi" in capsys.readouterr().err
+    """A file that cannot be read exits 3 with one error line that names it."""
 
     def test_non_utf8_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"dims 1 1\n\xff\xfe\n")
         assert main(["solve", str(path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
+        assert capsys.readouterr() == ("", f"error: cannot read {path}: 'utf-8' codec can't "
+                                           "decode byte 0xff in position 9: invalid start byte\n")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
-        assert main(["solve", str(tmp_path / "nope.txt")]) == 3
-
-    def test_infeasible_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "starved.txt"
-        path.write_text(STARVED)
-        assert main(["solve", str(path)]) == 2
-        assert "status: infeasible" in capsys.readouterr().out
-
-    def test_oracle_scope_exit_code(self, tmp_path, capsys):
-        lines = ["dims 5 6"]
-        lines += [f"cost {i} {j} = [1,2] fixed [0,1]"
-                  for i in range(1, 6) for j in range(1, 7)]
-        lines += [f"supply {i} = [50,50]" for i in range(1, 6)]
-        lines += [f"demand {j} = [1,1]" for j in range(1, 7)]
-        path = tmp_path / "big.txt"
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["oracle-check", str(path)]) == 4
-        assert "resource limit" in capsys.readouterr().err
-
-    def test_bad_competitor_argument(self, bench1_path, capsys):
-        assert main(["compare", str(bench1_path), "--competitor", "nope"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: argument --competitor: expected name=[lo,hi]"]
+        path = tmp_path / "nope.txt"
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: cannot read {path}: [Errno 2] No such file or directory: {str(path)!r}\n")
 
 
-def _record_builds_and_solves(monkeypatch):
-    """The build_bi_objective, solve_milp and oracle_solve calls a job makes from here on.
-
-    solve_milp answers oracle_solve instead of enumeration, which
-    test_oracle_check_golden runs on the same models.
-    """
-    calls = {"build_bi_objective": [], "solve_milp": [], "oracle_solve": []}
-
-    def recording(name, original):
-        def recorded(*args, **kwargs):
-            # The bytes of every array tell two solved models apart.
-            calls[name].append(tuple(getattr(args[0], field).tobytes() for field in
-                                     ("c", "A", "senses", "b", "lo", "hi", "binaries"))
-                               if name == "solve_milp" else None)
-            return original(*args, **kwargs)
-        return recorded
-
-    for name in calls:
-        original = getattr(ifctp.crisp if name == "build_bi_objective" else ifctp.milp, name)
-        for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
-            if getattr(module, name, None) is original:
-                answer = ifctp.milp.solve_milp if name == "oracle_solve" else original
-                monkeypatch.setattr(module, name, recording(name, answer))
-    return calls
+def _record_builds(monkeypatch):
+    """The build_bi_objective calls a job makes from here on."""
+    builds, build = [], ifctp.crisp.build_bi_objective
+    for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
+        if getattr(module, "build_bi_objective", None) is build:
+            monkeypatch.setattr(module, "build_bi_objective",
+                                lambda *args: builds.append(args) or build(*args))
+    return builds
 
 
 class TestCliOutputBytes:
@@ -278,10 +225,28 @@ class TestCliOutputBytes:
         assert main(["solve", str(bench1_path), "--report", "machine"]) == 0
         assert capsys.readouterr() == (expected, "")
 
-    def test_oracle_check_golden(self, bench1_path, capsys):
+    def test_oracle_check_golden(self, bench1_path, capsys, monkeypatch):
+        """The golden bytes, and each of the five stage answers the job checks is its
+        oracle's, the LP at its binaries' pattern, bit for bit and the textbook optimum
+        there; so is the bounded-form search of each anchor the job solves shipment-only.
+        This is the one test that enumerates the shipped instance's stage models."""
         expected = (DATA_DIR / "golden_oracle_check.txt").read_text()
-        assert main(["oracle-check", str(bench1_path)]) == 0
-        assert capsys.readouterr() == (expected, "")
+        code, calls = record_solves(monkeypatch, lambda: main(["oracle-check", str(bench1_path)]))
+        assert code == 0 and capsys.readouterr() == (expected, "")
+        oracles = [call for call in calls if call.name == "oracle_solve"]
+        assert len(oracles) == len(calls) - len(oracles) == 5
+        for k, (_, model, _, oracle) in enumerate(oracles):
+            solved, = [call for call in calls if call.name == "solve_milp" and call.model is model]
+            bounded = [ifctp.milp.solve_milp(model)] if solved.kwargs.get("link_rows") else []
+            for solution in [solved.solution, *bounded]:
+                pattern = {j: solution.assignment[j] for j in model.binaries.tolist()}
+                status, value, _ = textbook_relaxation(model, pattern)
+                assert status == oracle.status == OPTIMAL, k
+                assert oracle.nodes == 2 ** model.binaries.size, k
+                assert np.array(solution.assignment).tobytes() == \
+                    np.array(oracle.assignment).tobytes(), k
+                assert solution.objective_value == oracle.objective_value, k
+                assert abs(solution.objective_value - value) <= 1e-9 * max(1.0, abs(value)), k
 
     @pytest.mark.parametrize("command, report, expected", [
         ("payoff", "text", "payoff levels (best / worst):\n"
@@ -355,22 +320,16 @@ class TestCliArgumentErrors:
         assert capsys.readouterr().out.startswith("usage: ifctp")
 
 
-def _fail_the_solves_of(monkeypatch, builder):
-    """Every model that ifctp.pipeline's builder returns from here on solves infeasible."""
-    built = []
-    build, solve = getattr(ifctp.pipeline, builder), ifctp.pipeline.solve_milp
+_INFEASIBLE = ifctp.milp.MilpSolution(ifctp.milp.INFEASIBLE, None, None)
 
-    def recording(*args):
-        built.append(build(*args))
-        return built[-1]
 
-    def failing(model, **kwargs):
-        if any(model is model_built for model_built in built):
-            return ifctp.milp.MilpSolution(ifctp.milp.INFEASIBLE, None, None)
-        return solve(model, **kwargs)
-
-    monkeypatch.setattr(ifctp.pipeline, builder, recording)
-    monkeypatch.setattr(ifctp.pipeline, "solve_milp", failing)
+def _infeasible_if_built_by(monkeypatch, builder):
+    """A record_solves answer: every model ifctp.pipeline's builder returns from here on
+    solves infeasible."""
+    built, build = [], getattr(ifctp.pipeline, builder)
+    monkeypatch.setattr(ifctp.pipeline, builder,
+                        lambda *args: built.append(build(*args)) or built[-1])
+    return lambda name, model, kwargs: _INFEASIBLE if any(model is b for b in built) else None
 
 
 class TestCliNumericalBreakdown:
@@ -388,8 +347,9 @@ class TestCliNumericalBreakdown:
     def test_refine_failure_is_named(self, bench1_path, capsys, monkeypatch, args):
         # The refine model holds the level at an attained one, so neither the
         # instance nor the override levels are to blame when it fails.
-        _fail_the_solves_of(monkeypatch, "build_refine_model")
-        assert main(["solve", str(bench1_path), *args]) == 5
+        fail = _infeasible_if_built_by(monkeypatch, "build_refine_model")
+        assert record_solves(monkeypatch, lambda: main(["solve", str(bench1_path), *args]),
+                             fail)[0] == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
@@ -432,11 +392,20 @@ class TestOneBuildPerJob:
     ], ids=["solve", "solve-override", "compare", "payoff", "ideal", "oracle-check"])
     def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args, solves,
                                      oracle_solves):
-        calls = _record_builds_and_solves(monkeypatch)
-        assert main([a.format(path=bench1_path) for a in args]) == 0
-        assert len(calls["build_bi_objective"]) == 1
-        assert len(calls["solve_milp"]) == len(set(calls["solve_milp"])) == solves
-        assert len(calls["oracle_solve"]) == oracle_solves
+        # solve_milp answers oracle_solve instead of enumeration, which
+        # test_oracle_check_golden runs on the same models.
+        builds = _record_builds(monkeypatch)
+        code, calls = record_solves(
+            monkeypatch, lambda: main([a.format(path=bench1_path) for a in args]),
+            lambda name, model, kwargs: ifctp.milp.solve_milp(model) if name == "oracle_solve"
+            else None)
+        assert code == 0 and len(builds) == 1
+        # The bytes of every array tell two solved models apart.
+        solved = [tuple(getattr(call.model, field.name).tobytes()
+                        for field in dataclasses.fields(call.model))
+                  for call in calls if call.name == "solve_milp"]
+        assert len(solved) == len(set(solved)) == solves
+        assert len(calls) - len(solved) == oracle_solves
 
     @pytest.mark.parametrize("args", [
         ["solve", "{path}", "--report", "machine"],
@@ -521,6 +490,21 @@ def _data_text(name):
     return (DATA_DIR / name).read_text()
 
 
+def _less_competitor_line(text):
+    """text less its last line, which must be the competitor's."""
+    head, last = text[:-1].rsplit("\n", 1)
+    assert last.startswith("competitor "), last
+    return head + "\n"
+
+
+# 30 routes, beyond the oracle's scope of 20 binaries.
+WIDE_5X6 = "".join(["dims 5 6\n",
+                    *(f"cost {i} {j} = [1,2] fixed [0,1]\n"
+                      for i in range(1, 6) for j in range(1, 7)),
+                    *(f"supply {i} = [50,50]\n" for i in range(1, 6)),
+                    *(f"demand {j} = [1,1]\n" for j in range(1, 7))])
+
+
 class TestCliExactOutcomes:
     """Exact stdout, stderr and exit code of jobs that have no golden file."""
 
@@ -567,6 +551,14 @@ class TestCliExactOutcomes:
          "oracle check: PASS\n", ""),
         (_data_text("safi_razmjoo_1_costs_1e300_quantities_1e-20.txt"), ["solve"], 5, "",
          "error: numerical breakdown: the scaled objective overflows a float\n"),
+        (BENCH1_TEXT, ["solve", "--override-payoff", "640,787,163,190"], 0,
+         _less_competitor_line(_data_text("golden_solve_text.txt")), ""),
+        (BENCH1_TEXT, ["compare", "--competitor", "nope"], 3, "",
+         "error: argument --competitor: expected name=[lo,hi]\n"),
+        ("dims 1 1\ncost 1 1 = [8,4] fixed [0,1]\n", ["solve"], 3, "",
+         "error: line 2: interval lo > hi: [8.0, 4.0]\n"),
+        (WIDE_5X6, ["oracle-check"], 4, "",
+         "error: resource limit: 30 routes exceed the oracle's scope of 20\n"),
         (CANCELLING_REFINE_1X1, ["oracle-check"], 0,
          "ideal-center: solver=-134.25 oracle=-134.25 delta=0 ok\n"
          "ideal-width: solver=0.0 oracle=0.0 delta=0 ok\n"
@@ -583,7 +575,8 @@ class TestCliExactOutcomes:
             "negative-charge-ideal", "negative-charge-oracle-check", "negative-demand-solve",
             "byte-order-mark-ideal-machine", "unit-costs-1e9-ideal-machine",
             "costs-1e40-quantities-1e-10-solve", "costs-1e40-quantities-1e-10-oracle-check",
-            "costs-1e300-quantities-1e-20-solve",
+            "costs-1e300-quantities-1e-20-solve", "solve-override-text",
+            "bad-competitor-compare", "lo-above-hi-solve", "wide-5x6-oracle-check",
             "cancelling-refine-oracle-check"])
     def test_outcome(self, tmp_path, capsys, instance, args, code, out, err):
         path = tmp_path / "instance.txt"
@@ -605,18 +598,6 @@ class TestCliExactOutcomes:
         assert captured.out.endswith("\noracle check: PASS\n") and captured.err == ""
 
 
-def _record_solves(monkeypatch):
-    """The models that every solve_milp and oracle_solve call receives from here on."""
-    solved = []
-    for module in (ifctp.pipeline, ifctp.compromise):
-        for name in ("solve_milp", "oracle_solve"):
-            original = getattr(module, name, None)
-            if original is not None:
-                monkeypatch.setattr(module, name, lambda model, _solve=original, **kwargs:
-                                    solved.append(model) or _solve(model, **kwargs))
-    return solved
-
-
 class TestFeasibilityRule:
     """An instance has a plan iff its supply caps add up to its demand floors.
 
@@ -628,10 +609,8 @@ class TestFeasibilityRule:
         ["solve"], ["compare", "--competitor", "x=[1,2]"], ["payoff"], ["ideal"],
         ["oracle-check"]], ids=lambda args: args[0])
     def test_undersupplied_instance_makes_no_solve(self, capsys, monkeypatch, args):
-        solved = _record_solves(monkeypatch)
         path = DATA_DIR / "undersupplied_2x2.txt"
-        assert main([args[0], str(path), *args[1:]]) == 2
-        assert solved == []
+        assert record_solves(monkeypatch, lambda: main([args[0], str(path), *args[1:]])) == (2, [])
 
     def test_caps_equal_to_floors_solve_and_one_unit_short_do_not(self, tmp_path, capsys,
                                                                   monkeypatch):
@@ -644,29 +623,24 @@ class TestFeasibilityRule:
         assert out.startswith("status=optimal\n")
         assert "plan_violation" not in out
         path.write_text(path.read_text().replace("supply 2 = [1,4]", "supply 2 = [1,3]"))
-        solved = _record_solves(monkeypatch)
-        assert main(["payoff", str(path)]) == 2
+        assert record_solves(monkeypatch, lambda: main(["payoff", str(path)])) == (2, [])
         assert capsys.readouterr().err == (
             "infeasible: supply cap total 6.0 < demand floor total 7.0\n")
-        assert solved == []
 
     @pytest.mark.parametrize("command, first_anchor", [
         ("solve", "center"), ("ideal", "center"), ("payoff", "lower"), ("oracle-check", "lower")])
     def test_anchor_without_an_optimum_is_a_breakdown(self, bench1_path, capsys, monkeypatch,
                                                       command, first_anchor):
-        monkeypatch.setattr(ifctp.pipeline, "solve_milp",
-                            lambda model, **kwargs: ifctp.milp.MilpSolution(
-                                ifctp.milp.INFEASIBLE, None, None))
-        assert main([command, str(bench1_path)]) == 5
+        assert record_solves(monkeypatch, lambda: main([command, str(bench1_path)]),
+                             lambda name, model, kwargs: _INFEASIBLE)[0] == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: numerical breakdown: the {first_anchor} anchor ended infeasible"]
 
     def test_override_levels_solve_only_max_min_and_refine(self, bench1, monkeypatch):
-        solved = _record_solves(monkeypatch)
-        Stages(bench1).compromise(PAYOFF_OVERRIDE)
-        assert len(solved) == 2
+        _, calls = record_solves(monkeypatch, lambda: Stages(bench1).compromise(PAYOFF_OVERRIDE))
+        assert len(calls) == 2
 
 
 class TestCliOverflow:
@@ -765,13 +739,15 @@ class TestHugeUnitCosts:
 
     def test_infeasible_max_min_blames_the_levels_only_when_supplied(self, bench1, bench1_path,
                                                                      capsys, monkeypatch):
-        _fail_the_solves_of(monkeypatch, "build_max_min_model")
+        fail = _infeasible_if_built_by(monkeypatch, "build_max_min_model")
         with pytest.raises(ifctp.milp.DegeneratePivotError, match="computed payoff levels"):
-            run_pipeline(bench1)
+            record_solves(monkeypatch, lambda: run_pipeline(bench1), fail)
         with pytest.raises(UnattainableLevelsError):
-            run_pipeline(bench1, payoff_override=PAYOFF_OVERRIDE)
+            record_solves(monkeypatch,
+                          lambda: run_pipeline(bench1, payoff_override=PAYOFF_OVERRIDE), fail)
         for command in ("solve", "oracle-check"):
-            assert main([command, str(bench1_path)]) == 5
+            assert record_solves(monkeypatch, lambda: main([command, str(bench1_path)]),
+                                 fail)[0] == 5
             assert capsys.readouterr().err.splitlines() == [
                 "error: numerical breakdown: the max-min model is infeasible at the computed "
                 "payoff levels"]

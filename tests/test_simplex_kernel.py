@@ -32,7 +32,7 @@ def _random_lp(rng):
 
 class TestBlandFallback:
     def test_bland_rule_reaches_the_same_optima(self, bench1, monkeypatch):
-        # The default search meets the oracle bit for bit (TestAnswerIsThePatternLp).
+        # A run's answers meet the oracle bit for bit (test_oracle_check_golden).
         models = stage_models(bench1)
         default = {name: solve_milp(model) for name, model in models.items()}
         # Bland's rule takes over at the first degenerate pivot.

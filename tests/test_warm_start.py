@@ -7,25 +7,23 @@ These tests check each node LP of a run's searches, in the form the run
 solves it, and of the bounded searches a run does not make, against the
 textbook simplex on the same fixes (tests/_textbook_lp.py), and each child's
 key against the textbook LP it bounds; negative unit costs against the
-enumeration oracle, the paper's answers against the oracle bit for bit and
-against the textbook optimum, and stage optima beyond the oracle's reach
-against scipy's HiGHS.
+enumeration oracle, and stage optima beyond the oracle's reach against
+scipy's HiGHS.  The paper's answers meet the oracle bit for bit in
+test_pipeline_cli.py's test_oracle_check_golden.
 """
 
 import random
 import time
 
-import numpy as np
 import pytest
 
 from _highs import highs_solve
 from _random_instances import draws, random_instance
-from _textbook_lp import textbook_relaxation
-from conftest import check_searches, rescaled, shipped_variant, stage_models, stage_run
+from conftest import check_searches, rescaled, shipped_variant, stage_run
 
 import workloads
 from ifctp import IfctpInstance, Interval, run_oracle_check
-from ifctp.milp import INFEASIBLE, OPTIMAL, oracle_solve, solve_milp
+from ifctp.milp import INFEASIBLE, OPTIMAL
 
 
 class TestWarmNodesMatchCold:
@@ -67,21 +65,6 @@ class TestNegativeUnitCosts:
             instance = IfctpInstance(unit, base.fixed_charge, base.supply, base.demand)
             assert run_oracle_check(instance).passed, k
         assert negative > 20
-
-
-class TestAnswerIsThePatternLp:
-    def test_paper_stage_answers_are_the_oracle_lp_bit_for_bit(self, bench1):
-        for name, model in stage_models(bench1).items():
-            solution = solve_milp(model)
-            pattern = {j: solution.assignment[j] for j in model.binaries.tolist()}
-            status, value, _ = textbook_relaxation(model, pattern)
-            oracle = oracle_solve(model)
-            assert status == oracle.status == OPTIMAL, name
-            assert oracle.nodes == 2 ** model.binaries.size, name
-            assert np.array(solution.assignment).tobytes() == \
-                np.array(oracle.assignment).tobytes(), name
-            assert solution.objective_value == oracle.objective_value, name
-            assert abs(solution.objective_value - value) <= 1e-9 * max(1.0, abs(value)), name
 
 
 class TestHighsSweep:
