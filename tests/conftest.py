@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import heapq
+import io
 import pathlib
 import sys
 import types
@@ -8,6 +10,7 @@ import pytest
 
 from _textbook_lp import textbook_relaxation
 
+import ifctp.cli
 import ifctp.milp
 import ifctp.pipeline
 from ifctp import IfctpInstance, Interval, ShipmentPlan, Stages, parse_instance
@@ -219,6 +222,22 @@ def bench1() -> IfctpInstance:
 @pytest.fixture(scope="session")
 def bench1_path() -> pathlib.Path:
     return PROBLEMS_DIR / "safi_razmjoo_1.txt"
+
+
+OracleCheckJob = collections.namedtuple("OracleCheckJob", "code out err calls")
+
+
+@pytest.fixture(scope="session")
+def oracle_check_job(bench1_path) -> OracleCheckJob:
+    """The oracle-check job on the shipped instance, run once per session under
+    record_solves: exit code, stdout, stderr and its stage solves.  The tests of
+    its bytes and of its answers share this run, so tier-1 enumerates the
+    shipped instance's five stage models once."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code, calls = record_solves(pytest.MonkeyPatch(),
+                                    lambda: ifctp.cli.main(["oracle-check", str(bench1_path)]))
+    return OracleCheckJob(code, out.getvalue(), err.getvalue(), calls)
 
 
 @pytest.fixture(scope="session")

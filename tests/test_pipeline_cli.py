@@ -3,12 +3,10 @@ import dataclasses
 import pathlib
 import random
 
-import numpy as np
 import pytest
 
 from _random_instances import random_instance
 from _reference import COMPETITOR_1, COMPETITOR_1_DISTANCE, PAYOFF_OVERRIDE
-from _textbook_lp import textbook_relaxation
 from conftest import PROBLEMS_DIR, record_solves
 
 import ifctp.cli
@@ -21,7 +19,6 @@ from ifctp import (CompetitorEntry, IfctpInstance, Interval, OracleScopeError, P
                    Stages, UnattainableLevelsError, check_plan, parse_instance, render_instance,
                    run_oracle_check, run_pipeline)
 from ifctp.cli import main
-from ifctp.milp import OPTIMAL
 from ifctp.reporting import render_machine, render_text
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
@@ -225,28 +222,10 @@ class TestCliOutputBytes:
         assert main(["solve", str(bench1_path), "--report", "machine"]) == 0
         assert capsys.readouterr() == (expected, "")
 
-    def test_oracle_check_golden(self, bench1_path, capsys, monkeypatch):
-        """The golden bytes, and each of the five stage answers the job checks is its
-        oracle's, the LP at its binaries' pattern, bit for bit and the textbook optimum
-        there; so is the bounded-form search of each anchor the job solves shipment-only.
-        This is the one test that enumerates the shipped instance's stage models."""
+    def test_oracle_check_golden(self, oracle_check_job):
+        # test_warm_start.py checks this run's stage answers against the oracle.
         expected = (DATA_DIR / "golden_oracle_check.txt").read_text()
-        code, calls = record_solves(monkeypatch, lambda: main(["oracle-check", str(bench1_path)]))
-        assert code == 0 and capsys.readouterr() == (expected, "")
-        oracles = [call for call in calls if call.name == "oracle_solve"]
-        assert len(oracles) == len(calls) - len(oracles) == 5
-        for k, (_, model, _, oracle) in enumerate(oracles):
-            solved, = [call for call in calls if call.name == "solve_milp" and call.model is model]
-            bounded = [ifctp.milp.solve_milp(model)] if solved.kwargs.get("link_rows") else []
-            for solution in [solved.solution, *bounded]:
-                pattern = {j: solution.assignment[j] for j in model.binaries.tolist()}
-                status, value, _ = textbook_relaxation(model, pattern)
-                assert status == oracle.status == OPTIMAL, k
-                assert oracle.nodes == 2 ** model.binaries.size, k
-                assert np.array(solution.assignment).tobytes() == \
-                    np.array(oracle.assignment).tobytes(), k
-                assert solution.objective_value == oracle.objective_value, k
-                assert abs(solution.objective_value - value) <= 1e-9 * max(1.0, abs(value)), k
+        assert oracle_check_job[:3] == (0, expected, "")
 
     @pytest.mark.parametrize("command, report, expected", [
         ("payoff", "text", "payoff levels (best / worst):\n"
@@ -392,8 +371,8 @@ class TestOneBuildPerJob:
     ], ids=["solve", "solve-override", "compare", "payoff", "ideal", "oracle-check"])
     def test_bi_objective_built_once(self, bench1_path, capsys, monkeypatch, args, solves,
                                      oracle_solves):
-        # solve_milp answers oracle_solve instead of enumeration, which
-        # test_oracle_check_golden runs on the same models.
+        # solve_milp answers oracle_solve instead of enumeration; conftest.py's
+        # oracle_check_job enumerates the same models.
         builds = _record_builds(monkeypatch)
         code, calls = record_solves(
             monkeypatch, lambda: main([a.format(path=bench1_path) for a in args]),

@@ -32,7 +32,8 @@ def _random_lp(rng):
 
 class TestBlandFallback:
     def test_bland_rule_reaches_the_same_optima(self, bench1, monkeypatch):
-        # A run's answers meet the oracle bit for bit (test_oracle_check_golden).
+        # A run's answers meet the oracle bit for bit (test_warm_start.py's
+        # test_paper_stage_answers_are_the_oracle_lp_bit_for_bit).
         models = stage_models(bench1)
         default = {name: solve_milp(model) for name, model in models.items()}
         # Bland's rule takes over at the first degenerate pivot.

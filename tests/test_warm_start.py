@@ -7,20 +7,23 @@ These tests check each node LP of a run's searches, in the form the run
 solves it, and of the bounded searches a run does not make, against the
 textbook simplex on the same fixes (tests/_textbook_lp.py), and each child's
 key against the textbook LP it bounds; negative unit costs against the
-enumeration oracle, and stage optima beyond the oracle's reach against
-scipy's HiGHS.  The paper's answers meet the oracle bit for bit in
-test_pipeline_cli.py's test_oracle_check_golden.
+enumeration oracle, the paper's answers against the oracle bit for bit and
+against the textbook optimum, and stage optima beyond the oracle's reach
+against scipy's HiGHS.
 """
 
 import random
 import time
 
+import numpy as np
 import pytest
 
 from _highs import highs_solve
 from _random_instances import draws, random_instance
+from _textbook_lp import textbook_relaxation
 from conftest import check_searches, rescaled, shipped_variant, stage_run
 
+import ifctp.milp
 import workloads
 from ifctp import IfctpInstance, Interval, run_oracle_check
 from ifctp.milp import INFEASIBLE, OPTIMAL
@@ -65,6 +68,28 @@ class TestNegativeUnitCosts:
             instance = IfctpInstance(unit, base.fixed_charge, base.supply, base.demand)
             assert run_oracle_check(instance).passed, k
         assert negative > 20
+
+
+class TestAnswerIsThePatternLp:
+    def test_paper_stage_answers_are_the_oracle_lp_bit_for_bit(self, oracle_check_job):
+        """Each of the five stage answers the oracle-check job checks is its oracle's,
+        the LP at its binaries' pattern, bit for bit and the textbook optimum there;
+        so is the bounded-form search of each anchor the job solves shipment-only."""
+        calls = oracle_check_job.calls
+        oracles = [call for call in calls if call.name == "oracle_solve"]
+        assert len(oracles) == len(calls) - len(oracles) == 5
+        for k, (_, model, _, oracle) in enumerate(oracles):
+            solved, = [call for call in calls if call.name == "solve_milp" and call.model is model]
+            bounded = [ifctp.milp.solve_milp(model)] if solved.kwargs.get("link_rows") else []
+            for solution in [solved.solution, *bounded]:
+                pattern = {j: solution.assignment[j] for j in model.binaries.tolist()}
+                status, value, _ = textbook_relaxation(model, pattern)
+                assert status == oracle.status == OPTIMAL, k
+                assert oracle.nodes == 2 ** model.binaries.size, k
+                assert np.array(solution.assignment).tobytes() == \
+                    np.array(oracle.assignment).tobytes(), k
+                assert solution.objective_value == oracle.objective_value, k
+                assert abs(solution.objective_value - value) <= 1e-9 * max(1.0, abs(value)), k
 
 
 class TestHighsSweep:
