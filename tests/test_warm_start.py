@@ -74,14 +74,15 @@ class TestAnswerIsThePatternLp:
     def test_paper_stage_answers_are_the_oracle_lp_bit_for_bit(self, oracle_check_job):
         """Each of the five stage answers the oracle-check job checks is its oracle's,
         the LP at its binaries' pattern, bit for bit and the textbook optimum there;
-        so is the bounded-form search of each anchor the job solves shipment-only."""
+        so is the plain whole-tree search of each model the job solves with an
+        option: the anchors it solves shipment-only and a refine within a band."""
         calls = oracle_check_job.calls
         oracles = [call for call in calls if call.name == "oracle_solve"]
         assert len(oracles) == len(calls) - len(oracles) == 5
         for k, (_, model, _, oracle) in enumerate(oracles):
             solved, = [call for call in calls if call.name == "solve_milp" and call.model is model]
-            bounded = [ifctp.milp.solve_milp(model)] if solved.kwargs.get("link_rows") else []
-            for solution in [solved.solution, *bounded]:
+            plain = [ifctp.milp.solve_milp(model)] if solved.kwargs else []
+            for solution in [solved.solution, *plain]:
                 pattern = {j: solution.assignment[j] for j in model.binaries.tolist()}
                 status, value, _ = textbook_relaxation(model, pattern)
                 assert status == oracle.status == OPTIMAL, k
