@@ -11,7 +11,10 @@ import pytest
 from _textbook_lp import textbook_relaxation
 
 import ifctp.cli
+import ifctp.compromise
+import ifctp.crisp
 import ifctp.milp
+import ifctp.model
 import ifctp.pipeline
 from ifctp import IfctpInstance, Interval, ShipmentPlan, Stages, parse_instance
 from ifctp.milp import OPTIMAL, solve_milp
@@ -151,6 +154,72 @@ def record_solves(monkeypatch, run, answer=None):
         return run(), calls
 
 
+def _patch_everywhere(patch, home, name, wrap):
+    """Replace home.name by wrap(home.name) in every ifctp module that binds it."""
+    original = getattr(home, name)
+    wrapped = wrap(original)
+    for module in (ifctp.cli, ifctp.compromise, ifctp.crisp, ifctp.milp, ifctp.model,
+                   ifctp.pipeline):
+        if getattr(module, name, None) is original:
+            patch.setattr(module, name, wrapped)
+
+
+def record_lps(monkeypatch, run, slacks=None):
+    """run()'s result and every milp._dual_simplex call it makes: the call's arguments
+    (form, lo, hi, start), the inverse and refined flag its start had before it, and its
+    outcome (status, the bytes of v, pivots and the bytes of the final basis); slacks,
+    if given, collects the slack start of each form run() builds."""
+    calls = []
+
+    def recording(dual_simplex):
+        def recorded(form, lo, hi, start):
+            before = start.inverse, start.refined
+            status, v, pivots, state = dual_simplex(form, lo, hi, start)
+            calls.append(((form, lo, hi, start), before,
+                          (status, None if v is None else v.tobytes(), pivots,
+                           None if state is None else state[0].tobytes())))
+            return status, v, pivots, state
+        return recorded
+
+    def collecting(make):
+        def made(*args):
+            form = make(*args)
+            if slacks is not None:
+                slacks.append(form.slack)
+            return form
+        return made
+
+    with monkeypatch.context() as patch:
+        _patch_everywhere(patch, ifctp.milp, "_dual_simplex", recording)
+        for name in ("_bounded_form", "_shipment_form"):
+            _patch_everywhere(patch, ifctp.milp, name, collecting)
+        return run(), calls
+
+
+def count_builds(monkeypatch):
+    """A Counter of the builds made from here on, until monkeypatch undoes it.
+
+    It counts the calls of build_bi_objective, of model._check_structure (the
+    instance check) and of milp's forms and constraint parts: _bounded_form and
+    the _scaled_matrix its part scales, _shipment_form and _shipment_part.  Each
+    is keyed by its name without the leading underscore and counted in every
+    ifctp module that binds it.
+    """
+    counts = collections.Counter()
+
+    def counting(build):
+        def counted(*args):
+            counts[build.__name__.lstrip("_")] += 1
+            return build(*args)
+        return counted
+
+    for home, name in ((ifctp.crisp, "build_bi_objective"), (ifctp.model, "_check_structure"),
+                       (ifctp.milp, "_bounded_form"), (ifctp.milp, "_scaled_matrix"),
+                       (ifctp.milp, "_shipment_form"), (ifctp.milp, "_shipment_part")):
+        _patch_everywhere(monkeypatch, home, name, counting)
+    return counts
+
+
 def _searches(monkeypatch, instance, anchors_only):
     """(node LPs, pushed keys) of a run's searches, then of those it does not make.
 
@@ -185,6 +254,10 @@ def check_searches(monkeypatch, instances, anchors_only=False):
     status and value at its fixes (tests/_textbook_lp.py); each pushed child's
     key must be at most its textbook LP value.  Returns the counts of checks by
     (shipment-only form, LP status or "key").
+
+    The shipment-only center and lower searches are checked inside whole runs
+    by test_warm_start.py's TestWarmNodesMatchCold, and with anchors_only on
+    the ladder's deepest trees by test_shipment_lp.py's key test.
     """
     counts = collections.Counter()
     # Textbook LPs by (model, fixes): a popped child repeats its key's LP, and a

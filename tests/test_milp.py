@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _random_instances import draws, random_instance
-from _reference import BEST_LOWER, BEST_WIDTH, IDEAL_CENTER
+from _reference import IDEAL_CENTER
 from conftest import record_solves, stage_run
 
 from ifctp import MilpModel, NodeLimitError, OracleScopeError, Stages
@@ -186,22 +186,6 @@ class TestFormReuse:
 
 
 class TestBenchmarkValues:
-    def test_ideal_center_milp(self, bench1):
-        bi = build_bi_objective(bench1)
-        sol = solve_milp(to_milp(bi, bi.obj_center))
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(IDEAL_CENTER, rel=1e-9)
-
-    def test_ideal_width_milp(self, bench1):
-        bi = build_bi_objective(bench1)
-        sol = solve_milp(to_milp(bi, bi.obj_width))
-        assert sol.objective_value == pytest.approx(BEST_WIDTH, rel=1e-9)
-
-    def test_lower_endpoint_milp(self, bench1):
-        bi = build_bi_objective(bench1)
-        sol = solve_milp(to_milp(bi, bi.obj_lower))
-        assert sol.objective_value == pytest.approx(BEST_LOWER, rel=1e-9)
-
     def test_branch_and_bound_prunes_against_enumeration(self, bench1):
         bi = build_bi_objective(bench1)
         model = to_milp(bi, bi.obj_center)

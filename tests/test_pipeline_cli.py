@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import pathlib
 import random
@@ -7,13 +6,9 @@ import pytest
 
 from _random_instances import random_instance
 from _reference import COMPETITOR_1, COMPETITOR_1_DISTANCE, PAYOFF_OVERRIDE
-from conftest import PROBLEMS_DIR, record_solves
+from conftest import PROBLEMS_DIR, count_builds, record_solves
 
-import ifctp.cli
-import ifctp.compromise
-import ifctp.crisp
 import ifctp.milp
-import ifctp.model
 import ifctp.pipeline
 from ifctp import (CompetitorEntry, IfctpInstance, Interval, OracleScopeError, PayoffTable,
                    Stages, UnattainableLevelsError, check_plan, parse_instance, render_instance,
@@ -191,16 +186,6 @@ class TestCli:
             "", f"error: cannot read {path}: [Errno 2] No such file or directory: {str(path)!r}\n")
 
 
-def _record_builds(monkeypatch):
-    """The build_bi_objective calls a job makes from here on."""
-    builds, build = [], ifctp.crisp.build_bi_objective
-    for module in (ifctp.crisp, ifctp.compromise, ifctp.pipeline, ifctp.cli):
-        if getattr(module, "build_bi_objective", None) is build:
-            monkeypatch.setattr(module, "build_bi_objective",
-                                lambda *args: builds.append(args) or build(*args))
-    return builds
-
-
 class TestCliOutputBytes:
     """Exact stdout and empty stderr of the CLI's own rendering paths on the shipped instance."""
 
@@ -373,12 +358,12 @@ class TestOneBuildPerJob:
                                      oracle_solves):
         # solve_milp answers oracle_solve instead of enumeration; conftest.py's
         # oracle_check_job enumerates the same models.
-        builds = _record_builds(monkeypatch)
+        builds = count_builds(monkeypatch)
         code, calls = record_solves(
             monkeypatch, lambda: main([a.format(path=bench1_path) for a in args]),
             lambda name, model, kwargs: ifctp.milp.solve_milp(model) if name == "oracle_solve"
             else None)
-        assert code == 0 and len(builds) == 1
+        assert code == 0 and builds["build_bi_objective"] == 1
         # The bytes of every array tell two solved models apart.
         solved = [tuple(getattr(call.model, field.name).tobytes()
                         for field in dataclasses.fields(call.model))
@@ -386,32 +371,30 @@ class TestOneBuildPerJob:
         assert len(solved) == len(set(solved)) == solves
         assert len(calls) - len(solved) == oracle_solves
 
-    @pytest.mark.parametrize("args", [
-        ["solve", "{path}", "--report", "machine"],
-        ["compare", "{path}", "--override-payoff", "640,787,163,190",
-         "--competitor", "safi-razmjoo=[640,1020]"],
+    @pytest.mark.parametrize("args, per_job", [
+        (["solve", "{path}", "--report", "machine"],
+         dict(bounded_form=3, scaled_matrix=2, shipment_form=2, shipment_part=1)),
+        (["compare", "{path}", "--override-payoff", "640,787,163,190",
+          "--competitor", "safi-razmjoo=[640,1020]"],
+         dict(bounded_form=3, scaled_matrix=2, shipment_form=1, shipment_part=1)),
     ], ids=["solve", "compare"])
-    def test_each_constraint_set_built_once(self, bench1_path, capsys, monkeypatch, args):
-        """Two scalings, the width anchor's and the one max-min shares with refine, and one
-        shipment-only constraint part, which the center and lower anchors share.  A second
-        job on the same file builds them all again: no form outlives its job."""
-        builds = collections.Counter()
-        for name in ("_scaled_matrix", "_shipment_part"):
-            def counted(*args, name=name, build=getattr(ifctp.milp, name)):
-                builds[name] += 1
-                return build(*args)
-            monkeypatch.setattr(ifctp.milp, name, counted)
+    def test_each_constraint_set_built_once(self, bench1_path, capsys, monkeypatch, args,
+                                            per_job):
+        """A bounded form for width, max-min and refine from two scalings, the width
+        anchor's and the one max-min shares with refine; a shipment-only form for each
+        anchor searched so (center, and lower unless overridden) from the one constraint
+        part they share.  So the center and lower searches build no bounded form.  A
+        second job on the same file builds them all again: no form outlives its job."""
+        builds = count_builds(monkeypatch)
         for job in (1, 2):
             assert main([a.format(path=bench1_path) for a in args]) == 0
-            assert builds == {"_scaled_matrix": 2 * job, "_shipment_part": job}
+            assert {name: builds[name] for name in per_job} == \
+                {name: job * count for name, count in per_job.items()}
 
     def test_instance_checked_once(self, bench1_path, capsys, monkeypatch):
-        checks = []
-        original = ifctp.model._check_structure
-        monkeypatch.setattr(ifctp.model, "_check_structure",
-                            lambda instance: checks.append(instance) or original(instance))
+        builds = count_builds(monkeypatch)
         assert main(["solve", str(bench1_path)]) == 0
-        assert len(checks) == 1
+        assert builds["check_structure"] == 1
 
 
 class TestSubcommandsAgreeWithSolve:

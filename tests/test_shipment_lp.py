@@ -4,12 +4,16 @@ Stages.anchor hands solve_milp the linking rows for the center and lower
 anchors, so each node of their searches is a transportation LP over the
 shipments alone (milp._shipment_form): a free route at c_ij + f_ij / M_ij per
 unit, an open one at c_ij plus f_ij, a closed one boxed at [0, 0].  Each of
-their node LPs must be the full model's LP relaxation at the node's fixes;
-every child key must bound the subtree it closes; and the answer, the
-shipment-only LP at the incumbent's activation pattern lifted to the full
-model, must have the value of the full-form search's answer, bit for bit,
-and for the lower anchor its assignment too.  Neither solve builds the full
-model's bounded form.
+their node LPs must be the full model's LP relaxation at the node's fixes,
+and every child key must bound the subtree it closes (conftest.check_searches).
+test_warm_start.py's TestWarmNodesMatchCold checks both inside whole stage
+runs: the shipped instance, its zero-floor, negative-cost and quantity-unit
+copies, and random draws.  The key test here checks the ladder's anchors
+alone, whose trees are the deepest.  The answer, the shipment-only LP at the
+incumbent's activation pattern lifted to the full model, must have the value
+of the full-form search's answer, bit for bit, and for the lower anchor its
+assignment too.  Neither solve builds the full model's bounded form
+(test_pipeline_cli.py's TestOneBuildPerJob counts a job's forms).
 """
 
 import dataclasses
@@ -19,27 +23,12 @@ import pytest
 from _random_instances import draws
 from conftest import bench1_instance, check_searches, rescaled, shipped_variant
 
-import ifctp.milp
 import workloads
 from ifctp import Stages
 from ifctp.crisp import build_bi_objective, to_milp
 from ifctp.milp import OPTIMAL, _shipment_form, solve_milp
 
-CASES = {
-    "paper": [bench1_instance()],
-    "zero-floor": [shipped_variant("zero_floor")],          # M_ij = 0 into one column
-    "negative-cost": [shipped_variant("negative_cost")],    # M_ij = s_i.hi
-    "random-40": draws(77031, 40),
-    **{f"quantities-2^{p}": [rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p)] for p in (30, -30)},
-}
 LADDER_SEED_1 = list(workloads.instances("ladder-bb", 1).values())
-
-
-@pytest.mark.parametrize("case", list(CASES))
-def test_every_center_node_is_the_full_models_relaxation(case, monkeypatch):
-    """The lower anchor's nodes too (conftest.check_searches)."""
-    counts = check_searches(monkeypatch, CASES[case], anchors_only=True)
-    assert counts[True, OPTIMAL] >= len(CASES[case]), counts
 
 
 def test_every_key_bounds_the_subtree_it_closes(monkeypatch):
@@ -52,7 +41,11 @@ def test_every_key_bounds_the_subtree_it_closes(monkeypatch):
 SOURCES = {
     "ladder-seed-1": LADDER_SEED_1,
     "random-200": draws(1000, 200),
-    **CASES,
+    "paper": [bench1_instance()],
+    "zero-floor": [shipped_variant("zero_floor")],          # M_ij = 0 into one column
+    "negative-cost": [shipped_variant("negative_cost")],    # M_ij = s_i.hi
+    "random-40": draws(77031, 40),
+    **{f"quantities-2^{p}": [rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p)] for p in (30, -30)},
     "quantity-units": [rescaled(bench1_instance(), 2.0 ** p, 2.0 ** -p)
                        for p in (-30, -24, -20, -10, -3, 10, 20, 30)],
 }
@@ -78,18 +71,6 @@ def test_center_value_is_the_full_form_searchs_bit_for_bit(anchor, source):
         full_nodes += full.nodes
     if source in ("ladder-seed-1", "random-200"):
         assert nodes < full_nodes
-
-
-def test_center_solve_never_builds_the_bounded_form(monkeypatch):
-    """Nor does the lower anchor's solve."""
-    def refused(model):
-        raise AssertionError("a shipment-only solve built the bounded form")
-
-    monkeypatch.setattr(ifctp.milp, "_bounded_form", refused)
-    stages = Stages(bench1_instance())
-    for anchor in ("center", "lower"):
-        solution = stages.anchor(anchor)
-        assert solution.status == OPTIMAL and solution.nodes > 0, anchor
 
 
 def test_link_rows_must_link_one_binary_to_one_boxed_shipment():

@@ -10,7 +10,7 @@ import pytest
 
 from _random_instances import draws, random_instance
 from _textbook_lp import textbook_relaxation
-from conftest import record_searches, stage_models
+from conftest import record_lps, record_searches, stage_models
 
 import ifctp.milp
 import workloads
@@ -260,38 +260,11 @@ class TestSharedFactorisation:
     it, and shared: by a node's two children, and by the LPs of one solve that start
     from the slack basis, whose inverse is the identity and never refined.  Every
     refined inverse X of a basis B meets max |I - B X| <= RESIDUAL, and a start built
-    anew from the same inverse gives the same bits."""
+    anew from the same inverse gives the same bits (the LPs from conftest.record_lps)."""
 
     # 16 ulps of 1.  On these models the refined inverses reach 1.8e-15, the
     # tableau blocks they are refined from 1.1e-14.
     RESIDUAL = 16 * np.finfo(float).eps
-
-    @staticmethod
-    def _recorded_lps(monkeypatch, run, slacks=None):
-        """run()'s result and every _dual_simplex call it makes: the call, the inverse
-        and refined flag its start had before it, and its outcome; slacks, if given,
-        collects each form's slack start."""
-        calls = []
-        dual_simplex = ifctp.milp._dual_simplex
-
-        def recording(form, lo, hi, start):
-            before = start.inverse, start.refined
-            status, v, pivots, state = dual_simplex(form, lo, hi, start)
-            calls.append(((form, lo, hi, start), before,
-                          (status, None if v is None else v.tobytes(), pivots,
-                           None if state is None else state[0].tobytes())))
-            return status, v, pivots, state
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ifctp.milp, "_dual_simplex", recording)
-            for name in ("_bounded_form", "_shipment_form"):
-                def recording_form(*args, make=getattr(ifctp.milp, name)):
-                    form = make(*args)
-                    if slacks is not None:
-                        slacks.append(form.slack)
-                    return form
-                patch.setattr(ifctp.milp, name, recording_form)
-            return run(), calls
 
     @classmethod
     def _assert_refined_once(cls, calls):
@@ -321,8 +294,7 @@ class TestSharedFactorisation:
     def test_search_lps_match_a_fresh_factorisation(self, bench1, monkeypatch):
         slacks = []
         calls = [call for instance in [bench1, *_draws_of_at_least_2x3(3141)]
-                 for call in self._recorded_lps(monkeypatch,
-                                                lambda: stage_models(instance), slacks)[1]]
+                 for call in record_lps(monkeypatch, lambda: stage_models(instance), slacks)[1]]
         assert self._assert_refined_once(calls) > 0
         # The slack start's inverse is the identity, refined from the start.
         assert all(slack.refined and (slack.inverse == np.eye(slack.basis.size)).all()
@@ -335,7 +307,7 @@ class TestSharedFactorisation:
     def test_oracle_patterns_match_a_fresh_factorisation(self, monkeypatch):
         model = _oracle_width_model()
         slacks = []
-        _, calls = self._recorded_lps(monkeypatch, lambda: oracle_solve(model), slacks)
+        _, calls = record_lps(monkeypatch, lambda: oracle_solve(model), slacks)
         assert len(calls) >= 2 ** model.binaries.size
         assert self._assert_refined_once(calls) == 0
         assert all(start is slacks[0] for (_, _, _, start), _, _ in calls)
@@ -344,7 +316,7 @@ class TestSharedFactorisation:
     def test_one_inverse_per_start_basis(self, bench1, monkeypatch, draw):
         instance = bench1 if draw is None else _draws_of_at_least_2x3(3141)[draw]
         for model in stage_models(instance).values():
-            (solution, lps, _), calls = self._recorded_lps(
+            (solution, lps, _), calls = record_lps(
                 monkeypatch, lambda: record_searches(monkeypatch, lambda: solve_milp(model)))
             assert solution.status == "optimal"
             # The root first, the answer's pattern LP last; a child adds one fix to
