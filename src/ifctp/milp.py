@@ -53,12 +53,9 @@ tableau: up to a few hundred nodes are open at once.  A child whose key
 cannot beat the incumbent is not pushed at all.  solve_milp, oracle_solve
 and solve_lp ignore overflow, setting the error state once per solve, not
 per LP: an overflowing ratio is inf, never the minimum, and _form rejects an
-overflowed cost.  A form is built once per constraint set: each builder
-reuses its last constraint part (scaled rows, slacks) for a model whose
-constraint arrays are those very objects, matched by identity, and redoes
-only the cost part (_constraint_part).  dataclasses.replace shares arrays
-(MilpModel), so a run's center and lower anchors share one shipment-only
-part and its max-min and refine one scaling; the next run builds its own.
+overflowed cost.  solve_milp takes a form's constraint part (scaled rows,
+slacks; constraint_part) and redoes only its costs and structural bounds,
+so pipeline.Stages builds each constraint set's part once per run.
 
 Rounding: each solved node rounds its binaries up, ceil(x).  If that
 point's value is strictly below the incumbent's, it is checked against
@@ -85,12 +82,13 @@ optimum 4 below the incumbent.
 The penalties are clipped at zero, so round-off in a reduced cost can only
 weaken a key, never prune a subtree that holds a better point.
 
-Shipment-only node LPs: given the rows that link each binary x_j to the
-shipment y_k it switches on, y_k - M x_j <= 0, solve_milp solves each node
-as a transportation LP over the shipments alone (_shipment_form; Balinski
-1961), about a third of the full tableau's rows.  The search is the same;
-only its LP form differs (_Form's links), and with it what a fix does
-(_node_lp) and how a child is keyed (_child_keys).  An opened route changes
+Shipment-only node LPs: given a shipment part, over the rows that link
+each binary x_j to the shipment y_k it switches on, y_k - M x_j <= 0,
+solve_milp solves each node as a transportation LP over the shipments
+alone (_shipment_form; Balinski 1961), about a third of the full
+tableau's rows.  The search is the same; only its LP form differs
+(_Form's links), and with it what a fix does (_node_lp) and how a child
+is keyed (_child_keys).  An opened route changes
 a cost, so its child's warm start may flip nonbasics (_dual_simplex).  The
 answer's pattern LP is a shipment-only LP too, lifted to the full model, so
 such a solve never builds the bounded form; the rounding check and the
@@ -117,8 +115,6 @@ import dataclasses
 import heapq
 import itertools
 import math
-import operator
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -156,15 +152,8 @@ class OracleScopeError(ValueError):
     """Problem has too many binaries for exhaustive enumeration."""
 
 
-# Every live array _frozen made, by its id and field name.
-_FROZEN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 def _frozen(name: str, values) -> np.ndarray:
-    """A read-only copy of the values of MilpModel field name, with its dtype,
-    or values itself if _frozen made it for field name."""
-    if _FROZEN.get((id(values), name)) is values:
-        return values
+    """A read-only copy of the values of MilpModel field name, with its dtype."""
     if name == "senses":
         values = np.asarray(values, dtype=float)
         if not ((values == 0.0) | (np.abs(values) == 1.0)).all():
@@ -173,7 +162,6 @@ def _frozen(name: str, values) -> np.ndarray:
         values = sorted(set(map(int, values)))
     array = np.array(values, dtype=int if name in ("senses", "binaries") else float)
     array.flags.writeable = False
-    _FROZEN[id(array), name] = array
     return array
 
 
@@ -184,10 +172,9 @@ class MilpModel:
     senses holds 1 for "<=", -1 for ">=" and 0 for "=" per row of A; every
     bound is finite, so no LP is unbounded and the slack basis is dual
     feasible.  binaries lists the variables restricted to {0, 1}; each must
-    be bounded within [0, 1].  Every array is a read-only copy; an array
-    another model already froze is shared.  So solves can share a model and
-    its arrays, and dataclasses.replace makes a checked model with some
-    arrays replaced and the others shared.
+    be bounded within [0, 1].  Every array is a read-only copy, so solves
+    can share a model, and dataclasses.replace makes a checked copy with
+    some arrays replaced.
     """
 
     c: np.ndarray
@@ -347,10 +334,35 @@ class _Form(NamedTuple):
     links: Optional[tuple] = None
 
 
-def _form(M, b, c, lo, hi, cols, identity) -> _Form:
-    """The _Form of scaled M, b, lo, hi and structural costs c scaled by cols.
+class _Part(NamedTuple):
+    """A constraint part (constraint_part): scaled M and b, the structural columns'
+    scales, the slacks' bounds and np.eye(b.size), which every start of its forms
+    shares.  A shipment part keeps its link_rows and routes (cont, column, big_m)."""
 
-    identity is np.eye(b.size), one per constraint part (_constraint_part).
+    M: np.ndarray
+    b: np.ndarray
+    cols: np.ndarray
+    slack_lo: np.ndarray
+    slack_hi: np.ndarray
+    identity: np.ndarray
+    link_rows: Optional[tuple[int, ...]] = None
+    routes: Optional[tuple] = None
+
+
+def constraint_part(model: MilpModel, link_rows: Optional[Sequence[int]] = None) -> _Part:
+    """What every form over model's constraints shares, whatever its objective: the
+    bounded part (_bounded_form) of model's A, senses and b, or the shipment-only part
+    (_shipment_form) over link_rows of its A, senses, b, lo, hi and binaries."""
+    if link_rows is not None:
+        return _shipment_part(model, tuple(map(int, link_rows)))
+    M, rows, cols = _scaled_matrix(model.A)
+    return _Part(M, model.b * rows, cols, np.where(model.senses < 0, -np.inf, 0.0),
+                 np.where(model.senses > 0, np.inf, 0.0), np.eye(rows.size))
+
+
+def _form(part: _Part, c, lo, hi) -> _Form:
+    """The _Form of part with structural costs c scaled by part.cols and bounds lo, hi.
+
     unit is the power of two nearest c's largest magnitude (1 if c is all
     zeros), so the reduced-cost tolerances mean the same at any cost scale:
     c and 2^k c pivot alike, bit for bit.  The slacks cost 0, and the slack
@@ -361,52 +373,26 @@ def _form(M, b, c, lo, hi, cols, identity) -> _Form:
         raise DegeneratePivotError("the scaled objective overflows a float")
     top = np.abs(c).max(initial=0.0)
     unit = float(np.exp2(np.round(np.log2(top)))) if top > 0.0 else 1.0
-    m, nv = b.size, c.size
+    m, nv = part.b.size, c.size
     c = np.concatenate((c / unit, np.zeros(m)))
-    slack = _Start(np.arange(nv, nv + m), c < 0.0, identity, identity, refined=True)
-    return _Form(M, b, c, lo, hi, cols, slack, unit)
+    slack = _Start(np.arange(nv, nv + m), c < 0.0, part.identity, part.identity, refined=True)
+    return _Form(part.M, part.b, c, np.concatenate((lo / part.cols, part.slack_lo)),
+                 np.concatenate((hi / part.cols, part.slack_hi)), part.cols, slack, unit)
 
 
-# Each constraint part builder's last part, with the arrays and args it was built from.
-_LAST_PARTS: dict = {}
-
-
-def _constraint_part(build, model: MilpModel, names: Sequence[str], *args) -> tuple:
-    """build(model, *args), or build's last part if model's fields names are the very
-    arrays it was built from (is, not ==) and args are equal (module docstring)."""
-    arrays = tuple(getattr(model, name) for name in names)
-    last = _LAST_PARTS.get(build)
-    if last is not None and last[1] == args and all(map(operator.is_, last[0], arrays)):
-        return last[2]
-    part = build(model, *args)
-    _LAST_PARTS[build] = arrays, args, part
-    return part
-
-
-def _bounded_form(model: MilpModel) -> _Form:
+def _bounded_form(model: MilpModel, part: _Part) -> _Form:
     """The model as a _Form with a slack per row: M = [R A C | I].
 
-    R and C are diagonal, powers of two, so scaling is exact; cols holds
-    C's diagonal.  Column nv + i is row i's slack R_ii (b_i - A_i x),
-    bounded to [0, inf) for "<=", (-inf, 0] for ">=" and [0, 0] for "=".
-    Upper bounds stay implicit.  Four passes of geometric-mean scaling
-    bring every row and column near magnitude one, so the absolute pivot
+    part is a bounded part of model's A, senses and b (constraint_part).  R
+    and C are diagonal, powers of two, so scaling is exact; cols holds C's
+    diagonal.  Column nv + i is row i's slack R_ii (b_i - A_i x), bounded
+    to [0, inf) for "<=", (-inf, 0] for ">=" and [0, 0] for "=".  Upper
+    bounds stay implicit.  Four passes of geometric-mean scaling bring
+    every row and column near magnitude one, so the absolute pivot
     tolerance means the same in a big-M row; an entry below SCALE_FLOOR of
-    its row's or column's largest is left out of the geometric mean.  Only
-    c, lo and hi are not the constraint part's (_bounded_part).
+    its row's or column's largest is left out of the geometric mean.
     """
-    M, b, cols, slack_lo, slack_hi, identity = _constraint_part(
-        _bounded_part, model, ("A", "senses", "b"))
-    lo = np.concatenate((model.lo / cols, slack_lo))
-    hi = np.concatenate((model.hi / cols, slack_hi))
-    return _form(M, b, model.c * cols, lo, hi, cols, identity)
-
-
-def _bounded_part(model: MilpModel) -> tuple:
-    """_bounded_form's constraint part: (M, b, cols, the slacks' lo and hi, identity)."""
-    M, rows, cols = _scaled_matrix(model.A)
-    return (M, model.b * rows, cols, np.where(model.senses < 0, -np.inf, 0.0),
-            np.where(model.senses > 0, np.inf, 0.0), np.eye(rows.size))
+    return _form(part, model.c * part.cols, model.lo, model.hi)
 
 
 def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -431,10 +417,11 @@ def _geometric_mean(scaled: np.ndarray, axis: int) -> np.ndarray:
     return np.where(big > 0.0, np.sqrt(big) * np.sqrt(small), 1.0).ravel()
 
 
-def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
+def _shipment_form(model: MilpModel, part: _Part) -> _Form:
     """A fixed-charge model's shipment-only node LP, as a _Form with links.
 
-    Link row t of link_rows reads y_k - M_t x_j <= 0 for binary j =
+    part is a shipment part of model's constraints (constraint_part).  Link
+    row t of its link_rows reads y_k - M_t x_j <= 0 for binary j =
     binaries[t] and the continuous column y_k it switches on, which is
     boxed at [0, M_t]; x_j is in no other row and costs f_t >= 0.  Some
     optimum of every LP relaxation then has x_j = y_k / M_t, so a node's LP
@@ -450,24 +437,21 @@ def _shipment_form(model: MilpModel, link_rows: Sequence[int]) -> _Form:
     change, and _child_keys can weigh each nonbasic's box.  links is (cont,
     column, big_m, charge, c_open): the continuous columns, the position of
     each binary's y_k among them, M_t, f_t, and c with every route open.
-    Only c, the charges and c_open are not the constraint part's
-    (_shipment_part).
     """
-    M, b, lo, hi, cols, identity, cont, column, big_m = _constraint_part(
-        _shipment_part, model, ("A", "senses", "b", "lo", "hi", "binaries"),
-        tuple(map(int, link_rows)))
+    cont, column, big_m = part.routes
     charge = model.c[model.binaries]
     if (charge < 0.0).any():
         raise ValueError("every link row's binary x must cost >= 0")
     per_unit = np.zeros(cont.size)
     per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
-    form = _form(M, b, (model.c[cont] + per_unit) * cols, lo, hi, cols, identity)
-    c_open = np.concatenate((model.c[cont] * cols / form.unit, np.zeros(b.size)))
+    cols = part.cols
+    form = _form(part, (model.c[cont] + per_unit) * cols, model.lo[cont], model.hi[cont])
+    c_open = np.concatenate((model.c[cont] * cols / form.unit, np.zeros(part.b.size)))
     return form._replace(links=(cont, column, big_m, charge, c_open))
 
 
-def _shipment_part(model: MilpModel, link_rows: tuple) -> tuple:
-    """_shipment_form's constraint part: (M, b, lo, hi, cols, identity, cont, column, big_m)."""
+def _shipment_part(model: MilpModel, link_rows: tuple) -> _Part:
+    """_shipment_form's constraint part over link_rows."""
     binaries = model.binaries
     links = np.array(link_rows, dtype=int)
     # np.delete and np.bincount, not np.setdiff1d or np.unique: those import
@@ -496,9 +480,9 @@ def _shipment_part(model: MilpModel, link_rows: tuple) -> tuple:
                           scale * (b - np.maximum(low, high).sum(axis=1)))
     slack_hi = np.minimum(np.where(senses > 0, np.inf, 0.0),
                           scale * (b - np.minimum(low, high).sum(axis=1)))
-    return (np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale,
-            np.concatenate((lo / cols, np.minimum(slack_lo, slack_hi))),
-            np.concatenate((hi / cols, slack_hi)), cols, np.eye(b.size), cont, column, big_m)
+    return _Part(np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale, cols,
+                 np.minimum(slack_lo, slack_hi), slack_hi, np.eye(b.size), link_rows,
+                 (cont, column, big_m))
 
 
 def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
@@ -661,7 +645,8 @@ def _node_lp(model: MilpModel, form: _Form, fixes: Mapping[int, float], start):
 @np.errstate(over="ignore")  # module docstring, Kernel cost
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation the way branch and bound solves its root."""
-    status, value, x, pivots, _ = _node_lp(model, _bounded_form(model), {}, None)
+    form = _bounded_form(model, constraint_part(model))
+    status, value, x, pivots, _ = _node_lp(model, form, {}, None)
     if status != OPTIMAL:
         return MilpSolution(status, None, None, nodes=1, pivots=pivots)
     return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes=1, pivots=pivots)
@@ -724,7 +709,7 @@ def _child_keys(form: _Form, state, t: int, j: int, value: float, x) -> tuple[fl
 @np.errstate(over="ignore")  # module docstring, Kernel cost
 def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
                within: Sequence[Mapping[int, float]] = ({},),
-               link_rows: Optional[Sequence[int]] = None) -> MilpSolution:
+               part: Optional[_Part] = None) -> MilpSolution:
     """Globally optimal solution via best-bound branch and bound on the binaries.
 
     The search covers the subtrees named by within, each a dict of binary
@@ -739,14 +724,14 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     LP-infeasible subtrees partition within, and no point of a leaf beats
     its bound (module docstring, Leaves).
 
-    link_rows, if given, names the row that links each binary to the
-    shipment it switches on (_shipment_form).  Every LP, the answer's pattern
-    LP too, is then shipment-only (_node_lp) and children keyed by
-    _child_keys; the rounding check and the leaves stay the full model's.
-    pipeline.Stages passes link_rows for the center and lower anchors.  The
-    width anchor keeps the full form: over shipment-only LPs it meets
-    another of its tied optima first, and that plan's lower endpoint is a
-    reported payoff level.
+    part, constraint_part of model or of a model with its constraints, is
+    built from model if not given.  A shipment part (_shipment_form) makes
+    every LP, the answer's pattern LP too, shipment-only (_node_lp) and
+    children keyed by _child_keys; the rounding check and the leaves stay
+    the full model's.  pipeline.Stages hands one to the center and lower
+    anchors.  The width anchor builds its own bounded part: over
+    shipment-only LPs it meets another of its tied optima first, and that
+    plan's lower endpoint is a reported payoff level.
     """
     binaries = model.binaries
     incumbent_val = math.inf
@@ -763,7 +748,9 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
         return ((rows <= row_hi).all() and (rows >= row_lo).all()
                 and (point <= var_hi).all() and (point >= var_lo).all())
 
-    form = _bounded_form(model) if link_rows is None else _shipment_form(model, link_rows)
+    if part is None:
+        part = constraint_part(model)
+    form = (_bounded_form if part.link_rows is None else _shipment_form)(model, part)
     nodes = pivots = 0
     leaves: list[tuple[float, dict[int, float]]] = []
     seq = itertools.count()
@@ -835,8 +822,8 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 def oracle_solve(model: MilpModel) -> MilpSolution:
     """Reference answer by brute force: try every 0/1 pattern of the binaries.
 
-    Each pattern's LP is solved from the slack basis, as solve_milp without
-    link_rows solves its answer's pattern, so the oracle shares the LP
+    Each pattern's LP is solved from the slack basis, as solve_milp in a
+    bounded form solves its answer's pattern, so the oracle shares the LP
     kernel.  It is a check on the search, not on the kernel: it knows no
     bounds, pruning or warm starts.  The kernel itself is checked against a
     textbook simplex and HiGHS in the tests.  Refuses more than
@@ -846,7 +833,7 @@ def oracle_solve(model: MilpModel) -> MilpSolution:
     if len(binaries) > ORACLE_MAX_BINARIES:
         raise OracleScopeError(
             f"{len(binaries)} binaries exceed the oracle's scope of {ORACLE_MAX_BINARIES}")
-    form = _bounded_form(model)
+    form = _bounded_form(model, constraint_part(model))
     best_val = math.inf
     best_x: Optional[np.ndarray] = None
     solves = pivots = 0

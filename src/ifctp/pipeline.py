@@ -17,7 +17,7 @@ from .crisp import (build_bi_objective, evaluate_interval_objective, extract_pla
                     plan_value, to_milp)
 from .intervals import CenterWidth, Interval, distance_to_ideal
 from .milp import (OPTIMAL, ORACLE_MAX_BINARIES, DegeneratePivotError, MilpModel, MilpSolution,
-                   OracleScopeError, oracle_solve, solve_milp)
+                   OracleScopeError, constraint_part, oracle_solve, solve_milp)
 from .model import IfctpInstance, ShipmentPlan, check_plan
 
 
@@ -37,11 +37,12 @@ class Stages:
     anchors center, width and lower minimize one objective each over one model;
     the width anchor serves the ideal point and the payoff table.  Only the
     width anchor is solved in the model's bounded form; the center and lower
-    anchors build shipment-only LPs, search and answer alike (solve_milp's
-    link_rows).  A shipment-only width search would meet another tied optimum
-    first on some instances, and the payoff table reports that plan's lower
-    endpoint.  compromise solves max-min and refine at the payoff levels.
-    models and solutions hold each solved stage by name.
+    anchors solve shipment-only LPs, search and answer alike, over the one
+    shipment part built here (solve_milp's part).  A shipment-only width
+    search would meet another tied optimum first on some instances, and the
+    payoff table reports that plan's lower endpoint.  compromise solves
+    max-min and refine at the payoff levels, over one bounded part.  models
+    and solutions hold each solved stage by name.
     """
 
     def __init__(self, instance: IfctpInstance):
@@ -50,6 +51,7 @@ class Stages:
         if s < d:
             raise InfeasibleProblemError(f"supply cap total {s!r} < demand floor total {d!r}")
         self._anchors = to_milp(self.bi, self.bi.obj_center)  # each anchor swaps in its objective
+        self._shipment_part = constraint_part(self._anchors, link_rows(self.bi))
         self.models: dict[str, MilpModel] = {}
         self.solutions: dict[str, MilpSolution] = {}
 
@@ -58,7 +60,7 @@ class Stages:
         if name not in self.solutions:
             self.models[name] = replace(self._anchors, c=getattr(self.bi, f"obj_{name}"))
             self.solutions[name] = solve_milp(
-                self.models[name], link_rows=None if name == "width" else link_rows(self.bi))
+                self.models[name], part=None if name == "width" else self._shipment_part)
         if self.solutions[name].status != OPTIMAL:
             raise DegeneratePivotError(f"the {name} anchor ended {self.solutions[name].status}")
         return self.solutions[name]
@@ -102,7 +104,8 @@ class Stages:
         """
         payoff = self.payoff() if override is None else override
         max_min = self.models["max-min"] = build_max_min_model(self.bi, payoff, self._anchors)
-        sol = self.solutions["max-min"] = solve_milp(max_min)
+        part = constraint_part(max_min)  # refine changes only the objective and a bound
+        sol = self.solutions["max-min"] = solve_milp(max_min, part=part)
         if sol.status != OPTIMAL:
             if override is None:
                 raise DegeneratePivotError(
@@ -116,9 +119,9 @@ class Stages:
         floor = refine.lo[-1]
         band = [fixes for bound, fixes in sol.leaves if bound <= LEVEL_SLACK - floor]
         if floor > 0.0 and len(band) < len(sol.leaves):
-            refined = solve_milp(refine, within=band)
+            refined = solve_milp(refine, within=band, part=part)
         else:
-            refined = solve_milp(refine)
+            refined = solve_milp(refine, part=part)
         self.solutions["refine"] = refined
         if refined.status != OPTIMAL:
             raise DegeneratePivotError(

@@ -22,7 +22,7 @@ from conftest import check_searches, record_searches, scaled_costs, stage_models
 import ifctp.milp
 from ifctp import MilpModel, MilpSolution
 from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _bounded_form, _child_keys,
-                        _node_lp, _penalties, _Start, solve_milp)
+                        _node_lp, _penalties, _Start, constraint_part, solve_milp)
 
 
 def _reference_solve_milp(model, penalty_keys):
@@ -43,7 +43,7 @@ def _reference_solve_milp(model, penalty_keys):
     row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
-    form = _bounded_form(model)
+    form = _bounded_form(model, constraint_part(model))
     nodes = pivots = 0
     seq = itertools.count()
     heap = [(-math.inf, 0, next(seq), {}, None)]
@@ -159,7 +159,7 @@ class TestPenaltyBounds:
         checked = positive = 0
         models = stage_models(scaled_costs(bench1, factor))
         for name, model in models.items():
-            form = _bounded_form(model)
+            form = _bounded_form(model, constraint_part(model))
             status, value, x, _, state = _node_lp(model, form, {}, None)
             assert status == OPTIMAL, name
             fractional = [j for j in model.binaries.tolist() if x[j] != round(x[j])]
@@ -189,7 +189,7 @@ class TestPenaltyBounds:
         # reach 0, so the child that pushes it down has no column to pay for it.
         model = MilpModel([-1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [0, 1], [1.0, 0.4],
                           [0.0, 0.0], [1.0, 1.0], [1])
-        form = _bounded_form(model)
+        form = _bounded_form(model, constraint_part(model))
         status, value, x, _, state = _node_lp(model, form, {}, None)
         assert status == OPTIMAL and 0 < x[1] < 1
         down, _ = _penalties(form, state, 1)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -12,7 +13,7 @@ from conftest import record_solves, stage_run
 from ifctp import MilpModel, NodeLimitError, OracleScopeError, Stages
 from ifctp.compromise import LEVEL_SLACK, build_max_min_model
 from ifctp.crisp import build_bi_objective, link_rows, to_milp
-from ifctp.milp import oracle_solve, solve_lp, solve_milp
+from ifctp.milp import constraint_part, oracle_solve, solve_lp, solve_milp
 
 
 INF = np.inf
@@ -129,14 +130,6 @@ class TestModelValidation:
         A[0, 0] = 2.0  # the model keeps its own copy
         assert model.A[0, 0] == 1.0
 
-    def test_replace_shares_the_arrays_it_keeps(self, bench1):
-        bi = build_bi_objective(bench1)
-        model = to_milp(bi, bi.obj_center)
-        lower = dataclasses.replace(model, c=bi.obj_lower)
-        for name in ("A", "senses", "b", "lo", "hi", "binaries"):
-            assert getattr(lower, name) is getattr(model, name), name
-        assert lower.c is not bi.obj_lower and not lower.c.flags.writeable
-
     def test_other_inputs_are_copied_and_checked(self):
         read_only = np.array([[1.0, 2.0], [3.0, 4.0]])
         read_only.flags.writeable = False
@@ -150,9 +143,6 @@ class TestModelValidation:
             assert kept is not given and kept.base is None and not kept.flags.writeable
         writable[0] = 5.0
         assert model.hi[0] == 1.0 and model.binaries.tolist() == [0, 1]
-        # A frozen array is shared only as the field it was frozen for.
-        swapped = dataclasses.replace(model, c=model.hi, binaries=model.hi)
-        assert swapped.c is not model.hi and swapped.binaries.tolist() == [1]
         senses = np.array([2])
         senses.flags.writeable = False
         with pytest.raises(ValueError, match="relation"):
@@ -162,8 +152,9 @@ class TestModelValidation:
 
 
 class TestFormReuse:
-    """A run's models share their constraint arrays, and its solves one form per
-    constraint set: each solve must give the same bits as on a deep copy."""
+    """A run builds one constraint part per constraint set and hands it to each solve
+    over that set: each solve must give the bits of a deep copy's solve with a part
+    built fresh from that copy."""
 
     @staticmethod
     def _outcome(solution):
@@ -175,13 +166,14 @@ class TestFormReuse:
     def test_shared_forms_give_the_answers_of_fresh_ones(self, bench1, monkeypatch, draw):
         instance = bench1 if draw is None else draws(8, 4)[draw]
         stages, solves = record_solves(monkeypatch, lambda: stage_run(instance))
-        models = stages.models
-        assert [model for _, model, _, _ in solves] == [models[name] for name in models]
-        assert models["center"].A is models["lower"].A is models["width"].A
-        assert models["max-min"].A is models["refine"].A
+        assert [model for _, model, _, _ in solves] == list(stages.models.values())
+        parts = dict(zip(stages.models, (kwargs.get("part") for _, _, kwargs, _ in solves)))
+        assert parts["center"] is parts["lower"] and parts["max-min"] is parts["refine"]
+        assert parts["width"] is None
         for _, model, kwargs, solution in solves:
-            fresh = MilpModel(*(np.array(getattr(model, field.name))
-                                for field in dataclasses.fields(MilpModel)))
+            fresh = copy.deepcopy(model)
+            if kwargs.get("part") is not None:
+                kwargs = dict(kwargs, part=constraint_part(fresh, kwargs["part"].link_rows))
             assert self._outcome(solve_milp(fresh, **kwargs)) == self._outcome(solution)
 
 
@@ -300,7 +292,8 @@ class TestSearchLeaves:
         for model, links in self._searches(6):
             binaries = model.binaries.tolist()
             within = [{binaries[0]: 0.0}, {binaries[0]: 1.0}] if split else [{}]
-            sol = solve_milp(model, within=within, link_rows=links)
+            part = None if links is None else constraint_part(model, links)
+            sol = solve_milp(model, within=within, part=part)
             assert sol.status == "optimal"
             assert len(sol.leaves) <= sol.nodes + len(within)
             for pattern in itertools.product((0.0, 1.0), repeat=len(binaries)):

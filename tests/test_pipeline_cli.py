@@ -6,7 +6,7 @@ import pytest
 
 from _random_instances import random_instance
 from _reference import COMPETITOR_1, COMPETITOR_1_DISTANCE, PAYOFF_OVERRIDE
-from conftest import PROBLEMS_DIR, count_builds, record_solves
+from conftest import PROBLEMS_DIR, bench1_instance, count_builds, record_solves, shipped_variant
 
 import ifctp.milp
 import ifctp.pipeline
@@ -155,12 +155,6 @@ class TestRendering:
 
 
 class TestOracleCheckApi:
-    def test_small_instance_passes(self):
-        check = run_oracle_check(parse_instance(TINY_2X2))
-        assert check.passed
-        assert [line.name for line in check.lines] == \
-            ["ideal-center", "ideal-width", "anchor-lower", "max-min level", "refine"]
-
     def test_scope_guard(self):
         iv = Interval(1, 2)
         big = IfctpInstance([[iv] * 6] * 5, [[iv] * 6] * 5,
@@ -390,6 +384,16 @@ class TestOneBuildPerJob:
             assert main([a.format(path=bench1_path) for a in args]) == 0
             assert {name: builds[name] for name in per_job} == \
                 {name: job * count for name, count in per_job.items()}
+
+    def test_interleaved_runs_build_one_shipment_part_each(self, monkeypatch):
+        """Each run keeps the shipment-only part its center and lower anchors share, so
+        two runs that take turns, anchor by anchor, build two parts, not one per turn."""
+        builds = count_builds(monkeypatch)
+        runs = [Stages(instance) for instance in (bench1_instance(), shipped_variant("zero_floor"))]
+        for name in ("center", "lower"):
+            for stages in runs:
+                stages.anchor(name)
+        assert builds["shipment_part"] == 2 and builds["shipment_form"] == 4
 
     def test_instance_checked_once(self, bench1_path, capsys, monkeypatch):
         builds = count_builds(monkeypatch)

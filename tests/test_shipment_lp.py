@@ -1,11 +1,12 @@
 """The center and lower anchors' searches over shipment-only transportation LPs.
 
-Stages.anchor hands solve_milp the linking rows for the center and lower
-anchors, so each node of their searches is a transportation LP over the
-shipments alone (milp._shipment_form): a free route at c_ij + f_ij / M_ij per
-unit, an open one at c_ij plus f_ij, a closed one boxed at [0, 0].  Each of
-their node LPs must be the full model's LP relaxation at the node's fixes,
-and every child key must bound the subtree it closes (conftest.check_searches).
+Stages.anchor hands solve_milp a shipment part, over the linking rows, for the
+center and lower anchors, so each node of their searches is a transportation
+LP over the shipments alone (milp._shipment_form): a free route at c_ij +
+f_ij / M_ij per unit, an open one at c_ij plus f_ij, a closed one boxed at
+[0, 0].  Each of their node LPs must be the full model's LP relaxation at the
+node's fixes, and every child key must bound the subtree it closes
+(conftest.check_searches).
 test_warm_start.py's TestWarmNodesMatchCold checks both inside whole stage
 runs: the shipped instance, its zero-floor, negative-cost and quantity-unit
 copies, and random draws.  The key test here checks the ladder's anchors
@@ -26,7 +27,7 @@ from conftest import bench1_instance, check_searches, rescaled, shipped_variant
 import workloads
 from ifctp import Stages
 from ifctp.crisp import build_bi_objective, to_milp
-from ifctp.milp import OPTIMAL, _shipment_form, solve_milp
+from ifctp.milp import OPTIMAL, _shipment_form, constraint_part, solve_milp
 
 LADDER_SEED_1 = list(workloads.instances("ladder-bb", 1).values())
 
@@ -76,13 +77,13 @@ def test_center_value_is_the_full_form_searchs_bit_for_bit(anchor, source):
 def test_link_rows_must_link_one_binary_to_one_boxed_shipment():
     bi = build_bi_objective(bench1_instance())
     model = to_milp(bi, bi.obj_center)
-    _shipment_form(model, range(7, 19))  # the linking rows
+    part = constraint_part(model, range(7, 19))  # the linking rows
     for rows in (range(0, 12), range(6, 18), range(7, 18)):
         with pytest.raises(ValueError, match="link row"):
-            _shipment_form(model, rows)
+            constraint_part(model, rows)
     with pytest.raises(ValueError, match="link row"):  # a charge below zero
-        _shipment_form(dataclasses.replace(model, c=-bi.obj_center), range(7, 19))
+        _shipment_form(dataclasses.replace(model, c=-bi.obj_center), part)
     lo = model.lo.copy()
     lo[0] = 1.0  # a shipment that must ship
     with pytest.raises(ValueError, match="link row"):
-        _shipment_form(dataclasses.replace(model, lo=lo), range(7, 19))
+        constraint_part(dataclasses.replace(model, lo=lo), range(7, 19))

@@ -75,7 +75,8 @@ class TestAnswerIsThePatternLp:
         """Each of the five stage answers the oracle-check job checks is its oracle's,
         the LP at its binaries' pattern, bit for bit and the textbook optimum there;
         so is the plain whole-tree search of each model the job solves with an
-        option: the anchors it solves shipment-only and a refine within a band."""
+        option: the anchors it solves shipment-only, and max-min and refine, which
+        share a bounded part, the refine within a band."""
         calls = oracle_check_job.calls
         oracles = [call for call in calls if call.name == "oracle_solve"]
         assert len(oracles) == len(calls) - len(oracles) == 5
