@@ -70,12 +70,12 @@ puts a value within BOUND_TOL of a bound on it); otherwise it branches on
 its most fractional binary.
 
 Keys: a child enters the heap keyed by its Driebeck (1966) penalty bound
-(_child_keys).  The branching binary's row and the reduced costs of the
-parent's final bounded tableau bound how much the child's fix must raise
-the parent's LP value (_penalties), so the key is a valid lower bound on
-the child's LP and on every integral point below it.  A popped node whose
-key is at or above the incumbent is pruned without an LP solve; the same
-test after its LP prunes a node whose own value cannot beat the incumbent.
+(_child_keys).  The branched variable's row and the reduced costs of the
+parent's final tableau bound how much the child's fix must raise the
+parent's LP value, so the key is a valid lower bound on the child's LP and
+on every integral point below it.  A popped node whose key is at or above
+the incumbent is pruned without an LP solve; the same test after its LP
+prunes a node whose own value cannot beat the incumbent.
 Every comparison with the incumbent is exact: a margin in the objective's
 unit would grow with the costs, and at unit costs times 1e9 one hid an
 optimum 4 below the incumbent.
@@ -85,14 +85,15 @@ weaken a key, never prune a subtree that holds a better point.
 Shipment-only node LPs: given a shipment part, over the rows that link
 each binary x_j to the shipment y_k it switches on, y_k - M x_j <= 0,
 solve_milp solves each node as a transportation LP over the shipments
-alone (_shipment_form; Balinski 1961), about a third of the full
-tableau's rows.  The search is the same; only its LP form differs
-(_Form's links), and with it what a fix does (_node_lp) and how a child
-is keyed (_child_keys).  An opened route changes
-a cost, so its child's warm start may flip nonbasics (_dual_simplex).  The
-answer's pattern LP is a shipment-only LP too, lifted to the full model, so
-such a solve never builds the bounded form; the rounding check and the
-leaves stay the full model's.
+alone (_shipment_part; Balinski 1961), about a third of the full
+tableau's rows.  One constructor, _form, builds either kind of form from
+its part.  The search is the same; only its LP form differs (_Form's
+links), and with it what a fix does (_node_lp) and how a child is keyed
+(_child_keys).  An opened route changes a cost, so its child's warm start
+may flip nonbasics (_dual_simplex).  The answer's pattern LP is a
+shipment-only LP too, lifted to the full model, so such a solve never
+builds the bounded form; the rounding check and the leaves stay the full
+model's.
 
 Leaves: a search covers the subtrees its within argument names, each a
 dict of binary fixes entered from the slack basis; the default ({},) is the
@@ -319,8 +320,8 @@ class _Form(NamedTuple):
     Structural v_j = x_j / cols_j.  c is the scaled objective divided by
     unit, so reduced costs times unit are in the model's objective units.
     slack is the form's slack-basis _Start, shared by the LPs of one solve
-    that start from it.  links is None for _bounded_form's form, and
-    _shipment_form's route data otherwise.
+    that start from it.  links is None for a bounded part's form, and the
+    route data of a shipment part's otherwise (_form).
     """
 
     M: np.ndarray
@@ -337,7 +338,7 @@ class _Form(NamedTuple):
 class _Part(NamedTuple):
     """A constraint part (constraint_part): scaled M and b, the structural columns'
     scales, the slacks' bounds and np.eye(b.size), which every start of its forms
-    shares.  A shipment part keeps its link_rows and routes (cont, column, big_m)."""
+    shares.  A shipment part keeps its routes (cont, column, big_m)."""
 
     M: np.ndarray
     b: np.ndarray
@@ -345,30 +346,64 @@ class _Part(NamedTuple):
     slack_lo: np.ndarray
     slack_hi: np.ndarray
     identity: np.ndarray
-    link_rows: Optional[tuple[int, ...]] = None
     routes: Optional[tuple] = None
 
 
 def constraint_part(model: MilpModel, link_rows: Optional[Sequence[int]] = None) -> _Part:
     """What every form over model's constraints shares, whatever its objective: the
-    bounded part (_bounded_form) of model's A, senses and b, or the shipment-only part
-    (_shipment_form) over link_rows of its A, senses, b, lo, hi and binaries."""
+    bounded part of model's A, senses and b, or the shipment-only part (_shipment_part)
+    over link_rows of its A, senses, b, lo, hi and binaries.
+
+    The bounded part has a slack per row: M = [R A C | I].  R and C are
+    diagonal, powers of two, so scaling is exact; cols holds C's diagonal.
+    Column nv + i is row i's slack R_ii (b_i - A_i x), bounded to [0, inf)
+    for "<=", (-inf, 0] for ">=" and [0, 0] for "=".  Upper bounds stay
+    implicit.  Four passes of geometric-mean scaling bring every row and
+    column near magnitude one, so the absolute pivot tolerance means the
+    same in a big-M row; an entry below SCALE_FLOOR of its row's or
+    column's largest is left out of the geometric mean.
+    """
     if link_rows is not None:
-        return _shipment_part(model, tuple(map(int, link_rows)))
+        return _shipment_part(model, link_rows)
     M, rows, cols = _scaled_matrix(model.A)
     return _Part(M, model.b * rows, cols, np.where(model.senses < 0, -np.inf, 0.0),
                  np.where(model.senses > 0, np.inf, 0.0), np.eye(rows.size))
 
 
-def _form(part: _Part, c, lo, hi) -> _Form:
-    """The _Form of part with structural costs c scaled by part.cols and bounds lo, hi.
+def _form(model: MilpModel, part: _Part) -> _Form:
+    """model's objective and bounds over part (constraint_part) as a _Form.
 
-    unit is the power of two nearest c's largest magnitude (1 if c is all
-    zeros), so the reduced-cost tolerances mean the same at any cost scale:
-    c and 2^k c pivot alike, bit for bit.  The slacks cost 0, and the slack
-    start puts each column at its upper bound where its cost is negative.
-    A cost that overflowed to inf while being scaled is a numerical breakdown.
+    A bounded part's form is the whole model.  A shipment part's is a
+    fixed-charge model's shipment-only node LP, with links.  Link row t
+    reads y_k - M_t x_j <= 0 for binary j = binaries[t] and the continuous
+    column y_k it switches on, which is boxed at [0, M_t]; x_j is in no
+    other row and costs f_t >= 0.  Some optimum of every LP relaxation then
+    has x_j = y_k / M_t, so a node's LP is an LP over the continuous columns
+    and the other rows alone (Balinski 1961): a free route costs c_k + f_t /
+    M_t per unit, an open one c_k plus the constant f_t, and a closed one is
+    boxed at [0, 0] (_node_lp).  c holds the free routes' costs.  links is
+    (cont, column, big_m, charge, c_open): the continuous columns, the
+    position of each binary's y_k among them, M_t, f_t, and c with every
+    route open.
+
+    unit is the power of two nearest the scaled costs' largest magnitude (1
+    if they are all zeros), so the reduced-cost tolerances mean the same at
+    any cost scale: c and 2^k c pivot alike, bit for bit.  The slacks cost
+    0, and the slack start puts each column at its upper bound where its
+    cost is negative.  A cost that overflowed to inf while being scaled is a
+    numerical breakdown.
     """
+    cols = part.cols
+    if part.routes is None:
+        c, lo, hi = model.c * cols, model.lo, model.hi
+    else:
+        cont, column, big_m = part.routes
+        charge = model.c[model.binaries]
+        if (charge < 0.0).any():
+            raise ValueError("every link row's binary x must cost >= 0")
+        per_unit = np.zeros(cont.size)
+        per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
+        c, lo, hi = (model.c[cont] + per_unit) * cols, model.lo[cont], model.hi[cont]
     if not np.isfinite(c).all():
         raise DegeneratePivotError("the scaled objective overflows a float")
     top = np.abs(c).max(initial=0.0)
@@ -376,27 +411,14 @@ def _form(part: _Part, c, lo, hi) -> _Form:
     m, nv = part.b.size, c.size
     c = np.concatenate((c / unit, np.zeros(m)))
     slack = _Start(np.arange(nv, nv + m), c < 0.0, part.identity, part.identity, refined=True)
-    return _Form(part.M, part.b, c, np.concatenate((lo / part.cols, part.slack_lo)),
-                 np.concatenate((hi / part.cols, part.slack_hi)), part.cols, slack, unit)
-
-
-def _bounded_form(model: MilpModel, part: _Part) -> _Form:
-    """The model as a _Form with a slack per row: M = [R A C | I].
-
-    part is a bounded part of model's A, senses and b (constraint_part).  R
-    and C are diagonal, powers of two, so scaling is exact; cols holds C's
-    diagonal.  Column nv + i is row i's slack R_ii (b_i - A_i x), bounded
-    to [0, inf) for "<=", (-inf, 0] for ">=" and [0, 0] for "=".  Upper
-    bounds stay implicit.  Four passes of geometric-mean scaling bring
-    every row and column near magnitude one, so the absolute pivot
-    tolerance means the same in a big-M row; an entry below SCALE_FLOOR of
-    its row's or column's largest is left out of the geometric mean.
-    """
-    return _form(part, model.c * part.cols, model.lo, model.hi)
+    links = None if part.routes is None else (  # c_open: every route open
+        cont, column, big_m, charge, np.concatenate((model.c[cont] * cols / unit, np.zeros(m))))
+    return _Form(part.M, part.b, c, np.concatenate((lo / cols, part.slack_lo)),
+                 np.concatenate((hi / cols, part.slack_hi)), cols, slack, unit, links)
 
 
 def _scaled_matrix(A: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(M, rows, cols) of _bounded_form: [R A C | I] and the diagonals of R and C."""
+    """(M, rows, cols) of a bounded part: [R A C | I] and the diagonals of R and C."""
     m, nv = A.shape
     magnitude = np.abs(A)
     rows = np.ones(m)
@@ -417,41 +439,18 @@ def _geometric_mean(scaled: np.ndarray, axis: int) -> np.ndarray:
     return np.where(big > 0.0, np.sqrt(big) * np.sqrt(small), 1.0).ravel()
 
 
-def _shipment_form(model: MilpModel, part: _Part) -> _Form:
-    """A fixed-charge model's shipment-only node LP, as a _Form with links.
+def _shipment_part(model: MilpModel, link_rows: Sequence[int]) -> _Part:
+    """The shipment-only constraint part over link_rows (_form): the other rows over
+    the continuous columns.
 
-    part is a shipment part of model's constraints (constraint_part).  Link
-    row t of its link_rows reads y_k - M_t x_j <= 0 for binary j =
-    binaries[t] and the continuous column y_k it switches on, which is
-    boxed at [0, M_t]; x_j is in no other row and costs f_t >= 0.  Some
-    optimum of every LP relaxation then has x_j = y_k / M_t, so a node's LP
-    is an LP over the continuous columns and the other rows alone (Balinski
-    1961): a free route costs c_k + f_t / M_t per unit, an open one c_k plus
-    the constant f_t, and a closed one is boxed at [0, 0] (_node_lp).  c
-    holds the free routes' costs.  Column k is scaled by the power of two
-    nearest M_t (1 where M_t is 0), and each row by the one nearest the
-    geometric mean of its largest and smallest entry over the columns that
-    can move, so that BOUND_TOL is relative to the quantities in every unit.
-    Each slack is boxed at the range its row implies, so every column has
-    two finite bounds: _dual_simplex can flip any nonbasic after a cost
-    change, and _child_keys can weigh each nonbasic's box.  links is (cont,
-    column, big_m, charge, c_open): the continuous columns, the position of
-    each binary's y_k among them, M_t, f_t, and c with every route open.
+    Column k is scaled by the power of two nearest M_t (1 where M_t is 0),
+    and each row by the one nearest the geometric mean of its largest and
+    smallest entry over the columns that can move, so that BOUND_TOL is
+    relative to the quantities in every unit.  Each slack is boxed at the
+    range its row implies, so every column has two finite bounds:
+    _dual_simplex can flip any nonbasic after a cost change, and _child_keys
+    can weigh each nonbasic's box.
     """
-    cont, column, big_m = part.routes
-    charge = model.c[model.binaries]
-    if (charge < 0.0).any():
-        raise ValueError("every link row's binary x must cost >= 0")
-    per_unit = np.zeros(cont.size)
-    per_unit[column] = charge / np.where(big_m > 0.0, big_m, np.inf)
-    cols = part.cols
-    form = _form(part, (model.c[cont] + per_unit) * cols, model.lo[cont], model.hi[cont])
-    c_open = np.concatenate((model.c[cont] * cols / form.unit, np.zeros(part.b.size)))
-    return form._replace(links=(cont, column, big_m, charge, c_open))
-
-
-def _shipment_part(model: MilpModel, link_rows: tuple) -> _Part:
-    """_shipment_form's constraint part over link_rows."""
     binaries = model.binaries
     links = np.array(link_rows, dtype=int)
     # np.delete and np.bincount, not np.setdiff1d or np.unique: those import
@@ -481,8 +480,7 @@ def _shipment_part(model: MilpModel, link_rows: tuple) -> _Part:
     slack_hi = np.minimum(np.where(senses > 0, np.inf, 0.0),
                           scale * (b - np.minimum(low, high).sum(axis=1)))
     return _Part(np.hstack((A * scale[:, None] * cols, np.eye(b.size))), b * scale, cols,
-                 np.minimum(slack_lo, slack_hi), slack_hi, np.eye(b.size), link_rows,
-                 (cont, column, big_m))
+                 np.minimum(slack_lo, slack_hi), slack_hi, np.eye(b.size), (cont, column, big_m))
 
 
 def _dual_simplex(form, lo: np.ndarray, hi: np.ndarray, start: _Start):
@@ -645,60 +643,51 @@ def _node_lp(model: MilpModel, form: _Form, fixes: Mapping[int, float], start):
 @np.errstate(over="ignore")  # module docstring, Kernel cost
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation the way branch and bound solves its root."""
-    form = _bounded_form(model, constraint_part(model))
+    form = _form(model, constraint_part(model))
     status, value, x, pivots, _ = _node_lp(model, form, {}, None)
     if status != OPTIMAL:
         return MilpSolution(status, None, None, nodes=1, pivots=pivots)
     return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes=1, pivots=pivots)
 
 
-def _penalties(form: _Form, state, j: int) -> tuple[float, float]:
-    """Driebeck penalties: least objective increases for forcing binary j down, up.
-
-    x_j is basic (a fractional variable sits at neither bound) in some row
-    r of the node's final bounded tableau, x_j + sum a_rk v_k = f over the
-    nonbasic v_k.  A nonbasic at its lower bound can only rise and one at
-    its upper bound can only fall, so the latter enters with the opposite
-    sign; fixed nonbasics cannot move at all.  Pushing x_j to 0 costs at
-    least f * min d_k / a_rk over the columns that lower x_j, pushing it
-    to 1 at least (1 - f) * min -d_k / a_rk over those that raise it.  No
-    such column means that child is infeasible (inf).  The minima are
-    clipped at zero, so round-off in a reduced cost can only weaken a
-    bound.  Returns the two minima; the caller scales them by f and 1 - f.
-    """
-    basis, at_upper, T, movable = state
-    a = T[(basis == j).argmax()]
-    toward = np.where(at_upper, -a, a)
-    q = np.divide(T[-1], a, out=np.full(a.size, np.inf), where=movable & (a != 0.0))
-    down = np.minimum.reduce(q, where=movable & (toward > 0.0), initial=np.inf)
-    up = -np.maximum.reduce(q, where=movable & (toward < 0.0), initial=-np.inf)
-    per_unit = form.unit / form.cols[j]  # the tableau's x_j is x_j / C_jj, its costs c / unit
-    return max(float(down) * per_unit, 0.0), max(float(up) * per_unit, 0.0)
-
-
 def _child_keys(form: _Form, state, t: int, j: int, value: float, x) -> tuple[float, float]:
     """Keys of the children that fix binary j = binaries[t] at 0 and 1: bounds on their subtrees.
 
-    In a bounded form, Driebeck's penalties (_penalties) scaled by the
-    fractional x_j and 1 - x_j.  In a shipment form the children close and
-    open free route t.  Closing pushes y_k, basic, from its value to 0:
-    Driebeck's penalty on y_k's row.  Opening changes the objective by f_t -
-    (f_t / M_t) y_k, which is >= 0 since y_k <= M_t, so the node's value V
-    bounds it.  Every point of the child is the node's point with each
-    nonbasic q moved within its box, of width r_q, which changes the
-    objective by delta_q and y_k by alpha_q per unit, so the child's value
-    is at least V + f_t (1 - x_j) + sum_q min(0, delta_q - (f_t / M_t)
-    alpha_q) r_q.
+    Driebeck's penalties: a branched variable, x_j in a bounded form and the
+    y_k of route t in a shipment form, is basic (a fractional variable sits
+    at neither bound) in some row r of the node's final tableau, x_j + sum
+    a_rk v_k = f over the nonbasic v_k.  A nonbasic at its lower bound can
+    only rise and one at its upper bound can only fall, so the latter enters
+    with the opposite sign; fixed nonbasics cannot move at all.  Pushing the
+    variable to 0 costs at least f * min d_k / a_rk over the columns that
+    lower it, pushing x_j to 1 at least (1 - f) * min -d_k / a_rk over those
+    that raise it.  No such column means that child is infeasible (inf).
+    The minima are clipped at zero, so round-off in a reduced cost can only
+    weaken a bound.
+
+    In a shipment form the children close and open free route t.  Closing
+    pushes y_k from its value to 0: the penalty on y_k's row.  Opening
+    changes the objective by f_t - (f_t / M_t) y_k, which is >= 0 since y_k
+    <= M_t, so the node's value V bounds it.  Every point of the child is
+    the node's point with each nonbasic q moved within its box, of width
+    r_q, which changes the objective by delta_q and y_k by alpha_q per unit,
+    so the child's value is at least V + f_t (1 - x_j) + sum_q min(0,
+    delta_q - (f_t / M_t) alpha_q) r_q.
     """
-    if form.links is None:
-        down, up = _penalties(form, state, j)
-        return value + x[j] * down, value + (1.0 - x[j]) * up
-    cont, column, big_m, charge, _ = form.links
-    k = column[t]
-    down, _ = _penalties(form, state, k)
     basis, at_upper, T, movable = state
+    k = j if form.links is None else form.links[1][t]
+    a = T[(basis == k).argmax()]
+    toward = np.where(at_upper, -a, a)
+    q = np.divide(T[-1], a, out=np.full(a.size, np.inf), where=movable & (a != 0.0))
+    per_unit = form.unit / form.cols[k]  # the tableau's v_k is x / C_kk, its costs c / unit
+    down = max(float(np.minimum.reduce(q, where=movable & (toward > 0.0), initial=np.inf))
+               * per_unit, 0.0)
+    if form.links is None:
+        up = -np.maximum.reduce(q, where=movable & (toward < 0.0), initial=-np.inf)
+        return value + x[j] * down, value + (1.0 - x[j]) * max(float(up) * per_unit, 0.0)
+    cont, _, big_m, charge, _ = form.links
     per_y = charge[t] / big_m[t] * form.cols[k] / form.unit  # in the tableau's units
-    moves = np.where(at_upper, -1.0, 1.0) * (T[-1] + per_y * T[(basis == k).argmax()])
+    moves = np.where(at_upper, -1.0, 1.0) * (T[-1] + per_y * a)
     box = np.where(movable, form.hi - form.lo, 0.0)
     gain = np.einsum("i,i->", np.minimum(moves, 0.0), box)
     y = x[cont[k]]
@@ -725,7 +714,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
     its bound (module docstring, Leaves).
 
     part, constraint_part of model or of a model with its constraints, is
-    built from model if not given.  A shipment part (_shipment_form) makes
+    built from model if not given.  A shipment part (_shipment_part) makes
     every LP, the answer's pattern LP too, shipment-only (_node_lp) and
     children keyed by _child_keys; the rounding check and the leaves stay
     the full model's.  pipeline.Stages hands one to the center and lower
@@ -750,7 +739,7 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 
     if part is None:
         part = constraint_part(model)
-    form = (_bounded_form if part.link_rows is None else _shipment_form)(model, part)
+    form = _form(model, part)
     nodes = pivots = 0
     leaves: list[tuple[float, dict[int, float]]] = []
     seq = itertools.count()
@@ -833,7 +822,7 @@ def oracle_solve(model: MilpModel) -> MilpSolution:
     if len(binaries) > ORACLE_MAX_BINARIES:
         raise OracleScopeError(
             f"{len(binaries)} binaries exceed the oracle's scope of {ORACLE_MAX_BINARIES}")
-    form = _bounded_form(model, constraint_part(model))
+    form = _form(model, constraint_part(model))
     best_val = math.inf
     best_x: Optional[np.ndarray] = None
     solves = pivots = 0

@@ -191,8 +191,7 @@ def record_lps(monkeypatch, run, slacks=None):
 
     with monkeypatch.context() as patch:
         _patch_everywhere(patch, ifctp.milp, "_dual_simplex", recording)
-        for name in ("_bounded_form", "_shipment_form"):
-            _patch_everywhere(patch, ifctp.milp, name, collecting)
+        _patch_everywhere(patch, ifctp.milp, "_form", collecting)
         return run(), calls
 
 
@@ -200,22 +199,26 @@ def count_builds(monkeypatch):
     """A Counter of the builds made from here on, until monkeypatch undoes it.
 
     It counts the calls of build_bi_objective, of model._check_structure (the
-    instance check) and of milp's forms and constraint parts: _bounded_form and
-    the _scaled_matrix its part scales, _shipment_form and _shipment_part.  Each
-    is keyed by its name without the leading underscore and counted in every
-    ifctp module that binds it.
+    instance check) and of milp's constraint parts and forms: _scaled_matrix,
+    which a bounded part scales, _shipment_part and _form.  Each is keyed by its
+    name without the leading underscore, except _form's calls: bounded_form or
+    shipment_form by their part's routes.  Each is counted in every ifctp module
+    that binds it.
     """
     counts = collections.Counter()
 
     def counting(build):
         def counted(*args):
-            counts[build.__name__.lstrip("_")] += 1
+            name = build.__name__.lstrip("_")
+            if name == "form":
+                name = ("bounded" if args[1].routes is None else "shipment") + "_form"
+            counts[name] += 1
             return build(*args)
         return counted
 
     for home, name in ((ifctp.crisp, "build_bi_objective"), (ifctp.model, "_check_structure"),
-                       (ifctp.milp, "_bounded_form"), (ifctp.milp, "_scaled_matrix"),
-                       (ifctp.milp, "_shipment_form"), (ifctp.milp, "_shipment_part")):
+                       (ifctp.milp, "_form"), (ifctp.milp, "_scaled_matrix"),
+                       (ifctp.milp, "_shipment_part")):
         _patch_everywhere(monkeypatch, home, name, counting)
     return counts
 

@@ -21,8 +21,8 @@ from conftest import check_searches, record_searches, scaled_costs, stage_models
 
 import ifctp.milp
 from ifctp import MilpModel, MilpSolution
-from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _bounded_form, _child_keys,
-                        _node_lp, _penalties, _Start, constraint_part, solve_milp)
+from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _child_keys, _form, _node_lp,
+                        _Start, constraint_part, solve_milp)
 
 
 def _reference_solve_milp(model, penalty_keys):
@@ -43,7 +43,7 @@ def _reference_solve_milp(model, penalty_keys):
     row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
     var_hi = model.hi + ROUNDED_FEAS_TOL
     var_lo = model.lo - ROUNDED_FEAS_TOL
-    form = _bounded_form(model, constraint_part(model))
+    form = _form(model, constraint_part(model))
     nodes = pivots = 0
     seq = itertools.count()
     heap = [(-math.inf, 0, next(seq), {}, None)]
@@ -159,15 +159,15 @@ class TestPenaltyBounds:
         checked = positive = 0
         models = stage_models(scaled_costs(bench1, factor))
         for name, model in models.items():
-            form = _bounded_form(model, constraint_part(model))
+            form = _form(model, constraint_part(model))
             status, value, x, _, state = _node_lp(model, form, {}, None)
             assert status == OPTIMAL, name
-            fractional = [j for j in model.binaries.tolist() if x[j] != round(x[j])]
-            for j in fractional:
-                down, up = _penalties(form, state, j)
+            for t, j in enumerate(model.binaries.tolist()):
+                if x[j] == round(x[j]):
+                    continue
+                keys = _child_keys(form, state, t, j, value, x)
                 scale = 1e-9 * max(1.0, abs(value))
-                for fixed, bound in ((0.0, value + x[j] * down),
-                                     (1.0, value + (1.0 - x[j]) * up)):
+                for fixed, bound in zip((0.0, 1.0), keys):
                     child = textbook_relaxation(model, {j: fixed})
                     if child[0] == INFEASIBLE:
                         continue
@@ -189,9 +189,8 @@ class TestPenaltyBounds:
         # reach 0, so the child that pushes it down has no column to pay for it.
         model = MilpModel([-1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [0, 1], [1.0, 0.4],
                           [0.0, 0.0], [1.0, 1.0], [1])
-        form = _bounded_form(model, constraint_part(model))
+        form = _form(model, constraint_part(model))
         status, value, x, _, state = _node_lp(model, form, {}, None)
         assert status == OPTIMAL and 0 < x[1] < 1
-        down, _ = _penalties(form, state, 1)
-        assert down == math.inf
+        assert _child_keys(form, state, 0, 1, value, x)[0] == math.inf
         assert textbook_relaxation(model, {1: 0.0})[0] == INFEASIBLE

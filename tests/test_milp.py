@@ -170,10 +170,12 @@ class TestFormReuse:
         parts = dict(zip(stages.models, (kwargs.get("part") for _, _, kwargs, _ in solves)))
         assert parts["center"] is parts["lower"] and parts["max-min"] is parts["refine"]
         assert parts["width"] is None
+        rows = link_rows(build_bi_objective(instance))
         for _, model, kwargs, solution in solves:
             fresh = copy.deepcopy(model)
-            if kwargs.get("part") is not None:
-                kwargs = dict(kwargs, part=constraint_part(fresh, kwargs["part"].link_rows))
+            if kwargs.get("part") is not None:  # rebuilt from the copy; a shipment part has routes
+                shipment = kwargs["part"].routes is not None
+                kwargs = dict(kwargs, part=constraint_part(fresh, rows if shipment else None))
             assert self._outcome(solve_milp(fresh, **kwargs)) == self._outcome(solution)
 
 

@@ -2,7 +2,7 @@
 
 Stages.anchor hands solve_milp a shipment part, over the linking rows, for the
 center and lower anchors, so each node of their searches is a transportation
-LP over the shipments alone (milp._shipment_form): a free route at c_ij +
+LP over the shipments alone (milp._shipment_part): a free route at c_ij +
 f_ij / M_ij per unit, an open one at c_ij plus f_ij, a closed one boxed at
 [0, 0].  Each of their node LPs must be the full model's LP relaxation at the
 node's fixes, and every child key must bound the subtree it closes
@@ -27,7 +27,7 @@ from conftest import bench1_instance, check_searches, rescaled, shipped_variant
 import workloads
 from ifctp import Stages
 from ifctp.crisp import build_bi_objective, to_milp
-from ifctp.milp import OPTIMAL, _shipment_form, constraint_part, solve_milp
+from ifctp.milp import OPTIMAL, _form, constraint_part, solve_milp
 
 LADDER_SEED_1 = list(workloads.instances("ladder-bb", 1).values())
 
@@ -82,7 +82,7 @@ def test_link_rows_must_link_one_binary_to_one_boxed_shipment():
         with pytest.raises(ValueError, match="link row"):
             constraint_part(model, rows)
     with pytest.raises(ValueError, match="link row"):  # a charge below zero
-        _shipment_form(dataclasses.replace(model, c=-bi.obj_center), part)
+        _form(dataclasses.replace(model, c=-bi.obj_center), part)
     lo = model.lo.copy()
     lo[0] = 1.0  # a shipment that must ship
     with pytest.raises(ValueError, match="link row"):

@@ -235,14 +235,14 @@ class TestSlackStartShortcut:
         forms = []
         for instance in [bench1, *workloads.instances("ladder-bb", 1).values()]:
             models, rows = stage_models(instance), link_rows(build_bi_objective(instance))
-            forms += [ifctp.milp._bounded_form(model, constraint_part(model))
+            forms += [ifctp.milp._form(model, constraint_part(model))
                       for model in models.values()]
-            forms += [ifctp.milp._shipment_form(models[name], constraint_part(models[name], rows))
+            forms += [ifctp.milp._form(models[name], constraint_part(models[name], rows))
                       for name in ("lower", "center", "width")]
         # Signed zeros in A and b, which the stage models do not have.
         signed = MilpModel([1.0, 1.0], [[-0.0, 1.0], [1.0, 1.0]], [1, -1], [-0.0, 1.0],
                            [0.0] * 2, [1.0] * 2, [])
-        forms.append(ifctp.milp._bounded_form(signed, constraint_part(signed)))
+        forms.append(ifctp.milp._form(signed, constraint_part(signed)))
         negative_zeros = 0
         for form in forms:
             M, b, slack = form.M, form.b, form.slack
