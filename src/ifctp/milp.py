@@ -795,9 +795,6 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
 
     if incumbent_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, pivots, tuple(leaves))
-    if not binaries.size:
-        return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots,
-                            tuple(leaves))
     # The answer is the LP at the incumbent's activation pattern, as oracle_solve solves it.
     status, value, x, lp_pivots, _ = _node_lp(
         model, form, {j: incumbent_x[j] for j in binaries.tolist()}, None)

@@ -126,6 +126,42 @@ def record_searches(monkeypatch, run):
         return run(), lps, keys
 
 
+class _NeverPrunes(float):
+    """A child key that orders the heap by its value but never prunes: solve_milp
+    prunes only by `key >= incumbent`, at push and at pop, while heapq orders its
+    entries by tuple `==` and `<`, which this leaves as float's."""
+
+    def __ge__(self, other):
+        return False
+
+
+def search_with_keys(monkeypatch, model, unpruned):
+    """solve_milp(model) under record_searches with ifctp.milp._child_keys replaced:
+    (solution, node LPs, pushed children, branchings).
+
+    With unpruned, each child keeps its key but no key prunes, so nodes pop in
+    solve_milp's order and only an LP value that cannot beat the incumbent
+    stops the search; otherwise each child is keyed by its parent's LP value.
+    Each branching is (j, x[j]): the branched binary and its LP value, in the
+    order the nodes branch.  The substitution lives here because this is the
+    one file allowed to patch private names (a CI step checks it).  Being
+    solve_milp itself with other keys, the references follow every change to
+    its rules, where a copied search would have to be edited in step.
+    """
+    branchings = []
+    child_keys = ifctp.milp._child_keys
+
+    def keys(form, state, t, j, value, x):
+        branchings.append((j, x[j]))
+        if unpruned:
+            return tuple(map(_NeverPrunes, child_keys(form, state, t, j, value, x)))
+        return value, value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ifctp.milp, "_child_keys", keys)
+        return (*record_searches(monkeypatch, lambda: solve_milp(model)), branchings)
+
+
 Solve = collections.namedtuple("Solve", "name model kwargs solution")
 
 

@@ -1,14 +1,15 @@
 """Penalty keys in branch and bound: valid bounds, same answers, fewer nodes.
 
 solve_milp keys each child by its Driebeck penalty bound and prunes on it.
-Its answer must be the bits of a reference search that pops nodes in the same
-order but never prunes on a key, so pruning is the only difference between
-them.  A second reference keys each child by its parent's LP value instead;
-the penalty keys must never need more nodes than it.
+Its answer must be the bits of solve_milp run with the same keys made unable
+to prune, which pops nodes in the same order, so pruning is the only
+difference between them.  A second reference is solve_milp with each child
+keyed by its parent's LP value; the penalty keys must never need more nodes
+than it.  Both references are solve_milp with other keys
+(conftest.search_with_keys), so they follow its node LPs, starts, branching,
+rounding and incumbent rules by construction.
 """
 
-import heapq
-import itertools
 import math
 import struct
 
@@ -17,82 +18,12 @@ import pytest
 
 from _random_instances import draws
 from _textbook_lp import textbook_relaxation
-from conftest import check_searches, record_searches, scaled_costs, stage_models
+from conftest import (check_searches, record_searches, scaled_costs, search_with_keys,
+                      stage_models)
 
-import ifctp.milp
-from ifctp import MilpModel, MilpSolution
-from ifctp.milp import (INFEASIBLE, OPTIMAL, ROUNDED_FEAS_TOL, _child_keys, _form, _node_lp,
-                        _Start, constraint_part, solve_milp)
-
-
-def _reference_solve_milp(model, penalty_keys):
-    """solve_milp's best-bound search without its pruning on keys.
-
-    Same node LPs, starts, branching rule, incumbent rule and final pattern
-    solve.  With penalty_keys each child is keyed as solve_milp keys it
-    (_child_keys), so nodes pop in solve_milp's order, but every child is
-    pushed and every popped node solved; only an LP value that cannot beat
-    the incumbent prunes.  Otherwise each child is keyed by its parent's LP
-    value, and a popped node whose key cannot beat the incumbent is pruned.
-    """
-    binaries = model.binaries
-    incumbent_val = math.inf
-    incumbent_x = None
-    tol = ROUNDED_FEAS_TOL * np.where(model.b != 0.0, np.abs(model.b), 1.0)
-    row_hi = np.where(model.senses >= 0, model.b + tol, np.inf)
-    row_lo = np.where(model.senses <= 0, model.b - tol, -np.inf)
-    var_hi = model.hi + ROUNDED_FEAS_TOL
-    var_lo = model.lo - ROUNDED_FEAS_TOL
-    form = _form(model, constraint_part(model))
-    nodes = pivots = 0
-    seq = itertools.count()
-    heap = [(-math.inf, 0, next(seq), {}, None)]
-    while heap:
-        key, neg_depth, _, fixes, start = heapq.heappop(heap)
-        if not penalty_keys and key >= incumbent_val:
-            continue
-        nodes += 1
-        # Looked up on the module, so _compare's recording sees these solves too.
-        status, value, x, lp_pivots, state = ifctp.milp._node_lp(model, form, fixes, start)
-        pivots += lp_pivots
-        if status == INFEASIBLE:
-            continue
-        if value >= incumbent_val:
-            continue
-        point = x.copy()
-        point[binaries] = np.ceil(x[binaries]) + 0.0
-        rows = np.einsum("ij,j->i", model.A, point)
-        feasible = ((rows <= row_hi).all() and (rows >= row_lo).all()
-                    and (point <= var_hi).all() and (point >= var_lo).all())
-        frac = np.abs(x[binaries] - np.round(x[binaries]))
-        worst = frac.max(initial=0.0)
-        if feasible or worst == 0.0:
-            candidate = model.value_at(point)
-            if candidate < incumbent_val:
-                incumbent_val = candidate
-                incumbent_x = point
-            if worst == 0.0:
-                continue
-        t = int(frac.argmax())
-        j = int(binaries[t])
-        keys = _child_keys(form, state, t, j, value, x) if penalty_keys else (value, value)
-        depth = -neg_depth + 1
-        first = 1 if x[j] >= 0.5 else 0
-        basis, at_upper, T, _ = state
-        inverse = T[:basis.size, -basis.size:].copy()
-        shared = _Start(basis, at_upper, inverse, form.slack.identity)
-        for branch in (first, 1 - first):
-            child = dict(fixes)
-            child[j] = float(branch)
-            heapq.heappush(heap, (keys[branch], -depth, next(seq), child, shared))
-    if incumbent_x is None:
-        return MilpSolution(INFEASIBLE, None, None, nodes, pivots)
-    if not binaries.size:
-        return MilpSolution(OPTIMAL, incumbent_val, tuple(map(float, incumbent_x)), nodes, pivots)
-    status, value, x, lp_pivots, _ = ifctp.milp._node_lp(
-        model, form, {j: incumbent_x[j] for j in binaries.tolist()}, None)
-    assert status == OPTIMAL
-    return MilpSolution(OPTIMAL, value, tuple(map(float, x)), nodes, pivots + lp_pivots)
+from ifctp import MilpModel
+from ifctp.milp import (INFEASIBLE, OPTIMAL, _child_keys, _form, _node_lp, constraint_part,
+                        solve_milp)
 
 
 def _bits(solution):
@@ -106,9 +37,12 @@ def _bits(solution):
 def _compare(models, monkeypatch):
     """Assert identical answers model by model; returns (nodes, parent-keyed nodes).
 
-    solve_milp's answer must be the unpruned reference's, bit for bit.  Each
-    search's node count must equal its node LP solves, and the penalty keys
-    must never need more of them than the parent-keyed reference.
+    solve_milp's answer must be the unpruned search's, bit for bit.  That
+    search must push both children of every node that branches, the one that
+    fixes the branched binary at 1 first exactly when its LP value is >= 0.5,
+    and solve every child it pushes.  Each search's node count must equal its
+    node LP solves, and the penalty keys must never need more of them than
+    the parent-keyed search.
     """
     def searched(lps):  # the answer's pattern solve is the one slack-basis start with fixes
         return sum(not lp.cold or not lp.fixes for lp in lps)
@@ -116,11 +50,17 @@ def _compare(models, monkeypatch):
     nodes = ref_nodes = 0
     for name, model in models.items():
         solution, lps, _ = record_searches(monkeypatch, lambda: solve_milp(model))
-        unpruned = _reference_solve_milp(model, penalty_keys=True)
-        reference, ref_lps, _ = record_searches(
-            monkeypatch, lambda: _reference_solve_milp(model, penalty_keys=False))
+        unpruned, unpruned_lps, pushes, branchings = search_with_keys(monkeypatch, model, True)
+        reference, ref_lps, _, _ = search_with_keys(monkeypatch, model, False)
         assert _bits(solution) == _bits(unpruned), name
-        assert solution.nodes <= unpruned.nodes, name
+        assert solution.nodes <= unpruned.nodes == searched(unpruned_lps) == 1 + len(pushes), name
+        assert len(pushes) == 2 * len(branchings), name
+        for (j, value), first, second in zip(branchings, pushes[::2], pushes[1::2]):
+            parent = first[1]
+            up = float(value >= 0.5)
+            assert second[1] is parent, name
+            children = {**parent.fixes, j: up}, {**parent.fixes, j: 1.0 - up}
+            assert (first[2], second[2]) == children, (name, j, value)
         assert solution.nodes == searched(lps) <= reference.nodes == searched(ref_lps), name
         nodes += solution.nodes
         ref_nodes += reference.nodes

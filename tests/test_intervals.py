@@ -75,36 +75,6 @@ class TestDistance:
         assert distance_to_ideal(p, p) == 0.0
 
 
-class TestPrefer:
-    """The method prefers whichever cost lies closer to the ideal point."""
-
-    IDEAL_1 = CenterWidth(830, 163)
-    IDEAL_2 = CenterWidth(734.5, 26.75)
-
-    def test_closer_point_wins(self):
-        assert distance_to_ideal(CenterWidth(841.85, 169.03), self.IDEAL_1) < \
-            distance_to_ideal(CenterWidth(830, 190), self.IDEAL_1)
-
-    def test_identical_points_tie(self):
-        p = CenterWidth(841.85, 169.03)
-        assert distance_to_ideal(p, self.IDEAL_1) == \
-            distance_to_ideal(CenterWidth(841.85, 169.03), self.IDEAL_1)
-
-    def test_second_benchmark_preference(self):
-        assert distance_to_ideal(CenterWidth(740, 27.5), self.IDEAL_2) < \
-            distance_to_ideal(CenterWidth(752, 18), self.IDEAL_2)
-
-    def test_equidistant_points_tie(self):
-        ideal = CenterWidth(100, 10)
-        assert distance_to_ideal(CenterWidth(95, 10), ideal) == \
-            distance_to_ideal(CenterWidth(105, 10), ideal)
-
-    def test_farther_point_loses(self):
-        ideal = CenterWidth(100, 10)
-        assert distance_to_ideal(CenterWidth(120, 10), ideal) > \
-            distance_to_ideal(CenterWidth(101, 10), ideal)
-
-
 def _random_cw(rng, span=1000.0):
     return CenterWidth(rng.uniform(-span, span), rng.uniform(0, span))
 

@@ -141,8 +141,14 @@ class TestPivotCounts:
         assert first.pivots == second.pivots > 0
 
     def test_root_node_pivots_match_solve_lp(self):
+        # With no binary the search is its root, and the answer is the LP at the
+        # empty pattern, solved again from the slack basis: solve_lp's LP twice.
         model = MilpModel([1.0, 1.0], [[1.0, 1.0]], [-1], [3.0], [0.0] * 2, [10.0] * 2, [])
-        assert solve_milp(model).pivots == solve_lp(model).pivots > 0
+        milp, lp = solve_milp(model), solve_lp(model)
+        assert (milp.status, milp.nodes) == (lp.status, lp.nodes)
+        assert np.array([milp.objective_value, *milp.assignment]).tobytes() == \
+            np.array([lp.objective_value, *lp.assignment]).tobytes()
+        assert milp.pivots == 2 * lp.pivots > 0
 
     @pytest.mark.skipif(not _openblas_on_two_cpus(),
                         reason="needs numpy on OpenBLAS and two CPUs this process may use")
